@@ -1,6 +1,6 @@
 //! Cost of the greedy cover-sequence search (Section 3.3.3) — the
 //! dominant preprocessing step — as a function of the number of covers k
-//! and the raster resolution r.
+//! and the raster resolution r, and over real aircraft parts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vsim_features::greedy_cover_sequence;
@@ -39,5 +39,21 @@ fn bench_r_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_k_sweep, bench_r_sweep);
+/// The tube has one shape; how much of the search the bound prunes
+/// differs between a nut, a washer and a wing.
+fn bench_aircraft(c: &mut Criterion) {
+    let mut g = c.benchmark_group("greedy_cover_aircraft");
+    g.sample_size(10);
+    let parts = vsim_datagen::aircraft::aircraft_dataset(7, 64);
+    g.bench_function("64_parts_k7", |b| {
+        b.iter(|| {
+            for o in &parts.objects {
+                std::hint::black_box(greedy_cover_sequence(std::hint::black_box(&o.grid15), 7));
+            }
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_k_sweep, bench_r_sweep, bench_aircraft);
 criterion_main!(benches);

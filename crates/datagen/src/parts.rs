@@ -227,8 +227,13 @@ pub fn clamp(r: f64, t: f64, width: f64) -> Box<dyn Solid> {
 /// A wing: a tapered lens-profile extrusion (intersection of two offset
 /// cylinders swept along the span, tapered toward the tip).
 pub fn wing(span: f64, chord: f64, camber: f64, taper: f64) -> Box<dyn Solid> {
+    tapered_z(wing_profile(span, chord, camber), 1.0, taper)
+}
+
+/// The untapered lens-profile extrusion of a [`wing`].
+fn wing_profile(span: f64, chord: f64, camber: f64) -> Box<dyn Solid> {
     let r = (chord * chord / (4.0 * camber) + camber) / 2.0;
-    let lens = intersection(vec![
+    intersection(vec![
         translated(
             rotated(CylinderZ { radius: r, half_height: span }.boxed(), Mat3::IDENTITY),
             Vec3::new(0.0, r - camber, 0.0),
@@ -237,8 +242,7 @@ pub fn wing(span: f64, chord: f64, camber: f64, taper: f64) -> Box<dyn Solid> {
             CylinderZ { radius: r, half_height: span }.boxed(),
             Vec3::new(0.0, -(r - camber), 0.0),
         ),
-    ]);
-    tapered_z(lens, 1.0, taper)
+    ])
 }
 
 /// A spar: an I-beam.
@@ -349,6 +353,54 @@ mod tests {
             }
         }
         assert!(root_half > 3 * tip_half / 2, "root {root_half} vs tip {tip_half}");
+    }
+
+    /// `TaperZ` as it was before it kept the child's box: the box is
+    /// folded over the child's CSG tree again on every probe.
+    struct ProbeTaper {
+        child: Box<dyn Solid>,
+        top: f64,
+    }
+
+    impl Solid for ProbeTaper {
+        fn contains(&self, p: Vec3) -> bool {
+            let b = self.child.aabb();
+            let span = (b.max.z - b.min.z).max(1e-12);
+            let t = ((p.z - b.min.z) / span).clamp(0.0, 1.0);
+            let s = 1.0 + t * (self.top - 1.0);
+            self.child.contains(Vec3::new(p.x / s, p.y / s, p.z))
+        }
+        fn aabb(&self) -> vsim_geom::Aabb {
+            let b = self.child.aabb();
+            let s = self.top.max(1.0);
+            vsim_geom::Aabb::new(
+                Vec3::new(b.min.x * s, b.min.y * s, b.min.z),
+                Vec3::new(b.max.x * s, b.max.y * s, b.max.z),
+            )
+        }
+    }
+
+    #[test]
+    fn taper_with_a_kept_child_box_voxelizes_bit_identically() {
+        // Wings around the aircraft family's dimensions, and its spars
+        // tapered.
+        let children: [fn(f64) -> Box<dyn Solid>; 2] = [
+            |s| wing_profile(6.0 * s, 2.0 / s, 0.35 * s),
+            |s| spar(5.0 * s, 1.0 / s, 0.8 * s, 0.2),
+        ];
+        for (scale, top) in [(0.85, 0.24), (1.0, 0.3), (1.15, 0.36), (1.1, 1.4)] {
+            for child in children {
+                let kept = tapered_z(child(scale), 1.0, top);
+                let probed = ProbeTaper { child: child(scale), top };
+                for r in [15, 30] {
+                    assert_eq!(
+                        voxelize_solid(kept.as_ref(), r, NormalizeMode::Uniform).grid,
+                        voxelize_solid(&probed, r, NormalizeMode::Uniform).grid,
+                        "scale {scale} top {top} r {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,16 +11,35 @@
 //! ## Search strategy
 //!
 //! Each greedy step maximizes the error reduction ("gain") over *all*
-//! axis-parallel cuboids:
+//! axis-parallel cuboids and both signs. A gain is a sum of signed voxel
+//! weights over the cuboid:
 //!
-//! * `gain₊(C) = |C ∩ (O∖S)| − |C ∖ (O ∪ S)|`
-//! * `gain₋(C) = |C ∩ (S∖O)| − |C ∩ (S ∩ O)|`
+//! * plus: `+1` on `O∖S` (gets covered), `−1` outside `O ∪ S` (gets
+//!   spoiled), `0` on `S`;
+//! * minus: `+1` on `S∖O` (gets cleared), `−1` on `S ∩ O` (gets lost),
+//!   `0` outside `S`.
 //!
-//! Both are additive over z-slabs of `C`, so for every `(x₀,x₁,y₀,y₁)`
-//! footprint the optimal z-interval is a maximum-sum subarray found by
-//! Kadane's algorithm in `O(r)`, with per-slab counts answered from 2-D
-//! prefix sums in `O(1)`. The full step is `O(r⁴ · r) = O(r⁵)` instead of
-//! the naive `O(r⁶)` box enumeration with per-box counting.
+//! Both are additive over the z-slabs of a cuboid, so for every
+//! `(x₀,x₁,y₀,y₁)` footprint the optimal z-interval is a maximum-sum
+//! subarray found by Kadane's algorithm in `O(r)`. The slab gains come
+//! from one signed 2-D prefix-sum table per sign, stored z-contiguous so
+//! that a footprint's `r` slab gains are four column additions. That is
+//! `O(r⁴ · r) = O(r⁵)` for the full step, against `O(r⁶)` for box
+//! enumeration with per-box counting.
+//!
+//! Most footprints never reach Kadane. A plus-gain cannot exceed the
+//! `O∖S` voxels of its footprint column, a minus-gain not its `S∖O`
+//! voxels; both counts are O(1) from the two tables projected along z.
+//! A footprint whose larger count is no more than the best gain so far is
+//! skipped, and since the count only grows with the footprint, so is the
+//! rest of the `y₀` loop once `[y₀, r)` falls short, and the whole
+//! `(x₀,x₁)` strip when `[0, r)` does.
+//!
+//! The search is exact, ties included: the best unit is replaced only on
+//! a strictly larger gain, and no cuboid of a skipped footprint exceeds
+//! the best gain at the moment of the skip, so none would have replaced
+//! it. The scan order `(x₀, x₁, y₀, y₁, z-end, plus before minus)`
+//! therefore decides every tie exactly as a scan of all footprints does.
 
 use vsim_setdist::VectorSet;
 use vsim_voxel::VoxelGrid;
@@ -68,6 +87,20 @@ pub struct CoverUnit {
     pub gain: usize,
 }
 
+impl CoverUnit {
+    /// Union the cuboid into `approx` (plus) or carve it out (minus).
+    fn apply(&self, approx: &mut VoxelGrid) {
+        let c = &self.cuboid;
+        for z in c.min[2]..c.max[2] {
+            for y in c.min[1]..c.max[1] {
+                for x in c.min[0]..c.max[0] {
+                    approx.set(x, y, z, matches!(self.sign, Sign::Plus));
+                }
+            }
+        }
+    }
+}
+
 /// A greedy cover sequence for one object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverSequence {
@@ -89,121 +122,153 @@ impl CoverSequence {
     pub fn reconstruct(&self) -> VoxelGrid {
         let mut s = VoxelGrid::cubic(self.r);
         for u in &self.units {
-            for z in u.cuboid.min[2]..u.cuboid.max[2] {
-                for y in u.cuboid.min[1]..u.cuboid.max[1] {
-                    for x in u.cuboid.min[0]..u.cuboid.max[0] {
-                        s.set(x, y, z, matches!(u.sign, Sign::Plus));
-                    }
-                }
-            }
+            u.apply(&mut s);
         }
         s
     }
 }
 
-/// Per-z-slab 2-D prefix sums over a set of "marked" voxels, used to
-/// answer `count(rect, z-slab)` in O(1).
-struct SlabPrefix {
+/// Workspace of the greedy step, built once per sequence and refilled
+/// per step. Every table is a 2-D prefix sum over `(x, y)` with the usual
+/// zero row and column, so a footprint costs four lookups.
+struct CoverSearch {
     r: usize,
-    /// `[z][(y)(r+1) + x]`, standard inclusive-exclusive 2-D table.
-    tables: Vec<Vec<u32>>,
+    /// Length of one z-column: `r` rounded up to a multiple of 8. The
+    /// padding lanes are never written and stay zero.
+    zp: usize,
+    /// Signed voxel weights per z-slab, z-contiguous:
+    /// `[(y·(r+1) + x)·zp + z]`.
+    plus: Vec<i32>,
+    minus: Vec<i32>,
+    /// The projections along z, `[y·(r+1) + x]`: `|column ∩ O∖S|` and
+    /// `|column ∩ S∖O|`.
+    plus_cap: Vec<i32>,
+    minus_cap: Vec<i32>,
+    /// Slab gains `a[z]`, `b[z]` of the footprint under the scan.
+    a: Vec<i32>,
+    b: Vec<i32>,
 }
 
-impl SlabPrefix {
-    /// Build from a predicate over voxel coordinates.
-    fn build(r: usize, mut f: impl FnMut(usize, usize, usize) -> bool) -> Self {
-        let w = r + 1;
-        let mut tables = Vec::with_capacity(r);
-        for z in 0..r {
-            let mut t = vec![0u32; w * w];
-            for y in 1..=r {
-                let mut row = 0u32;
-                for x in 1..=r {
-                    row += f(x - 1, y - 1, z) as u32;
-                    t[y * w + x] = row + t[(y - 1) * w + x];
-                }
-            }
-            tables.push(t);
+impl CoverSearch {
+    fn new(r: usize) -> Self {
+        // No table entry and no gain exceeds r³.
+        assert!(r <= 1024, "raster resolution {r} overflows the i32 gain tables");
+        let zp = r.next_multiple_of(8);
+        let cells = (r + 1) * (r + 1);
+        CoverSearch {
+            r,
+            zp,
+            plus: vec![0; cells * zp],
+            minus: vec![0; cells * zp],
+            plus_cap: vec![0; cells],
+            minus_cap: vec![0; cells],
+            a: vec![0; zp],
+            b: vec![0; zp],
         }
-        SlabPrefix { r, tables }
     }
 
-    /// Count of marked voxels in `[x0,x1) × [y0,y1)` at height `z`.
-    #[inline]
-    fn rect(&self, z: usize, x0: usize, x1: usize, y0: usize, y1: usize) -> u32 {
-        let w = self.r + 1;
-        let t = &self.tables[z];
-        t[y1 * w + x1] + t[y0 * w + x0] - t[y0 * w + x1] - t[y1 * w + x0]
-    }
-}
-
-/// One greedy step: the best `(cuboid, sign, gain)` over all cuboids, or
-/// `None` if no cuboid has positive gain.
-fn best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
-    let [r, _, _] = object.dims();
-    // Gain tables:
-    //   plus : a(z-slab) = |slab ∩ O∖S| − (slab_area − |slab ∩ (O∪S)|)
-    //   minus: b(z-slab) = |slab ∩ S∖O| − |slab ∩ (S∩O)|
-    let need_add = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) && !approx.get(x, y, z));
-    let in_either = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) || approx.get(x, y, z));
-    let need_del = SlabPrefix::build(r, |x, y, z| !object.get(x, y, z) && approx.get(x, y, z));
-    let in_both = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) && approx.get(x, y, z));
-
-    let mut best_gain = 0i64;
-    let mut best: Option<(Cuboid, Sign)> = None;
-
-    let mut a = vec![0i64; r];
-    let mut b = vec![0i64; r];
-    for x0 in 0..r {
-        for x1 in (x0 + 1)..=r {
-            for y0 in 0..r {
-                for y1 in (y0 + 1)..=r {
-                    let area = ((x1 - x0) * (y1 - y0)) as i64;
-                    for z in 0..r {
-                        let add = need_add.rect(z, x0, x1, y0, y1) as i64;
-                        let either = in_either.rect(z, x0, x1, y0, y1) as i64;
-                        a[z] = add - (area - either);
-                        let del = need_del.rect(z, x0, x1, y0, y1) as i64;
-                        let both = in_both.rect(z, x0, x1, y0, y1) as i64;
-                        b[z] = del - both;
+    /// Load the tables for one greedy step from approximation `approx`.
+    fn fill(&mut self, object: &VoxelGrid, approx: &VoxelGrid) {
+        let (r, w, zp) = (self.r, self.r + 1, self.zp);
+        for y in 1..=r {
+            for x in 1..=r {
+                let at = y * w + x;
+                let (up, left, diag) = (at - w, at - 1, at - w - 1);
+                let (mut need_add, mut need_del) = (0, 0);
+                for z in 0..r {
+                    let (p, m) = match (object.get(x - 1, y - 1, z), approx.get(x - 1, y - 1, z)) {
+                        (true, false) => (1, 0),
+                        (false, false) => (-1, 0),
+                        (false, true) => (0, 1),
+                        (true, true) => (0, -1),
+                    };
+                    need_add += i32::from(p == 1);
+                    need_del += i32::from(m == 1);
+                    for (t, v) in [(&mut self.plus, p), (&mut self.minus, m)] {
+                        t[at * zp + z] = v + t[up * zp + z] + t[left * zp + z] - t[diag * zp + z];
                     }
-                    // Kadane over z for both signs simultaneously.
-                    let mut run_a = 0i64;
-                    let mut start_a = 0usize;
-                    let mut run_b = 0i64;
-                    let mut start_b = 0usize;
-                    for z in 0..r {
-                        if run_a <= 0 {
-                            run_a = 0;
-                            start_a = z;
-                        }
-                        run_a += a[z];
-                        if run_a > best_gain {
-                            best_gain = run_a;
-                            best = Some((
-                                Cuboid { min: [x0, y0, start_a], max: [x1, y1, z + 1] },
-                                Sign::Plus,
-                            ));
-                        }
-                        if run_b <= 0 {
-                            run_b = 0;
-                            start_b = z;
-                        }
-                        run_b += b[z];
-                        if run_b > best_gain {
-                            best_gain = run_b;
-                            best = Some((
-                                Cuboid { min: [x0, y0, start_b], max: [x1, y1, z + 1] },
-                                Sign::Minus,
-                            ));
-                        }
-                    }
+                }
+                for (t, v) in [(&mut self.plus_cap, need_add), (&mut self.minus_cap, need_del)] {
+                    t[at] = v + t[up] + t[left] - t[diag];
                 }
             }
         }
     }
 
-    best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
+    /// One greedy step: the best `(cuboid, sign, gain)` over all cuboids,
+    /// or `None` if no cuboid has positive gain.
+    fn best(&mut self) -> Option<CoverUnit> {
+        let (r, w, zp) = (self.r, self.r + 1, self.zp);
+        let (plus, minus) = (&self.plus[..], &self.minus[..]);
+        let (plus_cap, minus_cap) = (&self.plus_cap[..], &self.minus_cap[..]);
+        let (a, b) = (&mut self.a[..zp], &mut self.b[..zp]);
+
+        let mut best_gain = 0i32;
+        let mut best: Option<(Cuboid, Sign)> = None;
+        for x0 in 0..r {
+            for x1 in (x0 + 1)..=r {
+                let rect = |t: &[i32], y0: usize, y1: usize| {
+                    t[y1 * w + x1] + t[y0 * w + x0] - t[y0 * w + x1] - t[y1 * w + x0]
+                };
+                // The most any cuboid on footprint `[x0,x1) × [y0,y1)` gains.
+                let bound =
+                    |y0: usize, y1: usize| rect(plus_cap, y0, y1).max(rect(minus_cap, y0, y1));
+                for y0 in 0..r {
+                    // `bound(y0, r)` tops every `y1` and only falls as
+                    // `y0` grows; at `y0 = 0` it drops the whole strip.
+                    if bound(y0, r) <= best_gain {
+                        break;
+                    }
+                    for y1 in (y0 + 1)..=r {
+                        if bound(y0, y1) <= best_gain {
+                            continue;
+                        }
+                        for (t, out) in [(plus, &mut *a), (minus, &mut *b)] {
+                            let col = |y: usize, x: usize| &t[(y * w + x) * zp..][..zp];
+                            let (c11, c00, c01, c10) =
+                                (col(y1, x1), col(y0, x0), col(y0, x1), col(y1, x0));
+                            for z in 0..zp {
+                                out[z] = c11[z] + c00[z] - c01[z] - c10[z];
+                            }
+                        }
+                        // Kadane over z for both signs simultaneously.
+                        let mut run_a = 0i32;
+                        let mut start_a = 0usize;
+                        let mut run_b = 0i32;
+                        let mut start_b = 0usize;
+                        for z in 0..r {
+                            if run_a <= 0 {
+                                run_a = 0;
+                                start_a = z;
+                            }
+                            run_a += a[z];
+                            if run_a > best_gain {
+                                best_gain = run_a;
+                                best = Some((
+                                    Cuboid { min: [x0, y0, start_a], max: [x1, y1, z + 1] },
+                                    Sign::Plus,
+                                ));
+                            }
+                            if run_b <= 0 {
+                                run_b = 0;
+                                start_b = z;
+                            }
+                            run_b += b[z];
+                            if run_b > best_gain {
+                                best_gain = run_b;
+                                best = Some((
+                                    Cuboid { min: [x0, y0, start_b], max: [x1, y1, z + 1] },
+                                    Sign::Minus,
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
+    }
 }
 
 /// Greedy cover sequence of at most `k` units (Jagadish/Bruckstein's
@@ -218,19 +283,13 @@ pub fn greedy_cover_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
     let mut approx = VoxelGrid::cubic(r);
     let mut err = object.count();
     let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
+    let mut search = CoverSearch::new(r);
     for _ in 0..k {
-        let Some(unit) = best_cover(object, &approx) else {
+        search.fill(object, &approx);
+        let Some(unit) = search.best() else {
             break;
         };
-        // Apply to the approximation.
-        let val = matches!(unit.sign, Sign::Plus);
-        for z in unit.cuboid.min[2]..unit.cuboid.max[2] {
-            for y in unit.cuboid.min[1]..unit.cuboid.max[1] {
-                for x in unit.cuboid.min[0]..unit.cuboid.max[0] {
-                    approx.set(x, y, z, val);
-                }
-            }
-        }
+        unit.apply(&mut approx);
         err -= unit.gain;
         seq.units.push(unit);
         seq.errors.push(err);
@@ -368,6 +427,9 @@ pub fn transform_feature_vector(f: &[f64], m: &vsim_geom::Mat3) -> Vec<f64> {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -381,6 +443,13 @@ mod tests {
             }
         }
         g
+    }
+
+    /// One greedy step on a fresh workspace.
+    pub(super) fn best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
+        let mut search = CoverSearch::new(object.dims()[0]);
+        search.fill(object, approx);
+        search.best()
     }
 
     /// Brute-force best cover: enumerate every cuboid and sign.
@@ -431,7 +500,7 @@ mod tests {
     #[test]
     fn greedy_step_matches_brute_force_on_random_grids() {
         // Pseudo-random object and partial approximation on a 5-cube:
-        // the prefix-sum + Kadane search must find the same best gain as
+        // the bounded prefix-sum + Kadane search must find the same best gain as
         // full enumeration over all cuboids and both signs.
         let mut state = 0xabcdef12345u64;
         let mut next = move || {
@@ -454,7 +523,7 @@ mod tests {
                 }
             }
             let want = brute_best_gain(&object, &approx);
-            let got = super::best_cover(&object, &approx).map_or(0, |u| u.gain as i64);
+            let got = best_cover(&object, &approx).map_or(0, |u| u.gain as i64);
             assert_eq!(got, want, "trial {trial}");
         }
     }

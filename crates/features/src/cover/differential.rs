@@ -1,0 +1,318 @@
+//! Differential tests of the bounded greedy step against the exhaustive
+//! search it replaced: four unsigned per-slab tables, every footprint
+//! scanned, no pruning. The two must agree on the *identical* unit
+//! (cuboid, sign and gain), so every tie falls the same way.
+
+use super::tests::best_cover;
+use super::*;
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use vsim_voxel::{voxelize_solid, NormalizeMode};
+
+/// Per-z-slab 2-D prefix sums over a set of "marked" voxels, used to
+/// answer `count(rect, z-slab)` in O(1).
+struct SlabPrefix {
+    r: usize,
+    /// `[z][(y)(r+1) + x]`, standard inclusive-exclusive 2-D table.
+    tables: Vec<Vec<u32>>,
+}
+
+impl SlabPrefix {
+    /// Build from a predicate over voxel coordinates.
+    fn build(r: usize, mut f: impl FnMut(usize, usize, usize) -> bool) -> Self {
+        let w = r + 1;
+        let mut tables = Vec::with_capacity(r);
+        for z in 0..r {
+            let mut t = vec![0u32; w * w];
+            for y in 1..=r {
+                let mut row = 0u32;
+                for x in 1..=r {
+                    row += f(x - 1, y - 1, z) as u32;
+                    t[y * w + x] = row + t[(y - 1) * w + x];
+                }
+            }
+            tables.push(t);
+        }
+        SlabPrefix { r, tables }
+    }
+
+    /// Count of marked voxels in `[x0,x1) × [y0,y1)` at height `z`.
+    #[inline]
+    fn rect(&self, z: usize, x0: usize, x1: usize, y0: usize, y1: usize) -> u32 {
+        let w = self.r + 1;
+        let t = &self.tables[z];
+        t[y1 * w + x1] + t[y0 * w + x0] - t[y0 * w + x1] - t[y1 * w + x0]
+    }
+}
+
+/// The greedy step as it was before the bounded search.
+fn reference_best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
+    let [r, _, _] = object.dims();
+    // Gain tables:
+    //   plus : a(z-slab) = |slab ∩ O∖S| − (slab_area − |slab ∩ (O∪S)|)
+    //   minus: b(z-slab) = |slab ∩ S∖O| − |slab ∩ (S∩O)|
+    let need_add = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) && !approx.get(x, y, z));
+    let in_either = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) || approx.get(x, y, z));
+    let need_del = SlabPrefix::build(r, |x, y, z| !object.get(x, y, z) && approx.get(x, y, z));
+    let in_both = SlabPrefix::build(r, |x, y, z| object.get(x, y, z) && approx.get(x, y, z));
+
+    let mut best_gain = 0i64;
+    let mut best: Option<(Cuboid, Sign)> = None;
+
+    let mut a = vec![0i64; r];
+    let mut b = vec![0i64; r];
+    for x0 in 0..r {
+        for x1 in (x0 + 1)..=r {
+            for y0 in 0..r {
+                for y1 in (y0 + 1)..=r {
+                    let area = ((x1 - x0) * (y1 - y0)) as i64;
+                    for z in 0..r {
+                        let add = need_add.rect(z, x0, x1, y0, y1) as i64;
+                        let either = in_either.rect(z, x0, x1, y0, y1) as i64;
+                        a[z] = add - (area - either);
+                        let del = need_del.rect(z, x0, x1, y0, y1) as i64;
+                        let both = in_both.rect(z, x0, x1, y0, y1) as i64;
+                        b[z] = del - both;
+                    }
+                    // Kadane over z for both signs simultaneously.
+                    let mut run_a = 0i64;
+                    let mut start_a = 0usize;
+                    let mut run_b = 0i64;
+                    let mut start_b = 0usize;
+                    for z in 0..r {
+                        if run_a <= 0 {
+                            run_a = 0;
+                            start_a = z;
+                        }
+                        run_a += a[z];
+                        if run_a > best_gain {
+                            best_gain = run_a;
+                            best = Some((
+                                Cuboid { min: [x0, y0, start_a], max: [x1, y1, z + 1] },
+                                Sign::Plus,
+                            ));
+                        }
+                        if run_b <= 0 {
+                            run_b = 0;
+                            start_b = z;
+                        }
+                        run_b += b[z];
+                        if run_b > best_gain {
+                            best_gain = run_b;
+                            best = Some((
+                                Cuboid { min: [x0, y0, start_b], max: [x1, y1, z + 1] },
+                                Sign::Minus,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
+}
+
+/// `greedy_cover_sequence` driven by the reference step.
+fn reference_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
+    let r = object.dims()[0];
+    let mut approx = VoxelGrid::cubic(r);
+    let mut err = object.count();
+    let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
+    while seq.units.len() < k && err > 0 {
+        let Some(unit) = reference_best_cover(object, &approx) else {
+            break;
+        };
+        unit.apply(&mut approx);
+        err -= unit.gain;
+        seq.units.push(unit);
+        seq.errors.push(err);
+    }
+    seq
+}
+
+/// A grid with each voxel set with probability `eighths / 8`.
+fn noise(rng: &mut TestRng, r: usize, eighths: u64) -> VoxelGrid {
+    let mut g = VoxelGrid::cubic(r);
+    for z in 0..r {
+        for y in 0..r {
+            for x in 0..r {
+                g.set(x, y, z, rng.below(8) < eighths);
+            }
+        }
+    }
+    g
+}
+
+/// A non-empty random cuboid inside `[0, r)³`.
+fn random_box(rng: &mut TestRng, r: usize) -> Cuboid {
+    let mut c = Cuboid { min: [0; 3], max: [0; 3] };
+    for d in 0..3 {
+        let (p, q) = (rng.below(r as u64 + 1) as usize, rng.below(r as u64) as usize);
+        // `q` skips `p`, so the two ends differ.
+        let q = q + usize::from(q >= p);
+        (c.min[d], c.max[d]) = (p.min(q), p.max(q));
+    }
+    c
+}
+
+fn filled(r: usize, boxes: &[Cuboid]) -> VoxelGrid {
+    let mut g = VoxelGrid::cubic(r);
+    for &cuboid in boxes {
+        CoverUnit { cuboid, sign: Sign::Plus, gain: 0 }.apply(&mut g);
+    }
+    g
+}
+
+/// The mirror image of `g` along `axis`.
+fn flipped(g: &VoxelGrid, axis: usize) -> VoxelGrid {
+    let r = g.dims()[0];
+    let mut out = VoxelGrid::cubic(r);
+    for mut v in g.iter_set() {
+        v[axis] = r - 1 - v[axis];
+        out.set(v[0], v[1], v[2], true);
+    }
+    out
+}
+
+/// `g` united with its mirror image along `axis`.
+fn mirrored(g: &VoxelGrid, axis: usize) -> VoxelGrid {
+    let mut out = flipped(g, axis);
+    out.union_with(g);
+    out
+}
+
+/// One `(object, approx)` pair of the given kind. Kinds 1.. are built so
+/// that several cuboids tie for the best gain.
+fn grid_pair(kind: usize, r: usize, seed: u64) -> (VoxelGrid, VoxelGrid) {
+    let rng = &mut TestRng::from_name(&format!("cover-differential-{seed}"));
+    let (d_object, d_approx) = (rng.below(9), rng.below(9));
+    let axis = rng.below(3) as usize;
+    match kind {
+        // Independent noise at densities from empty to full.
+        0 => (noise(rng, r, d_object), noise(rng, r, d_approx)),
+        // Mirror-symmetric object: every cover has an equal twin.
+        1 => (mirrored(&noise(rng, r, d_object.min(3)), axis), VoxelGrid::cubic(r)),
+        2 => {
+            let boxes = [random_box(rng, r), random_box(rng, r), random_box(rng, r)];
+            let object = mirrored(&filled(r, &boxes), axis);
+            let approx = mirrored(&filled(r, &boxes[..1]), axis);
+            (object, approx)
+        }
+        // Two equal boxes, the second half a grid further along one axis.
+        3 => {
+            let half = r / 2;
+            let mut a = random_box(rng, r);
+            a.min[axis] = a.min[axis].min(half - 1);
+            a.max[axis] = a.max[axis].clamp(a.min[axis] + 1, half);
+            let mut b = a;
+            b.min[axis] += half;
+            b.max[axis] += half;
+            (filled(r, &[a, b]), VoxelGrid::cubic(r))
+        }
+        // Nothing left to gain.
+        4 => {
+            let object = noise(rng, r, d_object);
+            (object.clone(), object)
+        }
+        // Approximation full: only minus covers can gain.
+        5 => (noise(rng, r, d_object), filled(r, &[Cuboid { min: [0; 3], max: [r; 3] }])),
+        // Box unions, as a greedy sequence meets them mid-way.
+        _ => {
+            let boxes: Vec<Cuboid> = (0..5).map(|_| random_box(rng, r)).collect();
+            (filled(r, &boxes[..4]), filled(r, &boxes[2..]))
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn step_is_identical_to_the_reference(kind in 0usize..7, r in 4usize..=9, seed in 0u64..u64::MAX) {
+        let (object, approx) = grid_pair(kind, r, seed);
+        prop_assert_eq!(
+            best_cover(&object, &approx),
+            reference_best_cover(&object, &approx),
+            "kind {} r {} seed {}", kind, r, seed
+        );
+    }
+
+    #[test]
+    fn sequence_is_identical_to_the_reference(kind in 0usize..4, r in 4usize..=9, seed in 0u64..u64::MAX) {
+        let (object, _) = grid_pair(kind, r, seed);
+        prop_assert_eq!(
+            greedy_cover_sequence(&object, 9),
+            reference_sequence(&object, 9),
+            "kind {} r {} seed {}", kind, r, seed
+        );
+    }
+}
+
+#[test]
+fn tie_generators_do_produce_ties() {
+    // The mirrored and twin-box kinds are only worth their name if the
+    // best gain is reached by more than one cuboid: mirroring the object
+    // must give the same gain with, somewhere, a different winner.
+    let mut moved = 0;
+    for seed in 0..40 {
+        for kind in [1, 2, 3] {
+            let (object, approx) = grid_pair(kind, 8, seed);
+            let Some(unit) = best_cover(&object, &approx) else { continue };
+            for axis in 0..3 {
+                let twin = best_cover(&flipped(&object, axis), &flipped(&approx, axis)).unwrap();
+                assert_eq!(twin.gain, unit.gain);
+                let mut image = unit.cuboid;
+                (image.min[axis], image.max[axis]) =
+                    (8 - unit.cuboid.max[axis], 8 - unit.cuboid.min[axis]);
+                moved += usize::from(twin.cuboid != image);
+            }
+        }
+    }
+    assert!(moved > 20, "only {moved} tie-broken steps");
+}
+
+/// Two solids of every aircraft and car family, greebled as the dataset
+/// builders do.
+fn family_solids() -> Vec<(&'static str, Box<dyn vsim_geom::Solid>)> {
+    use rand::prelude::*;
+    let families = vsim_datagen::aircraft::aircraft_families()
+        .into_iter()
+        .chain(vsim_datagen::car::car_families());
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut out = Vec::new();
+    for f in families {
+        for _ in 0..2 {
+            out.push((
+                f.name,
+                vsim_datagen::greeble::standard_greebles((f.gen)(&mut rng), &mut rng),
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn sequences_equal_the_reference_on_every_part_family() {
+    for (name, solid) in family_solids() {
+        let grid = voxelize_solid(solid.as_ref(), 15, NormalizeMode::Uniform).grid;
+        assert_eq!(greedy_cover_sequence(&grid, 9), reference_sequence(&grid, 9), "{name}");
+    }
+}
+
+#[test]
+fn padding_lanes_stay_out_of_the_scan() {
+    // r = 10, 12 and 20 leave 6, 4 and 4 padding lanes behind each
+    // z-column; r = 16 leaves none.
+    let solids = family_solids();
+    for r in [10, 12, 16, 20] {
+        for (name, solid) in solids.iter().step_by(9) {
+            let grid = voxelize_solid(solid.as_ref(), r, NormalizeMode::Uniform).grid;
+            assert_eq!(
+                greedy_cover_sequence(&grid, 7),
+                reference_sequence(&grid, 7),
+                "{name} r={r}"
+            );
+        }
+        let (object, approx) = grid_pair(0, r, r as u64);
+        assert_eq!(best_cover(&object, &approx), reference_best_cover(&object, &approx), "r={r}");
+    }
+}

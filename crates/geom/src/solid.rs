@@ -221,6 +221,9 @@ impl Solid for Transformed {
 /// Used e.g. for tapered wings and spars.
 pub struct TaperZ {
     child: Box<dyn Solid>,
+    /// `child.aabb()`, folded over the child's CSG tree once: every
+    /// membership probe needs its z-range.
+    child_bounds: Aabb,
     pub scale_bottom: f64,
     pub scale_top: f64,
 }
@@ -228,9 +231,11 @@ pub struct TaperZ {
 impl TaperZ {
     pub fn new(child: Box<dyn Solid>, scale_bottom: f64, scale_top: f64) -> Self {
         assert!(scale_bottom > 0.0 && scale_top > 0.0);
-        TaperZ { child, scale_bottom, scale_top }
+        let child_bounds = child.aabb();
+        TaperZ { child, child_bounds, scale_bottom, scale_top }
     }
-    fn scale_at(&self, z: f64, b: &Aabb) -> f64 {
+    fn scale_at(&self, z: f64) -> f64 {
+        let b = &self.child_bounds;
         let span = (b.max.z - b.min.z).max(1e-12);
         let t = ((z - b.min.z) / span).clamp(0.0, 1.0);
         self.scale_bottom + t * (self.scale_top - self.scale_bottom)
@@ -239,12 +244,11 @@ impl TaperZ {
 
 impl Solid for TaperZ {
     fn contains(&self, p: Vec3) -> bool {
-        let b = self.child.aabb();
-        let s = self.scale_at(p.z, &b);
+        let s = self.scale_at(p.z);
         self.child.contains(Vec3::new(p.x / s, p.y / s, p.z))
     }
     fn aabb(&self) -> Aabb {
-        let b = self.child.aabb();
+        let b = &self.child_bounds;
         let s = self.scale_bottom.max(self.scale_top).max(1.0);
         Aabb::new(
             Vec3::new(b.min.x * s, b.min.y * s, b.min.z),

@@ -125,8 +125,13 @@ fn executor_batches_are_bit_identical_across_backends() {
 
     let queries: Vec<VectorSet> = (0..8).map(|i| sets[i * 19].clone()).collect();
     // A bounded shared pool exercises concurrent reads of one durable
-    // store, including evictions, without perturbing results.
-    for ex in [QueryExecutor::cold(), QueryExecutor::shared(64)] {
+    // store, including evictions, without perturbing results. Its
+    // charges are not compared: which of two racing workers takes a
+    // fault (and pays the bytes of its own record), and so what is
+    // evicted and read again, is scheduling, not backend. Per-query
+    // pools charge deterministically.
+    for (ex, charges_repeat) in [(QueryExecutor::cold(), true), (QueryExecutor::shared(64), false)]
+    {
         let bm = ex.batch_knn(&built, &queries, 6);
         let bf = ex.batch_knn(&file, &queries, 6);
         let bp = ex.batch_knn(&mmap, &queries, 6);
@@ -134,7 +139,9 @@ fn executor_batches_are_bit_identical_across_backends() {
             assert_hits_bit_identical(&bm.hits[i], &bf.hits[i], &format!("batch q{i} file"));
             assert_hits_bit_identical(&bm.hits[i], &bp.hits[i], &format!("batch q{i} mmap"));
         }
-        assert_eq!(bf.aggregate.io, bp.aggregate.io, "file/mmap batches charge alike");
+        if charges_repeat {
+            assert_eq!(bf.aggregate.io, bp.aggregate.io, "file/mmap batches charge alike");
+        }
     }
 }
 

@@ -8,8 +8,6 @@
 //!
 //! * [`VoxelGrid`] — bit-packed 3-D occupancy grids with surface /
 //!   interior classification (the paper's `V̄ᵒ` and `V̇ᵒ` voxel sets).
-//! * [`PrefixSum3d`] — O(1) box-occupancy counting, the workhorse behind
-//!   the greedy cover-sequence search in `vsim-features`.
 //! * [`voxelize`] — rasterization of implicit solids and triangle meshes
 //!   into normalized grids (translation + scaling normalization with
 //!   stored per-axis scale factors, Section 3.2).
@@ -31,11 +29,9 @@
 pub mod grid;
 pub mod morphology;
 pub mod normalize;
-pub mod prefix;
 pub mod voxelize;
 
 pub use grid::VoxelGrid;
 pub use morphology::{close, connected_components, dilate, erode, largest_component, open};
 pub use normalize::{pca_rotation, rotate_grid, GridPose};
-pub use prefix::PrefixSum3d;
 pub use voxelize::{voxelize_mesh, voxelize_solid, NormalizeMode, Voxelization};

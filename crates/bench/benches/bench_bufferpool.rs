@@ -104,7 +104,7 @@ fn bench_executor_batch(c: &mut Criterion) {
         [("cold", QueryExecutor::cold()), ("warm_shared", QueryExecutor::shared_unbounded())]
     {
         g.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter(|| ex.batch_knn(&idx, &queries, 10))
+            b.iter(|| ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 10, ctx)))
         });
     }
     g.finish();

@@ -10,6 +10,7 @@
 //!
 //! `cargo run --release -p vsim-bench --bin exp_ablation_filter`
 
+use std::slice::from_ref;
 use vsim_bench::processed_aircraft;
 use vsim_core::prelude::*;
 
@@ -29,9 +30,13 @@ fn main() {
         let index = FilterRefineIndex::build(&sets, 6, k);
         let queries: Vec<VectorSet> =
             (0..n_queries).map(|qi| sets[(qi * 101) % n].clone()).collect();
-        eprintln!("[plan ] k = {k}: planner picks {}", index.plan_range().path);
+        // One plan per index: the statistics are per-dataset, not per-query.
+        let path = index.plan_range().path;
+        eprintln!("[plan ] k = {k}: planner picks {path}");
         for eps in [0.1f64, 0.25, 0.5, 1.0] {
-            let (batch, _path) = ex.batch_range_planned(&index, &queries, eps);
+            let batch = ex.run_batch(&queries, |q, ctx| {
+                index.execute(&Query::range(from_ref(q), eps).via(path), ctx)
+            });
             let cands = batch.aggregate.refinements as usize;
             let results: usize = batch.hits.iter().map(|h| h.len()).sum();
             let pruned = 1.0 - cands as f64 / (n * n_queries) as f64;

@@ -13,9 +13,9 @@
 //! `cargo run --release -p vsim-bench --bin exp_ablation_index`
 //! (env: `AIRCRAFT_N` caps the largest size)
 
+use std::slice::from_ref;
 use std::sync::Arc;
 use vsim_core::prelude::*;
-use vsim_query::VectorSetQueries;
 use vsim_setdist::Distance;
 
 fn report(n: usize, name: &str, comps: u64, io: f64, cpu_ms: f64) {
@@ -65,7 +65,7 @@ fn main() {
         for (i, s) in sets.iter().enumerate() {
             mtree.insert(s.clone(), i as u64);
         }
-        let b = ex.run_batch(&queries, |q, ctx| mtree.knn_ctx(q, knn, ctx));
+        let b = ex.run_batch(&queries, |q, ctx| Ok(mtree.knn(q, knn, ctx)));
         report(
             n,
             "M-tree",
@@ -76,7 +76,7 @@ fn main() {
 
         // Sequential scan: one exact distance per object per query.
         let scan = SequentialScanIndex::build(&sets);
-        let b = ex.batch_knn(&scan, &queries, knn);
+        let b = ex.run_batch(&queries, |q, ctx| scan.execute(&Query::knn(from_ref(q), knn), ctx));
         report(
             n,
             "sequential scan",

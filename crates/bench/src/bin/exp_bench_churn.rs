@@ -61,7 +61,7 @@ fn main() {
     let t0 = Instant::now();
     let mut static_hits: Vec<Vec<(u64, f64)>> = Vec::new();
     for b in 0..batches {
-        let batch = ex.batch_knn(&static_idx, &queries, knn);
+        let batch = ex.run_batch(&queries, |q, ctx| static_idx.knn_with(q, knn, ctx));
         assert!(batch.failed().is_empty(), "static batch {b} had failures");
         if b == 0 {
             static_hits = batch.hits;

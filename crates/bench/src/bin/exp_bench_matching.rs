@@ -15,7 +15,7 @@
 //!   the f32 stage could *not* dismiss — the ones that paid for the
 //!   exact verification.
 //! * **knn** — wall time of 10-NN filter/refine queries on the Aircraft
-//!   Dataset, unbounded baseline (`knn_naive`) vs. bounded refinement
+//!   Dataset, unbounded baseline (`vsim_bench::knn_naive`) vs. bounded refinement
 //!   (`knn`), plus the fraction of refinements the k-th-best bound
 //!   aborted.
 //!
@@ -213,7 +213,8 @@ fn main() {
 
     eprintln!("[run ] {n_queries} x {knn}-NN, unbounded baseline ...");
     let t0 = Instant::now();
-    let naive: Vec<_> = queries.iter().map(|&q| idx.knn_naive(&sets[q], knn)).collect();
+    let naive: Vec<_> =
+        queries.iter().map(|&q| vsim_bench::knn_naive(&idx, k_covers, &sets[q], knn)).collect();
     let wall_naive = t0.elapsed();
 
     eprintln!("[run ] {n_queries} x {knn}-NN, bounded refinement ...");

@@ -18,7 +18,7 @@
 
 use rand::prelude::*;
 use std::time::Instant;
-use vsim_bench::processed_aircraft;
+use vsim_bench::{knn_korn, processed_aircraft};
 use vsim_core::prelude::*;
 use vsim_query::{AccessPath, QueryExecutor};
 
@@ -42,8 +42,10 @@ fn main() {
     let queries: Vec<usize> = (0..n_queries).map(|_| rng.gen_range(0..n)).collect();
 
     eprintln!("[run ] {n_queries} x {knn}-NN, batch baseline (Korn-style d_max cutoff) ...");
+    let model = MinimalMatching::vector_set_model();
     let t0 = Instant::now();
-    let batch: Vec<_> = queries.iter().map(|&q| idx.knn_batch(&sets[q], knn)).collect();
+    let batch: Vec<_> =
+        queries.iter().map(|&q| knn_korn(&idx, &model, k_covers, &sets[q], knn)).collect();
     let wall_batch = t0.elapsed();
 
     eprintln!("[run ] {n_queries} x {knn}-NN, optimal multi-step ...");

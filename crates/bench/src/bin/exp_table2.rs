@@ -85,8 +85,10 @@ fn main() {
         vsim_core::parallel::worker_count()
     );
     let b0 = ex.run_batch(&vec_workloads, |v, ctx| one_vec.knn_invariant_with(v, knn, ctx));
-    let (b1, _) = ex.batch_knn_invariant_planned(&filter, &set_workloads, knn);
-    let b2 = ex.batch_knn_invariant(&scan, &set_workloads, knn);
+    let b1 = ex.run_batch(&set_workloads, |v, ctx| {
+        filter.execute(&Query::knn(v, knn).via(plan.path), ctx)
+    });
+    let b2 = ex.run_batch(&set_workloads, |v, ctx| scan.execute(&Query::knn(v, knn), ctx));
     for (r1, r2) in b1.hits.iter().zip(&b2.hits) {
         for (a, b) in r1.iter().zip(r2) {
             assert!((a.1 - b.1).abs() < 1e-9, "filter/scan results diverge");

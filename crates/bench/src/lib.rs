@@ -29,7 +29,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 use vsim_core::prelude::*;
+use vsim_index::{CandidateSource, StoreResult};
+use vsim_query::{multi_step_knn, AccessPath, TopK};
+use vsim_setdist::{BoundedDistance, MatchingEngine};
 
 /// Dataset sizes from the environment (defaults = the paper's sizes).
 pub fn car_n() -> usize {
@@ -156,3 +160,86 @@ pub fn print_quality_table(rows: &[(String, CutQuality)]) {
 }
 
 pub use vsim_optics::CutQuality;
+
+/// Run a baseline k-NN strategy over `idx`'s X-tree candidate stream for
+/// `q` against a cold context, the way `FilterRefineIndex::knn` runs the
+/// production one. `card` is the cardinality bound `idx` was built with.
+fn baseline_knn(
+    idx: &FilterRefineIndex,
+    card: usize,
+    q: &VectorSet,
+    strategy: impl FnOnce(&mut dyn CandidateSource, &QueryContext) -> StoreResult<Vec<(u64, f64)>>,
+) -> (Vec<(u64, f64)>, QueryStats) {
+    let ctx = QueryContext::ephemeral();
+    let t0 = Instant::now();
+    let cq = extended_centroid(q, card, &vec![0.0; q.dim()]);
+    let hits = idx
+        .with_candidate_source(AccessPath::XTreeCursor, &cq, &ctx, |src| strategy(src, &ctx))
+        .expect("baselines run on in-memory indexes");
+    (hits, ctx.stats(t0.elapsed()))
+}
+
+/// The unbounded baseline: the production multi-step loop, but every
+/// refinement runs the full matching kernel (`exact_distance`: fresh
+/// allocations per call, no early abort). Same candidates, same
+/// refinement count, bit-identical hits — the reference of the
+/// bit-identity tests and of `exp_bench_matching`.
+pub fn knn_naive(
+    idx: &FilterRefineIndex,
+    card: usize,
+    q: &VectorSet,
+    kq: usize,
+) -> (Vec<(u64, f64)>, QueryStats) {
+    baseline_knn(idx, card, q, |src, ctx| {
+        multi_step_knn(src, kq, ctx, |id, _upper| {
+            Ok(Some(idx.exact_distance(q, &idx.record(id, ctx)?)))
+        })
+    })
+}
+
+/// The batch (Korn-style) multi-step baseline the optimal algorithm
+/// improves on: refine the first `kq` candidates of the ranking
+/// unbounded, take the largest refined distance `d_max`, then refine
+/// *every* candidate whose filter bound is within `d_max`. Correct, and
+/// refines a superset of what the optimal loop refines — on every query
+/// `refinements(Korn) ≥ refinements(optimal)` with bit-identical hits
+/// (`exp_bench_multistep` reports the gap). `model` must be the
+/// refinement model of `idx`.
+pub fn knn_korn(
+    idx: &FilterRefineIndex,
+    model: &MinimalMatching,
+    card: usize,
+    q: &VectorSet,
+    kq: usize,
+) -> (Vec<(u64, f64)>, QueryStats) {
+    let mut engine = MatchingEngine::new(model.clone());
+    baseline_knn(idx, card, q, |src, ctx| {
+        let mut result = TopK::new(kq);
+        let mut dmax = f64::INFINITY;
+        while let Some((id, lower)) = src.next_candidate() {
+            ctx.count_filter_steps(1);
+            ctx.count_candidates(1);
+            if lower > dmax {
+                ctx.count_refinements_saved(1);
+                break;
+            }
+            ctx.count_refinements(1);
+            let set = idx.record(id, ctx)?;
+            if !result.is_full() {
+                // Phase 1: unbounded refinement of the kq filter-nearest
+                // candidates fixes the conservative cutoff d_max.
+                result.push(id, engine.distance(q, &set));
+                dmax = result.bound();
+            } else {
+                // Phase 2: refine everything the filter cannot exclude
+                // at d_max. The optimal loop instead tightens its bound
+                // after every refinement — exactly the refinement gap.
+                match engine.distance_bounded(q, &set, dmax) {
+                    BoundedDistance::Exact(d) => result.push(id, d),
+                    BoundedDistance::Pruned => ctx.count_pruned(1),
+                }
+            }
+        }
+        Ok(result.into_vec())
+    })
+}

@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use vsim_optics::{best_cut, extract_clusters, ClusterOrdering, Optics, ReachabilityPlot};
     pub use vsim_query::{
-        BatchResult, DynamicIndex, FilterRefineIndex, OneVectorIndex, PoolPolicy, QueryExecutor,
-        QueryStats, SequentialScanIndex,
+        BatchResult, DynamicIndex, FilterRefineIndex, OneVectorIndex, PoolPolicy, Query,
+        QueryExecutor, QueryStats, SequentialScanIndex,
     };
     pub use vsim_setdist::{
         centroid_lower_bound, extended_centroid, matching::MinimalMatching, VectorSet,

@@ -12,7 +12,7 @@ use crate::planner::AccessPath;
 use crate::stats::QueryStats;
 use std::sync::Arc;
 use std::time::Instant;
-use vsim_index::{BufferPool, MTree, QueryContext, StoreResult};
+use vsim_index::{BufferPool, QueryContext, StoreResult};
 use vsim_setdist::VectorSet;
 
 /// How batch queries obtain their buffer pool.
@@ -100,7 +100,8 @@ impl QueryExecutor {
     }
 
     /// Run one closure per query in parallel, each against its own
-    /// context. The generic core under the `batch_*` conveniences.
+    /// context — the batch form of any index's `execute`:
+    /// `ex.run_batch(&queries, |q, ctx| index.execute(q, ctx))`.
     ///
     /// Failure isolation: a closure that returns a storage error fails
     /// *that query only*. Its slot reports empty hits plus the costs
@@ -129,32 +130,11 @@ impl QueryExecutor {
         BatchResult { hits, stats, aggregate }
     }
 
-    /// Batched k-NN over any vector-set access path.
-    pub fn batch_knn<I: VectorSetQueries>(
-        &self,
-        index: &I,
-        queries: &[VectorSet],
-        k: usize,
-    ) -> BatchResult {
-        self.run_batch(queries, |q, ctx| index.knn_ctx(q, k, ctx))
-    }
-
-    /// Batched ε-range over any vector-set access path.
-    pub fn batch_range<I: VectorSetQueries>(
-        &self,
-        index: &I,
-        queries: &[VectorSet],
-        eps: f64,
-    ) -> BatchResult {
-        self.run_batch(queries, |q, ctx| index.range_ctx(q, eps, ctx))
-    }
-
     /// Batched k-NN over the filter/refine index on the access path the
     /// cost-based planner picks for this dataset. Planning runs once for
     /// the whole batch — the statistics are per-dataset, not per-query —
     /// and the chosen [`AccessPath`] is returned next to the results.
-    /// Results are bit-identical to [`batch_knn`](Self::batch_knn); only
-    /// the charged I/O depends on the path.
+    /// Only the charged I/O depends on the path, never the hits.
     pub fn batch_knn_planned(
         &self,
         index: &FilterRefineIndex,
@@ -190,158 +170,15 @@ impl QueryExecutor {
         });
         (batch, generations.into_iter().map(AtomicU64::into_inner).collect())
     }
-
-    /// Batched ε-range on the planner-chosen access path; the plan is
-    /// made once per batch, like [`batch_knn_planned`](Self::batch_knn_planned).
-    pub fn batch_range_planned(
-        &self,
-        index: &FilterRefineIndex,
-        queries: &[VectorSet],
-        eps: f64,
-    ) -> (BatchResult, AccessPath) {
-        let path = index.plan_range().path;
-        (self.run_batch(queries, |q, ctx| index.range_via_with(path, q, eps, ctx)), path)
-    }
-
-    /// Batched invariant k-NN on the planner-chosen access path (one
-    /// plan per batch, like [`batch_knn_planned`](Self::batch_knn_planned)).
-    pub fn batch_knn_invariant_planned<V: AsRef<[VectorSet]> + Sync>(
-        &self,
-        index: &FilterRefineIndex,
-        queries: &[V],
-        k: usize,
-    ) -> (BatchResult, AccessPath) {
-        let path = index.plan_knn(k).path;
-        (
-            self.run_batch(queries, |v, ctx| {
-                index.knn_invariant_via_with(path, v.as_ref(), k, ctx)
-            }),
-            path,
-        )
-    }
-
-    /// Batched invariant k-NN: each query is a slice of transformed
-    /// variants (Section 3.2's 48 runtime permutations); variants of one
-    /// query share that query's context/buffer scope.
-    pub fn batch_knn_invariant<I: VectorSetQueries, V: AsRef<[VectorSet]> + Sync>(
-        &self,
-        index: &I,
-        queries: &[V],
-        k: usize,
-    ) -> BatchResult {
-        self.run_batch(queries, |variants, ctx| index.knn_invariant_ctx(variants.as_ref(), k, ctx))
-    }
-}
-
-/// A vector-set access path the executor can drive: k-NN, ε-range, and
-/// invariant k-NN against a caller-supplied context. All methods are
-/// fallible so file-backed paths can surface storage errors per query.
-pub trait VectorSetQueries: Sync {
-    fn knn_ctx(&self, q: &VectorSet, k: usize, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>>;
-    fn range_ctx(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>>;
-    fn knn_invariant_ctx(
-        &self,
-        variants: &[VectorSet],
-        k: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>>;
-}
-
-impl VectorSetQueries for crate::filter::FilterRefineIndex {
-    fn knn_ctx(&self, q: &VectorSet, k: usize, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>> {
-        self.knn_with(q, k, ctx)
-    }
-    fn range_ctx(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        self.range_query_with(q, eps, ctx)
-    }
-    fn knn_invariant_ctx(
-        &self,
-        variants: &[VectorSet],
-        k: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        self.knn_invariant_with(variants, k, ctx)
-    }
-}
-
-impl VectorSetQueries for crate::scan::SequentialScanIndex {
-    fn knn_ctx(&self, q: &VectorSet, k: usize, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>> {
-        self.knn_with(q, k, ctx)
-    }
-    fn range_ctx(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        self.range_query_with(q, eps, ctx)
-    }
-    fn knn_invariant_ctx(
-        &self,
-        variants: &[VectorSet],
-        k: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        self.knn_invariant_with(variants, k, ctx)
-    }
-}
-
-impl VectorSetQueries for MTree<VectorSet> {
-    fn knn_ctx(&self, q: &VectorSet, k: usize, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>> {
-        let r = self.knn(q, k, ctx);
-        ctx.count_candidates(r.len() as u64);
-        Ok(r)
-    }
-    fn range_ctx(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut r = self.range_query(q, eps, ctx);
-        r.sort_by(|a, b| a.1.total_cmp(&b.1));
-        ctx.count_candidates(r.len() as u64);
-        Ok(r)
-    }
-    fn knn_invariant_ctx(
-        &self,
-        variants: &[VectorSet],
-        k: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut best: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        for q in variants {
-            for (id, d) in self.knn(q, k, ctx) {
-                let e = best.entry(id).or_insert(f64::INFINITY);
-                if d < *e {
-                    *e = d;
-                }
-            }
-        }
-        let mut out: Vec<(u64, f64)> = best.into_iter().collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        out.truncate(k);
-        ctx.count_candidates(out.len() as u64);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterRefineIndex;
+    use crate::multistep::Query;
     use crate::scan::SequentialScanIndex;
     use rand::prelude::*;
+    use std::slice::from_ref;
 
     fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -358,12 +195,24 @@ mod tests {
             .collect()
     }
 
+    /// `k`-NN by sequential scan as a `run_batch` closure.
+    fn scan_knn(
+        idx: &SequentialScanIndex,
+        k: usize,
+    ) -> impl Fn(&VectorSet, &QueryContext) -> StoreResult<Vec<(u64, f64)>> + Sync + '_ {
+        move |q, ctx| idx.execute(&Query::knn(from_ref(q), k), ctx)
+    }
+
+    fn ids(hits: &[(u64, f64)]) -> std::collections::BTreeSet<u64> {
+        hits.iter().map(|(i, _)| *i).collect()
+    }
+
     #[test]
     fn batch_knn_matches_sequential_path_exactly() {
         let sets = random_sets(300, 5, 40);
         let idx = FilterRefineIndex::build(&sets, 6, 5);
         let queries: Vec<VectorSet> = (0..20).map(|i| sets[i * 13].clone()).collect();
-        let batch = QueryExecutor::cold().batch_knn(&idx, &queries, 8);
+        let batch = QueryExecutor::cold().run_batch(&queries, |q, ctx| idx.knn_with(q, 8, ctx));
         assert_eq!(batch.hits.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let (seq, seq_stats) = idx.knn(q, 8);
@@ -380,7 +229,7 @@ mod tests {
         let sets = random_sets(200, 4, 41);
         let idx = SequentialScanIndex::build(&sets);
         let queries: Vec<VectorSet> = (0..7).map(|i| sets[i * 11].clone()).collect();
-        let batch = QueryExecutor::cold().batch_knn(&idx, &queries, 5);
+        let batch = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
         let pages: u64 = batch.stats.iter().map(|s| s.io.pages).sum();
         assert_eq!(batch.aggregate.io.pages, pages);
         assert_eq!(batch.aggregate.refinements, (queries.len() * sets.len()) as u64);
@@ -391,8 +240,8 @@ mod tests {
         let sets = random_sets(200, 4, 42);
         let idx = SequentialScanIndex::build(&sets);
         let queries: Vec<VectorSet> = (0..6).map(|i| sets[i * 17].clone()).collect();
-        let cold = QueryExecutor::cold().batch_knn(&idx, &queries, 5);
-        let warm = QueryExecutor::shared_unbounded().batch_knn(&idx, &queries, 5);
+        let cold = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
+        let warm = QueryExecutor::shared_unbounded().run_batch(&queries, scan_knn(&idx, 5));
         assert_eq!(cold.hits, warm.hits, "pool policy must not change results");
         // Scans share the whole file: only one batch-wide cold read.
         let file_pages = cold.stats[0].io.pages;
@@ -406,14 +255,15 @@ mod tests {
         let sets = random_sets(200, 4, 42);
         let idx = SequentialScanIndex::build(&sets);
         let queries: Vec<VectorSet> = (0..6).map(|i| sets[i * 17].clone()).collect();
-        let cold = QueryExecutor::cold().batch_knn(&idx, &queries, 5);
+        let cold = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
         // A pool far smaller than the scan's working set must thrash...
-        let tiny = QueryExecutor::shared(2).batch_knn(&idx, &queries, 5);
+        let tiny = QueryExecutor::shared(2).run_batch(&queries, scan_knn(&idx, 5));
         assert_eq!(cold.hits, tiny.hits, "eviction must not change results");
         assert!(tiny.aggregate.cache.evictions > 0, "{:?}", tiny.aggregate.cache);
         // ...while one sized for the file behaves like the unbounded pool.
         let file_pages = cold.stats[0].io.pages;
-        let roomy = QueryExecutor::shared(file_pages as usize * 2).batch_knn(&idx, &queries, 5);
+        let roomy = QueryExecutor::shared(file_pages as usize * 2);
+        let roomy = roomy.run_batch(&queries, scan_knn(&idx, 5));
         assert_eq!(cold.hits, roomy.hits);
         assert_eq!(roomy.aggregate.io.pages, file_pages);
         assert_eq!(roomy.aggregate.cache.evictions, 0);
@@ -426,18 +276,17 @@ mod tests {
         let queries: Vec<VectorSet> = (0..10).map(|i| sets[i * 31].clone()).collect();
         let ex = QueryExecutor::cold();
 
-        let plain = ex.batch_knn(&idx, &queries, 8);
+        let plain = ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 8, ctx));
         let (planned, path) = ex.batch_knn_planned(&idx, &queries, 8);
         assert_eq!(path, idx.plan_knn(8).path);
         assert_eq!(plain.hits, planned.hits, "planner choice must not change k-NN results");
 
-        let plain_r = ex.batch_range(&idx, &queries, 0.5);
-        let (planned_r, _) = ex.batch_range_planned(&idx, &queries, 0.5);
-        for (x, y) in plain_r.hits.iter().zip(&planned_r.hits) {
-            let xs: std::collections::BTreeSet<u64> = x.iter().map(|(i, _)| *i).collect();
-            let ys: std::collections::BTreeSet<u64> = y.iter().map(|(i, _)| *i).collect();
-            assert_eq!(xs, ys, "planner choice must not change range results");
-        }
+        let range = |q: &VectorSet, path, ctx: &QueryContext| {
+            idx.execute(&Query { path, ..Query::range(from_ref(q), 0.5) }, ctx)
+        };
+        let plain_r = ex.run_batch(&queries, |q, ctx| range(q, Some(AccessPath::XTreeCursor), ctx));
+        let planned_r = ex.run_batch(&queries, |q, ctx| range(q, None, ctx));
+        assert_eq!(plain_r.hits, planned_r.hits, "planner choice must not change range results");
     }
 
     #[test]
@@ -447,18 +296,18 @@ mod tests {
         let scan = SequentialScanIndex::build(&sets);
         let queries: Vec<VectorSet> = (0..5).map(|i| sets[i * 29].clone()).collect();
         let ex = QueryExecutor::cold();
-        let a = ex.batch_range(&filt, &queries, 0.5);
-        let b = ex.batch_range(&scan, &queries, 0.5);
+        let a = ex.run_batch(&queries, |q, ctx| filt.execute(&Query::range(from_ref(q), 0.5), ctx));
+        let b = ex.run_batch(&queries, |q, ctx| scan.execute(&Query::range(from_ref(q), 0.5), ctx));
         for (x, y) in a.hits.iter().zip(&b.hits) {
-            let xs: std::collections::BTreeSet<u64> = x.iter().map(|(i, _)| *i).collect();
-            let ys: std::collections::BTreeSet<u64> = y.iter().map(|(i, _)| *i).collect();
-            assert_eq!(xs, ys);
+            assert_eq!(ids(x), ids(y));
         }
 
-        let workloads: Vec<Vec<VectorSet>> = queries.iter().map(|q| vec![q.clone()]).collect();
-        let inv = ex.batch_knn_invariant(&filt, &workloads, 6);
-        let plain = ex.batch_knn(&filt, &queries, 6);
-        for (x, y) in inv.hits.iter().zip(&plain.hits) {
+        // A workload of variant lists: one `Query` per list.
+        let workloads: Vec<Vec<VectorSet>> =
+            queries.iter().map(|q| vec![q.clone(), sets[3].clone()]).collect();
+        let inv_f = ex.run_batch(&workloads, |v, ctx| filt.execute(&Query::knn(v, 6), ctx));
+        let inv_s = ex.run_batch(&workloads, |v, ctx| scan.execute(&Query::knn(v, 6), ctx));
+        for (x, y) in inv_f.hits.iter().zip(&inv_s.hits) {
             for (a, b) in x.iter().zip(y) {
                 assert!((a.1 - b.1).abs() < 1e-12);
             }

@@ -2,12 +2,13 @@
 //! indexed for incremental ranking, exact minimal matching distance on
 //! demand via the optimal multi-step engine.
 
-use crate::multistep::{multi_step_knn, multi_step_range, TopK};
+use crate::multistep::{multi_step, Query, QueryKind};
 use crate::planner::{AccessPath, DatasetStats, Plan, Planner};
 use crate::stats::{settle, QueryStats};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
 use vsim_index::{
@@ -16,9 +17,7 @@ use vsim_index::{
     VectorSetStore, XTree, PAGE_SIZE,
 };
 use vsim_setdist::matching::{MinimalMatching, PointDistance, WeightFunction};
-use vsim_setdist::{
-    extended_centroid, BoundedDistance, Distance, MatchingEngine, PrefilteredDistance, VectorSet,
-};
+use vsim_setdist::{extended_centroid, Distance, MatchingEngine, PrefilteredDistance, VectorSet};
 
 /// Directory-stream tag of a persisted filter/refine index ("FRIX" v1).
 const INDEX_TAG: u64 = 0x4652_4958_0000_0001;
@@ -65,11 +64,14 @@ pub enum SaveProtocol {
 /// * Refinement: load the candidate's vector set from the heap file and
 ///   evaluate the exact minimal matching distance (weight `w_ω`).
 ///
-/// Every query method comes in two forms: a `*_with` core that reads
-/// through a caller-supplied [`QueryContext`] (for shared buffer pools
-/// and batch execution), and a convenience wrapper that runs the query
-/// against a fresh ephemeral context (the paper's cold-cache setting)
-/// and returns its [`QueryStats`].
+/// There is one query entry point: a [`Query`] value — the variants of
+/// the query object, k-NN or ε-range, and the access path or `None`
+/// for the planner's choice — answered by [`execute`](Self::execute)
+/// through a caller-supplied [`QueryContext`] (shared buffer pools,
+/// batch execution) or by [`run`](Self::run) against a fresh ephemeral
+/// context (the paper's cold-cache setting) together with its
+/// [`QueryStats`]. `knn`, `range_query`, `knn_with`, `knn_via_with` and
+/// `knn_planned` are one-line spellings of common queries.
 pub struct FilterRefineIndex {
     k: usize,
     omega: Vec<f64>,
@@ -129,9 +131,7 @@ impl FilterRefineIndex {
 
     /// Swap the refinement matching model (e.g. the paper's permutation
     /// variant). The filter structures are model-independent — the
-    /// centroid ranking only orders candidates, and both the optimal
-    /// multi-step loop and the naive baseline consume the same ranking —
-    /// so no rebuild is needed.
+    /// centroid ranking only orders candidates — so no rebuild is needed.
     pub fn with_model(mut self, mm: MinimalMatching) -> Self {
         self.mm = mm;
         self
@@ -495,222 +495,92 @@ impl FilterRefineIndex {
         }
     }
 
-    /// Invariant k-NN (Section 3.2): the query is posed in all supplied
-    /// transformed variants ("48 different permutations of the query
-    /// object at runtime") and the result is the top-k under
-    /// `min_T dist_mm(T(q), o)`. One shared result set lets later
-    /// variants stop earlier (the global k-th distance tightens the
-    /// multi-step termination bound).
-    pub fn knn_invariant(
-        &self,
-        variants: &[VectorSet],
-        kq: usize,
-    ) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_invariant_with(variants, kq, &ctx);
-        settle(r, &ctx, t0)
+    /// The stored vector set of object `id`, read through `ctx`: the
+    /// record fetch of the refinement step, for loops composed outside
+    /// this crate from [`with_candidate_source`](Self::with_candidate_source)
+    /// and [`multi_step_knn`](crate::multi_step_knn) (baselines, traced runs).
+    pub fn record(&self, id: u64, ctx: &QueryContext) -> StoreResult<VectorSet> {
+        self.store.get(id, ctx)
     }
 
-    /// [`knn_invariant`](Self::knn_invariant) against a caller-supplied
-    /// context. The variants share the context's buffer pool, so the
-    /// centroid-tree pages and candidate records a subquery reads are
-    /// free for all later subqueries (one logical query = one buffer
-    /// scope; I/O is charged on first use only, CPU for every matching
-    /// evaluation).
-    pub fn knn_invariant_with(
-        &self,
-        variants: &[VectorSet],
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        self.knn_invariant_via_with(AccessPath::XTreeCursor, variants, kq, ctx)
-    }
-
-    /// [`knn_invariant_with`](Self::knn_invariant_with) over an
-    /// explicitly chosen access path. Every variant opens its own
-    /// candidate stream on that path; the shared result set and record
-    /// cache work exactly as on the default path.
-    pub fn knn_invariant_via_with(
-        &self,
-        path: AccessPath,
-        variants: &[VectorSet],
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
+    /// Answer `query`, reading through `ctx` — the one filter/refine
+    /// loop (Section 4.3). Per variant of the query object: open the
+    /// access path as a candidate stream ascending in the Lemma 2 bound,
+    /// and run the multi-step loop into the result set all variants share.
+    /// Each candidate is refined by the bounded mixed-precision kernel
+    /// against the variant prepared once (weight tables, padded f64/f32
+    /// lane rows); the abort bound is ε, or the running k-th distance
+    /// and the candidate's own entry from an earlier variant, so later
+    /// variants stop earlier. A pruned refinement is provably beyond the
+    /// bound — the `f32` stage's δ margin admits no false prune — so
+    /// hits are bit-identical to refining every candidate in full.
+    ///
+    /// One logical query is one buffer scope: the variants share `ctx`'s
+    /// pool, and a record is fetched by the first variant that refines
+    /// it and reused by the others (I/O is charged on first use only,
+    /// CPU for every matching evaluation).
+    pub fn execute(&self, query: &Query, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>> {
+        let Some(mut result) = query.collector() else {
+            return Ok(Vec::new());
+        };
+        let path = query.path.unwrap_or_else(|| match query.kind {
+            QueryKind::Knn(kq) => self.plan_knn(kq).path,
+            QueryKind::Range(_) => self.plan_range().path,
+        });
         let mut engine = self.engine();
-        let mut best: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        let mut result: Vec<(u64, f64)> = Vec::new(); // sorted top-k
-        let mut record_cache: std::collections::HashMap<u64, VectorSet> =
-            std::collections::HashMap::new();
-        for q in variants {
+        let mut records: HashMap<u64, VectorSet> = HashMap::new();
+        for q in query.variants {
+            let pq = engine.prepare(q.clone());
             let cq = extended_centroid(q, self.k, &self.omega);
             self.with_candidate_source(path, &cq, ctx, |src| {
-                while let Some((id, lower)) = src.next_candidate() {
-                    ctx.count_filter_steps(1);
-                    ctx.count_candidates(1);
-                    if result.len() >= kq && lower >= result[kq - 1].1 {
-                        ctx.count_refinements_saved(1);
-                        break;
-                    }
-                    let set = match record_cache.entry(id) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(v) => v.insert(self.store.get(id, ctx)?),
-                    };
-                    // A refinement only matters if it beats both this id's
-                    // best variant distance and (once the result is full)
-                    // the global k-th distance — either gives a safe abort
-                    // bound for the bounded kernel.
-                    let entry = best.entry(id).or_insert(f64::INFINITY);
-                    let mut upper = *entry;
-                    if result.len() >= kq {
-                        upper = upper.min(result[kq - 1].1);
-                    }
-                    ctx.count_refinements(1);
-                    let d = match engine.distance_bounded(q, set, upper) {
-                        BoundedDistance::Exact(d) => d,
-                        BoundedDistance::Pruned => {
-                            ctx.count_pruned(1);
-                            continue; // provably > upper: cannot change result or best
+                multi_step(src, &mut result, ctx, |id, upper| {
+                    let fetched;
+                    let set = if query.variants.len() == 1 {
+                        // One stream yields every id once: nothing to keep.
+                        fetched = self.store.get(id, ctx)?;
+                        &fetched
+                    } else {
+                        match records.entry(id) {
+                            Entry::Occupied(e) => &*e.into_mut(),
+                            Entry::Vacant(v) => &*v.insert(self.store.get(id, ctx)?),
                         }
                     };
-                    if d < *entry {
-                        *entry = d;
-                        result.retain(|(i, _)| *i != id);
-                        result.push((id, d));
-                        result.sort_by(|a, b| a.1.total_cmp(&b.1));
-                        result.truncate(kq);
+                    match engine.distance_bounded_prefiltered_half(&pq, set, upper) {
+                        PrefilteredDistance::Exact(d) => Ok(Some(d)),
+                        PrefilteredDistance::PrunedByF32 => {
+                            ctx.count_f32_prefilter(1);
+                            Ok(None)
+                        }
+                        PrefilteredDistance::Pruned => Ok(None),
                     }
-                }
-                Ok(())
+                })
             })?;
         }
-        Ok(result)
+        Ok(result.into_vec())
     }
 
-    /// ε-range query: all `(id, dist_mm)` with distance ≤ `eps`.
-    ///
-    /// Filter step: ε-range on the centroid tree with radius `ε / k`
-    /// (objects farther than that cannot qualify by Lemma 2).
-    pub fn range_query(&self, q: &VectorSet, eps: f64) -> (Vec<(u64, f64)>, QueryStats) {
+    /// [`execute`](Self::execute) against a fresh ephemeral context (the
+    /// paper's cold-cache setting), with the query's [`QueryStats`]. A
+    /// storage error yields no hits and is named in `stats.error`.
+    pub fn run(&self, query: &Query) -> (Vec<(u64, f64)>, QueryStats) {
         let ctx = QueryContext::ephemeral();
         let t0 = Instant::now();
-        let r = self.range_query_with(q, eps, &ctx);
-        settle(r, &ctx, t0)
+        settle(self.execute(query, &ctx), &ctx, t0)
     }
 
-    /// [`range_query`](Self::range_query) against a caller-supplied
-    /// context.
-    pub fn range_query_with(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut engine = self.engine();
-        let cq = extended_centroid(q, self.k, &self.omega);
-        let candidates = self.tree.range_query(&cq, eps / self.k as f64, ctx);
-        ctx.count_candidates(candidates.len() as u64);
-        let mut out = Vec::new();
-        for (id, _) in &candidates {
-            let set = self.store.get(*id, ctx)?;
-            ctx.count_refinements(1);
-            // ε itself is the abort bound: a pruned candidate is
-            // provably beyond ε and would have been discarded anyway.
-            match engine.distance_bounded(q, &set, eps) {
-                BoundedDistance::Exact(d) if d <= eps => out.push((*id, d)),
-                BoundedDistance::Exact(_) => {}
-                BoundedDistance::Pruned => ctx.count_pruned(1),
-            }
-        }
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        Ok(out)
-    }
-
-    /// Invariant ε-range query: all objects within `eps` of *any* of the
-    /// supplied query variants (Section 3.2's runtime permutations),
-    /// with one shared buffer scope like [`FilterRefineIndex::knn_invariant`].
-    pub fn range_query_invariant(
-        &self,
-        variants: &[VectorSet],
-        eps: f64,
-    ) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.range_query_invariant_with(variants, eps, &ctx);
-        settle(r, &ctx, t0)
-    }
-
-    /// [`range_query_invariant`](Self::range_query_invariant) against a
-    /// caller-supplied context.
-    pub fn range_query_invariant_with(
-        &self,
-        variants: &[VectorSet],
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut engine = self.engine();
-        let mut best: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        let mut record_cache: std::collections::HashMap<u64, VectorSet> =
-            std::collections::HashMap::new();
-        for q in variants {
-            let cq = extended_centroid(q, self.k, &self.omega);
-            // Reuse the incremental ranking for the filter: stop at the
-            // Lemma 2 radius eps / k.
-            for (id, cdist) in self.tree.nn_iter(&cq, ctx) {
-                ctx.count_filter_steps(1);
-                if cdist > eps / self.k as f64 {
-                    ctx.count_refinements_saved(1);
-                    break;
-                }
-                ctx.count_candidates(1);
-                let set = match record_cache.entry(id) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(v) => v.insert(self.store.get(id, ctx)?),
-                };
-                // Abort beyond ε or beyond this id's current best
-                // variant distance — either way the outcome is moot.
-                let upper = eps.min(best.get(&id).copied().unwrap_or(f64::INFINITY));
-                ctx.count_refinements(1);
-                match engine.distance_bounded(q, set, upper) {
-                    BoundedDistance::Exact(d) if d <= eps => {
-                        let e = best.entry(id).or_insert(f64::INFINITY);
-                        if d < *e {
-                            *e = d;
-                        }
-                    }
-                    BoundedDistance::Exact(_) => {}
-                    BoundedDistance::Pruned => ctx.count_pruned(1),
-                }
-            }
-        }
-        let mut out: Vec<(u64, f64)> = best.into_iter().collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        Ok(out)
-    }
-
-    /// k-NN query via the optimal multi-step algorithm [29]: consume the
-    /// incremental centroid ranking; refine each candidate; stop as soon
-    /// as the next filter lower bound exceeds the current k-th exact
-    /// distance. Optimal in the number of refinements for a correct
-    /// multi-step algorithm.
+    /// `kq`-NN of `q` on the X-tree cursor (the paper's configuration),
+    /// cold cache: [`run`](Self::run) of `Query::knn(&[q], kq)`.
     pub fn knn(&self, q: &VectorSet, kq: usize) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_with(q, kq, &ctx);
-        settle(r, &ctx, t0)
+        self.run(&Query::knn(from_ref(q), kq).via(AccessPath::XTreeCursor))
     }
 
-    /// [`knn`](Self::knn) against a caller-supplied context, on the
-    /// X-tree cursor (the default access path).
-    ///
-    /// Candidates arrive in ascending filter (lower-bound) order from
-    /// the incremental ranking; once the result is full, the current
-    /// k-th exact distance is passed to the bounded matching kernel as
-    /// an abort bound. A pruned refinement is provably farther than the
-    /// k-th neighbor, so skipping it cannot change the result — the
-    /// returned top-k is bit-identical to the unbounded
-    /// [`knn_naive`](Self::knn_naive) path.
+    /// All `(id, dist_mm)` within `eps` of `q` on the X-tree cursor, cold
+    /// cache: [`run`](Self::run) of `Query::range(&[q], eps)`.
+    pub fn range_query(&self, q: &VectorSet, eps: f64) -> (Vec<(u64, f64)>, QueryStats) {
+        self.run(&Query::range(from_ref(q), eps).via(AccessPath::XTreeCursor))
+    }
+
+    /// [`knn`](Self::knn) against a caller-supplied context.
     pub fn knn_with(
         &self,
         q: &VectorSet,
@@ -720,9 +590,7 @@ impl FilterRefineIndex {
         self.knn_via_with(AccessPath::XTreeCursor, q, kq, ctx)
     }
 
-    /// Optimal multi-step k-NN over an explicitly chosen access path.
-    /// All paths return bit-identical results; only the charged I/O
-    /// differs.
+    /// `kq`-NN of `q` over an explicitly chosen access path.
     pub fn knn_via_with(
         &self,
         path: AccessPath,
@@ -730,163 +598,19 @@ impl FilterRefineIndex {
         kq: usize,
         ctx: &QueryContext,
     ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut engine = self.engine();
-        // Prepare the query once per query: weight tables plus padded
-        // f64/f32 lane rows for the mixed-precision kernel.
-        let pq = engine.prepare(q.clone());
-        let cq = extended_centroid(q, self.k, &self.omega);
-        self.with_candidate_source(path, &cq, ctx, |src| {
-            multi_step_knn(src, kq, ctx, |id, upper| {
-                let set = self.store.get(id, ctx)?;
-                // The f32 filter stage dismisses most over-bound
-                // candidates before the exact f64 kernel runs; its
-                // δ margin guarantees no false prunes, so results stay
-                // bit-identical to the pure-f64 path (engine proptests).
-                match engine.distance_bounded_prefiltered_half(&pq, &set, upper) {
-                    PrefilteredDistance::Exact(d) => Ok(Some(d)),
-                    PrefilteredDistance::PrunedByF32 => {
-                        ctx.count_f32_prefilter(1);
-                        Ok(None)
-                    }
-                    PrefilteredDistance::Pruned => Ok(None),
-                }
-            })
-        })
+        self.execute(&Query::knn(from_ref(q), kq).via(path), ctx)
     }
 
-    /// k-NN on the access path the cost-based planner picks for this
-    /// dataset. Returns the hits, the per-query stats, and the chosen
-    /// path.
+    /// `kq`-NN of `q` on the access path the cost-based planner picks
+    /// for this dataset, cold cache; the chosen path is returned too.
     pub fn knn_planned(
         &self,
         q: &VectorSet,
         kq: usize,
     ) -> (Vec<(u64, f64)>, QueryStats, AccessPath) {
         let path = self.plan_knn(kq).path;
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_via_with(path, q, kq, &ctx);
-        let (hits, stats) = settle(r, &ctx, t0);
+        let (hits, stats) = self.run(&Query::knn(from_ref(q), kq).via(path));
         (hits, stats, path)
-    }
-
-    /// Optimal multi-step ε-range over an explicitly chosen access
-    /// path: pull candidates while the Lemma 2 lower bound stays within
-    /// ε, refine each with ε as the abort bound.
-    pub fn range_via_with(
-        &self,
-        path: AccessPath,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut engine = self.engine();
-        let pq = engine.prepare(q.clone());
-        let cq = extended_centroid(q, self.k, &self.omega);
-        self.with_candidate_source(path, &cq, ctx, |src| {
-            multi_step_range(src, eps, ctx, |id, upper| {
-                let set = self.store.get(id, ctx)?;
-                match engine.distance_bounded_prefiltered_half(&pq, &set, upper) {
-                    PrefilteredDistance::Exact(d) => Ok(Some(d)),
-                    PrefilteredDistance::PrunedByF32 => {
-                        ctx.count_f32_prefilter(1);
-                        Ok(None)
-                    }
-                    PrefilteredDistance::Pruned => Ok(None),
-                }
-            })
-        })
-    }
-
-    /// The unbounded baseline: identical multi-step k-NN but every
-    /// refinement runs the full matching kernel via
-    /// [`MinimalMatching::distance_value`] (fresh allocations per call,
-    /// no early abort). Kept as the reference for benchmarks and the
-    /// bit-identity tests.
-    pub fn knn_naive(&self, q: &VectorSet, kq: usize) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_naive_with(q, kq, &ctx);
-        settle(r, &ctx, t0)
-    }
-
-    /// [`knn_naive`](Self::knn_naive) against a caller-supplied context:
-    /// the same multi-step loop as [`knn_with`](Self::knn_with) — shared
-    /// via [`multi_step_knn`] — with the legacy unbounded kernel as the
-    /// refinement step.
-    pub fn knn_naive_with(
-        &self,
-        q: &VectorSet,
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let cq = extended_centroid(q, self.k, &self.omega);
-        self.with_candidate_source(AccessPath::XTreeCursor, &cq, ctx, |src| {
-            multi_step_knn(src, kq, ctx, |id, _upper| {
-                let set = self.store.get(id, ctx)?;
-                Ok(Some(self.mm.distance_value(q, &set)))
-            })
-        })
-    }
-
-    /// The batch (Korn-style) multi-step baseline the optimal algorithm
-    /// improves on: refine the first `kq` candidates of the ranking
-    /// unbounded, take the largest refined distance `d_max`, then
-    /// materialize and refine *every* candidate whose filter bound is
-    /// within `d_max`. Correct, and refines a superset of what
-    /// [`knn_with`](Self::knn_with) refines — on every query,
-    /// `refinements(batch) ≥ refinements(optimal)` with bit-identical
-    /// results (the benchmark `exp_bench_multistep` reports the gap).
-    pub fn knn_batch(&self, q: &VectorSet, kq: usize) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_batch_with(q, kq, &ctx);
-        settle(r, &ctx, t0)
-    }
-
-    /// [`knn_batch`](Self::knn_batch) against a caller-supplied context.
-    pub fn knn_batch_with(
-        &self,
-        q: &VectorSet,
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut engine = self.engine();
-        let cq = extended_centroid(q, self.k, &self.omega);
-        self.with_candidate_source(AccessPath::XTreeCursor, &cq, ctx, |src| {
-            let mut result = TopK::new(kq);
-            // Phase 1: unbounded refinement of the kq filter-nearest
-            // candidates fixes the conservative cutoff d_max.
-            while !result.is_full() {
-                let Some((id, _)) = src.next_candidate() else {
-                    return Ok(result.into_vec());
-                };
-                ctx.count_filter_steps(1);
-                ctx.count_candidates(1);
-                ctx.count_refinements(1);
-                let set = self.store.get(id, ctx)?;
-                result.push(id, engine.distance(q, &set));
-            }
-            let dmax = result.bound();
-            // Phase 2: refine everything the filter cannot exclude at
-            // d_max. The optimal path instead tightens its bound after
-            // every refinement — that is exactly the refinement gap.
-            while let Some((id, lower)) = src.next_candidate() {
-                ctx.count_filter_steps(1);
-                ctx.count_candidates(1);
-                if lower > dmax {
-                    ctx.count_refinements_saved(1);
-                    break;
-                }
-                ctx.count_refinements(1);
-                let set = self.store.get(id, ctx)?;
-                match engine.distance_bounded(q, &set, dmax) {
-                    BoundedDistance::Exact(d) => result.push(id, d),
-                    BoundedDistance::Pruned => ctx.count_pruned(1),
-                }
-            }
-            Ok(result.into_vec())
-        })
     }
 }
 
@@ -986,77 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_queries_match_per_variant_brute_force() {
-        let sets = random_sets(150, 4, 6);
-        let idx = FilterRefineIndex::build(&sets, 6, 4);
-        let mm = MinimalMatching::vector_set_model();
-        // Three synthetic "variants": the query plus two perturbed copies.
-        let q = &sets[10];
-        let mut v2 = VectorSet::new(6);
-        let mut v3 = VectorSet::new(6);
-        for row in q.iter() {
-            let mut a = row.to_vec();
-            a[0] = (a[0] + 0.3).min(1.0);
-            v2.push(&a);
-            let mut b = row.to_vec();
-            b.swap(1, 2);
-            v3.push(&b);
-        }
-        let variants = vec![q.clone(), v2, v3];
-
-        // Brute-force invariant distances.
-        let inv_dist = |o: &VectorSet| {
-            variants.iter().map(|v| mm.distance_value(v, o)).fold(f64::INFINITY, f64::min)
-        };
-
-        // kNN.
-        let (got, _) = idx.knn_invariant(&variants, 8);
-        let mut want: Vec<(u64, f64)> =
-            sets.iter().enumerate().map(|(i, s)| (i as u64, inv_dist(s))).collect();
-        want.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.1 - w.1).abs() < 1e-9, "knn {g:?} vs {w:?}");
-        }
-
-        // Range.
-        let eps = 0.5;
-        let (got_r, _) = idx.range_query_invariant(&variants, eps);
-        let want_ids: std::collections::BTreeSet<u64> = sets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| inv_dist(s) <= eps)
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(
-            got_r.iter().map(|(i, _)| *i).collect::<std::collections::BTreeSet<_>>(),
-            want_ids
-        );
-    }
-
-    #[test]
-    fn bounded_knn_is_bit_identical_to_naive_and_prunes() {
-        let sets = random_sets(500, 6, 7);
-        let idx = FilterRefineIndex::build(&sets, 6, 6);
-        let mut total_pruned = 0;
-        for qi in [0usize, 13, 77, 300] {
-            let (fast, fs) = idx.knn(&sets[qi], 10);
-            let (naive, ns) = idx.knn_naive(&sets[qi], 10);
-            assert_eq!(fast.len(), naive.len());
-            for (f, n) in fast.iter().zip(&naive) {
-                assert_eq!(f.0, n.0, "query {qi}");
-                assert_eq!(f.1.to_bits(), n.1.to_bits(), "query {qi}: {} vs {}", f.1, n.1);
-            }
-            // Same candidates examined, same refinements attempted —
-            // the bounded kernel only aborts them earlier.
-            assert_eq!(fs.refinements, ns.refinements, "query {qi}");
-            assert_eq!(ns.pruned, 0);
-            assert!(fs.pruned <= fs.refinements);
-            total_pruned += fs.pruned;
-        }
-        assert!(total_pruned > 0, "bounded refinement never aborted on 500 objects");
-    }
-
-    #[test]
     fn range_query_counts_pruned_refinements() {
         let sets = random_sets(400, 5, 8);
         let idx = FilterRefineIndex::build(&sets, 6, 5);
@@ -1104,42 +757,12 @@ mod tests {
             let runs: Vec<Vec<(u64, f64)>> =
                 [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan]
                     .into_iter()
-                    .map(|path| {
-                        let ctx = QueryContext::ephemeral();
-                        idx.range_via_with(path, q, 0.6, &ctx).unwrap()
-                    })
+                    .map(|path| idx.run(&Query::range(from_ref(q), 0.6).via(path)).0)
                     .collect();
             for other in &runs[1..] {
                 assert_eq!(runs[0], other.clone(), "query {qi}");
             }
         }
-    }
-
-    #[test]
-    fn batch_baseline_never_refines_fewer_than_optimal() {
-        let sets = random_sets(500, 6, 16);
-        let idx = FilterRefineIndex::build(&sets, 6, 6);
-        let mut strictly_fewer = 0u32;
-        for qi in (0..500).step_by(25) {
-            let q = &sets[qi];
-            let (opt, os) = idx.knn(q, 10);
-            let (bat, bs) = idx.knn_batch(q, 10);
-            assert_eq!(opt.len(), bat.len(), "query {qi}");
-            for (a, b) in opt.iter().zip(&bat) {
-                assert_eq!(a.0, b.0, "query {qi}");
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "query {qi}");
-            }
-            assert!(
-                os.refinements <= bs.refinements,
-                "query {qi}: optimal refined {} > batch {}",
-                os.refinements,
-                bs.refinements
-            );
-            if os.refinements < bs.refinements {
-                strictly_fewer += 1;
-            }
-        }
-        assert!(strictly_fewer > 0, "optimal never beat the batch baseline on 20 queries");
     }
 
     #[test]

@@ -1,38 +1,42 @@
 #![forbid(unsafe_code)]
 //! # vsim-query — similarity query processing (Section 4.3)
 //!
-//! Three access paths for similarity queries over vector-set data, the
-//! same three Table 2 measures:
+//! A similarity query is one value, [`Query`]: the variants of the query
+//! object (one for a plain query, the 24/48 transformed copies for
+//! Section 3.2's invariance — an object's distance is the minimum over
+//! them), the kind ([`QueryKind::Knn`] or [`QueryKind::Range`]) and the
+//! access path, or `None` for the [`Planner`]'s cost-based choice. The
+//! vector-set indexes answer it with `execute(&Query, &QueryContext)`
+//! (a caller's buffer pool) or `run(&Query)` (a fresh cold pool, with
+//! the query's [`QueryStats`]). Three access paths, the same three
+//! Table 2 measures:
 //!
 //! 1. [`FilterRefineIndex`] — the paper's contribution: extended
-//!    centroids in a low-dimensional X-tree as a *filter*, exact minimal
-//!    matching distance as *refinement*. ε-range queries use the Lemma 2
-//!    bound (`‖C(X)−C(q)‖ ≤ ε/k`); k-NN queries use the optimal
-//!    multi-step algorithm of Seidl & Kriegel [29] over the incremental
-//!    centroid ranking.
+//!    centroids as a *filter*, exact minimal matching distance as
+//!    *refinement*, joined by the optimal multi-step algorithm of Seidl
+//!    & Kriegel [29]: pull candidates in ascending order of the Lemma 2
+//!    bound `k·‖C(X)−C(q)‖`, refine, stop at ε (range) or at the running
+//!    k-th distance (k-NN).
 //! 2. [`SequentialScanIndex`] — exact distance against every object.
 //! 3. [`OneVectorIndex`] — the `6k`-dimensional cover-sequence feature
-//!    vectors in an X-tree (the baseline the vector set model replaces).
+//!    vectors in an X-tree (the baseline the vector set model replaces;
+//!    its queries are plain `&[f64]` vectors, not a [`Query`]).
 //!
 //! The filter layer is built on an incremental **candidate-stream
 //! abstraction** (`CandidateSource` in `vsim-index`): every access path
 //! — X-tree cursor, M-tree ranking, sorted scan — yields candidates in
 //! nondecreasing filter-lower-bound order, and the [`multistep`] module
-//! runs the optimal multi-step k-NN/range algorithm over whichever
-//! stream the cost-based [`Planner`] picks for the dataset. Per-query
+//! holds the one loop that consumes such a stream. Per-query
 //! [`QueryStats`] report `filter_steps` (candidates pulled from the
 //! stream) and `refinements_saved` (candidates dismissed by the filter
-//! bound alone) next to the refinement counts.
-//!
-//! All paths report [`QueryStats`]: measured CPU time, simulated I/O
-//! through the shared buffer pool, candidate and refinement counts. The
-//! [`QueryExecutor`] fans batches of queries across worker threads with
-//! a configurable [`PoolPolicy`] (cold per-query pools vs. one shared
-//! warm pool), planning the access path once per batch for the planned
-//! variants.
+//! bound alone) next to the refinement counts, measured CPU time and
+//! simulated I/O through the shared buffer pool. The [`QueryExecutor`]
+//! fans a batch of queries — any closure over `execute` — across worker
+//! threads with a configurable [`PoolPolicy`] (cold per-query pools vs.
+//! one shared warm pool).
 
 //! ```
-//! use vsim_query::{FilterRefineIndex, SequentialScanIndex};
+//! use vsim_query::{FilterRefineIndex, Query, SequentialScanIndex};
 //! use vsim_setdist::VectorSet;
 //!
 //! let sets: Vec<VectorSet> = (0..50)
@@ -40,11 +44,13 @@
 //!     .collect();
 //! let filter = FilterRefineIndex::build(&sets, 6, 7);
 //! let scan = SequentialScanIndex::build(&sets);
-//! let (a, stats) = filter.knn(&sets[25], 5);
-//! let (b, _) = scan.knn(&sets[25], 5);
+//! let query = Query::knn(&sets[25..26], 5);
+//! let (a, stats) = filter.run(&query);
+//! let (b, _) = scan.run(&query);
 //! assert_eq!(a[0].0, 25);
 //! assert!((a[4].1 - b[4].1).abs() < 1e-12); // multi-step k-NN is exact
 //! assert!(stats.refinements <= 50);
+//! assert_eq!(filter.knn(&sets[25], 5).0, a); // the one-line spelling
 //! ```
 
 pub mod epoch;
@@ -57,9 +63,9 @@ pub mod scan;
 pub mod stats;
 
 pub use epoch::{DynamicIndex, IndexEpoch, REPLAN_DRIFT};
-pub use executor::{BatchResult, PoolPolicy, QueryExecutor, VectorSetQueries};
+pub use executor::{BatchResult, PoolPolicy, QueryExecutor};
 pub use filter::{FilterRefineIndex, SaveProtocol};
-pub use multistep::{multi_step_knn, multi_step_range, TopK};
+pub use multistep::{multi_step_knn, Query, QueryKind, TopK};
 pub use onevector::OneVectorIndex;
 pub use planner::{AccessPath, DatasetStats, Plan, Planner};
 pub use scan::SequentialScanIndex;

@@ -2,8 +2,9 @@
 //! whole heap file is read and the exact minimal matching distance is
 //! evaluated against every object.
 
-use crate::multistep::TopK;
-use crate::stats::QueryStats;
+use crate::multistep::Query;
+use crate::stats::{settle, QueryStats};
+use std::slice::from_ref;
 use std::time::Instant;
 use vsim_index::{QueryContext, StoreResult, VectorSetStore};
 use vsim_setdist::matching::MinimalMatching;
@@ -33,93 +34,39 @@ impl SequentialScanIndex {
         self.store.is_empty()
     }
 
-    /// k-NN by exhaustive evaluation.
+    /// Answer `query` by exhaustive evaluation, reading through `ctx`:
+    /// one pass over the file, `min_T dist_mm(T(q), o)` per object over
+    /// the query's variants (one refinement each). `query.path` has no
+    /// meaning here — a scan is its own access path.
+    pub fn execute(&self, query: &Query, ctx: &QueryContext) -> StoreResult<Vec<(u64, f64)>> {
+        let Some(mut result) = query.collector() else {
+            return Ok(Vec::new());
+        };
+        for (id, set) in self.store.scan(ctx)? {
+            let dists = query.variants.iter().map(|q| self.mm.distance_value(q, &set));
+            result.push(id, dists.fold(f64::INFINITY, f64::min));
+            ctx.count_candidates(1);
+            ctx.count_refinements(query.variants.len() as u64);
+        }
+        Ok(result.into_vec())
+    }
+
+    /// [`execute`](Self::execute) against a fresh ephemeral context,
+    /// with the query's [`QueryStats`].
+    pub fn run(&self, query: &Query) -> (Vec<(u64, f64)>, QueryStats) {
+        let ctx = QueryContext::ephemeral();
+        let t0 = Instant::now();
+        settle(self.execute(query, &ctx), &ctx, t0)
+    }
+
+    /// k-NN of `q` by exhaustive evaluation, cold cache.
     pub fn knn(&self, q: &VectorSet, kq: usize) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_with(q, kq, &ctx);
-        crate::stats::settle(r, &ctx, t0)
+        self.run(&Query::knn(from_ref(q), kq))
     }
 
-    /// [`knn`](Self::knn) against a caller-supplied context.
-    pub fn knn_with(
-        &self,
-        q: &VectorSet,
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut result = TopK::new(kq);
-        for (id, set) in self.store.scan(ctx)? {
-            let d = self.mm.distance_value(q, &set);
-            ctx.count_candidates(1);
-            ctx.count_refinements(1);
-            result.push(id, d);
-        }
-        Ok(result.into_vec())
-    }
-
-    /// Invariant k-NN (Section 3.2): one pass over the file, evaluating
-    /// `min_T dist_mm(T(q), o)` per object across all supplied query
-    /// variants.
-    pub fn knn_invariant(
-        &self,
-        variants: &[VectorSet],
-        kq: usize,
-    ) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.knn_invariant_with(variants, kq, &ctx);
-        crate::stats::settle(r, &ctx, t0)
-    }
-
-    /// [`knn_invariant`](Self::knn_invariant) against a caller-supplied
-    /// context.
-    pub fn knn_invariant_with(
-        &self,
-        variants: &[VectorSet],
-        kq: usize,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut result = TopK::new(kq);
-        for (id, set) in self.store.scan(ctx)? {
-            let mut d = f64::INFINITY;
-            for q in variants {
-                d = d.min(self.mm.distance_value(q, &set));
-                ctx.count_refinements(1);
-            }
-            ctx.count_candidates(1);
-            result.push(id, d);
-        }
-        Ok(result.into_vec())
-    }
-
-    /// ε-range by exhaustive evaluation.
+    /// ε-range of `q` by exhaustive evaluation, cold cache.
     pub fn range_query(&self, q: &VectorSet, eps: f64) -> (Vec<(u64, f64)>, QueryStats) {
-        let ctx = QueryContext::ephemeral();
-        let t0 = Instant::now();
-        let r = self.range_query_with(q, eps, &ctx);
-        crate::stats::settle(r, &ctx, t0)
-    }
-
-    /// [`range_query`](Self::range_query) against a caller-supplied
-    /// context.
-    pub fn range_query_with(
-        &self,
-        q: &VectorSet,
-        eps: f64,
-        ctx: &QueryContext,
-    ) -> StoreResult<Vec<(u64, f64)>> {
-        let mut result: Vec<(u64, f64)> = Vec::new();
-        for (id, set) in self.store.scan(ctx)? {
-            let d = self.mm.distance_value(q, &set);
-            ctx.count_candidates(1);
-            ctx.count_refinements(1);
-            if d <= eps {
-                result.push((id, d));
-            }
-        }
-        result.sort_by(|a, b| a.1.total_cmp(&b.1));
-        Ok(result)
+        self.run(&Query::range(from_ref(q), eps))
     }
 }
 
@@ -198,10 +145,10 @@ mod tests {
         let scan = SequentialScanIndex::build(&sets);
         let pool = vsim_index::BufferPool::unbounded();
         let cold = QueryContext::with_pool(std::sync::Arc::clone(&pool));
-        let _ = scan.knn_with(&sets[0], 5, &cold);
+        let _ = scan.execute(&Query::knn(&sets[..1], 5), &cold);
         assert!(cold.stats(std::time::Duration::ZERO).io.bytes > 0);
         let warm = QueryContext::with_pool(pool);
-        let _ = scan.knn_with(&sets[1], 5, &warm);
+        let _ = scan.execute(&Query::knn(&sets[1..2], 5), &warm);
         let s = warm.stats(std::time::Duration::ZERO);
         assert_eq!(s.io.pages, 0);
         assert_eq!(s.io.bytes, 0);

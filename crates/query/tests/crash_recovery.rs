@@ -203,7 +203,8 @@ fn a_corrupt_record_page_fails_only_the_queries_that_touch_it() {
     let queries: Vec<VectorSet> = (0..6).map(|i| sets[i * 19].clone()).collect();
     let baseline = {
         let idx = FilterRefineIndex::open(&path.0).unwrap();
-        let batch = QueryExecutor::shared(256).batch_knn(&idx, &queries, 4);
+        let batch =
+            QueryExecutor::shared(256).run_batch(&queries, |q, ctx| idx.knn_with(q, 4, ctx));
         assert!(batch.failed().is_empty(), "clean file must not error");
         batch.hits
     };
@@ -222,7 +223,8 @@ fn a_corrupt_record_page_fails_only_the_queries_that_touch_it() {
         let Ok(idx) = FilterRefineIndex::open(&path.0) else {
             continue; // damage hit a structure stream: detected at open
         };
-        let batch = QueryExecutor::shared(256).batch_knn(&idx, &queries, 4);
+        let batch =
+            QueryExecutor::shared(256).run_batch(&queries, |q, ctx| idx.knn_with(q, 4, ctx));
         let failed = batch.failed();
         if failed.is_empty() || failed.len() == queries.len() {
             // Page untouched by this workload, or so central that every

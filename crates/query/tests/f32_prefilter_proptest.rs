@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
+use vsim_bench::knn_naive;
 use vsim_query::FilterRefineIndex;
 use vsim_setdist::matching::MinimalMatching;
 use vsim_setdist::VectorSet;
@@ -49,7 +50,7 @@ proptest! {
         for mm in models() {
             let idx = FilterRefineIndex::build(&sets, 6, k).with_model(mm.clone());
             let (fast, fs) = idx.knn(q, kq);
-            let (naive, ns) = idx.knn_naive(q, kq);
+            let (naive, ns) = knn_naive(&idx, k, q, kq);
             prop_assert_eq!(fast.len(), naive.len(), "{:?}", mm);
             for (f, nv) in fast.iter().zip(&naive) {
                 prop_assert_eq!(f.0, nv.0, "{:?}: id/tie order diverged", mm);
@@ -77,7 +78,7 @@ fn f32_prefilter_fires_on_realistic_workloads() {
         let mut f32_prunes = 0;
         for qi in [0usize, 42, 199, 387] {
             let (fast, fs) = idx.knn(&sets[qi], 10);
-            let (naive, _) = idx.knn_naive(&sets[qi], 10);
+            let (naive, _) = knn_naive(&idx, 6, &sets[qi], 10);
             assert_eq!(fast.len(), naive.len());
             for (f, nv) in fast.iter().zip(&naive) {
                 assert_eq!(f.0, nv.0, "{mm:?} query {qi}");

@@ -6,7 +6,7 @@
 use rand::prelude::*;
 use std::path::PathBuf;
 use vsim_index::{Backend, QueryContext};
-use vsim_query::{AccessPath, FilterRefineIndex, QueryExecutor};
+use vsim_query::{AccessPath, FilterRefineIndex, Query, QueryExecutor};
 use vsim_setdist::VectorSet;
 
 fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
@@ -75,17 +75,16 @@ fn saved_index_answers_every_query_class_bit_identically() {
             assert_eq!(sf.io, sp.io, "knn q{qi} {ap}: mmap charging diverged");
             assert_eq!(sf.distance_evals, sb.distance_evals);
         }
-        // ε-range and invariant k-NN on the default path.
+        // ε-range on the default path, invariant k-NN on the planner's.
         let (rb, _) = built.range_query(q, 0.5);
         let (rf, _) = file.range_query(q, 0.5);
         let (rp, _) = mmap.range_query(q, 0.5);
         assert_hits_bit_identical(&rb, &rf, &format!("range q{qi} file"));
         assert_hits_bit_identical(&rb, &rp, &format!("range q{qi} mmap"));
 
-        let variants = [q.clone()];
-        let (ib, _) = built.knn_invariant(&variants, 6);
-        let (if_, _) = file.knn_invariant(&variants, 6);
-        let (ip, _) = mmap.knn_invariant(&variants, 6);
+        let invariant = Query::knn(&queries[qi..(qi + 3).min(queries.len())], 6);
+        let ((ib, _), (if_, _), (ip, _)) =
+            (built.run(&invariant), file.run(&invariant), mmap.run(&invariant));
         assert_hits_bit_identical(&ib, &if_, &format!("invariant q{qi} file"));
         assert_hits_bit_identical(&ib, &ip, &format!("invariant q{qi} mmap"));
     }
@@ -132,9 +131,8 @@ fn executor_batches_are_bit_identical_across_backends() {
     // pools charge deterministically.
     for (ex, charges_repeat) in [(QueryExecutor::cold(), true), (QueryExecutor::shared(64), false)]
     {
-        let bm = ex.batch_knn(&built, &queries, 6);
-        let bf = ex.batch_knn(&file, &queries, 6);
-        let bp = ex.batch_knn(&mmap, &queries, 6);
+        let [bm, bf, bp] = [&built, &file, &mmap]
+            .map(|idx| ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 6, ctx)));
         for i in 0..queries.len() {
             assert_hits_bit_identical(&bm.hits[i], &bf.hits[i], &format!("batch q{i} file"));
             assert_hits_bit_identical(&bm.hits[i], &bp.hits[i], &format!("batch q{i} mmap"));

@@ -1,12 +1,19 @@
 //! Cross-layer integration tests for the multi-step query engine: the
 //! optimal multi-step k-NN must be bit-identical to the unbounded naive
-//! path and to the parallel batch executor, never refine more than the
-//! Korn-style batch baseline, and the cost-based planner must pick the
-//! expected access paths at the size extremes.
+//! baseline and to the parallel batch executor, never refine more than
+//! the Korn-style batch baseline (both baselines live in `vsim-bench`),
+//! equal the loop recomposed from the public layer functions counter
+//! for counter, and the cost-based planner must pick the expected access
+//! paths at the size extremes.
 
 use rand::prelude::*;
-use vsim_query::{AccessPath, FilterRefineIndex, QueryExecutor, SequentialScanIndex};
-use vsim_setdist::VectorSet;
+use vsim_bench::{knn_korn, knn_naive};
+use vsim_index::QueryContext;
+use vsim_query::{
+    multi_step_knn, AccessPath, FilterRefineIndex, QueryExecutor, SequentialScanIndex,
+};
+use vsim_setdist::matching::MinimalMatching;
+use vsim_setdist::{extended_centroid, MatchingEngine, PrefilteredDistance, VectorSet};
 
 fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -33,14 +40,15 @@ fn multi_step_knn_is_bit_identical_across_engines_and_never_refines_more() {
 
     // The PR-1 parallel batch executor answers the same queries.
     let ex = QueryExecutor::cold();
-    let batch_exec = ex.batch_knn(&idx, &queries, knn);
+    let batch_exec = ex.run_batch(&queries, |q, ctx| idx.knn_with(q, knn, ctx));
     let (planned_exec, _) = ex.batch_knn_planned(&idx, &queries, knn);
 
-    let mut strictly_fewer = 0u32;
+    let model = MinimalMatching::vector_set_model();
+    let (mut strictly_fewer, mut pruned) = (0u32, 0u64);
     for (i, q) in queries.iter().enumerate() {
         let (optimal, os) = idx.knn(q, knn);
-        let (naive, _) = idx.knn_naive(q, knn);
-        let (korn, ks) = idx.knn_batch(q, knn);
+        let (naive, ns) = knn_naive(&idx, 6, q, knn);
+        let (korn, ks) = knn_korn(&idx, &model, 6, q, knn);
 
         // Bit-identity across every engine that answers the query.
         for (label, other) in [
@@ -55,6 +63,13 @@ fn multi_step_knn_is_bit_identical_across_engines_and_never_refines_more() {
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "query {i}: {label} distances");
             }
         }
+
+        // Same candidates examined, same refinements attempted as the
+        // naive baseline — the bounded kernel only aborts them earlier.
+        assert_eq!(os.refinements, ns.refinements, "query {i}");
+        assert_eq!(ns.pruned, 0, "query {i}: the naive baseline never prunes");
+        assert!(os.pruned <= os.refinements, "query {i}");
+        pruned += os.pruned;
 
         // Refinement optimality: on every query the optimal algorithm
         // refines no more than the batch baseline.
@@ -73,6 +88,51 @@ fn multi_step_knn_is_bit_identical_across_engines_and_never_refines_more() {
         assert_eq!(os.filter_steps, os.refinements + os.refinements_saved, "query {i}");
     }
     assert!(strictly_fewer > 0, "optimal never saved a refinement over 20 queries");
+    assert!(pruned > 0, "bounded refinement never aborted on 500 objects");
+}
+
+/// The benchmark's traced run answers k-NN with this loop, composed
+/// from the public layer functions, and asserts it equal to
+/// `knn_via_with`. Pinned here so a drift shows in `cargo test` first.
+#[test]
+fn knn_via_with_equals_the_loop_recomposed_from_public_layer_functions() {
+    let sets = random_sets(400, 5, 2030);
+    let idx = FilterRefineIndex::build(&sets, 6, 5);
+    for path in [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan] {
+        for q in [&sets[0], &sets[77], &sets[311]] {
+            let ctx = QueryContext::ephemeral();
+            let got = idx.knn_via_with(path, q, 10, &ctx).unwrap();
+
+            let rctx = QueryContext::ephemeral();
+            let mut engine = MatchingEngine::new(MinimalMatching::vector_set_model());
+            let pq = engine.prepare(q.clone());
+            let cq = extended_centroid(q, 5, &[0.0; 6]);
+            let want = idx.with_candidate_source(path, &cq, &rctx, |src| {
+                multi_step_knn(src, 10, &rctx, |id, upper| {
+                    let set = idx.record(id, &rctx)?;
+                    Ok(match engine.distance_bounded_prefiltered_half(&pq, &set, upper) {
+                        PrefilteredDistance::Exact(d) => Some(d),
+                        PrefilteredDistance::PrunedByF32 => {
+                            rctx.count_f32_prefilter(1);
+                            None
+                        }
+                        PrefilteredDistance::Pruned => None,
+                    })
+                })
+            });
+            assert_eq!(got, want.unwrap(), "{path}");
+
+            let z = std::time::Duration::ZERO;
+            let (s, r) = (ctx.stats(z), rctx.stats(z));
+            assert_eq!(
+                (s.refinements, s.filter_steps, s.pruned, s.f32_prefilter, s.refinements_saved),
+                (r.refinements, r.filter_steps, r.pruned, r.f32_prefilter, r.refinements_saved),
+                "{path}"
+            );
+            assert_eq!(s.io.pages, r.io.pages, "{path}");
+            assert!(s.refinements > 0 && s.io.pages > 0, "{path}");
+        }
+    }
 }
 
 #[test]

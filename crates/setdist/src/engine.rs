@@ -257,38 +257,11 @@ impl MatchingEngine {
             .expect("unbounded solve cannot prune")
     }
 
-    /// [`MatchingEngine::distance_bounded`] with precomputed weight
-    /// tables.
-    pub fn distance_bounded_prepared(
-        &mut self,
-        x: &PreparedSet,
-        y: &PreparedSet,
-        upper: f64,
-    ) -> BoundedDistance {
-        match self.solve(&x.set, Some(x), &y.set, Some(y), self.internal_upper(upper), false) {
-            PrefilteredDistance::Exact(d) => BoundedDistance::Exact(d),
-            _ => BoundedDistance::Pruned,
-        }
-    }
-
-    /// [`MatchingEngine::distance_bounded`] with the weight table of
-    /// *one* side precomputed — the multi-step engine's shape: the query
-    /// set is prepared once per query, while each candidate streams in
-    /// from storage exactly once and is never worth preparing.
-    pub fn distance_bounded_half(
-        &mut self,
-        x: &PreparedSet,
-        y: &VectorSet,
-        upper: f64,
-    ) -> BoundedDistance {
-        match self.solve(&x.set, Some(x), y, None, self.internal_upper(upper), false) {
-            PrefilteredDistance::Exact(d) => BoundedDistance::Exact(d),
-            _ => BoundedDistance::Pruned,
-        }
-    }
-
-    /// [`MatchingEngine::distance_bounded_half`] with the `f32` filter
-    /// stage — the kernel the multi-step refinement loop calls.
+    /// [`MatchingEngine::distance_bounded_prefiltered`] with the weight
+    /// table of *one* side precomputed — the kernel the multi-step
+    /// refinement loop calls: the query set is prepared once per query,
+    /// while each candidate streams in from storage exactly once and is
+    /// never worth preparing.
     pub fn distance_bounded_prefiltered_half(
         &mut self,
         x: &PreparedSet,
@@ -791,23 +764,20 @@ mod tests {
                         "pruned although exact {exact} <= upper {upper}"),
                 }
 
-                // Prepared variant honors the same contract.
+                // Prepared weight tables change nothing.
                 let px = e.prepare(x.clone());
                 let py = e.prepare(y.clone());
-                match e.distance_bounded_prepared(&px, &py, upper) {
-                    BoundedDistance::Exact(d) => prop_assert_eq!(d.to_bits(), exact.to_bits()),
-                    BoundedDistance::Pruned => prop_assert!(exact > upper),
-                }
+                prop_assert_eq!(e.distance_prepared(&px, &py).to_bits(), exact.to_bits());
 
                 // Half-prepared variant (query prepared, candidate raw)
-                // agrees bit-for-bit in both argument orders.
-                match e.distance_bounded_half(&px, &y, upper) {
-                    BoundedDistance::Exact(d) => prop_assert_eq!(d.to_bits(), exact.to_bits()),
-                    BoundedDistance::Pruned => prop_assert!(exact > upper),
-                }
-                match e.distance_bounded_half(&py, &x, upper) {
-                    BoundedDistance::Exact(d) => prop_assert_eq!(d.to_bits(), exact.to_bits()),
-                    BoundedDistance::Pruned => prop_assert!(exact > upper),
+                // honors the same contract in both argument orders.
+                for (p, raw) in [(&px, &y), (&py, &x)] {
+                    match e.distance_bounded_prefiltered_half(p, raw, upper) {
+                        PrefilteredDistance::Exact(d) => {
+                            prop_assert_eq!(d.to_bits(), exact.to_bits())
+                        }
+                        _ => prop_assert!(exact > upper),
+                    }
                 }
             }
         }

@@ -52,7 +52,7 @@ fn main() {
     // Invariant query: 48 runtime permutations (Section 3.2).
     let variants: Vec<VectorSet> =
         Mat3::cube_symmetries().iter().map(|m| transform_vector_set(&qset, m)).collect();
-    let (hits, stats) = index.knn_invariant(&variants, 3);
+    let (hits, stats) = index.run(&Query::knn(&variants, 3));
     println!("\ninvariant 3-NN of the rotated+reflected {}:", meshes[target].0);
     for (id, d) in &hits {
         println!("  {:12} d = {d:.4}", meshes[*id as usize].0);

@@ -3,10 +3,37 @@
 //! invariance-aware query pattern of Section 3.2 (48 query permutations
 //! at runtime).
 
+use rand::prelude::*;
+use std::slice::from_ref;
 use std::sync::Arc;
+use vsim_bench::{knn_korn, knn_naive};
 use vsim_core::prelude::*;
 use vsim_features::cover::transform_vector_set;
 use vsim_geom::Mat3;
+use vsim_index::StoreResult;
+use vsim_query::{AccessPath, QueryKind};
+
+/// 10-NN by sequential scan as a `run_batch` closure.
+fn scan_10nn(
+    scan: &SequentialScanIndex,
+) -> impl Fn(&VectorSet, &QueryContext) -> StoreResult<Vec<(u64, f64)>> + Sync + '_ {
+    |q, ctx| scan.execute(&Query::knn(from_ref(q), 10), ctx)
+}
+
+/// Sets of 1..=k uniform 6-d vectors: unlike the aircraft parts, no two
+/// objects are duplicates, so a ranking has no ties to order.
+fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let mut s = VectorSet::new(6);
+            for _ in 0..1 + i % k {
+                s.push(&[(); 6].map(|_| rng.gen_range(0.05..1.0)));
+            }
+            s
+        })
+        .collect()
+}
 
 fn aircraft_sets(n: usize, k: usize, seed: u64) -> (Vec<VectorSet>, Vec<usize>) {
     let data = aircraft_dataset(seed, n);
@@ -136,7 +163,7 @@ fn batch_executor_is_bit_identical_to_per_query_path() {
     let (sets, _) = aircraft_sets(500, 7, 15);
     let filter = FilterRefineIndex::build(&sets, 6, 7);
     let queries: Vec<VectorSet> = (0..25).map(|i| sets[i * 19].clone()).collect();
-    let batch = QueryExecutor::cold().batch_knn(&filter, &queries, 10);
+    let batch = QueryExecutor::cold().run_batch(&queries, |q, ctx| filter.knn_with(q, 10, ctx));
     for (i, q) in queries.iter().enumerate() {
         let (seq, seq_stats) = filter.knn(q, 10);
         assert_eq!(batch.hits[i], seq, "query {i}: hits must be bit-identical");
@@ -145,7 +172,7 @@ fn batch_executor_is_bit_identical_to_per_query_path() {
         assert_eq!(batch.stats[i].refinements, seq_stats.refinements);
     }
     let scan = SequentialScanIndex::build(&sets);
-    let sbatch = QueryExecutor::cold().batch_knn(&scan, &queries, 10);
+    let sbatch = QueryExecutor::cold().run_batch(&queries, scan_10nn(&scan));
     for (b, s) in sbatch.hits.iter().zip(batch.hits.iter()) {
         for (x, y) in b.iter().zip(s) {
             assert!((x.1 - y.1).abs() < 1e-9);
@@ -163,11 +190,11 @@ fn bounded_refinement_knn_is_bit_identical_to_unbounded_paths() {
     let filter = FilterRefineIndex::build(&sets, 6, 7);
     let queries: Vec<VectorSet> = (0..20).map(|i| sets[i * 17].clone()).collect();
 
-    let batch = QueryExecutor::cold().batch_knn(&filter, &queries, 10);
+    let batch = QueryExecutor::cold().run_batch(&queries, |q, ctx| filter.knn_with(q, 10, ctx));
     let mut pruned_total = 0u64;
     for (i, q) in queries.iter().enumerate() {
         let (bounded, bs) = filter.knn(q, 10);
-        let (naive, ns) = filter.knn_naive(q, 10);
+        let (naive, ns) = knn_naive(&filter, 7, q, 10);
         assert_eq!(bounded, naive, "query {i}: bounded vs naive hits");
         assert_eq!(batch.hits[i], bounded, "query {i}: executor vs bounded hits");
         for (b, n) in bounded.iter().zip(&naive) {
@@ -241,16 +268,20 @@ fn knn_results_identical_across_buffer_capacities() {
 
     let policies =
         [PoolPolicy::PerQuery(Some(1)), PoolPolicy::PerQuery(Some(8)), PoolPolicy::PerQuery(None)];
-    let baseline_f = QueryExecutor::new(policies[0].clone()).batch_knn(&filter, &queries, 10);
-    let baseline_s = QueryExecutor::new(policies[0].clone()).batch_knn(&scan, &queries, 10);
-    for p in &policies[1..] {
+    let run = |p: &PoolPolicy| {
         let ex = QueryExecutor::new(p.clone());
-        assert_eq!(ex.batch_knn(&filter, &queries, 10).hits, baseline_f.hits, "{p:?}");
-        assert_eq!(ex.batch_knn(&scan, &queries, 10).hits, baseline_s.hits, "{p:?}");
+        let f = ex.run_batch(&queries, |q, ctx| filter.knn_with(q, 10, ctx));
+        (f, ex.run_batch(&queries, scan_10nn(&scan)))
+    };
+    let (baseline_f, baseline_s) = run(&policies[0]);
+    for p in &policies[1..] {
+        let (f, s) = run(p);
+        assert_eq!(f.hits, baseline_f.hits, "{p:?}");
+        assert_eq!(s.hits, baseline_s.hits, "{p:?}");
     }
     // Tiny pools thrash: capacity 1 must cost at least as many page
     // faults as unbounded on the filter path.
-    let unbounded = QueryExecutor::cold().batch_knn(&filter, &queries, 10);
+    let (unbounded, _) = run(&PoolPolicy::PerQuery(None));
     assert!(baseline_f.aggregate.io.pages >= unbounded.aggregate.io.pages);
 }
 
@@ -267,6 +298,97 @@ fn centroid_filter_bound_holds_on_real_data() {
             let lb = centroid_lower_bound(&ci, &cj, 7);
             let exact = mm.distance_value(&sets[i], &sets[j]);
             assert!(lb <= exact + 1e-9, "Lemma 2 violated for ({i},{j}): {lb} > {exact}");
+        }
+    }
+}
+
+const PATHS: [Option<AccessPath>; 4] = [
+    Some(AccessPath::XTreeCursor),
+    Some(AccessPath::MTreeCursor),
+    Some(AccessPath::SeqScan),
+    None, // the planner's choice
+];
+
+/// The one table for the one query path: kind × variants × access path
+/// × refinement model. On every row `execute` equals a brute-force
+/// `min_T dist(T(q), o)` scan bit for bit — ids in order, distance bits
+/// — and the multi-step counters add up; single-variant k-NN rows also
+/// equal the naive and Korn baselines and refine no more than Korn.
+#[test]
+fn execute_equals_brute_force_for_every_kind_variant_count_path_and_model() {
+    let sets = random_sets(220, 7, 19);
+    let scan = SequentialScanIndex::build(&sets);
+    let syms = Mat3::cube_symmetries();
+    for mm in [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()] {
+        let idx = FilterRefineIndex::build(&sets, 6, 7).with_model(mm.clone());
+        for q in [&sets[7], &sets[140]] {
+            // The 48 images of the query, built as `exp_table2` builds them.
+            let images: Vec<VectorSet> = syms.iter().map(|m| transform_vector_set(q, m)).collect();
+            let (naive, _) = knn_naive(&idx, 7, q, 10);
+            let (korn, korn_stats) = knn_korn(&idx, &mm, 7, q, 10);
+            // ε is itself a distance of the database, so `≤ ε` is
+            // exercised on its boundary.
+            for kind in [QueryKind::Knn(10), QueryKind::Range(naive[9].1)] {
+                for variants in [&images[..1], &images[..3], &images[..]] {
+                    let mut want: Vec<(u64, f64)> = sets
+                        .iter()
+                        .map(|o| variants.iter().map(|v| mm.distance_value(v, o)))
+                        .map(|ds| ds.fold(f64::INFINITY, f64::min))
+                        .enumerate()
+                        .map(|(id, d)| (id as u64, d))
+                        .collect();
+                    want.sort_by(|a, b| a.1.total_cmp(&b.1));
+                    match kind {
+                        QueryKind::Knn(k) => want.truncate(k),
+                        QueryKind::Range(eps) => want.retain(|h| h.1 <= eps),
+                    }
+                    assert!(want.len() >= 10, "a row must have something to find");
+                    let bits = |hits: &[(u64, f64)]| {
+                        hits.iter().map(|h| (h.0, h.1.to_bits())).collect::<Vec<_>>()
+                    };
+
+                    for path in PATHS {
+                        let row = format!("{mm:?} {kind:?} x{} via {path:?}", variants.len());
+                        let (got, s) = idx.run(&Query { variants, kind, path });
+                        assert_eq!(bits(&got), bits(&want), "{row}");
+                        assert_eq!(s.filter_steps, s.refinements + s.refinements_saved, "{row}");
+                        assert!(s.f32_prefilter <= s.pruned && s.pruned <= s.refinements, "{row}");
+                        if variants.len() == 1 && kind == QueryKind::Knn(10) {
+                            assert_eq!(bits(&got), bits(&naive), "{row}: naive baseline");
+                            assert_eq!(bits(&got), bits(&korn), "{row}: Korn baseline");
+                            assert!(s.refinements <= korn_stats.refinements, "{row}: vs Korn");
+                        }
+                    }
+                    if !mm.sqrt_of_total {
+                        // The scan index refines with the vector-set model.
+                        let (got, s) = scan.run(&Query { variants, kind, path: None });
+                        assert_eq!(bits(&got), bits(&want), "scan {kind:?} x{}", variants.len());
+                        assert_eq!(s.refinements, (sets.len() * variants.len()) as u64);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Queries nothing can answer — `k = 0`, no variants, a NaN ε — return
+/// no hits without pulling a candidate or touching a page.
+#[test]
+fn vacuous_queries_return_nothing_without_pulling_a_candidate() {
+    let sets = random_sets(60, 7, 20);
+    let idx = FilterRefineIndex::build(&sets, 6, 7);
+    let scan = SequentialScanIndex::build(&sets);
+    let q = from_ref(&sets[3]);
+    for (variants, kind) in [
+        (q, QueryKind::Knn(0)),
+        (q, QueryKind::Range(f64::NAN)),
+        (&sets[..0], QueryKind::Knn(10)),
+        (&sets[..0], QueryKind::Range(0.5)),
+    ] {
+        let runs = PATHS.map(|path| idx.run(&Query { variants, kind, path }));
+        for (hits, s) in runs.into_iter().chain([scan.run(&Query { variants, kind, path: None })]) {
+            assert!(hits.is_empty() && s.error.is_none(), "{kind:?}");
+            assert_eq!((s.filter_steps, s.candidates, s.refinements, s.io.pages), (0, 0, 0, 0));
         }
     }
 }

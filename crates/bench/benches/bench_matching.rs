@@ -71,9 +71,9 @@ fn bench_unbalanced_sets(c: &mut Criterion) {
 }
 
 fn bench_engine_vs_naive(c: &mut Criterion) {
-    // The bounded allocation-free engine against the allocating
-    // `distance_value` path, at the paper's k range (acceptance: a
-    // measured speedup at k = 7).
+    // The allocation-free engine, `distance(x, y, upper)`, against the
+    // allocating `distance_value` path, at the paper's k range
+    // (acceptance: a measured speedup at k = 7).
     let mut g = c.benchmark_group("matching_engine");
     let mm = MinimalMatching::vector_set_model();
     for k in [3usize, 7, 9] {
@@ -84,24 +84,25 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
             bench.iter(|| mm.distance_value(std::hint::black_box(&a), std::hint::black_box(&b)))
         });
         let mut engine = MatchingEngine::new(mm.clone());
-        engine.distance(&a, &b); // warm the scratch buffers
+        let inf = f64::INFINITY;
+        engine.distance(&a, &b, inf); // warm the scratch buffers
         g.bench_with_input(BenchmarkId::new("engine", k), &k, |bench, _| {
-            bench.iter(|| engine.distance(std::hint::black_box(&a), std::hint::black_box(&b)))
+            bench.iter(|| engine.distance(std::hint::black_box(&a), std::hint::black_box(&b), inf))
         });
         let pa = engine.prepare(a.clone());
         let pb = engine.prepare(b.clone());
         g.bench_with_input(BenchmarkId::new("engine_prepared", k), &k, |bench, _| {
-            bench.iter(|| {
-                engine.distance_prepared(std::hint::black_box(&pa), std::hint::black_box(&pb))
-            })
+            bench
+                .iter(|| engine.distance(std::hint::black_box(&pa), std::hint::black_box(&pb), inf))
         });
         // A tight bound (half the exact distance): measures the abort
-        // path the k-NN refinement takes on losing candidates.
+        // path the k-NN refinement takes on losing candidates — query
+        // prepared, candidate raw, f32 stage first.
         let upper = mm.distance_value(&a, &b) * 0.5;
         g.bench_with_input(BenchmarkId::new("engine_bounded_tight", k), &k, |bench, _| {
             bench.iter(|| {
-                engine.distance_bounded(
-                    std::hint::black_box(&a),
+                engine.distance(
+                    std::hint::black_box(&pa),
                     std::hint::black_box(&b),
                     std::hint::black_box(upper),
                 )

@@ -10,8 +10,8 @@
 //! `cargo run --release -p vsim-bench --bin exp_ablation_distances`
 
 use vsim_bench::processed_car;
+use vsim_bench::setdists;
 use vsim_setdist::matching::MinimalMatching;
-use vsim_setdist::setdists;
 use vsim_setdist::VectorSet;
 
 type DistFn = Box<dyn Fn(&VectorSet, &VectorSet) -> f64>;

@@ -7,10 +7,10 @@
 //! Johnson potentials, Bellman–Ford initialization for negative costs)
 //! used to (a) compute the netflow distance, (b) solve the fair-surjection
 //! transportation problem of Eiter & Mannila, and (c) cross-validate the
-//! Hungarian solver.
+//! Hungarian solver. Lives in the bench crate with [`crate::setdists`],
+//! its only caller.
 
-use crate::lp;
-use crate::types::VectorSet;
+use vsim_setdist::{lp, VectorSet};
 
 #[derive(Debug, Clone)]
 struct Edge {
@@ -249,8 +249,8 @@ pub fn netflow_distance_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::MinimalMatching;
     use proptest::prelude::*;
+    use vsim_setdist::matching::MinimalMatching;
 
     #[test]
     fn simple_transport() {

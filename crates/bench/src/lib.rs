@@ -27,13 +27,16 @@
 //! series to `target/experiments/`, and prints a paper-vs-measured
 //! summary. Results are recorded in `EXPERIMENTS.md`.
 
+pub mod flow;
+pub mod setdists;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vsim_core::prelude::*;
 use vsim_index::{CandidateSource, StoreResult};
 use vsim_query::{multi_step_knn, AccessPath, TopK};
-use vsim_setdist::{BoundedDistance, MatchingEngine};
+use vsim_setdist::{MatchingEngine, PrefilteredDistance};
 
 /// Dataset sizes from the environment (defaults = the paper's sizes).
 pub fn car_n() -> usize {
@@ -183,7 +186,7 @@ fn baseline_knn(
 /// refinement runs the full matching kernel (`exact_distance`: fresh
 /// allocations per call, no early abort). Same candidates, same
 /// refinement count, bit-identical hits — the reference of the
-/// bit-identity tests and of `exp_bench_matching`.
+/// bit-identity tests.
 pub fn knn_naive(
     idx: &FilterRefineIndex,
     card: usize,
@@ -203,7 +206,7 @@ pub fn knn_naive(
 /// *every* candidate whose filter bound is within `d_max`. Correct, and
 /// refines a superset of what the optimal loop refines — on every query
 /// `refinements(Korn) ≥ refinements(optimal)` with bit-identical hits
-/// (`exp_bench_multistep` reports the gap). `model` must be the
+/// (asserted by the query integration tests). `model` must be the
 /// refinement model of `idx`.
 pub fn knn_korn(
     idx: &FilterRefineIndex,
@@ -228,15 +231,16 @@ pub fn knn_korn(
             if !result.is_full() {
                 // Phase 1: unbounded refinement of the kq filter-nearest
                 // candidates fixes the conservative cutoff d_max.
-                result.push(id, engine.distance(q, &set));
+                let d = engine.distance(q, &set, f64::INFINITY).value();
+                result.push(id, d.expect("unbounded solve cannot prune"));
                 dmax = result.bound();
             } else {
                 // Phase 2: refine everything the filter cannot exclude
                 // at d_max. The optimal loop instead tightens its bound
                 // after every refinement — exactly the refinement gap.
-                match engine.distance_bounded(q, &set, dmax) {
-                    BoundedDistance::Exact(d) => result.push(id, d),
-                    BoundedDistance::Pruned => ctx.count_pruned(1),
+                match engine.distance(q, &set, dmax) {
+                    PrefilteredDistance::Exact(d) => result.push(id, d),
+                    _ => ctx.count_pruned(1),
                 }
             }
         }

@@ -5,13 +5,12 @@
 //! The paper rejects these for CAD retrieval — the Hausdorff distance
 //! "relies too much on the extreme positions", the others "are not
 //! metric" — but they are the natural baselines for any set-distance
-//! study, so the library ships exact implementations (extension
-//! experiments quantify the paper's argument).
+//! study, so the bench crate keeps exact implementations next to their
+//! one caller, `exp_ablation_distances`, which quantifies the paper's
+//! argument; `vsim-setdist` ships only the matching distance.
 
 use crate::flow::MinCostFlow;
-use crate::hungarian;
-use crate::lp;
-use crate::types::VectorSet;
+use vsim_setdist::{hungarian, lp, VectorSet};
 
 /// Hausdorff distance: `max( max_x min_y d(x,y), max_y min_x d(x,y) )`.
 /// A metric on non-empty compact sets, but dominated by outliers.
@@ -48,8 +47,7 @@ pub fn surjection(x: &VectorSet, y: &VectorSet) -> f64 {
 
 /// [`surjection`] with a caller-owned solver workspace: the cost matrix
 /// is filled flat and solved over the slice, so repeated calls (e.g. a
-/// baseline sweep over all object pairs) amortize every allocation the
-/// old `CostMatrix::from_fn` + `hungarian::solve` path paid per call.
+/// baseline sweep over all object pairs) amortize the solver buffers.
 pub fn surjection_with(x: &VectorSet, y: &VectorSet, ws: &mut hungarian::Workspace) -> f64 {
     assert!(!x.is_empty() && !y.is_empty(), "surjection requires non-empty sets");
     let (big, small) = if x.len() >= y.len() { (x, y) } else { (y, x) };
@@ -70,7 +68,8 @@ pub fn surjection_with(x: &VectorSet, y: &VectorSet, ws: &mut hungarian::Workspa
             *slot = row_min;
         }
     }
-    hungarian::solve_cost_slice(m, m, &cost, ws)
+    hungarian::solve_cost_slice_bounded(m, m, &cost, ws, f64::INFINITY)
+        .expect("unbounded solve cannot prune")
 }
 
 /// Fair surjection distance: like [`surjection`] but every target must

@@ -545,7 +545,7 @@ impl FilterRefineIndex {
                             Entry::Vacant(v) => &*v.insert(self.store.get(id, ctx)?),
                         }
                     };
-                    match engine.distance_bounded_prefiltered_half(&pq, set, upper) {
+                    match engine.distance(&pq, set, upper) {
                         PrefilteredDistance::Exact(d) => Ok(Some(d)),
                         PrefilteredDistance::PrunedByF32 => {
                             ctx.count_f32_prefilter(1);

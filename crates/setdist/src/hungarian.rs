@@ -16,13 +16,13 @@
 //! bounded variant's per-row cost check is **O(1)**: the running
 //! optimal partial-assignment cost equals `-v[0]`, the dual potential
 //! of the virtual root column (DESIGN.md §13 derives this), instead of
-//! the previous `O(m)` per-row primal re-summation — which made
-//! `distance_bounded` *slower* than the unbounded kernel at k = 9.
+//! an `O(m)` per-row primal re-summation — which made the bounded solve
+//! *slower* than the unbounded one at k = 9.
 //!
 //! A `f32` twin of the core ([`solve_cost_slice_bounded_f32`]) backs
-//! the filter-precision pre-check of the multi-step engine; the
-//! original scalar kernel survives verbatim in [`reference`] as the
-//! speedup baseline and cross-validation oracle.
+//! the filter-precision stage of `MatchingEngine::distance`; the
+//! original scalar kernel survives verbatim as the test-only
+//! `reference` module, the cross-validation oracle of the tests below.
 
 // lint-scope: no_alloc
 
@@ -88,10 +88,10 @@ impl CostMatrix {
 }
 
 /// Reusable buffers for repeated assignment solving (OPTICS runs evaluate
-/// millions of matchings; per-call allocation is measurable). Use with
-/// [`solve_with`], [`solve_cost_with`] or the slice-based kernels. The
-/// `f`-suffixed twins back the `f32` filter-precision core; the integer
-/// buffers (`p`, `way`, `used_list`) are shared by both precisions.
+/// millions of matchings; per-call allocation is measurable), shared by
+/// every kernel below. The `f`-suffixed twins back the `f32`
+/// filter-precision core; the integer buffers (`p`, `way`, `used_list`)
+/// are shared by both precisions.
 #[derive(Debug, Default)]
 pub struct Workspace {
     u: Vec<f64>,
@@ -310,23 +310,10 @@ macro_rules! matched_cost_impl {
 matched_cost_impl!(matched_cost, f64, minv);
 matched_cost_impl!(matched_cost_f32, f32, minvf);
 
-/// Allocation-free variant of [`solve`] (aside from the returned
-/// [`Assignment`]): buffers live in `ws` and are resized only when the
-/// instance grows.
-// lint-allow: no-alloc-kernel materializes the Assignment result; cost-only callers use solve_cost_with
-pub fn solve_with(cost: &CostMatrix, ws: &mut Workspace) -> Assignment {
-    let n = cost.rows();
-    let m = cost.cols();
-    let mut row_to_col = vec![usize::MAX; n];
-    let total = solve_slice_into(n, m, cost.data(), ws, &mut row_to_col);
-    Assignment { row_to_col, cost: total }
-}
-
-/// Slice-based full solve into a caller-owned assignment buffer — the
-/// `Workspace`-backed path behind [`solve_with`] and the non-engine
-/// matching entry points (`match_sets`, the surjection distances), which
-/// previously paid a `CostMatrix` + solver-buffer allocation per call.
-/// Returns the optimal cost summed in row order.
+/// Full solve over a borrowed row-major `n × m` slice (`n ≤ m`) into a
+/// caller-owned assignment buffer: match every row to a distinct column
+/// minimizing total cost. The `Workspace`-backed path behind
+/// `match_sets`; returns the optimal cost summed in row order.
 pub fn solve_slice_into(
     n: usize,
     m: usize,
@@ -349,32 +336,12 @@ pub fn solve_slice_into(
     total
 }
 
-/// Solve the min-cost assignment problem: match every row to a distinct
-/// column minimizing total cost. Requires `rows ≤ cols`.
-pub fn solve(cost: &CostMatrix) -> Assignment {
-    solve_with(cost, &mut Workspace::default())
-}
-
-/// Cost-only solve: no `row_to_col` materialization, zero heap
-/// allocations once `ws` has reached steady-state capacity.
-pub fn solve_cost_with(cost: &CostMatrix, ws: &mut Workspace) -> f64 {
-    let (n, m) = (cost.rows(), cost.cols());
-    sap_core(n, m, &mut EagerRows { data: cost.data(), stride: m, m }, ws, f64::INFINITY);
-    matched_cost(n, m, m, cost.data(), ws)
-}
-
-/// Cost-only solve over a borrowed row-major `rows × cols` slice —
-/// the allocation-free kernel behind `MatchingEngine`.
-pub fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
-    debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    sap_core(rows, cols, &mut EagerRows { data, stride: cols, m: cols }, ws, f64::INFINITY);
-    matched_cost(rows, cols, cols, data, ws)
-}
-
-/// Bounded cost-only solve over a borrowed slice: returns `None` as soon
-/// as the partial optimal cost provably exceeds `upper` (requires
-/// non-negative costs; see [`sap_core`]), `Some(total)` otherwise. The
-/// returned total is exact and bit-identical to [`solve_cost_slice`].
+/// Bounded cost-only solve over a borrowed row-major `rows × cols`
+/// slice: no `row_to_col` materialization, zero heap allocations once
+/// `ws` has reached steady-state capacity. Returns `None` as soon as the
+/// partial optimal cost provably exceeds `upper` (requires non-negative
+/// costs; see [`sap_core`]), `Some(total)` otherwise — exact, summed in
+/// row order like [`solve_slice_into`]; `upper = ∞` never prunes.
 pub fn solve_cost_slice_bounded(
     rows: usize,
     cols: usize,
@@ -415,7 +382,7 @@ pub fn solve_cost_slice_bounded_lazy(
 /// `f32` filter-precision twin of [`solve_cost_slice_bounded`]: the
 /// same branch-free core over an `f32` cost slice. `None` means the
 /// partial cost exceeded `upper` (callers fold the ±δ conversion margin
-/// into `upper` — see `MatchingEngine::distance_bounded_f32`);
+/// into `upper` — see `MatchingEngine::f32_stage`);
 /// `Some(total)` is the f32-precision optimal cost. Shares the integer
 /// buffers of `ws` with the f64 core, so one workspace serves both
 /// precisions without growing twice.
@@ -434,8 +401,8 @@ pub fn solve_cost_slice_bounded_f32(
 }
 
 /// Brute-force assignment by enumerating all `cols! / (cols-rows)!`
-/// injections — exponential; only for validating [`solve`] on small
-/// instances and for the paper's "all k! permutations" baseline.
+/// injections — exponential; only for validating [`solve_slice_into`]
+/// on small instances and for the paper's "all k! permutations" baseline.
 // lint-allow: no-alloc-kernel validation baseline, never on the query path
 pub fn solve_brute_force(cost: &CostMatrix) -> Assignment {
     let n = cost.rows();
@@ -479,158 +446,47 @@ pub fn solve_brute_force(cost: &CostMatrix) -> Assignment {
     Assignment { row_to_col: best, cost: best_cost }
 }
 
-/// The pre-SIMD scalar kernel, kept verbatim as the measurement baseline
-/// (`exp_bench_matching` reports `ns_engine` from this path, so the
-/// SIMD speedup is an apples-to-apples within-run comparison) and as a
-/// cross-validation oracle for the branch-free core.
-pub mod reference {
-    /// The original solver buffers, including the branchy `used[]`
-    /// bitmap the branch-free core replaced.
-    #[derive(Debug, Default)]
-    pub struct RefWorkspace {
-        u: Vec<f64>,
-        v: Vec<f64>,
-        p: Vec<usize>,
-        way: Vec<usize>,
-        minv: Vec<f64>,
-        used: Vec<bool>,
-    }
-
-    /// The original scalar shortest-augmenting-path core, with the
-    /// original `O(m)` per-row primal bound re-summation.
-    fn sap_core_ref<C: Fn(usize, usize) -> f64>(
-        n: usize,
-        m: usize,
-        cost: C,
-        ws: &mut RefWorkspace,
-        upper: f64,
-    ) -> bool {
-        const INF: f64 = f64::INFINITY;
-
-        ws.u.clear();
-        ws.u.resize(n + 1, 0.0);
-        ws.v.clear();
-        ws.v.resize(m + 1, 0.0);
-        ws.p.clear();
-        ws.p.resize(m + 1, 0);
-        ws.way.clear();
-        ws.way.resize(m + 1, 0);
-        ws.minv.resize(m + 1, INF);
-        ws.used.resize(m + 1, false);
-
-        for i in 1..=n {
-            ws.p[0] = i;
-            let mut j0 = 0usize;
-            for j in 0..=m {
-                ws.minv[j] = INF;
-                ws.used[j] = false;
-            }
-            loop {
-                ws.used[j0] = true;
-                let i0 = ws.p[j0];
-                let mut delta = INF;
-                let mut j1 = 0usize;
-                for j in 1..=m {
-                    if ws.used[j] {
-                        continue;
-                    }
-                    let cur = cost(i0 - 1, j - 1) - ws.u[i0] - ws.v[j];
-                    if cur < ws.minv[j] {
-                        ws.minv[j] = cur;
-                        ws.way[j] = j0;
-                    }
-                    if ws.minv[j] < delta {
-                        delta = ws.minv[j];
-                        j1 = j;
-                    }
-                }
-                debug_assert!(delta.is_finite(), "no augmenting path found");
-                for j in 0..=m {
-                    if ws.used[j] {
-                        ws.u[ws.p[j]] += delta;
-                        ws.v[j] -= delta;
-                    } else {
-                        ws.minv[j] -= delta;
-                    }
-                }
-                j0 = j1;
-                if ws.p[j0] == 0 {
-                    break;
-                }
-            }
-            loop {
-                let j1 = ws.way[j0];
-                ws.p[j0] = ws.p[j1];
-                j0 = j1;
-                if j0 == 0 {
-                    break;
-                }
-            }
-
-            if upper < INF {
-                for j in 1..=m {
-                    if ws.p[j] != 0 {
-                        ws.minv[ws.p[j]] = cost(ws.p[j] - 1, j - 1);
-                    }
-                }
-                let mut partial = 0.0;
-                for r in 1..=i {
-                    partial += ws.minv[r];
-                }
-                if partial > upper + 1e-9 * upper.abs() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn matched_cost_ref<C: Fn(usize, usize) -> f64>(
-        n: usize,
-        m: usize,
-        cost: C,
-        ws: &mut RefWorkspace,
-    ) -> f64 {
-        for j in 1..=m {
-            if ws.p[j] != 0 {
-                ws.minv[ws.p[j]] = cost(ws.p[j] - 1, j - 1);
-            }
-        }
-        let mut total = 0.0;
-        for i in 1..=n {
-            total += ws.minv[i];
-        }
-        total
-    }
-
-    /// Cost-only solve with the original scalar kernel.
-    pub fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut RefWorkspace) -> f64 {
-        debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-        sap_core_ref(rows, cols, |i, j| data[i * cols + j], ws, f64::INFINITY);
-        matched_cost_ref(rows, cols, |i, j| data[i * cols + j], ws)
-    }
-
-    /// Bounded cost-only solve with the original scalar kernel and its
-    /// original `O(m)` per-row bound check.
-    pub fn solve_cost_slice_bounded(
-        rows: usize,
-        cols: usize,
-        data: &[f64],
-        ws: &mut RefWorkspace,
-        upper: f64,
-    ) -> Option<f64> {
-        debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-        if !sap_core_ref(rows, cols, |i, j| data[i * cols + j], ws, upper) {
-            return None;
-        }
-        Some(matched_cost_ref(rows, cols, |i, j| data[i * cols + j], ws))
-    }
-}
+/// The pre-SIMD scalar kernel, kept verbatim as the differential
+/// reference of the branch-free core; compiled for tests only.
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn solve_with(cost: &CostMatrix, ws: &mut Workspace) -> Assignment {
+        let mut row_to_col = Vec::new();
+        let total = solve_slice_into(cost.rows(), cost.cols(), cost.data(), ws, &mut row_to_col);
+        Assignment { row_to_col, cost: total }
+    }
+
+    fn solve(cost: &CostMatrix) -> Assignment {
+        solve_with(cost, &mut Workspace::default())
+    }
+
+    fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
+        solve_cost_slice_bounded(rows, cols, data, ws, f64::INFINITY).expect("∞ cannot prune")
+    }
+
+    /// [`solve_cost_slice_bounded_lazy`] over rows copied from `data` on
+    /// demand; also returns how many rows the solver asked for.
+    fn solve_lazy_counting(
+        rows: usize,
+        cols: usize,
+        data: &[f64],
+        ws: &mut Workspace,
+        upper: f64,
+    ) -> (Option<f64>, usize) {
+        let mut scratch = vec![f64::NAN; rows * cols];
+        let mut filled = 0;
+        let total = solve_cost_slice_bounded_lazy(rows, cols, &mut scratch, ws, upper, |i, out| {
+            out.copy_from_slice(&data[i * cols..(i + 1) * cols]);
+            filled += 1;
+        });
+        (total, filled)
+    }
 
     #[test]
     fn tiny_known_instance() {
@@ -711,12 +567,44 @@ mod tests {
             };
             let c = CostMatrix::from_fn(rows, cols, |_, _| next());
             let reference = solve(&c).cost;
-            assert_eq!(solve_cost_with(&c, &mut ws).to_bits(), reference.to_bits());
-            let flat: Vec<f64> = (0..rows)
-                .flat_map(|i| (0..cols).map(move |j| (i, j)))
-                .map(|(i, j)| c.get(i, j))
+            assert_eq!(
+                solve_cost_slice(rows, cols, c.data(), &mut ws).to_bits(),
+                reference.to_bits()
+            );
+            let (lazy, _) = solve_lazy_counting(rows, cols, c.data(), &mut ws, f64::INFINITY);
+            assert_eq!(lazy.unwrap().to_bits(), reference.to_bits());
+        }
+    }
+
+    /// Why a bounded solve is never slower than an unbounded one: below
+    /// the optimum it stops asking for rows (so the engine never
+    /// computes them), at `upper = ∞` it is the eager solve bit for bit.
+    #[test]
+    fn lazy_bounded_solve_skips_rows_when_pruned_and_equals_eager_when_not() {
+        let mut ws = Workspace::default();
+        for (rows, cols, seed) in [(8usize, 8usize, 21u64), (6, 9, 22), (3, 3, 23)] {
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15);
+            // Entries in [1, 2): after r insertions the partial cost is
+            // at least r, and the optimum is below 2·rows.
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    1.0 + (state >> 11) as f64 / (1u64 << 53) as f64
+                })
                 .collect();
-            assert_eq!(solve_cost_slice(rows, cols, &flat, &mut ws).to_bits(), reference.to_bits());
+            let eager = solve_cost_slice(rows, cols, &data, &mut ws);
+
+            let (unbounded, filled) =
+                solve_lazy_counting(rows, cols, &data, &mut ws, f64::INFINITY);
+            assert_eq!(unbounded.unwrap().to_bits(), eager.to_bits(), "{rows}x{cols}");
+            assert_eq!(filled, rows, "an unpruned solve inserts every row");
+
+            // A third of the optimum is below 2·rows/3, which the
+            // partial cost passes before the last row is inserted.
+            let (pruned, filled) = solve_lazy_counting(rows, cols, &data, &mut ws, eager / 3.0);
+            assert_eq!(pruned, None, "{rows}x{cols}: bound below the optimum must prune");
+            assert!(filled < rows, "{rows}x{cols}: pruned solve still filled {filled}/{rows} rows");
+            assert_eq!(solve_cost_slice_bounded(rows, cols, &data, &mut ws, eager / 3.0), None);
         }
     }
 
@@ -755,7 +643,9 @@ mod tests {
             for (rows, cols) in [(6usize, 7usize), (3, 14), (1, 42), (6, 6)] {
                 let take = rows * cols;
                 let new = solve_cost_slice(rows, cols, &vals[..take], &mut ws);
-                let old = reference::solve_cost_slice(rows, cols, &vals[..take], &mut rws);
+                let old = reference::solve_cost_slice_bounded(
+                    rows, cols, &vals[..take], &mut rws, f64::INFINITY,
+                ).expect("∞ cannot prune");
                 prop_assert!((new - old).abs() < 1e-9, "lane {new} vs scalar {old}");
             }
         }

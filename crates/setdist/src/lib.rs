@@ -5,11 +5,12 @@
 //! distance* on sets of feature vectors (Definition 6), its efficient
 //! `O(k³)` computation via the Kuhn–Munkres (Hungarian) algorithm, the
 //! *minimum Euclidean distance under permutation* of the one-vector model
-//! (Definition 4) derived from it, the *extended centroid* filter
-//! (Definitions 7/8, Lemma 2), and the comparison distances of
-//! Eiter & Mannila's survey (Hausdorff, sum of minimum distances,
-//! surjection, fair surjection, link) plus the netflow distance the
-//! matching distance specializes.
+//! (Definition 4) derived from it, and the *extended centroid* filter
+//! (Definitions 7/8, Lemma 2) — the matching distance, its lower bound
+//! and nothing else. The comparison distances Section 4.2 surveys only
+//! to reject (Hausdorff, sum of minimum distances, (fair) surjection,
+//! link, netflow) live with their one caller, the distance ablation, in
+//! `vsim_bench::{setdists, flow}`.
 //!
 //! ## Quick tour
 //!
@@ -31,17 +32,15 @@
 
 pub mod centroid;
 pub mod engine;
-pub mod flow;
 pub mod hungarian;
 pub mod lp;
 pub mod matching;
 pub mod metric;
-pub mod setdists;
 pub mod simd;
 pub mod types;
 
 pub use centroid::{centroid_lower_bound, extended_centroid};
-pub use engine::{BoundedDistance, MatchingEngine, PrefilteredDistance, PreparedSet};
+pub use engine::{MatchingEngine, Operand, PrefilteredDistance, PreparedSet};
 pub use matching::{MatchOutcome, MatchScratch, MinimalMatching};
 pub use metric::Distance;
 pub use types::VectorSet;

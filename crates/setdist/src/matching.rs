@@ -67,17 +67,6 @@ impl PointDistance {
             PointDistance::Manhattan => simd::l1_f32(a, b),
         }
     }
-
-    /// The pre-SIMD sequential evaluation, preserved for the engine's
-    /// reference (baseline) path — never mixed with the lane path.
-    #[inline]
-    pub(crate) fn eval_scalar(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            PointDistance::Euclidean => lp::euclidean(a, b),
-            PointDistance::SquaredEuclidean => lp::sq_euclidean(a, b),
-            PointDistance::Manhattan => lp::manhattan(a, b),
-        }
-    }
 }
 
 /// Weight function `w` for unmatched elements (Definition 6).
@@ -134,18 +123,6 @@ impl WeightFunction {
             WeightFunction::Constant(c) => *c,
         }
     }
-
-    /// The pre-SIMD sequential evaluation, preserved for the engine's
-    /// reference (baseline) path.
-    #[inline]
-    pub(crate) fn eval_scalar(&self, x: &[f64]) -> f64 {
-        match self {
-            WeightFunction::DistanceTo(w) => lp::euclidean(x, w),
-            WeightFunction::Norm => lp::norm(x),
-            WeightFunction::SqNorm => lp::sq_norm(x),
-            WeightFunction::Constant(c) => *c,
-        }
-    }
 }
 
 /// Result of a minimal-matching-distance computation.
@@ -167,8 +144,8 @@ pub struct MatchOutcome {
 
 /// Reusable buffers for [`MinimalMatching::match_sets_with`]: the flat
 /// cost matrix, the Hungarian solver workspace and the assignment
-/// vector. One scratch amortizes every per-call allocation the old
-/// `CostMatrix::from_fn` + `hungarian::solve` path paid.
+/// vector. One scratch amortizes every per-call allocation of the
+/// solve.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     cost: Vec<f64>,

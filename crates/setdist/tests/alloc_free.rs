@@ -1,6 +1,6 @@
-//! Counting-allocator proof that the matching engine's cost-only and
-//! bounded paths perform **zero heap allocations per distance call** in
-//! steady state (the acceptance criterion of the bounded-kernel PR).
+//! Counting-allocator proof that `MatchingEngine::distance` performs
+//! **zero heap allocations per call** in steady state — unbounded,
+//! bounded and f32-pruned, for all four raw/prepared operand pairings.
 //!
 //! This file deliberately contains a single `#[test]` — the counting
 //! allocator is process-global, and a concurrent test would pollute the
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vsim_setdist::engine::MatchingEngine;
 use vsim_setdist::matching::MinimalMatching;
-use vsim_setdist::VectorSet;
+use vsim_setdist::{PrefilteredDistance, VectorSet};
 
 struct CountingAllocator;
 
@@ -57,67 +57,56 @@ fn pseudo_random_set(dim: usize, card: usize, seed: u64) -> VectorSet {
 
 #[test]
 fn engine_distance_calls_are_allocation_free_in_steady_state() {
-    for mm in [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()] {
+    let models = [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()];
+    // dim 6: the paper's lane path, f32 stage in front of every bounded
+    // call. dim 11: the `lp` path above `LANES`, exact kernel only.
+    for (mm, dim) in models.iter().flat_map(|mm| [(mm, 6usize), (mm, 11)]) {
         let mut engine = MatchingEngine::new(mm.clone());
         // Sets of the paper's k range, including unequal cardinalities.
         let sets: Vec<VectorSet> =
-            (0..8).map(|i| pseudo_random_set(6, 1 + (i % 7) + 1, 1000 + i as u64)).collect();
+            (0..8).map(|i| pseudo_random_set(dim, 1 + (i % 7) + 1, 1000 + i as u64)).collect();
         let prepared: Vec<_> = sets.iter().map(|s| engine.prepare(s.clone())).collect();
 
-        // Warm up: one pass grows every scratch buffer — including the
-        // f64/f32 lane pads and the f32 cost matrix of the prefilter
-        // stage — to its steady-state capacity.
-        let mut warm = 0.0;
-        for x in &sets {
-            for y in &sets {
-                warm += engine.distance(x, y);
-                let _ = engine.distance_bounded_prefiltered(x, y, 0.5);
-                warm += engine.distance_bounded_f32(x, y, f64::INFINITY).unwrap_or(0.0);
+        let mut sum = 0.0;
+        let mut pruned = [0usize; 4];
+        let mut pruned_f32 = [0usize; 4];
+        let mut all_pairings = |upper: f64| {
+            for (x, px) in sets.iter().zip(&prepared) {
+                for (y, py) in sets.iter().zip(&prepared) {
+                    let outcomes = [
+                        engine.distance(x, y, upper),
+                        engine.distance(px, y, upper),
+                        engine.distance(x, py, upper),
+                        engine.distance(px, py, upper),
+                    ];
+                    for (pairing, d) in outcomes.into_iter().enumerate() {
+                        match d {
+                            PrefilteredDistance::Exact(d) => sum += d,
+                            PrefilteredDistance::PrunedByF32 => pruned_f32[pairing] += 1,
+                            PrefilteredDistance::Pruned => pruned[pairing] += 1,
+                        }
+                    }
+                    // The two frozen forwards are the same calls.
+                    assert_eq!(engine.distance_bounded_prefiltered_half(px, y, upper), outcomes[1]);
+                    if upper == f64::INFINITY {
+                        assert_eq!(Some(engine.distance_prepared(px, py)), outcomes[3].value());
+                    }
+                }
             }
-        }
-        for x in &prepared {
-            for y in &sets {
-                let _ = engine.distance_bounded_prefiltered_half(x, y, 0.5);
-            }
-        }
+        };
 
-        // Steady state: cost-only, bounded, prepared, SIMD-prefiltered
-        // and f32 filter-precision paths must not touch the heap at all.
+        // Warm up: one unbounded and one bounded pass grow every scratch
+        // buffer — including the f64/f32 lane pads and the f32 cost
+        // matrix of the filter stage — to its steady-state capacity.
+        all_pairings(f64::INFINITY);
+        all_pairings(0.5);
+
+        // Steady state: no pairing may touch the heap at any bound.
         // ORDERING: SeqCst so the baseline observes every allocator
         // fetch_add that happened-before this read, on any thread.
         let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let mut sum = 0.0;
-        let mut pruned = 0usize;
-        let mut pruned_f32 = 0usize;
-        for round in 0..3 {
-            for x in &sets {
-                for y in &sets {
-                    sum += engine.distance(x, y);
-                    match engine.distance_bounded(x, y, 0.5 + round as f64) {
-                        vsim_setdist::BoundedDistance::Exact(d) => sum += d,
-                        vsim_setdist::BoundedDistance::Pruned => pruned += 1,
-                    }
-                    match engine.distance_bounded_prefiltered(x, y, 0.5 + round as f64) {
-                        vsim_setdist::PrefilteredDistance::Exact(d) => sum += d,
-                        vsim_setdist::PrefilteredDistance::PrunedByF32 => pruned_f32 += 1,
-                        vsim_setdist::PrefilteredDistance::Pruned => pruned += 1,
-                    }
-                    match engine.distance_bounded_f32(x, y, 0.5 + round as f64) {
-                        Some(d) => sum += d,
-                        None => pruned_f32 += 1,
-                    }
-                }
-            }
-            for x in &prepared {
-                for y in &prepared {
-                    sum += engine.distance_prepared(x, y);
-                }
-                for y in &sets {
-                    if engine.distance_bounded_prefiltered_half(x, y, 0.25).pruned_by_f32() {
-                        pruned_f32 += 1;
-                    }
-                }
-            }
+        for upper in [f64::INFINITY, 0.25, 0.5, 1.5] {
+            all_pairings(upper);
         }
         // ORDERING: SeqCst pairs with the baseline read above — the
         // delta must include every allocation in between.
@@ -126,13 +115,13 @@ fn engine_distance_calls_are_allocation_free_in_steady_state() {
         assert_eq!(
             after - before,
             0,
-            "{:?}: steady-state distance calls allocated (sum {sum}, warm {warm}, pruned {pruned})",
-            mm
+            "{mm:?} dim {dim}: steady-state distance calls allocated \
+             (sum {sum}, pruned {pruned:?}, by f32 {pruned_f32:?})"
         );
-        // Sanity: the bounded paths did exercise every outcome,
-        // including prunes decided by the f32 stage alone.
-        assert!(pruned > 0, "bound never pruned — test bounds are miscalibrated");
-        assert!(pruned_f32 > 0, "f32 stage never pruned — prefilter not exercised");
-        assert!(sum.is_finite() && warm.is_finite());
+        // Sanity: every pairing exercised the stage that prunes at this
+        // dim — the f32 stage on the lane path, the exact kernel above.
+        let decided = if dim <= 8 { pruned_f32 } else { pruned };
+        assert!(decided.iter().all(|&p| p > 0), "{mm:?} dim {dim}: bounds never pruned");
+        assert!(sum.is_finite());
     }
 }

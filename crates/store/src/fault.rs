@@ -253,6 +253,23 @@ mod tests {
         assert_eq!(store.ops(), 5);
         assert_eq!(store.id(), store.inner().id());
         assert_eq!(store.page_count(), 2);
+
+        // Behind a small evicting pool the wrapper is invisible too: the
+        // same page sequence takes the same hits, misses and evictions
+        // as on a bare store.
+        let cache_counts = |store: &dyn PageStore| {
+            store.allocate(16).unwrap();
+            let pool = crate::pool::BufferPool::new(4);
+            let t = crate::tracker::IoTracker::new();
+            for i in 0..200u64 {
+                pool.load(store, (i / 3 + i % 2) % 16, &t).unwrap();
+            }
+            t.snapshot().cache
+        };
+        let wrapped = cache_counts(&faulty(FaultPlan::none()));
+        assert_eq!(wrapped, cache_counts(&InMemoryPageStore::new()));
+        assert_eq!(wrapped.accesses(), 200);
+        assert!(wrapped.hits > 0 && wrapped.evictions > 0, "{wrapped:?}");
     }
 
     #[test]

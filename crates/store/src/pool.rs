@@ -92,9 +92,8 @@ impl BufferPool {
     }
 
     /// Pool with an explicit shard count (rounded up to a power of
-    /// two, clamped so every shard holds at least one page). The
-    /// concurrency benchmark uses `with_shards(cap, 1)` as the
-    /// single-lock baseline.
+    /// two, clamped so every shard holds at least one page);
+    /// `with_shards(cap, 1)` is one exact LRU under a single lock.
     pub fn with_shards(capacity: Option<usize>, shards: usize) -> Arc<Self> {
         let mut count = shards.max(1).next_power_of_two();
         if let Some(cap) = capacity {

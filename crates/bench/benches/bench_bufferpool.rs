@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use std::sync::Arc;
-use vsim_index::{BufferPool, InMemoryPageStore, IoTracker, PageStore, QueryContext};
+use vsim_index::{BufferPool, InMemoryPageStore, PageStore, QueryContext};
 use vsim_query::{FilterRefineIndex, QueryExecutor};
 use vsim_setdist::VectorSet;
 
@@ -26,7 +26,6 @@ fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
 }
 
 /// Raw pool overhead: hit and miss paths on a synthetic page stream.
-// lint-allow: storage-boundary this benchmark measures BufferPool itself, below the QueryContext layer
 fn bench_pool_access(c: &mut Criterion) {
     let mut g = c.benchmark_group("bufferpool_access");
     g.sample_size(30);
@@ -34,25 +33,21 @@ fn bench_pool_access(c: &mut Criterion) {
     store.allocate(1024).unwrap();
 
     g.bench_function("hits_resident_working_set", |b| {
-        let pool = BufferPool::new(256);
-        let tracker = IoTracker::default();
-        for p in 0..256u64 {
-            pool.access(store.id(), p, 1, &tracker);
-        }
+        let ctx = QueryContext::with_pool(BufferPool::new(256));
+        ctx.access(store.id(), 0, 256);
         let mut p = 0u64;
         b.iter(|| {
             p = (p + 37) % 256;
-            pool.access(store.id(), p, 1, &tracker)
+            ctx.access(store.id(), p, 1)
         })
     });
 
     g.bench_function("misses_streaming_evictions", |b| {
-        let pool = BufferPool::new(64);
-        let tracker = IoTracker::default();
+        let ctx = QueryContext::with_pool(BufferPool::new(64));
         let mut p = 0u64;
         b.iter(|| {
             p = (p + 1) % 1024; // working set ≫ capacity: always a miss
-            pool.access(store.id(), p, 1, &tracker)
+            ctx.access(store.id(), p, 1)
         })
     });
     g.finish();

@@ -62,9 +62,7 @@ pub mod prelude {
         greedy_cover_sequence, CoverSequence, CoverSequenceModel, SolidAngleModel, VectorSetModel,
         VolumeModel,
     };
-    pub use vsim_index::{
-        BufferPool, CostModel, IoTracker, MTree, QueryContext, VectorSetStore, XTree,
-    };
+    pub use vsim_index::{BufferPool, CostModel, MTree, QueryContext, VectorSetStore, XTree};
     pub use vsim_optics::{best_cut, extract_clusters, ClusterOrdering, Optics, ReachabilityPlot};
     pub use vsim_query::{
         BatchResult, DynamicIndex, FilterRefineIndex, OneVectorIndex, PoolPolicy, Query,

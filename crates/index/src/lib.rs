@@ -1,4 +1,8 @@
 #![forbid(unsafe_code)]
+// Everything downstream of a page store can see an injected fault, so
+// library code here propagates typed errors instead of panicking; the
+// CI clippy step (`-D warnings`) turns these into errors.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! # vsim-index — access methods with simulated I/O accounting
 //!
 //! The paper's efficiency experiment (Table 2) compares three access
@@ -56,7 +60,7 @@ pub use xtree::{NnIter, XTree};
 // The storage-engine layer these access methods are built on.
 pub use vsim_store::{
     Backend, BufferPool, CacheCounts, CostModel, Fault, FaultInjectingPageStore, FaultPlan,
-    FilePageStore, InMemoryPageStore, IoSnapshot, IoTracker, PageKey, PageStore, PageStreamReader,
+    FilePageStore, InMemoryPageStore, IoSnapshot, PageKey, PageStore, PageStreamReader,
     PageStreamWriter, PoolStats, QueryContext, QueryStats, StoreError, StoreErrorKind, StoreId,
-    StoreResult, StreamHandle, TrackerSnapshot, PAGE_SIZE,
+    StoreResult, StreamHandle, PAGE_SIZE,
 };

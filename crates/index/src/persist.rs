@@ -174,8 +174,12 @@ impl NodeStore {
     /// after a load still get valid pages (they must be re-saved for
     /// the new spans to persist). Build-time node stores are unbounded
     /// in-memory stores, so allocation cannot legitimately fail here.
+    #[allow(
+        clippy::expect_used,
+        reason = "build-time node stores are unbounded in-memory stores (see doc comment)"
+    )]
     pub(crate) fn allocate(&self, pages: u64) -> u64 {
-        self.as_store().allocate(pages).expect("node page allocation failed") // lint-allow: store-error-hygiene build-time node stores are unbounded in-memory stores (see doc comment)
+        self.as_store().allocate(pages).expect("node page allocation failed")
     }
 }
 

@@ -158,8 +158,8 @@ fn load_image(
 /// the buffer pool of a [`QueryContext`]. The in-memory backing is
 /// *dynamic*: records can be [`append`](Self::append)ed at the tail and
 /// [`tombstone`](Self::tombstone)d in place; tombstoned bytes keep
-/// occupying their pages (and keep being charged by scans) until the
-/// owning index is compacted into a fresh save — see the epoch layer.
+/// occupying their pages (and keep being charged by scans): nothing
+/// compacts a tombstoned file yet (ROADMAP item 3).
 #[derive(Debug)]
 pub struct VectorSetStore {
     image: BytesMut,
@@ -185,9 +185,13 @@ impl VectorSetStore {
         }
         offsets.push(image.len());
         let pages = InMemoryPageStore::new();
+        #[allow(
+            clippy::expect_used,
+            reason = "the unbounded in-memory store cannot fail to allocate"
+        )]
         pages
             .allocate(image.len().div_ceil(PAGE_SIZE) as u64)
-            .expect("in-memory page-charge allocation failed"); // lint-allow: store-error-hygiene the unbounded in-memory store cannot fail to allocate
+            .expect("in-memory page-charge allocation failed");
         VectorSetStore {
             image,
             offsets,
@@ -219,9 +223,9 @@ impl VectorSetStore {
     }
 
     /// Mark record `id` deleted. Returns `false` if the id is out of
-    /// range or already dead. The record's bytes are *not* reclaimed
-    /// here — they keep occupying (and charging) their pages until the
-    /// index is compacted into a fresh save.
+    /// range or already dead. The record's bytes are *not* reclaimed —
+    /// they keep occupying (and charging) their pages, and a file with
+    /// a tombstone can no longer be saved (see [`save_to`](Self::save_to)).
     pub fn tombstone(&mut self, id: u64) -> bool {
         match self.dead.get_mut(id as usize) {
             Some(d @ false) => {
@@ -277,8 +281,8 @@ impl VectorSetStore {
         }
         if self.dead.iter().any(|&d| d) {
             // Persisting tombstone holes would skew the dense-id contract
-            // shared with the trees; the dynamic save path compacts the
-            // whole index (rebuilding dense ids) before it gets here.
+            // shared with the trees. No compacting save exists yet, so a
+            // tombstoned index cannot be saved (ROADMAP item 3).
             return Err(invalid("cannot save a heap file with tombstoned records; compact first"));
         }
         let (first, sums) = write_image(target, &self.image)?;
@@ -469,9 +473,13 @@ impl PointFile {
             data.extend_from_slice(p);
         }
         let pages = InMemoryPageStore::new();
+        #[allow(
+            clippy::expect_used,
+            reason = "the unbounded in-memory store cannot fail to allocate"
+        )]
         pages
             .allocate((data.len() * 8).div_ceil(PAGE_SIZE) as u64)
-            .expect("in-memory page-charge allocation failed"); // lint-allow: store-error-hygiene the unbounded in-memory store cannot fail to allocate
+            .expect("in-memory page-charge allocation failed");
         PointFile {
             dim,
             len: points.len(),
@@ -645,6 +653,7 @@ impl PointFile {
     pub fn scan_ranked(&self, center: &[f64], ctx: &QueryContext) -> StoreResult<SortedScan> {
         assert_eq!(center.len(), self.dim);
         let total = self.total_bytes();
+        #[allow(clippy::expect_used, reason = "chunks_exact(8) guarantees the width")]
         let loaded: Option<Vec<f64>> = match &self.backing {
             Backing::Memory(pages) => {
                 for page in 0..self.total_pages() as u64 {
@@ -659,7 +668,7 @@ impl PointFile {
                 let img = load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?;
                 Some(
                     img.chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))) // lint-allow: store-error-hygiene chunks_exact(8) guarantees the width
+                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
                         .collect(),
                 )
             }

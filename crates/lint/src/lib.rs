@@ -4,12 +4,12 @@
 //! A self-contained static-analysis pass in the style of rustc's
 //! `tools/tidy`: it walks every `.rs` file in the workspace (line
 //! oriented, no `syn`, fully offline) and enforces the hand-maintained
-//! invariants established by the storage-engine, matching-kernel and
-//! multi-step-planner PRs — NaN-safe orderings on query paths, the
-//! allocation-free matching kernel, the `QueryContext` storage
-//! boundary, counter parity across the stats plumbing, unsafe hygiene,
-//! and experiment documentation. See `DESIGN.md` §10 for each rule's
-//! rationale and [`rules`] for the implementations.
+//! invariants that neither rustc, privacy nor clippy can decide —
+//! NaN-safe orderings on query paths, the allocation-free matching
+//! kernel, the lock-acquisition order, no blocking work under a hot
+//! lock, and the epoch publication protocol. See `DESIGN.md` §10 for
+//! each rule's rationale (and where the retired rules' invariants live
+//! now) and [`rules`] for the implementations.
 //!
 //! Violations can be suppressed with an inline waiver comment whose
 //! body is exactly `lint-allow:` followed by a rule id and a mandatory
@@ -19,10 +19,9 @@
 //! the matching-kernel files whose steady-state paths must not
 //! allocate.
 //!
-//! Three frontends share this engine: the `vsim-lint` binary
-//! (`--list-rules`, `--json`), the `workspace_clean` integration test
-//! (so `cargo test` is a tier-1 gate), and a CI step with a seeded
-//! negative smoke check.
+//! Two frontends share this engine: the `vsim-lint` binary (a CI step)
+//! and the `workspace_clean` integration test, which makes `cargo test`
+//! a tier-1 gate and also runs the binary against a seeded violation.
 
 pub mod model;
 pub mod rules;
@@ -54,8 +53,6 @@ impl fmt::Display for Diagnostic {
 /// The analyzed workspace a lint run sees.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
-    /// `EXPERIMENTS.md`, when present at the root.
-    pub experiments_md: Option<String>,
 }
 
 impl Workspace {
@@ -82,17 +79,13 @@ impl Workspace {
                 .join("/");
             files.push(SourceFile::new(&rel, &text));
         }
-        let experiments_md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
-        Ok(Workspace { files, experiments_md })
+        Ok(Workspace { files })
     }
 
     /// Build a workspace from in-memory sources — the fixture entry
     /// point for rule tests.
-    pub fn from_sources(sources: &[(&str, &str)], experiments_md: Option<&str>) -> Workspace {
-        Workspace {
-            files: sources.iter().map(|(rel, text)| SourceFile::new(rel, text)).collect(),
-            experiments_md: experiments_md.map(str::to_owned),
-        }
+    pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
+        Workspace { files: sources.iter().map(|(rel, text)| SourceFile::new(rel, text)).collect() }
     }
 
     /// The analyzed file at `rel`, if the workspace contains it.
@@ -126,8 +119,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 ///
 /// This is the two-phase engine: phase one builds the cross-file
 /// [`model::WorkspaceModel`] (functions, lock acquisitions with guard
-/// live-ranges, the acquisition-order graph, atomic-op sites, the
-/// counter model) exactly once; phase two hands it to every rule.
+/// live-ranges, the acquisition-order graph) exactly once; phase two
+/// hands it to every rule.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let model = model::WorkspaceModel::build(ws);
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -141,7 +134,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             || !ws.file(&d.file).is_some_and(|f| f.is_waived(d.rule, d.line))
     });
     // Rules emit in whatever order they walk the workspace; the output
-    // contract (and CI's lint-output diffs) is (file, line, rule).
+    // contract is (file, line, rule).
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.file.as_str(),
@@ -159,56 +152,21 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
     Ok(check(&Workspace::load(root)?))
 }
 
-/// Render diagnostics as a JSON array (hand-rolled: the crate is
-/// dependency-free by design).
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut s = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        s.push_str(&format!(
-            "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{}\n",
-            esc(&d.file),
-            d.line,
-            d.rule,
-            esc(&d.message),
-            if i + 1 < diags.len() { "," } else { "" }
-        ));
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn waived_diagnostics_are_dropped_and_output_is_sorted() {
-        let ws = Workspace::from_sources(
-            &[(
-                "crates/demo/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 fn b() {\n\
-                     let mut v = vec![(0u64, 0.0f64)];\n\
-                     v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap()); // lint-allow: float-ordering fixture keys are finite\n\
-                     v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());\n\
-                 }\n",
-            )],
-            None,
-        );
+        let ws = Workspace::from_sources(&[(
+            "crates/demo/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             fn b() {\n\
+                 let mut v = vec![(0u64, 0.0f64)];\n\
+                 v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap()); // lint-allow: float-ordering fixture keys are finite\n\
+                 v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());\n\
+             }\n",
+        )]);
         let diags = check(&ws);
         assert_eq!(diags.len(), 1, "waived line suppressed, unwaived kept: {diags:?}");
         assert_eq!(diags[0].line, 5);
@@ -218,17 +176,17 @@ mod tests {
     #[test]
     fn findings_across_files_come_out_in_path_line_rule_order() {
         // Two files, loaded in reverse path order, each with violations
-        // on interleaving line numbers: the output (and therefore the
-        // `--json` dump CI diffs) must still sort by (file, line, rule).
+        // on interleaving line numbers: the output must still sort by
+        // (file, line, rule).
         let bad = "#![forbid(unsafe_code)]\n\
              fn s(v: &mut [(f64, f64)]) {\n\
                  v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());\n\
                  v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());\n\
              }\n";
-        let ws = Workspace::from_sources(
-            &[("crates/zz/src/lib.rs", bad), ("crates/aa/src/lib.rs", bad)],
-            None,
-        );
+        let ws = Workspace::from_sources(&[
+            ("crates/zz/src/lib.rs", bad),
+            ("crates/aa/src/lib.rs", bad),
+        ]);
         let diags = check(&ws);
         let keys: Vec<(String, usize)> = diags.iter().map(|d| (d.file.clone(), d.line)).collect();
         let mut sorted = keys.clone();
@@ -236,20 +194,5 @@ mod tests {
         assert_eq!(keys, sorted, "diagnostics must be stably ordered");
         assert_eq!(keys[0].0, "crates/aa/src/lib.rs");
         assert!(keys.iter().filter(|(f, _)| f.starts_with("crates/zz")).count() >= 2);
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_lists() {
-        let diags = vec![Diagnostic {
-            file: "a.rs".into(),
-            line: 3,
-            rule: "float-ordering",
-            message: "say \"no\"".into(),
-        }];
-        let json = render_json(&diags);
-        assert!(json.contains("\"line\": 3"));
-        assert!(json.contains("say \\\"no\\\""));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(render_json(&[]), "[\n]");
     }
 }

@@ -6,12 +6,10 @@ use std::process::ExitCode;
 
 fn usage() -> String {
     let mut s = String::from(
-        "usage: vsim-lint [--root <dir>] [--json] [--graph-dot] [--list-rules]\n\n\
+        "usage: vsim-lint [--root <dir>]\n\n\
          Walks every .rs file under <dir> (default: the workspace this\n\
          binary was built from) and reports invariant violations as\n\
-         `file:line: rule-id: message`. With --graph-dot, prints the\n\
-         observed lock-acquisition-order graph as Graphviz DOT instead\n\
-         of linting.\n",
+         `file:line: rule-id: message`.\n",
     );
     s.push_str("\nrules:\n");
     for rule in vsim_lint::rules::all() {
@@ -33,19 +31,9 @@ fn default_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let mut root = default_root();
-    let mut json = false;
-    let mut graph_dot = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--list-rules" => {
-                for rule in vsim_lint::rules::all() {
-                    println!("{:<18} {}", rule.id(), rule.description());
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--json" => json = true,
-            "--graph-dot" => graph_dot = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -64,19 +52,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if graph_dot {
-        let ws = match vsim_lint::Workspace::load(&root) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("vsim-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let model = vsim_lint::model::WorkspaceModel::build(&ws);
-        print!("{}", model.render_lock_graph_dot(&ws.files));
-        return ExitCode::SUCCESS;
-    }
-
     let diags = match vsim_lint::run(&root) {
         Ok(d) => d,
         Err(e) => {
@@ -84,19 +59,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        println!("{}", vsim_lint::render_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        if !diags.is_empty() {
-            eprintln!("vsim-lint: {} violation(s)", diags.len());
-        }
+    for d in &diags {
+        println!("{d}");
     }
     if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
+        eprintln!("vsim-lint: {} violation(s)", diags.len());
         ExitCode::FAILURE
     }
 }

@@ -23,13 +23,6 @@
 //!   down through the call graph) contributes the edge `A → B` to the
 //!   global acquisition-order graph. The `lock-order` rule reports any
 //!   cycle in that graph as a deadlock risk.
-//! - **Atomic operations** — every `.load(..)`/`.store(..)`/RMW call
-//!   whose arguments name a `std::sync::atomic` `Ordering`, with the
-//!   orderings used, for the `atomics-discipline` rule.
-//! - **The counter model** — the `IoTracker` / `TrackerSnapshot` /
-//!   `QueryStats` / `CacheCounts` field lists parsed from the struct
-//!   bodies themselves, so the counter-parity and atomics rules derive
-//!   their ground truth from the code instead of hand-maintained lists.
 //!
 //! Everything here is lexical: the model is deliberately coarse (no
 //! types, no borrows) but errs toward *missing* facts rather than
@@ -56,7 +49,7 @@ pub enum LockOp {
 /// lattice.
 #[derive(Debug)]
 pub struct LockClassDef {
-    /// Stable kebab-case name used in diagnostics and the DOT dump.
+    /// Stable kebab-case name used in diagnostics.
     pub name: &'static str,
     /// Lattice position: lower ranks are *colder* (outer, long critical
     /// sections), higher ranks are *hotter* (inner, per-page critical
@@ -186,45 +179,12 @@ pub struct LockEdge {
     pub in_cfg_test: bool,
 }
 
-/// One atomic memory operation with an explicit `Ordering` argument.
-#[derive(Debug)]
-pub struct AtomicOp {
-    pub file: usize,
-    /// 0-based line of the method call.
-    pub line: usize,
-    /// `load`, `store`, `fetch_add`, …
-    pub method: String,
-    /// Receiver identifier directly before the call (`self.pages.load`
-    /// → `pages`), when one exists.
-    pub receiver: Option<String>,
-    /// Every `Ordering::X` variant named in the argument list.
-    pub orderings: Vec<String>,
-    pub in_cfg_test: bool,
-}
-
-/// Field lists of the counter-plumbing structs, parsed from the struct
-/// bodies so a new counter is in the model the moment it is declared.
-#[derive(Debug, Default)]
-pub struct CounterModel {
-    /// `(field, 0-based line)` of every `AtomicU64` field of `IoTracker`.
-    pub tracker_fields: Vec<(String, usize)>,
-    /// `(field, 0-based line)` of every `u64` field of the per-shard
-    /// `CacheCounts`.
-    pub cache_fields: Vec<(String, usize)>,
-    /// Field names of `TrackerSnapshot`.
-    pub snapshot_fields: Vec<String>,
-    /// Field names of `QueryStats`.
-    pub stats_fields: Vec<String>,
-}
-
 /// The cross-file model phase two runs over.
 #[derive(Debug)]
 pub struct WorkspaceModel {
     pub fns: Vec<FnInfo>,
     pub acquisitions: Vec<Acquisition>,
     pub edges: Vec<LockEdge>,
-    pub atomics: Vec<AtomicOp>,
-    pub counters: CounterModel,
 }
 
 fn krate_of(rel: &str) -> String {
@@ -385,13 +345,8 @@ fn at_call_boundary(code: &str, at: usize) -> bool {
 
 impl WorkspaceModel {
     pub fn build(ws: &Workspace) -> WorkspaceModel {
-        let mut model = WorkspaceModel {
-            fns: Vec::new(),
-            acquisitions: Vec::new(),
-            edges: Vec::new(),
-            atomics: Vec::new(),
-            counters: CounterModel::default(),
-        };
+        let mut model =
+            WorkspaceModel { fns: Vec::new(), acquisitions: Vec::new(), edges: Vec::new() };
         for (fi, f) in ws.files.iter().enumerate() {
             model.collect_fns(fi, f);
         }
@@ -408,11 +363,7 @@ impl WorkspaceModel {
         }
         model.summarize_fns();
         model.collect_edges(&ws.files);
-        for (fi, f) in ws.files.iter().enumerate() {
-            model.collect_atomics(fi, f);
-        }
         model.acquisitions.sort_by_key(|a| (a.file, a.at));
-        model.counters = CounterModel::parse(ws);
         model
     }
 
@@ -710,59 +661,6 @@ impl WorkspaceModel {
         self.edges = edges;
     }
 
-    fn collect_atomics(&mut self, fi: usize, f: &SourceFile) {
-        const METHODS: &[&str] = &[
-            "load",
-            "store",
-            "swap",
-            "fetch_add",
-            "fetch_sub",
-            "fetch_and",
-            "fetch_or",
-            "fetch_xor",
-            "fetch_update",
-            "compare_exchange",
-            "compare_exchange_weak",
-        ];
-        for method in METHODS {
-            let needle = format!(".{method}(");
-            let mut from = 0usize;
-            while let Some(rel) = f.code[from..].find(&needle) {
-                let at = from + rel;
-                from = at + needle.len();
-                let open = at + needle.len() - 1;
-                let Some(close) = crate::rules::skip_parens(&f.code, open) else { continue };
-                let args = &f.code[open + 1..close - 1];
-                if !args.contains("Ordering::") {
-                    continue; // not an atomic op (e.g. `pool.load(…)`)
-                }
-                let mut orderings = Vec::new();
-                let mut scan = 0usize;
-                while let Some(o) = args[scan..].find("Ordering::") {
-                    let start = scan + o + "Ordering::".len();
-                    let name: String = args[start..]
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                        .collect();
-                    scan = start + name.len().max(1);
-                    if !name.is_empty() && !orderings.contains(&name) {
-                        orderings.push(name);
-                    }
-                }
-                let line = f.line_of(at) - 1;
-                self.atomics.push(AtomicOp {
-                    file: fi,
-                    line,
-                    method: method.to_string(),
-                    receiver: ident_ending_at(&f.code, at).map(str::to_owned),
-                    orderings,
-                    in_cfg_test: f.lines[line].in_cfg_test,
-                });
-            }
-        }
-        self.atomics.sort_by_key(|a| (a.file, a.line));
-    }
-
     /// Non-test acquisition sites observed for `class`.
     pub fn class_site_count(&self, class: ClassId) -> usize {
         self.acquisitions.iter().filter(|a| a.class == class && !a.in_cfg_test).count()
@@ -834,93 +732,6 @@ impl WorkspaceModel {
         }
         false
     }
-
-    /// Graphviz DOT rendering of the acquisition-order graph: every
-    /// class is a node labelled with its rank and observed site count;
-    /// every non-test edge carries its first witness `file:line`.
-    pub fn render_lock_graph_dot(&self, files: &[SourceFile]) -> String {
-        let mut s = String::from("digraph lock_order {\n  rankdir=LR;\n");
-        for (id, c) in LOCK_CLASSES.iter().enumerate() {
-            s.push_str(&format!(
-                "  \"{}\" [label=\"{}\\nrank {} / {} site(s){}\"];\n",
-                c.name,
-                c.name,
-                c.rank,
-                self.class_site_count(id),
-                if c.hot { " / hot" } else { "" },
-            ));
-        }
-        let mut seen: Vec<(ClassId, ClassId)> = Vec::new();
-        for e in self.edges.iter().filter(|e| !e.in_cfg_test) {
-            if seen.contains(&(e.from, e.to)) {
-                continue;
-            }
-            seen.push((e.from, e.to));
-            s.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}:{}\"];\n",
-                LOCK_CLASSES[e.from].name,
-                LOCK_CLASSES[e.to].name,
-                files.get(e.file).map(|f| f.rel.as_str()).unwrap_or("?"),
-                e.line + 1,
-            ));
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-impl CounterModel {
-    /// Parse the store's counter structs. Missing files (fixture
-    /// workspaces) leave the corresponding lists empty.
-    pub fn parse(ws: &Workspace) -> CounterModel {
-        let mut m = CounterModel::default();
-        if let Some(tracker) = ws.file("crates/store/src/tracker.rs") {
-            m.tracker_fields = struct_fields(tracker, "struct IoTracker", "AtomicU64");
-            m.cache_fields = struct_fields(tracker, "struct CacheCounts", "u64");
-            m.snapshot_fields = struct_fields(tracker, "struct TrackerSnapshot", "")
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect();
-        }
-        if let Some(stats) = ws.file("crates/store/src/stats.rs") {
-            m.stats_fields =
-                struct_fields(stats, "struct QueryStats", "").into_iter().map(|(n, _)| n).collect();
-        }
-        m
-    }
-
-    /// Whether `field` names one of the `IoTracker` atomic counters.
-    pub fn is_tracker_counter(&self, field: &str) -> bool {
-        self.tracker_fields.iter().any(|(n, _)| n == field)
-    }
-}
-
-/// `(name, 0-based line)` of every field of the first struct whose
-/// header contains `header`. With a non-empty `ty`, only fields of
-/// exactly that type are kept. Fields are assumed one per line — true
-/// of every rustfmt-formatted struct in this workspace.
-pub fn struct_fields(f: &SourceFile, header: &str, ty: &str) -> Vec<(String, usize)> {
-    let Some(at) = f.code.find(header) else { return Vec::new() };
-    let start = f.line_of(at) - 1;
-    let base = depth_at(f, at);
-    let end = close_of_block(f, start, at - f.line_start(start), base, base + 1, false);
-    let mut out = Vec::new();
-    for (i, l) in f.lines.iter().enumerate().take(end + 1).skip(start) {
-        let t = l.code.trim().trim_end_matches(',');
-        let Some((name, field_ty)) = t.split_once(':') else { continue };
-        let name = name.trim().strip_prefix("pub ").unwrap_or(name.trim()).trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            continue;
-        }
-        if !ty.is_empty() && field_ty.trim() != ty {
-            continue;
-        }
-        if ty.is_empty() && field_ty.trim().is_empty() {
-            continue;
-        }
-        out.push((name.to_owned(), i));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -928,7 +739,7 @@ mod tests {
     use super::*;
 
     fn model_for(sources: &[(&str, &str)]) -> WorkspaceModel {
-        WorkspaceModel::build(&Workspace::from_sources(sources, None))
+        WorkspaceModel::build(&Workspace::from_sources(sources))
     }
 
     #[test]
@@ -1132,51 +943,5 @@ impl D {{
         assert_eq!(cycle.first(), cycle.last());
         assert!(cycle.len() >= 3);
         assert!(m.has_path(e, w) && m.has_path(w, e));
-    }
-
-    #[test]
-    fn counter_model_derives_fields_from_struct_bodies() {
-        let tracker = "\
-pub struct IoTracker {
-    pages: AtomicU64,
-    hits: AtomicU64,
-}
-pub struct TrackerSnapshot {
-    pub pages: u64,
-    pub hits: u64,
-}
-pub struct CacheCounts {
-    pub hits: u64,
-}
-";
-        let ws = Workspace::from_sources(&[("crates/store/src/tracker.rs", tracker)], None);
-        let m = CounterModel::parse(&ws);
-        let names: Vec<&str> = m.tracker_fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["pages", "hits"]);
-        assert_eq!(m.snapshot_fields, vec!["pages", "hits"]);
-        assert_eq!(m.cache_fields.len(), 1);
-        assert!(m.is_tracker_counter("pages") && !m.is_tracker_counter("misses"));
-    }
-
-    #[test]
-    fn atomic_ops_are_collected_with_orderings_and_plain_loads_are_not() {
-        let src = "\
-use std::sync::atomic::{AtomicU64, Ordering};
-struct T { n: AtomicU64 }
-impl T {
-    fn f(&self, pool: &Pool) {
-        self.n.fetch_add(1, Ordering::Relaxed);
-        let _ = self.n.load(Ordering::SeqCst);
-        pool.load(7);
-    }
-}
-";
-        let m = model_for(&[("crates/store/src/tracker.rs", src)]);
-        assert_eq!(m.atomics.len(), 2, "{:?}", m.atomics);
-        let fetch = m.atomics.iter().find(|a| a.method == "fetch_add").unwrap();
-        assert_eq!(fetch.orderings, vec!["Relaxed"]);
-        assert_eq!(fetch.receiver.as_deref(), Some("n"));
-        let load = m.atomics.iter().find(|a| a.method == "load").unwrap();
-        assert_eq!(load.orderings, vec!["SeqCst"]);
     }
 }

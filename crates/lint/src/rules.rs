@@ -7,14 +7,8 @@ use crate::{Diagnostic, Workspace};
 
 pub const FLOAT_ORDERING: &str = "float-ordering";
 pub const NO_ALLOC_KERNEL: &str = "no-alloc-kernel";
-pub const STORAGE_BOUNDARY: &str = "storage-boundary";
-pub const COUNTER_PARITY: &str = "counter-parity";
-pub const UNSAFE_HYGIENE: &str = "unsafe-hygiene";
-pub const EXPERIMENT_DOCS: &str = "experiment-docs";
-pub const STORE_ERROR_HYGIENE: &str = "store-error-hygiene";
 pub const LOCK_ORDER: &str = "lock-order";
 pub const NO_BLOCKING_UNDER_LOCK: &str = "no-blocking-under-lock";
-pub const ATOMICS_DISCIPLINE: &str = "atomics-discipline";
 pub const EPOCH_PROTOCOL: &str = "epoch-protocol";
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 
@@ -23,14 +17,8 @@ pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 pub const KNOWN_RULES: &[&str] = &[
     FLOAT_ORDERING,
     NO_ALLOC_KERNEL,
-    STORAGE_BOUNDARY,
-    COUNTER_PARITY,
-    UNSAFE_HYGIENE,
-    EXPERIMENT_DOCS,
-    STORE_ERROR_HYGIENE,
     LOCK_ORDER,
     NO_BLOCKING_UNDER_LOCK,
-    ATOMICS_DISCIPLINE,
     EPOCH_PROTOCOL,
     WAIVER_SYNTAX,
 ];
@@ -51,14 +39,8 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatOrdering),
         Box::new(NoAllocKernel),
-        Box::new(StorageBoundary),
-        Box::new(CounterParity),
-        Box::new(UnsafeHygiene),
-        Box::new(ExperimentDocs),
-        Box::new(StoreErrorHygiene),
         Box::new(LockOrder),
         Box::new(NoBlockingUnderLock),
-        Box::new(AtomicsDiscipline),
         Box::new(EpochProtocol),
         Box::new(WaiverSyntax),
     ]
@@ -70,7 +52,7 @@ fn diag(f: &SourceFile, line: usize, rule: &'static str, message: String) -> Dia
 
 /// Byte index just past the `)` matching the `(` at `open`, scanning
 /// blanked code (so literal parens are already gone).
-pub(crate) fn skip_parens(code: &str, open: usize) -> Option<usize> {
+fn skip_parens(code: &str, open: usize) -> Option<usize> {
     let bytes = code.as_bytes();
     debug_assert_eq!(bytes.get(open), Some(&b'('));
     let mut depth = 0usize;
@@ -87,23 +69,6 @@ pub(crate) fn skip_parens(code: &str, open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Number of top-level commas between the parens opening at `open`.
-fn toplevel_commas(code: &str, open: usize) -> usize {
-    let bytes = code.as_bytes();
-    let mut depth = 0usize;
-    let mut commas = 0usize;
-    for &b in bytes.iter().skip(open) {
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' if depth == 1 => break,
-            b')' | b']' | b'}' => depth = depth.saturating_sub(1),
-            b',' if depth == 1 => commas += 1,
-            _ => {}
-        }
-    }
-    commas
 }
 
 fn skip_ws(code: &str, mut i: usize) -> usize {
@@ -140,29 +105,6 @@ fn token_positions<'a>(code: &'a str, token: &'a str) -> impl Iterator<Item = us
         }
         None
     })
-}
-
-/// The `{ … }` body (and the byte offset of its header) of the first
-/// item whose header contains `header` — good enough for the handful of
-/// store items L4 cross-references.
-fn item_body<'a>(code: &'a str, header: &str) -> Option<(usize, &'a str)> {
-    let at = code.find(header)?;
-    let open = at + code[at..].find('{')?;
-    let bytes = code.as_bytes();
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((at, &code[open + 1..i]));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// The word immediately before byte `at`, if any.
@@ -295,396 +237,6 @@ impl Rule for NoAllocKernel {
 }
 
 // ---------------------------------------------------------------------
-// L3: storage-boundary
-// ---------------------------------------------------------------------
-
-/// PR 1's layering rule: outside `crates/store`, page reads and cost
-/// accounting flow through `QueryContext` (3-argument `access`,
-/// 2-argument `pin`), never straight at a `BufferPool`/`IoTracker`.
-struct StorageBoundary;
-
-/// Tracker plumbing reserved for the buffer pool itself.
-const TRACKER_PLUMBING: &[&str] =
-    &[".record_pages(", ".record_hit(", ".record_miss(", ".record_eviction(", ".read_page("];
-
-impl Rule for StorageBoundary {
-    fn id(&self) -> &'static str {
-        STORAGE_BOUNDARY
-    }
-
-    fn description(&self) -> &'static str {
-        "outside crates/store, page access goes through QueryContext, not BufferPool/IoTracker"
-    }
-
-    fn check(&self, ws: &Workspace, _model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        for f in &ws.files {
-            if f.rel.starts_with("crates/store/") {
-                continue;
-            }
-            for ctor in ["IoTracker::new", "IoTracker::default", "IoTracker {"] {
-                for at in token_positions(&f.code, ctor) {
-                    out.push(diag(
-                        f,
-                        f.line_of(at),
-                        STORAGE_BOUNDARY,
-                        "construct a QueryContext instead of a raw IoTracker".to_owned(),
-                    ));
-                }
-            }
-            for tok in TRACKER_PLUMBING {
-                for at in token_positions(&f.code, tok) {
-                    out.push(diag(
-                        f,
-                        f.line_of(at),
-                        STORAGE_BOUNDARY,
-                        format!(
-                            "`{}` is buffer-pool plumbing; record costs via QueryContext",
-                            &tok[1..tok.len() - 1]
-                        ),
-                    ));
-                }
-            }
-            // BufferPool::access/pin take a trailing `&IoTracker`; the
-            // QueryContext wrappers don't. Arg count tells them apart.
-            for (method, ctx_commas) in [("access", 2usize), ("pin", 1usize)] {
-                for at in find_word(&f.code, method) {
-                    if at == 0 || f.code.as_bytes()[at - 1] != b'.' {
-                        continue;
-                    }
-                    let open = skip_ws(&f.code, at + method.len());
-                    if f.code.as_bytes().get(open) != Some(&b'(') {
-                        continue;
-                    }
-                    if toplevel_commas(&f.code, open) > ctx_commas {
-                        out.push(diag(
-                            f,
-                            f.line_of(at),
-                            STORAGE_BOUNDARY,
-                            format!("direct BufferPool::{method} bypasses QueryContext accounting"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L4: counter-parity
-// ---------------------------------------------------------------------
-
-/// Both `pruned` (PR 2) and `filter_steps` (PR 3) initially landed
-/// half-threaded: counted on `IoTracker` but dropped on the floor
-/// before reaching `QueryStats`. This rule cross-references the three
-/// store files so a new counter must be wired end to end.
-struct CounterParity;
-
-const TRACKER_RS: &str = "crates/store/src/tracker.rs";
-const STATS_RS: &str = "crates/store/src/stats.rs";
-const CONTEXT_RS: &str = "crates/store/src/context.rs";
-const POOL_RS: &str = "crates/store/src/pool.rs";
-
-impl Rule for CounterParity {
-    fn id(&self) -> &'static str {
-        COUNTER_PARITY
-    }
-
-    fn description(&self) -> &'static str {
-        "every IoTracker counter is threaded through snapshot/reset, QueryStats and QueryContext"
-    }
-
-    fn check(&self, ws: &Workspace, model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        let Some(tracker) = ws.file(TRACKER_RS) else { return };
-        let stats = ws.file(STATS_RS);
-        let context = ws.file(CONTEXT_RS);
-
-        // The field lists come from the phase-one counter model, which
-        // parses the struct bodies — a newly declared counter is under
-        // parity enforcement the moment it exists, with no list to
-        // update by hand.
-        let counters = &model.counters;
-
-        // The buffer pool keeps one `CacheCounts` per lock shard and
-        // sums them with `Add` into `PoolStats`, so a field that misses
-        // either side silently reads zero exactly when the pool is
-        // sharded — the concurrency configuration the tests exercise
-        // least. Cross-reference every field against both.
-        {
-            let pool = ws.file(POOL_RS);
-            let add_body = item_body(&tracker.code, "fn add").map(|(_, b)| b);
-            for (field, line0) in &counters.cache_fields {
-                let line = line0 + 1;
-                if add_body.is_some_and(|b| find_word(b, field).next().is_none()) {
-                    out.push(diag(
-                        tracker,
-                        line,
-                        COUNTER_PARITY,
-                        format!(
-                            "CacheCounts field `{field}` is missing from the Add impl, \
-                             so per-shard totals would drop it"
-                        ),
-                    ));
-                }
-                if pool.is_some_and(|p| find_word(&p.code, field).next().is_none()) {
-                    out.push(diag(
-                        tracker,
-                        line,
-                        COUNTER_PARITY,
-                        format!(
-                            "CacheCounts field `{field}` is never maintained by the \
-                             buffer pool's shards"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        let snapshot_body = item_body(&tracker.code, "fn snapshot").map(|(_, b)| b);
-        let reset_body = item_body(&tracker.code, "fn reset").map(|(_, b)| b);
-        for (field, line0) in &counters.tracker_fields {
-            let line = line0 + 1;
-            for (body, what) in [(snapshot_body, "snapshot()"), (reset_body, "reset()")] {
-                if body.is_some_and(|b| find_word(b, field).next().is_none()) {
-                    out.push(diag(
-                        tracker,
-                        line,
-                        COUNTER_PARITY,
-                        format!("IoTracker field `{field}` is missing from {what}"),
-                    ));
-                }
-            }
-            // A counter nothing can increment is dead weight that reads
-            // zero forever: every field needs a `count_<field>` or
-            // `record_<field>` accessor (singular forms accepted, e.g.
-            // `hits` → `record_hit`).
-            let mut names = vec![format!("count_{field}"), format!("record_{field}")];
-            if let Some(stem) = field.strip_suffix("es") {
-                names.push(format!("record_{stem}"));
-                names.push(format!("count_{stem}"));
-            }
-            if let Some(stem) = field.strip_suffix('s') {
-                names.push(format!("record_{stem}"));
-                names.push(format!("count_{stem}"));
-            }
-            if !names.iter().any(|n| tracker.code.contains(&format!("fn {n}("))) {
-                out.push(diag(
-                    tracker,
-                    line,
-                    COUNTER_PARITY,
-                    format!(
-                        "IoTracker field `{field}` has no count_/record_ accessor, \
-                         so nothing can ever increment it"
-                    ),
-                ));
-            }
-        }
-
-        // Every `count_X` accessor must surface `X` all the way to
-        // QueryStats and the QueryContext forwarders.
-        let stats_struct = stats.and_then(|s| item_body(&s.code, "struct QueryStats"));
-        let from_snap = stats.and_then(|s| item_body(&s.code, "fn from_snapshot"));
-        let accumulate = stats.and_then(|s| item_body(&s.code, "fn accumulate"));
-        let snap_struct = item_body(&tracker.code, "struct TrackerSnapshot");
-        for at in token_positions(&tracker.code, "pub fn count_") {
-            let name_start = at + "pub fn ".len();
-            let rest = &tracker.code[name_start..];
-            let name_end =
-                rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(rest.len());
-            let method = &rest[..name_end];
-            let counter = &method["count_".len()..];
-            let line = tracker.line_of(at);
-            let mut missing: Vec<&str> = Vec::new();
-            if snap_struct.as_ref().is_some_and(|(_, b)| find_word(b, counter).next().is_none()) {
-                missing.push("TrackerSnapshot");
-            }
-            if stats_struct.as_ref().is_some_and(|(_, b)| find_word(b, counter).next().is_none()) {
-                missing.push("QueryStats");
-            }
-            if from_snap.as_ref().is_some_and(|(_, b)| find_word(b, counter).next().is_none()) {
-                missing.push("QueryStats::from_snapshot");
-            }
-            if accumulate.as_ref().is_some_and(|(_, b)| find_word(b, counter).next().is_none()) {
-                missing.push("QueryStats::accumulate");
-            }
-            if context.is_some_and(|c| !c.code.contains(&format!("fn {method}"))) {
-                missing.push("QueryContext");
-            }
-            if !missing.is_empty() {
-                out.push(diag(
-                    tracker,
-                    line,
-                    COUNTER_PARITY,
-                    format!("counter `{counter}` is not threaded through {}", missing.join(", ")),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L5: unsafe-hygiene
-// ---------------------------------------------------------------------
-
-/// Unsafe stays auditable: each `unsafe` keyword carries a `SAFETY:`
-/// comment, and crates that need none say so with
-/// `#![forbid(unsafe_code)]` so a future block can't land silently.
-struct UnsafeHygiene;
-
-impl Rule for UnsafeHygiene {
-    fn id(&self) -> &'static str {
-        UNSAFE_HYGIENE
-    }
-
-    fn description(&self) -> &'static str {
-        "`unsafe` requires a SAFETY: comment; unsafe-free crates declare forbid(unsafe_code)"
-    }
-
-    fn check(&self, ws: &Workspace, _model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        let mut unsafe_crates: Vec<&str> = Vec::new();
-        for f in &ws.files {
-            let mut file_has_unsafe = false;
-            for (i, line) in f.lines.iter().enumerate() {
-                if find_word(&line.code, "unsafe").next().is_none() {
-                    continue;
-                }
-                file_has_unsafe = true;
-                if !f.comment_block_contains(i + 1, "SAFETY:") {
-                    out.push(diag(
-                        f,
-                        i + 1,
-                        UNSAFE_HYGIENE,
-                        "`unsafe` without a `// SAFETY:` comment on or above it".to_owned(),
-                    ));
-                }
-            }
-            if file_has_unsafe {
-                if let Some(name) = src_crate(&f.rel) {
-                    unsafe_crates.push(name);
-                }
-            }
-        }
-        for f in &ws.files {
-            let Some(name) = src_crate(&f.rel) else { continue };
-            if f.rel != format!("crates/{name}/src/lib.rs") {
-                continue;
-            }
-            if !unsafe_crates.contains(&name) && !f.code.contains("forbid(unsafe_code)") {
-                out.push(diag(
-                    f,
-                    1,
-                    UNSAFE_HYGIENE,
-                    format!("crate `{name}` uses no unsafe: declare #![forbid(unsafe_code)]"),
-                ));
-            }
-        }
-    }
-}
-
-/// `crates/<name>/src/…` → `<name>`.
-fn src_crate(rel: &str) -> Option<&str> {
-    let rest = rel.strip_prefix("crates/")?;
-    let (name, tail) = rest.split_once('/')?;
-    tail.starts_with("src/").then_some(name)
-}
-
-// ---------------------------------------------------------------------
-// L6: experiment-docs
-// ---------------------------------------------------------------------
-
-/// Every experiment binary must be written up: an `exp_*` binary nobody
-/// can interpret is dead weight in the reproduction.
-struct ExperimentDocs;
-
-impl Rule for ExperimentDocs {
-    fn id(&self) -> &'static str {
-        EXPERIMENT_DOCS
-    }
-
-    fn description(&self) -> &'static str {
-        "every crates/bench/src/bin/exp_*.rs binary is documented in EXPERIMENTS.md"
-    }
-
-    fn check(&self, ws: &Workspace, _model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        for f in &ws.files {
-            let Some(name) = f.rel.strip_prefix("crates/bench/src/bin/") else { continue };
-            if !name.starts_with("exp_") {
-                continue;
-            }
-            let stem = name.trim_end_matches(".rs");
-            let documented = ws.experiments_md.as_deref().is_some_and(|md| md.contains(stem));
-            if !documented {
-                out.push(diag(
-                    f,
-                    1,
-                    EXPERIMENT_DOCS,
-                    format!("experiment binary `{stem}` has no section in EXPERIMENTS.md"),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L7: store-error-hygiene
-// ---------------------------------------------------------------------
-
-/// The fault-injection PR made every storage fallibility typed: page
-/// stores return `StoreResult`, lock poisoning is recovered with
-/// `unwrap_or_else(PoisonError::into_inner)`, and callers see
-/// `StoreError` instead of a panic. A single `.unwrap()` on an I/O path
-/// inside `crates/store` would turn an injectable, testable fault back
-/// into an abort, so none are allowed outside `#[cfg(test)]` code.
-struct StoreErrorHygiene;
-
-impl Rule for StoreErrorHygiene {
-    fn id(&self) -> &'static str {
-        STORE_ERROR_HYGIENE
-    }
-
-    fn description(&self) -> &'static str {
-        "store/query/index library code propagates typed errors: no unwrap/expect outside tests"
-    }
-
-    fn check(&self, ws: &Workspace, _model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        // Promoted from crates/store alone once the query and index
-        // layers grew their own lock- and I/O-bearing paths: everything
-        // downstream of a page store can see an injected fault, so the
-        // same no-panic standard applies. Integration tests under
-        // `tests/` are all test code; only shipped sources are held to
-        // it.
-        const COVERED: &[&str] = &["crates/store/src/", "crates/query/src/", "crates/index/src/"];
-        for f in &ws.files {
-            if !COVERED.iter().any(|p| f.rel.starts_with(p)) {
-                continue;
-            }
-            for (i, line) in f.lines.iter().enumerate() {
-                if line.in_cfg_test {
-                    continue;
-                }
-                for tok in [".unwrap()", ".expect("] {
-                    for at in token_positions(&line.code, tok) {
-                        let on_lock = line.code[..at].trim_end().ends_with(".lock()");
-                        let message = if on_lock {
-                            format!(
-                                "panicking on a poisoned lock: recover with \
-                                 `lock().unwrap_or_else(PoisonError::into_inner)` \
-                                 instead of `{tok}`"
-                            )
-                        } else {
-                            format!(
-                                "`{tok}` in library code outside tests: propagate a \
-                                 typed error (or waive with a reason)"
-                            )
-                        };
-                        out.push(diag(f, i + 1, STORE_ERROR_HYGIENE, message));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // L8: lock-order
 // ---------------------------------------------------------------------
 
@@ -757,18 +309,8 @@ impl Rule for LockOrder {
 struct NoBlockingUnderLock;
 
 /// Calls that do (or can do) I/O-sized work.
-const BLOCKING_CALLS: &[&str] = &[
-    ".read_into(",
-    ".write_page(",
-    ".read_page(",
-    ".sync(",
-    ".sync_all(",
-    ".sync_data(",
-    ".set_len(",
-    ".flush(",
-    ".persist(",
-    "save_",
-];
+const BLOCKING_CALLS: &[&str] =
+    &[".read_into(", ".write_page(", ".sync(", ".sync_all(", ".sync_data(", ".set_len(", "save_"];
 
 /// Allocation-heavy constructors (Arc/Rc clones are fine; page-sized
 /// buffers are not).
@@ -828,72 +370,6 @@ impl Rule for NoBlockingUnderLock {
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L10: atomics-discipline
-// ---------------------------------------------------------------------
-
-/// The statistics counters are deliberately `Relaxed` — they count, they
-/// don't synchronize; publication ordering comes from the locks and the
-/// epoch RwLock. A stray `SeqCst` on a counter taxes every hot-path
-/// increment for nothing, and a load-bearing `Acquire`/`Release` that
-/// *does* synchronize deserves the same visible justification that
-/// `unsafe` blocks carry. Mirroring `unsafe-hygiene`: any non-Relaxed
-/// ordering needs an adjacent `// ORDERING:` comment saying what it
-/// orders, and the tracker counters must stay Relaxed outright.
-struct AtomicsDiscipline;
-
-impl Rule for AtomicsDiscipline {
-    fn id(&self) -> &'static str {
-        ATOMICS_DISCIPLINE
-    }
-
-    fn description(&self) -> &'static str {
-        "counters use Relaxed; any SeqCst/Acquire/Release needs an `// ORDERING:` justification"
-    }
-
-    fn check(&self, ws: &Workspace, model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        for op in &model.atomics {
-            let Some(f) = ws.files.get(op.file) else { continue };
-            let non_relaxed: Vec<&str> = op
-                .orderings
-                .iter()
-                .filter(|o| o.as_str() != "Relaxed")
-                .map(String::as_str)
-                .collect();
-            if non_relaxed.is_empty() {
-                continue;
-            }
-            let counter =
-                op.receiver.as_deref().is_some_and(|r| model.counters.is_tracker_counter(r));
-            if counter {
-                out.push(diag(
-                    f,
-                    op.line + 1,
-                    ATOMICS_DISCIPLINE,
-                    format!(
-                        "tracker counter `{}` uses Ordering::{} — statistics counters \
-                         are Relaxed by design (locks provide all publication ordering)",
-                        op.receiver.as_deref().unwrap_or("?"),
-                        non_relaxed.join("/"),
-                    ),
-                ));
-            } else if !f.comment_block_contains(op.line + 1, "ORDERING:") {
-                out.push(diag(
-                    f,
-                    op.line + 1,
-                    ATOMICS_DISCIPLINE,
-                    format!(
-                        "`{}` with Ordering::{} has no `// ORDERING:` comment \
-                         justifying the stronger-than-Relaxed ordering",
-                        op.method,
-                        non_relaxed.join("/"),
-                    ),
-                ));
             }
         }
     }
@@ -1012,7 +488,7 @@ mod tests {
     use crate::{check, rules, Workspace};
 
     fn diags_for(sources: &[(&str, &str)]) -> Vec<crate::Diagnostic> {
-        check(&Workspace::from_sources(sources, None))
+        check(&Workspace::from_sources(sources))
     }
 
     fn rules_hit(sources: &[(&str, &str)], rule: &str) -> Vec<usize> {
@@ -1091,377 +567,6 @@ mod tests {
         assert_eq!(
             rules_hit(&[("crates/setdist/src/engine.rs", CLEAN)], rules::NO_ALLOC_KERNEL),
             vec![1]
-        );
-    }
-
-    #[test]
-    fn l3_flags_raw_trackers_and_four_arg_access() {
-        let bad = "#![forbid(unsafe_code)]\n\
-            fn q(pool: &BufferPool, store: StoreId) {\n\
-                let t = IoTracker::default();\n\
-                pool.access(store, 0, 4, &t);\n\
-                t.record_hit();\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/q/src/lib.rs", bad)], rules::STORAGE_BOUNDARY),
-            vec![3, 4, 5]
-        );
-    }
-
-    #[test]
-    fn l3_allows_query_context_calls_and_store_internals() {
-        let good = "#![forbid(unsafe_code)]\n\
-            fn q(ctx: &QueryContext, store: StoreId) {\n\
-                ctx.access(store, 0, 4);\n\
-                let _guard = ctx.pin(store, 7);\n\
-                ctx.record_bytes(128);\n\
-            }\n";
-        assert_eq!(rules_hit(&[("crates/q/src/lib.rs", good)], rules::STORAGE_BOUNDARY), vec![]);
-        // The same raw-pool code *inside* crates/store is the pool's own
-        // business.
-        let internal = "fn f(pool: &BufferPool, s: StoreId, t: &IoTracker) {\n\
-            pool.access(s, 0, 1, t);\n\
-        }\n";
-        assert_eq!(
-            rules_hit(
-                &[("crates/store/src/pool.rs", internal), ("crates/store/src/lib.rs", CLEAN)],
-                rules::STORAGE_BOUNDARY
-            ),
-            vec![]
-        );
-    }
-
-    /// Fixture store files where `lost` is counted on the tracker but
-    /// never threaded to QueryStats/QueryContext.
-    fn parity_fixture(thread_everywhere: bool) -> Vec<(&'static str, String)> {
-        let extra_field = "    lost: AtomicU64,\n";
-        let tracker = format!(
-            "pub struct IoTracker {{\n    refinements: AtomicU64,\n{extra_field}}}\n\
-             impl IoTracker {{\n\
-                 pub fn count_refinements(&self, n: u64) {{ self.refinements.fetch_add(n, O); }}\n\
-                 pub fn count_lost(&self, n: u64) {{ self.lost.fetch_add(n, O); }}\n\
-                 pub fn snapshot(&self) -> TrackerSnapshot {{\n\
-                     TrackerSnapshot {{ refinements: self.refinements.load(O), {} }}\n\
-                 }}\n\
-                 pub fn reset(&self) {{ self.refinements.store(0, O); {} }}\n\
-             }}\n\
-             pub struct TrackerSnapshot {{\n    pub refinements: u64,\n{}}}\n",
-            if thread_everywhere { "lost: self.lost.load(O)" } else { "" },
-            if thread_everywhere { "self.lost.store(0, O);" } else { "" },
-            if thread_everywhere { "    pub lost: u64,\n" } else { "" },
-        );
-        let stats = format!(
-            "pub struct QueryStats {{\n    pub refinements: u64,\n{}}}\n\
-             impl QueryStats {{\n\
-                 fn from_snapshot(s: TrackerSnapshot) -> Self {{\n\
-                     QueryStats {{ refinements: s.refinements, {} }}\n\
-                 }}\n\
-                 pub fn accumulate(&mut self, o: &QueryStats) {{\n\
-                     self.refinements += o.refinements;\n{}\
-                 }}\n\
-             }}\n",
-            if thread_everywhere { "    pub lost: u64,\n" } else { "" },
-            if thread_everywhere { "lost: s.lost" } else { "" },
-            if thread_everywhere { "self.lost += o.lost;\n" } else { "" },
-        );
-        let context = format!(
-            "impl QueryContext {{\n\
-                 pub fn count_refinements(&self, n: u64) {{ self.t.count_refinements(n); }}\n{}\
-             }}\n",
-            if thread_everywhere {
-                "pub fn count_lost(&self, n: u64) { self.t.count_lost(n); }\n"
-            } else {
-                ""
-            },
-        );
-        vec![
-            ("crates/store/src/tracker.rs", tracker),
-            ("crates/store/src/stats.rs", stats),
-            ("crates/store/src/context.rs", context),
-            ("crates/store/src/lib.rs", CLEAN.to_owned()),
-        ]
-    }
-
-    #[test]
-    fn l4_flags_half_threaded_counters() {
-        let sources = parity_fixture(false);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        let hits: Vec<String> = diags_for(&refs)
-            .into_iter()
-            .filter(|d| d.rule == rules::COUNTER_PARITY)
-            .map(|d| d.message)
-            .collect();
-        assert!(hits.iter().any(|m| m.contains("`lost` is missing from snapshot()")), "{hits:?}");
-        assert!(hits.iter().any(|m| m.contains("`lost` is missing from reset()")), "{hits:?}");
-        assert!(
-            hits.iter().any(|m| m.contains("`lost` is not threaded through")
-                && m.contains("QueryStats")
-                && m.contains("QueryContext")),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn l4_accepts_fully_threaded_counters() {
-        let sources = parity_fixture(true);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        assert_eq!(rules_hit(&refs, rules::COUNTER_PARITY), vec![]);
-    }
-
-    /// Fixture store files carrying the dynamic-lifecycle counters
-    /// (`inserts`/`deletes`/`epoch_pins`), each half-threaded in a
-    /// *different* place when `thread_everywhere` is false: `inserts`
-    /// never reaches snapshot()/reset(), `deletes` is dropped between
-    /// TrackerSnapshot and QueryStats, and `epoch_pins` lacks its
-    /// QueryContext forwarder.
-    fn dynamic_parity_fixture(thread_everywhere: bool) -> Vec<(&'static str, String)> {
-        let t = thread_everywhere;
-        let tracker = format!(
-            "pub struct IoTracker {{\n    inserts: AtomicU64,\n    deletes: AtomicU64,\n\
-             \x20   epoch_pins: AtomicU64,\n}}\n\
-             impl IoTracker {{\n\
-                 pub fn count_inserts(&self, n: u64) {{ self.inserts.fetch_add(n, O); }}\n\
-                 pub fn count_deletes(&self, n: u64) {{ self.deletes.fetch_add(n, O); }}\n\
-                 pub fn count_epoch_pins(&self, n: u64) {{ self.epoch_pins.fetch_add(n, O); }}\n\
-                 pub fn snapshot(&self) -> TrackerSnapshot {{\n\
-                     TrackerSnapshot {{ {} deletes: self.deletes.load(O), \
-                      epoch_pins: self.epoch_pins.load(O) }}\n\
-                 }}\n\
-                 pub fn reset(&self) {{ {} self.deletes.store(0, O); \
-                  self.epoch_pins.store(0, O); }}\n\
-             }}\n\
-             pub struct TrackerSnapshot {{\n{}    pub deletes: u64,\n    pub epoch_pins: u64,\n}}\n",
-            if t { "inserts: self.inserts.load(O)," } else { "" },
-            if t { "self.inserts.store(0, O);" } else { "" },
-            if t { "    pub inserts: u64,\n" } else { "" },
-        );
-        let stats = format!(
-            "pub struct QueryStats {{\n    pub inserts: u64,\n{}    pub epoch_pins: u64,\n}}\n\
-             impl QueryStats {{\n\
-                 fn from_snapshot(s: TrackerSnapshot) -> Self {{\n\
-                     QueryStats {{ inserts: s.inserts, {} epoch_pins: s.epoch_pins }}\n\
-                 }}\n\
-                 pub fn accumulate(&mut self, o: &QueryStats) {{\n\
-                     self.inserts += o.inserts;\n{}\
-                     self.epoch_pins += o.epoch_pins;\n\
-                 }}\n\
-             }}\n",
-            if t { "    pub deletes: u64,\n" } else { "" },
-            if t { "deletes: s.deletes," } else { "" },
-            if t { "self.deletes += o.deletes;\n" } else { "" },
-        );
-        let context = format!(
-            "impl QueryContext {{\n\
-                 pub fn count_inserts(&self, n: u64) {{ self.t.count_inserts(n); }}\n\
-                 pub fn count_deletes(&self, n: u64) {{ self.t.count_deletes(n); }}\n{}\
-             }}\n",
-            if t {
-                "pub fn count_epoch_pins(&self, n: u64) { self.t.count_epoch_pins(n); }\n"
-            } else {
-                ""
-            },
-        );
-        vec![
-            ("crates/store/src/tracker.rs", tracker),
-            ("crates/store/src/stats.rs", stats),
-            ("crates/store/src/context.rs", context),
-            ("crates/store/src/lib.rs", CLEAN.to_owned()),
-        ]
-    }
-
-    #[test]
-    fn l4_flags_half_threaded_dynamic_lifecycle_counters() {
-        let sources = dynamic_parity_fixture(false);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        let hits: Vec<String> = diags_for(&refs)
-            .into_iter()
-            .filter(|d| d.rule == rules::COUNTER_PARITY)
-            .map(|d| d.message)
-            .collect();
-        assert!(
-            hits.iter().any(|m| m.contains("`inserts` is missing from snapshot()")),
-            "{hits:?}"
-        );
-        assert!(hits.iter().any(|m| m.contains("`inserts` is missing from reset()")), "{hits:?}");
-        assert!(
-            hits.iter().any(
-                |m| m.contains("`deletes` is not threaded through") && m.contains("QueryStats")
-            ),
-            "{hits:?}"
-        );
-        assert!(
-            hits.iter().any(|m| m.contains("`epoch_pins` is not threaded through")
-                && m.contains("QueryContext")),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn l4_accepts_fully_threaded_dynamic_lifecycle_counters() {
-        let sources = dynamic_parity_fixture(true);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        assert_eq!(rules_hit(&refs, rules::COUNTER_PARITY), vec![]);
-    }
-
-    /// Fixture store files with a per-shard `CacheCounts` whose `stale`
-    /// field is (optionally) dropped by the `Add` impl and the pool.
-    fn cache_fixture(thread_everywhere: bool) -> Vec<(&'static str, String)> {
-        let tracker = format!(
-            "pub struct CacheCounts {{\n    pub hits: u64,\n    pub stale: u64,\n}}\n\
-             impl std::ops::Add for CacheCounts {{\n\
-                 type Output = CacheCounts;\n\
-                 fn add(self, o: CacheCounts) -> CacheCounts {{\n\
-                     CacheCounts {{ hits: self.hits + o.hits, {} }}\n\
-                 }}\n\
-             }}\n",
-            if thread_everywhere { "stale: self.stale + o.stale" } else { "..self" },
-        );
-        let pool = format!(
-            "impl BufferPool {{\n\
-                 fn touch(&self) {{ self.totals.hits += 1; {} }}\n\
-             }}\n",
-            if thread_everywhere { "self.totals.stale += 1;" } else { "" },
-        );
-        vec![
-            ("crates/store/src/tracker.rs", tracker),
-            ("crates/store/src/pool.rs", pool),
-            ("crates/store/src/lib.rs", CLEAN.to_owned()),
-        ]
-    }
-
-    #[test]
-    fn l4_flags_cache_fields_dropped_by_shard_summing() {
-        let sources = cache_fixture(false);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        let hits: Vec<String> = diags_for(&refs)
-            .into_iter()
-            .filter(|d| d.rule == rules::COUNTER_PARITY)
-            .map(|d| d.message)
-            .collect();
-        assert!(
-            hits.iter().any(|m| m.contains("`stale` is missing from the Add impl")),
-            "{hits:?}"
-        );
-        assert!(
-            hits.iter().any(|m| m.contains("`stale` is never maintained by the buffer pool")),
-            "{hits:?}"
-        );
-        assert!(!hits.iter().any(|m| m.contains("`hits`")), "{hits:?}");
-    }
-
-    #[test]
-    fn l4_accepts_fully_summed_cache_fields() {
-        let sources = cache_fixture(true);
-        let refs: Vec<(&str, &str)> = sources.iter().map(|(a, b)| (*a, b.as_str())).collect();
-        assert_eq!(rules_hit(&refs, rules::COUNTER_PARITY), vec![]);
-    }
-
-    #[test]
-    fn l5_requires_safety_comments_and_forbid() {
-        let bad = "pub fn f(p: *const u8) -> u8 {\n\
-                unsafe { *p }\n\
-            }\n";
-        assert_eq!(rules_hit(&[("crates/u/src/lib.rs", bad)], rules::UNSAFE_HYGIENE), vec![2]);
-        // An unsafe-free crate without the forbid attribute is flagged at
-        // its lib.rs.
-        let no_forbid = "pub fn id(x: u64) -> u64 {\n    x\n}\n";
-        assert_eq!(
-            rules_hit(&[("crates/u/src/lib.rs", no_forbid)], rules::UNSAFE_HYGIENE),
-            vec![1]
-        );
-    }
-
-    #[test]
-    fn l5_accepts_documented_unsafe_and_forbid_crates() {
-        let good = "// SAFETY: `p` is valid for reads by the caller's contract.\n\
-            pub unsafe fn f(p: *const u8) -> u8 {\n\
-                // SAFETY: see function contract above.\n\
-                unsafe { *p }\n\
-            }\n";
-        assert_eq!(rules_hit(&[("crates/u/src/lib.rs", good)], rules::UNSAFE_HYGIENE), vec![]);
-        assert_eq!(rules_hit(&[("crates/u/src/lib.rs", CLEAN)], rules::UNSAFE_HYGIENE), vec![]);
-    }
-
-    #[test]
-    fn l6_requires_experiment_sections() {
-        let ws = Workspace::from_sources(
-            &[
-                ("crates/bench/src/bin/exp_documented.rs", CLEAN),
-                ("crates/bench/src/bin/exp_orphan.rs", CLEAN),
-                ("crates/bench/src/lib.rs", CLEAN),
-            ],
-            Some("## exp_documented\nMeasures things.\n"),
-        );
-        let hits: Vec<String> = check(&ws)
-            .into_iter()
-            .filter(|d| d.rule == rules::EXPERIMENT_DOCS)
-            .map(|d| d.file)
-            .collect();
-        assert_eq!(hits, vec!["crates/bench/src/bin/exp_orphan.rs".to_owned()]);
-    }
-
-    #[test]
-    fn l7_flags_store_unwraps_outside_tests() {
-        let bad = "#![forbid(unsafe_code)]\n\
-            fn f(file: &std::fs::File, m: &std::sync::Mutex<u64>) -> u64 {\n\
-                file.sync_all().unwrap();\n\
-                let n = file.metadata().expect(\"stat\");\n\
-                let g = m.lock().unwrap();\n\
-                *g + n.len()\n\
-            }\n\
-            #[cfg(test)]\n\
-            mod tests {\n\
-                fn t() {\n\
-                    std::fs::read(\"x\").unwrap();\n\
-                }\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/store/src/file.rs", bad)], rules::STORE_ERROR_HYGIENE),
-            vec![3, 4, 5]
-        );
-        // Lock-poisoning sites get the targeted recovery hint.
-        let msgs: Vec<String> = diags_for(&[("crates/store/src/file.rs", bad)])
-            .into_iter()
-            .filter(|d| d.rule == rules::STORE_ERROR_HYGIENE && d.line == 5)
-            .map(|d| d.message)
-            .collect();
-        assert!(msgs.iter().any(|m| m.contains("PoisonError::into_inner")), "{msgs:?}");
-    }
-
-    #[test]
-    fn l7_allows_recovery_idioms_waivers_and_other_crates() {
-        let good = "#![forbid(unsafe_code)]\n\
-            use std::sync::PoisonError;\n\
-            fn f(m: &std::sync::Mutex<u64>) -> u64 {\n\
-                let g = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
-                let n = std::fs::read(\"x\").unwrap_or_default().len() as u64;\n\
-                *g + n\n\
-            }\n\
-            fn waived(m: &std::sync::Mutex<u64>) -> u64 {\n\
-                *m.lock().unwrap() // lint-allow: store-error-hygiene demo of a justified panic\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/store/src/pool.rs", good)], rules::STORE_ERROR_HYGIENE),
-            vec![]
-        );
-        // The same unwraps outside the covered library crates (store,
-        // query, index) are not this rule's business.
-        let elsewhere = "#![forbid(unsafe_code)]\n\
-            fn f() {\n\
-                std::fs::read(\"x\").unwrap();\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/bench/src/lib.rs", elsewhere)], rules::STORE_ERROR_HYGIENE),
-            vec![]
-        );
-        // ... but query and index library code is now covered.
-        assert_eq!(
-            rules_hit(&[("crates/query/src/planner.rs", elsewhere)], rules::STORE_ERROR_HYGIENE),
-            vec![3]
-        );
-        assert_eq!(
-            rules_hit(&[("crates/index/src/storage.rs", elsewhere)], rules::STORE_ERROR_HYGIENE),
-            vec![3]
         );
     }
 
@@ -1562,53 +667,6 @@ mod tests {
             }\n";
         assert_eq!(
             rules_hit(&[("crates/query/src/writer.rs", cold)], rules::NO_BLOCKING_UNDER_LOCK),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn l10_atomics_need_relaxed_counters_and_justified_strong_orderings() {
-        let tracker = "#![forbid(unsafe_code)]\n\
-            use std::sync::atomic::{AtomicU64, Ordering};\n\
-            pub struct IoTracker {\n\
-                hits: AtomicU64,\n\
-            }\n\
-            impl IoTracker {\n\
-                pub fn count_hits(&self) {\n\
-                    self.hits.fetch_add(1, Ordering::SeqCst);\n\
-                }\n\
-            }\n";
-        // A tracker counter with a strong ordering is wrong even if
-        // somebody writes a justification comment.
-        let hits =
-            rules_hit(&[("crates/store/src/tracker.rs", tracker)], rules::ATOMICS_DISCIPLINE);
-        assert_eq!(hits, vec![8]);
-        let elsewhere = "#![forbid(unsafe_code)]\n\
-            use std::sync::atomic::{AtomicU64, Ordering};\n\
-            fn gen(flag: &AtomicU64) -> u64 {\n\
-                flag.load(Ordering::Acquire)\n\
-            }\n\
-            fn publish(flag: &AtomicU64) {\n\
-                // ORDERING: Release pairs with the Acquire load in gen().\n\
-                flag.store(1, Ordering::Release);\n\
-            }\n\
-            fn relaxed(n: &AtomicU64) -> u64 {\n\
-                n.load(Ordering::Relaxed)\n\
-            }\n";
-        // Line 4 has no ORDERING: comment; line 8 does; Relaxed is
-        // always fine.
-        assert_eq!(
-            rules_hit(&[("crates/query/src/epochs.rs", elsewhere)], rules::ATOMICS_DISCIPLINE),
-            vec![4]
-        );
-        // Non-atomic `.load(…)` calls (no Ordering argument) are not
-        // atomic ops at all.
-        let pool = "#![forbid(unsafe_code)]\n\
-            fn f(pool: &Pool) -> Page {\n\
-                pool.load(7).unwrap_or_default()\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/bench/src/lib.rs", pool)], rules::ATOMICS_DISCIPLINE),
             vec![]
         );
     }

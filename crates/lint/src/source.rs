@@ -7,8 +7,7 @@
 //! that model. Each line is split into a `code` view (string/char
 //! literal contents blanked to spaces, comments removed — so searching
 //! for a token never trips over prose or fixture strings) and a
-//! `comment` view (the prose, where `SAFETY:` notes and lint directives
-//! live).
+//! `comment` view (the prose, where lint directives live).
 
 /// One analyzed source line.
 #[derive(Debug, Clone)]
@@ -448,28 +447,6 @@ impl SourceFile {
     /// Whether a waiver for `rule` covers 1-based `line`.
     pub fn is_waived(&self, rule: &str, line: usize) -> bool {
         self.waivers.iter().any(|w| w.rule == rule && w.first_line <= line && line <= w.last_line)
-    }
-
-    /// Whether the contiguous comment block on or directly above
-    /// 1-based `line` contains `needle`.
-    pub fn comment_block_contains(&self, line: usize, needle: &str) -> bool {
-        let idx = line - 1;
-        if self.lines[idx].comment.contains(needle) {
-            return true;
-        }
-        let mut j = idx;
-        while j > 0 {
-            j -= 1;
-            let l = &self.lines[j];
-            if l.code.trim().is_empty() && !l.comment.trim().is_empty() {
-                if l.comment.contains(needle) {
-                    return true;
-                }
-            } else {
-                break;
-            }
-        }
-        false
     }
 }
 

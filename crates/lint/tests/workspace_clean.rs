@@ -13,8 +13,9 @@ fn the_workspace_lints_clean() {
 
 #[test]
 fn an_injected_violation_is_caught() {
-    // End-to-end negative check against a scratch tree, exercising the
-    // same walk + check path the CLI uses.
+    // End-to-end negative check against a scratch tree: once through
+    // the library's walk + check path, once through the built CLI, whose
+    // exit code is what the CI step gates on.
     let dir = std::env::temp_dir().join(format!("vsim-lint-negative-{}", std::process::id()));
     let src = dir.join("crates/demo/src");
     std::fs::create_dir_all(&src).expect("scratch dir");
@@ -26,13 +27,22 @@ fn an_injected_violation_is_caught() {
     )
     .expect("scratch file");
     let diags = vsim_lint::run(&dir).expect("scratch walk failed");
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_vsim-lint"))
+        .arg("--root")
+        .arg(&dir)
+        .output()
+        .expect("vsim-lint binary runs");
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         diags.iter().any(|d| d.rule == vsim_lint::rules::FLOAT_ORDERING && d.line == 2),
         "expected a float-ordering hit, got: {diags:?}"
     );
-    // The missing #![forbid(unsafe_code)] is flagged too.
-    assert!(diags.iter().any(|d| d.rule == vsim_lint::rules::UNSAFE_HYGIENE), "{diags:?}");
+    let stdout = String::from_utf8_lossy(&cli.stdout);
+    assert_eq!(cli.status.code(), Some(1), "violations exit with code 1; stdout: {stdout}");
+    assert!(
+        stdout.contains("crates/demo/src/lib.rs:2: float-ordering:"),
+        "the CLI prints the finding as file:line: rule: message, got: {stdout}"
+    );
 }
 
 #[test]
@@ -53,11 +63,5 @@ fn the_workspace_lock_graph_is_acyclic_and_covers_the_named_classes() {
             model.class_site_count(class) > 0,
             "no acquisition sites observed for lock class `{name}`"
         );
-    }
-    // The DOT dump renders every class node (CI archives it).
-    let dot = model.render_lock_graph_dot(&ws.files);
-    assert!(dot.starts_with("digraph lock_order"), "{dot}");
-    for def in vsim_lint::model::LOCK_CLASSES {
-        assert!(dot.contains(def.name), "missing node for `{}`:\n{dot}", def.name);
     }
 }

@@ -1,3 +1,6 @@
+// This crate and `vsim-store` are the two with `unsafe`; every block
+// states why its requirements hold.
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! # vsim-optics — density-based hierarchical clustering for model
 //! evaluation
 //!
@@ -28,7 +31,6 @@
 //! ```
 
 pub mod cluster;
-pub mod dbscan;
 pub mod eval;
 pub mod hierarchy;
 pub mod optics;
@@ -36,7 +38,6 @@ pub mod pairwise;
 pub mod plot;
 
 pub use cluster::{extract_clusters, Clustering};
-pub use dbscan::extract_dbscan;
 pub use eval::{adjusted_rand_index, best_cut, pairwise_f1, purity, CutQuality, DEFAULT_GRID};
 pub use hierarchy::{cluster_tree, ClusterNode, TreeParams};
 pub use optics::{ClusterOrdering, Optics};

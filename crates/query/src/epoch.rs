@@ -136,7 +136,7 @@ impl DynamicIndex {
     /// Delete object `id` from the working index (tombstone + tree
     /// removal; counted in the context's `deletes`). The scan sizes in
     /// the statistics do *not* shrink — tombstoned bytes keep occupying
-    /// pages until a compacting save — only the live count does.
+    /// pages, nothing compacts them yet — only the live count does.
     pub fn delete(&self, id: u64, ctx: &QueryContext) -> io::Result<bool> {
         let mut guard = self.working();
         let w = &mut *guard;

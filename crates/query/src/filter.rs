@@ -36,22 +36,6 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// How [`FilterRefineIndex::save_with`] makes a save crash-atomic: both
-/// protocols guarantee that a reopen after a crash at *any* point sees
-/// either the complete previous index or the complete new one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaveProtocol {
-    /// Write the whole index to a `.tmp` sibling, fsync it, then
-    /// atomically rename over the target and fsync the parent
-    /// directory. The previous file is never touched in place.
-    Rename,
-    /// Write the new snapshot into free pages of the *existing* file,
-    /// switch the root with one header commit (the page store's
-    /// generation-counted double-slot sync), then free the old
-    /// snapshot's pages. No second file is needed.
-    ShadowHeader,
-}
-
 /// Filter/refine index over vector sets.
 ///
 /// * Filter: the extended centroid `C_{k,ω}` of every set, kept in
@@ -156,8 +140,9 @@ impl FilterRefineIndex {
 
     /// Delete object `id`: remove its centroid from both trees and
     /// tombstone its records in the point and heap files. The bytes are
-    /// reclaimed when the index is next compacted into a save. Returns
-    /// `Ok(false)` if the id is unknown or already deleted.
+    /// not reclaimed, and an index with a tombstone can no longer be
+    /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 3).
+    /// Returns `Ok(false)` if the id is unknown or already deleted.
     pub fn delete(&mut self, id: u64) -> io::Result<bool> {
         if !self.store.is_live(id) {
             return Ok(false);
@@ -222,36 +207,19 @@ impl FilterRefineIndex {
 
     /// Persist the whole index — X-tree, centroid M-tree, centroid point
     /// file, and the vector-set heap file — into one durable page file
-    /// at `path` via the [`SaveProtocol::Rename`] protocol. A crash at
-    /// any point leaves either the previous file untouched or the
-    /// complete new index, never a torn mix.
+    /// at `path`: written to a `.tmp` sibling, fsynced, then atomically
+    /// renamed over the target. A crash at any point leaves either the
+    /// previous file untouched or the complete new index, never a torn
+    /// mix.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        self.save_with(path, SaveProtocol::Rename, FaultPlan::none())?;
+        self.save_with(path, FaultPlan::none())?;
         Ok(())
     }
 
-    /// Crash-atomic save under an explicit [`SaveProtocol`], with every
-    /// page-store operation routed through a [`FaultPlan`] (pass
-    /// [`FaultPlan::none`] for a plain save). Returns the number of
-    /// page-store operations the save executed — the crash-recovery
-    /// harness records this count once, then replays the save with
-    /// `crash_at(n)` for every `n` below it.
-    pub fn save_with(
-        &self,
-        path: &Path,
-        protocol: SaveProtocol,
-        plan: FaultPlan,
-    ) -> StoreResult<u64> {
-        match protocol {
-            SaveProtocol::Rename => self.save_rename(path, plan),
-            SaveProtocol::ShadowHeader => self.save_shadow(path, plan),
-        }
-    }
-
-    /// Page budget for a fresh index file: streams re-serialize the
-    /// structures' contents, and a shadow-header re-save needs the old
-    /// and the new snapshot to coexist until the old one is freed, so
-    /// budget generously.
+    /// Page budget for a fresh index file. It fixes the size of the
+    /// file's free map, so the arithmetic is part of the file format;
+    /// the factor is headroom for stream framing (streams re-serialize
+    /// the structures' contents with a per-page header).
     fn capacity_budget(&self) -> u64 {
         let data_pages = (self.tree.total_pages()
             + self.ctree.total_pages()
@@ -282,12 +250,17 @@ impl FilterRefineIndex {
         Ok(w.finish()?.first)
     }
 
-    /// Write-to-temp + fsync + rename + fsync-parent-directory. The
-    /// target path is only ever touched by the atomic rename, so a crash
-    /// anywhere in the save leaves the previous file bit-identical; the
-    /// stray `.tmp` sibling is removed on failure (and harmlessly
-    /// overwritten by the next attempt if removal itself dies).
-    fn save_rename(&self, path: &Path, plan: FaultPlan) -> StoreResult<u64> {
+    /// [`save`](Self::save) with every page-store operation routed
+    /// through a [`FaultPlan`] (pass [`FaultPlan::none`] for a plain
+    /// save): write-to-temp + fsync + rename + fsync-parent-directory.
+    /// The target path is only ever touched by the atomic rename, so a
+    /// crash anywhere in the save leaves the previous file bit-identical;
+    /// the `.tmp` sibling is removed on every failure (and harmlessly
+    /// overwritten by the next attempt if removal itself dies). Returns
+    /// the number of page-store operations the save executed — the
+    /// crash-recovery harness records this count once, then replays the
+    /// save with `crash_at(n)` for every `n` below it.
+    pub fn save_with(&self, path: &Path, plan: FaultPlan) -> StoreResult<u64> {
         let mut tmp_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         tmp_name.push(".tmp");
         let tmp = path.with_file_name(tmp_name);
@@ -295,68 +268,26 @@ impl FilterRefineIndex {
             FilePageStore::create(&tmp, self.capacity_budget())?,
             plan,
         );
-        let outcome = (|| {
+        let written = (|| {
             let dir = self.write_streams(&store)?;
             store.inner().set_root(dir);
             store.sync()?;
             Ok(store.ops())
         })();
-        match outcome {
-            Ok(ops) => {
-                store.into_inner().abandon(); // already synced; close without re-commit
-                std::fs::rename(&tmp, path)?;
-                if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    std::fs::File::open(parent)?.sync_all()?;
-                }
-                Ok(ops)
+        // On success the file is already synced; on failure the
+        // simulated process died. Either way: close without a re-commit.
+        store.into_inner().abandon();
+        let outcome = written.and_then(|ops| {
+            std::fs::rename(&tmp, path)?;
+            if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::File::open(parent)?.sync_all()?;
             }
-            Err(e) => {
-                // The simulated process died: no sync-on-drop, no commit.
-                store.into_inner().abandon();
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
+            Ok(ops)
+        });
+        if outcome.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-    }
-
-    /// In-place shadow-header save: the new snapshot is written into
-    /// *free* pages of the existing file, so the committed old snapshot
-    /// is never overwritten; one header sync (the store's generation-
-    /// counted double-slot commit) atomically switches the root, then
-    /// the old snapshot's spans are freed and the free map re-synced. A
-    /// crash before the commit sync reopens as the complete old index
-    /// (at worst with a few leaked pages); a crash after it reopens as
-    /// the complete new one. Falls back to the rename protocol when
-    /// `path` does not exist yet (there is no old snapshot to preserve).
-    fn save_shadow(&self, path: &Path, plan: FaultPlan) -> StoreResult<u64> {
-        if !path.exists() {
-            return self.save_rename(path, plan);
-        }
-        let file = FilePageStore::open(path)?;
-        let old_spans = file.allocated_spans();
-        let store = FaultInjectingPageStore::new(file, plan);
-        let outcome = (|| {
-            let dir = self.write_streams(&store)?;
-            store.inner().set_root(dir);
-            store.sync()?; // atomic commit: new root + free map, next generation
-            for &(first, len) in &old_spans {
-                store.free(first, len)?;
-            }
-            // A crash between the two syncs leaves the old spans
-            // allocated but unreferenced; the next shadow save's
-            // old-spans snapshot includes them, so they are reclaimed.
-            store.sync()?;
-            Ok(store.ops())
-        })();
-        match outcome {
-            Ok(ops) => Ok(ops),
-            Err(e) => {
-                // The simulated process died: no sync-on-drop, so the
-                // file keeps whatever the last successful sync committed.
-                store.into_inner().abandon();
-                Err(e)
-            }
-        }
+        outcome
     }
 
     /// Reopen an index persisted by [`save`](Self::save), reading pages

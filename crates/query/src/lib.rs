@@ -1,4 +1,8 @@
 #![forbid(unsafe_code)]
+// Everything downstream of a page store can see an injected fault, so
+// library code here propagates typed errors instead of panicking; the
+// CI clippy step (`-D warnings`) turns these into errors.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! # vsim-query — similarity query processing (Section 4.3)
 //!
 //! A similarity query is one value, [`Query`]: the variants of the query
@@ -64,7 +68,7 @@ pub mod stats;
 
 pub use epoch::{DynamicIndex, IndexEpoch, REPLAN_DRIFT};
 pub use executor::{BatchResult, PoolPolicy, QueryExecutor};
-pub use filter::{FilterRefineIndex, SaveProtocol};
+pub use filter::FilterRefineIndex;
 pub use multistep::{multi_step_knn, Query, QueryKind, TopK};
 pub use onevector::OneVectorIndex;
 pub use planner::{AccessPath, DatasetStats, Plan, Planner};

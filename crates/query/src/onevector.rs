@@ -5,9 +5,15 @@
 //! paper's comparison exposes.
 
 use crate::stats::QueryStats;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vsim_index::{QueryContext, StoreResult, XTree};
 use vsim_setdist::lp;
+
+/// Distance evaluations `ctx` has counted so far; this path reports the
+/// tree's point-distance evaluations as its candidates.
+fn evals(ctx: &QueryContext) -> u64 {
+    ctx.stats(Duration::ZERO).distance_evals
+}
 
 /// An X-tree over one-vector (flattened) feature representations.
 pub struct OneVectorIndex {
@@ -63,9 +69,9 @@ impl OneVectorIndex {
         kq: usize,
         ctx: &QueryContext,
     ) -> StoreResult<Vec<(u64, f64)>> {
-        let evals0 = ctx.tracker().snapshot().distance_evals;
+        let evals0 = evals(ctx);
         let result = self.tree.knn(q, kq, ctx);
-        ctx.count_candidates(ctx.tracker().snapshot().distance_evals - evals0);
+        ctx.count_candidates(evals(ctx) - evals0);
         Ok(result)
     }
 
@@ -87,7 +93,7 @@ impl OneVectorIndex {
         kq: usize,
         ctx: &QueryContext,
     ) -> StoreResult<Vec<(u64, f64)>> {
-        let evals0 = ctx.tracker().snapshot().distance_evals;
+        let evals0 = evals(ctx);
         let mut best: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
         for q in variants {
             for (id, d) in self.tree.knn(q, kq, ctx) {
@@ -100,7 +106,7 @@ impl OneVectorIndex {
         let mut result: Vec<(u64, f64)> = best.into_iter().collect();
         result.sort_by(|a, b| a.1.total_cmp(&b.1));
         result.truncate(kq);
-        ctx.count_candidates(ctx.tracker().snapshot().distance_evals - evals0);
+        ctx.count_candidates(evals(ctx) - evals0);
         Ok(result)
     }
 

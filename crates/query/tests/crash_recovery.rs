@@ -5,19 +5,18 @@
 //! operation index. After each crash the file must reopen as either the
 //! complete old index or the complete new one — never a torn mix — and
 //! the cost-based planner plus the batch executor must return planned
-//! k-NN results bit-identical to one of the two complete states. Both
-//! crash-atomicity protocols ([`SaveProtocol::Rename`] and
-//! [`SaveProtocol::ShadowHeader`]) pass the full matrix.
+//! k-NN results bit-identical to one of the two complete states.
 //!
 //! Alongside the matrix: an injected-`ENOSPC` save must fail cleanly
-//! (old index intact), and a corrupt record page must fail exactly the
-//! batch queries that touch it while the rest of the shared-pool batch
-//! completes with correct results.
+//! (old index intact), a save whose final rename fails must leave no
+//! `.tmp` sibling behind, and a corrupt record page must fail exactly
+//! the batch queries that touch it while the rest of the shared-pool
+//! batch completes with correct results.
 
 use rand::prelude::*;
 use std::path::{Path, PathBuf};
-use vsim_index::{Fault, FaultPlan, FilePageStore, StoreErrorKind};
-use vsim_query::{FilterRefineIndex, QueryExecutor, SaveProtocol};
+use vsim_index::{Fault, FaultPlan, StoreErrorKind};
+use vsim_query::{FilterRefineIndex, QueryExecutor};
 use vsim_setdist::VectorSet;
 
 fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
@@ -80,50 +79,38 @@ fn crash_at_every_op_reopens_complete_old_or_complete_new() {
         .chain((0..3).map(|i| new_sets[i * 13].clone()))
         .collect();
 
-    for protocol in [SaveProtocol::Rename, SaveProtocol::ShadowHeader] {
-        let tag = format!("matrix_{protocol:?}");
-        let path = TempFile(temp_index(&tag));
+    let path = TempFile(temp_index("matrix"));
 
-        // Install the old generation, then snapshot its bytes and its
-        // answers: every crashed re-save restarts from this exact state.
-        old_idx.save_with(&path.0, SaveProtocol::Rename, FaultPlan::none()).unwrap();
-        let old_bytes = std::fs::read(&path.0).unwrap();
-        let old_hits = planned_hits(&path.0, &queries, 8);
+    // Install the old generation, then snapshot its bytes and its
+    // answers: every crashed re-save restarts from this exact state.
+    old_idx.save(&path.0).unwrap();
+    let old_bytes = std::fs::read(&path.0).unwrap();
+    let old_hits = planned_hits(&path.0, &queries, 8);
 
-        // One clean run of the save under test fixes the op count and
-        // the complete-new reference answers.
-        let total_ops = new_idx.save_with(&path.0, protocol, FaultPlan::none()).unwrap();
-        assert!(total_ops > 10, "{tag}: a real save must execute many page-store ops");
-        let new_hits = planned_hits(&path.0, &queries, 8);
+    // One clean run of the save under test fixes the op count and the
+    // complete-new reference answers.
+    let total_ops = new_idx.save_with(&path.0, FaultPlan::none()).unwrap();
+    assert!(total_ops > 10, "a real save must execute many page-store ops");
+    let new_hits = planned_hits(&path.0, &queries, 8);
+    assert!(
+        !bits_equal(&old_hits, &new_hits),
+        "old and new generations must answer differently for the matrix to mean anything"
+    );
+
+    // The rename is the commit and comes after the last page-store op,
+    // so every crash point rolls back to the old generation.
+    for n in 0..total_ops {
+        std::fs::write(&path.0, &old_bytes).unwrap();
+        let err = new_idx
+            .save_with(&path.0, FaultPlan::crash_at(n))
+            .expect_err(&format!("crash at op {n} must fail the save"));
+        assert_eq!(err.kind(), StoreErrorKind::Crashed, "op {n}");
+
+        let hits = planned_hits(&path.0, &queries, 8);
         assert!(
-            !bits_equal(&old_hits, &new_hits),
-            "{tag}: old and new generations must answer differently for the matrix to mean anything"
+            bits_equal(&hits, &old_hits),
+            "crash at op {n} of {total_ops} did not recover the complete old state"
         );
-
-        let (mut saw_old, mut saw_new) = (0u64, 0u64);
-        for n in 0..total_ops {
-            std::fs::write(&path.0, &old_bytes).unwrap();
-            let err = new_idx
-                .save_with(&path.0, protocol, FaultPlan::crash_at(n))
-                .expect_err(&format!("{tag}: crash at op {n} must fail the save"));
-            assert_eq!(err.kind(), StoreErrorKind::Crashed, "{tag}: op {n}");
-
-            let hits = planned_hits(&path.0, &queries, 8);
-            let is_old = bits_equal(&hits, &old_hits);
-            let is_new = bits_equal(&hits, &new_hits);
-            assert!(
-                is_old || is_new,
-                "{tag}: crash at op {n} of {total_ops} recovered to neither complete state"
-            );
-            saw_old += is_old as u64;
-            saw_new += is_new as u64;
-        }
-        // Every pre-commit crash rolls back; the shadow protocol also
-        // exposes post-commit crash points that roll *forward*.
-        assert!(saw_old > 0, "{tag}: no crash point recovered the old state");
-        if protocol == SaveProtocol::ShadowHeader {
-            assert!(saw_new > 0, "{tag}: no post-commit crash point recovered the new state");
-        }
     }
 }
 
@@ -135,62 +122,51 @@ fn enospc_during_save_fails_cleanly_and_preserves_the_old_index() {
     let new_idx = FilterRefineIndex::build(&new_sets, 6, 4);
     let queries: Vec<VectorSet> = (0..4).map(|i| old_sets[i * 11].clone()).collect();
 
-    for protocol in [SaveProtocol::Rename, SaveProtocol::ShadowHeader] {
-        let path = TempFile(temp_index(&format!("enospc_{protocol:?}")));
-        old_idx.save_with(&path.0, SaveProtocol::Rename, FaultPlan::none()).unwrap();
-        let old_bytes = std::fs::read(&path.0).unwrap();
-        let old_hits = planned_hits(&path.0, &queries, 6);
-        let total_ops = new_idx.save_with(&path.0, protocol, FaultPlan::none()).unwrap();
+    let path = TempFile(temp_index("enospc"));
+    old_idx.save(&path.0).unwrap();
+    let old_bytes = std::fs::read(&path.0).unwrap();
+    let old_hits = planned_hits(&path.0, &queries, 6);
+    let total_ops = new_idx.save_with(&path.0, FaultPlan::none()).unwrap();
 
-        // The device fills up at every possible point of the save. An
-        // ENOSPC plan only bites on allocate/write ops — at read, free,
-        // and sync indices the save runs to completion, which is fine —
-        // but every bitten save must fail cleanly with the old index
-        // intact.
-        let mut bitten = 0u64;
-        for op in 0..total_ops {
-            std::fs::write(&path.0, &old_bytes).unwrap();
-            let plan = FaultPlan::none().with_fault(op, Fault::Enospc);
-            match new_idx.save_with(&path.0, protocol, plan) {
-                Ok(_) => continue, // op `op` was not an allocate/write
-                Err(err) => {
-                    assert_eq!(err.kind(), StoreErrorKind::Io, "{protocol:?}: op {op}");
-                    bitten += 1;
-                }
+    // The device fills up at every possible point of the save. An
+    // ENOSPC plan only bites on allocate/write ops — at read and sync
+    // indices the save runs to completion, which is fine — but every
+    // bitten save must fail cleanly with the old index intact.
+    let mut bitten = 0u64;
+    for op in 0..total_ops {
+        std::fs::write(&path.0, &old_bytes).unwrap();
+        let plan = FaultPlan::none().with_fault(op, Fault::Enospc);
+        match new_idx.save_with(&path.0, plan) {
+            Ok(_) => continue, // op `op` was not an allocate/write
+            Err(err) => {
+                assert_eq!(err.kind(), StoreErrorKind::Io, "op {op}");
+                bitten += 1;
             }
-            let hits = planned_hits(&path.0, &queries, 6);
-            assert!(
-                bits_equal(&hits, &old_hits),
-                "{protocol:?}: ENOSPC at op {op} must leave the old index untouched"
-            );
         }
-        assert!(bitten > 0, "{protocol:?}: no save op was susceptible to ENOSPC");
+        let hits = planned_hits(&path.0, &queries, 6);
+        assert!(
+            bits_equal(&hits, &old_hits),
+            "ENOSPC at op {op} must leave the old index untouched"
+        );
     }
+    assert!(bitten > 0, "no save op was susceptible to ENOSPC");
 }
 
 #[test]
-fn shadow_header_resaves_reclaim_the_previous_snapshot() {
-    let sets = random_sets(60, 4, 95);
-    let idx = FilterRefineIndex::build(&sets, 6, 4);
-    let path = TempFile(temp_index("reclaim"));
-    idx.save(&path.0).unwrap();
-    let baseline = FilePageStore::open(&path.0).unwrap().allocated_pages();
-    // Repeated in-place saves must not grow the allocation: each one
-    // frees the snapshot it replaces.
-    for round in 0..3 {
-        idx.save_with(&path.0, SaveProtocol::ShadowHeader, FaultPlan::none()).unwrap();
-        let now = FilePageStore::open(&path.0).unwrap().allocated_pages();
-        assert_eq!(now, baseline, "round {round}: shadow save leaked pages");
-    }
-    // And the result still answers like the original.
-    let reopened = FilterRefineIndex::open(&path.0).unwrap();
-    let (a, _) = idx.knn(&sets[5], 8);
-    let (b, _) = reopened.knn(&sets[5], 8);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.0, y.0);
-        assert_eq!(x.1.to_bits(), y.1.to_bits());
-    }
+fn a_failed_rename_leaves_no_tmp_sibling() {
+    // The target path is an existing directory, so every page of the
+    // save is written and synced and only the final rename fails.
+    let dir = std::env::temp_dir().join(format!("vsim_crash_recovery_dir_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let idx = FilterRefineIndex::build(&random_sets(20, 4, 95), 6, 4);
+    let result = idx.save(&dir);
+    let mut tmp = dir.clone().into_os_string();
+    tmp.push(".tmp");
+    let tmp_left_behind = Path::new(&tmp).exists();
+    let _ = std::fs::remove_file(&tmp);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(result.is_err(), "renaming a file over a directory must fail");
+    assert!(!tmp_left_behind, "the failed save left its .tmp sibling behind");
 }
 
 #[test]

@@ -118,15 +118,6 @@ impl PreparedSet {
     pub fn set(&self) -> &VectorSet {
         &self.set
     }
-
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Recover the underlying set.
-    pub fn into_set(self) -> VectorSet {
-        self.set
-    }
 }
 
 /// One operand of [`MatchingEngine::distance`]: a raw set, or one whose
@@ -454,12 +445,6 @@ impl MatchingEngine {
         };
 
         hungarian::solve_cost_slice_bounded_f32(m, m, cost32, ws, upper32)
-    }
-}
-
-impl From<MinimalMatching> for MatchingEngine {
-    fn from(mm: MinimalMatching) -> Self {
-        MatchingEngine::new(mm)
     }
 }
 

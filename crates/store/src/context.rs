@@ -1,6 +1,7 @@
 //! Per-query execution context: which buffer pool to read through,
 //! and where to record costs.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,20 +25,16 @@ impl QueryContext {
     /// Every first touch of a page is a charged miss — the paper's
     /// cold-cache accounting.
     pub fn ephemeral() -> Self {
-        QueryContext { pool: BufferPool::unbounded(), tracker: IoTracker::new() }
+        QueryContext { pool: BufferPool::unbounded(), tracker: IoTracker::default() }
     }
 
     /// Context reading through a shared (possibly warm) pool.
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
-        QueryContext { pool, tracker: IoTracker::new() }
+        QueryContext { pool, tracker: IoTracker::default() }
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    pub fn tracker(&self) -> &IoTracker {
-        &self.tracker
     }
 
     /// Read `pages` consecutive pages through the pool; returns the
@@ -67,61 +64,75 @@ impl QueryContext {
 
     /// Charge `n` bytes read to this query.
     pub fn record_bytes(&self, n: u64) {
-        self.tracker.record_bytes(n);
+        self.tracker.bytes.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Count `n` distance-function evaluations (index CPU work).
     pub fn count_distance_evals(&self, n: u64) {
-        self.tracker.count_distance_evals(n);
+        self.tracker.distance_evals.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Count `n` objects surviving the filter step (or examined, for
+    /// scans).
     pub fn count_candidates(&self, n: u64) {
-        self.tracker.count_candidates(n);
+        self.tracker.candidates.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Count `n` exact (expensive) distance refinements.
     pub fn count_refinements(&self, n: u64) {
-        self.tracker.count_refinements(n);
+        self.tracker.refinements.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` refinements aborted early by the bounded kernel.
+    /// Count `n` refinements aborted early by the bounded matching
+    /// kernel (a subset of `refinements`: every pruned evaluation is
+    /// still counted as a refinement, it just stopped before the full
+    /// `O(k³)` solve).
     pub fn count_pruned(&self, n: u64) {
-        self.tracker.count_pruned(n);
+        self.tracker.pruned.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` candidates pulled from an incremental candidate stream.
+    /// Count `n` candidates drawn from an incremental candidate stream
+    /// (one ranking step of the filter's access path per candidate).
     pub fn count_filter_steps(&self, n: u64) {
-        self.tracker.count_filter_steps(n);
+        self.tracker.filter_steps.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` stream candidates dismissed by the filter bound alone.
+    /// Count `n` stream candidates dismissed by their filter lower
+    /// bound alone — pulled from the stream but never handed to the
+    /// exact `dist_mm` kernel (unlike `pruned`, which counts kernel
+    /// runs aborted mid-solve).
     pub fn count_refinements_saved(&self, n: u64) {
-        self.tracker.count_refinements_saved(n);
+        self.tracker.refinements_saved.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count `n` refinements dismissed by the `f32` filter-precision
-    /// kernel alone (subset of `pruned`).
+    /// matching kernel alone — the exact `f64` solve never ran. A subset
+    /// of `pruned` (an f32-stage prune is still a pruned refinement; this
+    /// counter records which stage decided it).
     pub fn count_f32_prefilter(&self, n: u64) {
-        self.tracker.count_f32_prefilter(n);
+        self.tracker.f32_prefilter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count `n` objects inserted into a dynamic index.
     pub fn count_inserts(&self, n: u64) {
-        self.tracker.count_inserts(n);
+        self.tracker.inserts.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count `n` objects deleted (tombstoned) from a dynamic index.
     pub fn count_deletes(&self, n: u64) {
-        self.tracker.count_deletes(n);
+        self.tracker.deletes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` epoch-snapshot pins taken by dynamic-index readers.
+    /// Count `n` epoch-snapshot pins taken by readers of a dynamic
+    /// index (one per query that latches a consistent snapshot).
     pub fn count_epoch_pins(&self, n: u64) {
-        self.tracker.count_epoch_pins(n);
+        self.tracker.epoch_pins.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Freeze this context's counters into per-query stats.
     pub fn stats(&self, cpu: Duration) -> QueryStats {
         self.tracker.debug_check_invariants();
-        QueryStats::from_snapshot(cpu, self.tracker.snapshot())
+        self.tracker.stats(cpu)
     }
 }
 

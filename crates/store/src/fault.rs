@@ -259,12 +259,11 @@ mod tests {
         // as on a bare store.
         let cache_counts = |store: &dyn PageStore| {
             store.allocate(16).unwrap();
-            let pool = crate::pool::BufferPool::new(4);
-            let t = crate::tracker::IoTracker::new();
+            let ctx = crate::QueryContext::with_pool(crate::pool::BufferPool::new(4));
             for i in 0..200u64 {
-                pool.load(store, (i / 3 + i % 2) % 16, &t).unwrap();
+                ctx.load(store, (i / 3 + i % 2) % 16).unwrap();
             }
-            t.snapshot().cache
+            ctx.stats(std::time::Duration::ZERO).cache
         };
         let wrapped = cache_counts(&faulty(FaultPlan::none()));
         assert_eq!(wrapped, cache_counts(&InMemoryPageStore::new()));

@@ -394,25 +394,6 @@ impl FilePageStore {
         state.bitmap.iter().map(|b| b.count_ones() as u64).sum()
     }
 
-    /// Maximal runs of currently allocated data pages as `(first, len)`
-    /// spans, ascending. The shadow-header save protocol snapshots this
-    /// before writing a replacement index so it can free the previous
-    /// snapshot after the atomic root switch.
-    pub fn allocated_spans(&self) -> Vec<(u64, u64)> {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for page in 0..state.data_pages {
-            if !state.bit(page) {
-                continue;
-            }
-            match spans.last_mut() {
-                Some((first, len)) if *first + *len == page => *len += 1,
-                _ => spans.push((page, 1)),
-            }
-        }
-        spans
-    }
-
     /// Generation of the last committed metadata snapshot.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)

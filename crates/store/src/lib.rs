@@ -1,3 +1,10 @@
+// Everything downstream of a page store can see an injected fault, so
+// library code here propagates typed errors instead of panicking; the
+// CI clippy step (`-D warnings`) turns these into errors.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// This crate and `vsim-optics` are the two with `unsafe`; every block
+// states why its requirements hold.
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Layered storage engine: the paper's simulated-I/O evaluation
 //! (Section 5.4) plus a real file-backed page store.
 //!
@@ -12,7 +19,7 @@
 //!   a single durable page file with a free map and an optional mmap
 //!   read path ([`FilePageStore::open_mmap`]).
 //! * [`BufferPool`] — a lock-striped LRU page cache with pin/unpin and
-//!   a physical read-through path ([`BufferPool::load`]). Access
+//!   a physical read-through path ([`QueryContext::load`]). Access
 //!   methods read pages *through* the pool; only misses are charged to
 //!   the cost model, so a pool shared across queries models a warm
 //!   cache while a fresh per-query pool reproduces cold-cache
@@ -24,9 +31,11 @@
 //!   failures (I/O, corruption, exhaustion, crash) propagated as
 //!   `Result`s instead of panics, and a deterministic fault-injection
 //!   wrapper ([`FaultPlan`]) that exercises every failure path.
-//! * [`IoTracker`] / [`QueryContext`] — thread-safe per-query counters
-//!   (pages, bytes, cache hits/misses/evictions, distance evaluations,
-//!   filter candidates, refinements) threaded through query calls.
+//! * [`QueryContext`] — the buffer pool a query reads through plus its
+//!   thread-safe counters (pages, bytes, cache hits/misses/evictions,
+//!   distance evaluations, filter candidates, refinements), threaded
+//!   through query calls. It is the only door to both: the raw tracker
+//!   and the tracker-taking pool methods are private to this crate.
 //! * [`CostModel`] / [`QueryStats`] — turn counters into the paper's
 //!   simulated seconds and Table 2 columns; per-[`Backend`] constants
 //!   via [`CostModel::for_backend`] keep charges *charged* on the
@@ -51,10 +60,8 @@ pub use file::FilePageStore;
 pub use page::{Backend, InMemoryPageStore, PageKey, PageStore, StoreId};
 pub use pool::{BufferPool, PinGuard, PoolStats, SHARD_THRESHOLD};
 pub use stats::QueryStats;
-pub use stream::{
-    fnv1a, free_stream, PageStreamReader, PageStreamWriter, StreamHandle, STREAM_PAYLOAD,
-};
-pub use tracker::{CacheCounts, IoTracker, TrackerSnapshot};
+pub use stream::{fnv1a, PageStreamReader, PageStreamWriter, StreamHandle, STREAM_PAYLOAD};
+pub use tracker::CacheCounts;
 
 /// Number of pages needed to hold `bytes` bytes.
 #[inline]

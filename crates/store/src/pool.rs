@@ -1,10 +1,11 @@
 //! Lock-striped LRU buffer pool over [`PageKey`]s.
 //!
 //! Charging policy: a lookup that *hits* the pool is free; a *miss* is
-//! charged as one page access to the query's [`IoTracker`] (the
-//! paper's 8 ms). A pool with `capacity >= working set` therefore
-//! issues zero simulated page costs on repeated queries, while a fresh
-//! pool per query reproduces cold-cache accounting.
+//! charged as one page access to the query's
+//! [`QueryContext`](crate::QueryContext) (the paper's 8 ms). A pool
+//! with `capacity >= working set` therefore issues zero simulated page
+//! costs on repeated queries, while a fresh pool per query reproduces
+//! cold-cache accounting.
 //!
 //! # Sharding
 //!
@@ -157,7 +158,13 @@ impl BufferPool {
     /// needed; if every frame is pinned the page is read through
     /// without caching (still a charged miss). Returns the number of
     /// misses.
-    pub fn access(&self, store: StoreId, first: u64, pages: u64, tracker: &IoTracker) -> u64 {
+    pub(crate) fn access(
+        &self,
+        store: StoreId,
+        first: u64,
+        pages: u64,
+        tracker: &IoTracker,
+    ) -> u64 {
         let mut missed = 0;
         for page in first..first + pages {
             let key = PageKey { store, page };
@@ -177,7 +184,7 @@ impl BufferPool {
     /// frame. Returns the contents and the number of charged misses
     /// (0 or 1).
     // lint-allow: no-blocking-under-lock the read must happen under the shard lock so a fault is charged to exactly one access (fault-injection tests pin this); buffers stay because read_into needs a full page
-    pub fn load(
+    pub(crate) fn load(
         &self,
         store: &dyn PageStore,
         page: u64,
@@ -206,7 +213,12 @@ impl BufferPool {
     /// drops. Pinning is reentrant (pin counts nest). If the pool is
     /// full of other pinned pages, the page is read through and the
     /// guard is a no-op.
-    pub fn pin<'a>(&'a self, store: StoreId, page: u64, tracker: &IoTracker) -> PinGuard<'a> {
+    pub(crate) fn pin<'a>(
+        &'a self,
+        store: StoreId,
+        page: u64,
+        tracker: &IoTracker,
+    ) -> PinGuard<'a> {
         let key = PageKey { store, page };
         let shard = self.shard(key);
         let mut inner = shard.lock();
@@ -224,9 +236,10 @@ impl BufferPool {
         }
     }
 
-    /// Drop a page's cached contents so the next [`load`](Self::load)
-    /// re-reads it from the backing store — the retry path when a
-    /// loaded page fails checksum verification. An unpinned frame is
+    /// Drop a page's cached contents so the next
+    /// [`QueryContext::load`](crate::QueryContext::load) re-reads it
+    /// from the backing store — the retry path when a loaded page
+    /// fails checksum verification. An unpinned frame is
     /// removed outright; a pinned frame only loses its contents (its
     /// residency is owed to the pin guard). Counters are untouched:
     /// this is damage control, not an eviction. Returns whether a frame
@@ -336,9 +349,10 @@ pub struct PoolStats {
 mod tests {
     use super::*;
     use crate::page::{InMemoryPageStore, PageStore};
+    use std::time::Duration;
 
     fn ids() -> (StoreId, IoTracker) {
-        (InMemoryPageStore::new().id(), IoTracker::new())
+        (InMemoryPageStore::new().id(), IoTracker::default())
     }
 
     #[test]
@@ -347,7 +361,7 @@ mod tests {
         let pool = BufferPool::unbounded();
         assert_eq!(pool.access(store, 0, 3, &t), 3);
         assert_eq!(pool.access(store, 0, 3, &t), 0);
-        let s = t.snapshot();
+        let s = t.stats(Duration::ZERO);
         assert_eq!(s.io.pages, 3, "only misses are charged");
         assert_eq!(s.cache, CacheCounts { hits: 3, misses: 3, evictions: 0 });
     }
@@ -363,7 +377,7 @@ mod tests {
         assert!(pool.contains(store, 0));
         assert!(!pool.contains(store, 1));
         assert!(pool.contains(store, 2));
-        assert_eq!(t.snapshot().cache.evictions, 1);
+        assert_eq!(t.stats(Duration::ZERO).cache.evictions, 1);
         assert_eq!(pool.resident(), 2);
     }
 
@@ -375,7 +389,7 @@ mod tests {
             pool.access(store, page, 1, &t);
             assert!(pool.resident() <= 4);
         }
-        assert_eq!(t.snapshot().cache.evictions, 96);
+        assert_eq!(t.stats(Duration::ZERO).cache.evictions, 96);
     }
 
     #[test]
@@ -433,7 +447,7 @@ mod tests {
     fn two_stores_do_not_collide() {
         let a = InMemoryPageStore::new();
         let b = InMemoryPageStore::new();
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         let pool = BufferPool::unbounded();
         pool.access(a.id(), 0, 1, &t);
         assert_eq!(pool.access(b.id(), 0, 1, &t), 1, "same page number, different store");
@@ -444,14 +458,14 @@ mod tests {
     fn pool_totals_aggregate_across_trackers() {
         let (store, _) = ids();
         let pool = BufferPool::unbounded();
-        let t1 = IoTracker::new();
-        let t2 = IoTracker::new();
+        let t1 = IoTracker::default();
+        let t2 = IoTracker::default();
         pool.access(store, 0, 2, &t1);
         pool.access(store, 0, 2, &t2);
         let stats = pool.stats();
         assert_eq!(stats.counts, CacheCounts { hits: 2, misses: 2, evictions: 0 });
-        assert_eq!(t1.snapshot().cache.misses, 2);
-        assert_eq!(t2.snapshot().cache.hits, 2);
+        assert_eq!(t1.stats(Duration::ZERO).cache.misses, 2);
+        assert_eq!(t2.stats(Duration::ZERO).cache.hits, 2);
     }
 
     #[test]
@@ -462,11 +476,11 @@ mod tests {
             for w in 0..4 {
                 let pool = &pool;
                 scope.spawn(move || {
-                    let t = IoTracker::new();
+                    let t = IoTracker::default();
                     for i in 0..500u64 {
                         pool.access(store, (w * 37 + i * 13) % 64, 1, &t);
                     }
-                    let s = t.snapshot().cache;
+                    let s = t.stats(Duration::ZERO).cache;
                     assert_eq!(s.accesses(), 500);
                 });
             }
@@ -505,13 +519,13 @@ mod tests {
     fn sharded_totals_match_tracker_counts() {
         let store = InMemoryPageStore::new();
         let pool = BufferPool::with_shards(Some(256), 8);
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         for round in 0..3 {
             for page in 0..200 {
                 pool.access(store.id(), page, 1, &t);
             }
             let s = pool.stats().counts;
-            let q = t.snapshot().cache;
+            let q = t.stats(Duration::ZERO).cache;
             assert_eq!(s, q, "pool totals equal the single query's counts (round {round})");
         }
     }
@@ -522,7 +536,7 @@ mod tests {
         let page = store.allocate(1).unwrap();
         store.write_page(page, &[0x5au8; 64]).unwrap();
         let pool = BufferPool::unbounded();
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         let (cold, missed) = pool.load(&store, page, &t).unwrap();
         assert_eq!(missed, 1);
         assert_eq!(&cold[..64], &[0x5au8; 64][..]);
@@ -530,7 +544,7 @@ mod tests {
         let (warm, missed) = pool.load(&store, page, &t).unwrap();
         assert_eq!(missed, 0, "second load is a free hit");
         assert_eq!(warm, cold);
-        let s = t.snapshot();
+        let s = t.stats(Duration::ZERO);
         assert_eq!(s.io.pages, 1, "contents served from cache are not re-charged");
         assert_eq!(s.cache, CacheCounts { hits: 1, misses: 1, evictions: 0 });
     }
@@ -541,14 +555,14 @@ mod tests {
         let page = store.allocate(1).unwrap();
         store.write_page(page, &[3u8; 10]).unwrap();
         let pool = BufferPool::unbounded();
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         // Simulated access faults the frame in without contents...
         assert_eq!(pool.access(store.id(), page, 1, &t), 1);
         // ...so the first load hits (no new charge) but still reads.
         let (data, missed) = pool.load(&store, page, &t).unwrap();
         assert_eq!(missed, 0);
         assert_eq!(&data[..10], &[3u8; 10][..]);
-        assert_eq!(t.snapshot().io.pages, 1);
+        assert_eq!(t.stats(Duration::ZERO).io.pages, 1);
     }
 
     #[test]
@@ -559,14 +573,14 @@ mod tests {
             store.write_page(page, &[page as u8; 4]).unwrap();
         }
         let pool = BufferPool::new(1);
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         for page in first..first + 3 {
             let (data, missed) = pool.load(&store, page, &t).unwrap();
             assert_eq!(missed, 1, "capacity 1: every new page misses");
             assert_eq!(data[0], page as u8);
         }
         assert_eq!(pool.resident(), 1);
-        assert_eq!(t.snapshot().cache.evictions, 2);
+        assert_eq!(t.stats(Duration::ZERO).cache.evictions, 2);
     }
 
     #[test]
@@ -575,7 +589,7 @@ mod tests {
         let page = store.allocate(1).unwrap();
         store.write_page(page, &[1u8; 8]).unwrap();
         let pool = BufferPool::unbounded();
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         let (before, _) = pool.load(&store, page, &t).unwrap();
         assert_eq!(before[0], 1);
         // Rewrite behind the pool's back: a plain load still serves the
@@ -596,7 +610,7 @@ mod tests {
         let page = store.allocate(1).unwrap();
         store.write_page(page, &[3u8; 8]).unwrap();
         let pool = BufferPool::unbounded();
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         let _guard = pool.pin(store.id(), page, &t);
         pool.load(&store, page, &t).unwrap();
         assert!(pool.invalidate(store.id(), page));
@@ -638,7 +652,7 @@ mod tests {
             for _ in 0..4 {
                 let (pool, store) = (&pool, &store);
                 scope.spawn(move || {
-                    let t = IoTracker::new();
+                    let t = IoTracker::default();
                     for i in 0..200u64 {
                         let page = i % 16;
                         let (data, _) = pool.load(store, page, &t).unwrap();

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use crate::cost::{CostModel, IoSnapshot};
 use crate::error::StoreErrorKind;
-use crate::tracker::{CacheCounts, TrackerSnapshot};
+use crate::tracker::CacheCounts;
 
 /// Costs of one similarity query (or a sum over a workload).
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,25 +51,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    pub(crate) fn from_snapshot(cpu: Duration, snap: TrackerSnapshot) -> Self {
-        QueryStats {
-            cpu,
-            io: snap.io,
-            cache: snap.cache,
-            candidates: snap.candidates,
-            refinements: snap.refinements,
-            pruned: snap.pruned,
-            filter_steps: snap.filter_steps,
-            refinements_saved: snap.refinements_saved,
-            f32_prefilter: snap.f32_prefilter,
-            inserts: snap.inserts,
-            deletes: snap.deletes,
-            epoch_pins: snap.epoch_pins,
-            distance_evals: snap.distance_evals,
-            error: None,
-        }
-    }
-
     /// Simulated I/O time in seconds under the given cost model.
     pub fn io_seconds(&self, cm: &CostModel) -> f64 {
         cm.seconds(self.io)
@@ -81,21 +62,39 @@ impl QueryStats {
     }
 
     /// Accumulate another query's stats (for averaging over workloads).
+    /// The pattern names every field (no `..`), so a field added to
+    /// `QueryStats` and not summed here is a compile error.
     pub fn accumulate(&mut self, other: &QueryStats) {
-        self.cpu += other.cpu;
-        self.io = self.io + other.io;
-        self.cache = self.cache + other.cache;
-        self.candidates += other.candidates;
-        self.refinements += other.refinements;
-        self.pruned += other.pruned;
-        self.filter_steps += other.filter_steps;
-        self.refinements_saved += other.refinements_saved;
-        self.f32_prefilter += other.f32_prefilter;
-        self.inserts += other.inserts;
-        self.deletes += other.deletes;
-        self.epoch_pins += other.epoch_pins;
-        self.distance_evals += other.distance_evals;
-        self.error = self.error.or(other.error);
+        let QueryStats {
+            cpu,
+            io,
+            cache,
+            candidates,
+            refinements,
+            pruned,
+            filter_steps,
+            refinements_saved,
+            f32_prefilter,
+            inserts,
+            deletes,
+            epoch_pins,
+            distance_evals,
+            error,
+        } = *other;
+        self.cpu += cpu;
+        self.io = self.io + io;
+        self.cache = self.cache + cache;
+        self.candidates += candidates;
+        self.refinements += refinements;
+        self.pruned += pruned;
+        self.filter_steps += filter_steps;
+        self.refinements_saved += refinements_saved;
+        self.f32_prefilter += f32_prefilter;
+        self.inserts += inserts;
+        self.deletes += deletes;
+        self.epoch_pins += epoch_pins;
+        self.distance_evals += distance_evals;
+        self.error = self.error.or(error);
     }
 }
 

@@ -288,26 +288,6 @@ impl Read for PageStreamReader<'_> {
     }
 }
 
-/// Walk the chain starting at `first` and free every page; returns the
-/// number of pages freed. Verifies pages while walking, so a corrupted
-/// chain is reported rather than freeing unrelated pages.
-pub fn free_stream(store: &dyn PageStore, first: u64) -> io::Result<u64> {
-    let mut next = Some(first);
-    let mut freed = 0;
-    while let Some(page) = next {
-        if freed >= store.page_count() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream chain longer than the page file (cycle?)",
-            ));
-        }
-        next = decode_stream_page(store, page)?.next;
-        store.free(page, 1)?;
-        freed += 1;
-    }
-    Ok(freed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,15 +352,6 @@ mod tests {
         let store = InMemoryPageStore::new();
         let err = PageStreamReader::open(&store, 3).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
-    }
-
-    #[test]
-    fn free_stream_releases_every_page() {
-        let store = InMemoryPageStore::new();
-        let mut w = PageStreamWriter::new(&store);
-        w.write_all(&vec![1u8; 3 * STREAM_PAYLOAD]).unwrap();
-        let handle = w.finish().unwrap();
-        assert_eq!(free_stream(&store, handle.first).unwrap(), 3);
     }
 
     #[test]

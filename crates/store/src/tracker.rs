@@ -1,8 +1,10 @@
 //! Per-query counters, safe to share across worker threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use crate::cost::IoSnapshot;
+use crate::stats::QueryStats;
 
 /// Buffer-pool activity attributable to one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,153 +33,94 @@ impl std::ops::Add for CacheCounts {
 }
 
 /// Thread-safe counters for one query (or one workload when shared).
-/// The buffer pool records cache activity here; access methods record
-/// bytes and algorithmic counters.
+/// The buffer pool maintains the first four through the `record_*`
+/// methods; [`QueryContext`](crate::QueryContext) adds to the byte and
+/// algorithmic counters directly. Every counter is a statistic, never a
+/// synchronization point, so all accesses are `Relaxed`.
+///
+/// Adding a counter: a field here, the same-named field on
+/// [`QueryStats`], a `count_*` method on `QueryContext` — and the
+/// exhaustive patterns in [`IoTracker::stats`] and
+/// [`QueryStats::accumulate`] refuse to compile until both thread it.
 #[derive(Debug, Default)]
-pub struct IoTracker {
+pub(crate) struct IoTracker {
     pages: AtomicU64,
-    bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    distance_evals: AtomicU64,
-    candidates: AtomicU64,
-    refinements: AtomicU64,
-    pruned: AtomicU64,
-    filter_steps: AtomicU64,
-    refinements_saved: AtomicU64,
-    f32_prefilter: AtomicU64,
-    inserts: AtomicU64,
-    deletes: AtomicU64,
-    epoch_pins: AtomicU64,
+    pub(crate) bytes: AtomicU64,
+    pub(crate) distance_evals: AtomicU64,
+    pub(crate) candidates: AtomicU64,
+    pub(crate) refinements: AtomicU64,
+    pub(crate) pruned: AtomicU64,
+    pub(crate) filter_steps: AtomicU64,
+    pub(crate) refinements_saved: AtomicU64,
+    pub(crate) f32_prefilter: AtomicU64,
+    pub(crate) inserts: AtomicU64,
+    pub(crate) deletes: AtomicU64,
+    pub(crate) epoch_pins: AtomicU64,
 }
 
 impl IoTracker {
-    pub fn new() -> Self {
-        IoTracker::default()
-    }
-
     /// Charge `n` page accesses to the cost model (called by the
     /// buffer pool on misses).
     #[inline]
-    pub fn record_pages(&self, n: u64) {
+    pub(crate) fn record_pages(&self, n: u64) {
         self.pages.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Charge `n` bytes read to the cost model.
     #[inline]
-    pub fn record_bytes(&self, n: u64) {
-        self.bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn record_hit(&self) {
+    pub(crate) fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn record_miss(&self) {
+    pub(crate) fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn record_eviction(&self) {
+    pub(crate) fn record_eviction(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count `n` distance-function evaluations (index CPU work).
-    #[inline]
-    pub fn count_distance_evals(&self, n: u64) {
-        self.distance_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` objects surviving the filter step (or examined, for
-    /// scans).
-    #[inline]
-    pub fn count_candidates(&self, n: u64) {
-        self.candidates.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` exact (expensive) distance refinements.
-    #[inline]
-    pub fn count_refinements(&self, n: u64) {
-        self.refinements.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` refinements aborted early by the bounded matching
-    /// kernel (a subset of `refinements`: every pruned evaluation is
-    /// still counted as a refinement, it just stopped before the full
-    /// `O(k³)` solve).
-    #[inline]
-    pub fn count_pruned(&self, n: u64) {
-        self.pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` candidates drawn from an incremental candidate stream
-    /// (one ranking step of the filter's access path per candidate).
-    #[inline]
-    pub fn count_filter_steps(&self, n: u64) {
-        self.filter_steps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` stream candidates dismissed by their filter lower
-    /// bound alone — pulled from the stream but never handed to the
-    /// exact `dist_mm` kernel (unlike `pruned`, which counts kernel
-    /// runs aborted mid-solve).
-    #[inline]
-    pub fn count_refinements_saved(&self, n: u64) {
-        self.refinements_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` refinements dismissed by the `f32` filter-precision
-    /// matching kernel alone — the exact `f64` solve never ran. A subset
-    /// of `pruned` (an f32-stage prune is still a pruned refinement; this
-    /// counter records which stage decided it).
-    #[inline]
-    pub fn count_f32_prefilter(&self, n: u64) {
-        self.f32_prefilter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` objects inserted into a dynamic index.
-    #[inline]
-    pub fn count_inserts(&self, n: u64) {
-        self.inserts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` objects deleted (tombstoned) from a dynamic index.
-    #[inline]
-    pub fn count_deletes(&self, n: u64) {
-        self.deletes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` epoch-snapshot pins taken by readers of a dynamic
-    /// index (one per query that latches a consistent snapshot).
-    #[inline]
-    pub fn count_epoch_pins(&self, n: u64) {
-        self.epoch_pins.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> TrackerSnapshot {
-        TrackerSnapshot {
-            io: IoSnapshot {
-                pages: self.pages.load(Ordering::Relaxed),
-                bytes: self.bytes.load(Ordering::Relaxed),
-            },
-            cache: CacheCounts {
-                hits: self.hits.load(Ordering::Relaxed),
-                misses: self.misses.load(Ordering::Relaxed),
-                evictions: self.evictions.load(Ordering::Relaxed),
-            },
-            distance_evals: self.distance_evals.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            refinements: self.refinements.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            filter_steps: self.filter_steps.load(Ordering::Relaxed),
-            refinements_saved: self.refinements_saved.load(Ordering::Relaxed),
-            f32_prefilter: self.f32_prefilter.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            epoch_pins: self.epoch_pins.load(Ordering::Relaxed),
+    /// Freeze the counters into per-query stats. The pattern names
+    /// every field (no `..`), so a counter added to the tracker and not
+    /// carried into [`QueryStats`] is a compile error.
+    pub(crate) fn stats(&self, cpu: Duration) -> QueryStats {
+        let IoTracker {
+            pages,
+            hits,
+            misses,
+            evictions,
+            bytes,
+            distance_evals,
+            candidates,
+            refinements,
+            pruned,
+            filter_steps,
+            refinements_saved,
+            f32_prefilter,
+            inserts,
+            deletes,
+            epoch_pins,
+        } = self;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        QueryStats {
+            cpu,
+            io: IoSnapshot { pages: get(pages), bytes: get(bytes) },
+            cache: CacheCounts { hits: get(hits), misses: get(misses), evictions: get(evictions) },
+            candidates: get(candidates),
+            refinements: get(refinements),
+            pruned: get(pruned),
+            filter_steps: get(filter_steps),
+            refinements_saved: get(refinements_saved),
+            f32_prefilter: get(f32_prefilter),
+            inserts: get(inserts),
+            deletes: get(deletes),
+            epoch_pins: get(epoch_pins),
+            distance_evals: get(distance_evals),
+            error: None,
         }
     }
 
@@ -187,10 +130,10 @@ impl IoTracker {
     /// is either refined or dismissed by its lower bound, so
     /// `filter_steps = refinements + refinements_saved`. (Batch filter
     /// paths never pull from a stream and leave `filter_steps` at 0.)
-    pub fn debug_check_invariants(&self) {
+    pub(crate) fn debug_check_invariants(&self) {
         #[cfg(debug_assertions)]
         {
-            let s = self.snapshot();
+            let s = self.stats(Duration::ZERO);
             debug_assert!(
                 s.pruned <= s.refinements,
                 "pruned ({}) must be a subset of refinements ({})",
@@ -212,97 +155,57 @@ impl IoTracker {
             );
         }
     }
-
-    pub fn reset(&self) {
-        self.pages.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.distance_evals.store(0, Ordering::Relaxed);
-        self.candidates.store(0, Ordering::Relaxed);
-        self.refinements.store(0, Ordering::Relaxed);
-        self.pruned.store(0, Ordering::Relaxed);
-        self.filter_steps.store(0, Ordering::Relaxed);
-        self.refinements_saved.store(0, Ordering::Relaxed);
-        self.f32_prefilter.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.deletes.store(0, Ordering::Relaxed);
-        self.epoch_pins.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of all tracker counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrackerSnapshot {
-    pub io: IoSnapshot,
-    pub cache: CacheCounts,
-    pub distance_evals: u64,
-    pub candidates: u64,
-    pub refinements: u64,
-    /// Refinements aborted early under a k-NN / range bound.
-    pub pruned: u64,
-    /// Candidates pulled from an incremental candidate stream.
-    pub filter_steps: u64,
-    /// Stream candidates dismissed by the filter bound without an exact
-    /// refinement.
-    pub refinements_saved: u64,
-    /// Refinements dismissed by the `f32` filter-precision kernel alone
-    /// (subset of `pruned`).
-    pub f32_prefilter: u64,
-    /// Objects inserted into a dynamic index.
-    pub inserts: u64,
-    /// Objects deleted (tombstoned) from a dynamic index.
-    pub deletes: u64,
-    /// Epoch-snapshot pins taken by readers of a dynamic index.
-    pub epoch_pins: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
     #[test]
-    fn counters_accumulate_and_reset() {
-        let t = IoTracker::new();
+    fn counters_accumulate() {
+        let t = IoTracker::default();
         t.record_pages(3);
-        t.record_bytes(1000);
+        add(&t.bytes, 1000);
         t.record_hit();
         t.record_miss();
         t.record_miss();
         t.record_eviction();
-        t.count_distance_evals(7);
-        t.count_candidates(2);
-        t.count_refinements(1);
-        t.count_pruned(1);
-        t.count_filter_steps(5);
-        t.count_refinements_saved(4);
-        t.count_f32_prefilter(1);
-        t.count_inserts(6);
-        t.count_deletes(3);
-        t.count_epoch_pins(2);
-        let s = t.snapshot();
+        add(&t.distance_evals, 7);
+        add(&t.candidates, 2);
+        add(&t.refinements, 1);
+        add(&t.pruned, 1);
+        add(&t.filter_steps, 5);
+        add(&t.refinements_saved, 4);
+        add(&t.f32_prefilter, 1);
+        add(&t.inserts, 6);
+        add(&t.deletes, 3);
+        add(&t.epoch_pins, 2);
+        let s = t.stats(Duration::from_millis(9));
+        assert_eq!(s.cpu, Duration::from_millis(9));
         assert_eq!(s.io, IoSnapshot { pages: 3, bytes: 1000 });
         assert_eq!(s.cache, CacheCounts { hits: 1, misses: 2, evictions: 1 });
         assert_eq!(s.cache.accesses(), 3);
         assert_eq!((s.distance_evals, s.candidates, s.refinements, s.pruned), (7, 2, 1, 1));
         assert_eq!((s.filter_steps, s.refinements_saved, s.f32_prefilter), (5, 4, 1));
         assert_eq!((s.inserts, s.deletes, s.epoch_pins), (6, 3, 2));
-        t.reset();
-        assert_eq!(t.snapshot(), TrackerSnapshot::default());
+        assert_eq!(s.error, None);
     }
 
     #[test]
     fn invariants_accept_consistent_stream_counters() {
-        let t = IoTracker::new();
-        t.count_filter_steps(5);
-        t.count_refinements(3);
-        t.count_pruned(1);
-        t.count_refinements_saved(2);
+        let t = IoTracker::default();
+        add(&t.filter_steps, 5);
+        add(&t.refinements, 3);
+        add(&t.pruned, 1);
+        add(&t.refinements_saved, 2);
         t.debug_check_invariants();
-        t.reset();
         // Batch paths: refinements without stream pulls are fine too.
-        t.count_refinements(4);
+        let t = IoTracker::default();
+        add(&t.refinements, 4);
         t.debug_check_invariants();
     }
 
@@ -310,9 +213,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "filter_steps")]
     fn invariants_catch_half_threaded_stream_counters() {
-        let t = IoTracker::new();
-        t.count_filter_steps(3);
-        t.count_refinements(1);
+        let t = IoTracker::default();
+        add(&t.filter_steps, 3);
+        add(&t.refinements, 1);
         t.debug_check_invariants();
     }
 
@@ -320,9 +223,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "pruned")]
     fn invariants_catch_pruned_exceeding_refinements() {
-        let t = IoTracker::new();
-        t.count_pruned(2);
-        t.count_refinements(1);
+        let t = IoTracker::default();
+        add(&t.pruned, 2);
+        add(&t.refinements, 1);
         t.debug_check_invariants();
     }
 
@@ -330,28 +233,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "f32_prefilter")]
     fn invariants_catch_f32_prefilter_exceeding_pruned() {
-        let t = IoTracker::new();
-        t.count_refinements(2);
-        t.count_pruned(1);
-        t.count_f32_prefilter(2);
+        let t = IoTracker::default();
+        add(&t.refinements, 2);
+        add(&t.pruned, 1);
+        add(&t.f32_prefilter, 2);
         t.debug_check_invariants();
     }
 
     #[test]
     fn concurrent_recording_is_exact() {
-        let t = IoTracker::new();
+        let t = IoTracker::default();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
                         t.record_pages(1);
-                        t.record_bytes(10);
+                        add(&t.bytes, 10);
                         t.record_hit();
                     }
                 });
             }
         });
-        let s = t.snapshot();
+        let s = t.stats(Duration::ZERO);
         assert_eq!(s.io, IoSnapshot { pages: 4000, bytes: 40_000 });
         assert_eq!(s.cache.hits, 4000);
     }

@@ -2,7 +2,9 @@
 //! must never violate the pool's structural invariants.
 
 use proptest::prelude::*;
-use vsim_store::{BufferPool, InMemoryPageStore, IoTracker, PageStore};
+use std::sync::Arc;
+use std::time::Duration;
+use vsim_store::{BufferPool, InMemoryPageStore, PageStore, QueryContext};
 
 proptest! {
     /// A bounded pool never holds more resident pages than its capacity,
@@ -15,32 +17,32 @@ proptest! {
         let cap = 1 + (cap * 15.0) as usize;
         let pool = BufferPool::new(cap);
         let store = InMemoryPageStore::new();
-        let tracker = IoTracker::default();
+        let ctx = QueryContext::with_pool(Arc::clone(&pool));
         for op in &ops {
             let page = (op * 64.0) as u64;
-            pool.access(store.id(), page, 1, &tracker);
+            ctx.access(store.id(), page, 1);
             prop_assert!(pool.resident() <= cap, "resident {} > cap {}", pool.resident(), cap);
         }
     }
 
     /// Every access is classified as exactly one hit or miss:
-    /// hits + misses == total accesses (tracker and pool agree).
+    /// hits + misses == total accesses (query stats and pool agree).
     #[test]
     fn hits_plus_misses_equals_accesses(
         ops in proptest::collection::vec(0.0f64..1.0, 150),
     ) {
         let pool = BufferPool::new(8);
         let store = InMemoryPageStore::new();
-        let tracker = IoTracker::default();
+        let ctx = QueryContext::with_pool(Arc::clone(&pool));
         let mut accesses = 0u64;
         for op in &ops {
             let page = (op * 32.0) as u64;
             let span = 1 + (page % 3); // multi-page spans too
-            pool.access(store.id(), page, span, &tracker);
+            ctx.access(store.id(), page, span);
             accesses += span;
         }
-        let snap = tracker.snapshot();
-        prop_assert_eq!(snap.cache.hits + snap.cache.misses, accesses);
+        let cache = ctx.stats(Duration::ZERO).cache;
+        prop_assert_eq!(cache.hits + cache.misses, accesses);
         let pstats = pool.stats();
         prop_assert_eq!(pstats.counts.hits + pstats.counts.misses, accesses);
     }
@@ -55,13 +57,13 @@ proptest! {
         let pool = BufferPool::new(4);
         let store = InMemoryPageStore::new();
         let other = InMemoryPageStore::new();
-        let tracker = IoTracker::default();
+        let ctx = QueryContext::with_pool(Arc::clone(&pool));
         let pinned_page = (pinned_page * 16.0) as u64;
-        let guard = pool.pin(store.id(), pinned_page, &tracker);
+        let guard = ctx.pin(store.id(), pinned_page);
         for op in &ops {
             // Stream over a working set much larger than the pool.
             let page = 100 + (op * 64.0) as u64;
-            pool.access(store.id(), page, 1, &tracker);
+            ctx.access(store.id(), page, 1);
             prop_assert!(
                 pool.contains(store.id(), pinned_page),
                 "pinned page {} was evicted", pinned_page
@@ -70,7 +72,7 @@ proptest! {
         drop(guard);
         // With the pin released the page must be evictable: flood again.
         for extra in 0..16u64 {
-            pool.access(other.id(), 1000 + extra, 1, &tracker);
+            ctx.access(other.id(), 1000 + extra, 1);
         }
         prop_assert!(!pool.contains(store.id(), pinned_page));
         prop_assert!(pool.resident() <= 4);
@@ -84,9 +86,9 @@ proptest! {
     ) {
         let pool = BufferPool::new(6);
         let store = InMemoryPageStore::new();
-        let tracker = IoTracker::default();
+        let ctx = QueryContext::with_pool(Arc::clone(&pool));
         for op in &ops {
-            pool.access(store.id(), (op * 40.0) as u64, 1, &tracker);
+            ctx.access(store.id(), (op * 40.0) as u64, 1);
         }
         let s = pool.stats();
         prop_assert_eq!(s.counts.misses - s.counts.evictions, pool.resident() as u64);

@@ -27,11 +27,9 @@
 //! ```
 
 pub mod grid;
-pub mod morphology;
 pub mod normalize;
 pub mod voxelize;
 
 pub use grid::VoxelGrid;
-pub use morphology::{close, connected_components, dilate, erode, largest_component, open};
 pub use normalize::{pca_rotation, rotate_grid, GridPose};
 pub use voxelize::{voxelize_mesh, voxelize_solid, NormalizeMode, Voxelization};

@@ -116,22 +116,6 @@ fn stl_roundtrip_preserves_features() {
 }
 
 #[test]
-fn morphology_cleanup_stabilizes_features() {
-    // Speckle noise on a voxelization perturbs the cover sequence; the
-    // opening + largest-component cleanup restores the original features.
-    let solid = CylinderZ { radius: 1.0, half_height: 1.5 };
-    let clean = voxelize(&solid, 15);
-    let mut noisy = clean.clone();
-    noisy.set(0, 0, 0, true);
-    noisy.set(14, 14, 14, true);
-    noisy.set(0, 14, 0, true);
-    let cleaned = vsim_voxel::largest_component(&noisy);
-    assert_eq!(cleaned, clean);
-    let model = VectorSetModel::new(7);
-    assert_eq!(model.extract(&cleaned), model.extract(&clean));
-}
-
-#[test]
 fn cover_sequences_approximate_objects_well() {
     // On real synthetic parts, 7 covers reduce the symmetric volume
     // difference strongly (the premise of the cover sequence model).

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use std::sync::Arc;
-use vsim_index::{BufferPool, InMemoryPageStore, PageStore, QueryContext};
+use vsim_index::{checksum, BufferPool, InMemoryPageStore, PageStore, QueryContext, PAGE_SIZE};
 use vsim_query::{FilterRefineIndex, QueryExecutor};
 use vsim_setdist::VectorSet;
 
@@ -48,6 +48,39 @@ fn bench_pool_access(c: &mut Criterion) {
         b.iter(|| {
             p = (p + 1) % 1024; // working set ≫ capacity: always a miss
             ctx.access(store.id(), p, 1)
+        })
+    });
+
+    // The file-backed read path, layer by layer: the checksum of one
+    // page, a verified load served from a verified frame (no hash), and
+    // one that reads, hashes and evicts.
+    let image: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 31 + i / 5) as u8).collect();
+    let sum = checksum(&image);
+    for page in 0..1024 {
+        store.write_page(page, &image).unwrap();
+    }
+    g.bench_function("checksum_page", |b| b.iter(|| checksum(std::hint::black_box(&image))));
+
+    g.bench_function("load_verified_hit", |b| {
+        let ctx = QueryContext::with_pool(BufferPool::unbounded());
+        for page in 0..256 {
+            ctx.load_verified(&store, page, sum).unwrap();
+        }
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 37) % 256;
+            let (_, missed) = ctx.load_verified(&store, p, sum).unwrap();
+            assert_eq!(missed, 0, "the working set is resident");
+        })
+    });
+
+    g.bench_function("load_verified_miss", |b| {
+        let ctx = QueryContext::with_pool(BufferPool::new(64));
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 1) % 1024;
+            let (_, missed) = ctx.load_verified(&store, p, sum).unwrap();
+            assert_eq!(missed, 1, "working set ≫ capacity: always a miss");
         })
     });
     g.finish();

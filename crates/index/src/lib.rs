@@ -59,8 +59,8 @@ pub use storage::{PointFile, VectorSetStore};
 pub use xtree::{NnIter, XTree};
 // The storage-engine layer these access methods are built on.
 pub use vsim_store::{
-    Backend, BufferPool, CacheCounts, CostModel, Fault, FaultInjectingPageStore, FaultPlan,
-    FilePageStore, InMemoryPageStore, IoSnapshot, PageKey, PageStore, PageStreamReader,
+    checksum, Backend, BufferPool, CacheCounts, CostModel, Fault, FaultInjectingPageStore,
+    FaultPlan, FilePageStore, InMemoryPageStore, IoSnapshot, PageKey, PageStore, PageStreamReader,
     PageStreamWriter, PoolStats, QueryContext, QueryStats, StoreError, StoreErrorKind, StoreId,
     StoreResult, StreamHandle, PAGE_SIZE,
 };

@@ -15,22 +15,23 @@
 //! two backings charge identical page/byte counts for identical access
 //! sequences and decode bit-identical `f64`s.
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vsim_setdist::VectorSet;
 use vsim_store::{
-    fnv1a, InMemoryPageStore, PageStore, PageStreamReader, PageStreamWriter, QueryContext,
-    StoreError, StoreResult, StreamHandle, PAGE_SIZE,
+    checksum, InMemoryPageStore, PageStore, PageStreamReader, PageStreamWriter, QueryContext,
+    StoreResult, StreamHandle, PAGE_SIZE,
 };
 
 use crate::cursor::SortedScan;
 use crate::persist::{expect_tag, get_len, get_u64, get_usize, invalid, put_u64};
 
 /// Stream tags distinguishing persisted structure kinds ("VSET"/"PNTF"
-/// plus a format version — v2 added per-page image checksums).
-const VSET_TAG: u64 = 0x5653_4554_0000_0002;
+/// plus a version — v2: per-page image checksums; VSET v3: the dimension).
+const VSET_TAG: u64 = 0x5653_4554_0000_0003;
 const POINT_TAG: u64 = 0x504E_5446_0000_0002;
 
 /// On-"disk" record image: `u32` dim, `u32` count, then `dim·count` f64s.
@@ -44,14 +45,24 @@ fn encode(set: &VectorSet) -> Bytes {
     b.freeze()
 }
 
-fn decode(mut buf: &[u8]) -> VectorSet {
-    let dim = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    let mut data = Vec::with_capacity(dim * n);
-    for _ in 0..dim * n {
-        data.push(buf.get_f64_le());
+/// The body of a record image, once its header agrees with its extent
+/// (`buf.len()`, from the checksummed offset table) and the file's
+/// dimension: a damaged header under a valid page checksum is a typed
+/// error, never a panic in a getter or an absurd allocation.
+fn record_body(mut buf: &[u8], dim: usize) -> StoreResult<&[u8]> {
+    if buf.len() >= 8 {
+        let (d, n) = (buf.get_u32_le() as u64, buf.get_u32_le() as u64);
+        // `d · n` of two `u32`s cannot overflow a `u64`.
+        if d == dim as u64 && buf.len().is_multiple_of(8) && d * n == (buf.len() / 8) as u64 {
+            return Ok(buf);
+        }
     }
-    VectorSet::from_flat(dim, data)
+    Err(invalid("heap-file record header disagrees with its extent or the file's dimension").into())
+}
+
+/// The little-endian `f64`s packed in `bytes`.
+fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.as_chunks::<8>().0.iter().map(|word| f64::from_le_bytes(*word))
 }
 
 /// Where a heap/point file's byte image lives.
@@ -85,7 +96,7 @@ impl Backing {
 }
 
 /// Write `image` into freshly allocated pages of `target`; returns the
-/// first page of the span plus one FNV-1a checksum per page (computed
+/// first page of the span plus one [`checksum`] per page (computed
 /// over the zero-padded full-page image, exactly what reads return).
 fn write_image(target: &dyn PageStore, image: &[u8]) -> io::Result<(u64, Vec<u64>)> {
     let pages = image.len().div_ceil(PAGE_SIZE) as u64;
@@ -96,44 +107,24 @@ fn write_image(target: &dyn PageStore, image: &[u8]) -> io::Result<(u64, Vec<u64
         target.write_page(first + p as u64, chunk)?;
         padded[..chunk.len()].copy_from_slice(chunk);
         padded[chunk.len()..].fill(0);
-        sums.push(fnv1a(&padded));
+        sums.push(checksum(&padded));
     }
     Ok((first, sums))
 }
 
-/// Checksum-failed image pages are invalidated in the pool and re-read
-/// this many extra times before corruption is declared permanent — a
-/// transient bad transfer heals, bad media does not.
-const IMAGE_READ_RETRIES: usize = 2;
-
-/// Read one image page through the context's buffer pool and verify it
-/// against its saved checksum. On mismatch the cached frame is dropped
-/// ([`QueryContext::invalidate`]) and the page physically re-read;
-/// persistent mismatch is a typed corruption error.
-fn load_verified(
-    store: &dyn PageStore,
-    page: u64,
-    sum: u64,
-    ctx: &QueryContext,
-) -> StoreResult<(Arc<[u8]>, u64)> {
-    let mut missed_total = 0;
-    let mut found = 0;
-    for _ in 0..=IMAGE_READ_RETRIES {
-        let (data, missed) = ctx.load(store, page)?;
-        missed_total += missed;
-        found = fnv1a(&data);
-        if found == sum {
-            return Ok((data, missed_total));
+/// Charge a read of the whole `total`-byte image of an in-memory file:
+/// every page through the context's buffer pool, the used bytes of
+/// every missed one.
+fn charge_image(pages: &InMemoryPageStore, total: usize, ctx: &QueryContext) {
+    for page in 0..total.div_ceil(PAGE_SIZE) as u64 {
+        if ctx.access(pages.id(), page, 1) > 0 {
+            ctx.record_bytes((total - page as usize * PAGE_SIZE).min(PAGE_SIZE) as u64);
         }
-        ctx.invalidate(store.id(), page);
     }
-    Err(StoreError::Corruption { page, expected: sum, found })
 }
 
-/// Physically read bytes `[0, total)` of an image span through the
-/// context's buffer pool, verifying every page against `sums` and
-/// charging the used bytes of every missed page — the shared-backing
-/// twin of the simulated whole-file charge loop.
+/// [`charge_image`]'s shared-backing twin: physically read the image,
+/// every page verified against `sums` ([`QueryContext::load_verified`]).
 fn load_image(
     store: &dyn PageStore,
     first: u64,
@@ -143,7 +134,7 @@ fn load_image(
 ) -> StoreResult<Vec<u8>> {
     let mut img = Vec::with_capacity(total);
     for page in 0..total.div_ceil(PAGE_SIZE) as u64 {
-        let (data, missed) = load_verified(store, first + page, sums[page as usize], ctx)?;
+        let (data, missed) = ctx.load_verified(store, first + page, sums[page as usize])?;
         let used = (total - page as usize * PAGE_SIZE).min(PAGE_SIZE);
         if missed > 0 {
             ctx.record_bytes(used as u64);
@@ -162,6 +153,8 @@ fn load_image(
 /// compacts a tombstoned file yet (ROADMAP item 3).
 #[derive(Debug)]
 pub struct VectorSetStore {
+    /// Dimension of every record; 0 while the file has never held one.
+    dim: usize,
     image: BytesMut,
     /// Byte offset of record `i`; `offsets[len]` = total size.
     offsets: Vec<usize>,
@@ -169,17 +162,19 @@ pub struct VectorSetStore {
     /// are skipped by [`scan`](Self::scan) but their bytes stay in the
     /// image until compaction.
     dead: Vec<bool>,
-    /// Per-page FNV-1a checksums of the image span (shared backing
-    /// only; empty for the in-memory backing, which is never torn).
+    /// Per-page checksums of the image span (shared backing only;
+    /// empty for the in-memory backing, which is never torn).
     page_sums: Vec<u64>,
     backing: Backing,
 }
 
 impl VectorSetStore {
     pub fn build(sets: &[VectorSet]) -> Self {
+        let dim = sets.first().map_or(0, VectorSet::dim);
         let mut image = BytesMut::new();
         let mut offsets = Vec::with_capacity(sets.len() + 1);
         for s in sets {
+            assert_eq!(s.dim(), dim, "a heap file holds sets of one dimension");
             offsets.push(image.len());
             image.put(encode(s));
         }
@@ -193,6 +188,7 @@ impl VectorSetStore {
             .allocate(image.len().div_ceil(PAGE_SIZE) as u64)
             .expect("in-memory page-charge allocation failed");
         VectorSetStore {
+            dim,
             image,
             offsets,
             dead: vec![false; sets.len()],
@@ -211,6 +207,10 @@ impl VectorSetStore {
             return Err(invalid("cannot append to a heap file opened from a page store"));
         };
         let id = self.len() as u64;
+        if id == 0 {
+            self.dim = set.dim();
+        }
+        assert_eq!(set.dim(), self.dim, "a heap file holds sets of one dimension");
         let old_pages = self.total_pages() as u64;
         self.image.put(encode(set));
         self.offsets.push(self.image.len());
@@ -259,6 +259,7 @@ impl VectorSetStore {
             fresh.allocate(pages.page_count())?;
         }
         Ok(VectorSetStore {
+            dim: self.dim,
             image: self.image.clone(),
             offsets: self.offsets.clone(),
             dead: self.dead.clone(),
@@ -273,8 +274,9 @@ impl VectorSetStore {
     }
 
     /// Persist the heap file into `target`: the raw image span first,
-    /// then a checksummed metadata stream (tag, image location, offset
-    /// table). Returns the metadata stream handle for a directory.
+    /// then a checksummed metadata stream (tag, dimension, image
+    /// location, offset table, page checksums). Returns the metadata
+    /// stream handle for a directory.
     pub fn save_to(&self, target: &dyn PageStore) -> io::Result<StreamHandle> {
         if matches!(self.backing, Backing::Shared { .. }) {
             return Err(invalid("cannot re-save a heap file opened from a page store"));
@@ -288,6 +290,7 @@ impl VectorSetStore {
         let (first, sums) = write_image(target, &self.image)?;
         let mut meta = Vec::new();
         put_u64(&mut meta, VSET_TAG);
+        put_u64(&mut meta, self.dim as u64);
         put_u64(&mut meta, first);
         put_u64(&mut meta, self.image.len() as u64);
         put_u64(&mut meta, self.offsets.len() as u64);
@@ -312,6 +315,7 @@ impl VectorSetStore {
         r.read_to_end(&mut meta)?;
         let r = &mut &meta[..];
         expect_tag(r, VSET_TAG, "vector-set heap file")?;
+        let dim = get_len(r, "heap-file dim")?;
         let first = get_u64(r)?;
         let total = get_usize(r)?;
         let n = get_len(r, "heap-file offset")?;
@@ -319,8 +323,9 @@ impl VectorSetStore {
             return Err(invalid("heap file is missing its offset table"));
         }
         let offsets: Vec<usize> = (0..n).map(|_| get_usize(r)).collect::<io::Result<_>>()?;
-        if offsets.windows(2).any(|w| w[0] > w[1]) || offsets.last() != Some(&total) {
-            return Err(invalid("heap-file offset table is inconsistent"));
+        let in_order = offsets.windows(2).all(|w| w[0] <= w[1]);
+        if !in_order || offsets.last() != Some(&total) || (dim == 0 && n > 1) {
+            return Err(invalid("heap-file offset table or dimension is inconsistent"));
         }
         let pages = total.div_ceil(PAGE_SIZE);
         if first + pages as u64 > store.page_count() {
@@ -329,6 +334,7 @@ impl VectorSetStore {
         let page_sums: Vec<u64> = (0..pages).map(|_| get_u64(r)).collect::<io::Result<_>>()?;
         let dead = vec![false; offsets.len() - 1];
         Ok(VectorSetStore {
+            dim,
             image: BytesMut::new(),
             offsets,
             dead,
@@ -366,9 +372,19 @@ impl VectorSetStore {
     /// by the pool; the record's bytes are charged iff at least one of
     /// its pages missed (a fully resident record costs nothing). On the
     /// shared backing every page is verified against its saved checksum
-    /// (with bounded invalidate-and-reread) before decoding, so a torn
-    /// or flipped page surfaces as a typed error, never a garbage set.
+    /// ([`QueryContext::load_verified`]) before decoding, so a torn or
+    /// flipped page surfaces as a typed error, never a garbage set.
     pub fn get(&self, id: u64, ctx: &QueryContext) -> StoreResult<VectorSet> {
+        let mut set = VectorSet::new(self.dim.max(1));
+        self.get_into(id, ctx, &mut set)?;
+        Ok(set)
+    }
+
+    /// [`get`](Self::get) into a caller-owned set, reusing its
+    /// allocation across a refinement loop's fetches. The record is
+    /// decoded straight from the pool frame; only one that straddles a
+    /// page boundary is assembled in a buffer first.
+    pub fn get_into(&self, id: u64, ctx: &QueryContext, out: &mut VectorSet) -> StoreResult<()> {
         let i = id as usize;
         assert!(!self.dead[i], "record {id} is tombstoned");
         let (start, end) = (self.offsets[i], self.offsets[i + 1]);
@@ -376,34 +392,30 @@ impl VectorSetStore {
         let last_page = ((end - 1) / PAGE_SIZE) as u64;
         match &self.backing {
             Backing::Memory(pages) => {
-                let missed = ctx.access(pages.id(), first_page, last_page - first_page + 1);
-                if missed > 0 {
+                if ctx.access(pages.id(), first_page, last_page - first_page + 1) > 0 {
                     ctx.record_bytes((end - start) as u64);
                 }
-                Ok(decode(&self.image[start..end]))
+                out.refill(self.dim, le_f64s(record_body(&self.image[start..end], self.dim)?));
             }
             Backing::Shared { store, first } => {
-                let mut missed = 0;
-                let mut buf = Vec::with_capacity(end - start);
-                for page in first_page..=last_page {
-                    let (data, m) = load_verified(
-                        store.as_ref(),
-                        first + page,
-                        self.page_sums[page as usize],
-                        ctx,
-                    )?;
+                let load = |page: u64| {
+                    ctx.load_verified(store.as_ref(), first + page, self.page_sums[page as usize])
+                };
+                let in_page = |page: u64| (end - page as usize * PAGE_SIZE).min(PAGE_SIZE);
+                let (head, mut missed) = load(first_page)?;
+                let mut record = Cow::Borrowed(&head[start % PAGE_SIZE..in_page(first_page)]);
+                for page in first_page + 1..=last_page {
+                    let (data, m) = load(page)?;
                     missed += m;
-                    let base = page as usize * PAGE_SIZE;
-                    buf.extend_from_slice(
-                        &data[start.max(base) - base..end.min(base + PAGE_SIZE) - base],
-                    );
+                    record.to_mut().extend_from_slice(&data[..in_page(page)]);
                 }
                 if missed > 0 {
                     ctx.record_bytes((end - start) as u64);
                 }
-                Ok(decode(&buf))
+                out.refill(self.dim, le_f64s(record_body(&record, self.dim)?));
             }
         }
+        Ok(())
     }
 
     /// Sequential scan: reads every page of the file through the
@@ -417,27 +429,24 @@ impl VectorSetStore {
         ctx: &QueryContext,
     ) -> StoreResult<impl Iterator<Item = (u64, VectorSet)> + 'a> {
         let total = self.total_bytes();
-        let assembled: Option<Vec<u8>> = match &self.backing {
+        let image: Cow<'a, [u8]> = match &self.backing {
             Backing::Memory(pages) => {
-                for page in 0..self.total_pages() as u64 {
-                    if ctx.access(pages.id(), page, 1) > 0 {
-                        let used = (total - page as usize * PAGE_SIZE).min(PAGE_SIZE);
-                        ctx.record_bytes(used as u64);
-                    }
-                }
-                None
+                charge_image(pages, total, ctx);
+                Cow::Borrowed(&self.image[..])
             }
             Backing::Shared { store, first } => {
-                Some(load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?)
+                load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?.into()
             }
         };
-        Ok((0..self.len()).filter(move |&i| !self.dead[i]).map(move |i| {
-            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
-            let buf: &[u8] = match &assembled {
-                Some(img) => &img[start..end],
-                None => &self.image[start..end],
-            };
-            (i as u64, decode(buf))
+        // Every live record's header is validated before the first is
+        // yielded, so the lazy decode below cannot meet a bad one.
+        let live = move |&i: &usize| !self.dead[i];
+        for i in (0..self.len()).filter(live) {
+            record_body(&image[self.offsets[i]..self.offsets[i + 1]], self.dim)?;
+        }
+        Ok((0..self.len()).filter(live).map(move |i| {
+            let body = &image[self.offsets[i] + 8..self.offsets[i + 1]];
+            (i as u64, VectorSet::from_flat(self.dim, le_f64s(body).collect()))
         }))
     }
 }
@@ -458,8 +467,8 @@ pub struct PointFile {
     /// Tombstone flags, parallel to records; dead points are skipped by
     /// [`scan_ranked`](Self::scan_ranked) but keep occupying pages.
     dead: Vec<bool>,
-    /// Per-page FNV-1a checksums of the image span (shared backing
-    /// only; empty for the in-memory backing, which is never torn).
+    /// Per-page checksums of the image span (shared backing only;
+    /// empty for the in-memory backing, which is never torn).
     page_sums: Vec<u64>,
     backing: Backing,
 }
@@ -653,24 +662,14 @@ impl PointFile {
     pub fn scan_ranked(&self, center: &[f64], ctx: &QueryContext) -> StoreResult<SortedScan> {
         assert_eq!(center.len(), self.dim);
         let total = self.total_bytes();
-        #[allow(clippy::expect_used, reason = "chunks_exact(8) guarantees the width")]
         let loaded: Option<Vec<f64>> = match &self.backing {
             Backing::Memory(pages) => {
-                for page in 0..self.total_pages() as u64 {
-                    if ctx.access(pages.id(), page, 1) > 0 {
-                        let used = (total - page as usize * PAGE_SIZE).min(PAGE_SIZE);
-                        ctx.record_bytes(used as u64);
-                    }
-                }
+                charge_image(pages, total, ctx);
                 None
             }
             Backing::Shared { store, first } => {
                 let img = load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?;
-                Some(
-                    img.chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect(),
-                )
+                Some(le_f64s(&img).collect())
             }
         };
         let data: &[f64] = loaded.as_deref().unwrap_or(&self.data);
@@ -1042,6 +1041,45 @@ mod tests {
         let err = VectorSetStore::open_from(target, handle.first).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("tag"), "{err}");
+    }
+
+    #[test]
+    fn damaged_record_header_is_a_typed_error_for_that_record_only() {
+        // Damage headers in the RAM image *before* saving, so every page
+        // checksum is valid and only the decoder can notice: a count
+        // that overruns the record, one that would allocate 32 GiB, and
+        // a dimension whose product with the count still fits.
+        let sets = sample_sets();
+        let damaged = |store: &mut VectorSetStore, id: usize, dim: u32, n: u32| {
+            let at = store.offsets[id];
+            let mut image = store.image.to_vec();
+            image[at..at + 4].copy_from_slice(&dim.to_le_bytes());
+            image[at + 4..at + 8].copy_from_slice(&n.to_le_bytes());
+            store.image = BytesMut::new();
+            store.image.put_slice(&image);
+        };
+        let mut mem = VectorSetStore::build(&sets);
+        damaged(&mut mem, 3, 6, sets[3].len() as u32 + 1);
+        damaged(&mut mem, 9, 6, u32::MAX);
+        assert_eq!(sets[12].len(), 6);
+        damaged(&mut mem, 12, 9, 4);
+        let target = shared(InMemoryPageStore::new());
+        let handle = mem.save_to(target.as_ref()).unwrap();
+        let opened = VectorSetStore::open_from(target, handle.first).unwrap();
+        for store in [&mem, &opened] {
+            let ctx = QueryContext::ephemeral();
+            for (i, s) in sets.iter().enumerate() {
+                match store.get(i as u64, &ctx) {
+                    Ok(got) => assert_eq!(&got, s, "record {i}"),
+                    Err(e) => {
+                        assert_eq!(e.io_kind(), std::io::ErrorKind::InvalidData, "{e}");
+                        assert!([3, 9, 12].contains(&i), "record {i} is intact: {e}");
+                    }
+                }
+            }
+            let err = store.scan(&ctx).err().expect("a scan decodes every record");
+            assert_eq!(err.io_kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -460,15 +460,16 @@ impl FilterRefineIndex {
         });
         let mut engine = self.engine();
         let mut records: HashMap<u64, VectorSet> = HashMap::new();
+        let mut fetched = VectorSet::new(self.tree.dim());
         for q in query.variants {
             let pq = engine.prepare(q.clone());
             let cq = extended_centroid(q, self.k, &self.omega);
             self.with_candidate_source(path, &cq, ctx, |src| {
                 multi_step(src, &mut result, ctx, |id, upper| {
-                    let fetched;
                     let set = if query.variants.len() == 1 {
-                        // One stream yields every id once: nothing to keep.
-                        fetched = self.store.get(id, ctx)?;
+                        // One stream yields every id once: nothing to
+                        // keep, so every record lands in the same set.
+                        self.store.get_into(id, ctx, &mut fetched)?;
                         &fetched
                     } else {
                         match records.entry(id) {

@@ -58,6 +58,18 @@ impl VectorSet {
         self.data.extend_from_slice(v);
     }
 
+    /// Replace the contents with the `n · dim` `values`, keeping the
+    /// allocation — for loops that decode many sets one after the other.
+    pub fn refill(&mut self, dim: usize, values: impl IntoIterator<Item = f64>) {
+        self.data.clear();
+        self.data.extend(values);
+        assert!(
+            dim > 0 && self.data.len().is_multiple_of(dim),
+            "flat length must be a multiple of dim"
+        );
+        self.dim = dim;
+    }
+
     /// The `i`-th vector.
     #[inline]
     pub fn get(&self, i: usize) -> &[f64] {

@@ -56,6 +56,32 @@ impl QueryContext {
         self.pool.load(store, page, &self.tracker)
     }
 
+    /// [`load`](Self::load) for a page whose saved [`checksum`] is
+    /// `expected`: the image returned hashes to it, and was checked
+    /// against it since it was last read from the store. The check is
+    /// paid once per physical read, not once per call — a physical read
+    /// is hashed *before* its image is cached, the frame remembers the
+    /// sum, and a hit on a frame whose sum equals `expected` is served
+    /// without hashing. An image cached by plain `load` is hashed on
+    /// its first verified use. An image that does not hash to
+    /// `expected` is never cached (and dropped if it was): the page is
+    /// re-read, every re-read a charged miss of its own, and after two
+    /// of them the mismatch is a typed [`StoreError::Corruption`].
+    /// Integrity therefore holds for a frame's residency: a page
+    /// rewritten in the store behind a resident frame is served from
+    /// the frame until [`invalidate`](Self::invalidate) or eviction.
+    ///
+    /// [`checksum`]: crate::checksum
+    /// [`StoreError::Corruption`]: crate::StoreError::Corruption
+    pub fn load_verified(
+        &self,
+        store: &dyn PageStore,
+        page: u64,
+        expected: u64,
+    ) -> StoreResult<(Arc<[u8]>, u64)> {
+        self.pool.load_verified(store, page, expected, &self.tracker)
+    }
+
     /// Drop a page's cached contents so the next [`load`](Self::load)
     /// re-reads it — see [`BufferPool::invalidate`].
     pub fn invalidate(&self, store: StoreId, page: u64) -> bool {

@@ -1,7 +1,12 @@
 //! Durable page file: the real-I/O counterpart of
 //! [`InMemoryPageStore`](crate::InMemoryPageStore).
 //!
-//! # On-disk layout (version 2, shadow metadata)
+//! # On-disk layout (version 3, shadow metadata)
+//!
+//! Version 3 has version 2's layout; what changed is the checksum
+//! function every stored sum is computed with ([`checksum`] replaced
+//! FNV-1a), so a version-2 file is refused by its version field rather
+//! than misreported as corrupt.
 //!
 //! ```text
 //! physical page 0            header slot A (magic, version, page size,
@@ -47,13 +52,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use crate::checksum::checksum;
 use crate::cost::PAGE_SIZE;
 use crate::error::{StoreError, StoreResult};
 use crate::page::{Backend, PageStore, StoreId};
-use crate::stream::fnv1a;
 
 const FILE_MAGIC: u32 = 0x5653_5046; // "VSPF"
-const FILE_VERSION: u32 = 2;
+const FILE_VERSION: u32 = 3;
 const HEADER_LEN: usize = 48;
 /// Physical pages before the free-map copies (the two header slots).
 const HEADER_SLOTS: u64 = 2;
@@ -246,6 +251,12 @@ pub struct FilePageStore {
     map: Option<mmap::Map>,
 }
 
+/// The typed error of a file that is not (or no longer) a page file
+/// this store could have written.
+fn corrupt(what: impl Into<String>) -> StoreError {
+    StoreError::Io(io::Error::new(io::ErrorKind::InvalidData, what.into()))
+}
+
 /// One parsed-and-validated header slot.
 struct Slot {
     freemap_pages: u64,
@@ -303,21 +314,22 @@ impl FilePageStore {
         Self::open_inner(path, true)
     }
 
-    /// Parse and validate one header slot; `Err` carries the reason the
-    /// slot is unusable.
-    fn read_slot(file: &File, file_len: u64, slot: u64) -> StoreResult<Slot> {
-        let corrupt = |what: &str| {
-            StoreError::Io(io::Error::new(io::ErrorKind::InvalidData, what.to_string()))
-        };
+    /// Parse and validate one header slot: `Ok(None)` when nothing that
+    /// claims to be a header is there (a slot no sync ever reached reads
+    /// as zeros), `Err` with the reason a header is unusable.
+    fn read_slot(file: &File, file_len: u64, slot: u64) -> StoreResult<Option<Slot>> {
         // Short files read as zeros past EOF, so a truncated header
         // fails the magic check instead of slicing out of bounds.
         let mut header = vec![0u8; PAGE_SIZE];
         read_up_to_at(file, &mut header, slot * PAGE_SIZE as u64)?;
         if le_u32(&header, 0) != FILE_MAGIC {
-            return Err(corrupt("not a vsim page file (bad magic)"));
+            return Ok(None);
         }
-        if le_u32(&header, 4) != FILE_VERSION {
-            return Err(corrupt("unsupported page-file version"));
+        let version = le_u32(&header, 4);
+        if version != FILE_VERSION {
+            return Err(corrupt(format!(
+                "unsupported page-file version {version} (this build reads version {FILE_VERSION})"
+            )));
         }
         if le_u32(&header, 8) as usize != PAGE_SIZE {
             return Err(corrupt("page file written with a different page size"));
@@ -341,7 +353,7 @@ impl FilePageStore {
         read_exact_at(file, &mut bitmap, map_offset)?;
         let mut meta = header[..HEADER_LEN - 8].to_vec();
         meta.extend_from_slice(&bitmap);
-        let found = fnv1a(&meta);
+        let found = checksum(&meta);
         if found != stored_checksum {
             return Err(StoreError::Corruption { page: slot, expected: stored_checksum, found });
         }
@@ -349,25 +361,26 @@ impl FilePageStore {
         if state.min_data_pages() > data_pages {
             return Err(corrupt("free map allocates pages beyond the recorded page count"));
         }
-        Ok(Slot { freemap_pages, data_pages, root, generation, bitmap: state.bitmap })
+        Ok(Some(Slot { freemap_pages, data_pages, root, generation, bitmap: state.bitmap }))
     }
 
     fn open_inner(path: &Path, want_map: bool) -> StoreResult<FilePageStore> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = file.metadata()?.len();
-        let slots = [Self::read_slot(&file, file_len, 0), Self::read_slot(&file, file_len, 1)];
-        let best = match slots {
-            [Ok(a), Ok(b)] => {
-                if a.generation >= b.generation {
-                    a
-                } else {
-                    b
+        // The valid slot with the highest generation wins (slot 0 on a
+        // tie); if there is none, the first unusable header says why.
+        let (mut best, mut why) = (None::<Slot>, None);
+        for slot in 0..HEADER_SLOTS {
+            match Self::read_slot(&file, file_len, slot) {
+                Ok(Some(s)) if best.as_ref().is_none_or(|b| s.generation > b.generation) => {
+                    best = Some(s);
                 }
+                Ok(_) => {}
+                Err(e) => why = why.or(Some(e)),
             }
-            [Ok(a), Err(_)] => a,
-            [Err(_), Ok(b)] => b,
-            // Neither slot is usable; report the first slot's reason.
-            [Err(a), Err(_)] => return Err(a),
+        }
+        let Some(best) = best else {
+            return Err(why.unwrap_or_else(|| corrupt("not a vsim page file (bad magic)")));
         };
         let map = if want_map { Some(mmap::Map::new(&file, file_len as usize)?) } else { None };
         Ok(FilePageStore {
@@ -522,11 +535,11 @@ impl PageStore for FilePageStore {
         meta.extend_from_slice(&self.root.load(Ordering::Relaxed).to_le_bytes());
         meta.extend_from_slice(&generation.to_le_bytes());
         meta.extend_from_slice(&bitmap);
-        let checksum = fnv1a(&meta);
+        let sum = checksum(&meta);
         let (header_prefix, bitmap_slice) = meta.split_at(HEADER_LEN - 8);
         let mut header = vec![0u8; PAGE_SIZE];
         header[..HEADER_LEN - 8].copy_from_slice(header_prefix);
-        header[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        header[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         let map_offset = (HEADER_SLOTS + slot * self.freemap_pages) * PAGE_SIZE as u64;
         write_all_at(&self.file, bitmap_slice, map_offset)?;
         write_all_at(&self.file, &header, slot * PAGE_SIZE as u64)?;
@@ -775,6 +788,33 @@ mod tests {
     }
 
     #[test]
+    fn a_version_2_file_is_refused_by_version_not_as_corrupt() {
+        // What `create` of a version-2 store left behind: an empty
+        // generation-1 commit in slot 1, slot 0 never written. The
+        // layout is version 3's and only the checksum function differs,
+        // so without the version bump this file would read as "checksum
+        // mismatch"; with it, the sum (whatever it is) is never looked at.
+        let path = tmp("v2.vspf");
+        let mut bytes = vec![0u8; 4 * PAGE_SIZE];
+        let mut header = Vec::new();
+        header.extend_from_slice(&FILE_MAGIC.to_le_bytes());
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        header.extend_from_slice(&1u32.to_le_bytes()); // freemap_pages
+        header.extend_from_slice(&0u64.to_le_bytes()); // data_pages
+        header.extend_from_slice(&u64::MAX.to_le_bytes()); // root
+        header.extend_from_slice(&1u64.to_le_bytes()); // generation
+        header.extend_from_slice(&0x5eed_u64.to_le_bytes()); // a sum of another function
+        bytes[PAGE_SIZE..PAGE_SIZE + HEADER_LEN].copy_from_slice(&header);
+        std::fs::write(&path, &bytes).unwrap();
+        for open in [FilePageStore::open, FilePageStore::open_mmap] {
+            let err = open(&path).unwrap_err();
+            assert!(err.to_string().contains("unsupported page-file version 2"), "got: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn freemap_page_count_mismatch_is_rejected() {
         let path = tmp("mismatch.vspf");
         {
@@ -791,7 +831,7 @@ mod tests {
             bytes[m + 2] |= 0x80; // data page 23, page count is <= 2
             let mut meta = bytes[slot * PAGE_SIZE..slot * PAGE_SIZE + HEADER_LEN - 8].to_vec();
             meta.extend_from_slice(&bytes[m..m + PAGE_SIZE]);
-            let sum = fnv1a(&meta);
+            let sum = checksum(&meta);
             bytes[slot * PAGE_SIZE + HEADER_LEN - 8..slot * PAGE_SIZE + HEADER_LEN]
                 .copy_from_slice(&sum.to_le_bytes());
         }

@@ -19,11 +19,14 @@
 //!   a single durable page file with a free map and an optional mmap
 //!   read path ([`FilePageStore::open_mmap`]).
 //! * [`BufferPool`] — a lock-striped LRU page cache with pin/unpin and
-//!   a physical read-through path ([`QueryContext::load`]). Access
-//!   methods read pages *through* the pool; only misses are charged to
-//!   the cost model, so a pool shared across queries models a warm
-//!   cache while a fresh per-query pool reproduces cold-cache
-//!   accounting.
+//!   a physical read-through path ([`QueryContext::load`], and
+//!   [`QueryContext::load_verified`], whose frames remember the
+//!   checksum they were verified against). Access methods read pages
+//!   *through* the pool; only misses are charged to the cost model, so
+//!   a pool shared across queries models a warm cache while a fresh
+//!   per-query pool reproduces cold-cache accounting.
+//! * [`checksum`] — the one 64-bit integrity checksum of the page-file
+//!   format: stream payloads, image pages, header + free map.
 //! * [`PageStreamWriter`] / [`PageStreamReader`] — checksummed,
 //!   length-prefixed record streams over any page store; the unit of
 //!   crash-safe serialization (torn tails are detected, never decoded).
@@ -41,6 +44,7 @@
 //!   via [`CostModel::for_backend`] keep charges *charged* on the
 //!   memory backend and *measured-class* on file/mmap.
 
+mod checksum;
 mod context;
 mod cost;
 mod error;
@@ -52,6 +56,7 @@ mod stats;
 mod stream;
 mod tracker;
 
+pub use checksum::checksum;
 pub use context::QueryContext;
 pub use cost::{CostModel, IoSnapshot, PAGE_SIZE};
 pub use error::{StoreError, StoreErrorKind, StoreResult};
@@ -60,7 +65,7 @@ pub use file::FilePageStore;
 pub use page::{Backend, InMemoryPageStore, PageKey, PageStore, StoreId};
 pub use pool::{BufferPool, PinGuard, PoolStats, SHARD_THRESHOLD};
 pub use stats::QueryStats;
-pub use stream::{fnv1a, PageStreamReader, PageStreamWriter, StreamHandle, STREAM_PAYLOAD};
+pub use stream::{PageStreamReader, PageStreamWriter, StreamHandle, STREAM_PAYLOAD};
 pub use tracker::CacheCounts;
 
 /// Number of pages needed to hold `bytes` bytes.

@@ -23,8 +23,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use crate::checksum::checksum;
 use crate::cost::PAGE_SIZE;
-use crate::error::StoreResult;
+use crate::error::{StoreError, StoreResult};
 use crate::page::{PageKey, PageStore, StoreId};
 use crate::tracker::{CacheCounts, IoTracker};
 
@@ -35,14 +36,42 @@ pub const SHARD_THRESHOLD: usize = 128;
 /// unbounded pools.
 const DEFAULT_SHARDS: usize = 8;
 
+/// A mismatching image is dropped and the page physically re-read this
+/// many extra times before [`BufferPool::load_verified`] declares the
+/// corruption permanent — a transient bad transfer heals, bad media
+/// does not.
+const IMAGE_READ_RETRIES: usize = 2;
+
+/// A page image as it was physically read, and what is known about it.
+#[derive(Debug, Clone)]
+struct Image {
+    bytes: Arc<[u8]>,
+    /// [`checksum`] of `bytes`, once some [`BufferPool::load_verified`]
+    /// has computed it; `None` for an image only plain
+    /// [`BufferPool::load`] has touched. While it is known, a verified
+    /// load whose expected sum equals it is served without hashing.
+    sum: Option<u64>,
+}
+
 #[derive(Debug)]
 struct Frame {
     last_use: u64,
     pins: u32,
     /// Page contents, present once the page has been physically read
-    /// through [`BufferPool::load`]. Simulated-I/O access paths never
-    /// read contents, so their frames stay data-free.
-    data: Option<Arc<[u8]>>,
+    /// through [`BufferPool::load`] or [`BufferPool::load_verified`].
+    /// Simulated-I/O access paths never read contents, so their frames
+    /// stay data-free.
+    image: Option<Image>,
+}
+
+/// Physically read one page into a fresh shared buffer — one
+/// allocation, and the store writes straight into it.
+fn read_page(store: &dyn PageStore, page: u64) -> StoreResult<Arc<[u8]>> {
+    let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, PAGE_SIZE).collect();
+    // A fresh `Arc` is unique, so `make_mut` hands out its buffer
+    // without cloning.
+    store.read_into(page, Arc::make_mut(&mut bytes))?;
+    Ok(bytes)
 }
 
 #[derive(Debug, Default)]
@@ -177,13 +206,22 @@ impl BufferPool {
         missed
     }
 
+    /// One charged lookup of `key`: the number of misses (0 or 1) and
+    /// the image its frame caches, if any. The shard lock is released
+    /// on return, so the caller reads and hashes with the shard open.
+    fn lookup(&self, key: PageKey, tracker: &IoTracker) -> (u64, Option<Image>) {
+        let shard = self.shard(key);
+        let mut inner = shard.lock();
+        let missed = u64::from(!inner.touch(key, 0, shard.capacity, tracker));
+        (missed, inner.frames.get(&key).and_then(|f| f.image.clone()))
+    }
+
     /// Read one page's *contents* through the pool: charged exactly
     /// like a one-page [`access`](Self::access), but on a miss (or a
     /// hit on a frame that was only ever touched by simulated access)
     /// the page is physically read from `store` and cached in the
     /// frame. Returns the contents and the number of charged misses
-    /// (0 or 1).
-    // lint-allow: no-blocking-under-lock the read must happen under the shard lock so a fault is charged to exactly one access (fault-injection tests pin this); buffers stay because read_into needs a full page
+    /// (0 or 1). The image is served as read: nothing is verified.
     pub(crate) fn load(
         &self,
         store: &dyn PageStore,
@@ -191,21 +229,49 @@ impl BufferPool {
         tracker: &IoTracker,
     ) -> StoreResult<(Arc<[u8]>, u64)> {
         let key = PageKey { store: store.id(), page };
-        let shard = self.shard(key);
-        let mut inner = shard.lock();
-        let missed = if inner.touch(key, 0, shard.capacity, tracker) { 0 } else { 1 };
-        if let Some(data) = inner.frames.get(&key).and_then(|f| f.data.clone()) {
-            return Ok((data, missed));
+        let (missed, cached) = self.lookup(key, tracker);
+        let bytes = match cached {
+            Some(image) => image.bytes,
+            None => {
+                let bytes = read_page(store, page)?;
+                self.shard(key).lock().fill(key, &bytes, None);
+                bytes
+            }
+        };
+        Ok((bytes, missed))
+    }
+
+    /// [`load`](Self::load) with verify-and-retry — the contract is on
+    /// [`QueryContext::load_verified`](crate::QueryContext::load_verified).
+    /// Like `load` it reads (and hashes) with the shard unlocked: the
+    /// miss is charged once, at the lookup; two workers missing the same
+    /// page at once may both read it, and either fill-in is as good.
+    pub(crate) fn load_verified(
+        &self,
+        store: &dyn PageStore,
+        page: u64,
+        expected: u64,
+        tracker: &IoTracker,
+    ) -> StoreResult<(Arc<[u8]>, u64)> {
+        let key = PageKey { store: store.id(), page };
+        let (mut missed, mut found) = (0, 0);
+        for _ in 0..=IMAGE_READ_RETRIES {
+            let (m, cached) = self.lookup(key, tracker);
+            missed += m;
+            let image = match cached {
+                Some(image) => image,
+                None => Image { bytes: read_page(store, page)?, sum: None },
+            };
+            found = image.sum.unwrap_or_else(|| checksum(&image.bytes));
+            if found == expected {
+                if image.sum.is_none() {
+                    self.shard(key).lock().fill(key, &image.bytes, Some(found));
+                }
+                return Ok((image.bytes, missed));
+            }
+            self.invalidate(key.store, page);
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        store.read_into(page, &mut buf)?;
-        let data: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
-        // Cache the contents unless the frame was read through
-        // uncached (pool full of pins).
-        if let Some(frame) = inner.frames.get_mut(&key) {
-            frame.data = Some(Arc::clone(&data));
-        }
-        Ok((data, missed))
+        Err(StoreError::Corruption { page, expected, found })
     }
 
     /// Like [`access`](Self::access) for a single page, but the page is
@@ -238,30 +304,45 @@ impl BufferPool {
 
     /// Drop a page's cached contents so the next
     /// [`QueryContext::load`](crate::QueryContext::load) re-reads it
-    /// from the backing store — the retry path when a loaded page
-    /// fails checksum verification. An unpinned frame is
-    /// removed outright; a pinned frame only loses its contents (its
-    /// residency is owed to the pin guard). Counters are untouched:
-    /// this is damage control, not an eviction. Returns whether a frame
-    /// was found.
+    /// from the backing store — what a verified load does to an image
+    /// that fails its checksum, and what ends a verified frame's
+    /// residency. An unpinned frame is removed outright; a pinned frame
+    /// only loses its contents (its residency is owed to the pin
+    /// guard). Counters are untouched: this is damage control, not an
+    /// eviction. Loads read with the shard unlocked, so one already in
+    /// flight may still cache the image it read before this call.
+    /// Returns whether a frame was found.
     pub fn invalidate(&self, store: StoreId, page: u64) -> bool {
         let key = PageKey { store, page };
-        let mut inner = self.shard(key).lock();
-        match inner.frames.get_mut(&key) {
+        self.shard(key).lock().discard(key)
+    }
+}
+
+impl Inner {
+    /// Cache `bytes` in the page's frame, unless the page was read
+    /// through uncached (pool full of pins).
+    fn fill(&mut self, key: PageKey, bytes: &Arc<[u8]>, sum: Option<u64>) {
+        if let Some(frame) = self.frames.get_mut(&key) {
+            frame.image = Some(Image { bytes: Arc::clone(bytes), sum });
+        }
+    }
+
+    /// Drop the page's cached image (see [`BufferPool::invalidate`]);
+    /// returns whether a frame was found.
+    fn discard(&mut self, key: PageKey) -> bool {
+        match self.frames.get_mut(&key) {
             Some(frame) if frame.pins > 0 => {
-                frame.data = None;
+                frame.image = None;
                 true
             }
             Some(_) => {
-                inner.frames.remove(&key);
+                self.frames.remove(&key);
                 true
             }
             None => false,
         }
     }
-}
 
-impl Inner {
     /// Look up one page, faulting it in on miss; returns whether it was
     /// a hit. `extra_pins` is added to the frame's pin count.
     fn touch(
@@ -289,7 +370,7 @@ impl Inner {
                 return false;
             }
         }
-        self.frames.insert(key, Frame { last_use: tick, pins: extra_pins, data: None });
+        self.frames.insert(key, Frame { last_use: tick, pins: extra_pins, image: None });
         false
     }
 

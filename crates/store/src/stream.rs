@@ -7,7 +7,7 @@
 //! offset  0  next page (u64 LE, u64::MAX = none)
 //! offset  8  payload length (u16 LE, <= STREAM_PAYLOAD)
 //! offset 10  flags (u16 LE, bit 0 = last page)
-//! offset 12  FNV-1a checksum of the payload (u64 LE)
+//! offset 12  [`checksum`] of the payload (u64 LE)
 //! offset 20  payload
 //! ```
 //!
@@ -20,6 +20,7 @@
 
 use std::io::{self, Read, Write};
 
+use crate::checksum::checksum;
 use crate::cost::PAGE_SIZE;
 use crate::error::StoreError;
 use crate::page::PageStore;
@@ -31,17 +32,6 @@ pub const STREAM_PAYLOAD: usize = PAGE_SIZE - STREAM_HEADER;
 
 const NO_PAGE: u64 = u64::MAX;
 const FLAG_LAST: u16 = 1;
-
-/// 64-bit FNV-1a over `data` (same parameters as `vsim-core`'s
-/// persisted-artifact checksum).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Location and size of a finished stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +133,7 @@ fn write_stream_page(
     image.extend_from_slice(&next.to_le_bytes());
     image.extend_from_slice(&(payload.len() as u16).to_le_bytes());
     image.extend_from_slice(&flags.to_le_bytes());
-    image.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    image.extend_from_slice(&checksum(payload).to_le_bytes());
     image.extend_from_slice(payload);
     store.write_page(page, &image)?;
     Ok(())
@@ -201,7 +191,7 @@ fn decode_stream_page_once(store: &dyn PageStore, page: u64) -> io::Result<Strea
     let next = le_u64(&image, 0);
     let len = le_u16(&image, 8) as usize;
     let flags = le_u16(&image, 10);
-    let checksum = le_u64(&image, 12);
+    let expected = le_u64(&image, 12);
     if len > STREAM_PAYLOAD {
         return Err(bad(format!("stream page {page} has impossible length {len}")));
     }
@@ -210,9 +200,9 @@ fn decode_stream_page_once(store: &dyn PageStore, page: u64) -> io::Result<Strea
         return Err(bad(format!("stream page {page} has inconsistent tail marker")));
     }
     let payload = image[STREAM_HEADER..STREAM_HEADER + len].to_vec();
-    let found = fnv1a(&payload);
-    if found != checksum {
-        return Err(StoreError::Corruption { page, expected: checksum, found }.into());
+    let found = checksum(&payload);
+    if found != expected {
+        return Err(StoreError::Corruption { page, expected, found }.into());
     }
     Ok(StreamPage { next: (!last).then_some(next), payload })
 }
@@ -355,8 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vector() {
-        // FNV-1a("a") from the reference implementation.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn all_zero_page_fails_its_own_zero_checksum_field() {
+        // What `pread` returns for a torn tail: no `next`, length 0,
+        // checksum field 0 — and `checksum(&[])` is not 0.
+        let store = InMemoryPageStore::new();
+        let page = store.allocate(1).unwrap();
+        let err = decode_stream_page(&store, page).err().expect("zeros decoded as a page");
+        assert!(is_checksum_mismatch(&err), "got: {err}");
     }
 }

@@ -20,10 +20,7 @@ fn bench_xtree_dimensionality(c: &mut Criterion) {
     let n = 2000;
     for dim in [2usize, 6, 12, 42] {
         let pts = random_points(n, dim, dim as u64);
-        let mut tree = XTree::new(dim);
-        for (i, p) in pts.iter().enumerate() {
-            tree.insert(p, i as u64);
-        }
+        let tree = insert_built(&pts);
         g.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
             let mut qi = 0usize;
             b.iter(|| {
@@ -40,16 +37,76 @@ fn bench_xtree_build(c: &mut Criterion) {
     g.sample_size(10);
     for dim in [6usize, 42] {
         let pts = random_points(2000, dim, 7);
-        g.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
-            b.iter(|| {
-                let mut tree = XTree::new(dim);
-                for (i, p) in pts.iter().enumerate() {
-                    tree.insert(p, i as u64);
-                }
-                tree.len()
-            })
+        g.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
+            b.iter(|| insert_built(&pts).len())
         });
     }
+    g.finish();
+}
+
+/// Centroid-like data: points jittered around 120 overlapping centres
+/// of unequal spread, sized so that 250 pulls at n = 50 000 read what a
+/// 10-NN query of the benchmark's `knn_mem` reads (≈ 85 node pages,
+/// ≈ 3 000 leaf points).
+fn clustered_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centres: Vec<(Vec<f64>, f64)> = (0..120)
+        .map(|_| ((0..dim).map(|_| rng.gen_range(0.0..0.4)).collect(), rng.gen_range(0.03..0.12)))
+        .collect();
+    (0..n)
+        .map(|_| {
+            let (c, spread) = &centres[rng.gen_range(0..centres.len())];
+            c.iter().map(|&v| v + rng.gen_range(-spread..*spread)).collect()
+        })
+        .collect()
+}
+
+fn insert_built(pts: &[Vec<f64>]) -> XTree {
+    let mut tree = XTree::new(pts[0].len());
+    for (i, p) in pts.iter().enumerate() {
+        tree.insert(p, i as u64);
+    }
+    tree
+}
+
+/// The filter step alone, at the benchmark's size: what one 10-NN query
+/// of `knn_mem` pulls from the cursor before the multi-step loop stops.
+fn bench_xtree_pull(c: &mut Criterion) {
+    let mut g = c.benchmark_group("xtree_pull");
+    g.sample_size(30);
+    let pts = clustered_points(50_000, 6, 19);
+    let tree = insert_built(&pts);
+    g.bench_function("250_pulls_n50000", |b| {
+        let mut qi = 0usize;
+        b.iter(|| {
+            qi = (qi + 7919) % pts.len();
+            let ctx = QueryContext::ephemeral();
+            tree.nn_iter(&pts[qi], &ctx).take(250).map(|(id, _)| id).sum::<u64>()
+        })
+    });
+    g.finish();
+}
+
+/// One `churn` round's share of the X-tree: 150 deletes, 150 inserts.
+fn bench_xtree_churn(c: &mut Criterion) {
+    let mut g = c.benchmark_group("xtree_churn");
+    g.sample_size(20);
+    let pts = clustered_points(20_000, 6, 23);
+    let mut tree = insert_built(&pts);
+    g.bench_function("150_deletes_150_inserts_n20000", |b| {
+        let mut at = 0usize;
+        b.iter(|| {
+            let round: Vec<usize> = (0..150).map(|j| (at + j * 131) % pts.len()).collect();
+            at = (at + 150 * 131) % pts.len();
+            for &i in &round {
+                assert!(tree.delete(&pts[i], i as u64));
+            }
+            for &i in &round {
+                tree.insert(&pts[i], i as u64);
+            }
+            tree.len()
+        })
+    });
     g.finish();
 }
 
@@ -83,5 +140,12 @@ fn bench_mtree_vector_sets(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_xtree_dimensionality, bench_xtree_build, bench_mtree_vector_sets);
+criterion_group!(
+    benches,
+    bench_xtree_dimensionality,
+    bench_xtree_build,
+    bench_xtree_pull,
+    bench_xtree_churn,
+    bench_mtree_vector_sets
+);
 criterion_main!(benches);

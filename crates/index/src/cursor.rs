@@ -82,8 +82,11 @@ impl<S: CandidateSource> CandidateSource for Scaled<S> {
 ///
 /// [`PointFile::scan_ranked`]: crate::storage::PointFile::scan_ranked
 pub struct SortedScan {
-    /// Sorted ascending; the stable sort preserves input order among
-    /// equal distances, matching the tie behavior of the tree cursors.
+    /// Sorted ascending; the stable sort keeps input order among equal
+    /// distances. The tree cursors order ties by their heaps — in a way
+    /// fixed by the tree and the query alone, never by addresses or
+    /// hashing, but not in input order — so among equal distances the
+    /// paths may differ.
     sorted: Vec<(u64, f64)>,
     next: usize,
 }

@@ -47,6 +47,7 @@
 //! ```
 
 pub mod cursor;
+mod lanes;
 pub mod mtree;
 pub mod persist;
 pub mod storage;

@@ -17,16 +17,24 @@
 //!   whose rectangle intersects both halves (volume-free, robust);
 //! * no forced reinsertion (the X-tree's supernode mechanism, not R*
 //!   reinsertion, is the effect under study).
+//!
+//! A node keeps its entries — points in a leaf, child rectangles in a
+//! directory node — in the entry-major lane blocks of [`crate::lanes`]
+//! and nowhere else; a node's own rectangle lives in its parent's entry
+//! for it, as in the R-tree papers (DESIGN.md §9).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use vsim_store::{
     PageStore, PageStreamReader, PageStreamWriter, QueryContext, StreamHandle, PAGE_SIZE,
 };
 
+use crate::lanes::{self, Slot, W};
 use crate::persist::{
     expect_tag, get_f64, get_len, get_u64, get_usize, invalid, put_f64, put_u64, NodeStore,
 };
@@ -44,26 +52,29 @@ struct Node {
     pages: usize,
     /// First page of this node's span in the tree's page store.
     first_page: u64,
-    mbr_min: Vec<f64>,
-    mbr_max: Vec<f64>,
-    /// Leaf payload: flattened points plus parallel ids.
-    points: Vec<f64>,
+    /// Values per entry: `dim` coordinates in a leaf, `2·dim` bounds
+    /// (low, high per dimension) in a directory node.
+    rows: usize,
+    /// The entries, in blocks of [`W`] × `rows` (see [`crate::lanes`]).
+    lanes: Vec<f64>,
+    /// Leaf payload ids, parallel to the entries.
     ids: Vec<u64>,
-    /// Directory payload.
+    /// Directory payload: child node indices, parallel to the entries.
     children: Vec<usize>,
 }
 
 impl Node {
-    fn new(leaf: bool, dim: usize) -> Self {
+    /// An empty node with buffers for `cap` entries.
+    fn new(leaf: bool, dim: usize, cap: usize) -> Self {
+        let rows = if leaf { dim } else { 2 * dim };
         Node {
             leaf,
             pages: 1,
             first_page: 0,
-            mbr_min: vec![f64::INFINITY; dim],
-            mbr_max: vec![f64::NEG_INFINITY; dim],
-            points: Vec::new(),
-            ids: Vec::new(),
-            children: Vec::new(),
+            rows,
+            lanes: Vec::with_capacity(cap.div_ceil(W) * rows * W),
+            ids: Vec::with_capacity(if leaf { cap } else { 0 }),
+            children: Vec::with_capacity(if leaf { 0 } else { cap }),
         }
     }
 
@@ -73,6 +84,119 @@ impl Node {
         } else {
             self.children.len()
         }
+    }
+
+    fn dim(&self) -> usize {
+        if self.leaf {
+            self.rows
+        } else {
+            self.rows / 2
+        }
+    }
+
+    /// Position in `lanes` of value `r` of entry `i`.
+    #[inline]
+    fn at(&self, i: usize, r: usize) -> usize {
+        (i / W * self.rows + r) * W + i % W
+    }
+
+    /// `[low, high]` of entry `i` in dimension `d`.
+    #[inline]
+    fn bounds(&self, i: usize, d: usize) -> [f64; 2] {
+        if self.leaf {
+            [self.lanes[self.at(i, d)]; 2]
+        } else {
+            [self.lanes[self.at(i, 2 * d)], self.lanes[self.at(i, 2 * d + 1)]]
+        }
+    }
+
+    /// Write the values of entry `i`, opening a new block if it is the
+    /// first entry of one.
+    fn set_entry(&mut self, i: usize, values: impl Iterator<Item = f64>) {
+        let blocks = (i / W + 1) * self.rows * W;
+        if self.lanes.len() < blocks {
+            self.lanes.resize(blocks, 0.0);
+        }
+        for (r, v) in values.enumerate() {
+            let at = self.at(i, r);
+            self.lanes[at] = v;
+        }
+    }
+
+    fn push_point(&mut self, point: &[f64], id: u64) {
+        self.set_entry(self.ids.len(), point.iter().copied());
+        self.ids.push(id);
+    }
+
+    fn set_bounds(&mut self, i: usize, lo: &[f64], hi: &[f64]) {
+        self.set_entry(i, lo.iter().zip(hi).flat_map(|(&lo, &hi)| [lo, hi]));
+    }
+
+    fn push_child(&mut self, child: usize, lo: &[f64], hi: &[f64]) {
+        self.set_bounds(self.children.len(), lo, hi);
+        self.children.push(child);
+    }
+
+    /// Remove entry `i`, shifting the later ones down: entry order is
+    /// part of what [`XTree::save_to`] writes.
+    fn remove_entry(&mut self, i: usize) {
+        let last = self.len() - 1;
+        for j in i..last {
+            for r in 0..self.rows {
+                let (to, from) = (self.at(j, r), self.at(j + 1, r));
+                self.lanes[to] = self.lanes[from];
+            }
+        }
+        self.lanes.truncate(last.div_ceil(W) * self.rows * W);
+        if self.leaf {
+            self.ids.remove(i);
+        } else {
+            self.children.remove(i);
+        }
+    }
+
+    /// Whether entry `i` contains `point` (for a leaf entry: equals it).
+    fn holds(&self, i: usize, point: &[f64]) -> bool {
+        point.iter().enumerate().all(|(d, &p)| {
+            let [lo, hi] = self.bounds(i, d);
+            p >= lo && p <= hi
+        })
+    }
+
+    /// Exact cover of the entries, accumulated in entry order.
+    fn cover(&self) -> Mbr {
+        let mut mbr = Mbr::empty(self.dim());
+        for i in 0..self.len() {
+            for d in 0..self.dim() {
+                let [lo, hi] = self.bounds(i, d);
+                mbr.min[d] = mbr.min[d].min(lo);
+                mbr.max[d] = mbr.max[d].max(hi);
+            }
+        }
+        mbr
+    }
+
+    /// Entry-major copy of one bound of every entry: `which` 0 the low
+    /// bounds, 1 the high ones (the same points twice for a leaf).
+    fn gather(&self, which: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len() * self.dim());
+        for i in 0..self.len() {
+            out.extend((0..self.dim()).map(|d| self.bounds(i, d)[which]));
+        }
+        out
+    }
+}
+
+/// A minimum bounding rectangle outside the lanes: what a node's parent
+/// is about to store for it.
+struct Mbr {
+    min: Vec<f64>,
+    max: Vec<f64>,
+}
+
+impl Mbr {
+    fn empty(dim: usize) -> Self {
+        Mbr { min: vec![f64::INFINITY; dim], max: vec![f64::NEG_INFINITY; dim] }
     }
 }
 
@@ -116,8 +240,7 @@ impl XTree {
             store: NodeStore::fresh(),
             len: 0,
         };
-        tree.nodes.push(Node::new(true, dim));
-        tree.place_node(0);
+        tree.add_node(tree.new_node(true));
         tree
     }
 
@@ -186,12 +309,17 @@ impl XTree {
             put_u64(&mut meta, n.leaf as u64);
             put_u64(&mut meta, n.pages as u64);
             put_u64(&mut meta, first);
-            for &v in n.mbr_min.iter().chain(&n.mbr_max) {
+            // The format gives every node its own rectangle: the exact
+            // cover of its entries, which is what its parent holds.
+            let mbr = n.cover();
+            for &v in mbr.min.iter().chain(&mbr.max) {
                 put_f64(&mut meta, v);
             }
             put_u64(&mut meta, n.ids.len() as u64);
-            for &v in &n.points {
-                put_f64(&mut meta, v);
+            for i in 0..n.ids.len() {
+                for d in 0..self.dim {
+                    put_f64(&mut meta, n.lanes[n.at(i, d)]);
+                }
             }
             for &id in &n.ids {
                 put_u64(&mut meta, id);
@@ -209,9 +337,12 @@ impl XTree {
     /// Reopen a tree persisted by [`save_to`](Self::save_to). Queries on
     /// the reopened tree charge the spans recorded at save time, so page
     /// and byte accounting is bit-identical to the tree that was saved.
-    /// Every structural field is validated; a corrupted stream surfaces
-    /// as `InvalidData`. Inserting into a reopened tree works (new spans
-    /// come from the shared store) but requires a re-save to persist.
+    /// Every structural field is validated, the topology included — the
+    /// nodes reachable from the root must form a tree whose leaves hold
+    /// exactly the recorded number of entries; a corrupted stream
+    /// surfaces as `InvalidData`. Inserting into a reopened tree works
+    /// (new spans come from the shared store) but requires a re-save to
+    /// persist.
     pub fn load_from(store: Arc<dyn PageStore>, meta_first: u64) -> io::Result<Self> {
         let mut r = PageStreamReader::open(store.as_ref(), meta_first)?;
         let mut meta = Vec::new();
@@ -228,10 +359,17 @@ impl XTree {
         let dir_cap = get_len(r, "directory capacity")?;
         let max_overlap = get_f64(r)?;
         let n_nodes = get_len(r, "X-tree node")?;
-        if root >= n_nodes || leaf_cap == 0 || dir_cap == 0 {
+        // Every node brings a rectangle of `2 · dim` values.
+        if root >= n_nodes || leaf_cap == 0 || dir_cap == 0 || dim > r.len() / 16 {
             return Err(invalid("X-tree header is inconsistent"));
         }
-        let mut nodes = Vec::with_capacity(n_nodes);
+        // No count sizes a buffer beyond what is left of the stream
+        // could fill: a corrupted one runs into its end instead.
+        let mut nodes = Vec::with_capacity(n_nodes.min(r.len() / 8));
+        // The stream keeps each node's rectangle with the node; a
+        // directory entry is filled from its child's once all are read.
+        let mut mbrs: Vec<Mbr> = Vec::with_capacity(nodes.capacity());
+        let mut point = vec![0.0; dim];
         for _ in 0..n_nodes {
             let leaf = match get_u64(r)? {
                 0 => false,
@@ -240,19 +378,35 @@ impl XTree {
             };
             let pages = get_len(r, "node page")?.max(1);
             let first_page = get_u64(r)?;
-            if first_page + pages as u64 > store.page_count() {
+            if first_page.checked_add(pages as u64).is_none_or(|end| end > store.page_count()) {
                 return Err(invalid("X-tree node span exceeds the page store"));
             }
-            let mut node = Node::new(leaf, dim);
-            node.pages = pages;
-            node.first_page = first_page;
-            for v in node.mbr_min.iter_mut().chain(node.mbr_max.iter_mut()) {
+            let mut mbr = Mbr::empty(dim);
+            for v in mbr.min.iter_mut().chain(mbr.max.iter_mut()) {
                 *v = get_f64(r)?;
             }
+            mbrs.push(mbr);
             let entries = get_len(r, "leaf entry")?;
-            node.points = (0..entries * dim).map(|_| get_f64(r)).collect::<io::Result<_>>()?;
-            node.ids = (0..entries).map(|_| get_u64(r)).collect::<io::Result<_>>()?;
+            if !leaf && entries > 0 {
+                return Err(invalid("X-tree directory node holds points"));
+            }
+            let mut node = Node::new(leaf, dim, entries.min(r.len() / (8 * dim)));
+            node.pages = pages;
+            node.first_page = first_page;
+            for i in 0..entries {
+                for v in &mut point {
+                    *v = get_f64(r)?;
+                }
+                node.set_entry(i, point.iter().copied());
+            }
+            for _ in 0..entries {
+                node.ids.push(get_u64(r)?);
+            }
             let n_children = get_len(r, "child")?;
+            if leaf && n_children > 0 {
+                return Err(invalid("X-tree leaf has children"));
+            }
+            node.children.reserve_exact(n_children.min(r.len() / 8));
             for _ in 0..n_children {
                 let c = get_usize(r)?;
                 if c >= n_nodes {
@@ -261,6 +415,30 @@ impl XTree {
                 node.children.push(c);
             }
             nodes.push(node);
+        }
+        for node in nodes.iter_mut().filter(|n| !n.leaf) {
+            for i in 0..node.children.len() {
+                let mbr = &mbrs[node.children[i]];
+                node.set_bounds(i, &mbr.min, &mbr.max);
+            }
+        }
+        // What the root reaches must be a tree: a node with two parents
+        // would be emitted twice, a cycle would never finish.
+        let mut seen = vec![false; n_nodes];
+        seen[root] = true;
+        let mut stack = vec![root];
+        let mut leaf_entries = 0usize;
+        while let Some(n) = stack.pop() {
+            leaf_entries += nodes[n].ids.len();
+            for &c in &nodes[n].children {
+                if std::mem::replace(&mut seen[c], true) {
+                    return Err(invalid("X-tree child links do not form a tree"));
+                }
+                stack.push(c);
+            }
+        }
+        if leaf_entries != len {
+            return Err(invalid("X-tree leaves do not hold the recorded number of entries"));
         }
         Ok(XTree {
             dim,
@@ -272,6 +450,20 @@ impl XTree {
             store: NodeStore::Shared(store),
             len,
         })
+    }
+
+    /// An empty node with room for one page of entries and the one
+    /// more that overflows it.
+    fn new_node(&self, leaf: bool) -> Node {
+        Node::new(leaf, self.dim, self.one_page_cap(leaf) + 1)
+    }
+
+    /// Append `node` with a freshly allocated page span.
+    fn add_node(&mut self, node: Node) -> usize {
+        let idx = self.nodes.len();
+        self.nodes.push(node);
+        self.place_node(idx);
+        idx
     }
 
     /// (Re)allocate a node's page span after its page count changed.
@@ -292,10 +484,17 @@ impl XTree {
         h
     }
 
+    fn one_page_cap(&self, leaf: bool) -> usize {
+        if leaf {
+            self.leaf_cap
+        } else {
+            self.dir_cap
+        }
+    }
+
     fn capacity(&self, node: usize) -> usize {
         let n = &self.nodes[node];
-        let base = if n.leaf { self.leaf_cap } else { self.dir_cap };
-        base * n.pages
+        self.one_page_cap(n.leaf) * n.pages
     }
 
     /// Bulk-load with Sort-Tile-Recursive packing: points are ordered by
@@ -343,30 +542,22 @@ impl XTree {
         tree.nodes.clear();
         let mut level: Vec<usize> = Vec::new();
         for chunk in order.chunks(fill_leaf) {
-            let mut node = Node::new(true, dim);
+            let mut node = tree.new_node(true);
             for &i in chunk {
-                node.points.extend_from_slice(&points[i]);
-                node.ids.push(i as u64);
+                node.push_point(&points[i], i as u64);
             }
-            node.pages = pages_for(node.len(), tree.leaf_cap);
-            let idx = tree.nodes.len();
-            tree.nodes.push(node);
-            tree.place_node(idx);
-            tree.recompute_mbr(idx);
-            level.push(idx);
+            level.push(tree.add_node(node));
         }
         // Directory levels, bottom-up.
         while level.len() > 1 {
             let mut next: Vec<usize> = Vec::new();
             for chunk in level.chunks(fill_dir) {
-                let mut node = Node::new(false, dim);
-                node.children.extend_from_slice(chunk);
-                node.pages = pages_for(node.len(), tree.dir_cap);
-                let idx = tree.nodes.len();
-                tree.nodes.push(node);
-                tree.place_node(idx);
-                tree.recompute_mbr(idx);
-                next.push(idx);
+                let mut node = tree.new_node(false);
+                for &c in chunk {
+                    let mbr = tree.nodes[c].cover();
+                    node.push_child(c, &mbr.min, &mbr.max);
+                }
+                next.push(tree.add_node(node));
             }
             level = next;
         }
@@ -380,44 +571,45 @@ impl XTree {
         assert_eq!(point.len(), self.dim);
         if let Some(sibling) = self.insert_rec(self.root, point, id) {
             // Root split: new root with the two nodes as children.
-            let mut new_root = Node::new(false, self.dim);
-            new_root.children.push(self.root);
-            new_root.children.push(sibling);
-            let idx = self.nodes.len();
-            self.nodes.push(new_root);
-            self.place_node(idx);
-            self.recompute_mbr(idx);
-            self.root = idx;
+            let mut new_root = self.new_node(false);
+            for half in [self.root, sibling] {
+                let mbr = self.nodes[half].cover();
+                new_root.push_child(half, &mbr.min, &mbr.max);
+            }
+            self.root = self.add_node(new_root);
         }
         self.len += 1;
     }
 
+    /// Insert below `node`; returns the new sibling if `node` split. The
+    /// caller owns `node`'s rectangle and updates it from the outcome.
     fn insert_rec(&mut self, node: usize, point: &[f64], id: u64) -> Option<usize> {
         if self.nodes[node].leaf {
-            let n = &mut self.nodes[node];
-            n.points.extend_from_slice(point);
-            n.ids.push(id);
-            expand_mbr(&mut n.mbr_min, &mut n.mbr_max, point);
-            if self.nodes[node].len() > self.capacity(node) {
-                return self.split_leaf(node);
+            self.nodes[node].push_point(point, id);
+        } else {
+            let slot = self.choose_subtree(node, point);
+            let child = self.nodes[node].children[slot];
+            match self.insert_rec(child, point, id) {
+                None => {
+                    let n = &mut self.nodes[node];
+                    for (d, &p) in point.iter().enumerate() {
+                        let (lo, hi) = (n.at(slot, 2 * d), n.at(slot, 2 * d + 1));
+                        n.lanes[lo] = n.lanes[lo].min(p);
+                        n.lanes[hi] = n.lanes[hi].max(p);
+                    }
+                    return None;
+                }
+                Some(sibling) => {
+                    let kept = self.nodes[child].cover();
+                    let moved = self.nodes[sibling].cover();
+                    let n = &mut self.nodes[node];
+                    n.set_bounds(slot, &kept.min, &kept.max);
+                    n.push_child(sibling, &moved.min, &moved.max);
+                }
             }
-            return None;
         }
-        let child = self.choose_subtree(node, point);
-        let split = self.insert_rec(child, point, id);
-        // Update this node's view of the child (and own) MBR.
-        {
-            let n = &mut self.nodes[node];
-            expand_mbr(&mut n.mbr_min, &mut n.mbr_max, point);
-        }
-        if let Some(sib) = split {
-            let (smin, smax) = (self.nodes[sib].mbr_min.clone(), self.nodes[sib].mbr_max.clone());
-            let n = &mut self.nodes[node];
-            n.children.push(sib);
-            expand_mbr_box(&mut n.mbr_min, &mut n.mbr_max, &smin, &smax);
-            if self.nodes[node].len() > self.capacity(node) {
-                return self.split_dir(node);
-            }
+        if self.nodes[node].len() > self.capacity(node) {
+            return self.split(node);
         }
         None
     }
@@ -441,40 +633,31 @@ impl XTree {
         }
         if !self.nodes[self.root].leaf && self.nodes[self.root].children.is_empty() {
             // Every descendant vanished: restart from an empty leaf root.
-            let idx = self.nodes.len();
-            self.nodes.push(Node::new(true, self.dim));
-            self.place_node(idx);
-            self.root = idx;
+            self.root = self.add_node(self.new_node(true));
         }
         true
     }
 
     fn delete_rec(&mut self, node: usize, point: &[f64], id: u64) -> bool {
-        let dim = self.dim;
-        if self.nodes[node].leaf {
-            let pos = {
-                let n = &self.nodes[node];
-                (0..n.ids.len())
-                    .find(|&i| n.ids[i] == id && n.points[i * dim..(i + 1) * dim] == *point)
+        let n = &self.nodes[node];
+        if n.leaf {
+            let Some(pos) = (0..n.ids.len()).find(|&i| n.ids[i] == id && n.holds(i, point)) else {
+                return false;
             };
-            let Some(pos) = pos else { return false };
-            let n = &mut self.nodes[node];
-            n.ids.remove(pos);
-            n.points.drain(pos * dim..(pos + 1) * dim);
+            self.nodes[node].remove_entry(pos);
             self.shrink_node(node);
-            self.recompute_mbr(node);
             return true;
         }
-        let children = self.nodes[node].children.clone();
-        for c in children {
-            if contains(&self.nodes[c].mbr_min, &self.nodes[c].mbr_max, point)
-                && self.delete_rec(c, point, id)
-            {
-                if self.nodes[c].len() == 0 {
-                    self.nodes[node].children.retain(|&x| x != c);
+        for slot in 0..n.children.len() {
+            let child = self.nodes[node].children[slot];
+            if self.nodes[node].holds(slot, point) && self.delete_rec(child, point, id) {
+                if self.nodes[child].len() == 0 {
+                    self.nodes[node].remove_entry(slot);
                     self.shrink_node(node);
+                } else {
+                    let kept = self.nodes[child].cover();
+                    self.nodes[node].set_bounds(slot, &kept.min, &kept.max);
                 }
-                self.recompute_mbr(node);
                 return true;
             }
         }
@@ -483,146 +666,74 @@ impl XTree {
 
     /// Release supernode pages a node no longer needs after shrinking.
     fn shrink_node(&mut self, node: usize) {
-        let cap = if self.nodes[node].leaf { self.leaf_cap } else { self.dir_cap };
-        let want = pages_for(self.nodes[node].len(), cap);
-        if want < self.nodes[node].pages {
+        let n = &self.nodes[node];
+        let want = pages_for(n.len(), self.one_page_cap(n.leaf));
+        if want < n.pages {
             self.nodes[node].pages = want;
             self.place_node(node);
         }
     }
 
+    /// The entry of directory `node` to descend into: least enlargement,
+    /// then least margin. A point no rectangle can take in at a finite
+    /// cost (a non-finite coordinate makes every enlargement `∞ − ∞`)
+    /// goes to the first child.
     fn choose_subtree(&self, node: usize, point: &[f64]) -> usize {
-        let mut best = usize::MAX;
+        let n = &self.nodes[node];
+        let mut best = 0;
         let mut best_enl = f64::INFINITY;
         let mut best_margin = f64::INFINITY;
-        for &c in &self.nodes[node].children {
-            let ch = &self.nodes[c];
-            let mut enl = 0.0;
-            let mut margin = 0.0;
-            for ((&p, &mlo), &mhi) in point.iter().zip(&ch.mbr_min).zip(&ch.mbr_max) {
-                let lo = mlo.min(p);
-                let hi = mhi.max(p);
-                enl += (hi - lo) - (mhi - mlo);
-                margin += mhi - mlo;
-            }
-            if enl < best_enl - 1e-12 || (enl < best_enl + 1e-12 && margin < best_margin) {
-                best = c;
-                best_enl = enl;
-                best_margin = margin;
+        let blocks = n.lanes.chunks_exact(n.rows * W).zip(n.children.chunks(W));
+        for (b, (block, children)) in blocks.enumerate() {
+            let (enl, margin) = lanes::enlargement(block, point);
+            for (l, (&enl, &margin)) in enl.iter().zip(&margin).enumerate().take(children.len()) {
+                if enl < best_enl - 1e-12 || (enl < best_enl + 1e-12 && margin < best_margin) {
+                    best = b * W + l;
+                    best_enl = enl;
+                    best_margin = margin;
+                }
             }
         }
         best
     }
 
-    fn recompute_mbr(&mut self, node: usize) {
-        let dim = self.dim;
-        let mut mn = vec![f64::INFINITY; dim];
-        let mut mx = vec![f64::NEG_INFINITY; dim];
-        if self.nodes[node].leaf {
-            for p in self.nodes[node].points.chunks_exact(dim) {
-                for d in 0..dim {
-                    mn[d] = mn[d].min(p[d]);
-                    mx[d] = mx[d].max(p[d]);
-                }
-            }
-        } else {
-            for i in 0..self.nodes[node].children.len() {
-                let c = self.nodes[node].children[i];
-                let (cmin, cmax) = (self.nodes[c].mbr_min.clone(), self.nodes[c].mbr_max.clone());
-                for d in 0..dim {
-                    mn[d] = mn[d].min(cmin[d]);
-                    mx[d] = mx[d].max(cmax[d]);
-                }
-            }
-        }
-        self.nodes[node].mbr_min = mn;
-        self.nodes[node].mbr_max = mx;
-    }
-
-    /// R*-style topological split of a leaf — or supernode growth when
+    /// R*-style topological split of a node — or supernode growth when
     /// even the best split leaves more than `max_overlap` of the entries
     /// intersecting both halves (the X-tree split policy). For point
     /// entries a crossing requires exact ties on the split axis, so
-    /// continuous data still always splits; clustered or duplicate-heavy
-    /// data — which the packed bulk-load shape absorbs by construction —
-    /// grows leaf supernodes on the insert path instead of producing a
-    /// pair of fully overlapping leaves.
-    fn split_leaf(&mut self, node: usize) -> Option<usize> {
+    /// continuous data still always splits a leaf; clustered or
+    /// duplicate-heavy data — which the packed bulk-load shape absorbs by
+    /// construction — grows leaf supernodes on the insert path instead
+    /// of producing a pair of fully overlapping leaves.
+    fn split(&mut self, node: usize) -> Option<usize> {
         let dim = self.dim;
-        let n_entries = self.nodes[node].len();
-        let rects: Vec<(Vec<f64>, Vec<f64>)> =
-            self.nodes[node].points.chunks_exact(dim).map(|p| (p.to_vec(), p.to_vec())).collect();
-        let (axis, split_at, crossing) = choose_split(&rects, self.leaf_cap, n_entries);
-        if crossing > self.max_overlap {
+        let leaf = self.nodes[node].leaf;
+        let lo = self.nodes[node].gather(0);
+        let hi = self.nodes[node].gather(1);
+        let cap = self.one_page_cap(leaf);
+        let split = choose_split(dim, &lo, &hi, cap);
+        if split.crossing > self.max_overlap {
             // Supernode: extend by one page instead of splitting.
             self.nodes[node].pages += 1;
             self.place_node(node);
             return None;
         }
-        let mut order: Vec<usize> = (0..n_entries).collect();
-        order.sort_by(|&a, &b| rects[a].0[axis].total_cmp(&rects[b].0[axis]));
-
-        let old_points = std::mem::take(&mut self.nodes[node].points);
-        let old_ids = std::mem::take(&mut self.nodes[node].ids);
-        let mut right = Node::new(true, dim);
-        for (rank, &e) in order.iter().enumerate() {
-            let p = &old_points[e * dim..(e + 1) * dim];
-            let tgt = if rank < split_at { &mut self.nodes[node] } else { &mut right };
-            tgt.points.extend_from_slice(p);
-            tgt.ids.push(old_ids[e]);
-        }
-        self.nodes[node].pages = pages_for(self.nodes[node].len(), self.leaf_cap);
-        right.pages = pages_for(right.len(), self.leaf_cap);
-        let right_idx = self.nodes.len();
-        self.nodes.push(right);
-        self.place_node(node);
-        self.place_node(right_idx);
-        self.recompute_mbr(node);
-        self.recompute_mbr(right_idx);
-        Some(right_idx)
-    }
-
-    /// Directory split — or supernode growth when the best split's
-    /// crossing fraction exceeds `max_overlap` (the X-tree rule).
-    fn split_dir(&mut self, node: usize) -> Option<usize> {
-        let dim = self.dim;
-        let n_entries = self.nodes[node].len();
-        let rects: Vec<(Vec<f64>, Vec<f64>)> = self.nodes[node]
-            .children
-            .iter()
-            .map(|&c| (self.nodes[c].mbr_min.clone(), self.nodes[c].mbr_max.clone()))
-            .collect();
-        let (axis, split_at, crossing) = choose_split(&rects, self.dir_cap, n_entries);
-        if crossing > self.max_overlap {
-            // Supernode: extend by one page instead of splitting.
-            self.nodes[node].pages += 1;
-            self.place_node(node);
-            return None;
-        }
-        let mut order: Vec<usize> = (0..n_entries).collect();
-        order.sort_by(|&a, &b| {
-            rects[a].0[axis]
-                .total_cmp(&rects[b].0[axis])
-                .then_with(|| rects[a].1[axis].total_cmp(&rects[b].1[axis]))
-        });
-        let old_children = std::mem::take(&mut self.nodes[node].children);
-        let mut right = Node::new(false, dim);
-        for (rank, &e) in order.iter().enumerate() {
-            if rank < split_at {
-                self.nodes[node].children.push(old_children[e]);
+        let mut right = self.new_node(leaf);
+        let left = self.new_node(leaf);
+        let old = std::mem::replace(&mut self.nodes[node], left);
+        for (rank, &e) in split.order.iter().enumerate() {
+            let half = if rank < split.at { &mut self.nodes[node] } else { &mut right };
+            let span = e * dim..(e + 1) * dim;
+            if leaf {
+                half.push_point(&lo[span], old.ids[e]);
             } else {
-                right.children.push(old_children[e]);
+                half.push_child(old.children[e], &lo[span.clone()], &hi[span]);
             }
         }
-        self.nodes[node].pages = pages_for(self.nodes[node].len(), self.dir_cap);
-        right.pages = pages_for(right.len(), self.dir_cap);
-        let right_idx = self.nodes.len();
-        self.nodes.push(right);
+        self.nodes[node].pages = pages_for(self.nodes[node].len(), cap);
+        right.pages = pages_for(right.len(), cap);
         self.place_node(node);
-        self.place_node(right_idx);
-        self.recompute_mbr(node);
-        self.recompute_mbr(right_idx);
-        Some(right_idx)
+        Some(self.add_node(right))
     }
 
     #[inline]
@@ -643,19 +754,24 @@ impl XTree {
         while let Some(n) = stack.pop() {
             self.charge_node(n, ctx);
             let node = &self.nodes[n];
+            let blocks = node.lanes.chunks_exact(node.rows * W);
             if node.leaf {
                 ctx.count_distance_evals(node.ids.len() as u64);
-                for (p, &id) in node.points.chunks_exact(self.dim).zip(&node.ids) {
-                    let d2: f64 = p.iter().zip(center).map(|(a, b)| (a - b) * (a - b)).sum();
-                    if d2 <= r2 {
-                        out.push((id, d2.sqrt()));
-                    }
+                for (block, ids) in blocks.zip(node.ids.chunks(W)) {
+                    let d2 = lanes::leaf_dist2(block, center);
+                    out.extend(
+                        ids.iter()
+                            .zip(d2)
+                            .filter(|(_, d2)| *d2 <= r2)
+                            .map(|(&id, d2)| (id, d2.sqrt())),
+                    );
                 }
             } else {
-                for &c in &node.children {
-                    if mindist_sq(&self.nodes[c].mbr_min, &self.nodes[c].mbr_max, center) <= r2 {
-                        stack.push(c);
-                    }
+                for (block, children) in blocks.zip(node.children.chunks(W)) {
+                    let d2 = lanes::child_mindist2(block, center);
+                    stack.extend(
+                        children.iter().zip(d2).filter(|(_, d2)| *d2 <= r2).map(|(&c, _)| c),
+                    );
                 }
             }
         }
@@ -664,15 +780,7 @@ impl XTree {
 
     /// The `k` nearest neighbors of `center`, sorted by distance.
     pub fn knn(&self, center: &[f64], k: usize, ctx: &QueryContext) -> Vec<(u64, f64)> {
-        let mut it = self.nn_iter(center, ctx);
-        let mut out = Vec::with_capacity(k);
-        while out.len() < k {
-            match it.next() {
-                Some(hit) => out.push(hit),
-                None => break,
-            }
-        }
-        out
+        self.nn_iter(center, ctx).take(k).collect()
     }
 
     /// Incremental nearest-neighbor ranking (Hjaltason/Samet best-first
@@ -687,39 +795,55 @@ impl XTree {
         assert_eq!(center.len(), self.dim);
         let mut heap = BinaryHeap::new();
         if self.len > 0 {
-            heap.push(HeapEntry { dist: 0.0, kind: EntryKind::Node(self.root) });
+            heap.push(HeapEntry { dist2: 0.0, kind: EntryKind::Node(self.root) });
         }
-        NnIter { tree: self, center, heap, ctx }
+        NnIter { tree: self, center, ctx, heap, slots: Vec::new() }
     }
 }
 
 /// Incremental NN iterator over an [`XTree`].
+///
+/// The heap is keyed by *squared* distance and holds one entry per
+/// unexpanded node and one per expanded leaf that still has points to
+/// emit — never one per point. An expanded leaf's squared distances and
+/// ids sit in the iterator's scratch; its heap entry carries the
+/// smallest distance. Emitting it moves the leaf's last live slot into
+/// the emitted one, rescans what is left for the next minimum and
+/// re-keys the entry in place; the leaf leaves the heap when its count
+/// of live slots reaches zero, whatever the distances were (a NaN is a
+/// distance like any other here, emitted once).
 pub struct NnIter<'a> {
     tree: &'a XTree,
     center: &'a [f64],
-    heap: BinaryHeap<HeapEntry>,
     ctx: &'a QueryContext,
+    heap: BinaryHeap<HeapEntry>,
+    /// The live points of every expanded leaf, leaf after leaf.
+    slots: Vec<Slot>,
 }
 
+#[derive(Clone, Copy)]
 enum EntryKind {
+    /// A node not yet read, keyed by its squared MINDIST.
     Node(usize),
-    Point(u64),
+    /// An expanded leaf: its live slots are `start..start + live` of
+    /// the scratch, the key is the one at `start + min_at`.
+    Leaf { start: usize, live: usize, min_at: usize },
 }
 
 struct HeapEntry {
-    dist: f64,
+    dist2: f64,
     kind: EntryKind,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, o: &Self) -> bool {
-        self.dist == o.dist
+        self.cmp(o) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, o: &Self) -> Ordering {
-        o.dist.total_cmp(&self.dist)
+        o.dist2.total_cmp(&self.dist2)
     }
 }
 impl PartialOrd for HeapEntry {
@@ -728,38 +852,63 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+impl NnIter<'_> {
+    /// Read node `n` and put what it holds on the heap: its children,
+    /// or itself as an expanded leaf.
+    fn expand(&mut self, n: usize) {
+        let tree = self.tree;
+        tree.charge_node(n, self.ctx);
+        let node = &tree.nodes[n];
+        let blocks = node.lanes.chunks_exact(node.rows * W);
+        if node.leaf {
+            let live = node.ids.len();
+            self.ctx.count_distance_evals(live as u64);
+            if live == 0 {
+                return;
+            }
+            let start = self.slots.len();
+            for (block, ids) in blocks.zip(node.ids.chunks(W)) {
+                let d2 = lanes::leaf_dist2(block, self.center);
+                self.slots.extend(ids.iter().zip(d2).map(|(&id, dist2)| Slot { dist2, id }));
+            }
+            let (min_at, dist2) = lanes::min_scan(&self.slots[start..]);
+            self.heap.push(HeapEntry { dist2, kind: EntryKind::Leaf { start, live, min_at } });
+        } else {
+            for (block, children) in blocks.zip(node.children.chunks(W)) {
+                let d2 = lanes::child_mindist2(block, self.center);
+                for (&c, dist2) in children.iter().zip(d2) {
+                    self.heap.push(HeapEntry { dist2, kind: EntryKind::Node(c) });
+                }
+            }
+        }
+    }
+}
+
 impl Iterator for NnIter<'_> {
     type Item = (u64, f64);
 
     fn next(&mut self) -> Option<(u64, f64)> {
-        while let Some(HeapEntry { dist, kind }) = self.heap.pop() {
-            match kind {
-                EntryKind::Point(id) => return Some((id, dist)),
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            // `left`: the leaf's live slots once this one is emitted.
+            let (start, left, at) = match top.kind {
                 EntryKind::Node(n) => {
-                    self.tree.charge_node(n, self.ctx);
-                    let node = &self.tree.nodes[n];
-                    if node.leaf {
-                        self.ctx.count_distance_evals(node.ids.len() as u64);
-                        for (p, &id) in node.points.chunks_exact(self.tree.dim).zip(&node.ids) {
-                            let d2: f64 =
-                                p.iter().zip(self.center).map(|(a, b)| (a - b) * (a - b)).sum();
-                            self.heap
-                                .push(HeapEntry { dist: d2.sqrt(), kind: EntryKind::Point(id) });
-                        }
-                    } else {
-                        for &c in &node.children {
-                            let d2 = mindist_sq(
-                                &self.tree.nodes[c].mbr_min,
-                                &self.tree.nodes[c].mbr_max,
-                                self.center,
-                            );
-                            self.heap.push(HeapEntry { dist: d2.sqrt(), kind: EntryKind::Node(c) });
-                        }
-                    }
+                    PeekMut::pop(top);
+                    self.expand(n);
+                    continue;
                 }
+                EntryKind::Leaf { start, live, min_at } => (start, live - 1, start + min_at),
+            };
+            let hit = (self.slots[at].id, top.dist2.sqrt());
+            if left == 0 {
+                PeekMut::pop(top);
+            } else {
+                self.slots[at] = self.slots[start + left];
+                let (min_at, dist2) = lanes::min_scan(&self.slots[start..start + left]);
+                *top = HeapEntry { dist2, kind: EntryKind::Leaf { start, live: left, min_at } };
             }
+            return Some(hit);
         }
-        None
     }
 }
 
@@ -767,114 +916,140 @@ fn pages_for(entries: usize, cap: usize) -> usize {
     entries.div_ceil(cap).max(1)
 }
 
-#[inline]
-fn expand_mbr(mn: &mut [f64], mx: &mut [f64], p: &[f64]) {
-    for d in 0..p.len() {
-        mn[d] = mn[d].min(p[d]);
-        mx[d] = mx[d].max(p[d]);
+/// A chosen split: entries `order[..at]` stay, `order[at..]` move.
+struct Split {
+    at: usize,
+    /// Fraction of the entries that intersect both halves.
+    crossing: f64,
+    /// The entries sorted along the chosen axis.
+    order: Vec<usize>,
+}
+
+/// Covers of every prefix and every suffix of one ordering of the entry
+/// rectangles: `pre_*[s]` covers `order[..s]`, `suf_*[s]` covers
+/// `order[s..]`, each `dim` wide. One pass each way instead of one cover
+/// computation per split position.
+struct Covers {
+    dim: usize,
+    pre_min: Vec<f64>,
+    pre_max: Vec<f64>,
+    suf_min: Vec<f64>,
+    suf_max: Vec<f64>,
+}
+
+impl Covers {
+    fn new(dim: usize, n: usize) -> Self {
+        let empty = |v: f64| vec![v; (n + 1) * dim];
+        Covers {
+            dim,
+            pre_min: empty(f64::INFINITY),
+            pre_max: empty(f64::NEG_INFINITY),
+            suf_min: empty(f64::INFINITY),
+            suf_max: empty(f64::NEG_INFINITY),
+        }
+    }
+
+    fn fill(&mut self, lo: &[f64], hi: &[f64], order: &[usize]) {
+        let dim = self.dim;
+        for (s, &e) in order.iter().enumerate() {
+            for d in 0..dim {
+                self.pre_min[(s + 1) * dim + d] = self.pre_min[s * dim + d].min(lo[e * dim + d]);
+                self.pre_max[(s + 1) * dim + d] = self.pre_max[s * dim + d].max(hi[e * dim + d]);
+            }
+        }
+        for (s, &e) in order.iter().enumerate().rev() {
+            for d in 0..dim {
+                self.suf_min[s * dim + d] = self.suf_min[(s + 1) * dim + d].min(lo[e * dim + d]);
+                self.suf_max[s * dim + d] = self.suf_max[(s + 1) * dim + d].max(hi[e * dim + d]);
+            }
+        }
+    }
+
+    fn span(&self, s: usize) -> Range<usize> {
+        s * self.dim..(s + 1) * self.dim
+    }
+
+    /// Margin of the two halves of a split at `s`.
+    fn margin(&self, s: usize) -> f64 {
+        margin(&self.pre_min[self.span(s)], &self.pre_max[self.span(s)])
+            + margin(&self.suf_min[self.span(s)], &self.suf_max[self.span(s)])
     }
 }
 
-#[inline]
-fn expand_mbr_box(mn: &mut [f64], mx: &mut [f64], omin: &[f64], omax: &[f64]) {
-    for d in 0..omin.len() {
-        mn[d] = mn[d].min(omin[d]);
-        mx[d] = mx[d].max(omax[d]);
-    }
-}
-
-#[inline]
-fn contains(mn: &[f64], mx: &[f64], p: &[f64]) -> bool {
-    p.iter().zip(mn.iter().zip(mx)).all(|(&v, (&lo, &hi))| v >= lo && v <= hi)
-}
-
-#[inline]
-fn mindist_sq(mn: &[f64], mx: &[f64], p: &[f64]) -> f64 {
-    let mut s = 0.0;
-    for d in 0..p.len() {
-        let v = if p[d] < mn[d] {
-            mn[d] - p[d]
-        } else if p[d] > mx[d] {
-            p[d] - mx[d]
-        } else {
-            0.0
-        };
-        s += v * v;
-    }
-    s
-}
-
-/// Choose a split `(axis, split_index, crossing_fraction)` for the given
-/// entry rectangles: axis with minimum total margin over candidate
-/// distributions, then the distribution with minimum crossing entries
-/// (entries intersecting both halves), tie-broken by margin.
-fn choose_split(
-    rects: &[(Vec<f64>, Vec<f64>)],
-    one_page_cap: usize,
-    n_entries: usize,
-) -> (usize, usize, f64) {
-    let dim = rects[0].0.len();
+/// Choose a split for the given entry rectangles (`lo` / `hi`,
+/// entry-major, `dim` wide): the axis with minimum total margin over
+/// candidate distributions, then the distribution with minimum crossing
+/// entries (entries intersecting both halves), tie-broken by margin.
+///
+/// Prefix covers only grow and suffix covers only shrink as the split
+/// position moves right, so an entry meets the left half from some
+/// position on and the right half up to some position: two binary
+/// searches per entry give the crossing count of every position at once.
+fn choose_split(dim: usize, lo: &[f64], hi: &[f64], one_page_cap: usize) -> Split {
+    let n = lo.len() / dim;
     let min_fill = ((one_page_cap as f64 * MIN_FILL) as usize).max(1);
-    let lo = min_fill.min(n_entries - 1);
-    let hi = n_entries - lo;
+    let first = min_fill.min(n - 1);
+    let last = n - first;
+    debug_assert!(first <= last, "a node over capacity has room for two minimum fills");
 
+    let mut covers = Covers::new(dim, n);
+    let mut orders: Vec<usize> = Vec::with_capacity(dim * n);
     let mut best_axis = 0;
     let mut best_axis_margin = f64::INFINITY;
-    let mut orders: Vec<Vec<usize>> = Vec::with_capacity(dim);
     for axis in 0..dim {
-        let mut order: Vec<usize> = (0..n_entries).collect();
+        orders.extend(0..n);
+        let order = &mut orders[axis * n..];
         order.sort_by(|&a, &b| {
-            rects[a].0[axis]
-                .total_cmp(&rects[b].0[axis])
-                .then_with(|| rects[a].1[axis].total_cmp(&rects[b].1[axis]))
+            lo[a * dim + axis]
+                .total_cmp(&lo[b * dim + axis])
+                .then_with(|| hi[a * dim + axis].total_cmp(&hi[b * dim + axis]))
         });
+        covers.fill(lo, hi, order);
         let mut margin_sum = 0.0;
-        for split_at in lo..=hi {
-            let (amin, amax) = cover(rects, &order[..split_at]);
-            let (bmin, bmax) = cover(rects, &order[split_at..]);
-            margin_sum += margin(&amin, &amax) + margin(&bmin, &bmax);
+        for s in first..=last {
+            margin_sum += covers.margin(s);
         }
         if margin_sum < best_axis_margin {
             best_axis_margin = margin_sum;
             best_axis = axis;
         }
-        orders.push(order);
     }
 
-    let order = &orders[best_axis];
-    let mut best_split = lo;
+    let order = &orders[best_axis * n..(best_axis + 1) * n];
+    covers.fill(lo, hi, order);
+    let positions: Vec<usize> = (first..=last).collect();
+    // Entries crossing at `positions[i]`: `crossing[i]` after the
+    // running sum below.
+    let mut crossing = vec![0isize; positions.len() + 1];
+    for e in 0..n {
+        let (elo, ehi) = (&lo[e * dim..(e + 1) * dim], &hi[e * dim..(e + 1) * dim]);
+        let meets_left = |s: usize| {
+            intersects(elo, ehi, &covers.pre_min[covers.span(s)], &covers.pre_max[covers.span(s)])
+        };
+        let meets_right = |s: usize| {
+            intersects(elo, ehi, &covers.suf_min[covers.span(s)], &covers.suf_max[covers.span(s)])
+        };
+        let from = positions.partition_point(|&s| !meets_left(s));
+        let until = positions.partition_point(|&s| meets_right(s));
+        if from < until {
+            crossing[from] += 1;
+            crossing[until] -= 1;
+        }
+    }
+    let mut best_split = first;
     let mut best_cross = usize::MAX;
     let mut best_margin = f64::INFINITY;
-    for split_at in lo..=hi {
-        let (amin, amax) = cover(rects, &order[..split_at]);
-        let (bmin, bmax) = cover(rects, &order[split_at..]);
-        let cross = rects
-            .iter()
-            .filter(|(rmin, rmax)| {
-                intersects(rmin, rmax, &amin, &amax) && intersects(rmin, rmax, &bmin, &bmax)
-            })
-            .count();
-        let m = margin(&amin, &amax) + margin(&bmin, &bmax);
-        if cross < best_cross || (cross == best_cross && m < best_margin) {
-            best_cross = cross;
+    let mut cross = 0isize;
+    for (&s, entered) in positions.iter().zip(&crossing) {
+        cross += entered;
+        let m = covers.margin(s);
+        if (cross as usize) < best_cross || (cross as usize == best_cross && m < best_margin) {
+            best_cross = cross as usize;
             best_margin = m;
-            best_split = split_at;
+            best_split = s;
         }
     }
-    (best_axis, best_split, best_cross as f64 / n_entries as f64)
-}
-
-fn cover(rects: &[(Vec<f64>, Vec<f64>)], idx: &[usize]) -> (Vec<f64>, Vec<f64>) {
-    let dim = rects[0].0.len();
-    let mut mn = vec![f64::INFINITY; dim];
-    let mut mx = vec![f64::NEG_INFINITY; dim];
-    for &i in idx {
-        for d in 0..dim {
-            mn[d] = mn[d].min(rects[i].0[d]);
-            mx[d] = mx[d].max(rects[i].1[d]);
-        }
-    }
-    (mn, mx)
+    Split { at: best_split, crossing: best_cross as f64 / n as f64, order: order.to_vec() }
 }
 
 fn margin(mn: &[f64], mx: &[f64]) -> f64 {
@@ -886,6 +1061,87 @@ fn intersects(amin: &[f64], amax: &[f64], bmin: &[f64], bmax: &[f64]) -> bool {
         .zip(amax)
         .zip(bmin.iter().zip(bmax))
         .all(|((alo, ahi), (blo, bhi))| alo <= bhi && ahi >= blo)
+}
+
+/// The split evaluation as it was before the prefix and suffix covers:
+/// both covers recomputed from scratch for every split position on
+/// every axis, every entry tested against both for every position. Kept
+/// as the oracle [`choose_split`] must agree with to the bit.
+#[cfg(test)]
+mod reference {
+    use super::{intersects, margin, MIN_FILL};
+
+    pub(super) type Rect = (Vec<f64>, Vec<f64>);
+
+    pub(super) fn by_axis(rects: &[Rect], axis: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..rects.len()).collect();
+        order.sort_by(|&a, &b| {
+            rects[a].0[axis]
+                .total_cmp(&rects[b].0[axis])
+                .then_with(|| rects[a].1[axis].total_cmp(&rects[b].1[axis]))
+        });
+        order
+    }
+
+    /// `(axis, split_index, crossing_fraction)`.
+    pub(super) fn choose_split(rects: &[Rect], one_page_cap: usize) -> (usize, usize, f64) {
+        let n_entries = rects.len();
+        let dim = rects[0].0.len();
+        let min_fill = ((one_page_cap as f64 * MIN_FILL) as usize).max(1);
+        let lo = min_fill.min(n_entries - 1);
+        let hi = n_entries - lo;
+
+        let mut best_axis = 0;
+        let mut best_axis_margin = f64::INFINITY;
+        for axis in 0..dim {
+            let order = by_axis(rects, axis);
+            let mut margin_sum = 0.0;
+            for split_at in lo..=hi {
+                let (amin, amax) = cover(rects, &order[..split_at]);
+                let (bmin, bmax) = cover(rects, &order[split_at..]);
+                margin_sum += margin(&amin, &amax) + margin(&bmin, &bmax);
+            }
+            if margin_sum < best_axis_margin {
+                best_axis_margin = margin_sum;
+                best_axis = axis;
+            }
+        }
+
+        let order = by_axis(rects, best_axis);
+        let mut best_split = lo;
+        let mut best_cross = usize::MAX;
+        let mut best_margin = f64::INFINITY;
+        for split_at in lo..=hi {
+            let (amin, amax) = cover(rects, &order[..split_at]);
+            let (bmin, bmax) = cover(rects, &order[split_at..]);
+            let cross = rects
+                .iter()
+                .filter(|(rmin, rmax)| {
+                    intersects(rmin, rmax, &amin, &amax) && intersects(rmin, rmax, &bmin, &bmax)
+                })
+                .count();
+            let m = margin(&amin, &amax) + margin(&bmin, &bmax);
+            if cross < best_cross || (cross == best_cross && m < best_margin) {
+                best_cross = cross;
+                best_margin = m;
+                best_split = split_at;
+            }
+        }
+        (best_axis, best_split, best_cross as f64 / n_entries as f64)
+    }
+
+    fn cover(rects: &[Rect], idx: &[usize]) -> Rect {
+        let dim = rects[0].0.len();
+        let mut mn = vec![f64::INFINITY; dim];
+        let mut mx = vec![f64::NEG_INFINITY; dim];
+        for &i in idx {
+            for d in 0..dim {
+                mn[d] = mn[d].min(rects[i].0[d]);
+                mx[d] = mx[d].max(rects[i].1[d]);
+            }
+        }
+        (mn, mx)
+    }
 }
 
 #[cfg(test)]
@@ -1286,6 +1542,210 @@ mod tests {
         target.write_page(handle.first, &[0u8; PAGE_SIZE]).unwrap();
         let err = XTree::load_from(target, handle.first).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    fn meta_checksum(t: &XTree) -> u64 {
+        let target = vsim_store::InMemoryPageStore::new();
+        let handle = t.save_to(&target).unwrap();
+        let mut meta = Vec::new();
+        PageStreamReader::open(&target, handle.first).unwrap().read_to_end(&mut meta).unwrap();
+        vsim_store::checksum(&meta)
+    }
+
+    /// The constants are what the commit before the lane layout wrote
+    /// for the same seeded histories (PR 19 measured them there). The
+    /// stream holds every node's rectangle, page count and span, the
+    /// points and ids in entry order and the child links, so one equal
+    /// checksum says the rewrite chose the same subtrees and the same
+    /// splits, grew the same supernodes, kept entry order through
+    /// deletes (a shift, not a swap-remove) and left the format alone.
+    #[test]
+    fn insert_and_churn_histories_save_the_bytes_they_saved_before_the_lane_layout() {
+        let mut pts = random_points(4000, 6, 1903);
+        pts.extend(clustered_points(1000, 6, 1904));
+        let mut t = build(&pts);
+        assert!(t.supernode_count() > 0, "the history must cover supernode growth");
+        assert_eq!(meta_checksum(&t), 0xce8d_e878_36ab_3de0, "5 000-point 6-d insert build");
+        for (i, p) in random_points(1000, 6, 1905).iter().enumerate() {
+            assert!(t.delete(&pts[5 * i], 5 * i as u64));
+            t.insert(p, 5000 + i as u64);
+        }
+        assert_eq!(meta_checksum(&t), 0xf168_d67d_bb95_4505, "after 1 000 deletes + 1 000 inserts");
+        // Height 3 through a successful directory split, which 6-d
+        // data turns into a root supernode instead.
+        let t = build(&random_points(20_000, 2, 1906));
+        assert_eq!((t.height(), t.supernode_count()), (3, 0));
+        assert_eq!(meta_checksum(&t), 0xffcd_caaa_c2dc_bfa1, "20 000-point 2-d insert build");
+    }
+
+    /// Same axis, same position, same crossing fraction as the
+    /// quadratic evaluation, on the shapes that decide differently:
+    /// continuous rectangles, rectangles on a coarse grid (ties in the
+    /// sort keys, the margins and the crossing counts), point entries,
+    /// and the 42-d rectangles of a one-vector directory.
+    #[test]
+    fn linear_split_evaluation_chooses_what_the_quadratic_one_chose() {
+        let mut rng = StdRng::seed_from_u64(404);
+        for case in 0..300 {
+            let dim = [2, 3, 6, 42][case % 4];
+            let grid = case % 3 == 1;
+            let points = case % 5 == 2;
+            let cap = rng.gen_range(4..60usize);
+            let n = cap + 1 + if case % 7 == 0 { rng.gen_range(0..3 * cap) } else { 0 };
+            let coord = |rng: &mut StdRng| {
+                if grid {
+                    rng.gen_range(0..4) as f64
+                } else {
+                    rng.gen_range(0.0..10.0)
+                }
+            };
+            let rects: Vec<reference::Rect> = (0..n)
+                .map(|_| {
+                    let lo: Vec<f64> = (0..dim).map(|_| coord(&mut rng)).collect();
+                    let hi = if points {
+                        lo.clone()
+                    } else {
+                        lo.iter().map(|&v| v + coord(&mut rng) * 0.3).collect()
+                    };
+                    (lo, hi)
+                })
+                .collect();
+            let flat = |which: fn(&reference::Rect) -> &Vec<f64>| -> Vec<f64> {
+                rects.iter().flat_map(|r| which(r).iter().copied()).collect()
+            };
+            let got = choose_split(dim, &flat(|r| &r.0), &flat(|r| &r.1), cap);
+            let (axis, at, crossing) = reference::choose_split(&rects, cap);
+            assert_eq!(
+                (got.at, got.crossing.to_bits()),
+                (at, crossing.to_bits()),
+                "case {case}: dim {dim}, {n} entries over a page of {cap}"
+            );
+            assert_eq!(got.order, reference::by_axis(&rects, axis), "case {case}: axis {axis}");
+        }
+    }
+
+    /// HEAD panicked here: with a non-finite coordinate no child has a
+    /// finite enlargement (`∞ − ∞` is NaN and loses every `<`), the
+    /// subtree choice came back as `usize::MAX` and indexed the nodes.
+    #[test]
+    fn non_finite_coordinates_insert_past_a_directory_and_stream_once() {
+        for odd in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let pts: Vec<[f64; 2]> =
+                (0..300).map(|i| [i as f64, if i % 7 == 0 { odd } else { 1.0 }]).collect();
+            let mut t = XTree::new(2);
+            for (i, p) in pts.iter().enumerate() {
+                t.insert(p, i as u64);
+            }
+            assert!(t.height() >= 2, "300 2-d points overflow one leaf");
+            let ctx = QueryContext::ephemeral();
+            let mut ids: Vec<u64> = t.nn_iter(&[150.0, 1.0], &ctx).map(|(id, _)| id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..300).collect::<Vec<u64>>(), "coordinate {odd}");
+            if odd.is_nan() {
+                continue; // NaN equals nothing, itself included: not deletable by value
+            }
+            for (i, p) in pts.iter().enumerate().filter(|(i, _)| i % 7 == 0) {
+                assert!(t.delete(p, i as u64), "point {i} with coordinate {odd}");
+            }
+            let mut ids: Vec<u64> = t.nn_iter(&[150.0, 1.0], &ctx).map(|(id, _)| id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..300).filter(|i| i % 7 != 0).collect::<Vec<u64>>());
+        }
+    }
+
+    /// One node of a hand-written stream: 1-d, so a point is one value.
+    struct RawNode {
+        leaf: u64,
+        pages: u64,
+        first_page: u64,
+        points: Vec<f64>,
+        children: Vec<u64>,
+    }
+
+    fn raw_leaf(points: &[f64]) -> RawNode {
+        RawNode { leaf: 1, pages: 1, first_page: 0, points: points.to_vec(), children: vec![] }
+    }
+
+    fn raw_dir(children: &[u64]) -> RawNode {
+        RawNode { leaf: 0, pages: 1, first_page: 0, points: vec![], children: children.to_vec() }
+    }
+
+    /// Write `nodes` as an X-tree stream the way `save_to` lays it out
+    /// and try to open it.
+    fn load_raw(root: u64, len: u64, nodes: &[RawNode]) -> io::Result<XTree> {
+        let target: Arc<dyn PageStore> = Arc::new(vsim_store::InMemoryPageStore::new());
+        target.allocate(4).unwrap();
+        let mut meta = Vec::new();
+        for v in [XTREE_TAG, 1, root, len, 255, 170] {
+            put_u64(&mut meta, v);
+        }
+        put_f64(&mut meta, 0.2);
+        put_u64(&mut meta, nodes.len() as u64);
+        for n in nodes {
+            for v in [n.leaf, n.pages, n.first_page] {
+                put_u64(&mut meta, v);
+            }
+            put_f64(&mut meta, 0.0);
+            put_f64(&mut meta, 9.0);
+            put_u64(&mut meta, n.points.len() as u64);
+            for &p in &n.points {
+                put_f64(&mut meta, p);
+            }
+            for id in 0..n.points.len() as u64 {
+                put_u64(&mut meta, id);
+            }
+            put_u64(&mut meta, n.children.len() as u64);
+            for &c in &n.children {
+                put_u64(&mut meta, c);
+            }
+        }
+        let mut w = PageStreamWriter::new(target.as_ref());
+        w.write_all(&meta)?;
+        let handle = w.finish()?;
+        XTree::load_from(target, handle.first)
+    }
+
+    #[test]
+    fn a_stream_that_is_not_a_tree_of_the_recorded_size_is_rejected() {
+        let two_leaves = || vec![raw_dir(&[1, 2]), raw_leaf(&[1.0, 2.0]), raw_leaf(&[3.0])];
+        let t = load_raw(0, 3, &two_leaves()).unwrap();
+        assert_eq!(t.knn(&[2.9], 3, &QueryContext::ephemeral()).len(), 3);
+        // Nodes the root does not reach are what deletes leave behind.
+        let mut with_garbage = two_leaves();
+        with_garbage.push(raw_dir(&[0]));
+        assert_eq!(load_raw(0, 3, &with_garbage).unwrap().len(), 3);
+
+        let rejected = |what: &str, root: u64, len: u64, nodes: &[RawNode]| {
+            let err = load_raw(root, len, nodes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        };
+        // HEAD looped forever in `nn_iter` on the first two and emitted
+        // ids twice on the next two.
+        rejected("a node that is its own child", 0, 0, &[raw_dir(&[0])]);
+        rejected("a cycle of two", 0, 1, &[raw_dir(&[1]), raw_dir(&[0, 2]), raw_leaf(&[1.0])]);
+        rejected("one child linked twice", 0, 2, &[raw_dir(&[1, 1]), raw_leaf(&[1.0])]);
+        rejected(
+            "a leaf under two parents",
+            0,
+            2,
+            &[raw_dir(&[1, 2]), raw_dir(&[3]), raw_dir(&[3]), raw_leaf(&[1.0])],
+        );
+        let mut leaf_with_children = two_leaves();
+        leaf_with_children[2].children = vec![1];
+        rejected("a leaf with children", 0, 3, &leaf_with_children);
+        let mut dir_with_points = two_leaves();
+        dir_with_points[0].points = vec![5.0];
+        rejected("a directory with points", 0, 3, &dir_with_points);
+        rejected("more entries recorded than held", 0, 4, &two_leaves());
+        rejected("fewer entries recorded than held", 0, 2, &two_leaves());
+        // HEAD: `first_page + pages` overflowed, a panic in debug builds.
+        let mut span_overflow = two_leaves();
+        span_overflow[1].first_page = u64::MAX;
+        span_overflow[1].pages = 2;
+        rejected("a span that wraps around", 0, 3, &span_overflow);
+        let mut span_outside = two_leaves();
+        span_outside[1].first_page = 1 << 40;
+        rejected("a span past the store", 0, 3, &span_outside);
     }
 
     #[test]

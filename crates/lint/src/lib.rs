@@ -16,8 +16,8 @@
 //! justification; written on its own line directly above an `fn`, the
 //! waiver covers the whole function. Scope tags (`lint-scope:` plus a
 //! scope name) opt a file into stricter rule sets — `no_alloc` marks
-//! the matching-kernel files whose steady-state paths must not
-//! allocate.
+//! the matching-kernel and X-tree lane-kernel files whose steady-state
+//! paths must not allocate.
 //!
 //! Two frontends share this engine: the `vsim-lint` binary (a CI step)
 //! and the `workspace_clean` integration test, which makes `cargo test`

@@ -179,13 +179,16 @@ impl Rule for FloatOrdering {
 
 /// The matching kernel (PR 2) is allocation-free in steady state; a
 /// counting-allocator test proves it for the paths it exercises, and
-/// this rule covers new code paths at review time. Files opt in with
-/// `lint-scope: no_alloc`; constructors carry function-level waivers.
+/// this rule covers new code paths at review time. So are the X-tree's
+/// lane kernels (PR 19), which run once per node a query reads. Files
+/// opt in with `lint-scope: no_alloc`; constructors carry
+/// function-level waivers.
 struct NoAllocKernel;
 
 /// Files that must stay in the `no_alloc` scope (deleting the tag is
 /// itself a violation).
 const REQUIRED_NO_ALLOC: &[&str] = &[
+    "crates/index/src/lanes.rs",
     "crates/setdist/src/engine.rs",
     "crates/setdist/src/hungarian.rs",
     "crates/setdist/src/simd.rs",
@@ -200,7 +203,7 @@ impl Rule for NoAllocKernel {
     }
 
     fn description(&self) -> &'static str {
-        "no allocation in files tagged `lint-scope: no_alloc` (the matching kernel)"
+        "no allocation in files tagged `lint-scope: no_alloc` (the matching and X-tree lane kernels)"
     }
 
     fn check(&self, ws: &Workspace, _model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
@@ -564,10 +567,9 @@ mod tests {
 
     #[test]
     fn l2_requires_the_kernel_files_to_stay_tagged() {
-        assert_eq!(
-            rules_hit(&[("crates/setdist/src/engine.rs", CLEAN)], rules::NO_ALLOC_KERNEL),
-            vec![1]
-        );
+        for kernel in ["crates/setdist/src/engine.rs", "crates/index/src/lanes.rs"] {
+            assert_eq!(rules_hit(&[(kernel, CLEAN)], rules::NO_ALLOC_KERNEL), vec![1], "{kernel}");
+        }
     }
 
     #[test]

@@ -50,14 +50,20 @@ pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Read and check a structure tag; persisted streams start with one so
-/// opening the wrong kind of stream fails loudly.
+/// Read and check a structure tag (kind in the high half, format
+/// version in the low); persisted streams start with one so opening the
+/// wrong kind of stream fails loudly, and the right kind in another
+/// version is refused by version, not as corrupt.
 pub(crate) fn expect_tag(r: &mut impl Read, want: u64, what: &str) -> io::Result<()> {
     let got = get_u64(r)?;
-    if got != want {
-        return Err(invalid(format!("stream tag {got:#018x} is not a {what} tag")));
+    if got == want {
+        return Ok(());
     }
-    Ok(())
+    Err(invalid(if got >> 32 == want >> 32 {
+        format!("{what} tag is version {} (this build reads {})", got as u32, want as u32)
+    } else {
+        format!("stream tag {got:#018x} is not a {what} tag")
+    }))
 }
 
 /// Sanity bound for deserialized collection lengths: a corrupted count

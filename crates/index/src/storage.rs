@@ -12,11 +12,15 @@
 //! [`PageStore`](vsim_store::PageStore) — typically a
 //! [`FilePageStore`](vsim_store::FilePageStore) — and every access
 //! physically reads page bytes through the query's buffer pool. The
-//! two backings charge identical page/byte counts for identical access
-//! sequences and decode bit-identical `f64`s.
+//! two backings decode bit-identical `f64`s, and a file saved in id
+//! order (`save_to`) charges the page/byte counts of the image it was
+//! saved from. A saved *index* keeps its heap file in X-tree leaf order:
+//! it reads other — fewer — pages than the in-memory image for the same
+//! records, and identical ones through `pread` and mmap.
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -30,8 +34,9 @@ use crate::cursor::SortedScan;
 use crate::persist::{expect_tag, get_len, get_u64, get_usize, invalid, put_u64};
 
 /// Stream tags distinguishing persisted structure kinds ("VSET"/"PNTF"
-/// plus a version — v2: per-page image checksums; VSET v3: the dimension).
-const VSET_TAG: u64 = 0x5653_4554_0000_0003;
+/// plus a version — v2: per-page image checksums; VSET v3: the dimension;
+/// VSET v4: the slot table).
+const VSET_TAG: u64 = 0x5653_4554_0000_0004;
 const POINT_TAG: u64 = 0x504E_5446_0000_0002;
 
 /// On-"disk" record image: `u32` dim, `u32` count, then `dim·count` f64s.
@@ -95,20 +100,41 @@ impl Backing {
     }
 }
 
-/// Write `image` into freshly allocated pages of `target`; returns the
-/// first page of the span plus one [`checksum`] per page (computed
+/// Write the `total`-byte image that `parts` concatenate to into freshly
+/// allocated pages of `target`, assembled one page at a time; returns
+/// the first page of the span plus one [`checksum`] per page (computed
 /// over the zero-padded full-page image, exactly what reads return).
-fn write_image(target: &dyn PageStore, image: &[u8]) -> io::Result<(u64, Vec<u64>)> {
-    let pages = image.len().div_ceil(PAGE_SIZE) as u64;
-    let first = if pages > 0 { target.allocate(pages)? } else { 0 };
-    let mut sums = Vec::with_capacity(pages as usize);
-    let mut padded = vec![0u8; PAGE_SIZE];
-    for (p, chunk) in image.chunks(PAGE_SIZE).enumerate() {
-        target.write_page(first + p as u64, chunk)?;
-        padded[..chunk.len()].copy_from_slice(chunk);
-        padded[chunk.len()..].fill(0);
-        sums.push(checksum(&padded));
+fn write_image<'a>(
+    target: &dyn PageStore,
+    total: usize,
+    parts: impl Iterator<Item = &'a [u8]>,
+) -> io::Result<(u64, Vec<u64>)> {
+    let pages = total.div_ceil(PAGE_SIZE);
+    let first = if pages > 0 { target.allocate(pages as u64)? } else { 0 };
+    let mut sums = Vec::with_capacity(pages);
+    let mut page = vec![0u8; PAGE_SIZE];
+    let mut used = 0;
+    let mut write = |page: &mut [u8], used: usize| {
+        target.write_page(first + sums.len() as u64, &page[..used])?;
+        page[used..].fill(0);
+        sums.push(checksum(page));
+        io::Result::Ok(())
+    };
+    for mut part in parts {
+        while !part.is_empty() {
+            let take = part.len().min(PAGE_SIZE - used);
+            page[used..used + take].copy_from_slice(&part[..take]);
+            (used, part) = (used + take, &part[take..]);
+            if used == PAGE_SIZE {
+                write(&mut page, used)?;
+                used = 0;
+            }
+        }
     }
+    if used > 0 {
+        write(&mut page, used)?;
+    }
+    debug_assert_eq!(sums.len(), pages, "the parts must add up to `total` bytes");
     Ok((first, sums))
 }
 
@@ -156,8 +182,12 @@ pub struct VectorSetStore {
     /// Dimension of every record; 0 while the file has never held one.
     dim: usize,
     image: BytesMut,
-    /// Byte offset of record `i`; `offsets[len]` = total size.
+    /// Byte offset of the record in *slot* `i` (position in the image);
+    /// `offsets[len]` = total size.
     offsets: Vec<usize>,
+    /// Slot of record `id`, for an image whose records are in another
+    /// order than their ids; empty = the identity (every in-memory file).
+    slot_of: Vec<u32>,
     /// Tombstone flags: `dead[i]` marks record `i` deleted. Dead records
     /// are skipped by [`scan`](Self::scan) but their bytes stay in the
     /// image until compaction.
@@ -191,6 +221,7 @@ impl VectorSetStore {
             dim,
             image,
             offsets,
+            slot_of: Vec::new(),
             dead: vec![false; sets.len()],
             page_sums: Vec::new(),
             backing: Backing::Memory(pages),
@@ -262,6 +293,7 @@ impl VectorSetStore {
             dim: self.dim,
             image: self.image.clone(),
             offsets: self.offsets.clone(),
+            slot_of: self.slot_of.clone(),
             dead: self.dead.clone(),
             page_sums: self.page_sums.clone(),
             backing: Backing::Memory(fresh),
@@ -273,11 +305,21 @@ impl VectorSetStore {
         self.backing.store()
     }
 
-    /// Persist the heap file into `target`: the raw image span first,
-    /// then a checksummed metadata stream (tag, dimension, image
-    /// location, offset table, page checksums). Returns the metadata
-    /// stream handle for a directory.
+    /// Persist the heap file into `target` with its records in id
+    /// order: [`write_ordered`](Self::write_ordered) of `0..len`.
     pub fn save_to(&self, target: &dyn PageStore) -> io::Result<StreamHandle> {
+        self.write_ordered(target, &Vec::from_iter(0..self.len() as u64))
+    }
+
+    /// Persist the heap file into `target`, record `order[0]` first: the
+    /// raw image span, then a checksummed metadata stream (tag,
+    /// dimension, image location, offset table by slot, page checksums,
+    /// and the id → slot table unless `order` is the identity). `order`
+    /// must name every id once. Records that are fetched together should
+    /// be neighbours in it — a saved index passes its X-tree's
+    /// [`leaf_order`](crate::XTree::leaf_order). Returns the metadata
+    /// stream handle for a directory.
+    pub fn write_ordered(&self, target: &dyn PageStore, order: &[u64]) -> io::Result<StreamHandle> {
         if matches!(self.backing, Backing::Shared { .. }) {
             return Err(invalid("cannot re-save a heap file opened from a page store"));
         }
@@ -287,28 +329,54 @@ impl VectorSetStore {
             // tombstoned index cannot be saved (ROADMAP item 3).
             return Err(invalid("cannot save a heap file with tombstoned records; compact first"));
         }
-        let (first, sums) = write_image(target, &self.image)?;
+        // Filling the table is the permutation check: as many slots as
+        // ids, every id in range and in a slot nobody took.
+        const FREE: u32 = u32::MAX;
+        let not_a_permutation = || invalid("heap-file save order is not a permutation of its ids");
+        if order.len() != self.len() || order.len() >= FREE as usize {
+            return Err(not_a_permutation());
+        }
+        let mut slot_of = vec![FREE; order.len()];
+        let mut offsets = vec![0];
+        for (slot, &id) in order.iter().enumerate() {
+            match slot_of.get_mut(id as usize) {
+                Some(s @ &mut FREE) => *s = slot as u32,
+                _ => return Err(not_a_permutation()),
+            }
+            offsets.push(offsets[slot] + self.record_bytes(id));
+        }
+        let records = order.iter().map(|&id| &self.image[self.extent(id)]);
+        let (first, sums) = write_image(target, self.image.len(), records)?;
+        if slot_of.iter().enumerate().all(|(id, &slot)| id == slot as usize) {
+            slot_of.clear();
+        }
         let mut meta = Vec::new();
         put_u64(&mut meta, VSET_TAG);
         put_u64(&mut meta, self.dim as u64);
         put_u64(&mut meta, first);
         put_u64(&mut meta, self.image.len() as u64);
-        put_u64(&mut meta, self.offsets.len() as u64);
-        for &o in &self.offsets {
+        put_u64(&mut meta, offsets.len() as u64);
+        for &o in &offsets {
             put_u64(&mut meta, o as u64);
         }
         for &s in &sums {
             put_u64(&mut meta, s);
+        }
+        put_u64(&mut meta, slot_of.len() as u64);
+        for slot in slot_of {
+            meta.extend_from_slice(&slot.to_le_bytes());
         }
         let mut w = PageStreamWriter::new(target);
         w.write_all(&meta)?;
         w.finish()
     }
 
-    /// Reopen a heap file persisted by [`save_to`](Self::save_to).
-    /// Every field of the metadata stream is validated, so a truncated
-    /// or corrupted file surfaces as `InvalidData`, never as garbage
-    /// records.
+    /// Reopen a heap file persisted by [`save_to`](Self::save_to) or
+    /// [`write_ordered`](Self::write_ordered). Every field of the
+    /// metadata stream is validated in O(n) — every extent holds at
+    /// least a record header, the slot table is a permutation — so a
+    /// truncated or corrupted file surfaces as `InvalidData`, never as
+    /// garbage records or a panic in a getter.
     pub fn open_from(store: Arc<dyn PageStore>, meta_first: u64) -> io::Result<Self> {
         let mut r = PageStreamReader::open(store.as_ref(), meta_first)?;
         let mut meta = Vec::new();
@@ -323,8 +391,9 @@ impl VectorSetStore {
             return Err(invalid("heap file is missing its offset table"));
         }
         let offsets: Vec<usize> = (0..n).map(|_| get_usize(r)).collect::<io::Result<_>>()?;
-        let in_order = offsets.windows(2).all(|w| w[0] <= w[1]);
-        if !in_order || offsets.last() != Some(&total) || (dim == 0 && n > 1) {
+        let headers_fit =
+            offsets.windows(2).all(|w| w[0].checked_add(8).is_some_and(|h| h <= w[1]));
+        if !headers_fit || offsets.last() != Some(&total) || (dim == 0 && n > 1) {
             return Err(invalid("heap-file offset table or dimension is inconsistent"));
         }
         let pages = total.div_ceil(PAGE_SIZE);
@@ -332,12 +401,23 @@ impl VectorSetStore {
             return Err(invalid("heap-file image span exceeds the page store"));
         }
         let page_sums: Vec<u64> = (0..pages).map(|_| get_u64(r)).collect::<io::Result<_>>()?;
-        let dead = vec![false; offsets.len() - 1];
+        let slots = get_len(r, "heap-file slot")?;
+        if (slots != 0 && slots != n - 1) || r.len() < 4 * slots {
+            return Err(invalid("heap-file slot table does not cover its records"));
+        }
+        let slot_of: Vec<u32> = (0..slots).map(|_| r.get_u32_le()).collect();
+        let mut taken = vec![false; slots];
+        let claim =
+            |&s: &u32| taken.get_mut(s as usize).is_some_and(|t| !std::mem::replace(t, true));
+        if !slot_of.iter().all(claim) {
+            return Err(invalid("heap-file slot table is not a permutation"));
+        }
         Ok(VectorSetStore {
             dim,
             image: BytesMut::new(),
             offsets,
-            dead,
+            slot_of,
+            dead: vec![false; n - 1],
             page_sums,
             backing: Backing::Shared { store, first },
         })
@@ -361,10 +441,16 @@ impl VectorSetStore {
         self.total_bytes().div_ceil(PAGE_SIZE)
     }
 
+    /// Where record `id` lies in the image — the one place that maps an
+    /// id to its slot.
+    fn extent(&self, id: u64) -> Range<usize> {
+        let slot = self.slot_of.get(id as usize).map_or(id as usize, |&s| s as usize);
+        self.offsets[slot]..self.offsets[slot + 1]
+    }
+
     /// Size of record `id` in bytes.
     pub fn record_bytes(&self, id: u64) -> usize {
-        let i = id as usize;
-        self.offsets[i + 1] - self.offsets[i]
+        self.extent(id).len()
     }
 
     /// Random access: reads the page(s) the record spans through the
@@ -385,9 +471,8 @@ impl VectorSetStore {
     /// decoded straight from the pool frame; only one that straddles a
     /// page boundary is assembled in a buffer first.
     pub fn get_into(&self, id: u64, ctx: &QueryContext, out: &mut VectorSet) -> StoreResult<()> {
-        let i = id as usize;
-        assert!(!self.dead[i], "record {id} is tombstoned");
-        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        assert!(!self.dead[id as usize], "record {id} is tombstoned");
+        let Range { start, end } = self.extent(id);
         let first_page = (start / PAGE_SIZE) as u64;
         let last_page = ((end - 1) / PAGE_SIZE) as u64;
         match &self.backing {
@@ -440,13 +525,13 @@ impl VectorSetStore {
         };
         // Every live record's header is validated before the first is
         // yielded, so the lazy decode below cannot meet a bad one.
-        let live = move |&i: &usize| !self.dead[i];
-        for i in (0..self.len()).filter(live) {
-            record_body(&image[self.offsets[i]..self.offsets[i + 1]], self.dim)?;
+        let live = move |&id: &u64| !self.dead[id as usize];
+        for id in (0..self.len() as u64).filter(live) {
+            record_body(&image[self.extent(id)], self.dim)?;
         }
-        Ok((0..self.len()).filter(live).map(move |i| {
-            let body = &image[self.offsets[i] + 8..self.offsets[i + 1]];
-            (i as u64, VectorSet::from_flat(self.dim, le_f64s(body).collect()))
+        Ok((0..self.len() as u64).filter(live).map(move |id| {
+            let body = &image[self.extent(id)][8..];
+            (id, VectorSet::from_flat(self.dim, le_f64s(body).collect()))
         }))
     }
 }
@@ -585,7 +670,7 @@ impl PointFile {
         for &v in &self.data {
             image.extend_from_slice(&v.to_le_bytes());
         }
-        let (first, sums) = write_image(target, &image)?;
+        let (first, sums) = write_image(target, image.len(), [&image[..]].into_iter())?;
         let mut meta = Vec::new();
         put_u64(&mut meta, POINT_TAG);
         put_u64(&mut meta, self.dim as u64);
@@ -693,7 +778,11 @@ mod tests {
     use crate::cursor::{drain, CandidateSource};
 
     fn sample_sets() -> Vec<VectorSet> {
-        (0..20)
+        sample(20)
+    }
+
+    fn sample(n: usize) -> Vec<VectorSet> {
+        (0..n)
             .map(|i| {
                 let mut s = VectorSet::new(6);
                 for j in 0..(i % 7 + 1) {
@@ -1030,6 +1119,79 @@ mod tests {
         target.write_page(handle.first, &[0u8; PAGE_SIZE]).unwrap();
         let err = VectorSetStore::open_from(target, handle.first).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// The metadata stream of a heap file saved into `target`.
+    fn read_meta(target: &dyn PageStore, handle: StreamHandle) -> Vec<u8> {
+        let mut meta = Vec::new();
+        PageStreamReader::open(target, handle.first).unwrap().read_to_end(&mut meta).unwrap();
+        meta
+    }
+
+    /// `words` as a metadata stream of its own in `target`, opened.
+    fn open_words(target: Arc<dyn PageStore>, words: &[u64]) -> io::Result<VectorSetStore> {
+        let mut w = PageStreamWriter::new(target.as_ref());
+        for word in words {
+            w.write_all(&word.to_le_bytes()).unwrap();
+        }
+        let first = w.finish().unwrap().first;
+        VectorSetStore::open_from(target, first)
+    }
+
+    #[test]
+    fn save_to_writes_the_v3_bytes_apart_from_the_tag_and_the_table() {
+        // 100 records over five pages, saved in id order: the image span
+        // and the stream behind its tag are what the commit before the
+        // slot table wrote (checksum measured there); the v4 stream ends
+        // in one more word, the length of a table it does not need.
+        let mem = VectorSetStore::build(&sample(100));
+        let target = InMemoryPageStore::new();
+        let handle = mem.save_to(&target).unwrap();
+        let meta = read_meta(&target, handle);
+        let mut pinned = Vec::new();
+        let mut page = vec![0u8; PAGE_SIZE];
+        for p in 0..mem.total_pages() as u64 {
+            target.read_into(p, &mut page).unwrap();
+            pinned.extend_from_slice(&page);
+        }
+        let (v3, table) = meta[8..].split_at(meta.len() - 16);
+        pinned.extend_from_slice(v3);
+        assert_eq!(checksum(&pinned), 0xd8ac_9a02_42a7_e276);
+        assert_eq!(meta[..8], VSET_TAG.to_le_bytes());
+        assert_eq!(table, 0u64.to_le_bytes(), "the identity order writes no slot table");
+    }
+
+    #[test]
+    fn an_extent_shorter_than_a_record_header_is_rejected_at_open() {
+        // A valid one-record file, then the same stream with an empty
+        // extent in front of the record: `get` would compute the last
+        // page of bytes `0..0`.
+        let target = shared(InMemoryPageStore::new());
+        let handle = VectorSetStore::build(&sample(1)).save_to(target.as_ref()).unwrap();
+        let meta = read_meta(target.as_ref(), handle);
+        let words: Vec<u64> =
+            meta.as_chunks::<8>().0.iter().map(|word| u64::from_le_bytes(*word)).collect();
+        let [tag, dim, first, total, 2, 0, end, sum, 0] = words[..] else {
+            panic!("unexpected one-record stream {words:?}");
+        };
+        assert_eq!((tag, total, end), (VSET_TAG, 56, 56));
+        open_words(Arc::clone(&target), &words).expect("the stream as saved");
+        for offsets in [[0, 0, 56], [0, 49, 56], [0, 56, 56]] {
+            let mut short = vec![tag, dim, first, total, 3];
+            short.extend(offsets);
+            short.extend([sum, 0]);
+            let err = open_words(Arc::clone(&target), &short).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{offsets:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_v3_heap_file_is_refused_by_version_not_as_corrupt() {
+        let err = open_words(shared(InMemoryPageStore::new()), &[VSET_TAG - 1, 6, 0, 0, 1, 0])
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("version 3") && msg.contains("reads 4"), "{msg}");
     }
 
     #[test]

@@ -288,6 +288,20 @@ impl XTree {
         self.store.as_store()
     }
 
+    /// Every stored id once, leaf by leaf: depth-first from the root,
+    /// children and ids in entry order — deterministic for a given tree.
+    /// Ids that are neighbours here are neighbours in the indexed space,
+    /// which is the order a saved heap file keeps its records in.
+    pub fn leaf_order(&self) -> Vec<u64> {
+        let mut order = Vec::with_capacity(self.len);
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            order.extend_from_slice(&self.nodes[n].ids);
+            stack.extend(self.nodes[n].children.iter().rev());
+        }
+        order
+    }
+
     /// Persist the tree into `target`: each node gets a page span
     /// allocated in `target` *now* (so reopening never re-allocates or
     /// grows the file), and the topology — with those span locations —
@@ -1518,6 +1532,40 @@ mod tests {
         let again = XTree::load_from(Arc::clone(&target), handle.first).unwrap();
         assert_eq!(target.page_count(), after_save, "load allocates no pages");
         assert_eq!(again.total_pages(), t.total_pages());
+    }
+
+    #[test]
+    fn leaf_order_names_every_id_once_leaf_by_leaf() {
+        // Insert-built, churned and bulk-loaded trees of height 3: the
+        // order is a permutation of the stored ids, it is the same for
+        // the same tree reopened, and the points of one leaf are
+        // contiguous in it — a pull's leaf is a run of the order.
+        let pts = random_points(20_000, 2, 31);
+        let mut churned = build(&pts);
+        for (i, p) in pts.iter().enumerate().take(1500) {
+            assert!(churned.delete(p, i as u64));
+        }
+        for tree in [build(&pts), churned, XTree::bulk_load(2, &pts)] {
+            assert!(tree.height() >= 3);
+            let order = tree.leaf_order();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            let first = (pts.len() - tree.len()) as u64;
+            assert_eq!(sorted, (first..pts.len() as u64).collect::<Vec<_>>());
+            let mut at = vec![0; pts.len()];
+            for (slot, &id) in order.iter().enumerate() {
+                at[id as usize] = slot;
+            }
+            for leaf in tree.nodes.iter().filter(|n| n.leaf) {
+                for (j, &id) in leaf.ids.iter().enumerate() {
+                    assert_eq!(at[id as usize], at[leaf.ids[0] as usize] + j, "a leaf is a run");
+                }
+            }
+            let target: Arc<dyn PageStore> = Arc::new(vsim_store::InMemoryPageStore::new());
+            let handle = tree.save_to(target.as_ref()).unwrap();
+            assert_eq!(XTree::load_from(target, handle.first).unwrap().leaf_order(), order);
+        }
+        assert!(XTree::new(3).leaf_order().is_empty());
     }
 
     #[test]

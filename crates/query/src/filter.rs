@@ -210,7 +210,8 @@ impl FilterRefineIndex {
     /// at `path`: written to a `.tmp` sibling, fsynced, then atomically
     /// renamed over the target. A crash at any point leaves either the
     /// previous file untouched or the complete new index, never a torn
-    /// mix.
+    /// mix. The heap file is written in X-tree leaf order, so centroid
+    /// neighbours share pages in every saved index.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         self.save_with(path, FaultPlan::none())?;
         Ok(())
@@ -229,12 +230,15 @@ impl FilterRefineIndex {
     }
 
     /// Serialize all four structures plus the directory stream into
-    /// `target`; returns the directory's first page (the new root).
+    /// `target`; returns the directory's first page (the new root). The
+    /// heap file goes out in X-tree leaf order: a query refines its
+    /// candidates in ascending centroid distance, so the records it
+    /// fetches one after another share pages.
     fn write_streams(&self, target: &dyn PageStore) -> io::Result<u64> {
         let t = self.tree.save_to(target)?;
         let c = self.ctree.save_to(target)?;
         let f = self.cfile.save_to(target)?;
-        let s = self.store.save_to(target)?;
+        let s = self.store.write_ordered(target, &self.tree.leaf_order())?;
         let mut meta = Vec::new();
         for v in [INDEX_TAG, self.k as u64, self.omega.len() as u64] {
             meta.extend_from_slice(&v.to_le_bytes());
@@ -291,8 +295,12 @@ impl FilterRefineIndex {
     }
 
     /// Reopen an index persisted by [`save`](Self::save), reading pages
-    /// through `pread`. Queries return bit-identical results to the
-    /// index that was saved, with identical page/byte accounting.
+    /// through `pread`. Queries return bit-identical hits to the index
+    /// that was saved, with identical `refinements`, `filter_steps`,
+    /// `pruned` and `f32_prefilter`; the page/byte accounting is that of
+    /// the saved layout — identical between `open` and
+    /// [`open_mmap`](Self::open_mmap), lower on heap pages than the
+    /// in-memory index, whose records stay in id order.
     pub fn open(path: &Path) -> io::Result<Self> {
         Self::open_store(FilePageStore::open(path)?)
     }

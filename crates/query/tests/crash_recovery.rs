@@ -105,6 +105,9 @@ fn crash_at_every_op_reopens_complete_old_or_complete_new() {
             .save_with(&path.0, FaultPlan::crash_at(n))
             .expect_err(&format!("crash at op {n} must fail the save"));
         assert_eq!(err.kind(), StoreErrorKind::Crashed, "op {n}");
+        // The save under test streams the heap file out in leaf order,
+        // page by page; none of those ops may touch the target.
+        assert!(std::fs::read(&path.0).unwrap() == old_bytes, "crash at op {n} changed the file");
 
         let hits = planned_hits(&path.0, &queries, 8);
         assert!(

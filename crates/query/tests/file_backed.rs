@@ -1,7 +1,8 @@
 //! End-to-end durability: a filter/refine index saved to a real page
 //! file and reopened — via `pread` and via mmap — must answer every
 //! query class bit-identically to the in-memory index it was built as,
-//! and the two durable read paths must charge identical simulated I/O.
+//! with the same loop counters, and the two durable read paths must
+//! charge identical simulated I/O.
 
 use rand::prelude::*;
 use std::path::PathBuf;
@@ -68,12 +69,23 @@ fn saved_index_answers_every_query_class_bit_identically() {
             let hp = mmap.knn_via_with(ap, q, 8, &cp).unwrap();
             assert_hits_bit_identical(&hb, &hf, &format!("knn q{qi} {ap} file"));
             assert_hits_bit_identical(&hb, &hp, &format!("knn q{qi} {ap} mmap"));
-            // Identical touch logic → identical charging on all media.
+            // Identical touch logic → identical loop counters on all
+            // media, and identical charging on the two durable ones.
+            // Memory = File is *not* claimed for `io`: `save` writes the
+            // heap file in X-tree leaf order while the in-memory image
+            // stays in id order (`DynamicIndex` appends to it), so the
+            // same refinements read other — fewer — heap pages from the
+            // file (`saved_layout.rs` pins how many fewer).
             let z = std::time::Duration::ZERO;
             let (sb, sf, sp) = (cb.stats(z), cf.stats(z), cp.stats(z));
-            assert_eq!(sb.io, sf.io, "knn q{qi} {ap}: file charging diverged");
             assert_eq!(sf.io, sp.io, "knn q{qi} {ap}: mmap charging diverged");
-            assert_eq!(sf.distance_evals, sb.distance_evals);
+            for s in [&sf, &sp] {
+                assert_eq!(s.refinements, sb.refinements, "knn q{qi} {ap}");
+                assert_eq!(s.filter_steps, sb.filter_steps, "knn q{qi} {ap}");
+                assert_eq!(s.pruned, sb.pruned, "knn q{qi} {ap}");
+                assert_eq!(s.f32_prefilter, sb.f32_prefilter, "knn q{qi} {ap}");
+                assert_eq!(s.distance_evals, sb.distance_evals, "knn q{qi} {ap}");
+            }
         }
         // ε-range on the default path, invariant k-NN on the planner's.
         let (rb, _) = built.range_query(q, 0.5);

@@ -39,18 +39,25 @@ impl Drop for TempFile {
     }
 }
 
-fn read_stream(store: &dyn PageStore, first: u64) -> Vec<u64> {
+fn read_stream(store: &dyn PageStore, first: u64) -> Vec<u8> {
     let mut bytes = Vec::new();
     PageStreamReader::open(store, first).unwrap().read_to_end(&mut bytes).unwrap();
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    bytes
 }
 
-fn write_stream(store: &dyn PageStore, words: &[u64]) -> u64 {
+fn write_stream(store: &dyn PageStore, bytes: &[u8]) -> u64 {
     let mut w = PageStreamWriter::new(store);
-    for word in words {
-        w.write_all(&word.to_le_bytes()).unwrap();
-    }
+    w.write_all(bytes).unwrap();
     w.finish().unwrap().first
+}
+
+/// The `i`-th 8-byte word of a stream.
+fn word(stream: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(stream[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+fn set_word(stream: &mut [u8], i: usize, v: u64) {
+    stream[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Raise the vector count in record `id`'s header by one, then make the
@@ -63,12 +70,21 @@ fn damage_record_header(path: &Path, id: usize) -> bool {
     // Directory stream: tag, k, dim, ω[dim], then the first pages of
     // the X-tree, M-tree, point-file and heap-file streams.
     let mut dir = read_stream(&store, store.root().unwrap());
-    let heap_slot = 3 + DIM + 3;
-    // Heap-file stream: tag, dim, image first page, image bytes, the
-    // offset table (count, then offsets), one checksum per image page.
-    let mut heap = read_stream(&store, dir[heap_slot]);
-    let (image_first, offsets) = (heap[2], heap[4] as usize);
-    let at = heap[5 + id] as usize;
+    let heap_entry = 3 + DIM + 3;
+    // Heap-file stream (v4): tag, dim, image first page, image bytes,
+    // the offset table by slot (count, then offsets), one checksum per
+    // image page, then the id → slot table (count, then `u32`s). A saved
+    // index keeps its records in X-tree leaf order, so the table is
+    // there and record `id` starts at the offset of its slot.
+    let mut heap = read_stream(&store, word(&dir, heap_entry));
+    let (image_first, total, offsets) =
+        (word(&heap, 2), word(&heap, 3) as usize, word(&heap, 4) as usize);
+    let sums = 5 + offsets;
+    let slots = sums + total.div_ceil(PAGE_SIZE);
+    assert_eq!(word(&heap, slots) as usize, offsets - 1, "a saved index has a slot table");
+    let entry = 8 * (slots + 1) + 4 * id;
+    let slot = u32::from_le_bytes(heap[entry..entry + 4].try_into().unwrap()) as usize;
+    let at = word(&heap, 5 + slot) as usize;
     if at % PAGE_SIZE + 8 > PAGE_SIZE {
         return false;
     }
@@ -78,8 +94,9 @@ fn damage_record_header(path: &Path, id: usize) -> bool {
     let n = &mut image[at % PAGE_SIZE + 4];
     *n += 1;
     store.write_page(image_first + page as u64, &image).unwrap();
-    heap[5 + offsets + page] = checksum(&image);
-    dir[heap_slot] = write_stream(&store, &heap);
+    set_word(&mut heap, sums + page, checksum(&image));
+    let heap_first = write_stream(&store, &heap);
+    set_word(&mut dir, heap_entry, heap_first);
     store.set_root(write_stream(&store, &dir));
     store.sync().unwrap();
     true

@@ -7,21 +7,18 @@
 //! Seidl & Kriegel [SIGMOD'98] needs from an access path: pull
 //! candidates lazily, refine them with the exact distance, and stop as
 //! soon as the next filter distance exceeds the running k-th-best exact
-//! distance. Three access paths implement it:
+//! distance. Two access paths implement it:
 //!
 //! * [`NnIter`](crate::xtree::NnIter) — best-first MINDIST ranking over
 //!   the X-tree (Hjaltason/Samet traversal);
-//! * [`MTreeRankIter`](crate::mtree::MTreeRankIter) — the equivalent
-//!   ranking traversal of the M-tree;
 //! * [`SortedScan`] — a sequential scan sorted by filter distance
 //!   (reads the whole file up front, then streams in order).
 //!
-//! All three read their pages through the [`QueryContext`] buffer pool,
-//! so the planner can compare them purely on simulated I/O.
+//! Both read their pages through the [`QueryContext`] buffer pool, so
+//! the planner can compare them purely on simulated I/O.
 //!
 //! [`QueryContext`]: vsim_store::QueryContext
 
-use crate::mtree::MTreeRankIter;
 use crate::xtree::NnIter;
 
 /// An incremental stream of `(id, filter_dist)` candidates in
@@ -37,12 +34,6 @@ pub trait CandidateSource {
 }
 
 impl CandidateSource for NnIter<'_> {
-    fn next_candidate(&mut self) -> Option<(u64, f64)> {
-        self.next()
-    }
-}
-
-impl<T: Clone> CandidateSource for MTreeRankIter<'_, T> {
     fn next_candidate(&mut self) -> Option<(u64, f64)> {
         self.next()
     }
@@ -83,7 +74,7 @@ impl<S: CandidateSource> CandidateSource for Scaled<S> {
 /// [`PointFile::scan_ranked`]: crate::storage::PointFile::scan_ranked
 pub struct SortedScan {
     /// Sorted ascending; the stable sort keeps input order among equal
-    /// distances. The tree cursors order ties by their heaps — in a way
+    /// distances. The X-tree cursor orders ties by its heap — in a way
     /// fixed by the tree and the query alone, never by addresses or
     /// hashing, but not in input order — so among equal distances the
     /// paths may differ.

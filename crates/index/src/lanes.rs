@@ -9,8 +9,8 @@
 //! The lanes run across *entries*, never across dimensions: each lane
 //! accumulates its own entry over `d = 0..dim` in order, which is the
 //! operation order of the scalar loops these kernels replace and of
-//! `centroid_euclid` in `vsim-query`. Every value computed here
-//! therefore has the bits the scalar code produced, and the three access
+//! the sorted scan (`PointFile::scan_ranked`). Every value computed here
+//! therefore has the bits the scalar code produced, and the two access
 //! paths keep emitting bit-identical filter distances. (A reduction
 //! across dimensions — the pairwise tree of `vsim_setdist::simd` — would
 //! be as fast and round differently.)

@@ -54,7 +54,7 @@ pub mod storage;
 pub mod xtree;
 
 pub use cursor::{CandidateSource, Scaled, SortedScan};
-pub use mtree::{MTree, MTreeRankIter};
+pub use mtree::MTree;
 pub use persist::PagePayload;
 pub use storage::{PointFile, VectorSetStore};
 pub use xtree::{NnIter, XTree};

@@ -487,23 +487,6 @@ impl<T: Clone> MTree<T> {
         }
         result
     }
-
-    /// Incremental nearest-neighbor ranking: yields `(id, distance)` in
-    /// nondecreasing distance order, lazily. The best-first heap mixes
-    /// subtree entries (keyed by `max(0, d(query, routing) − radius)`,
-    /// a lower bound for every object below) with already-evaluated
-    /// objects (keyed by their exact metric distance); an object is
-    /// emitted only once no pending subtree could contain anything
-    /// closer. This is the M-tree counterpart of
-    /// [`XTree::nn_iter`](crate::xtree::XTree::nn_iter) and the ranking
-    /// primitive of the optimal multi-step algorithm.
-    pub fn rank_iter<'a>(&'a self, query: &'a T, ctx: &'a QueryContext) -> MTreeRankIter<'a, T> {
-        let mut heap = BinaryHeap::new();
-        if self.len > 0 {
-            heap.push(MRankEntry { dist: 0.0, kind: MRankKind::Node(self.root) });
-        }
-        MTreeRankIter { tree: self, query, heap, ctx }
-    }
 }
 
 impl<T: Clone + PagePayload> MTree<T> {
@@ -626,77 +609,6 @@ impl<T: Clone + PagePayload> MTree<T> {
     }
 }
 
-/// Incremental ranking iterator over an [`MTree`] — see
-/// [`MTree::rank_iter`].
-pub struct MTreeRankIter<'a, T> {
-    tree: &'a MTree<T>,
-    query: &'a T,
-    heap: BinaryHeap<MRankEntry>,
-    ctx: &'a QueryContext,
-}
-
-enum MRankKind {
-    Node(usize),
-    Object(u64),
-}
-
-struct MRankEntry {
-    dist: f64,
-    kind: MRankKind,
-}
-
-impl PartialEq for MRankEntry {
-    fn eq(&self, o: &Self) -> bool {
-        self.dist == o.dist
-    }
-}
-impl Eq for MRankEntry {}
-impl Ord for MRankEntry {
-    fn cmp(&self, o: &Self) -> Ordering {
-        o.dist.total_cmp(&self.dist)
-    }
-}
-impl PartialOrd for MRankEntry {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-
-impl<T: Clone> Iterator for MTreeRankIter<'_, T> {
-    type Item = (u64, f64);
-
-    fn next(&mut self) -> Option<(u64, f64)> {
-        while let Some(MRankEntry { dist, kind }) = self.heap.pop() {
-            match kind {
-                MRankKind::Object(id) => return Some((id, dist)),
-                MRankKind::Node(n) => {
-                    self.tree.charge(n, self.ctx);
-                    match &self.tree.nodes[n] {
-                        MNode::Leaf(entries) => {
-                            for e in entries {
-                                let d = self.tree.dq(self.query, &e.obj, self.ctx);
-                                self.heap
-                                    .push(MRankEntry { dist: d, kind: MRankKind::Object(e.id) });
-                            }
-                        }
-                        MNode::Internal(entries) => {
-                            for e in entries {
-                                let d = self.tree.dq(self.query, &e.obj, self.ctx);
-                                let mindist = (d - e.radius).max(0.0).max(dist);
-                                self.heap.push(MRankEntry {
-                                    dist: mindist,
-                                    kind: MRankKind::Node(e.child),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
 struct MHeapEntry {
     dist: f64,
     node: usize,
@@ -790,45 +702,6 @@ mod tests {
                 assert!((g.1 - w.1).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn rank_iter_is_sorted_complete_and_matches_knn() {
-        let pts = random_points(350, 3, 21);
-        let t = build(&pts);
-        let q = vec![50.0, 50.0, 50.0];
-        let ctx = QueryContext::ephemeral();
-        let ranked: Vec<(u64, f64)> = t.rank_iter(&q, &ctx).collect();
-        assert_eq!(ranked.len(), 350);
-        for w in ranked.windows(2) {
-            assert!(w[0].1 <= w[1].1 + 1e-12, "out of order: {w:?}");
-        }
-        let mut ids: Vec<u64> = ranked.iter().map(|c| c.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..350).collect::<Vec<u64>>());
-        // Prefix of the ranking == knn result.
-        let ctx2 = QueryContext::ephemeral();
-        let knn = t.knn(&q, 10, &ctx2);
-        for (r, k) in ranked.iter().zip(&knn) {
-            assert!((r.1 - k.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn rank_iter_prefix_is_lazy() {
-        let pts = random_points(2000, 2, 22);
-        let t = build(&pts);
-        let ctx = QueryContext::ephemeral();
-        let mut it = t.rank_iter(&pts[0], &ctx);
-        for _ in 0..5 {
-            it.next();
-        }
-        let used = ctx.stats(std::time::Duration::ZERO).distance_evals;
-        assert!(
-            (used as usize) < pts.len() / 2,
-            "5-candidate prefix used {used} distance evals over {} objects",
-            pts.len()
-        );
     }
 
     #[test]
@@ -945,12 +818,6 @@ mod tests {
                 live.iter().filter(|(_, p)| euclid2(p, &q) <= 30.0).map(|(id, _)| *id).collect();
             want_ids.sort_unstable();
             assert_eq!(ids, want_ids);
-            // The incremental ranking must cover exactly the live set.
-            let mut ranked: Vec<u64> = t.rank_iter(&q, &ctx).map(|(id, _)| id).collect();
-            ranked.sort_unstable();
-            let mut all: Vec<u64> = live.iter().map(|(id, _)| *id).collect();
-            all.sort_unstable();
-            assert_eq!(ranked, all);
         }
     }
 

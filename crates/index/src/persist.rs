@@ -28,13 +28,15 @@ pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn get_u64(r: &mut impl Read) -> io::Result<u64> {
+/// The next little-endian `u64` of a metadata stream.
+pub fn get_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-pub(crate) fn get_f64(r: &mut impl Read) -> io::Result<f64> {
+/// The next `f64` of a metadata stream, bit for bit.
+pub fn get_f64(r: &mut impl Read) -> io::Result<f64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(f64::from_le_bytes(b))
@@ -46,7 +48,9 @@ pub(crate) fn get_usize(r: &mut impl Read) -> io::Result<usize> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "length overflows usize"))
 }
 
-pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
+/// An `InvalidData` error: what every failed check on a persisted
+/// stream returns.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -54,7 +58,7 @@ pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
 /// version in the low); persisted streams start with one so opening the
 /// wrong kind of stream fails loudly, and the right kind in another
 /// version is refused by version, not as corrupt.
-pub(crate) fn expect_tag(r: &mut impl Read, want: u64, what: &str) -> io::Result<()> {
+pub fn expect_tag(r: &mut impl Read, want: u64, what: &str) -> io::Result<()> {
     let got = get_u64(r)?;
     if got == want {
         return Ok(());

@@ -192,6 +192,9 @@ pub struct VectorSetStore {
     /// are skipped by [`scan`](Self::scan) but their bytes stay in the
     /// image until compaction.
     dead: Vec<bool>,
+    /// Records not tombstoned: `dead` recounted, kept by
+    /// [`append`](Self::append) and [`tombstone`](Self::tombstone).
+    live: usize,
     /// Per-page checksums of the image span (shared backing only;
     /// empty for the in-memory backing, which is never torn).
     page_sums: Vec<u64>,
@@ -223,6 +226,7 @@ impl VectorSetStore {
             offsets,
             slot_of: Vec::new(),
             dead: vec![false; sets.len()],
+            live: sets.len(),
             page_sums: Vec::new(),
             backing: Backing::Memory(pages),
         }
@@ -246,6 +250,7 @@ impl VectorSetStore {
         self.image.put(encode(set));
         self.offsets.push(self.image.len());
         self.dead.push(false);
+        self.live += 1;
         let new_pages = self.image.len().div_ceil(PAGE_SIZE) as u64;
         if new_pages > old_pages {
             pages.allocate(new_pages - old_pages)?;
@@ -261,6 +266,7 @@ impl VectorSetStore {
         match self.dead.get_mut(id as usize) {
             Some(d @ false) => {
                 *d = true;
+                self.live -= 1;
                 true
             }
             _ => false,
@@ -274,7 +280,7 @@ impl VectorSetStore {
 
     /// Number of live (non-tombstoned) records.
     pub fn live_len(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
+        self.live
     }
 
     /// Deep copy with a fresh page-store identity and the same page
@@ -295,6 +301,7 @@ impl VectorSetStore {
             offsets: self.offsets.clone(),
             slot_of: self.slot_of.clone(),
             dead: self.dead.clone(),
+            live: self.live,
             page_sums: self.page_sums.clone(),
             backing: Backing::Memory(fresh),
         })
@@ -323,7 +330,7 @@ impl VectorSetStore {
         if matches!(self.backing, Backing::Shared { .. }) {
             return Err(invalid("cannot re-save a heap file opened from a page store"));
         }
-        if self.dead.iter().any(|&d| d) {
+        if self.live != self.len() {
             // Persisting tombstone holes would skew the dense-id contract
             // shared with the trees. No compacting save exists yet, so a
             // tombstoned index cannot be saved (ROADMAP item 3).
@@ -418,6 +425,7 @@ impl VectorSetStore {
             offsets,
             slot_of,
             dead: vec![false; n - 1],
+            live: n - 1,
             page_sums,
             backing: Backing::Shared { store, first },
         })
@@ -552,6 +560,8 @@ pub struct PointFile {
     /// Tombstone flags, parallel to records; dead points are skipped by
     /// [`scan_ranked`](Self::scan_ranked) but keep occupying pages.
     dead: Vec<bool>,
+    /// Points not tombstoned (see [`VectorSetStore`]'s field).
+    live: usize,
     /// Per-page checksums of the image span (shared backing only;
     /// empty for the in-memory backing, which is never torn).
     page_sums: Vec<u64>,
@@ -579,6 +589,7 @@ impl PointFile {
             len: points.len(),
             data,
             dead: vec![false; points.len()],
+            live: points.len(),
             page_sums: Vec::new(),
             backing: Backing::Memory(pages),
         }
@@ -596,6 +607,7 @@ impl PointFile {
         self.data.extend_from_slice(point);
         self.len += 1;
         self.dead.push(false);
+        self.live += 1;
         let new_pages = (self.data.len() * 8).div_ceil(PAGE_SIZE) as u64;
         if new_pages > old_pages {
             pages.allocate(new_pages - old_pages)?;
@@ -609,6 +621,7 @@ impl PointFile {
         match self.dead.get_mut(id as usize) {
             Some(d @ false) => {
                 *d = true;
+                self.live -= 1;
                 true
             }
             _ => false,
@@ -622,7 +635,7 @@ impl PointFile {
 
     /// Number of live (non-tombstoned) points.
     pub fn live_len(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
+        self.live
     }
 
     /// The stored coordinates of point `id`, tombstoned or not — the
@@ -652,6 +665,7 @@ impl PointFile {
             len: self.len,
             data: self.data.clone(),
             dead: self.dead.clone(),
+            live: self.live,
             page_sums: self.page_sums.clone(),
             backing: Backing::Memory(fresh),
         })
@@ -663,7 +677,7 @@ impl PointFile {
         if matches!(self.backing, Backing::Shared { .. }) {
             return Err(invalid("cannot re-save a point file opened from a page store"));
         }
-        if self.dead.iter().any(|&d| d) {
+        if self.live != self.len() {
             return Err(invalid("cannot save a point file with tombstoned records; compact first"));
         }
         let mut image = Vec::with_capacity(self.data.len() * 8);
@@ -707,6 +721,7 @@ impl PointFile {
             len,
             data: Vec::new(),
             dead: vec![false; len],
+            live: len,
             page_sums,
             backing: Backing::Shared { store, first },
         })

@@ -1,6 +1,14 @@
 //! The filter/refine access path of Section 4.3: 6-d extended centroids
 //! indexed for incremental ranking, exact minimal matching distance on
 //! demand via the optimal multi-step engine.
+//!
+//! The index is three structures over one dense id space — the X-tree
+//! of centroids, the same centroids as a flat [`PointFile`], the heap
+//! file of vector sets — and a query pulls its candidates from one of
+//! two streams, the X-tree cursor or the sorted scan. The paper's
+//! M-tree indexes the vector sets *themselves* under `dist_mm`; it is a
+//! standalone alternative (`exp_ablation_index`), not a part of this
+//! index.
 
 use crate::multistep::{multi_step, Query, QueryKind};
 use crate::planner::{AccessPath, DatasetStats, Plan, Planner};
@@ -11,39 +19,27 @@ use std::path::Path;
 use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
+use vsim_index::persist::{expect_tag, get_f64, get_u64, invalid};
 use vsim_index::{
-    Backend, CandidateSource, FaultInjectingPageStore, FaultPlan, FilePageStore, MTree, PageStore,
+    Backend, CandidateSource, FaultInjectingPageStore, FaultPlan, FilePageStore, PageStore,
     PageStreamReader, PageStreamWriter, PointFile, QueryContext, Scaled, StoreResult,
-    VectorSetStore, XTree, PAGE_SIZE,
+    VectorSetStore, XTree,
 };
 use vsim_setdist::matching::{MinimalMatching, PointDistance, WeightFunction};
-use vsim_setdist::{extended_centroid, Distance, MatchingEngine, PrefilteredDistance, VectorSet};
+use vsim_setdist::{extended_centroid, MatchingEngine, PrefilteredDistance, VectorSet};
 
-/// Directory-stream tag of a persisted filter/refine index ("FRIX" v1).
-const INDEX_TAG: u64 = 0x4652_4958_0000_0001;
-
-fn rd_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn rd_f64(r: &mut impl Read) -> io::Result<f64> {
-    Ok(f64::from_bits(rd_u64(r)?))
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
+/// Directory-stream tag of a persisted filter/refine index ("FRIX" v2:
+/// three stream roots; v1 carried a fourth, a centroid M-tree).
+const INDEX_TAG: u64 = 0x4652_4958_0000_0002;
 
 /// Filter/refine index over vector sets.
 ///
 /// * Filter: the extended centroid `C_{k,ω}` of every set, kept in
-///   *three* interchangeable access paths — an X-tree, an M-tree over
-///   the centroid metric, and a flat [`PointFile`] for sorted scans. By
-///   Lemma 2, `k · ‖C(X) − C(q)‖₂ ≤ dist_mm(X, q)`, so centroid
-///   distance `· k` lower-bounds the exact distance and every path can
-///   serve the same nondecreasing candidate stream
+///   *two* interchangeable access paths — an X-tree and a flat
+///   [`PointFile`] for sorted scans. By Lemma 2,
+///   `k · ‖C(X) − C(q)‖₂ ≤ dist_mm(X, q)`, so centroid distance `· k`
+///   lower-bounds the exact distance and both paths serve the same
+///   nondecreasing candidate stream
 ///   (see [`FilterRefineIndex::with_candidate_source`]).
 /// * Refinement: load the candidate's vector set from the heap file and
 ///   evaluate the exact minimal matching distance (weight `w_ω`).
@@ -60,19 +56,10 @@ pub struct FilterRefineIndex {
     k: usize,
     omega: Vec<f64>,
     tree: XTree,
-    /// The same centroids under the metric M-tree (ranking traversal).
-    ctree: MTree<Vec<f64>>,
     /// The same centroids as a flat file (sorted sequential scan).
     cfile: PointFile,
     store: VectorSetStore,
     mm: MinimalMatching,
-}
-
-/// Euclidean distance with the exact operation order of the X-tree leaf
-/// scan — all three access paths must produce bit-identical filter
-/// distances for the planner's choice to be invisible in results.
-fn centroid_euclid(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 impl FilterRefineIndex {
@@ -89,20 +76,12 @@ impl FilterRefineIndex {
             tree.insert(&c, i as u64);
             centroids.push(c);
         }
-        let entry_bytes = 8 * dim + 16;
-        let dist: Arc<dyn Distance<Vec<f64>>> =
-            Arc::new(|a: &Vec<f64>, b: &Vec<f64>| centroid_euclid(a, b));
-        let mut ctree = MTree::new(dist, (PAGE_SIZE / entry_bytes).max(4), entry_bytes);
-        for (i, c) in centroids.iter().enumerate() {
-            ctree.insert(c.clone(), i as u64);
-        }
         let cfile = PointFile::build(dim, &centroids);
         let store = VectorSetStore::build(sets);
         FilterRefineIndex {
             k,
             omega,
             tree,
-            ctree,
             cfile,
             store,
             mm: MinimalMatching {
@@ -121,9 +100,9 @@ impl FilterRefineIndex {
         self
     }
 
-    /// Insert one vector set into all four structures — heap file,
-    /// centroid point file, X-tree, and M-tree — and return its stable
-    /// id. Ids are append-order dense and never reused, so results stay
+    /// Insert one vector set into all three structures — heap file,
+    /// centroid point file and X-tree — and return its stable id. Ids
+    /// are append-order dense and never reused, so results stay
     /// comparable across epochs. In-memory indexes only (an index
     /// opened from a page file is a read-only snapshot).
     pub fn insert(&mut self, set: &VectorSet) -> io::Result<u64> {
@@ -134,11 +113,10 @@ impl FilterRefineIndex {
         let fid = self.cfile.append(&c)?;
         debug_assert_eq!(id, fid, "heap file and point file ids diverged");
         self.tree.insert(&c, id);
-        self.ctree.insert(c, id);
         Ok(id)
     }
 
-    /// Delete object `id`: remove its centroid from both trees and
+    /// Delete object `id`: remove its centroid from the X-tree and
     /// tombstone its records in the point and heap files. The bytes are
     /// not reclaimed, and an index with a tombstone can no longer be
     /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 3).
@@ -148,15 +126,13 @@ impl FilterRefineIndex {
             return Ok(false);
         }
         // The point file holds the exact centroid bits that were
-        // inserted, so the tree deletions match on identical keys.
-        let c: Vec<f64> = self
+        // inserted, so the tree deletion matches on an identical key.
+        let c = self
             .cfile
             .point(id)
-            .ok_or_else(|| bad("dynamic deletes require the in-memory backing"))?
-            .to_vec();
-        let in_xtree = self.tree.delete(&c, id);
-        let in_mtree = self.ctree.delete(&c, id);
-        debug_assert!(in_xtree && in_mtree, "trees out of sync with the heap file on id {id}");
+            .ok_or_else(|| invalid("dynamic deletes require the in-memory backing"))?;
+        let in_tree = self.tree.delete(c, id);
+        debug_assert!(in_tree, "X-tree out of sync with the heap file on id {id}");
         self.cfile.tombstone(id);
         self.store.tombstone(id);
         Ok(true)
@@ -172,7 +148,6 @@ impl FilterRefineIndex {
             k: self.k,
             omega: self.omega.clone(),
             tree: self.tree.snapshot()?,
-            ctree: self.ctree.snapshot()?,
             cfile: self.cfile.snapshot()?,
             store: self.store.snapshot()?,
             mm: self.mm.clone(),
@@ -205,10 +180,10 @@ impl FilterRefineIndex {
         self.store.page_store().backend()
     }
 
-    /// Persist the whole index — X-tree, centroid M-tree, centroid point
-    /// file, and the vector-set heap file — into one durable page file
-    /// at `path`: written to a `.tmp` sibling, fsynced, then atomically
-    /// renamed over the target. A crash at any point leaves either the
+    /// Persist the whole index — X-tree, centroid point file and the
+    /// vector-set heap file — into one durable page file at `path`:
+    /// written to a `.tmp` sibling, fsynced, then atomically renamed
+    /// over the target. A crash at any point leaves either the
     /// previous file untouched or the complete new index, never a torn
     /// mix. The heap file is written in X-tree leaf order, so centroid
     /// neighbours share pages in every saved index.
@@ -222,21 +197,18 @@ impl FilterRefineIndex {
     /// the factor is headroom for stream framing (streams re-serialize
     /// the structures' contents with a per-page header).
     fn capacity_budget(&self) -> u64 {
-        let data_pages = (self.tree.total_pages()
-            + self.ctree.total_pages()
-            + self.cfile.total_pages()
-            + self.store.total_pages()) as u64;
+        let data_pages =
+            (self.tree.total_pages() + self.cfile.total_pages() + self.store.total_pages()) as u64;
         data_pages * 8 + 64
     }
 
-    /// Serialize all four structures plus the directory stream into
+    /// Serialize all three structures plus the directory stream into
     /// `target`; returns the directory's first page (the new root). The
     /// heap file goes out in X-tree leaf order: a query refines its
     /// candidates in ascending centroid distance, so the records it
     /// fetches one after another share pages.
     fn write_streams(&self, target: &dyn PageStore) -> io::Result<u64> {
         let t = self.tree.save_to(target)?;
-        let c = self.ctree.save_to(target)?;
         let f = self.cfile.save_to(target)?;
         let s = self.store.write_ordered(target, &self.tree.leaf_order())?;
         let mut meta = Vec::new();
@@ -246,7 +218,7 @@ impl FilterRefineIndex {
         for &w in &self.omega {
             meta.extend_from_slice(&w.to_le_bytes());
         }
-        for v in [t.first, c.first, f.first, s.first] {
+        for v in [t.first, f.first, s.first] {
             meta.extend_from_slice(&v.to_le_bytes());
         }
         let mut w = PageStreamWriter::new(target);
@@ -312,36 +284,39 @@ impl FilterRefineIndex {
     }
 
     fn open_store(file: FilePageStore) -> io::Result<Self> {
-        let dir = file.root().ok_or_else(|| bad("index file has no root directory"))?;
+        let dir = file.root().ok_or_else(|| invalid("index file has no root directory"))?;
         let store: Arc<dyn PageStore> = Arc::new(file);
         let mut r = PageStreamReader::open(store.as_ref(), dir)?;
         let mut meta = Vec::new();
         r.read_to_end(&mut meta)?;
         let rd = &mut &meta[..];
-        if rd_u64(rd)? != INDEX_TAG {
-            return Err(bad("not a filter/refine index file"));
-        }
-        let k = rd_u64(rd)? as usize;
-        let dim = rd_u64(rd)? as usize;
+        expect_tag(rd, INDEX_TAG, "filter/refine index directory")?;
+        let k = get_u64(rd)? as usize;
+        let dim = get_u64(rd)? as usize;
         if k == 0 || dim == 0 || dim > 4096 {
-            return Err(bad("index directory header is inconsistent"));
+            return Err(invalid("index directory header is inconsistent"));
         }
-        let omega: Vec<f64> = (0..dim).map(|_| rd_f64(rd)).collect::<io::Result<_>>()?;
-        let (t, c, f, s) = (rd_u64(rd)?, rd_u64(rd)?, rd_u64(rd)?, rd_u64(rd)?);
+        let omega: Vec<f64> = (0..dim).map(|_| get_f64(rd)).collect::<io::Result<_>>()?;
+        let (t, f, s) = (get_u64(rd)?, get_u64(rd)?, get_u64(rd)?);
         let tree = XTree::load_from(Arc::clone(&store), t)?;
-        if tree.dim() != dim {
-            return Err(bad("X-tree dimension disagrees with the index directory"));
-        }
-        let dist: Arc<dyn Distance<Vec<f64>>> =
-            Arc::new(|a: &Vec<f64>, b: &Vec<f64>| centroid_euclid(a, b));
-        let ctree = MTree::load_from(Arc::clone(&store), c, dist)?;
         let cfile = PointFile::open_from(Arc::clone(&store), f)?;
         let vstore = VectorSetStore::open_from(store, s)?;
+        if tree.dim() != dim || cfile.dim() != dim {
+            return Err(invalid("filter dimension disagrees with the index directory"));
+        }
+        // The three streams share one dense id space: a query takes an
+        // id from the X-tree or the point file and fetches that record.
+        let n = vstore.len();
+        let mut seen = vec![false; n];
+        let claim =
+            |&id: &u64| seen.get_mut(id as usize).is_some_and(|s| !std::mem::replace(s, true));
+        if tree.len() != n || cfile.len() != n || !tree.leaf_order().iter().all(claim) {
+            return Err(invalid("index streams disagree on the objects they hold"));
+        }
         Ok(FilterRefineIndex {
             k,
             omega,
             tree,
-            ctree,
             cfile,
             store: vstore,
             mm: MinimalMatching {
@@ -364,54 +339,41 @@ impl FilterRefineIndex {
         MatchingEngine::new(self.mm.clone())
     }
 
-    /// Statistics the [`Planner`] costs access paths against, gathered
-    /// from the built structures (no estimation involved). `n` counts
-    /// live objects; the scan sizes include tombstoned bytes — exactly
-    /// what a sequential scan still has to read before compaction.
+    /// Statistics the [`Planner`] costs access paths against, read off
+    /// the structures themselves (counts they keep, plus the X-tree's
+    /// node walk — no estimation, no second copy). `n` counts live
+    /// objects; the scan sizes include tombstoned bytes — exactly what
+    /// a sequential scan still has to read before compaction.
     pub fn dataset_stats(&self) -> DatasetStats {
-        let dim = self.tree.dim();
         DatasetStats {
             n: self.store.live_len(),
-            dim,
+            dim: self.tree.dim(),
             scan_pages: self.cfile.total_pages() as u64,
             scan_bytes: self.cfile.total_bytes() as u64,
             xtree_pages: self.tree.total_pages() as u64,
             xtree_height: self.tree.height() as u64,
-            mtree_pages: self.ctree.total_pages() as u64,
-            mtree_entry_bytes: (8 * dim + 16) as u64,
             backend: self.backend(),
         }
-    }
-
-    /// Refresh the tree-derived fields of `stats` from the live
-    /// structures. Splits and supernode growth change these counters
-    /// non-locally, so the epoch layer's incrementally maintained stats
-    /// re-read them after every mutation instead of deriving deltas;
-    /// `n` and the scan sizes *are* maintained by pure arithmetic.
-    pub fn refresh_tree_stats(&self, stats: &mut DatasetStats) {
-        stats.xtree_pages = self.tree.total_pages() as u64;
-        stats.xtree_height = self.tree.height() as u64;
-        stats.mtree_pages = self.ctree.total_pages() as u64;
     }
 
     /// Cost-based access-path choice for a `kq`-NN query under the
     /// paper's cost model.
     pub fn plan_knn(&self, kq: usize) -> Plan {
-        Planner::default().plan_knn(&self.dataset_stats(), kq)
+        Planner.plan_knn(&self.dataset_stats(), kq)
     }
 
     /// Cost-based access-path choice for an ε-range query.
     pub fn plan_range(&self) -> Plan {
-        Planner::default().plan_range(&self.dataset_stats())
+        Planner.plan_range(&self.dataset_stats())
     }
 
     /// Open the chosen access path as a candidate stream for the query
     /// centroid `cq` and run `f` on it. The stream yields
     /// `(id, k · ‖C(X) − C(q)‖)` — the Lemma 2 lower bound of the exact
     /// distance — in nondecreasing order, with all page reads charged to
-    /// `ctx`. All three paths produce bit-identical bounds (same
-    /// Euclidean operation order, same `k ·` scaling), so the choice
-    /// affects cost, never results.
+    /// `ctx`. Both paths produce bit-identical bounds (same Euclidean
+    /// operation order, same `k ·` scaling), so the choice affects
+    /// cost, never results.
     ///
     /// `f` is fallible so refinement reads inside the closure can
     /// propagate storage errors; opening the sorted scan itself can also
@@ -426,10 +388,6 @@ impl FilterRefineIndex {
         let factor = self.k as f64;
         match path {
             AccessPath::XTreeCursor => f(&mut Scaled::new(self.tree.nn_iter(cq, ctx), factor)),
-            AccessPath::MTreeCursor => {
-                let cqv = cq.to_vec();
-                f(&mut Scaled::new(self.ctree.rank_iter(&cqv, ctx), factor))
-            }
             AccessPath::SeqScan => f(&mut Scaled::new(self.cfile.scan_ranked(cq, ctx)?, factor)),
         }
     }
@@ -670,14 +628,13 @@ mod tests {
         let idx = FilterRefineIndex::build(&sets, 6, 5);
         for qi in [0usize, 60, 170, 340] {
             let q = &sets[qi];
-            let runs: Vec<Vec<(u64, f64)>> =
-                [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan]
-                    .into_iter()
-                    .map(|path| {
-                        let ctx = QueryContext::ephemeral();
-                        idx.knn_via_with(path, q, 10, &ctx).unwrap()
-                    })
-                    .collect();
+            let runs: Vec<Vec<(u64, f64)>> = [AccessPath::XTreeCursor, AccessPath::SeqScan]
+                .into_iter()
+                .map(|path| {
+                    let ctx = QueryContext::ephemeral();
+                    idx.knn_via_with(path, q, 10, &ctx).unwrap()
+                })
+                .collect();
             for other in &runs[1..] {
                 assert_eq!(runs[0].len(), other.len(), "query {qi}");
                 for (a, b) in runs[0].iter().zip(other) {
@@ -694,11 +651,10 @@ mod tests {
         let idx = FilterRefineIndex::build(&sets, 6, 5);
         for qi in [4usize, 120, 260] {
             let q = &sets[qi];
-            let runs: Vec<Vec<(u64, f64)>> =
-                [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan]
-                    .into_iter()
-                    .map(|path| idx.run(&Query::range(from_ref(q), 0.6).via(path)).0)
-                    .collect();
+            let runs: Vec<Vec<(u64, f64)>> = [AccessPath::XTreeCursor, AccessPath::SeqScan]
+                .into_iter()
+                .map(|path| idx.run(&Query::range(from_ref(q), 0.6).via(path)).0)
+                .collect();
             for other in &runs[1..] {
                 assert_eq!(runs[0], other.clone(), "query {qi}");
             }

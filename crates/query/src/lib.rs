@@ -28,7 +28,7 @@
 //!
 //! The filter layer is built on an incremental **candidate-stream
 //! abstraction** (`CandidateSource` in `vsim-index`): every access path
-//! — X-tree cursor, M-tree ranking, sorted scan — yields candidates in
+//! — X-tree cursor, sorted scan — yields candidates in
 //! nondecreasing filter-lower-bound order, and the [`multistep`] module
 //! holds the one loop that consumes such a stream. Per-query
 //! [`QueryStats`] report `filter_steps` (candidates pulled from the
@@ -66,7 +66,7 @@ pub mod planner;
 pub mod scan;
 pub mod stats;
 
-pub use epoch::{DynamicIndex, IndexEpoch, REPLAN_DRIFT};
+pub use epoch::{DynamicIndex, IndexEpoch};
 pub use executor::{BatchResult, PoolPolicy, QueryExecutor};
 pub use filter::FilterRefineIndex;
 pub use multistep::{multi_step_knn, Query, QueryKind, TopK};

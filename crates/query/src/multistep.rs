@@ -12,7 +12,7 @@
 //! the derivation from the centroid bound of Lemma 2).
 //!
 //! There is one loop, `multi_step`: it is access-path agnostic (the
-//! X-tree cursor, the M-tree ranking and the sorted scan all drive it),
+//! X-tree cursor and the sorted scan both drive it),
 //! kind agnostic (its collector is a [`TopK`] or an ε-list) and
 //! variant agnostic (an invariant query runs it once per query variant
 //! into the same collector). It threads `filter_steps` /

@@ -16,28 +16,28 @@
 //!   `kq · 2^(dim/6)` — selectivity degrades exponentially with
 //!   dimensionality (the Table 2 effect that makes the 6k-d one-vector
 //!   index read most of its pages).
-//! * **M-tree cursor** pays no dimensionality amplification (it sees
-//!   only metric distances) but its overlapping covering radii make the
-//!   traversal touch extra subtrees; a constant overlap penalty of 2×
-//!   and a fixed candidate amplification of `4·kq` model that. It also
-//!   charges record bytes on every node miss, unlike the X-tree.
 //!
-//! With the paper's constants this ranks: scan below everything for
-//! `n` of a few dozen, the X-tree cursor cheapest for large low-d
-//! filter files, and the M-tree taking over when `dim` drives the
-//! X-tree's amplification past the M-tree's overlap penalty.
+//! With the paper's constants this ranks: the scan cheapest for `n` of
+//! a few dozen and again once `dim` amplifies the X-tree's candidates
+//! to the whole file, the X-tree cursor cheapest for large low-d filter
+//! files — every index this workspace builds (`dim = 6`).
+//!
+//! The statistics are read off the index's own structures at plan time
+//! ([`FilterRefineIndex::dataset_stats`]: field reads and the X-tree's
+//! node walk), so a plan is always of the index it is asked about —
+//! a pinned epoch plans for itself, whatever the writer has done since.
+//!
+//! [`FilterRefineIndex::dataset_stats`]: crate::FilterRefineIndex::dataset_stats
 
 use vsim_index::{Backend, CostModel, IoSnapshot};
 
-/// The access paths a multi-step query can pull candidates from. All
-/// three implement the same `CandidateSource` contract, so the choice
-/// affects only cost, never results.
+/// The access paths a multi-step query can pull candidates from. Both
+/// implement the same `CandidateSource` contract, so the choice affects
+/// only cost, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPath {
     /// Best-first MINDIST ranking over the X-tree.
     XTreeCursor,
-    /// Ranking traversal of the M-tree.
-    MTreeCursor,
     /// Full scan of the filter file, sorted by filter distance.
     SeqScan,
 }
@@ -46,14 +46,13 @@ impl std::fmt::Display for AccessPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             AccessPath::XTreeCursor => "xtree_cursor",
-            AccessPath::MTreeCursor => "mtree_cursor",
             AccessPath::SeqScan => "seq_scan",
         })
     }
 }
 
-/// Statistics about one filter layer, gathered at build time, that the
-/// planner costs access paths against.
+/// Statistics about one filter layer that the planner costs access
+/// paths against.
 #[derive(Debug, Clone, Copy)]
 pub struct DatasetStats {
     /// Number of indexed objects.
@@ -68,10 +67,6 @@ pub struct DatasetStats {
     pub xtree_pages: u64,
     /// Height of the X-tree (directory descent cost).
     pub xtree_height: u64,
-    /// Total pages of the M-tree.
-    pub mtree_pages: u64,
-    /// Bytes per M-tree entry (charged on node misses).
-    pub mtree_entry_bytes: u64,
     /// The medium the filter structures read from. Simulated (memory)
     /// backends are costed with the paper's charged constants; durable
     /// backends with the measured-device constants of
@@ -85,7 +80,7 @@ pub struct DatasetStats {
 #[derive(Debug, Clone, Copy)]
 pub struct Plan {
     pub path: AccessPath,
-    pub est_ms: [(AccessPath, f64); 3],
+    pub est_ms: [(AccessPath, f64); 2],
 }
 
 impl Plan {
@@ -97,28 +92,14 @@ impl Plan {
 
 /// Cost-based access-path chooser.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Planner {
-    cost: CostModel,
-}
+pub struct Planner;
 
 impl Planner {
-    pub fn new(cost: CostModel) -> Self {
-        Planner { cost }
-    }
-
-    /// Per-backend cost constants: the planner's own model (the paper's
-    /// charged constants by default) for simulated backends, the
-    /// measured-device model for durable ones.
-    fn cost_for(&self, backend: Backend) -> CostModel {
-        if backend.is_simulated() {
-            self.cost
-        } else {
-            CostModel::for_backend(backend)
-        }
-    }
-
+    /// Milliseconds `backend` charges for the I/O: the paper's charged
+    /// constants for simulated backends, the measured-device model for
+    /// durable ones ([`CostModel::for_backend`]).
     fn ms(&self, backend: Backend, pages: u64, bytes: u64) -> f64 {
-        self.cost_for(backend).seconds(IoSnapshot { pages, bytes }) * 1e3
+        CostModel::for_backend(backend).seconds(IoSnapshot { pages, bytes }) * 1e3
     }
 
     /// Estimated cost of scanning the whole filter file once.
@@ -138,46 +119,27 @@ impl Planner {
         self.ms(s.backend, s.xtree_height + leaf_pages, 0)
     }
 
-    /// Estimated cost of pulling ~`cand` candidates through the M-tree
-    /// ranking, with the 2× overlap penalty; node misses also charge
-    /// their entry bytes.
-    fn mtree_ms(&self, s: &DatasetStats, cand: f64) -> f64 {
-        if s.n == 0 {
-            return 0.0;
-        }
-        let frac = (cand / s.n as f64).min(1.0);
-        let pages = 1 + (frac * s.mtree_pages as f64).ceil() as u64;
-        let per_page_entries = (s.n as f64 / s.mtree_pages.max(1) as f64).ceil() as u64;
-        let bytes = pages * per_page_entries * s.mtree_entry_bytes;
-        2.0 * self.ms(s.backend, pages, bytes)
-    }
-
     /// Expected candidates a k-NN query must examine on the X-tree:
     /// `kq` amplified exponentially by filter dimensionality.
     fn est_candidates_knn(s: &DatasetStats, kq: usize) -> f64 {
         kq as f64 * 2f64.powf(s.dim as f64 / 6.0)
     }
 
-    fn pick(&self, s: &DatasetStats, xtree_cand: f64, mtree_cand: f64) -> Plan {
-        let est_ms = [
-            (AccessPath::XTreeCursor, self.xtree_ms(s, xtree_cand)),
-            (AccessPath::MTreeCursor, self.mtree_ms(s, mtree_cand)),
-            (AccessPath::SeqScan, self.scan_ms(s)),
-        ];
-        // Ties (e.g. an empty dataset) resolve to the earliest entry,
-        // preferring the indexed paths.
-        let path = est_ms
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(p, _)| *p)
-            .unwrap_or(AccessPath::XTreeCursor);
-        Plan { path, est_ms }
+    /// The cheaper path for ~`cand` X-tree candidates; the X-tree
+    /// cursor on a tie.
+    fn pick(&self, s: &DatasetStats, cand: f64) -> Plan {
+        let (xtree, scan) = (self.xtree_ms(s, cand), self.scan_ms(s));
+        let path = if scan.total_cmp(&xtree).is_lt() {
+            AccessPath::SeqScan
+        } else {
+            AccessPath::XTreeCursor
+        };
+        Plan { path, est_ms: [(AccessPath::XTreeCursor, xtree), (AccessPath::SeqScan, scan)] }
     }
 
     /// Choose the access path for a `kq`-NN query.
     pub fn plan_knn(&self, s: &DatasetStats, kq: usize) -> Plan {
-        let kq = kq.max(1);
-        self.pick(s, Self::est_candidates_knn(s, kq), 4.0 * kq as f64)
+        self.pick(s, Self::est_candidates_knn(s, kq.max(1)))
     }
 
     /// Choose the access path for an ε-range query. Without per-query
@@ -186,7 +148,7 @@ impl Planner {
     /// the scan-for-tiny / index-for-large ranking.
     pub fn plan_range(&self, s: &DatasetStats) -> Plan {
         let cand = (s.n as f64 * 0.02).max(10.0);
-        self.pick(s, cand * 2f64.powf(s.dim as f64 / 6.0) / 2.0, cand)
+        self.pick(s, cand * 2f64.powf(s.dim as f64 / 6.0) / 2.0)
     }
 }
 
@@ -197,10 +159,11 @@ mod tests {
     fn stats(n: usize, dim: usize) -> DatasetStats {
         let bytes = (n * dim * 8) as u64;
         let scan_pages = bytes.div_ceil(4096).max(if n > 0 { 1 } else { 0 });
-        // Tree sizes modeled the way the real structures come out:
-        // ~70 entries per X-tree leaf at 80% fill, M-tree similar.
-        let xtree_pages = (n as u64).div_ceil(58).max(1);
-        let mtree_pages = (n as u64).div_ceil(45).max(1);
+        // Tree size modeled the way the real structure comes out: a
+        // leaf entry is a point and an id, leaves 80% full (58 entries
+        // at dim 6, 9 at dim 42).
+        let per_leaf = (4096 * 4 / 5 / (8 * dim + 8)) as u64;
+        let xtree_pages = (n as u64).div_ceil(per_leaf).max(1);
         let height = if n > 400 { 2 } else { 1 };
         DatasetStats {
             n,
@@ -209,50 +172,52 @@ mod tests {
             scan_bytes: bytes,
             xtree_pages,
             xtree_height: height,
-            mtree_pages,
-            mtree_entry_bytes: (dim * 8 + 16) as u64,
             backend: Backend::Memory,
         }
     }
 
     #[test]
     fn tiny_datasets_scan() {
-        let plan = Planner::default().plan_knn(&stats(30, 6), 10);
+        let plan = Planner.plan_knn(&stats(30, 6), 10);
         assert_eq!(plan.path, AccessPath::SeqScan, "{:?}", plan.est_ms);
     }
 
     #[test]
     fn large_low_dim_datasets_use_the_xtree() {
-        let plan = Planner::default().plan_knn(&stats(2000, 6), 10);
+        let plan = Planner.plan_knn(&stats(2000, 6), 10);
         assert_eq!(plan.path, AccessPath::XTreeCursor, "{:?}", plan.est_ms);
-        let plan5k = Planner::default().plan_knn(&stats(5000, 6), 10);
+        let plan5k = Planner.plan_knn(&stats(5000, 6), 10);
         assert_eq!(plan5k.path, AccessPath::XTreeCursor);
     }
 
     #[test]
     fn high_dimensionality_abandons_the_xtree() {
-        let planner = Planner::default();
-        let plan = planner.plan_knn(&stats(2000, 42), 10);
+        // At 42-d a 10-NN query is modeled as 1280 candidates: all of a
+        // 1000-object file, and the tree's pages are more than the flat
+        // file's. (With twice the objects the cursor still reads only
+        // 0.64 of its leaves and stays cheaper than the scan.)
+        let plan = Planner.plan_knn(&stats(1000, 42), 10);
         assert_ne!(plan.path, AccessPath::XTreeCursor, "{:?}", plan.est_ms);
+        assert_eq!(Planner.plan_knn(&stats(2000, 42), 10).path, AccessPath::XTreeCursor);
     }
 
     #[test]
     fn range_planning_follows_the_same_shape() {
-        let planner = Planner::default();
+        let planner = Planner;
         assert_eq!(planner.plan_range(&stats(30, 6)).path, AccessPath::SeqScan);
         assert_eq!(planner.plan_range(&stats(5000, 6)).path, AccessPath::XTreeCursor);
     }
 
     #[test]
     fn chosen_ms_reports_the_winning_estimate() {
-        let plan = Planner::default().plan_knn(&stats(2000, 6), 10);
+        let plan = Planner.plan_knn(&stats(2000, 6), 10);
         let min = plan.est_ms.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
         assert_eq!(plan.chosen_ms(), min);
     }
 
     #[test]
     fn durable_backends_are_costed_with_measured_constants() {
-        let planner = Planner::default();
+        let planner = Planner;
         let mem = stats(2000, 6);
         let mut file = mem;
         file.backend = Backend::File;
@@ -271,7 +236,20 @@ mod tests {
 
     #[test]
     fn empty_dataset_does_not_panic() {
-        let plan = Planner::default().plan_knn(&stats(0, 6), 10);
-        let _ = plan.chosen_ms();
+        // Nothing to scan costs nothing; the X-tree still reads its root.
+        let plan = Planner.plan_knn(&stats(0, 6), 10);
+        assert_eq!(plan.path, AccessPath::SeqScan, "{:?}", plan.est_ms);
+        assert_eq!(plan.chosen_ms(), 0.0);
+        assert_eq!(Planner.plan_range(&stats(0, 6)).path, AccessPath::SeqScan);
+
+        // And the plan serves an empty index: no hits, no panic.
+        let empty = crate::FilterRefineIndex::build(&[], 6, 4);
+        assert_eq!(empty.plan_knn(10).path, AccessPath::SeqScan);
+        assert_eq!(empty.plan_range().path, AccessPath::SeqScan);
+        let q = [vsim_setdist::VectorSet::from_rows(6, &[&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])];
+        for query in [crate::Query::knn(&q, 10), crate::Query::range(&q, 1e9)] {
+            let (hits, stats) = empty.run(&query);
+            assert!(hits.is_empty() && stats.error.is_none(), "{:?}", stats.error);
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the `CandidateSource` contract: every access path
-//! — X-tree cursor, M-tree ranking, sorted sequential scan — must emit
+//! — X-tree cursor, sorted sequential scan — must emit
 //! candidates in nondecreasing filter-distance order and cover exactly
 //! the id set a full scan would produce. Checked for the paper's two
 //! feature models: 6-d extended centroids of vector sets (via
@@ -35,7 +35,7 @@ fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
         .collect()
 }
 
-/// The filter distance as all three access paths compute it.
+/// The filter distance as both access paths compute it.
 fn euclid2(p: &[f64], q: &[f64]) -> f64 {
     p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum()
 }
@@ -90,12 +90,11 @@ fn cursor_tree(how: usize, dim: usize, pts: &[Vec<f64>]) -> (XTree, Vec<u64>) {
     (tree, live)
 }
 
-const PATHS: [AccessPath; 3] =
-    [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan];
+const PATHS: [AccessPath; 2] = [AccessPath::XTreeCursor, AccessPath::SeqScan];
 
 proptest! {
     /// Vector-set model: each access path streams every id exactly once,
-    /// in nondecreasing lower-bound order, and all three paths emit
+    /// in nondecreasing lower-bound order, and both paths emit
     /// bit-identical bounds per id.
     #[test]
     fn all_paths_stream_the_full_id_set_in_order(

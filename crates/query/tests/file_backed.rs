@@ -61,7 +61,7 @@ fn saved_index_answers_every_query_class_bit_identically() {
     let queries: Vec<VectorSet> = (0..12).map(|i| sets[i * 23].clone()).collect();
     for (qi, q) in queries.iter().enumerate() {
         // k-NN on every access path.
-        for ap in [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan] {
+        for ap in [AccessPath::XTreeCursor, AccessPath::SeqScan] {
             let (cb, cf, cp) =
                 (QueryContext::ephemeral(), QueryContext::ephemeral(), QueryContext::ephemeral());
             let hb = built.knn_via_with(ap, q, 8, &cb).unwrap();

@@ -98,7 +98,7 @@ fn multi_step_knn_is_bit_identical_across_engines_and_never_refines_more() {
 fn knn_via_with_equals_the_loop_recomposed_from_public_layer_functions() {
     let sets = random_sets(400, 5, 2030);
     let idx = FilterRefineIndex::build(&sets, 6, 5);
-    for path in [AccessPath::XTreeCursor, AccessPath::MTreeCursor, AccessPath::SeqScan] {
+    for path in [AccessPath::XTreeCursor, AccessPath::SeqScan] {
         for q in [&sets[0], &sets[77], &sets[311]] {
             let ctx = QueryContext::ephemeral();
             let got = idx.knn_via_with(path, q, 10, &ctx).unwrap();

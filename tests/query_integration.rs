@@ -302,9 +302,8 @@ fn centroid_filter_bound_holds_on_real_data() {
     }
 }
 
-const PATHS: [Option<AccessPath>; 4] = [
+const PATHS: [Option<AccessPath>; 3] = [
     Some(AccessPath::XTreeCursor),
-    Some(AccessPath::MTreeCursor),
     Some(AccessPath::SeqScan),
     None, // the planner's choice
 ];

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use std::sync::Arc;
-use vsim_index::{MTree, QueryContext, XTree};
+use vsim_index::{MTree, PointFile, QueryContext, VectorSetStore, XTree};
 use vsim_setdist::matching::MinimalMatching;
 use vsim_setdist::{Distance, VectorSet};
 
@@ -61,6 +61,21 @@ fn clustered_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Sets of one to seven 6-d vectors, as the covers of an object are.
+fn random_sets(n: usize, seed: u64) -> Vec<VectorSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let mut s = VectorSet::new(6);
+            for _ in 0..rng.gen_range(1..=7usize) {
+                let v: Vec<f64> = (0..6).map(|_| rng.gen_range(0.05..1.0)).collect();
+                s.push(&v);
+            }
+            s
+        })
+        .collect()
+}
+
 fn insert_built(pts: &[Vec<f64>]) -> XTree {
     let mut tree = XTree::new(pts[0].len());
     for (i, p) in pts.iter().enumerate() {
@@ -110,21 +125,70 @@ fn bench_xtree_churn(c: &mut Criterion) {
     g.finish();
 }
 
+/// What `DynamicIndex::publish` costs the writer, on the three
+/// structures of the filter/refine index alone: one `churn` round (150
+/// deletes, 150 inserts) by itself, and the same round followed by the
+/// three `snapshot()`s, the snapshots before them kept alive through
+/// the round as a published epoch is. The second minus the first is the
+/// publish: pointer clones, the round's first-touch copies of what the
+/// snapshot shares, and the free of the snapshot it replaces. The round
+/// itself grows with n — an X-tree delete searches every subtree whose
+/// rectangle holds the point — the publish by the pointer clones only;
+/// copying all three structures, as it used to, was ten times the work
+/// at ten times the points.
+fn bench_index_publish(c: &mut Criterion) {
+    let mut g = c.benchmark_group("index_publish");
+    g.sample_size(20);
+    let pool = random_sets(1024, 29);
+    for n in [20_000usize, 200_000] {
+        let pts = clustered_points(n, 6, 23);
+        let mut tree = insert_built(&pts);
+        let mut points = PointFile::build(6, &pts);
+        let mut heap = VectorSetStore::build(&[]);
+        for i in 0..n {
+            heap.append(&pool[i % pool.len()]).unwrap();
+        }
+        let mut at = 0usize;
+        let mut round = |tree: &mut XTree, points: &mut PointFile, heap: &mut VectorSetStore| {
+            let ids: Vec<usize> = (0..150).map(|j| (at + j * 131) % n).collect();
+            at = (at + 150 * 131) % n;
+            for &i in &ids {
+                assert!(tree.delete(&pts[i], i as u64));
+                points.tombstone(i as u64);
+                heap.tombstone(i as u64);
+            }
+            for &i in &ids {
+                tree.insert(&pts[i], i as u64);
+                points.append(&pts[i]).unwrap();
+                heap.append(&pool[i % pool.len()]).unwrap();
+            }
+        };
+        g.bench_with_input(BenchmarkId::new("round", n), &n, |b, _| {
+            b.iter(|| {
+                round(&mut tree, &mut points, &mut heap);
+                tree.len()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("round_then_3_snapshots", n), &n, |b, _| {
+            let mut epoch = None;
+            b.iter(|| {
+                round(&mut tree, &mut points, &mut heap);
+                epoch = Some((
+                    tree.snapshot().unwrap(),
+                    points.snapshot().unwrap(),
+                    heap.snapshot().unwrap(),
+                ));
+                tree.len()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_mtree_vector_sets(c: &mut Criterion) {
     let mut g = c.benchmark_group("mtree_knn_vector_sets");
     g.sample_size(20);
-    let mut rng = StdRng::seed_from_u64(11);
-    let sets: Vec<VectorSet> = (0..1000)
-        .map(|_| {
-            let card = rng.gen_range(1..=7usize);
-            let mut s = VectorSet::new(6);
-            for _ in 0..card {
-                let v: Vec<f64> = (0..6).map(|_| rng.gen_range(0.05..1.0)).collect();
-                s.push(&v);
-            }
-            s
-        })
-        .collect();
+    let sets = random_sets(1000, 11);
     let dist: Arc<dyn Distance<VectorSet>> = Arc::new(MinimalMatching::vector_set_model());
     let mut tree = MTree::new(dist, 16, 344);
     for (i, s) in sets.iter().enumerate() {
@@ -146,6 +210,7 @@ criterion_group!(
     bench_xtree_build,
     bench_xtree_pull,
     bench_xtree_churn,
+    bench_index_publish,
     bench_mtree_vector_sets
 );
 criterion_main!(benches);

@@ -50,6 +50,7 @@ pub mod cursor;
 mod lanes;
 pub mod mtree;
 pub mod persist;
+mod segvec;
 pub mod storage;
 pub mod xtree;
 

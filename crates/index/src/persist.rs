@@ -127,6 +127,16 @@ impl PagePayload for VectorSet {
     }
 }
 
+/// A fresh page-store identity with `of`'s page span: what a snapshot
+/// charges its accesses to.
+pub(crate) fn same_span(of: &InMemoryPageStore) -> io::Result<InMemoryPageStore> {
+    let fresh = InMemoryPageStore::new();
+    if of.page_count() > 0 {
+        fresh.allocate(of.page_count())?;
+    }
+    Ok(fresh)
+}
+
 /// Where an index's node pages live: an owned in-memory bump allocator
 /// (the build-time default) or a shared durable page store, inside
 /// which the node spans were allocated at save time.
@@ -150,19 +160,13 @@ impl NodeStore {
     }
 
     /// A fresh in-memory store with the same page span allocated, so
-    /// node page numbers recorded by the owning tree stay valid in the
-    /// copy. The new store has its own identity: a deep-copied tree is
-    /// a distinct file to every buffer pool. Shared (durable) stores
+    /// node page numbers recorded by the owning tree stay valid in its
+    /// snapshot. The new store has its own identity: a snapshot is a
+    /// distinct file to every buffer pool. Shared (durable) stores
     /// cannot be snapshotted — dynamic epochs are in-memory only.
     pub(crate) fn snapshot(&self) -> io::Result<NodeStore> {
         match self {
-            NodeStore::Owned(s) => {
-                let fresh = InMemoryPageStore::new();
-                if s.page_count() > 0 {
-                    fresh.allocate(s.page_count())?;
-                }
-                Ok(NodeStore::Owned(fresh))
-            }
+            NodeStore::Owned(s) => Ok(NodeStore::Owned(same_span(s)?)),
             NodeStore::Shared(_) => {
                 Err(invalid("cannot snapshot an index opened from a page store"))
             }

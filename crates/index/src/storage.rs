@@ -17,6 +17,11 @@
 //! saved from. A saved *index* keeps its heap file in X-tree leaf order:
 //! it reads other — fewer — pages than the in-memory image for the same
 //! records, and identical ones through `pread` and mmap.
+//!
+//! The in-memory files are append-only apart from their tombstone
+//! flags, and they keep image, offsets, coordinates and flags in
+//! [`SegVec`]s: a `snapshot()` shares every segment with its origin and
+//! the next append or tombstone copies the one segment it writes.
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
@@ -31,7 +36,16 @@ use vsim_store::{
 };
 
 use crate::cursor::SortedScan;
-use crate::persist::{expect_tag, get_len, get_u64, get_usize, invalid, put_u64};
+use crate::persist::{expect_tag, get_len, get_u64, get_usize, invalid, put_u64, same_span};
+use crate::segvec::SegVec;
+
+/// Segment lengths of the in-memory files (see [`SegVec`]): what the
+/// first append or tombstone after a snapshot copies of each.
+const IMAGE_SEGMENT: usize = 1 << 16;
+const OFFSET_SEGMENT: usize = 1 << 12;
+const FLAG_SEGMENT: usize = 1 << 12;
+/// In points, so that no point straddles two segments.
+const POINT_SEGMENT: usize = 1 << 10;
 
 /// Stream tags distinguishing persisted structure kinds ("VSET"/"PNTF"
 /// plus a version — v2: per-page image checksums; VSET v3: the dimension;
@@ -104,10 +118,10 @@ impl Backing {
 /// allocated pages of `target`, assembled one page at a time; returns
 /// the first page of the span plus one [`checksum`] per page (computed
 /// over the zero-padded full-page image, exactly what reads return).
-fn write_image<'a>(
+fn write_image(
     target: &dyn PageStore,
     total: usize,
-    parts: impl Iterator<Item = &'a [u8]>,
+    parts: impl Iterator<Item = impl AsRef<[u8]>>,
 ) -> io::Result<(u64, Vec<u64>)> {
     let pages = total.div_ceil(PAGE_SIZE);
     let first = if pages > 0 { target.allocate(pages as u64)? } else { 0 };
@@ -120,7 +134,8 @@ fn write_image<'a>(
         sums.push(checksum(page));
         io::Result::Ok(())
     };
-    for mut part in parts {
+    for part in parts {
+        let mut part = part.as_ref();
         while !part.is_empty() {
             let take = part.len().min(PAGE_SIZE - used);
             page[used..used + take].copy_from_slice(&part[..take]);
@@ -181,17 +196,18 @@ fn load_image(
 pub struct VectorSetStore {
     /// Dimension of every record; 0 while the file has never held one.
     dim: usize,
-    image: BytesMut,
+    /// The records back to back (empty in shared backing).
+    image: SegVec<u8, IMAGE_SEGMENT>,
     /// Byte offset of the record in *slot* `i` (position in the image);
     /// `offsets[len]` = total size.
-    offsets: Vec<usize>,
+    offsets: SegVec<usize, OFFSET_SEGMENT>,
     /// Slot of record `id`, for an image whose records are in another
     /// order than their ids; empty = the identity (every in-memory file).
     slot_of: Vec<u32>,
     /// Tombstone flags: `dead[i]` marks record `i` deleted. Dead records
     /// are skipped by [`scan`](Self::scan) but their bytes stay in the
     /// image until compaction.
-    dead: Vec<bool>,
+    dead: SegVec<bool, FLAG_SEGMENT>,
     /// Records not tombstoned: `dead` recounted, kept by
     /// [`append`](Self::append) and [`tombstone`](Self::tombstone).
     live: usize,
@@ -204,12 +220,12 @@ pub struct VectorSetStore {
 impl VectorSetStore {
     pub fn build(sets: &[VectorSet]) -> Self {
         let dim = sets.first().map_or(0, VectorSet::dim);
-        let mut image = BytesMut::new();
+        let mut image = SegVec::new(1);
         let mut offsets = Vec::with_capacity(sets.len() + 1);
         for s in sets {
             assert_eq!(s.dim(), dim, "a heap file holds sets of one dimension");
             offsets.push(image.len());
-            image.put(encode(s));
+            image.extend_from_slice(&encode(s));
         }
         offsets.push(image.len());
         let pages = InMemoryPageStore::new();
@@ -223,9 +239,9 @@ impl VectorSetStore {
         VectorSetStore {
             dim,
             image,
-            offsets,
+            offsets: SegVec::from_slice(1, &offsets),
             slot_of: Vec::new(),
-            dead: vec![false; sets.len()],
+            dead: SegVec::from_slice(1, &vec![false; sets.len()]),
             live: sets.len(),
             page_sums: Vec::new(),
             backing: Backing::Memory(pages),
@@ -247,9 +263,9 @@ impl VectorSetStore {
         }
         assert_eq!(set.dim(), self.dim, "a heap file holds sets of one dimension");
         let old_pages = self.total_pages() as u64;
-        self.image.put(encode(set));
-        self.offsets.push(self.image.len());
-        self.dead.push(false);
+        self.image.extend_from_slice(&encode(set));
+        self.offsets.extend_from_slice(&[self.image.len()]);
+        self.dead.extend_from_slice(&[false]);
         self.live += 1;
         let new_pages = self.image.len().div_ceil(PAGE_SIZE) as u64;
         if new_pages > old_pages {
@@ -263,19 +279,17 @@ impl VectorSetStore {
     /// they keep occupying (and charging) their pages, and a file with
     /// a tombstone can no longer be saved (see [`save_to`](Self::save_to)).
     pub fn tombstone(&mut self, id: u64) -> bool {
-        match self.dead.get_mut(id as usize) {
-            Some(d @ false) => {
-                *d = true;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        let live = self.is_live(id);
+        if live {
+            self.dead.set(id as usize, &[true]);
+            self.live -= 1;
         }
+        live
     }
 
     /// Whether record `id` exists and is not tombstoned.
     pub fn is_live(&self, id: u64) -> bool {
-        matches!(self.dead.get(id as usize), Some(false))
+        matches!(self.dead.get(id as usize), Some([false]))
     }
 
     /// Number of live (non-tombstoned) records.
@@ -283,18 +297,17 @@ impl VectorSetStore {
         self.live
     }
 
-    /// Deep copy with a fresh page-store identity and the same page
-    /// span, so access charges are identical but the copy's pages are
-    /// distinct to every buffer pool. Only the in-memory backing can be
-    /// snapshotted.
+    /// The file as it is now, under a fresh page-store identity with the
+    /// same page span: access charges are identical, but the snapshot's
+    /// pages are distinct to every buffer pool. Nothing is copied — the
+    /// snapshot shares every segment of the image, the offset table and
+    /// the tombstone flags with this file, and whichever of the two is
+    /// written to first copies the one segment it touches. Only the
+    /// in-memory backing can be snapshotted.
     pub fn snapshot(&self) -> io::Result<Self> {
         let Backing::Memory(pages) = &self.backing else {
             return Err(invalid("cannot snapshot a heap file opened from a page store"));
         };
-        let fresh = InMemoryPageStore::new();
-        if pages.page_count() > 0 {
-            fresh.allocate(pages.page_count())?;
-        }
         Ok(VectorSetStore {
             dim: self.dim,
             image: self.image.clone(),
@@ -303,7 +316,7 @@ impl VectorSetStore {
             dead: self.dead.clone(),
             live: self.live,
             page_sums: self.page_sums.clone(),
-            backing: Backing::Memory(fresh),
+            backing: Backing::Memory(same_span(pages)?),
         })
     }
 
@@ -352,7 +365,7 @@ impl VectorSetStore {
             }
             offsets.push(offsets[slot] + self.record_bytes(id));
         }
-        let records = order.iter().map(|&id| &self.image[self.extent(id)]);
+        let records = order.iter().map(|&id| self.image.slice(self.extent(id)));
         let (first, sums) = write_image(target, self.image.len(), records)?;
         if slot_of.iter().enumerate().all(|(id, &slot)| id == slot as usize) {
             slot_of.clear();
@@ -421,10 +434,10 @@ impl VectorSetStore {
         }
         Ok(VectorSetStore {
             dim,
-            image: BytesMut::new(),
-            offsets,
+            image: SegVec::new(1),
+            offsets: SegVec::from_slice(1, &offsets),
             slot_of,
-            dead: vec![false; n - 1],
+            dead: SegVec::from_slice(1, &vec![false; n - 1]),
             live: n - 1,
             page_sums,
             backing: Backing::Shared { store, first },
@@ -441,7 +454,7 @@ impl VectorSetStore {
 
     /// Total size of the file image in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.offsets.last().copied().unwrap_or(0)
+        self.offsets.get(self.len()).map_or(0, |end| end[0])
     }
 
     /// Pages occupied by the file.
@@ -450,10 +463,12 @@ impl VectorSetStore {
     }
 
     /// Where record `id` lies in the image — the one place that maps an
-    /// id to its slot.
+    /// id to its slot. One lookup: both ends come out of one segment of
+    /// the offset table, unless the slot is the last of its segment.
     fn extent(&self, id: u64) -> Range<usize> {
         let slot = self.slot_of.get(id as usize).map_or(id as usize, |&s| s as usize);
-        self.offsets[slot]..self.offsets[slot + 1]
+        let ends = self.offsets.slice(slot..slot + 2);
+        ends[0]..ends[1]
     }
 
     /// Size of record `id` in bytes.
@@ -477,9 +492,10 @@ impl VectorSetStore {
     /// [`get`](Self::get) into a caller-owned set, reusing its
     /// allocation across a refinement loop's fetches. The record is
     /// decoded straight from the pool frame; only one that straddles a
-    /// page boundary is assembled in a buffer first.
+    /// page boundary — or, in memory, a segment boundary of the image —
+    /// is assembled in a buffer first.
     pub fn get_into(&self, id: u64, ctx: &QueryContext, out: &mut VectorSet) -> StoreResult<()> {
-        assert!(!self.dead[id as usize], "record {id} is tombstoned");
+        assert!(self.is_live(id), "record {id} is tombstoned");
         let Range { start, end } = self.extent(id);
         let first_page = (start / PAGE_SIZE) as u64;
         let last_page = ((end - 1) / PAGE_SIZE) as u64;
@@ -488,7 +504,8 @@ impl VectorSetStore {
                 if ctx.access(pages.id(), first_page, last_page - first_page + 1) > 0 {
                     ctx.record_bytes((end - start) as u64);
                 }
-                out.refill(self.dim, le_f64s(record_body(&self.image[start..end], self.dim)?));
+                let record = self.image.slice(start..end);
+                out.refill(self.dim, le_f64s(record_body(&record, self.dim)?));
             }
             Backing::Shared { store, first } => {
                 let load = |page: u64| {
@@ -522,25 +539,34 @@ impl VectorSetStore {
         ctx: &QueryContext,
     ) -> StoreResult<impl Iterator<Item = (u64, VectorSet)> + 'a> {
         let total = self.total_bytes();
-        let image: Cow<'a, [u8]> = match &self.backing {
+        let loaded: Option<Vec<u8>> = match &self.backing {
             Backing::Memory(pages) => {
                 charge_image(pages, total, ctx);
-                Cow::Borrowed(&self.image[..])
+                None
             }
             Backing::Shared { store, first } => {
-                load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?.into()
+                Some(load_image(store.as_ref(), *first, total, &self.page_sums, ctx)?)
             }
         };
         // Every live record's header is validated before the first is
         // yielded, so the lazy decode below cannot meet a bad one.
-        let live = move |&id: &u64| !self.dead[id as usize];
+        let live = move |&id: &u64| self.is_live(id);
         for id in (0..self.len() as u64).filter(live) {
-            record_body(&image[self.extent(id)], self.dim)?;
+            record_body(&self.record_image(loaded.as_deref(), id), self.dim)?;
         }
         Ok((0..self.len() as u64).filter(live).map(move |id| {
-            let body = &image[self.extent(id)][8..];
-            (id, VectorSet::from_flat(self.dim, le_f64s(body).collect()))
+            let record = self.record_image(loaded.as_deref(), id);
+            (id, VectorSet::from_flat(self.dim, le_f64s(&record[8..]).collect()))
         }))
+    }
+
+    /// The bytes of record `id`: out of the image a scan `loaded`, or
+    /// out of the resident one.
+    fn record_image<'a>(&'a self, loaded: Option<&'a [u8]>, id: u64) -> Cow<'a, [u8]> {
+        match loaded {
+            Some(image) => Cow::Borrowed(&image[self.extent(id)]),
+            None => self.image.slice(self.extent(id)),
+        }
     }
 }
 
@@ -555,11 +581,11 @@ impl VectorSetStore {
 pub struct PointFile {
     dim: usize,
     len: usize,
-    /// Row-major `len · dim` coordinates (empty in shared backing).
-    data: Vec<f64>,
+    /// One row of `dim` coordinates per point (empty in shared backing).
+    data: SegVec<f64, POINT_SEGMENT>,
     /// Tombstone flags, parallel to records; dead points are skipped by
     /// [`scan_ranked`](Self::scan_ranked) but keep occupying pages.
-    dead: Vec<bool>,
+    dead: SegVec<bool, FLAG_SEGMENT>,
     /// Points not tombstoned (see [`VectorSetStore`]'s field).
     live: usize,
     /// Per-page checksums of the image span (shared backing only;
@@ -571,7 +597,7 @@ pub struct PointFile {
 impl PointFile {
     pub fn build(dim: usize, points: &[Vec<f64>]) -> Self {
         assert!(dim > 0);
-        let mut data = Vec::with_capacity(points.len() * dim);
+        let mut data = SegVec::new(dim);
         for p in points {
             assert_eq!(p.len(), dim);
             data.extend_from_slice(p);
@@ -582,13 +608,13 @@ impl PointFile {
             reason = "the unbounded in-memory store cannot fail to allocate"
         )]
         pages
-            .allocate((data.len() * 8).div_ceil(PAGE_SIZE) as u64)
+            .allocate((points.len() * dim * 8).div_ceil(PAGE_SIZE) as u64)
             .expect("in-memory page-charge allocation failed");
         PointFile {
             dim,
             len: points.len(),
             data,
-            dead: vec![false; points.len()],
+            dead: SegVec::from_slice(1, &vec![false; points.len()]),
             live: points.len(),
             page_sums: Vec::new(),
             backing: Backing::Memory(pages),
@@ -606,9 +632,9 @@ impl PointFile {
         let old_pages = self.total_pages() as u64;
         self.data.extend_from_slice(point);
         self.len += 1;
-        self.dead.push(false);
+        self.dead.extend_from_slice(&[false]);
         self.live += 1;
-        let new_pages = (self.data.len() * 8).div_ceil(PAGE_SIZE) as u64;
+        let new_pages = self.total_pages() as u64;
         if new_pages > old_pages {
             pages.allocate(new_pages - old_pages)?;
         }
@@ -618,19 +644,17 @@ impl PointFile {
     /// Mark point `id` deleted; scans stop yielding it. Returns `false`
     /// if the id is out of range or already dead.
     pub fn tombstone(&mut self, id: u64) -> bool {
-        match self.dead.get_mut(id as usize) {
-            Some(d @ false) => {
-                *d = true;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        let live = self.is_live(id);
+        if live {
+            self.dead.set(id as usize, &[true]);
+            self.live -= 1;
         }
+        live
     }
 
     /// Whether point `id` exists and is not tombstoned.
     pub fn is_live(&self, id: u64) -> bool {
-        matches!(self.dead.get(id as usize), Some(false))
+        matches!(self.dead.get(id as usize), Some([false]))
     }
 
     /// Number of live (non-tombstoned) points.
@@ -643,23 +667,16 @@ impl PointFile {
     /// the identical key. In-memory backing only (the shared backing
     /// holds no resident coordinates); `None` when unavailable.
     pub fn point(&self, id: u64) -> Option<&[f64]> {
-        let i = id as usize;
-        if matches!(self.backing, Backing::Shared { .. }) || i >= self.len {
-            return None;
-        }
-        Some(&self.data[i * self.dim..(i + 1) * self.dim])
+        self.data.get(id as usize)
     }
 
-    /// Deep copy with a fresh page-store identity and the same page
-    /// span (see [`VectorSetStore::snapshot`]). In-memory backing only.
+    /// The file as it is now under a fresh page-store identity, sharing
+    /// every segment of coordinates and flags with this one (see
+    /// [`VectorSetStore::snapshot`]). In-memory backing only.
     pub fn snapshot(&self) -> io::Result<Self> {
         let Backing::Memory(pages) = &self.backing else {
             return Err(invalid("cannot snapshot a point file opened from a page store"));
         };
-        let fresh = InMemoryPageStore::new();
-        if pages.page_count() > 0 {
-            fresh.allocate(pages.page_count())?;
-        }
         Ok(PointFile {
             dim: self.dim,
             len: self.len,
@@ -667,7 +684,7 @@ impl PointFile {
             dead: self.dead.clone(),
             live: self.live,
             page_sums: self.page_sums.clone(),
-            backing: Backing::Memory(fresh),
+            backing: Backing::Memory(same_span(pages)?),
         })
     }
 
@@ -680,11 +697,11 @@ impl PointFile {
         if self.live != self.len() {
             return Err(invalid("cannot save a point file with tombstoned records; compact first"));
         }
-        let mut image = Vec::with_capacity(self.data.len() * 8);
-        for &v in &self.data {
+        let mut image = Vec::with_capacity(self.total_bytes());
+        for &v in self.data.chunks().flatten() {
             image.extend_from_slice(&v.to_le_bytes());
         }
-        let (first, sums) = write_image(target, image.len(), [&image[..]].into_iter())?;
+        let (first, sums) = write_image(target, image.len(), [image].iter())?;
         let mut meta = Vec::new();
         put_u64(&mut meta, POINT_TAG);
         put_u64(&mut meta, self.dim as u64);
@@ -719,8 +736,8 @@ impl PointFile {
         Ok(PointFile {
             dim,
             len,
-            data: Vec::new(),
-            dead: vec![false; len],
+            data: SegVec::new(dim),
+            dead: SegVec::from_slice(1, &vec![false; len]),
             live: len,
             page_sums,
             backing: Backing::Shared { store, first },
@@ -772,12 +789,14 @@ impl PointFile {
                 Some(le_f64s(&img).collect())
             }
         };
-        let data: &[f64] = loaded.as_deref().unwrap_or(&self.data);
+        // The loaded image, or the resident chunks: a shared backing
+        // holds none.
+        let chunks = loaded.as_deref().into_iter().chain(self.data.chunks());
         ctx.count_distance_evals(self.live_len() as u64);
-        let cands: Vec<(u64, f64)> = data
-            .chunks_exact(self.dim)
+        let cands: Vec<(u64, f64)> = chunks
+            .flat_map(|chunk| chunk.chunks_exact(self.dim))
             .enumerate()
-            .filter(|(i, _)| !self.dead[*i])
+            .filter(|(i, _)| self.is_live(*i as u64))
             .map(|(i, p)| {
                 let d2: f64 = p.iter().zip(center).map(|(a, b)| (a - b) * (a - b)).sum();
                 (i as u64, d2.sqrt())
@@ -1062,6 +1081,130 @@ mod tests {
         assert_eq!(sa.io.bytes, sb.io.bytes);
     }
 
+    // ---- snapshots share, writes copy ----
+
+    /// Everything a query can read off a heap file: every live record
+    /// by `get` and the `scan`, with what both charge.
+    fn heap_reads(store: &VectorSetStore) -> (Vec<Option<VectorSet>>, Vec<(u64, VectorSet)>, u64) {
+        let ctx = QueryContext::ephemeral();
+        let gets = (0..store.len() as u64)
+            .map(|id| store.is_live(id).then(|| store.get(id, &ctx).unwrap()))
+            .collect();
+        let scanned = store.scan(&ctx).unwrap().collect();
+        (gets, scanned, ctx.stats(std::time::Duration::ZERO).io.bytes)
+    }
+
+    fn saved_bytes(save: impl FnOnce(&InMemoryPageStore) -> io::Result<StreamHandle>) -> Vec<u8> {
+        let target = InMemoryPageStore::new();
+        save(&target).unwrap();
+        let mut bytes = Vec::new();
+        let mut page = vec![0u8; PAGE_SIZE];
+        for p in 0..target.page_count() {
+            target.read_into(p, &mut page).unwrap();
+            bytes.extend_from_slice(&page);
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_heap_file_snapshot_is_not_moved_by_writes_to_its_origin() {
+        // 800 records cross two boundaries of the image's segments, the
+        // appends a third.
+        let sets = sample(1400);
+        let mut store = VectorSetStore::build(&sets[..800]);
+        assert!(store.total_bytes() > 2 * IMAGE_SEGMENT);
+        let first = (store.snapshot().unwrap(), heap_reads(&store));
+        for id in [0, 7, 799] {
+            assert!(store.tombstone(id));
+        }
+        let second = (store.snapshot().unwrap(), heap_reads(&store));
+        assert_ne!(second.0.page_store().id(), store.page_store().id());
+        for s in &sets[800..] {
+            store.append(s).unwrap();
+        }
+        assert!(store.total_bytes() > 3 * IMAGE_SEGMENT);
+        for id in (0..1400).step_by(3) {
+            store.tombstone(id);
+        }
+        for (snapshot, then) in [&first, &second] {
+            assert_eq!(&heap_reads(snapshot), then);
+            assert_eq!(snapshot.total_pages() as u64, snapshot.page_store().page_count());
+        }
+        assert_eq!((first.0.live_len(), second.0.live_len()), (800, 797));
+        // The first snapshot has no tombstone: it still saves, and saves
+        // what a file of its 800 records saves.
+        let fresh = VectorSetStore::build(&sets[..800]);
+        assert_eq!(saved_bytes(|t| first.0.save_to(t)), saved_bytes(|t| fresh.save_to(t)));
+        // A snapshot is a file like any other: appending to it leaves
+        // its origin alone.
+        let (mut snapshot, _) = second;
+        let before = heap_reads(&store);
+        assert_eq!(snapshot.append(&sets[0]).unwrap(), 800);
+        assert_eq!(heap_reads(&store), before);
+        assert_eq!(snapshot.get(800, &QueryContext::ephemeral()).unwrap(), sets[0]);
+    }
+
+    #[test]
+    fn a_point_file_snapshot_is_not_moved_by_writes_to_its_origin() {
+        let points: Vec<Vec<f64>> =
+            (0..3000).map(|i| (0..6).map(|d| ((i * 13 + d * 7) % 101) as f64).collect()).collect();
+        let ranked = |pf: &PointFile| {
+            let ctx = QueryContext::ephemeral();
+            let ranking = drain(&mut pf.scan_ranked(&[50.0; 6], &ctx).unwrap());
+            let stats = ctx.stats(std::time::Duration::ZERO);
+            (ranking, stats.io.pages, stats.distance_evals)
+        };
+        // 1500 points are one full segment and a half.
+        let mut pf = PointFile::build(6, &points[..1500]);
+        let snapshot = pf.snapshot().unwrap();
+        let then = (ranked(&snapshot), saved_bytes(|t| snapshot.save_to(t)));
+        for p in &points[1500..] {
+            pf.append(p).unwrap();
+        }
+        for id in (0..3000).step_by(7) {
+            assert!(pf.tombstone(id));
+        }
+        assert_eq!((ranked(&snapshot), saved_bytes(|t| snapshot.save_to(t))), then);
+        assert_eq!((snapshot.len(), snapshot.live_len()), (1500, 1500));
+        for (id, p) in points.iter().enumerate() {
+            assert_eq!(pf.point(id as u64), Some(&p[..]), "a point is one slice at any id");
+            assert_eq!(snapshot.point(id as u64).is_some(), id < 1500);
+        }
+        assert_eq!(ranked(&pf).2, 3000 - 429);
+    }
+
+    /// ROADMAP item 3's flatness, as a count: what a round of 150
+    /// appends and 150 tombstones copies of files a snapshot shares is
+    /// the tail of each and one segment of flags per tombstone at most —
+    /// the same bound at ten times the records.
+    #[test]
+    fn a_round_copies_a_bounded_number_of_segments_however_long_the_files() {
+        const ROUND: usize = 150;
+        for n in [2_000, 20_000] {
+            let sets = sample(n + ROUND);
+            let points: Vec<Vec<f64>> = (0..n + ROUND).map(|i| vec![i as f64; 6]).collect();
+            let mut heap = VectorSetStore::build(&sets[..n]);
+            let mut pf = PointFile::build(6, &points[..n]);
+            let (heap_then, pf_then) = (heap.snapshot().unwrap(), pf.snapshot().unwrap());
+            for (s, p) in sets[n..].iter().zip(&points[n..]) {
+                heap.append(s).unwrap();
+                pf.append(p).unwrap();
+            }
+            for id in (0..n as u64).step_by(n / ROUND).take(ROUND) {
+                assert!(heap.tombstone(id) && pf.tombstone(id));
+            }
+            // 150 records are under one segment of bytes, offsets or
+            // points: the tail, and the one the tail may spill into.
+            assert!(heap.image.unshared_segments(&heap_then.image) <= 2, "n = {n}: image");
+            assert!(heap.offsets.unshared_segments(&heap_then.offsets) <= 2, "n = {n}: offsets");
+            assert!(pf.data.unshared_segments(&pf_then.data) <= 2, "n = {n}: points");
+            for (flags, then) in [(&heap.dead, &heap_then.dead), (&pf.dead, &pf_then.dead)] {
+                let copied = flags.unshared_segments(then);
+                assert!((1..=ROUND + 1).contains(&copied), "n = {n}: {copied} flag segments");
+            }
+        }
+    }
+
     // ---- shared (file-backed) backing ----
 
     fn shared(store: InMemoryPageStore) -> Arc<dyn PageStore> {
@@ -1227,13 +1370,11 @@ mod tests {
         // that overruns the record, one that would allocate 32 GiB, and
         // a dimension whose product with the count still fits.
         let sets = sample_sets();
-        let damaged = |store: &mut VectorSetStore, id: usize, dim: u32, n: u32| {
-            let at = store.offsets[id];
-            let mut image = store.image.to_vec();
-            image[at..at + 4].copy_from_slice(&dim.to_le_bytes());
-            image[at + 4..at + 8].copy_from_slice(&n.to_le_bytes());
-            store.image = BytesMut::new();
-            store.image.put_slice(&image);
+        let damaged = |store: &mut VectorSetStore, id: u64, dim: u32, n: u32| {
+            let at = store.extent(id).start;
+            for (i, byte) in dim.to_le_bytes().into_iter().chain(n.to_le_bytes()).enumerate() {
+                store.image.set(at + i, &[byte]);
+            }
         };
         let mut mem = VectorSetStore::build(&sets);
         damaged(&mut mem, 3, 6, sets[3].len() as u32 + 1);

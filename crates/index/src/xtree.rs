@@ -21,13 +21,16 @@
 //! A node keeps its entries — points in a leaf, child rectangles in a
 //! directory node — in the entry-major lane blocks of [`crate::lanes`]
 //! and nowhere else; a node's own rectangle lives in its parent's entry
-//! for it, as in the R-tree papers (DESIGN.md §9).
+//! for it, as in the R-tree papers (DESIGN.md §9). Nodes sit behind
+//! `Arc`s: a `snapshot()` shares them all, and an insert or delete
+//! copies the nodes on its path the first time it writes them
+//! (DESIGN.md §14).
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
-use std::ops::Range;
+use std::ops::{Index, IndexMut, Range};
 use std::sync::Arc;
 
 use vsim_store::{
@@ -156,10 +159,17 @@ impl Node {
     }
 
     /// Whether entry `i` contains `point` (for a leaf entry: equals it).
+    /// A NaN coordinate equals a stored NaN and is outside no rectangle:
+    /// `min` / `max` keep NaN out of every cover, so a rectangle says
+    /// nothing about the NaNs below it.
     fn holds(&self, i: usize, point: &[f64]) -> bool {
         point.iter().enumerate().all(|(d, &p)| {
             let [lo, hi] = self.bounds(i, d);
-            p >= lo && p <= hi
+            if p.is_nan() {
+                !self.leaf || lo.is_nan()
+            } else {
+                p >= lo && p <= hi
+            }
         })
     }
 
@@ -187,6 +197,43 @@ impl Node {
     }
 }
 
+/// The nodes of a tree, each behind an `Arc` a snapshot shares: reading
+/// `nodes[i]` borrows the node, writing `nodes[i]` first makes it this
+/// tree's own — a copy iff a snapshot still holds it — so a round of
+/// writes copies the nodes it touches and no others.
+#[derive(Debug, Clone, Default)]
+struct Nodes(Vec<Arc<Node>>);
+
+impl Nodes {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn push(&mut self, node: Node) {
+        self.0.push(Arc::new(node));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Node> {
+        self.0.iter().map(|n| &**n)
+    }
+}
+
+impl Index<usize> for Nodes {
+    type Output = Node;
+
+    #[inline]
+    fn index(&self, i: usize) -> &Node {
+        &self.0[i]
+    }
+}
+
+impl IndexMut<usize> for Nodes {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut Node {
+        Arc::make_mut(&mut self.0[i])
+    }
+}
+
 /// A minimum bounding rectangle outside the lanes: what a node's parent
 /// is about to store for it.
 struct Mbr {
@@ -209,7 +256,7 @@ impl Mbr {
 #[derive(Debug)]
 pub struct XTree {
     dim: usize,
-    nodes: Vec<Node>,
+    nodes: Nodes,
     root: usize,
     leaf_cap: usize,
     dir_cap: usize,
@@ -232,7 +279,7 @@ impl XTree {
         let dir_cap = (PAGE_SIZE / dir_entry).max(4);
         let mut tree = XTree {
             dim,
-            nodes: Vec::new(),
+            nodes: Nodes::default(),
             root: 0,
             leaf_cap,
             dir_cap,
@@ -244,10 +291,12 @@ impl XTree {
         tree
     }
 
-    /// Deep copy with a fresh page-store identity and the same page
-    /// span: queries on the copy return bit-identical results with
-    /// identical charging, but its pages are distinct to every buffer
-    /// pool. Only in-memory trees can be snapshotted.
+    /// The tree as it is now, under a fresh page-store identity with the
+    /// same page span: queries on the snapshot return bit-identical
+    /// results with identical charging, but its pages are distinct to
+    /// every buffer pool. No node is copied — the snapshot shares them
+    /// all, and a later insert or delete on either tree copies the nodes
+    /// along its own path first. Only in-memory trees can be snapshotted.
     pub fn snapshot(&self) -> std::io::Result<XTree> {
         Ok(XTree {
             dim: self.dim,
@@ -300,6 +349,15 @@ impl XTree {
             stack.extend(self.nodes[n].children.iter().rev());
         }
         order
+    }
+
+    /// Nodes of this tree that are not the very allocation `snapshot`
+    /// holds at the same index: what writes since have copied or added.
+    #[cfg(test)]
+    fn unshared_nodes(&self, snapshot: &XTree) -> usize {
+        let shared =
+            self.nodes.0.iter().zip(&snapshot.nodes.0).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        self.nodes.len() - shared
     }
 
     /// Persist the tree into `target`: each node gets a page span
@@ -456,7 +514,7 @@ impl XTree {
         }
         Ok(XTree {
             dim,
-            nodes,
+            nodes: Nodes(nodes.into_iter().map(Arc::new).collect()),
             root,
             leaf_cap,
             dir_cap,
@@ -553,7 +611,7 @@ impl XTree {
         str_sort(points, &mut order, 0, dim, fill_leaf);
 
         // Leaves.
-        tree.nodes.clear();
+        tree.nodes = Nodes::default();
         let mut level: Vec<usize> = Vec::new();
         for chunk in order.chunks(fill_leaf) {
             let mut node = tree.new_node(true);
@@ -734,7 +792,7 @@ impl XTree {
         }
         let mut right = self.new_node(leaf);
         let left = self.new_node(leaf);
-        let old = std::mem::replace(&mut self.nodes[node], left);
+        let old = std::mem::replace(&mut self.nodes.0[node], Arc::new(left));
         for (rank, &e) in split.order.iter().enumerate() {
             let half = if rank < split.at { &mut self.nodes[node] } else { &mut right };
             let span = e * dim..(e + 1) * dim;
@@ -1626,6 +1684,85 @@ mod tests {
         assert_eq!(meta_checksum(&t), 0xffcd_caaa_c2dc_bfa1, "20 000-point 2-d insert build");
     }
 
+    /// What a snapshot answers and saves is settled when it is taken:
+    /// splits, supernode growth, deletes that empty nodes and collapse
+    /// the root, all on the origin, leave its saved bytes and its
+    /// ranking alone — and the other way round.
+    #[test]
+    fn a_snapshot_is_not_moved_by_writes_to_its_origin() {
+        let mut pts = clustered_points(800, 5, 71);
+        pts.extend(random_points(1400, 5, 61));
+        let mut t = build(&pts[..300]);
+        // The saved bytes, and the ranking bit for bit.
+        let reads = |t: &XTree| -> (u64, Vec<(u64, u64)>) {
+            let ctx = QueryContext::ephemeral();
+            let ranking = t.nn_iter(&[50.0; 5], &ctx).map(|(id, d)| (id, d.to_bits())).collect();
+            (meta_checksum(t), ranking)
+        };
+        let mut taken = Vec::new();
+        let mut take = |t: &XTree| taken.push((t.snapshot().unwrap(), reads(t)));
+
+        take(&t);
+        let (nodes, supernodes) = (t.nodes.len(), t.supernode_count());
+        for (i, p) in pts.iter().enumerate().skip(300) {
+            t.insert(p, i as u64);
+        }
+        assert!(t.nodes.len() > nodes, "the inserts must split");
+        assert!(t.supernode_count() > supernodes, "the clustered inserts must grow a supernode");
+        take(&t);
+        let height = t.height();
+        for (i, p) in pts.iter().enumerate().skip(1) {
+            assert!(t.delete(p, i as u64));
+        }
+        assert!(t.height() < height, "the deletes must collapse the root");
+        take(&t);
+        assert!(t.delete(&pts[0], 0) && t.is_empty());
+        t.insert(&pts[1], 1);
+
+        for (at, (snapshot, then)) in taken.iter().enumerate() {
+            assert_eq!(&reads(snapshot), then, "snapshot {at}");
+        }
+        // A snapshot is a tree like any other: writing to it copies its
+        // nodes and leaves the later snapshots' alone.
+        let (first, rest) = taken.split_first_mut().unwrap();
+        for (i, p) in pts.iter().enumerate().take(150) {
+            assert!(first.0.delete(p, i as u64));
+        }
+        assert_eq!(first.0.len(), 150);
+        for (snapshot, then) in rest.iter() {
+            assert_eq!(&reads(snapshot), then);
+        }
+    }
+
+    /// ROADMAP item 3's flatness, as a count: a round of 150 inserts and
+    /// 150 deletes on a tree a snapshot shares copies one leaf per
+    /// operation at most, the few directory nodes above them and what
+    /// its splits add — the same bound at ten times the points.
+    #[test]
+    fn a_round_copies_the_nodes_it_writes_however_many_there_are() {
+        const ROUND: usize = 150;
+        for n in [2_000, 20_000] {
+            let pts = random_points(n + ROUND, 6, 77);
+            let mut t = build(&pts[..n]);
+            let snapshot = t.snapshot().unwrap();
+            assert_eq!(t.unshared_nodes(&snapshot), 0);
+            for (i, p) in pts.iter().enumerate().skip(n) {
+                t.insert(p, i as u64);
+            }
+            for i in (0..n).step_by(n / ROUND).take(ROUND) {
+                assert!(t.delete(&pts[i], i as u64));
+            }
+            let copied = t.unshared_nodes(&snapshot);
+            assert!(copied <= 2 * ROUND + 16, "n = {n}: {copied} of {} nodes", t.nodes.len());
+            // The next round pays again only for what it writes: nobody
+            // shares the copies.
+            drop(snapshot);
+            let snapshot = t.snapshot().unwrap();
+            t.insert(&pts[0], 0);
+            assert!(t.unshared_nodes(&snapshot) <= t.height() + 1);
+        }
+    }
+
     /// Same axis, same position, same crossing fraction as the
     /// quadratic evaluation, on the shapes that decide differently:
     /// continuous rectangles, rectangles on a coarse grid (ties in the
@@ -1677,7 +1814,7 @@ mod tests {
     /// subtree choice came back as `usize::MAX` and indexed the nodes.
     #[test]
     fn non_finite_coordinates_insert_past_a_directory_and_stream_once() {
-        for odd in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for odd in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0] {
             let pts: Vec<[f64; 2]> =
                 (0..300).map(|i| [i as f64, if i % 7 == 0 { odd } else { 1.0 }]).collect();
             let mut t = XTree::new(2);
@@ -1689,12 +1826,13 @@ mod tests {
             let mut ids: Vec<u64> = t.nn_iter(&[150.0, 1.0], &ctx).map(|(id, _)| id).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..300).collect::<Vec<u64>>(), "coordinate {odd}");
-            if odd.is_nan() {
-                continue; // NaN equals nothing, itself included: not deletable by value
-            }
+            // HEAD could not delete a NaN point (it equals nothing, itself
+            // included) and the index tombstoned its record all the same.
+            assert!(!t.delete(&[0.0, 1.0], 0), "point 0 has coordinate {odd}, not 1");
             for (i, p) in pts.iter().enumerate().filter(|(i, _)| i % 7 == 0) {
                 assert!(t.delete(p, i as u64), "point {i} with coordinate {odd}");
             }
+            assert_eq!(t.len(), 300 - 43);
             let mut ids: Vec<u64> = t.nn_iter(&[150.0, 1.0], &ctx).map(|(id, _)| id).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..300).filter(|i| i % 7 != 0).collect::<Vec<u64>>());

@@ -70,8 +70,8 @@ pub struct LockClassDef {
 
 /// The workspace's lock classes, ordered by rank (coldest first). The
 /// lattice mirrors the systems built in PRs 6–9: the `DynamicIndex`
-/// writer mutex is the outermost (one writer, long deep-copy critical
-/// sections), the published-epoch `RwLock` nests inside it (`publish`
+/// writer mutex is the outermost (one writer, held for whole mutations
+/// and publishes), the published-epoch `RwLock` nests inside it (`publish`
 /// swaps the pointer while still holding the writer lock), the file
 /// store's free-map and the in-memory store's page map are store
 /// internal, and the buffer-pool shard mutexes are the hottest — every

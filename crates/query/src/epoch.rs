@@ -13,6 +13,15 @@
 //! keeps its consistent view even after several newer generations have
 //! been published.
 //!
+//! An epoch shares with the working index every X-tree node and every
+//! file segment neither has written since, so a publish costs what the
+//! round changed, not what the index holds. The memory a retired epoch
+//! alone still holds — the nodes and segments the writer has replaced —
+//! was allocated by the writer's thread, and the writer frees it: the
+//! writer keeps every epoch it replaces until no reader pins it and
+//! drops it in a later [`publish`](DynamicIndex::publish), so a reader's
+//! un-pin is a decrement and never a free.
+//!
 //! Nothing here keeps statistics or plans: the planner reads the counts
 //! the structures keep ([`FilterRefineIndex::dataset_stats`]), so a
 //! reader plans with `epoch.index().plan_knn(kq)` — for the epoch it
@@ -28,7 +37,8 @@ use vsim_setdist::VectorSet;
 /// One immutable published snapshot of the index. Queries against
 /// [`index`](Self::index) are bit-identical to a from-scratch rebuild
 /// of the same insert/delete history — the snapshot *is* that history's
-/// deterministic result, deep-copied at publish time.
+/// deterministic result, shared with the working index at publish time
+/// and untouched by every write after it.
 pub struct IndexEpoch {
     generation: u64,
     index: FilterRefineIndex,
@@ -50,6 +60,10 @@ impl IndexEpoch {
 struct Working {
     index: FilterRefineIndex,
     generation: u64,
+    /// Replaced epochs a reader may still pin. Nothing hands out a new
+    /// pin on a retired epoch, so once its count reads one — this list's
+    /// — it stays one, and `publish` drops it.
+    retired: Vec<Arc<IndexEpoch>>,
 }
 
 /// A dynamic index: one writer, many concurrent snapshot readers.
@@ -71,7 +85,7 @@ impl DynamicIndex {
         let index = FilterRefineIndex::build(sets, dim, k);
         let epoch = Arc::new(IndexEpoch { generation: 0, index: index.snapshot()? });
         Ok(DynamicIndex {
-            working: Mutex::new(Working { index, generation: 0 }),
+            working: Mutex::new(Working { index, generation: 0, retired: Vec::new() }),
             published: RwLock::new(epoch),
         })
     }
@@ -101,16 +115,25 @@ impl DynamicIndex {
         Ok(deleted)
     }
 
-    /// Deep-copy the working state into the next epoch and swap it in
-    /// as the published snapshot. In-flight readers keep their pinned
-    /// epochs; new pins see this generation. Returns the generation.
+    /// Snapshot the working state as the next epoch — sharing, not
+    /// copying: the working index pays for the nodes and segments it
+    /// writes next — and swap it in as the published snapshot. In-flight
+    /// readers keep their pinned epochs; new pins see this generation.
+    /// Replaced epochs that no reader pins any more are freed here, on
+    /// the writer's thread. Returns the generation.
     pub fn publish(&self) -> io::Result<u64> {
         let mut guard = self.working();
         let w = &mut *guard;
         w.generation += 1;
         let epoch = Arc::new(IndexEpoch { generation: w.generation, index: w.index.snapshot()? });
-        // Swap under the writer lock so generations publish in order.
-        *self.published.write().unwrap_or_else(PoisonError::into_inner) = epoch;
+        // Swap under the writer lock so generations publish in order;
+        // the slot's guard is gone when the statement ends.
+        let replaced = std::mem::replace(
+            &mut *self.published.write().unwrap_or_else(PoisonError::into_inner),
+            epoch,
+        );
+        w.retired.push(replaced);
+        w.retired.retain(|epoch| Arc::strong_count(epoch) > 1);
         Ok(w.generation)
     }
 
@@ -218,6 +241,52 @@ mod tests {
         }
         let wstats = wctx.stats(Duration::ZERO);
         assert_eq!((wstats.inserts, wstats.deletes), (40, 50));
+    }
+
+    #[test]
+    fn the_writer_frees_a_retired_epoch_once_no_reader_pins_it() {
+        let sets = random_sets(80, 5, 21);
+        let idx = DynamicIndex::build(&sets, 6, 5).unwrap();
+        let ctx = QueryContext::ephemeral();
+        let retired = || idx.working().retired.len();
+        let round = |seed: u64| {
+            let id = idx.insert(&random_sets(1, 5, seed)[0], &ctx).unwrap();
+            idx.delete(id - 40, &ctx).unwrap();
+            idx.publish().unwrap();
+        };
+        // No pin outstanding: every replaced epoch dies in the publish
+        // that replaces it.
+        for g in 0..5 {
+            let replaced = Arc::downgrade(&idx.pin(&ctx));
+            round(100 + g);
+            assert_eq!(retired(), 0, "generation {g}");
+            assert!(replaced.upgrade().is_none(), "generation {g} outlived its publish");
+        }
+        // A pin held across 20 generations keeps its own epoch alive
+        // and no other.
+        let q = sets[3].clone();
+        let pinned = idx.pin(&ctx);
+        let before = pinned.index().knn_with(&q, 8, &QueryContext::ephemeral()).unwrap();
+        for g in 0..20 {
+            let replaced = Arc::downgrade(&idx.pin(&ctx));
+            round(200 + g);
+            assert_eq!(retired(), 1, "generation {g}");
+            assert_eq!(replaced.upgrade().is_none(), g > 0, "only the pinned epoch survives");
+        }
+        assert_eq!(Arc::strong_count(&pinned), 2, "the reader's pin and the writer's list");
+        let after = pinned.index().knn_with(&q, 8, &QueryContext::ephemeral()).unwrap();
+        assert_eq!(before.len(), 8);
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+        }
+        // Un-pinning frees nothing; the next publish does.
+        let survivor = Arc::downgrade(&pinned);
+        drop(pinned);
+        assert!(survivor.upgrade().is_some());
+        assert_eq!(retired(), 1);
+        round(300);
+        assert_eq!(retired(), 0);
+        assert!(survivor.upgrade().is_none());
     }
 
     #[test]

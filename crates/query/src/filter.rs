@@ -120,7 +120,9 @@ impl FilterRefineIndex {
     /// tombstone its records in the point and heap files. The bytes are
     /// not reclaimed, and an index with a tombstone can no longer be
     /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 3).
-    /// Returns `Ok(false)` if the id is unknown or already deleted.
+    /// Returns `Ok(false)` if the id is unknown or already deleted, and
+    /// `InvalidData` — with nothing tombstoned — if the X-tree does not
+    /// hold the live object's centroid.
     pub fn delete(&mut self, id: u64) -> io::Result<bool> {
         if !self.store.is_live(id) {
             return Ok(false);
@@ -131,18 +133,22 @@ impl FilterRefineIndex {
             .cfile
             .point(id)
             .ok_or_else(|| invalid("dynamic deletes require the in-memory backing"))?;
-        let in_tree = self.tree.delete(c, id);
-        debug_assert!(in_tree, "X-tree out of sync with the heap file on id {id}");
+        if !self.tree.delete(c, id) {
+            return Err(invalid(format!("the X-tree does not hold live object {id}")));
+        }
         self.cfile.tombstone(id);
         self.store.tombstone(id);
         Ok(true)
     }
 
-    /// Deep copy of the whole index with fresh page-store identities:
+    /// The whole index as it is now, with fresh page-store identities:
     /// queries return bit-identical results with identical charging,
-    /// but every buffer pool treats the copy's pages as distinct files.
-    /// This is how the epoch layer publishes immutable snapshots while
-    /// the writer keeps mutating the original. In-memory indexes only.
+    /// but every buffer pool treats the snapshot's pages as distinct
+    /// files. The three structures share their nodes and segments with
+    /// the snapshot until one side writes them, so this costs pointer
+    /// clones, not the index. This is how the epoch layer publishes
+    /// immutable snapshots while the writer keeps mutating the
+    /// original. In-memory indexes only.
     pub fn snapshot(&self) -> io::Result<Self> {
         Ok(FilterRefineIndex {
             k: self.k,
@@ -690,6 +696,17 @@ mod tests {
             stats.refinements_saved > 0,
             "the termination bound never dismissed a candidate on 600 objects"
         );
+    }
+
+    #[test]
+    fn delete_refuses_an_id_the_tree_does_not_hold_before_it_tombstones_anything() {
+        let sets = random_sets(30, 3, 6);
+        let mut idx = FilterRefineIndex::build(&sets, 6, 3);
+        idx.tree = XTree::new(6);
+        let err = idx.delete(4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(idx.is_live(4) && idx.cfile.is_live(4), "nothing was tombstoned");
+        assert_eq!(idx.live_len(), 30);
     }
 
     #[test]

@@ -316,3 +316,28 @@ fn full_turnover_keeps_snapshots_consistent() {
         assert_eq!(a.1.to_bits(), b.1.to_bits());
     }
 }
+
+/// HEAD inserted a set with a NaN coordinate but could not delete it: the X-tree matched no entry (NaN equals nothing), the
+/// index tombstoned the record all the same, and the next query whose
+/// cursor reached the stale entry panicked in the record fetch.
+#[test]
+fn a_set_with_a_nan_coordinate_is_deleted_like_any_other() {
+    let sets = random_sets(50, 5, 0x4e61);
+    let idx = DynamicIndex::build(&sets, 6, 5).unwrap();
+    let ctx = QueryContext::ephemeral();
+    let mut odd = VectorSet::new(6);
+    odd.push(&[0.5, f64::NAN, 0.5, 0.5, 0.5, 0.5]);
+    let id = idx.insert(&odd, &ctx).unwrap();
+    idx.publish().unwrap();
+    assert_eq!(idx.pin(&ctx).index().live_len(), 51);
+    assert!(idx.delete(id, &ctx).unwrap());
+    assert!(!idx.delete(id, &ctx).unwrap(), "a second delete finds nothing");
+    idx.publish().unwrap();
+    assert_eq!(idx.live_len(), 50);
+    let epoch = idx.pin(&ctx);
+    assert_eq!(epoch.index().live_len(), 50);
+    for path in PATHS {
+        let hits = epoch.index().knn_via_with(path, &sets[0], 60, &ctx).unwrap();
+        assert!(hits.len() == 50 && hits.iter().all(|h| h.0 != id), "{path:?}: {hits:?}");
+    }
+}

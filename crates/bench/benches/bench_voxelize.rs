@@ -3,6 +3,9 @@
 //! raster resolutions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::prelude::*;
+use vsim_datagen::greeble::standard_greebles;
+use vsim_datagen::parts;
 use vsim_geom::solid::{CylinderZ, SolidExt, TorusZ};
 use vsim_geom::TriMesh;
 use vsim_voxel::{voxelize_mesh, voxelize_solid, NormalizeMode};
@@ -23,6 +26,23 @@ fn bench_solid(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("csg_tube", r), &r, |b, &r| {
             b.iter(|| voxelize_solid(nested.as_ref(), r, NormalizeMode::Uniform))
         });
+    }
+    // What `ingest` voxelizes: a part under its greebles, a tree of
+    // unions, differences and `translated(..)` nodes. The bare torus above
+    // only ever takes `contains_row`'s default loop; these take the
+    // combinators' overrides (the wing `TaperZ`'s too).
+    let mut rng = StdRng::seed_from_u64(24);
+    let greebled = [
+        ("greebled_nut", standard_greebles(parts::nut(1.0, 0.6, 0.5), &mut rng)),
+        ("greebled_bolt", standard_greebles(parts::bolt(0.4, 2.0, 0.8, 0.4), &mut rng)),
+        ("greebled_wing", standard_greebles(parts::wing(6.0, 2.0, 0.35, 0.3), &mut rng)),
+    ];
+    for (name, solid) in &greebled {
+        for r in [15usize, 30] {
+            g.bench_with_input(BenchmarkId::new(*name, r), &r, |b, &r| {
+                b.iter(|| voxelize_solid(solid.as_ref(), r, NormalizeMode::Uniform))
+            });
+        }
     }
     g.finish();
 }

@@ -18,6 +18,35 @@ pub trait Solid: Send + Sync {
 
     /// A finite box guaranteed to contain the solid.
     fn aabb(&self) -> Aabb;
+
+    /// [`contains`](Solid::contains) for a row of up to 64 points that
+    /// share `y` and `z`: bit `i` of the answer is bit `i` of `ask` ∧
+    /// `contains((xs[i], y, z))`. `ask` has no bit at or above `xs.len()`,
+    /// and the answer has no bit outside `ask`.
+    ///
+    /// `contains` is pure, so a row may be answered in any order and a
+    /// probe whose answer is already decided may be skipped. An override
+    /// does exactly that and nothing else: it hoists what is constant
+    /// along the row and narrows `ask` on the way down a CSG tree, but
+    /// every probe it does make evaluates the same expressions on the
+    /// same `f64`s as `contains` would — the two never disagree in a bit.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        row_of(xs, ask, |x| self.contains(Vec3::new(x, y, z)))
+    }
+}
+
+/// The bits `i` of `ask` for which `inside(xs[i])` holds.
+#[inline]
+fn row_of(xs: &[f64], ask: u64, mut inside: impl FnMut(f64) -> bool) -> u64 {
+    debug_assert!(xs.len() <= 64 && (xs.len() == 64 || ask >> xs.len() == 0));
+    let mut hit = 0u64;
+    let mut rest = ask;
+    while rest != 0 {
+        let i = rest.trailing_zeros();
+        rest &= rest - 1;
+        hit |= u64::from(inside(xs[i as usize])) << i;
+    }
+    hit
 }
 
 /// Axis-aligned cuboid centered at the origin with the given half-extents.
@@ -39,6 +68,13 @@ impl Solid for Cuboid {
     }
     fn aabb(&self) -> Aabb {
         Aabb::from_center_half(Vec3::ZERO, self.half)
+    }
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        if y.abs() <= self.half.y && z.abs() <= self.half.z {
+            row_of(xs, ask, |x| x.abs() <= self.half.x)
+        } else {
+            0
+        }
     }
 }
 
@@ -70,6 +106,14 @@ impl Solid for CylinderZ {
     }
     fn aabb(&self) -> Aabb {
         Aabb::from_center_half(Vec3::ZERO, Vec3::new(self.radius, self.radius, self.half_height))
+    }
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        if z.abs() <= self.half_height {
+            let (yy, rr) = (y * y, self.radius * self.radius);
+            row_of(xs, ask, |x| x * x + yy <= rr)
+        } else {
+            0
+        }
     }
 }
 
@@ -138,6 +182,17 @@ impl Solid for HexPrismZ {
         let circum = self.across_flats * 2.0 / 3f64.sqrt();
         Aabb::from_center_half(Vec3::ZERO, Vec3::new(circum, self.across_flats, self.half_height))
     }
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        if z.abs() > self.half_height {
+            return 0;
+        }
+        let (y, a) = (y.abs(), self.across_flats);
+        if y <= a {
+            row_of(xs, ask, |x| 0.5 * (3f64.sqrt() * x.abs() + y) <= a)
+        } else {
+            0
+        }
+    }
 }
 
 /// Union of several solids.
@@ -151,6 +206,17 @@ impl Solid for Union {
     }
     fn aabb(&self) -> Aabb {
         self.parts.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.aabb()))
+    }
+    /// Each part is asked only about the points no earlier part holds.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        let mut hit = 0u64;
+        for s in &self.parts {
+            if hit == ask {
+                break;
+            }
+            hit |= s.contains_row(xs, y, z, ask & !hit);
+        }
+        hit
     }
 }
 
@@ -175,6 +241,20 @@ impl Solid for Intersection {
             Aabb::new(b.min.max(o.min), b.max.min(o.max))
         })
     }
+    /// Each part is asked only about the points every earlier part holds.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        if self.parts.is_empty() {
+            return 0;
+        }
+        let mut hit = ask;
+        for s in &self.parts {
+            if hit == 0 {
+                break;
+            }
+            hit = s.contains_row(xs, y, z, hit);
+        }
+        hit
+    }
 }
 
 /// Set difference `base \ cut`.
@@ -189,6 +269,14 @@ impl Solid for Difference {
     }
     fn aabb(&self) -> Aabb {
         self.base.aabb()
+    }
+    /// `cut` is asked only about the points `base` holds.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        let hit = self.base.contains_row(xs, y, z, ask);
+        if hit == 0 {
+            return 0;
+        }
+        hit & !self.cut.contains_row(xs, y, z, hit)
     }
 }
 
@@ -213,6 +301,20 @@ impl Solid for Transformed {
     }
     fn aabb(&self) -> Aabb {
         self.bounds
+    }
+    /// The six comparisons of [`Aabb::contains_point`], the four on `y`
+    /// and `z` made once for the row.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        let b = &self.bounds;
+        if y >= b.min.y && y <= b.max.y && z >= b.min.z && z <= b.max.z {
+            row_of(xs, ask, |x| {
+                x >= b.min.x
+                    && x <= b.max.x
+                    && self.child.contains(self.inverse.apply(Vec3::new(x, y, z)))
+            })
+        } else {
+            0
+        }
     }
 }
 
@@ -248,12 +350,24 @@ impl Solid for TaperZ {
         self.child.contains(Vec3::new(p.x / s, p.y / s, p.z))
     }
     fn aabb(&self) -> Aabb {
+        // A cross-section is the child's scaled by a factor between the two
+        // end scales, so each bound is reached at one of the ends — which
+        // one depends on the bound's sign.
         let b = &self.child_bounds;
-        let s = self.scale_bottom.max(self.scale_top).max(1.0);
+        let (s0, s1) = (self.scale_bottom, self.scale_top);
         Aabb::new(
-            Vec3::new(b.min.x * s, b.min.y * s, b.min.z),
-            Vec3::new(b.max.x * s, b.max.y * s, b.max.z),
+            Vec3::new((b.min.x * s0).min(b.min.x * s1), (b.min.y * s0).min(b.min.y * s1), b.min.z),
+            Vec3::new((b.max.x * s0).max(b.max.x * s1), (b.max.y * s0).max(b.max.y * s1), b.max.z),
         )
+    }
+    /// One `scale_at(z)` for the row, and the child sees a row again.
+    fn contains_row(&self, xs: &[f64], y: f64, z: f64, ask: u64) -> u64 {
+        let s = self.scale_at(z);
+        let mut scaled = [0.0f64; 64];
+        for (q, x) in scaled.iter_mut().zip(xs) {
+            *q = x / s;
+        }
+        self.child.contains_row(&scaled[..xs.len()], y / s, z, ask)
     }
 }
 
@@ -331,6 +445,8 @@ pub fn sampled_volume(s: &dyn Solid, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::{TestCaseError, TestRng};
 
     #[test]
     fn cuboid_membership_and_bounds() {
@@ -438,9 +554,121 @@ mod tests {
     }
 
     #[test]
+    fn taper_bounds_cover_a_child_beside_the_axis() {
+        // Every corner of every cross-section lies in the box; the old box
+        // scaled both bounds by one factor and missed the near side.
+        let beside = || translated(Cuboid::new(Vec3::splat(0.5)).boxed(), Vec3::new(1.5, 1.5, 0.0));
+        for (s0, s1) in [(1.0, 2.0), (0.5, 0.5), (2.0, 0.25)] {
+            let t = tapered_z(beside(), s0, s1);
+            let b = t.aabb();
+            for (z, s) in [(-0.5, s0), (0.5, s1)] {
+                for x in [1.0, 2.0] {
+                    let p = Vec3::new(x * s, x * s, z);
+                    assert!(t.contains(p), "{p:?} is a corner of the solid");
+                    assert!(b.contains_point(p), "{b:?} misses {p:?} (scales {s0} -> {s1})");
+                }
+            }
+        }
+        let t = tapered_z(beside(), 1.0, 2.0);
+        assert_eq!(t.aabb(), Aabb::new(Vec3::new(1.0, 1.0, -0.5), Vec3::new(4.0, 4.0, 0.5)));
+        let t = tapered_z(beside(), 0.5, 0.5);
+        assert_eq!(t.aabb(), Aabb::new(Vec3::new(0.5, 0.5, -0.5), Vec3::new(1.0, 1.0, 0.5)));
+        // A child that straddles the axis and only shrinks — the wing —
+        // keeps the box it had: the child's own.
+        let wing = tapered_z(Cuboid::new(Vec3::new(1.0, 0.3, 6.0)).boxed(), 1.0, 0.3);
+        assert_eq!(wing.aabb(), Cuboid::new(Vec3::new(1.0, 0.3, 6.0)).aabb());
+    }
+
+    #[test]
     fn empty_intersection_contains_nothing() {
         let i = Intersection { parts: vec![] };
         assert!(!i.contains(Vec3::ZERO));
         assert!(i.aabb().is_empty());
+    }
+
+    /// A random instance of the `kind`-th `Solid` impl: six primitives,
+    /// then five combinators over children `depth - 1` levels deep.
+    fn random_solid(kind: u64, depth: u32, rng: &mut TestRng) -> Box<dyn Solid> {
+        let [a, b, c] = [(); 3].map(|_| 0.2 + 1.8 * rng.unit_f64());
+        if kind >= 6 {
+            let kinds = if depth > 1 { 11 } else { 6 };
+            let mut child = || random_solid(rng.below(kinds), depth.saturating_sub(1), rng);
+            let shift = Vec3::new(a - 1.0, b - 1.0, c - 1.0);
+            return match kind {
+                6 => union(vec![child(), translated(child(), shift), child()]),
+                7 => intersection(vec![child(), translated(child(), shift * 0.3)]),
+                8 => difference(child(), translated(child(), shift)),
+                // Half of them axis-aligned, so a box face can be a face of the solid.
+                9 if c < 1.1 => translated(child(), shift),
+                9 => transformed(child(), Iso::new(Mat3::rot_z(a * 3.0) * Mat3::rot_x(b), shift)),
+                _ => tapered_z(child(), a, b),
+            };
+        }
+        match kind {
+            0 => Cuboid::new(Vec3::new(a, b, c)).boxed(),
+            1 => Sphere { radius: a }.boxed(),
+            2 => CylinderZ { radius: a, half_height: b }.boxed(),
+            3 => ConeZ { r_bottom: a, r_top: b, half_height: c }.boxed(),
+            4 => TorusZ { major: 1.0 + a, minor: 0.4 * b }.boxed(),
+            _ => HexPrismZ { across_flats: a, half_height: b }.boxed(),
+        }
+    }
+
+    /// A coordinate in and around `[lo, hi]`, one time in four exactly an end.
+    fn coord(lo: f64, hi: f64, rng: &mut TestRng) -> f64 {
+        match rng.below(8) {
+            0 => lo,
+            1 => hi,
+            _ => lo - 0.2 * (hi - lo) + 1.4 * (hi - lo) * rng.unit_f64(),
+        }
+    }
+
+    /// `contains_row` against per-point `contains` on random rows of `s`.
+    fn check_rows(s: &dyn Solid, rng: &mut TestRng) -> Result<(), TestCaseError> {
+        let b = s.aabb();
+        for _ in 0..24 {
+            let n = 1 + rng.below(64) as usize;
+            let xs: Vec<f64> = (0..n).map(|_| coord(b.min.x, b.max.x, rng)).collect();
+            let (y, z) = (coord(b.min.y, b.max.y, rng), coord(b.min.z, b.max.z, rng));
+            let all = u64::MAX >> (64 - n);
+            let ask = match rng.below(4) {
+                0 => 0,
+                1 => all,
+                _ => rng.next_u64() & all,
+            };
+            let mut want = 0u64;
+            for (i, &x) in xs.iter().enumerate() {
+                want |= u64::from(ask >> i & 1 == 1 && s.contains(Vec3::new(x, y, z))) << i;
+            }
+            let got = s.contains_row(&xs, y, z, ask);
+            prop_assert_eq!(got, want, "row of {} at y {} z {}, ask {:#x}", n, y, z, ask);
+        }
+        Ok(())
+    }
+
+    macro_rules! row_matches_points {
+        ($($name:ident: $kind:expr,)*) => {
+            proptest! {$(
+                #[test]
+                fn $name(seed in 0u64..u64::MAX) {
+                    let rng = &mut TestRng::from_name(&format!("contains-row-{seed}"));
+                    check_rows(random_solid($kind, 2, rng).as_ref(), rng)?;
+                }
+            )*}
+        };
+    }
+
+    row_matches_points! {
+        row_matches_points_cuboid: 0,
+        row_matches_points_sphere: 1,
+        row_matches_points_cylinder: 2,
+        row_matches_points_cone: 3,
+        row_matches_points_torus: 4,
+        row_matches_points_hex_prism: 5,
+        row_matches_points_union: 6,
+        row_matches_points_intersection: 7,
+        row_matches_points_difference: 8,
+        row_matches_points_transformed: 9,
+        row_matches_points_taper: 10,
     }
 }

@@ -70,6 +70,21 @@ impl VoxelGrid {
         }
     }
 
+    /// OR `bits` into the row `(·, y, z)`: bit `i` sets voxel `(x0 + i, y, z)`.
+    /// No bit of `bits` may address a voxel past the end of the row.
+    pub(crate) fn or_row(&mut self, x0: usize, y: usize, z: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        debug_assert!(x0 + (64 - bits.leading_zeros() as usize) <= self.nx);
+        let i = self.idx(x0, y, z);
+        let shift = i & 63;
+        self.bits[i >> 6] |= bits << shift;
+        if shift != 0 && bits >> (64 - shift) != 0 {
+            self.bits[(i >> 6) + 1] |= bits >> (64 - shift);
+        }
+    }
+
     /// Number of set voxels, `|Vᵒ|`.
     pub fn count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()

@@ -67,35 +67,54 @@ fn framing(min: Vec3, max: Vec3, r: usize, mode: NormalizeMode) -> (Vec3, Vec3) 
 /// one voxel (a door panel or washer can vanish entirely when its plane
 /// falls between two center planes); the sub-samples make thin CAD walls
 /// robust at the paper's coarse `r = 15` raster.
+///
+/// The probes go to the solid a row at a time ([`Solid::contains_row`]):
+/// one row of centers, then up to four rows of sub-samples for the
+/// voxels still unset. A probe is a pure predicate of its point, so the
+/// grid does not depend on the order in which they are asked.
 pub fn voxelize_solid(solid: &dyn Solid, r: usize, mode: NormalizeMode) -> Voxelization {
     let b = solid.aabb();
     assert!(!b.is_empty(), "cannot voxelize an empty solid");
     let (origin, cell) = framing(b.min, b.max, r, mode);
     let mut grid = VoxelGrid::cubic(r);
-    const SUB: [f64; 2] = [0.25, 0.75];
+    // Probe coordinates along one axis: voxel `i`'s center, and its two
+    // sub-sample positions.
+    let probes = |o: f64, c: f64, s: f64| -> Vec<f64> {
+        (0..r).map(|i| (o + i as f64 * c) + s * c).collect()
+    };
+    let axis = |o: f64, c: f64| (probes(o, c, 0.5), [probes(o, c, 0.25), probes(o, c, 0.75)]);
+    let (cx, sx) = axis(origin.x, cell.x);
+    let (cy, sy) = axis(origin.y, cell.y);
+    let (cz, sz) = axis(origin.z, cell.z);
+    // A row is asked in chunks of up to 32 voxels, so that both x
+    // sub-samples of a chunk fit one 64-point call: the 0.25 positions of
+    // the chunk, then its 0.75 positions.
+    const CHUNK: usize = 32;
+    let sub_xs: Vec<f64> = (0..r)
+        .step_by(CHUNK)
+        .flat_map(|x0| {
+            let x1 = (x0 + CHUNK).min(r);
+            sx[0][x0..x1].iter().chain(&sx[1][x0..x1]).copied()
+        })
+        .collect();
     for z in 0..r {
         for y in 0..r {
-            for x in 0..r {
-                let base =
-                    origin + Vec3::new(x as f64 * cell.x, y as f64 * cell.y, z as f64 * cell.z);
-                let center = base + cell * 0.5;
-                let mut inside = solid.contains(center);
-                if !inside {
-                    'probe: for sz in SUB {
-                        for sy in SUB {
-                            for sx in SUB {
-                                let p = base + Vec3::new(sx * cell.x, sy * cell.y, sz * cell.z);
-                                if solid.contains(p) {
-                                    inside = true;
-                                    break 'probe;
-                                }
-                            }
+            for x0 in (0..r).step_by(CHUNK) {
+                let n = CHUNK.min(r - x0);
+                let all = (1u64 << n) - 1;
+                let mut set = solid.contains_row(&cx[x0..x0 + n], cy[y], cz[z], all);
+                'sub: for pz in &sz {
+                    for py in &sy {
+                        let unset = all & !set;
+                        if unset == 0 {
+                            break 'sub;
                         }
+                        let xs = &sub_xs[2 * x0..2 * (x0 + n)];
+                        let hit = solid.contains_row(xs, py[y], pz[z], unset | unset << n);
+                        set |= (hit | hit >> n) & all;
                     }
                 }
-                if inside {
-                    grid.set(x, y, z, true);
-                }
+                grid.or_row(x0, y, z, set);
             }
         }
     }
@@ -270,6 +289,9 @@ pub fn tri_box_overlap(box_center: Vec3, box_half: Vec3, tri: &[Vec3; 3]) -> boo
 fn min_max(a: f64, b: f64, c: f64) -> (f64, f64) {
     (a.min(b).min(c), a.max(b).max(c))
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

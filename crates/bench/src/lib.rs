@@ -22,13 +22,20 @@
 //! | `exp_ablation_index` | centroid-filter X-tree vs. M-tree vs. scan across database sizes |
 //! | `diag_contrast` | evaluation-noise-free intra/inter contrast and 1-NN accuracy per model |
 //!
+//! The library holds what only experiments run: the one-vector X-tree of
+//! Table 2 ([`OneVectorIndex`]), the naive and Korn k-NN baselines, and
+//! the rejected set distances ([`setdists`], [`flow`]).
+//!
 //! Every binary accepts the environment variables `CAR_N` (default 200)
 //! and `AIRCRAFT_N` (default 5000) to scale the datasets, writes CSV
 //! series to `target/experiments/`, and prints a paper-vs-measured
 //! summary. Results are recorded in `EXPERIMENTS.md`.
 
 pub mod flow;
+mod onevector;
 pub mod setdists;
+
+pub use onevector::OneVectorIndex;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,29 +65,23 @@ pub fn out_dir() -> PathBuf {
 pub const CAR_SEED: u64 = 42;
 pub const AIRCRAFT_SEED: u64 = 1;
 
-/// Generate + preprocess the Car Dataset (disk-cached: the greedy cover
-/// search dominates setup time and is identical across experiments).
+/// Generate + preprocess the Car Dataset. Nothing is cached: every
+/// experiment is computed from the code it runs.
 pub fn processed_car(k_max: usize) -> ProcessedDataset {
     let n = car_n();
-    let cache = format!("target/experiments/cache/car_{CAR_SEED}_{n}_k{k_max}.vsd");
-    vsim_core::persist::load_or_build(&cache, || {
-        eprintln!("[setup] generating car dataset (n = {n}) ...");
-        let data = car_dataset(CAR_SEED, n);
-        eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
-        ProcessedDataset::build(data, k_max)
-    })
+    eprintln!("[setup] generating car dataset (n = {n}) ...");
+    let data = car_dataset(CAR_SEED, n);
+    eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
+    ProcessedDataset::build(data, k_max)
 }
 
-/// Generate + preprocess the Aircraft Dataset (disk-cached).
+/// Generate + preprocess the Aircraft Dataset.
 pub fn processed_aircraft(k_max: usize) -> ProcessedDataset {
     let n = aircraft_n();
-    let cache = format!("target/experiments/cache/aircraft_{AIRCRAFT_SEED}_{n}_k{k_max}.vsd");
-    vsim_core::persist::load_or_build(&cache, || {
-        eprintln!("[setup] generating aircraft dataset (n = {n}) ...");
-        let data = aircraft_dataset(AIRCRAFT_SEED, n);
-        eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
-        ProcessedDataset::build(data, k_max)
-    })
+    eprintln!("[setup] generating aircraft dataset (n = {n}) ...");
+    let data = aircraft_dataset(AIRCRAFT_SEED, n);
+    eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
+    ProcessedDataset::build(data, k_max)
 }
 
 /// Run OPTICS under a model, with an optional permutation counter

@@ -46,7 +46,6 @@
 pub mod database;
 pub mod model;
 pub mod parallel;
-pub mod persist;
 
 pub use database::ProcessedDataset;
 pub use model::{Invariance, ModelKind, Repr, SimilarityModel};
@@ -65,8 +64,8 @@ pub mod prelude {
     pub use vsim_index::{BufferPool, CostModel, MTree, QueryContext, VectorSetStore, XTree};
     pub use vsim_optics::{best_cut, extract_clusters, ClusterOrdering, Optics, ReachabilityPlot};
     pub use vsim_query::{
-        BatchResult, DynamicIndex, FilterRefineIndex, OneVectorIndex, PoolPolicy, Query,
-        QueryExecutor, QueryStats, SequentialScanIndex,
+        BatchResult, DynamicIndex, FilterRefineIndex, PoolPolicy, Query, QueryExecutor, QueryStats,
+        SequentialScanIndex,
     };
     pub use vsim_setdist::{
         centroid_lower_bound, extended_centroid, matching::MinimalMatching, VectorSet,
@@ -82,5 +81,3 @@ pub use vsim_optics as optics;
 pub use vsim_query as query;
 pub use vsim_setdist as setdist;
 pub use vsim_voxel as voxel;
-
-// Re-export best_cut at the optics path used in prelude.

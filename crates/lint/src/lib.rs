@@ -6,8 +6,7 @@
 //! oriented, no `syn`, fully offline) and enforces the hand-maintained
 //! invariants that neither rustc, privacy nor clippy can decide —
 //! NaN-safe orderings on query paths, the allocation-free matching
-//! kernel, the lock-acquisition order, no blocking work under a hot
-//! lock, and the epoch publication protocol. See `DESIGN.md` §10 for
+//! kernel and no blocking work under a hot lock. See `DESIGN.md` §10 for
 //! each rule's rationale (and where the retired rules' invariants live
 //! now) and [`rules`] for the implementations.
 //!
@@ -119,7 +118,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 ///
 /// This is the two-phase engine: phase one builds the cross-file
 /// [`model::WorkspaceModel`] (functions, lock acquisitions with guard
-/// live-ranges, the acquisition-order graph) exactly once; phase two
+/// live-ranges) exactly once; phase two
 /// hands it to every rule.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let model = model::WorkspaceModel::build(ws);

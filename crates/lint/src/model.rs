@@ -1,61 +1,40 @@
 //! Phase one of the two-phase analyzer: a cross-file model of the
-//! workspace's concurrency structure.
+//! workspace's lock acquisitions.
 //!
 //! The line-oriented lexer in [`source`](crate::source) tells code from
 //! comments; this module reads the *code* views once more and extracts
-//! the facts the concurrency rules need:
+//! the facts `no-blocking-under-lock` needs:
 //!
 //! - **Functions** — name, signature, body line range and crate, coarse
 //!   enough to attribute a lock acquisition to the function holding it
-//!   and to resolve same-crate calls by name.
+//!   and to resolve same-crate helpers by name.
 //! - **Lock acquisitions** — every `.lock()` / `.read()` / `.write()`
 //!   site classified into a named *lock class* (see [`LOCK_CLASSES`]),
-//!   either by the receiver field (`self.working.lock()` → the writer
-//!   mutex) or through a *guard-returning helper* of the same crate
-//!   (`shard.lock()` resolves through `Shard::lock(&self) ->
+//!   either by the receiver field (`self.inner.lock()` in `crates/store/`
+//!   → a pool shard) or through a *guard-returning helper* of the same
+//!   crate (`shard.lock()` resolves through `Shard::lock(&self) ->
 //!   MutexGuard<…>` → the pool-shard class). Each site carries a guard
 //!   *live range* derived from brace depth: a `let`-bound guard lives
 //!   to the end of its enclosing block (or an explicit `drop(guard)`),
 //!   an `if let`/`while let` guard lives inside the block its condition
 //!   opens, and an unbound temporary lives to the end of its statement.
-//! - **Lock-order edges** — while a guard of class `A` is live, any
-//!   classified acquisition of class `B` (directly, or one call level
-//!   down through the call graph) contributes the edge `A → B` to the
-//!   global acquisition-order graph. The `lock-order` rule reports any
-//!   cycle in that graph as a deadlock risk.
 //!
 //! Everything here is lexical: the model is deliberately coarse (no
 //! types, no borrows) but errs toward *missing* facts rather than
 //! inventing them — an unclassifiable `m.lock()` is ignored, never
-//! guessed. The rules built on top are therefore underapproximate and
+//! guessed. The rule built on top is therefore underapproximate and
 //! waivable, like every other `vsim-lint` rule.
 
 use crate::source::{find_word, SourceFile};
 use crate::Workspace;
 
-/// How a lock class is entered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockOp {
-    /// `Mutex::lock` (or a guard-returning helper around it).
-    Lock,
-    /// `RwLock::read`.
-    Read,
-    /// `RwLock::write`.
-    Write,
-}
-
-/// A named lock class: one logical lock (or family of locks, for the
-/// striped pool shards) with a fixed position in the acquisition-order
-/// lattice.
+/// A named lock class: one logical lock, or a family of locks for the
+/// striped pool shards.
 #[derive(Debug)]
 pub struct LockClassDef {
     /// Stable kebab-case name used in diagnostics.
     pub name: &'static str,
-    /// Lattice position: lower ranks are *colder* (outer, long critical
-    /// sections), higher ranks are *hotter* (inner, per-page critical
-    /// sections). The intended acquisition order is rank-increasing.
-    pub rank: u32,
-    /// Hot classes additionally ban blocking work (page I/O, `save_*`,
+    /// Hot classes ban blocking work (page I/O, `save_*`,
     /// allocation-heavy calls, further lock acquisition) while held —
     /// the `no-blocking-under-lock` rule.
     pub hot: bool,
@@ -68,51 +47,15 @@ pub struct LockClassDef {
     pub file_hint: &'static str,
 }
 
-/// The workspace's lock classes, ordered by rank (coldest first). The
-/// lattice mirrors the systems built in PRs 6–9: the `DynamicIndex`
-/// writer mutex is the outermost (one writer, held for whole mutations
-/// and publishes), the published-epoch `RwLock` nests inside it (`publish`
-/// swaps the pointer while still holding the writer lock), the file
-/// store's free-map and the in-memory store's page map are store
-/// internal, and the buffer-pool shard mutexes are the hottest — every
-/// page access on every query path takes one, so they must stay tiny
-/// and never nest.
+/// The store's lock classes. The file store's free map and the
+/// in-memory store's page map are cold; the buffer-pool shard mutexes
+/// are hot — every page access on every query path takes one, so they
+/// must stay tiny and never nest. The cold classes are registered so
+/// that taking one under a shard guard is seen.
 pub const LOCK_CLASSES: &[LockClassDef] = &[
-    LockClassDef {
-        name: "writer-mutex",
-        rank: 0,
-        hot: false,
-        fields: &["working"],
-        file_hint: "crates/query/",
-    },
-    LockClassDef {
-        name: "epoch-rwlock",
-        rank: 1,
-        hot: false,
-        fields: &["published"],
-        file_hint: "crates/query/",
-    },
-    LockClassDef {
-        name: "free-state",
-        rank: 2,
-        hot: false,
-        fields: &["state"],
-        file_hint: "crates/store/",
-    },
-    LockClassDef {
-        name: "page-data",
-        rank: 3,
-        hot: false,
-        fields: &["data"],
-        file_hint: "crates/store/",
-    },
-    LockClassDef {
-        name: "pool-shard",
-        rank: 4,
-        hot: true,
-        fields: &["inner"],
-        file_hint: "crates/store/",
-    },
+    LockClassDef { name: "free-state", hot: false, fields: &["state"], file_hint: "crates/store/" },
+    LockClassDef { name: "page-data", hot: false, fields: &["data"], file_hint: "crates/store/" },
+    LockClassDef { name: "pool-shard", hot: true, fields: &["inner"], file_hint: "crates/store/" },
 ];
 
 /// Index into [`LOCK_CLASSES`].
@@ -137,10 +80,7 @@ pub struct FnInfo {
     pub end_line: usize,
     /// Brace depth just outside the body.
     pub base_depth: u32,
-    /// Signature text from `fn` up to the opening brace, whitespace
-    /// collapsed.
-    pub sig: String,
-    /// Classes this function acquires *directly* (any op).
+    /// Classes this function acquires *directly*.
     pub acquires: Vec<ClassId>,
     /// Whether the return type is a std lock guard (`MutexGuard`,
     /// `RwLockReadGuard`, `RwLockWriteGuard`) — callers of such a
@@ -152,7 +92,6 @@ pub struct FnInfo {
 #[derive(Debug)]
 pub struct Acquisition {
     pub class: ClassId,
-    pub op: LockOp,
     /// Index into `Workspace::files`.
     pub file: usize,
     /// 0-based line of the site.
@@ -167,24 +106,11 @@ pub struct Acquisition {
     pub in_cfg_test: bool,
 }
 
-/// One edge of the acquisition-order graph: a `to`-class acquisition
-/// observed while a `from`-class guard was live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockEdge {
-    pub from: ClassId,
-    pub to: ClassId,
-    /// Witness: file index + 0-based line of the inner acquisition.
-    pub file: usize,
-    pub line: usize,
-    pub in_cfg_test: bool,
-}
-
 /// The cross-file model phase two runs over.
 #[derive(Debug)]
 pub struct WorkspaceModel {
     pub fns: Vec<FnInfo>,
     pub acquisitions: Vec<Acquisition>,
-    pub edges: Vec<LockEdge>,
 }
 
 fn krate_of(rel: &str) -> String {
@@ -324,29 +250,9 @@ fn guard_live_range(f: &SourceFile, at: usize) -> (usize, usize) {
     (line, statement_end(f, line, col))
 }
 
-/// Whether the `name(` occurrence at `at` is a call site (method or
-/// free), not a definition.
-fn at_call_boundary(code: &str, at: usize) -> bool {
-    if at == 0 {
-        return true;
-    }
-    let before = code.as_bytes()[at - 1] as char;
-    if before.is_ascii_alphanumeric() || before == '_' {
-        return false;
-    }
-    // `fn name(` is a definition.
-    let head = code[..at].trim_end();
-    !(head.ends_with("fn")
-        && head[..head.len() - 2]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_')))
-}
-
 impl WorkspaceModel {
     pub fn build(ws: &Workspace) -> WorkspaceModel {
-        let mut model =
-            WorkspaceModel { fns: Vec::new(), acquisitions: Vec::new(), edges: Vec::new() };
+        let mut model = WorkspaceModel { fns: Vec::new(), acquisitions: Vec::new() };
         for (fi, f) in ws.files.iter().enumerate() {
             model.collect_fns(fi, f);
         }
@@ -361,13 +267,12 @@ impl WorkspaceModel {
         for (fi, f) in ws.files.iter().enumerate() {
             model.collect_helper_acquisitions(fi, f);
         }
-        model.summarize_fns();
-        model.collect_edges(&ws.files);
         model.acquisitions.sort_by_key(|a| (a.file, a.at));
         model
     }
 
-    /// Extract `fn` items with their body ranges and signatures.
+    /// Extract `fn` items with their body ranges and whether they return
+    /// a lock guard.
     fn collect_fns(&mut self, fi: usize, f: &SourceFile) {
         let krate = krate_of(&f.rel);
         let bytes = f.code.as_bytes();
@@ -416,8 +321,7 @@ impl WorkspaceModel {
                     _ => {}
                 }
             }
-            let sig = f.code[at..open].split_whitespace().collect::<Vec<_>>().join(" ");
-            let returns_guard = sig.split("->").nth(1).is_some_and(|ret| {
+            let returns_guard = f.code[at..open].split("->").nth(1).is_some_and(|ret| {
                 ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"]
                     .iter()
                     .any(|g| ret.contains(g))
@@ -429,7 +333,6 @@ impl WorkspaceModel {
                 sig_line: f.line_of(at) - 1,
                 end_line: f.line_of(close) - 1,
                 base_depth: depth_at(f, at).max(0) as u32,
-                sig,
                 acquires: Vec::new(),
                 returns_guard,
             });
@@ -446,19 +349,11 @@ impl WorkspaceModel {
             .map(|(i, _)| i)
     }
 
-    fn push_acquisition(
-        &mut self,
-        fi: usize,
-        f: &SourceFile,
-        at: usize,
-        class: ClassId,
-        op: LockOp,
-    ) {
+    fn push_acquisition(&mut self, fi: usize, f: &SourceFile, at: usize, class: ClassId) {
         let line = f.line_of(at) - 1;
         let (live_from, live_to) = guard_live_range(f, at);
         self.acquisitions.push(Acquisition {
             class,
-            op,
             file: fi,
             line,
             at,
@@ -470,9 +365,7 @@ impl WorkspaceModel {
     }
 
     fn collect_field_acquisitions(&mut self, fi: usize, f: &SourceFile) {
-        for (method, op) in
-            [("lock", LockOp::Lock), ("read", LockOp::Read), ("write", LockOp::Write)]
-        {
+        for method in ["lock", "read", "write"] {
             let needle = format!(".{method}(");
             let mut from = 0usize;
             while let Some(rel) = f.code[from..].find(&needle) {
@@ -484,7 +377,7 @@ impl WorkspaceModel {
                         && (c.file_hint.is_empty() || f.rel.contains(c.file_hint))
                 });
                 if let Some(class) = class {
-                    self.push_acquisition(fi, f, at + 1, class, op);
+                    self.push_acquisition(fi, f, at + 1, class);
                 }
             }
         }
@@ -492,9 +385,6 @@ impl WorkspaceModel {
 
     /// Fold each function's direct acquisitions into its summary.
     fn summarize_fns(&mut self) {
-        for g in &mut self.fns {
-            g.acquires.clear();
-        }
         for a in &self.acquisitions {
             if let Some(idx) = a.fn_idx {
                 if !self.fns[idx].acquires.contains(&a.class) {
@@ -509,20 +399,13 @@ impl WorkspaceModel {
     /// site. Resolution is by bare name within the defining crate; a
     /// name defined twice with different classes is ambiguous and
     /// dropped.
-    fn acquirer_helpers(&self) -> Vec<(String, String, ClassId, LockOp)> {
-        let mut out: Vec<(String, String, ClassId, LockOp)> = Vec::new();
+    fn acquirer_helpers(&self) -> Vec<(String, String, ClassId)> {
+        let mut out: Vec<(String, String, ClassId)> = Vec::new();
         let mut ambiguous: Vec<(String, String)> = Vec::new();
         for g in &self.fns {
             if !g.returns_guard || g.acquires.len() != 1 {
                 continue;
             }
-            let op = if g.sig.contains("RwLockWriteGuard") {
-                LockOp::Write
-            } else if g.sig.contains("RwLockReadGuard") {
-                LockOp::Read
-            } else {
-                LockOp::Lock
-            };
             let key = (g.name.clone(), g.krate.clone());
             if let Some(prev) = out.iter().find(|e| e.0 == key.0 && e.1 == key.1) {
                 if prev.2 != g.acquires[0] {
@@ -530,7 +413,7 @@ impl WorkspaceModel {
                 }
                 continue;
             }
-            out.push((key.0, key.1, g.acquires[0], op));
+            out.push((key.0, key.1, g.acquires[0]));
         }
         out.retain(|e| !ambiguous.iter().any(|k| k.0 == e.0 && k.1 == e.1));
         out
@@ -539,7 +422,7 @@ impl WorkspaceModel {
     fn collect_helper_acquisitions(&mut self, fi: usize, f: &SourceFile) {
         let helpers = self.acquirer_helpers();
         let krate = krate_of(&f.rel);
-        for (name, helper_krate, class, op) in helpers {
+        for (name, helper_krate, class) in helpers {
             if helper_krate != krate {
                 continue;
             }
@@ -554,188 +437,20 @@ impl WorkspaceModel {
                 if self.acquisitions.iter().any(|a| a.file == fi && a.at == site) {
                     continue;
                 }
-                self.push_acquisition(fi, f, site, class, op);
+                self.push_acquisition(fi, f, site, class);
             }
         }
-    }
-
-    /// Callable names that resolve, per crate, to a single non-empty
-    /// set of directly-acquired classes. Same-named functions with
-    /// *different* acquisition sets (e.g. each `PageStore` impl's
-    /// `allocate`) are ambiguous and excluded rather than unioned,
-    /// which would invent cross-store edges no execution can take.
-    fn acquiring_callees(&self) -> Vec<(String, String, Vec<ClassId>)> {
-        let mut out: Vec<(String, String, Vec<ClassId>)> = Vec::new();
-        let mut ambiguous: Vec<(String, String)> = Vec::new();
-        for g in &self.fns {
-            if g.acquires.is_empty() {
-                continue;
-            }
-            let mut acq = g.acquires.clone();
-            acq.sort_unstable();
-            let key = (g.name.clone(), g.krate.clone());
-            if let Some(prev) = out.iter().find(|e| e.0 == key.0 && e.1 == key.1) {
-                if prev.2 != acq {
-                    ambiguous.push(key);
-                }
-                continue;
-            }
-            out.push((key.0, key.1, acq));
-        }
-        out.retain(|e| !ambiguous.iter().any(|k| k.0 == e.0 && k.1 == e.1));
-        out
-    }
-
-    /// Build the acquisition-order graph: inner acquisitions and
-    /// one-level callee acquisitions observed inside each guard's live
-    /// range.
-    fn collect_edges(&mut self, files: &[SourceFile]) {
-        let callees = self.acquiring_callees();
-        let mut edges: Vec<LockEdge> = Vec::new();
-        for outer in &self.acquisitions {
-            let f = &files[outer.file];
-            // Direct nesting: another classified acquisition strictly
-            // after the outer site, inside its live range.
-            for inner in &self.acquisitions {
-                if inner.file == outer.file
-                    && inner.at > outer.at
-                    && inner.line >= outer.live_from
-                    && inner.line <= outer.live_to
-                {
-                    edges.push(LockEdge {
-                        from: outer.class,
-                        to: inner.class,
-                        file: inner.file,
-                        line: inner.line,
-                        in_cfg_test: inner.in_cfg_test || outer.in_cfg_test,
-                    });
-                }
-            }
-            // One-level call propagation: a call to a same-crate
-            // function that directly acquires some class.
-            let krate = krate_of(&f.rel);
-            for (name, callee_krate, acquires) in &callees {
-                if *callee_krate != krate {
-                    continue;
-                }
-                let needle = format!("{name}(");
-                let mut from = 0usize;
-                while let Some(rel) = f.code[from..].find(&needle) {
-                    let at = from + rel;
-                    from = at + needle.len();
-                    if !at_call_boundary(&f.code, at) {
-                        continue;
-                    }
-                    // The callee's acquire set came from `self.<field>`
-                    // sites, so propagation is only sound when the call
-                    // target is the same object: `self.name(…)` or a
-                    // bare `name(…)`. `other.insert(…)` merely shares a
-                    // method name with a lock-taking type.
-                    if f.code[..at].ends_with('.') && !f.code[..at].ends_with("self.") {
-                        continue;
-                    }
-                    let line = f.line_of(at) - 1;
-                    if line < outer.live_from || line > outer.live_to || at <= outer.at {
-                        continue;
-                    }
-                    // Sites already counted as direct acquisitions
-                    // (helper calls, the outer's own producing call) are
-                    // not *additional* callee edges.
-                    if self.acquisitions.iter().any(|a| a.file == outer.file && a.at == at) {
-                        continue;
-                    }
-                    for &class in acquires {
-                        edges.push(LockEdge {
-                            from: outer.class,
-                            to: class,
-                            file: outer.file,
-                            line,
-                            in_cfg_test: f.lines[line].in_cfg_test || outer.in_cfg_test,
-                        });
-                    }
-                }
-            }
-        }
-        edges.sort_by_key(|e| (e.from, e.to, e.file, e.line, e.in_cfg_test));
-        edges.dedup();
-        self.edges = edges;
     }
 
     /// Non-test acquisition sites observed for `class`.
     pub fn class_site_count(&self, class: ClassId) -> usize {
         self.acquisitions.iter().filter(|a| a.class == class && !a.in_cfg_test).count()
     }
-
-    /// Depth-first search for a cycle in the acquisition-order graph
-    /// over non-test edges. Returns the class sequence of one cycle
-    /// (first == last) or `None` when the graph is acyclic. Self-loops
-    /// are cycles of length one.
-    pub fn find_cycle(&self) -> Option<Vec<ClassId>> {
-        let n = LOCK_CLASSES.len();
-        let mut adj = vec![Vec::new(); n];
-        for e in self.edges.iter().filter(|e| !e.in_cfg_test) {
-            if !adj[e.from].contains(&e.to) {
-                adj[e.from].push(e.to);
-            }
-        }
-        fn dfs(
-            v: ClassId,
-            adj: &[Vec<ClassId>],
-            state: &mut [u8],
-            stack: &mut Vec<ClassId>,
-        ) -> Option<Vec<ClassId>> {
-            state[v] = 1; // on stack
-            stack.push(v);
-            for &w in &adj[v] {
-                if state[w] == 1 {
-                    let start = stack.iter().position(|&x| x == w).unwrap_or(0);
-                    let mut cycle = stack[start..].to_vec();
-                    cycle.push(w);
-                    return Some(cycle);
-                }
-                if state[w] == 0 {
-                    if let Some(c) = dfs(w, adj, state, stack) {
-                        return Some(c);
-                    }
-                }
-            }
-            stack.pop();
-            state[v] = 2; // done
-            None
-        }
-        let mut state = vec![0u8; n];
-        let mut stack: Vec<ClassId> = Vec::new();
-        for v in 0..n {
-            if state[v] == 0 {
-                if let Some(c) = dfs(v, &adj, &mut state, &mut stack) {
-                    return Some(c);
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether the non-test graph has a path `from → … → to`.
-    pub fn has_path(&self, from: ClassId, to: ClassId) -> bool {
-        let mut seen = vec![false; LOCK_CLASSES.len()];
-        let mut work = vec![from];
-        while let Some(v) = work.pop() {
-            if v == to {
-                return true;
-            }
-            if std::mem::replace(&mut seen[v], true) {
-                continue;
-            }
-            for e in self.edges.iter().filter(|e| !e.in_cfg_test && e.from == v) {
-                work.push(e.to);
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
+
     use super::*;
 
     fn model_for(sources: &[(&str, &str)]) -> WorkspaceModel {
@@ -821,7 +536,6 @@ impl S {
         assert_eq!(m.acquisitions.len(), 2);
         assert_eq!((m.acquisitions[0].live_from, m.acquisitions[0].live_to), (4, 6));
         assert_eq!((m.acquisitions[1].live_from, m.acquisitions[1].live_to), (7, 9));
-        assert!(m.edges.is_empty(), "sequential branches are not nested: {:?}", m.edges);
     }
 
     #[test]
@@ -908,40 +622,5 @@ impl S {
         let a = &m.acquisitions[0];
         assert_eq!((a.live_from, a.live_to), (4, 6), "guard ends at the closure brace");
         assert_eq!(m.fns[a.fn_idx.unwrap()].name, "f");
-    }
-
-    #[test]
-    fn nested_acquisitions_produce_lock_order_edges_and_cycles_are_found() {
-        let good = "\
-struct D { working: std::sync::Mutex<u64>, published: std::sync::RwLock<u64> }
-impl D {
-    fn publish(&self) {
-        let g = self.working.lock().unwrap();
-        *self.published.write().unwrap() = *g;
-    }
-}
-";
-        let m = model_for(&[("crates/query/src/epoch.rs", good)]);
-        let w = class_by_name("writer-mutex").unwrap();
-        let e = class_by_name("epoch-rwlock").unwrap();
-        assert!(m.edges.iter().any(|x| x.from == w && x.to == e), "{:?}", m.edges);
-        assert!(m.find_cycle().is_none());
-
-        let bad = format!(
-            "{good}\
-impl D {{
-    fn invert(&self) {{
-        let p = self.published.write().unwrap();
-        let g = self.working.lock().unwrap();
-        consume(*p + *g);
-    }}
-}}
-"
-        );
-        let m = model_for(&[("crates/query/src/epoch.rs", &bad)]);
-        let cycle = m.find_cycle().expect("inverted order forms a cycle");
-        assert_eq!(cycle.first(), cycle.last());
-        assert!(cycle.len() >= 3);
-        assert!(m.has_path(e, w) && m.has_path(w, e));
     }
 }

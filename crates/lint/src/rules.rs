@@ -1,27 +1,19 @@
 //! The rule set. Each rule guards an invariant introduced by an
 //! earlier PR; see DESIGN.md §10 for the full rationale table.
 
-use crate::model::{self, LockOp, WorkspaceModel, LOCK_CLASSES};
+use crate::model::{WorkspaceModel, LOCK_CLASSES};
 use crate::source::{directive_words, find_word, SourceFile};
 use crate::{Diagnostic, Workspace};
 
 pub const FLOAT_ORDERING: &str = "float-ordering";
 pub const NO_ALLOC_KERNEL: &str = "no-alloc-kernel";
-pub const LOCK_ORDER: &str = "lock-order";
 pub const NO_BLOCKING_UNDER_LOCK: &str = "no-blocking-under-lock";
-pub const EPOCH_PROTOCOL: &str = "epoch-protocol";
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 
 /// Rule ids a waiver may name. `waiver-syntax` is listed so a directive
 /// naming it parses, but the engine never suppresses it.
-pub const KNOWN_RULES: &[&str] = &[
-    FLOAT_ORDERING,
-    NO_ALLOC_KERNEL,
-    LOCK_ORDER,
-    NO_BLOCKING_UNDER_LOCK,
-    EPOCH_PROTOCOL,
-    WAIVER_SYNTAX,
-];
+pub const KNOWN_RULES: &[&str] =
+    &[FLOAT_ORDERING, NO_ALLOC_KERNEL, NO_BLOCKING_UNDER_LOCK, WAIVER_SYNTAX];
 
 /// Scope tags `lint-scope:` may declare.
 pub const KNOWN_SCOPES: &[&str] = &["no_alloc"];
@@ -39,9 +31,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatOrdering),
         Box::new(NoAllocKernel),
-        Box::new(LockOrder),
         Box::new(NoBlockingUnderLock),
-        Box::new(EpochProtocol),
         Box::new(WaiverSyntax),
     ]
 }
@@ -240,67 +230,6 @@ impl Rule for NoAllocKernel {
 }
 
 // ---------------------------------------------------------------------
-// L8: lock-order
-// ---------------------------------------------------------------------
-
-/// The concurrency PRs (6–9) established one global acquisition order
-/// over the named lock classes (writer mutex, before the epoch RwLock,
-/// before the store-internal locks, before the pool shards). Two code
-/// paths that acquire two classes in opposite orders can deadlock under
-/// exactly the concurrent load the tests exercise least, so any cycle
-/// in the observed acquisition-order graph is an error — and the hot
-/// pool-shard locks must never nest inside themselves at all.
-struct LockOrder;
-
-impl Rule for LockOrder {
-    fn id(&self) -> &'static str {
-        LOCK_ORDER
-    }
-
-    fn description(&self) -> &'static str {
-        "the acquisition-order graph over named lock classes stays acyclic; shard locks never self-nest"
-    }
-
-    fn check(&self, ws: &Workspace, model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        for e in model.edges.iter().filter(|e| !e.in_cfg_test) {
-            let Some(f) = ws.files.get(e.file) else { continue };
-            let (from, to) = (&LOCK_CLASSES[e.from], &LOCK_CLASSES[e.to]);
-            if e.from == e.to {
-                let detail = if from.hot {
-                    "shard-lock self-nesting: a second shard can map to the same stripe \
-                     and deadlock"
-                } else {
-                    "re-acquiring a held lock class self-deadlocks on the same instance"
-                };
-                out.push(diag(
-                    f,
-                    e.line + 1,
-                    LOCK_ORDER,
-                    format!("`{}` acquired while already held — {detail}", from.name),
-                ));
-                continue;
-            }
-            // A cycle exists iff some rank-decreasing edge closes a loop
-            // back to itself (rank-increasing edges alone are acyclic by
-            // construction). Anchoring the report on the inverted edge
-            // makes it the waivable site.
-            if from.rank > to.rank && model.has_path(e.to, e.from) {
-                out.push(diag(
-                    f,
-                    e.line + 1,
-                    LOCK_ORDER,
-                    format!(
-                        "lock-order cycle: acquiring `{}` (rank {}) while holding `{}` \
-                         (rank {}) inverts the workspace acquisition order — deadlock risk",
-                        to.name, to.rank, from.name, from.rank
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // L9: no-blocking-under-lock
 // ---------------------------------------------------------------------
 
@@ -373,63 +302,6 @@ impl Rule for NoBlockingUnderLock {
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L11: epoch-protocol
-// ---------------------------------------------------------------------
-
-/// The dynamic-index snapshot protocol (PR 9): `publish()` swaps the
-/// published pointer only while the writer mutex is held, so
-/// generations publish in order. No type says so — the slot is an
-/// `RwLock` any method of the module can write — hence this rule. (That
-/// code outside `epoch.rs` cannot construct an `IndexEpoch` or reach the
-/// slot needs no rule: the fields are private and there is no
-/// constructor.)
-struct EpochProtocol;
-
-const EPOCH_RS: &str = "crates/query/src/epoch.rs";
-
-impl Rule for EpochProtocol {
-    fn id(&self) -> &'static str {
-        EPOCH_PROTOCOL
-    }
-
-    fn description(&self) -> &'static str {
-        "publishing an epoch (write-locking the slot in epoch.rs) requires the writer lock"
-    }
-
-    fn check(&self, ws: &Workspace, model: &WorkspaceModel, out: &mut Vec<Diagnostic>) {
-        let Some(writer) = model::class_by_name("writer-mutex") else { return };
-        let Some(epoch) = model::class_by_name("epoch-rwlock") else { return };
-        let Some((fi, f)) = ws.files.iter().enumerate().find(|(_, f)| f.rel == EPOCH_RS) else {
-            return;
-        };
-        // Every write acquisition of the published slot must happen
-        // under a live writer-mutex guard.
-        for a in &model.acquisitions {
-            if a.file != fi || a.class != epoch || a.op != LockOp::Write || a.in_cfg_test {
-                continue;
-            }
-            let held = model.acquisitions.iter().any(|w| {
-                w.file == fi
-                    && w.class == writer
-                    && w.at < a.at
-                    && w.live_from <= a.line
-                    && a.line <= w.live_to
-            });
-            if !held {
-                out.push(diag(
-                    f,
-                    a.line + 1,
-                    EPOCH_PROTOCOL,
-                    "publishing an epoch (write-locking `published`) without \
-                     holding the writer mutex: generations can publish out of order"
-                        .to_owned(),
-                ));
             }
         }
     }
@@ -574,42 +446,11 @@ mod tests {
 
     #[test]
     fn l8_flags_lock_order_cycles_and_shard_self_nesting() {
-        // The good direction alone — writer mutex, then the epoch
-        // RwLock — is rank-increasing and clean.
-        let publish_only = "#![forbid(unsafe_code)]\n\
-            impl Handle {\n\
-                fn publish(&self) {\n\
-                    let w = self.working.lock().unwrap();\n\
-                    let mut slot = self.published.write().unwrap();\n\
-                    *slot = w.snapshot();\n\
-                }\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/query/src/epoch.rs", publish_only)], rules::LOCK_ORDER),
-            vec![]
-        );
-        // Add a path that takes the same two classes in the opposite
-        // order and the graph has a cycle; the inverted (rank-
-        // decreasing) edge is the reported site.
-        let with_inversion = "#![forbid(unsafe_code)]\n\
-            impl Handle {\n\
-                fn publish(&self) {\n\
-                    let w = self.working.lock().unwrap();\n\
-                    let mut slot = self.published.write().unwrap();\n\
-                    *slot = w.snapshot();\n\
-                }\n\
-                fn inverted(&self) {\n\
-                    let p = self.published.write().unwrap();\n\
-                    let w = self.working.lock().unwrap();\n\
-                    drop(w);\n\
-                    drop(p);\n\
-                }\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/query/src/epoch.rs", with_inversion)], rules::LOCK_ORDER),
-            vec![10]
-        );
-        // Shard locks must never nest inside themselves, cycle or not.
+        // The lock-order rule is retired: the one cycle it could see,
+        // writer mutex against the published slot, is ruled out by the
+        // slot's `&mut Working` write path. Its unconditional half stays
+        // a finding of no-blocking-under-lock: a second shard under a
+        // shard guard can hash to the same stripe and deadlock.
         let self_nest = "#![forbid(unsafe_code)]\n\
             impl Pool {\n\
                 fn rehash(&self, other: &Shard) {\n\
@@ -618,14 +459,12 @@ mod tests {
                     a.merge(&b);\n\
                 }\n\
             }\n";
-        let hits = rules_hit(&[("crates/store/src/pool.rs", self_nest)], rules::LOCK_ORDER);
-        assert_eq!(hits, vec![5]);
-        let msgs: Vec<String> = diags_for(&[("crates/store/src/pool.rs", self_nest)])
+        let diags: Vec<_> = diags_for(&[("crates/store/src/pool.rs", self_nest)])
             .into_iter()
-            .filter(|d| d.rule == rules::LOCK_ORDER)
-            .map(|d| d.message)
+            .filter(|d| d.rule == rules::NO_BLOCKING_UNDER_LOCK)
             .collect();
-        assert!(msgs[0].contains("self-nesting"), "{msgs:?}");
+        assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![5]);
+        assert!(diags[0].message.contains("acquiring `pool-shard` while the hot `pool-shard`"));
     }
 
     #[test]
@@ -645,7 +484,7 @@ mod tests {
             vec![5, 6, 7]
         );
         // The same work staged *before* the guard is fine, as are the
-        // colder classes (writer mutex) doing I/O-sized work.
+        // cold store classes doing I/O-sized work.
         let good = "#![forbid(unsafe_code)]\n\
             impl Shard {\n\
                 fn fill(&self, store: &Store, id: u64) {\n\
@@ -660,45 +499,17 @@ mod tests {
             vec![]
         );
         let cold = "#![forbid(unsafe_code)]\n\
-            impl Writer {\n\
-                fn rebuild(&self) {\n\
-                    let w = self.working.lock().unwrap();\n\
+            impl FileStore {\n\
+                fn grow(&self) {\n\
+                    let s = self.state.lock().unwrap();\n\
                     let buf = vec![0u8; 4096];\n\
-                    w.save_index(buf);\n\
+                    s.file.set_len(buf.len() as u64);\n\
                 }\n\
             }\n";
         assert_eq!(
-            rules_hit(&[("crates/query/src/writer.rs", cold)], rules::NO_BLOCKING_UNDER_LOCK),
+            rules_hit(&[("crates/store/src/file.rs", cold)], rules::NO_BLOCKING_UNDER_LOCK),
             vec![]
         );
-    }
-
-    #[test]
-    fn l11_epoch_protocol_guards_construction_publication_and_the_slot() {
-        // Inside epoch.rs: write-locking the published slot without the
-        // writer mutex held is flagged; the pin() read path and the
-        // guarded publish path are the sanctioned doors. The same code
-        // in any other file is privacy's business, not this rule's.
-        let inside = "#![forbid(unsafe_code)]\n\
-            impl Handle {\n\
-                fn pin(&self) -> Arc<IndexEpoch> {\n\
-                    self.published.read().unwrap().clone()\n\
-                }\n\
-                fn publish(&self) {\n\
-                    let w = self.working.lock().unwrap();\n\
-                    let mut slot = self.published.write().unwrap();\n\
-                    *slot = w.snapshot();\n\
-                }\n\
-                fn rogue(&self) {\n\
-                    let mut slot = self.published.write().unwrap();\n\
-                    *slot = Arc::default();\n\
-                }\n\
-            }\n";
-        assert_eq!(
-            rules_hit(&[("crates/query/src/epoch.rs", inside)], rules::EPOCH_PROTOCOL),
-            vec![12]
-        );
-        assert!(rules_hit(&[("crates/index/src/lib.rs", inside)], rules::EPOCH_PROTOCOL).is_empty());
     }
 
     #[test]

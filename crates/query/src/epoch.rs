@@ -28,7 +28,7 @@
 //! pinned, not for the writer's working state.
 
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::filter::FilterRefineIndex;
 use vsim_index::QueryContext;
@@ -56,7 +56,8 @@ impl IndexEpoch {
     }
 }
 
-/// The writer's private mutable state, behind one mutex.
+/// The writer's private mutable state, behind one mutex: only a held
+/// writer lock hands out a `&mut Working`.
 struct Working {
     index: FilterRefineIndex,
     generation: u64,
@@ -64,6 +65,38 @@ struct Working {
     /// pin on a retired epoch, so once its count reads one — this list's
     /// — it stays one, and `publish` drops it.
     retired: Vec<Arc<IndexEpoch>>,
+}
+
+/// The published epoch. Its lock is private to this module and no guard
+/// leaves it: readers get an `Arc` or a generation, and the one write
+/// path takes the writer's `&mut Working`, so "publish under the writer
+/// lock" is checked by the compiler.
+mod slot {
+    use super::{IndexEpoch, Working};
+    use std::sync::{Arc, PoisonError, RwLock};
+
+    pub(super) struct Slot(RwLock<Arc<IndexEpoch>>);
+
+    impl Slot {
+        pub(super) fn new(epoch: Arc<IndexEpoch>) -> Slot {
+            Slot(RwLock::new(epoch))
+        }
+
+        /// One `Arc` clone under a brief read lock.
+        pub(super) fn pin(&self) -> Arc<IndexEpoch> {
+            Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+        }
+
+        pub(super) fn generation(&self) -> u64 {
+            self.0.read().unwrap_or_else(PoisonError::into_inner).generation
+        }
+
+        /// Publish `next` and return the epoch it replaces. The write
+        /// guard is gone when this returns.
+        pub(super) fn swap(&self, _writer: &mut Working, next: Arc<IndexEpoch>) -> Arc<IndexEpoch> {
+            std::mem::replace(&mut *self.0.write().unwrap_or_else(PoisonError::into_inner), next)
+        }
+    }
 }
 
 /// A dynamic index: one writer, many concurrent snapshot readers.
@@ -75,7 +108,7 @@ struct Working {
 /// writer mutex.
 pub struct DynamicIndex {
     working: Mutex<Working>,
-    published: RwLock<Arc<IndexEpoch>>,
+    published: slot::Slot,
 }
 
 impl DynamicIndex {
@@ -86,7 +119,7 @@ impl DynamicIndex {
         let epoch = Arc::new(IndexEpoch { generation: 0, index: index.snapshot()? });
         Ok(DynamicIndex {
             working: Mutex::new(Working { index, generation: 0, retired: Vec::new() }),
-            published: RwLock::new(epoch),
+            published: slot::Slot::new(epoch),
         })
     }
 
@@ -122,16 +155,10 @@ impl DynamicIndex {
     /// Replaced epochs that no reader pins any more are freed here, on
     /// the writer's thread. Returns the generation.
     pub fn publish(&self) -> io::Result<u64> {
-        let mut guard = self.working();
-        let w = &mut *guard;
+        let mut w = self.working();
         w.generation += 1;
         let epoch = Arc::new(IndexEpoch { generation: w.generation, index: w.index.snapshot()? });
-        // Swap under the writer lock so generations publish in order;
-        // the slot's guard is gone when the statement ends.
-        let replaced = std::mem::replace(
-            &mut *self.published.write().unwrap_or_else(PoisonError::into_inner),
-            epoch,
-        );
+        let replaced = self.published.swap(&mut w, epoch);
         w.retired.push(replaced);
         w.retired.retain(|epoch| Arc::strong_count(epoch) > 1);
         Ok(w.generation)
@@ -143,12 +170,12 @@ impl DynamicIndex {
     /// lives, however many generations the writer publishes meanwhile.
     pub fn pin(&self, ctx: &QueryContext) -> Arc<IndexEpoch> {
         ctx.count_epoch_pins(1);
-        Arc::clone(&self.published.read().unwrap_or_else(PoisonError::into_inner))
+        self.published.pin()
     }
 
     /// Generation of the currently published epoch.
     pub fn published_generation(&self) -> u64 {
-        self.published.read().unwrap_or_else(PoisonError::into_inner).generation
+        self.published.generation()
     }
 
     /// Live objects in the *working* state (unpublished ops included).

@@ -12,8 +12,8 @@
 //! access path, or `None` for the [`Planner`]'s cost-based choice. The
 //! vector-set indexes answer it with `execute(&Query, &QueryContext)`
 //! (a caller's buffer pool) or `run(&Query)` (a fresh cold pool, with
-//! the query's [`QueryStats`]). Three access paths, the same three
-//! Table 2 measures:
+//! the query's [`QueryStats`]). Two of Table 2's three rows live here
+//! (the one-vector X-tree baseline is `vsim-bench`'s):
 //!
 //! 1. [`FilterRefineIndex`] — the paper's contribution: extended
 //!    centroids as a *filter*, exact minimal matching distance as
@@ -22,9 +22,6 @@
 //!    bound `k·‖C(X)−C(q)‖`, refine, stop at ε (range) or at the running
 //!    k-th distance (k-NN).
 //! 2. [`SequentialScanIndex`] — exact distance against every object.
-//! 3. [`OneVectorIndex`] — the `6k`-dimensional cover-sequence feature
-//!    vectors in an X-tree (the baseline the vector set model replaces;
-//!    its queries are plain `&[f64]` vectors, not a [`Query`]).
 //!
 //! The filter layer is built on an incremental **candidate-stream
 //! abstraction** (`CandidateSource` in `vsim-index`): every access path
@@ -61,7 +58,6 @@ pub mod epoch;
 pub mod executor;
 pub mod filter;
 pub mod multistep;
-pub mod onevector;
 pub mod planner;
 pub mod scan;
 pub mod stats;
@@ -70,7 +66,6 @@ pub use epoch::{DynamicIndex, IndexEpoch};
 pub use executor::{BatchResult, PoolPolicy, QueryExecutor};
 pub use filter::FilterRefineIndex;
 pub use multistep::{multi_step_knn, Query, QueryKind, TopK};
-pub use onevector::OneVectorIndex;
 pub use planner::{AccessPath, DatasetStats, Plan, Planner};
 pub use scan::SequentialScanIndex;
 pub use stats::QueryStats;

@@ -54,14 +54,6 @@ pub enum Backend {
     Mmap,
 }
 
-impl Backend {
-    /// Whether I/O on this backend is simulated (charged) rather than
-    /// physically performed and measured.
-    pub fn is_simulated(self) -> bool {
-        matches!(self, Backend::Memory)
-    }
-}
-
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -249,7 +241,7 @@ mod tests {
     fn backend_is_memory_and_simulated() {
         let s = InMemoryPageStore::new();
         assert_eq!(s.backend(), Backend::Memory);
-        assert!(s.backend().is_simulated());
-        assert!(!Backend::File.is_simulated());
+        let charged = crate::CostModel::for_backend(s.backend());
+        assert_eq!(charged.ms_per_page, crate::CostModel::default().ms_per_page);
     }
 }

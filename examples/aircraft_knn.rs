@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example aircraft_knn [n_objects]`
 
+use vsim_bench::OneVectorIndex;
 use vsim_core::prelude::*;
 
 fn main() {

@@ -75,6 +75,9 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 fn cmd_covers(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing STL path")?;
     let k: usize = args.get(1).map_or(Ok(7), |s| s.parse().map_err(|_| "bad k"))?;
+    if k == 0 {
+        return Err("k must be at least 1".into());
+    }
     let mesh = load_mesh(path)?;
     let grid = voxelize_mesh(&mesh, 15, NormalizeMode::Uniform).grid;
     let seq = greedy_cover_sequence(&grid, k);

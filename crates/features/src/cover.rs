@@ -21,25 +21,37 @@
 //!
 //! Both are additive over the z-slabs of a cuboid, so for every
 //! `(x₀,x₁,y₀,y₁)` footprint the optimal z-interval is a maximum-sum
-//! subarray found by Kadane's algorithm in `O(r)`. The slab gains come
-//! from one signed 2-D prefix-sum table per sign, stored z-contiguous so
-//! that a footprint's `r` slab gains are four column additions. That is
+//! subarray found by Kadane's algorithm in `O(r)`. That is
 //! `O(r⁴ · r) = O(r⁵)` for the full step, against `O(r⁶)` for box
 //! enumeration with per-box counting.
 //!
-//! Most footprints never reach Kadane. A plus-gain cannot exceed the
-//! `O∖S` voxels of its footprint column, a minus-gain not its `S∖O`
-//! voxels; both counts are O(1) from the two tables projected along z.
-//! A footprint whose larger count is no more than the best gain so far is
-//! skipped, and since the count only grows with the footprint, so is the
-//! rest of the `y₀` loop once `[y₀, r)` falls short, and the whole
-//! `(x₀,x₁)` strip when `[0, r)` does.
+//! The slab gains come from one signed 2-D prefix-sum table `T` per sign,
+//! stored `[x][z][y]`: y-contiguous, each `(x, z)` row padded to a
+//! multiple of eight lanes. A strip `[x₀,x₁)` forms `D = T[x₁] − T[x₀]`
+//! once; footprint `[y₀,y₁)` then gains `D[z][y₁] − D[z][y₀]` in slab
+//! `z`. For one `y₀`, every `y₁` runs Kadane's recurrence
+//! `run = max(run, 0) + D[z][y₁] − D[z][y₀]`, `m = max(m, run)` at once,
+//! eight `y₁` to a lane chunk, so `m` is each footprint's best gain.
+//! Only the footprints whose `m` beats the best so far, in ascending
+//! `y₁`, run Kadane again with the start of the z-interval tracked, and
+//! that pass replaces the best unit.
 //!
-//! The search is exact, ties included: the best unit is replaced only on
-//! a strictly larger gain, and no cuboid of a skipped footprint exceeds
-//! the best gain at the moment of the skip, so none would have replaced
-//! it. The scan order `(x₀, x₁, y₀, y₁, z-end, plus before minus)`
-//! therefore decides every tie exactly as a scan of all footprints does.
+//! Most rows never reach the lanes. A plus-gain cannot exceed the `O∖S`
+//! voxels of its footprint column, a minus-gain not its `S∖O` voxels;
+//! both counts ("caps") are O(1) from the two tables projected along z,
+//! and only grow with the footprint. A strip whose `[0, r)` caps are no
+//! more than the best gain so far is skipped, and so is the rest of the
+//! `y₀` loop once `[y₀, r)` falls short. In a row, a sign whose cap falls
+//! short stays out of the lanes, and the lanes start at the chunk of the
+//! first `y₁` whose cap exceeds the best.
+//!
+//! The search is exact, ties included. All arithmetic is `i32`, and no
+//! sum exceeds `r³`. The best unit is replaced only on a strictly larger
+//! gain, and no cuboid of a footprint left out — by a cap or by its `m` —
+//! exceeds the best gain at the moment it is left out, so none would
+//! have replaced it. The scan order `(x₀, x₁, y₀, y₁, z-end, plus before
+//! minus)` therefore decides every tie exactly as a scan of all
+//! footprints does.
 
 use vsim_setdist::VectorSet;
 use vsim_voxel::VoxelGrid;
@@ -128,68 +140,156 @@ impl CoverSequence {
     }
 }
 
-/// Workspace of the greedy step, built once per sequence and refilled
-/// per step. Every table is a 2-D prefix sum over `(x, y)` with the usual
-/// zero row and column, so a footprint costs four lookups.
+/// Lanes of the row kernel: one `y₁` each.
+const LANES: usize = 8;
+
+/// Workspace of the greedy step, allocated once per sequence and refilled
+/// per step. The tables are 2-D prefix sums over `(x, y)` with the usual
+/// zero row and column.
 struct CoverSearch {
     r: usize,
-    /// Length of one z-column: `r` rounded up to a multiple of 8. The
-    /// padding lanes are never written and stay zero.
-    zp: usize,
-    /// Signed voxel weights per z-slab, z-contiguous:
-    /// `[(y·(r+1) + x)·zp + z]`.
+    /// Length of one y-row: `r + 1` rounded up to a multiple of [`LANES`].
+    /// The padding lanes are never written and stay zero.
+    yp: usize,
+    /// Length of `fill`'s x-rows: `r` rounded up to a multiple of [`LANES`].
+    xp: usize,
+    /// The signed tables `T`, y-contiguous: `[(x·(r+1) + z)·yp + y]` sums
+    /// the weights of `[0,x) × [0,y)` in slab `z < r`. "Slab" `r` holds the
+    /// caps: the same sum over the column counts of `O∖S` (plus) or `S∖O`
+    /// (minus).
     plus: Vec<i32>,
     minus: Vec<i32>,
-    /// The projections along z, `[y·(r+1) + x]`: `|column ∩ O∖S|` and
-    /// `|column ∩ S∖O|`.
-    plus_cap: Vec<i32>,
-    minus_cap: Vec<i32>,
-    /// Slab gains `a[z]`, `b[z]` of the footprint under the scan.
-    a: Vec<i32>,
-    b: Vec<i32>,
+    /// `T[x₁] − T[x₀]` for the strip `[x₀,x₁)` under the scan,
+    /// `[z·yp + y]`: footprint `[y₀,y₁)` gains `strip[z·yp + y₁] −
+    /// strip[z·yp + y₀]` in slab `z`, and caps at the same difference in
+    /// row `r`.
+    strip_plus: Vec<i32>,
+    strip_minus: Vec<i32>,
+    /// The best gain of footprint `[y₀,y₁)`, both signs, at `[y₁]`, for the
+    /// `y₀` under the scan.
+    row_best: Vec<i32>,
+    /// `fill`'s running column sums along y of the slab under the scan,
+    /// `[x]`.
+    col_plus: Vec<i32>,
+    col_minus: Vec<i32>,
+    /// `fill`'s counts of `O∖S` and `S∖O` per column, `[y·xp + x]`.
+    need_add: Vec<i32>,
+    need_del: Vec<i32>,
+    /// Start-tracking passes, and those of them that raised the best.
+    #[cfg(test)]
+    tracked: [usize; 2],
 }
 
 impl CoverSearch {
     fn new(r: usize) -> Self {
-        // No table entry and no gain exceeds r³.
+        // No table entry, gain or lane sum exceeds r³.
         assert!(r <= 1024, "raster resolution {r} overflows the i32 gain tables");
-        let zp = r.next_multiple_of(8);
-        let cells = (r + 1) * (r + 1);
+        let (yp, xp) = ((r + 1).next_multiple_of(LANES), r.next_multiple_of(LANES));
+        let block = (r + 1) * yp;
         CoverSearch {
             r,
-            zp,
-            plus: vec![0; cells * zp],
-            minus: vec![0; cells * zp],
-            plus_cap: vec![0; cells],
-            minus_cap: vec![0; cells],
-            a: vec![0; zp],
-            b: vec![0; zp],
+            yp,
+            xp,
+            plus: vec![0; (r + 1) * block],
+            minus: vec![0; (r + 1) * block],
+            strip_plus: vec![0; block],
+            strip_minus: vec![0; block],
+            row_best: vec![0; yp],
+            col_plus: vec![0; xp],
+            col_minus: vec![0; xp],
+            need_add: vec![0; r * xp],
+            need_del: vec![0; r * xp],
+            #[cfg(test)]
+            tracked: [0; 2],
         }
     }
 
-    /// Load the tables for one greedy step from approximation `approx`.
+    /// The greedy sequence of at most `k` units, one `fill` and one `best`
+    /// per unit.
+    fn sequence(&mut self, object: &VoxelGrid, k: usize) -> CoverSequence {
+        let r = self.r;
+        let mut approx = VoxelGrid::cubic(r);
+        let mut err = object.count();
+        let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
+        for _ in 0..k {
+            self.fill(object, &approx);
+            let Some(unit) = self.best() else {
+                break;
+            };
+            unit.apply(&mut approx);
+            err -= unit.gain;
+            seq.units.push(unit);
+            seq.errors.push(err);
+            if err == 0 {
+                break;
+            }
+        }
+        debug_assert_eq!(err, object.xor_count(&seq.reconstruct()));
+        seq
+    }
+
+    /// Load the tables for one greedy step from approximation `approx`,
+    /// reading both grids a row of up to 64 voxels at a time and weighing
+    /// eight voxels at once.
     fn fill(&mut self, object: &VoxelGrid, approx: &VoxelGrid) {
-        let (r, w, zp) = (self.r, self.r + 1, self.zp);
-        for y in 1..=r {
-            for x in 1..=r {
-                let at = y * w + x;
-                let (up, left, diag) = (at - w, at - 1, at - w - 1);
-                let (mut need_add, mut need_del) = (0, 0);
-                for z in 0..r {
-                    let (p, m) = match (object.get(x - 1, y - 1, z), approx.get(x - 1, y - 1, z)) {
-                        (true, false) => (1, 0),
-                        (false, false) => (-1, 0),
-                        (false, true) => (0, 1),
-                        (true, true) => (0, -1),
-                    };
-                    need_add += i32::from(p == 1);
-                    need_del += i32::from(m == 1);
-                    for (t, v) in [(&mut self.plus, p), (&mut self.minus, m)] {
-                        t[at * zp + z] = v + t[up * zp + z] + t[left * zp + z] - t[diag * zp + z];
+        let (r, yp, xp) = (self.r, self.yp, self.xp);
+        let block = (r + 1) * yp;
+        self.need_add.fill(0);
+        self.need_del.fill(0);
+        for z in 0..r {
+            self.col_plus.fill(0);
+            self.col_minus.fill(0);
+            for y in 0..r {
+                let need_add = &mut self.need_add[y * xp..][..xp];
+                let need_del = &mut self.need_del[y * xp..][..xp];
+                for x0 in (0..r).step_by(64) {
+                    let (o, s) = (object.row(x0, y, z), approx.row(x0, y, z));
+                    // Plus: +1 on O∖S, −1 outside O ∪ S, 0 on S.
+                    // Minus: +1 on S∖O, −1 on S ∩ O, 0 outside S.
+                    // Lanes from `r` on are spoiled, and never read.
+                    let [add, spoil, del, keep] = [o & !s, !(o | s), s & !o, s & o];
+                    for c in (x0..xp.min(x0 + 64)).step_by(LANES) {
+                        let lanes = |bits: u64| -> [i32; LANES] {
+                            let bits = (bits >> (c - x0)) as u32;
+                            std::array::from_fn(|l| i32::from(bits & 1 << l != 0))
+                        };
+                        let (add, spoil) = (lanes(add), lanes(spoil));
+                        let (col, need) =
+                            (&mut self.col_plus[c..c + LANES], &mut need_add[c..c + LANES]);
+                        for l in 0..LANES {
+                            col[l] += add[l] - spoil[l];
+                            need[l] += add[l];
+                        }
+                        if s != 0 {
+                            let (del, keep) = (lanes(del), lanes(keep));
+                            let (col, need) =
+                                (&mut self.col_minus[c..c + LANES], &mut need_del[c..c + LANES]);
+                            for l in 0..LANES {
+                                col[l] += del[l] - keep[l];
+                                need[l] += del[l];
+                            }
+                        }
                     }
                 }
-                for (t, v) in [(&mut self.plus_cap, need_add), (&mut self.minus_cap, need_del)] {
-                    t[at] = v + t[up] + t[left] - t[diag];
+                // `[0,x+1) × [0,y+1)` of slab `z` sums the first x+1 columns.
+                let at = z * yp + y + 1;
+                let (mut p, mut m) = (0, 0);
+                let tables =
+                    self.plus.chunks_exact_mut(block).zip(self.minus.chunks_exact_mut(block));
+                for ((tp, tm), (cp, cm)) in
+                    tables.skip(1).zip(self.col_plus.iter().zip(&self.col_minus))
+                {
+                    (p, m) = (p + cp, m + cm);
+                    (tp[at], tm[at]) = (p, m);
+                }
+            }
+        }
+        for (t, need) in [(&mut self.plus, &self.need_add), (&mut self.minus, &self.need_del)] {
+            let cap = |x: usize, y: usize| x * block + r * yp + y;
+            for x in 1..=r {
+                for y in 1..=r {
+                    t[cap(x, y)] = need[(y - 1) * xp + x - 1] + t[cap(x - 1, y)] + t[cap(x, y - 1)]
+                        - t[cap(x - 1, y - 1)];
                 }
             }
         }
@@ -198,76 +298,114 @@ impl CoverSearch {
     /// One greedy step: the best `(cuboid, sign, gain)` over all cuboids,
     /// or `None` if no cuboid has positive gain.
     fn best(&mut self) -> Option<CoverUnit> {
-        let (r, w, zp) = (self.r, self.r + 1, self.zp);
-        let (plus, minus) = (&self.plus[..], &self.minus[..]);
-        let (plus_cap, minus_cap) = (&self.plus_cap[..], &self.minus_cap[..]);
-        let (a, b) = (&mut self.a[..zp], &mut self.b[..zp]);
-
-        let mut best_gain = 0i32;
-        let mut best: Option<(Cuboid, Sign)> = None;
+        let (r, yp) = (self.r, self.yp);
+        let (slabs, block) = (r * yp, (r + 1) * yp);
+        let mut best = Best { gain: 0, unit: None };
         for x0 in 0..r {
             for x1 in (x0 + 1)..=r {
-                let rect = |t: &[i32], y0: usize, y1: usize| {
-                    t[y1 * w + x1] + t[y0 * w + x0] - t[y0 * w + x1] - t[y1 * w + x0]
-                };
+                // The strip's caps over `[0, r)`: its `y = 0` entries are 0.
+                let strip_cap = |t: &[i32]| t[x1 * block + slabs + r] - t[x0 * block + slabs + r];
+                if strip_cap(&self.plus).max(strip_cap(&self.minus)) <= best.gain {
+                    continue;
+                }
+                for (d, t) in
+                    [(&mut self.strip_plus, &self.plus), (&mut self.strip_minus, &self.minus)]
+                {
+                    let (t0, t1) = (&t[x0 * block..][..block], &t[x1 * block..][..block]);
+                    for ((d, a), b) in d.iter_mut().zip(t1).zip(t0) {
+                        *d = a - b;
+                    }
+                }
+                let strips = [&self.strip_plus[..slabs], &self.strip_minus[..slabs]];
+                let caps = [&self.strip_plus[slabs..], &self.strip_minus[slabs..]];
+                let cap = |sign: usize, y0: usize, y1: usize| caps[sign][y1] - caps[sign][y0];
                 // The most any cuboid on footprint `[x0,x1) × [y0,y1)` gains.
-                let bound =
-                    |y0: usize, y1: usize| rect(plus_cap, y0, y1).max(rect(minus_cap, y0, y1));
+                let bound = |y0: usize, y1: usize| cap(0, y0, y1).max(cap(1, y0, y1));
                 for y0 in 0..r {
-                    // `bound(y0, r)` tops every `y1` and only falls as
-                    // `y0` grows; at `y0 = 0` it drops the whole strip.
-                    if bound(y0, r) <= best_gain {
+                    // `cap(y0, y1)` grows with `y1` and falls with `y0`:
+                    // `cap(y0, r)` tops the row and every later one.
+                    let row_caps = [cap(0, y0, r), cap(1, y0, r)];
+                    if row_caps[0].max(row_caps[1]) <= best.gain {
                         break;
                     }
-                    for y1 in (y0 + 1)..=r {
-                        if bound(y0, y1) <= best_gain {
-                            continue;
+                    // The lanes start at the first chunk whose last footprint's
+                    // cap beats the best (a footprint with `y1 <= y0` caps at 0).
+                    let from = (0..yp)
+                        .step_by(LANES)
+                        .find(|&c| bound(y0, r.min(c + LANES - 1)) > best.gain)
+                        .unwrap_or(yp);
+                    self.row_best[from..].fill(0);
+                    for (row_cap, strip) in row_caps.into_iter().zip(strips) {
+                        if row_cap > best.gain {
+                            kadane_lanes(strip, yp, y0, from, &mut self.row_best);
                         }
-                        for (t, out) in [(plus, &mut *a), (minus, &mut *b)] {
-                            let col = |y: usize, x: usize| &t[(y * w + x) * zp..][..zp];
-                            let (c11, c00, c01, c10) =
-                                (col(y1, x1), col(y0, x0), col(y0, x1), col(y1, x0));
-                            for z in 0..zp {
-                                out[z] = c11[z] + c00[z] - c01[z] - c10[z];
-                            }
-                        }
-                        // Kadane over z for both signs simultaneously.
-                        let mut run_a = 0i32;
-                        let mut start_a = 0usize;
-                        let mut run_b = 0i32;
-                        let mut start_b = 0usize;
-                        for z in 0..r {
-                            if run_a <= 0 {
-                                run_a = 0;
-                                start_a = z;
-                            }
-                            run_a += a[z];
-                            if run_a > best_gain {
-                                best_gain = run_a;
-                                best = Some((
-                                    Cuboid { min: [x0, y0, start_a], max: [x1, y1, z + 1] },
-                                    Sign::Plus,
-                                ));
-                            }
-                            if run_b <= 0 {
-                                run_b = 0;
-                                start_b = z;
-                            }
-                            run_b += b[z];
-                            if run_b > best_gain {
-                                best_gain = run_b;
-                                best = Some((
-                                    Cuboid { min: [x0, y0, start_b], max: [x1, y1, z + 1] },
-                                    Sign::Minus,
-                                ));
+                    }
+                    for y1 in (y0 + 1).max(from)..=r {
+                        if self.row_best[y1] > best.gain {
+                            #[cfg(test)]
+                            let before = best.gain;
+                            best.track(strips, yp, [x0, x1, y0, y1]);
+                            #[cfg(test)]
+                            {
+                                self.tracked[0] += 1;
+                                self.tracked[1] += usize::from(best.gain > before);
                             }
                         }
                     }
                 }
             }
         }
+        best.unit.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best.gain as usize })
+    }
+}
 
-        best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
+/// For every `y₁` in the lane chunks from `from` on, raise `out[y₁]` to
+/// the best gain of footprint `[y₀,y₁)` of one sign's strip over all
+/// z-intervals, if positive: Kadane's maximum-sum recurrence with eight
+/// `y₁` in lanes. Lanes with `y₁ ≤ y₀` or `y₁ > r` hold no footprint;
+/// their values are finite and never read.
+fn kadane_lanes(strip: &[i32], yp: usize, y0: usize, from: usize, out: &mut [i32]) {
+    for c in (from..yp).step_by(LANES) {
+        let (mut run, mut top) = ([0i32; LANES], [0i32; LANES]);
+        for row in strip.chunks_exact(yp) {
+            let (base, lanes) = (row[y0], &row[c..c + LANES]);
+            for l in 0..LANES {
+                run[l] = run[l].max(0) + (lanes[l] - base);
+                top[l] = top[l].max(run[l]);
+            }
+        }
+        for (o, t) in out[c..c + LANES].iter_mut().zip(top) {
+            *o = (*o).max(t);
+        }
+    }
+}
+
+/// The best unit so far of one greedy step.
+struct Best {
+    gain: i32,
+    unit: Option<(Cuboid, Sign)>,
+}
+
+impl Best {
+    /// Kadane over z with start tracking, both signs at once, on footprint
+    /// `[x₀,x₁) × [y₀,y₁)` of the strip: the unit is replaced only on a
+    /// strictly larger gain, in the order `(z-end, plus before minus)`.
+    fn track(&mut self, [plus, minus]: [&[i32]; 2], yp: usize, [x0, x1, y0, y1]: [usize; 4]) {
+        let mut runs = [(0i32, 0usize, Sign::Plus, plus), (0, 0, Sign::Minus, minus)];
+        for z in 0..plus.len() / yp {
+            for (run, start, sign, t) in &mut runs {
+                if *run <= 0 {
+                    *run = 0;
+                    *start = z;
+                }
+                *run += t[z * yp + y1] - t[z * yp + y0];
+                if *run > self.gain {
+                    self.gain = *run;
+                    let cuboid = Cuboid { min: [x0, y0, *start], max: [x1, y1, z + 1] };
+                    self.unit = Some((cuboid, *sign));
+                }
+            }
+        }
     }
 }
 
@@ -279,26 +417,7 @@ impl CoverSearch {
 pub fn greedy_cover_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
     let [rx, ry, rz] = object.dims();
     assert!(rx == ry && ry == rz, "cover sequences require a cubic grid");
-    let r = rx;
-    let mut approx = VoxelGrid::cubic(r);
-    let mut err = object.count();
-    let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
-    let mut search = CoverSearch::new(r);
-    for _ in 0..k {
-        search.fill(object, &approx);
-        let Some(unit) = search.best() else {
-            break;
-        };
-        unit.apply(&mut approx);
-        err -= unit.gain;
-        seq.units.push(unit);
-        seq.errors.push(err);
-        if err == 0 {
-            break;
-        }
-    }
-    debug_assert_eq!(err, object.xor_count(&seq.reconstruct()));
-    seq
+    CoverSearch::new(rx).sequence(object, k)
 }
 
 /// The 6 feature values of one cover (Section 3.3.3): position (cuboid

@@ -1,12 +1,24 @@
-//! Differential tests of the bounded greedy step against the exhaustive
-//! search it replaced: four unsigned per-slab tables, every footprint
-//! scanned, no pruning. The two must agree on the *identical* unit
-//! (cuboid, sign and gain), so every tie falls the same way.
+//! Differential tests of the greedy step against the two searches it
+//! replaced, which must agree with it on the *identical* unit (cuboid,
+//! sign and gain), so that every tie falls the same way:
+//!
+//! * the exhaustive search: four unsigned per-slab tables, every
+//!   footprint scanned, no pruning — affordable at small `r`;
+//! * the per-footprint scan: the same caps, one footprint at a time, with
+//!   start-tracking Kadane on every footprint they admit, from
+//!   z-contiguous tables — the reference on the part families at r = 15,
+//!   30, 33 and 70.
+//!
+//! Also here: the golden digest of the covers of two datasets, and the
+//! count of start-tracking passes.
 
 use super::tests::best_cover;
 use super::*;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use rand::prelude::*;
+use vsim_datagen::greeble::standard_greebles;
+use vsim_datagen::{aircraft, car, Family};
 use vsim_voxel::{voxelize_solid, NormalizeMode};
 
 /// Per-z-slab 2-D prefix sums over a set of "marked" voxels, used to
@@ -113,14 +125,158 @@ fn reference_best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverU
     best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
 }
 
-/// `greedy_cover_sequence` driven by the reference step.
-fn reference_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
+/// The per-footprint scan, z-contiguous: the greedy step the row kernel
+/// replaced.
+struct ScanSearch {
+    r: usize,
+    /// Length of one z-column: `r` rounded up to a multiple of 8. The
+    /// padding lanes are never written and stay zero.
+    zp: usize,
+    /// Signed voxel weights per z-slab, z-contiguous:
+    /// `[(y·(r+1) + x)·zp + z]`.
+    plus: Vec<i32>,
+    minus: Vec<i32>,
+    /// The projections along z, `[y·(r+1) + x]`: `|column ∩ O∖S|` and
+    /// `|column ∩ S∖O|`.
+    plus_cap: Vec<i32>,
+    minus_cap: Vec<i32>,
+    /// Slab gains `a[z]`, `b[z]` of the footprint under the scan.
+    a: Vec<i32>,
+    b: Vec<i32>,
+}
+
+impl ScanSearch {
+    fn new(r: usize) -> Self {
+        let zp = r.next_multiple_of(8);
+        let cells = (r + 1) * (r + 1);
+        ScanSearch {
+            r,
+            zp,
+            plus: vec![0; cells * zp],
+            minus: vec![0; cells * zp],
+            plus_cap: vec![0; cells],
+            minus_cap: vec![0; cells],
+            a: vec![0; zp],
+            b: vec![0; zp],
+        }
+    }
+
+    fn fill(&mut self, object: &VoxelGrid, approx: &VoxelGrid) {
+        let (r, w, zp) = (self.r, self.r + 1, self.zp);
+        for y in 1..=r {
+            for x in 1..=r {
+                let at = y * w + x;
+                let (up, left, diag) = (at - w, at - 1, at - w - 1);
+                let (mut need_add, mut need_del) = (0, 0);
+                for z in 0..r {
+                    let (p, m) = match (object.get(x - 1, y - 1, z), approx.get(x - 1, y - 1, z)) {
+                        (true, false) => (1, 0),
+                        (false, false) => (-1, 0),
+                        (false, true) => (0, 1),
+                        (true, true) => (0, -1),
+                    };
+                    need_add += i32::from(p == 1);
+                    need_del += i32::from(m == 1);
+                    for (t, v) in [(&mut self.plus, p), (&mut self.minus, m)] {
+                        t[at * zp + z] = v + t[up * zp + z] + t[left * zp + z] - t[diag * zp + z];
+                    }
+                }
+                for (t, v) in [(&mut self.plus_cap, need_add), (&mut self.minus_cap, need_del)] {
+                    t[at] = v + t[up] + t[left] - t[diag];
+                }
+            }
+        }
+    }
+
+    fn best(&mut self) -> Option<CoverUnit> {
+        let (r, w, zp) = (self.r, self.r + 1, self.zp);
+        let (plus, minus) = (&self.plus[..], &self.minus[..]);
+        let (plus_cap, minus_cap) = (&self.plus_cap[..], &self.minus_cap[..]);
+        let (a, b) = (&mut self.a[..zp], &mut self.b[..zp]);
+
+        let mut best_gain = 0i32;
+        let mut best: Option<(Cuboid, Sign)> = None;
+        for x0 in 0..r {
+            for x1 in (x0 + 1)..=r {
+                let rect = |t: &[i32], y0: usize, y1: usize| {
+                    t[y1 * w + x1] + t[y0 * w + x0] - t[y0 * w + x1] - t[y1 * w + x0]
+                };
+                let bound =
+                    |y0: usize, y1: usize| rect(plus_cap, y0, y1).max(rect(minus_cap, y0, y1));
+                for y0 in 0..r {
+                    if bound(y0, r) <= best_gain {
+                        break;
+                    }
+                    for y1 in (y0 + 1)..=r {
+                        if bound(y0, y1) <= best_gain {
+                            continue;
+                        }
+                        for (t, out) in [(plus, &mut *a), (minus, &mut *b)] {
+                            let col = |y: usize, x: usize| &t[(y * w + x) * zp..][..zp];
+                            let (c11, c00, c01, c10) =
+                                (col(y1, x1), col(y0, x0), col(y0, x1), col(y1, x0));
+                            for z in 0..zp {
+                                out[z] = c11[z] + c00[z] - c01[z] - c10[z];
+                            }
+                        }
+                        let mut run_a = 0i32;
+                        let mut start_a = 0usize;
+                        let mut run_b = 0i32;
+                        let mut start_b = 0usize;
+                        for z in 0..r {
+                            if run_a <= 0 {
+                                run_a = 0;
+                                start_a = z;
+                            }
+                            run_a += a[z];
+                            if run_a > best_gain {
+                                best_gain = run_a;
+                                best = Some((
+                                    Cuboid { min: [x0, y0, start_a], max: [x1, y1, z + 1] },
+                                    Sign::Plus,
+                                ));
+                            }
+                            if run_b <= 0 {
+                                run_b = 0;
+                                start_b = z;
+                            }
+                            run_b += b[z];
+                            if run_b > best_gain {
+                                best_gain = run_b;
+                                best = Some((
+                                    Cuboid { min: [x0, y0, start_b], max: [x1, y1, z + 1] },
+                                    Sign::Minus,
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        best.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best_gain as usize })
+    }
+}
+
+/// One greedy step of the per-footprint scan on a fresh workspace.
+fn scan_best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
+    let mut search = ScanSearch::new(object.dims()[0]);
+    search.fill(object, approx);
+    search.best()
+}
+
+/// A greedy sequence of at most `k` units chosen by `step`.
+fn sequence_by(
+    object: &VoxelGrid,
+    k: usize,
+    mut step: impl FnMut(&VoxelGrid, &VoxelGrid) -> Option<CoverUnit>,
+) -> CoverSequence {
     let r = object.dims()[0];
     let mut approx = VoxelGrid::cubic(r);
     let mut err = object.count();
     let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
     while seq.units.len() < k && err > 0 {
-        let Some(unit) = reference_best_cover(object, &approx) else {
+        let Some(unit) = step(object, &approx) else {
             break;
         };
         unit.apply(&mut approx);
@@ -129,6 +285,20 @@ fn reference_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
         seq.errors.push(err);
     }
     seq
+}
+
+/// `greedy_cover_sequence` driven by the exhaustive step.
+fn reference_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
+    sequence_by(object, k, reference_best_cover)
+}
+
+/// `greedy_cover_sequence` driven by the per-footprint scan.
+fn scan_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
+    let mut search = ScanSearch::new(object.dims()[0]);
+    sequence_by(object, k, |object, approx| {
+        search.fill(object, approx);
+        search.best()
+    })
 }
 
 /// A grid with each voxel set with probability `eighths / 8`.
@@ -227,17 +397,15 @@ fn grid_pair(kind: usize, r: usize, seed: u64) -> (VoxelGrid, VoxelGrid) {
 
 proptest! {
     #[test]
-    fn step_is_identical_to_the_reference(kind in 0usize..7, r in 4usize..=9, seed in 0u64..u64::MAX) {
+    fn step_is_identical_to_the_reference(kind in 0usize..7, r in 4usize..=17, seed in 0u64..u64::MAX) {
         let (object, approx) = grid_pair(kind, r, seed);
-        prop_assert_eq!(
-            best_cover(&object, &approx),
-            reference_best_cover(&object, &approx),
-            "kind {} r {} seed {}", kind, r, seed
-        );
+        let got = best_cover(&object, &approx);
+        prop_assert_eq!(got, reference_best_cover(&object, &approx), "kind {} r {} seed {}", kind, r, seed);
+        prop_assert_eq!(got, scan_best_cover(&object, &approx), "kind {} r {} seed {}", kind, r, seed);
     }
 
     #[test]
-    fn sequence_is_identical_to_the_reference(kind in 0usize..4, r in 4usize..=9, seed in 0u64..u64::MAX) {
+    fn sequence_is_identical_to_the_reference(kind in 0usize..4, r in 4usize..=17, seed in 0u64..u64::MAX) {
         let (object, _) = grid_pair(kind, r, seed);
         prop_assert_eq!(
             greedy_cover_sequence(&object, 9),
@@ -273,18 +441,12 @@ fn tie_generators_do_produce_ties() {
 /// Two solids of every aircraft and car family, greebled as the dataset
 /// builders do.
 fn family_solids() -> Vec<(&'static str, Box<dyn vsim_geom::Solid>)> {
-    use rand::prelude::*;
-    let families = vsim_datagen::aircraft::aircraft_families()
-        .into_iter()
-        .chain(vsim_datagen::car::car_families());
+    let families = aircraft::aircraft_families().into_iter().chain(car::car_families());
     let mut rng = StdRng::seed_from_u64(13);
     let mut out = Vec::new();
     for f in families {
         for _ in 0..2 {
-            out.push((
-                f.name,
-                vsim_datagen::greeble::standard_greebles((f.gen)(&mut rng), &mut rng),
-            ));
+            out.push((f.name, standard_greebles((f.gen)(&mut rng), &mut rng)));
         }
     }
     out
@@ -300,8 +462,8 @@ fn sequences_equal_the_reference_on_every_part_family() {
 
 #[test]
 fn padding_lanes_stay_out_of_the_scan() {
-    // r = 10, 12 and 20 leave 6, 4 and 4 padding lanes behind each
-    // z-column; r = 16 leaves none.
+    // r = 10, 12, 16 and 20 leave 5, 3, 7 and 3 padding lanes behind each
+    // y-row of r + 1 entries.
     let solids = family_solids();
     for r in [10, 12, 16, 20] {
         for (name, solid) in solids.iter().step_by(9) {
@@ -314,5 +476,103 @@ fn padding_lanes_stay_out_of_the_scan() {
         }
         let (object, approx) = grid_pair(0, r, r as u64);
         assert_eq!(best_cover(&object, &approx), reference_best_cover(&object, &approx), "r={r}");
+    }
+}
+
+/// Every family, greebled as `build_dataset` greebles it, `seeds` seeds
+/// each, at rasters `rs` in `modes`: the sequence of `k` units equals the
+/// per-footprint scan's.
+fn assert_families_match_the_scan(
+    families: Vec<Family>,
+    seeds: u64,
+    rs: &[usize],
+    modes: &[NormalizeMode],
+    k: usize,
+) {
+    for (fi, family) in families.iter().enumerate() {
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed * 0x9e37_79b9 + fi as u64);
+            let solid = standard_greebles((family.gen)(&mut rng), &mut rng);
+            for &r in rs {
+                for &mode in modes {
+                    let grid = voxelize_solid(solid.as_ref(), r, mode).grid;
+                    assert_eq!(
+                        greedy_cover_sequence(&grid, k),
+                        scan_sequence(&grid, k),
+                        "{} seed {seed} r {r} {mode:?}",
+                        family.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+const BOTH_MODES: [NormalizeMode; 2] = [NormalizeMode::Uniform, NormalizeMode::PerAxis];
+
+#[test]
+fn aircraft_families_equal_the_scan() {
+    assert_families_match_the_scan(aircraft::aircraft_families(), 8, &[15, 30, 33], &BOTH_MODES, 7);
+}
+
+#[test]
+fn car_families_equal_the_scan() {
+    assert_families_match_the_scan(car::car_families(), 8, &[15, 30, 33], &BOTH_MODES, 7);
+}
+
+#[test]
+fn every_family_equals_the_scan_at_r_70() {
+    // Rows of 70 voxels take two grid words and nine lane chunks. Three
+    // units keep the scan affordable: its later steps cost it 1–4 s each.
+    let families = aircraft::aircraft_families().into_iter().chain(car::car_families()).collect();
+    assert_families_match_the_scan(families, 1, &[70], &[NormalizeMode::Uniform], 3);
+}
+
+/// FNV-1a over every unit of every sequence, and each sequence's length.
+fn digest(sequences: impl IntoIterator<Item = CoverSequence>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: usize| {
+        for b in (v as u64).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for seq in sequences {
+        eat(seq.units.len());
+        for u in &seq.units {
+            u.cuboid.min.into_iter().chain(u.cuboid.max).for_each(&mut eat);
+            eat(usize::from(u.sign == Sign::Minus));
+            eat(u.gain);
+        }
+    }
+    h
+}
+
+#[test]
+fn the_covers_of_two_datasets_keep_their_digest() {
+    // Taken from the per-footprint scan, before the row kernel replaced
+    // it: a voxel or cover change that moves any unit of these 80
+    // objects moves the digest.
+    let covers = |d: vsim_datagen::Dataset| {
+        d.objects.into_iter().map(|o| greedy_cover_sequence(&o.grid15, 7)).collect::<Vec<_>>()
+    };
+    let aircraft = covers(aircraft::aircraft_dataset(7, 64));
+    let car = covers(car::car_dataset(8, 16));
+    assert_eq!(format!("{:016x}", digest(aircraft)), "041ce1d9c8b06c73");
+    assert_eq!(format!("{:016x}", digest(car)), "3603221b8474d5c4");
+}
+
+#[test]
+fn every_tracked_footprint_raises_the_best() {
+    // The lanes admit a footprint to start tracking only when it beats
+    // the best. The per-footprint scan ran start-tracking Kadane on
+    // ≈ 25 000 footprints an object of these 64; ≈ 61 raised the best
+    // (94 at most).
+    let parts = aircraft::aircraft_dataset(7, 64);
+    for o in &parts.objects {
+        let mut search = CoverSearch::new(15);
+        search.sequence(&o.grid15, 7);
+        let [tracked, raised] = search.tracked;
+        assert_eq!(tracked, raised, "object {}", o.id);
+        assert!(tracked <= 200, "object {}: {tracked} tracked passes", o.id);
     }
 }

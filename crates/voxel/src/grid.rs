@@ -85,6 +85,23 @@ impl VoxelGrid {
         }
     }
 
+    /// The read twin of `or_row`: bit `i` is voxel `(x0 + i, y, z)`, for the
+    /// up to 64 voxels from `x0` to the end of the row; higher bits are zero.
+    #[inline]
+    pub fn row(&self, x0: usize, y: usize, z: usize) -> u64 {
+        let n = (self.nx - x0).min(64);
+        let i = self.idx(x0, y, z);
+        let (word, shift) = (i >> 6, i & 63);
+        let mut bits = self.bits[word] >> shift;
+        if shift != 0 && shift + n > 64 {
+            bits |= self.bits[word + 1] << (64 - shift);
+        }
+        if n < 64 {
+            bits &= (1u64 << n) - 1;
+        }
+        bits
+    }
+
     /// Number of set voxels, `|Vᵒ|`.
     pub fn count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -372,6 +389,34 @@ mod tests {
         let w = g.words().to_vec();
         let g2 = VoxelGrid::from_words(5, 5, 5, w);
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn row_reads_what_get_reads() {
+        // Rows of 3, 15 and 70 voxels start at every bit offset of a word,
+        // and the 70-voxel rows need two reads from some `x0`.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for nx in [3, 15, 70] {
+            let mut g = VoxelGrid::new(nx, 5, 4);
+            for z in 0..4 {
+                for y in 0..5 {
+                    for x in 0..nx {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        g.set(x, y, z, state >> 62 == 0);
+                    }
+                }
+            }
+            for z in 0..4 {
+                for y in 0..5 {
+                    for x0 in 0..nx {
+                        let want = (x0..nx.min(x0 + 64))
+                            .map(|x| u64::from(g.get(x, y, z)) << (x - x0))
+                            .fold(0, |a, b| a | b);
+                        assert_eq!(g.row(x0, y, z), want, "nx {nx} x0 {x0} y {y} z {z}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,10 +27,12 @@ fn bench_k_sweep(c: &mut Criterion) {
     g.finish();
 }
 
+/// r = 31 is the largest raster searched in `i16` lanes, r = 32 the
+/// smallest in `i32`.
 fn bench_r_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("greedy_cover_r");
     g.sample_size(10);
-    for r in [10usize, 15, 20] {
+    for r in [10usize, 15, 20, 31, 32] {
         let grid = test_grid(r);
         g.bench_with_input(BenchmarkId::from_parameter(r), &r, |b, _| {
             b.iter(|| greedy_cover_sequence(std::hint::black_box(&grid), 7))

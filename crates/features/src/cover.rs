@@ -45,14 +45,35 @@
 //! short stays out of the lanes, and the lanes start at the chunk of the
 //! first `y₁` whose cap exceeds the best.
 //!
-//! The search is exact, ties included. All arithmetic is `i32`, and no
-//! sum exceeds `r³`. The best unit is replaced only on a strictly larger
-//! gain, and no cuboid of a footprint left out — by a cap or by its `m` —
-//! exceeds the best gain at the moment it is left out, so none would
-//! have replaced it. The scan order `(x₀, x₁, y₀, y₁, z-end, plus before
-//! minus)` therefore decides every tie exactly as a scan of all
-//! footprints does.
+//! Between two steps only what the last unit changed is refilled: slab
+//! `z` of the tables depends on slab `z` of `O` and `S` alone, and the
+//! column counts behind the caps change only inside the unit's cuboid.
+//! The first step fills everything; the caps are rebuilt every step.
+//!
+//! ## Lane type
+//!
+//! Every table entry, cap, strip difference, lane run and gain is a
+//! signed count of the voxels of a sub-box of the raster, so no value
+//! exceeds `r³` in magnitude — including lanes that hold no footprint,
+//! and the padding, whose entries are 0. The cap recurrence is grouped so
+//! that its partial sums are such counts too. The search therefore runs
+//! in `i16` while `r³ ≤ i16::MAX` (r ≤ 31): eight lanes fill one SSE2
+//! register, whose `max` is native, where an `i32` lane's is emulated on
+//! the baseline x86-64 target. Above that it runs in `i32`. The result is
+//! the same in both; no arithmetic wraps, which the test profile's
+//! overflow checks confirm at r = 31.
+//!
+//! ## Exactness
+//!
+//! The search is exact, ties included. The best unit is replaced only on
+//! a strictly larger gain, and no cuboid of a footprint left out — by a
+//! cap or by its `m` — exceeds the best gain at the moment it is left
+//! out, so none would have replaced it. The scan order `(x₀, x₁, y₀, y₁,
+//! z-end, plus before minus)` therefore decides every tie exactly as a
+//! scan of all footprints does.
 
+use std::num::TryFromIntError;
+use std::ops::{Add, AddAssign, Range, Sub};
 use vsim_setdist::VectorSet;
 use vsim_voxel::VoxelGrid;
 
@@ -143,10 +164,33 @@ impl CoverSequence {
 /// Lanes of the row kernel: one `y₁` each.
 const LANES: usize = 8;
 
-/// Workspace of the greedy step, allocated once per sequence and refilled
-/// per step. The tables are 2-D prefix sums over `(x, y)` with the usual
-/// zero row and column.
-struct CoverSearch {
+/// The integer type of the search's tables, lanes and gains (module doc,
+/// "Lane type").
+trait Gain:
+    Copy
+    + Ord
+    + Default
+    + From<bool>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + AddAssign
+    + TryInto<usize, Error = TryFromIntError>
+{
+    const MAX: usize;
+}
+
+impl Gain for i16 {
+    const MAX: usize = i16::MAX as usize;
+}
+
+impl Gain for i32 {
+    const MAX: usize = i32::MAX as usize;
+}
+
+/// Workspace of the greedy step, allocated once per sequence and brought
+/// up to date after each unit. The tables are 2-D prefix sums over
+/// `(x, y)` with the usual zero row and column.
+struct CoverSearch<G> {
     r: usize,
     /// Length of one y-row: `r + 1` rounded up to a multiple of [`LANES`].
     /// The padding lanes are never written and stay zero.
@@ -157,66 +201,68 @@ struct CoverSearch {
     /// the weights of `[0,x) × [0,y)` in slab `z < r`. "Slab" `r` holds the
     /// caps: the same sum over the column counts of `O∖S` (plus) or `S∖O`
     /// (minus).
-    plus: Vec<i32>,
-    minus: Vec<i32>,
+    plus: Vec<G>,
+    minus: Vec<G>,
     /// `T[x₁] − T[x₀]` for the strip `[x₀,x₁)` under the scan,
     /// `[z·yp + y]`: footprint `[y₀,y₁)` gains `strip[z·yp + y₁] −
     /// strip[z·yp + y₀]` in slab `z`, and caps at the same difference in
     /// row `r`.
-    strip_plus: Vec<i32>,
-    strip_minus: Vec<i32>,
+    strip_plus: Vec<G>,
+    strip_minus: Vec<G>,
     /// The best gain of footprint `[y₀,y₁)`, both signs, at `[y₁]`, for the
     /// `y₀` under the scan.
-    row_best: Vec<i32>,
+    row_best: Vec<G>,
     /// `fill`'s running column sums along y of the slab under the scan,
     /// `[x]`.
-    col_plus: Vec<i32>,
-    col_minus: Vec<i32>,
-    /// `fill`'s counts of `O∖S` and `S∖O` per column, `[y·xp + x]`.
-    need_add: Vec<i32>,
-    need_del: Vec<i32>,
+    col_plus: Vec<G>,
+    col_minus: Vec<G>,
+    /// The counts of `O∖S` and `S∖O` per column, `[y·xp + x]`.
+    need_add: Vec<G>,
+    need_del: Vec<G>,
     /// Start-tracking passes, and those of them that raised the best.
     #[cfg(test)]
     tracked: [usize; 2],
 }
 
-impl CoverSearch {
+impl<G: Gain> CoverSearch<G> {
     fn new(r: usize) -> Self {
-        // No table entry, gain or lane sum exceeds r³.
-        assert!(r <= 1024, "raster resolution {r} overflows the i32 gain tables");
+        assert!(r.pow(3) <= G::MAX, "raster resolution {r} overflows the gain tables");
         let (yp, xp) = ((r + 1).next_multiple_of(LANES), r.next_multiple_of(LANES));
         let block = (r + 1) * yp;
+        let zeros = |n: usize| vec![G::default(); n];
         CoverSearch {
             r,
             yp,
             xp,
-            plus: vec![0; (r + 1) * block],
-            minus: vec![0; (r + 1) * block],
-            strip_plus: vec![0; block],
-            strip_minus: vec![0; block],
-            row_best: vec![0; yp],
-            col_plus: vec![0; xp],
-            col_minus: vec![0; xp],
-            need_add: vec![0; r * xp],
-            need_del: vec![0; r * xp],
+            plus: zeros((r + 1) * block),
+            minus: zeros((r + 1) * block),
+            strip_plus: zeros(block),
+            strip_minus: zeros(block),
+            row_best: zeros(yp),
+            col_plus: zeros(xp),
+            col_minus: zeros(xp),
+            need_add: zeros(r * xp),
+            need_del: zeros(r * xp),
             #[cfg(test)]
             tracked: [0; 2],
         }
     }
 
-    /// The greedy sequence of at most `k` units, one `fill` and one `best`
-    /// per unit.
+    /// The greedy sequence of at most `k` units: one `best` per unit, and
+    /// before it the tables brought up to date with the unit before.
     fn sequence(&mut self, object: &VoxelGrid, k: usize) -> CoverSequence {
         let r = self.r;
         let mut approx = VoxelGrid::cubic(r);
         let mut err = object.count();
         let mut seq = CoverSequence { r, units: Vec::new(), errors: vec![err] };
-        for _ in 0..k {
-            self.fill(object, &approx);
+        while seq.units.len() < k {
+            match seq.units.last() {
+                None => self.load(object, &approx),
+                Some(last) => self.apply(object, &mut approx, last),
+            }
             let Some(unit) = self.best() else {
                 break;
             };
-            unit.apply(&mut approx);
             err -= unit.gain;
             seq.units.push(unit);
             seq.errors.push(err);
@@ -228,20 +274,61 @@ impl CoverSearch {
         seq
     }
 
-    /// Load the tables for one greedy step from approximation `approx`,
+    /// Load every table for approximation `approx`.
+    fn load(&mut self, object: &VoxelGrid, approx: &VoxelGrid) {
+        let r = self.r;
+        self.need_add.fill(G::default());
+        self.need_del.fill(G::default());
+        self.count_columns(object, approx, &Cuboid { min: [0; 3], max: [r; 3] }, true);
+        self.fill(object, approx, 0..r);
+    }
+
+    /// Apply `unit` to `approx`, and refill what it changed: its cuboid's
+    /// columns in the counts, the slabs it spans, the caps.
+    fn apply(&mut self, object: &VoxelGrid, approx: &mut VoxelGrid, unit: &CoverUnit) {
+        let c = &unit.cuboid;
+        self.count_columns(object, approx, c, false);
+        unit.apply(approx);
+        self.count_columns(object, approx, c, true);
+        self.fill(object, approx, c.min[2]..c.max[2]);
+    }
+
+    /// Add the `O∖S` and `S∖O` voxels of cuboid `c` to their column counts,
+    /// or, if not `add`, take them away.
+    fn count_columns(&mut self, object: &VoxelGrid, approx: &VoxelGrid, c: &Cuboid, add: bool) {
+        let ([x0, y0, z0], [x1, y1, z1]) = (c.min, c.max);
+        let one = G::from(true);
+        for z in z0..z1 {
+            for y in y0..y1 {
+                for x in (x0..x1).step_by(64) {
+                    let (o, s) = (object.row(x, y, z), approx.row(x, y, z));
+                    let inside = u64::MAX >> (64 - (x1 - x).min(64));
+                    let (add_bits, del_bits) = (o & !s & inside, s & !o & inside);
+                    for (need, mut bits) in
+                        [(&mut self.need_add, add_bits), (&mut self.need_del, del_bits)]
+                    {
+                        let row = &mut need[y * self.xp + x..];
+                        while bits != 0 {
+                            let n = &mut row[bits.trailing_zeros() as usize];
+                            *n = if add { *n + one } else { *n - one };
+                            bits &= bits - 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Refill slabs `slabs` of the tables from approximation `approx`,
     /// reading both grids a row of up to 64 voxels at a time and weighing
-    /// eight voxels at once.
-    fn fill(&mut self, object: &VoxelGrid, approx: &VoxelGrid) {
+    /// eight voxels at once; then the caps, from the column counts.
+    fn fill(&mut self, object: &VoxelGrid, approx: &VoxelGrid, slabs: Range<usize>) {
         let (r, yp, xp) = (self.r, self.yp, self.xp);
         let block = (r + 1) * yp;
-        self.need_add.fill(0);
-        self.need_del.fill(0);
-        for z in 0..r {
-            self.col_plus.fill(0);
-            self.col_minus.fill(0);
+        for z in slabs {
+            self.col_plus.fill(G::default());
+            self.col_minus.fill(G::default());
             for y in 0..r {
-                let need_add = &mut self.need_add[y * xp..][..xp];
-                let need_del = &mut self.need_del[y * xp..][..xp];
                 for x0 in (0..r).step_by(64) {
                     let (o, s) = (object.row(x0, y, z), approx.row(x0, y, z));
                     // Plus: +1 on O∖S, −1 outside O ∪ S, 0 on S.
@@ -249,34 +336,30 @@ impl CoverSearch {
                     // Lanes from `r` on are spoiled, and never read.
                     let [add, spoil, del, keep] = [o & !s, !(o | s), s & !o, s & o];
                     for c in (x0..xp.min(x0 + 64)).step_by(LANES) {
-                        let lanes = |bits: u64| -> [i32; LANES] {
+                        let lanes = |bits: u64| -> [G; LANES] {
                             let bits = (bits >> (c - x0)) as u32;
-                            std::array::from_fn(|l| i32::from(bits & 1 << l != 0))
+                            std::array::from_fn(|l| G::from(bits & 1 << l != 0))
                         };
                         let (add, spoil) = (lanes(add), lanes(spoil));
-                        let (col, need) =
-                            (&mut self.col_plus[c..c + LANES], &mut need_add[c..c + LANES]);
+                        let col = &mut self.col_plus[c..c + LANES];
                         for l in 0..LANES {
                             col[l] += add[l] - spoil[l];
-                            need[l] += add[l];
                         }
                         if s != 0 {
                             let (del, keep) = (lanes(del), lanes(keep));
-                            let (col, need) =
-                                (&mut self.col_minus[c..c + LANES], &mut need_del[c..c + LANES]);
+                            let col = &mut self.col_minus[c..c + LANES];
                             for l in 0..LANES {
                                 col[l] += del[l] - keep[l];
-                                need[l] += del[l];
                             }
                         }
                     }
                 }
                 // `[0,x+1) × [0,y+1)` of slab `z` sums the first x+1 columns.
                 let at = z * yp + y + 1;
-                let (mut p, mut m) = (0, 0);
+                let (mut p, mut m) = (G::default(), G::default());
                 let tables =
                     self.plus.chunks_exact_mut(block).zip(self.minus.chunks_exact_mut(block));
-                for ((tp, tm), (cp, cm)) in
+                for ((tp, tm), (&cp, &cm)) in
                     tables.skip(1).zip(self.col_plus.iter().zip(&self.col_minus))
                 {
                     (p, m) = (p + cp, m + cm);
@@ -288,8 +371,11 @@ impl CoverSearch {
             let cap = |x: usize, y: usize| x * block + r * yp + y;
             for x in 1..=r {
                 for y in 1..=r {
-                    t[cap(x, y)] = need[(y - 1) * xp + x - 1] + t[cap(x - 1, y)] + t[cap(x, y - 1)]
-                        - t[cap(x - 1, y - 1)];
+                    // Grouped so that every partial sum counts the voxels of
+                    // a sub-box, as the lane type needs.
+                    t[cap(x, y)] = need[(y - 1) * xp + x - 1]
+                        + (t[cap(x - 1, y)] - t[cap(x - 1, y - 1)])
+                        + t[cap(x, y - 1)];
                 }
             }
         }
@@ -300,11 +386,11 @@ impl CoverSearch {
     fn best(&mut self) -> Option<CoverUnit> {
         let (r, yp) = (self.r, self.yp);
         let (slabs, block) = (r * yp, (r + 1) * yp);
-        let mut best = Best { gain: 0, unit: None };
+        let mut best = Best { gain: G::default(), unit: None };
         for x0 in 0..r {
             for x1 in (x0 + 1)..=r {
                 // The strip's caps over `[0, r)`: its `y = 0` entries are 0.
-                let strip_cap = |t: &[i32]| t[x1 * block + slabs + r] - t[x0 * block + slabs + r];
+                let strip_cap = |t: &[G]| t[x1 * block + slabs + r] - t[x0 * block + slabs + r];
                 if strip_cap(&self.plus).max(strip_cap(&self.minus)) <= best.gain {
                     continue;
                 }
@@ -312,7 +398,7 @@ impl CoverSearch {
                     [(&mut self.strip_plus, &self.plus), (&mut self.strip_minus, &self.minus)]
                 {
                     let (t0, t1) = (&t[x0 * block..][..block], &t[x1 * block..][..block]);
-                    for ((d, a), b) in d.iter_mut().zip(t1).zip(t0) {
+                    for ((d, &a), &b) in d.iter_mut().zip(t1).zip(t0) {
                         *d = a - b;
                     }
                 }
@@ -334,7 +420,7 @@ impl CoverSearch {
                         .step_by(LANES)
                         .find(|&c| bound(y0, r.min(c + LANES - 1)) > best.gain)
                         .unwrap_or(yp);
-                    self.row_best[from..].fill(0);
+                    self.row_best[from..].fill(G::default());
                     for (row_cap, strip) in row_caps.into_iter().zip(strips) {
                         if row_cap > best.gain {
                             kadane_lanes(strip, yp, y0, from, &mut self.row_best);
@@ -355,7 +441,8 @@ impl CoverSearch {
                 }
             }
         }
-        best.unit.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain: best.gain as usize })
+        let gain = best.gain.try_into().expect("the best gain is never negative");
+        best.unit.map(|(cuboid, sign)| CoverUnit { cuboid, sign, gain })
     }
 }
 
@@ -364,13 +451,14 @@ impl CoverSearch {
 /// z-intervals, if positive: Kadane's maximum-sum recurrence with eight
 /// `y₁` in lanes. Lanes with `y₁ ≤ y₀` or `y₁ > r` hold no footprint;
 /// their values are finite and never read.
-fn kadane_lanes(strip: &[i32], yp: usize, y0: usize, from: usize, out: &mut [i32]) {
+fn kadane_lanes<G: Gain>(strip: &[G], yp: usize, y0: usize, from: usize, out: &mut [G]) {
+    let zero = G::default();
     for c in (from..yp).step_by(LANES) {
-        let (mut run, mut top) = ([0i32; LANES], [0i32; LANES]);
+        let (mut run, mut top) = ([zero; LANES], [zero; LANES]);
         for row in strip.chunks_exact(yp) {
             let (base, lanes) = (row[y0], &row[c..c + LANES]);
             for l in 0..LANES {
-                run[l] = run[l].max(0) + (lanes[l] - base);
+                run[l] = run[l].max(zero) + (lanes[l] - base);
                 top[l] = top[l].max(run[l]);
             }
         }
@@ -381,21 +469,22 @@ fn kadane_lanes(strip: &[i32], yp: usize, y0: usize, from: usize, out: &mut [i32
 }
 
 /// The best unit so far of one greedy step.
-struct Best {
-    gain: i32,
+struct Best<G> {
+    gain: G,
     unit: Option<(Cuboid, Sign)>,
 }
 
-impl Best {
+impl<G: Gain> Best<G> {
     /// Kadane over z with start tracking, both signs at once, on footprint
     /// `[x₀,x₁) × [y₀,y₁)` of the strip: the unit is replaced only on a
     /// strictly larger gain, in the order `(z-end, plus before minus)`.
-    fn track(&mut self, [plus, minus]: [&[i32]; 2], yp: usize, [x0, x1, y0, y1]: [usize; 4]) {
-        let mut runs = [(0i32, 0usize, Sign::Plus, plus), (0, 0, Sign::Minus, minus)];
+    fn track(&mut self, [plus, minus]: [&[G]; 2], yp: usize, [x0, x1, y0, y1]: [usize; 4]) {
+        let zero = G::default();
+        let mut runs = [(zero, 0usize, Sign::Plus, plus), (zero, 0, Sign::Minus, minus)];
         for z in 0..plus.len() / yp {
             for (run, start, sign, t) in &mut runs {
-                if *run <= 0 {
-                    *run = 0;
+                if *run <= zero {
+                    *run = zero;
                     *start = z;
                 }
                 *run += t[z * yp + y1] - t[z * yp + y0];
@@ -417,7 +506,11 @@ impl Best {
 pub fn greedy_cover_sequence(object: &VoxelGrid, k: usize) -> CoverSequence {
     let [rx, ry, rz] = object.dims();
     assert!(rx == ry && ry == rz, "cover sequences require a cubic grid");
-    CoverSearch::new(rx).sequence(object, k)
+    if rx.pow(3) <= <i16 as Gain>::MAX {
+        CoverSearch::<i16>::new(rx).sequence(object, k)
+    } else {
+        CoverSearch::<i32>::new(rx).sequence(object, k)
+    }
 }
 
 /// The 6 feature values of one cover (Section 3.3.3): position (cuboid
@@ -564,11 +657,21 @@ mod tests {
         g
     }
 
-    /// One greedy step on a fresh workspace.
-    pub(super) fn best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
-        let mut search = CoverSearch::new(object.dims()[0]);
-        search.fill(object, approx);
+    /// One greedy step on a fresh workspace of gain type `G`.
+    fn step<G: Gain>(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
+        let mut search = CoverSearch::<G>::new(object.dims()[0]);
+        search.load(object, approx);
         search.best()
+    }
+
+    /// One greedy step on a fresh workspace, in `i32` and, where `r³`
+    /// fits, in `i16`, which must agree.
+    pub(super) fn best_cover(object: &VoxelGrid, approx: &VoxelGrid) -> Option<CoverUnit> {
+        let wide = step::<i32>(object, approx);
+        if object.dims()[0].pow(3) <= <i16 as Gain>::MAX {
+            assert_eq!(step::<i16>(object, approx), wide, "the i16 step differs from the i32 step");
+        }
+        wide
     }
 
     /// Brute-force best cover: enumerate every cuboid and sign.

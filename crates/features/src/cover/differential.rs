@@ -7,10 +7,12 @@
 //! * the per-footprint scan: the same caps, one footprint at a time, with
 //!   start-tracking Kadane on every footprint they admit, from
 //!   z-contiguous tables — the reference on the part families at r = 15,
-//!   30, 33 and 70.
+//!   30, 31, 32, 33 and 70, on both sides of the switch from `i16` to
+//!   `i32` lanes.
 //!
-//! Also here: the golden digest of the covers of two datasets, and the
-//! count of start-tracking passes.
+//! Also here: the golden digest of the covers of two datasets, the count
+//! of start-tracking passes, and the tables refilled after each unit
+//! against a fresh load.
 
 use super::tests::best_cover;
 use super::*;
@@ -520,6 +522,48 @@ fn car_families_equal_the_scan() {
     assert_families_match_the_scan(car::car_families(), 8, &[15, 30, 33], &BOTH_MODES, 7);
 }
 
+// r = 31 is the largest raster whose r³ fits an `i16` lane; r = 32 runs
+// in `i32`.
+
+#[test]
+fn aircraft_families_equal_the_scan_across_the_lane_switch() {
+    assert_families_match_the_scan(aircraft::aircraft_families(), 2, &[31, 32], &BOTH_MODES, 7);
+}
+
+#[test]
+fn car_families_equal_the_scan_across_the_lane_switch() {
+    assert_families_match_the_scan(car::car_families(), 2, &[31, 32], &BOTH_MODES, 7);
+}
+
+#[test]
+fn extreme_grids_at_r_31_equal_the_scan() {
+    // The full cube's first gain, 31³ = 29 791, is the largest an `i16`
+    // search meets; the checkerboard admits every footprint to the lanes;
+    // the cube without its centre needs a minus unit.
+    let r = 31;
+    let full = filled(r, &[Cuboid { min: [0; 3], max: [r; 3] }]);
+    let mut holed = full.clone();
+    holed.set(15, 15, 15, false);
+    let mut checkerboard = VoxelGrid::cubic(r);
+    for z in 0..r {
+        for y in 0..r {
+            for x in 0..r {
+                checkerboard.set(x, y, z, (x + y + z) % 2 == 0);
+            }
+        }
+    }
+    let mut sequences = Vec::new();
+    for (name, grid) in [("full", &full), ("checkerboard", &checkerboard), ("holed", &holed)] {
+        let seq = greedy_cover_sequence(grid, 7);
+        assert_eq!(seq, scan_sequence(grid, 7), "{name}");
+        sequences.push(seq);
+    }
+    assert_eq!(sequences[0].units[0].gain, 31 * 31 * 31);
+    let centre = Cuboid { min: [15; 3], max: [16; 3] };
+    assert_eq!(sequences[2].units[1], CoverUnit { cuboid: centre, sign: Sign::Minus, gain: 1 });
+    assert_eq!(sequences[2].final_error(), 0);
+}
+
 #[test]
 fn every_family_equals_the_scan_at_r_70() {
     // Rows of 70 voxels take two grid words and nine lane chunks. Three
@@ -569,10 +613,73 @@ fn every_tracked_footprint_raises_the_best() {
     // (94 at most).
     let parts = aircraft::aircraft_dataset(7, 64);
     for o in &parts.objects {
-        let mut search = CoverSearch::new(15);
+        let mut search = CoverSearch::<i16>::new(15);
         search.sequence(&o.grid15, 7);
         let [tracked, raised] = search.tracked;
         assert_eq!(tracked, raised, "object {}", o.id);
         assert!(tracked <= 200, "object {}: {tracked} tracked passes", o.id);
+    }
+}
+
+/// Up to seven greedy steps from `approx` in gain type `G`: after each,
+/// the tables and column counts refilled for the unit equal a fresh load
+/// of the same `(object, approx)`.
+fn assert_refill_equals_a_load<G: Gain>(object: &VoxelGrid, approx: &VoxelGrid, what: &str) {
+    let r = object.dims()[0];
+    let (mut search, mut approx) = (CoverSearch::<G>::new(r), approx.clone());
+    search.load(object, &approx);
+    for step in 0..7 {
+        let Some(unit) = search.best() else { return };
+        search.apply(object, &mut approx, &unit);
+        let mut fresh = CoverSearch::<G>::new(r);
+        fresh.load(object, &approx);
+        assert!(
+            search.plus == fresh.plus
+                && search.minus == fresh.minus
+                && search.need_add == fresh.need_add
+                && search.need_del == fresh.need_del,
+            "{what}: the tables refilled after step {step} differ from a fresh load"
+        );
+    }
+}
+
+/// [`assert_refill_equals_a_load`] in `i32` and, where `r³` fits, `i16`.
+fn assert_refill_equals_a_load_in_both(object: &VoxelGrid, approx: &VoxelGrid, what: &str) {
+    assert_refill_equals_a_load::<i32>(object, approx, what);
+    if object.dims()[0].pow(3) <= <i16 as Gain>::MAX {
+        assert_refill_equals_a_load::<i16>(object, approx, what);
+    }
+}
+
+#[test]
+fn refilled_tables_equal_a_fresh_load() {
+    let empty = VoxelGrid::cubic(15);
+    for o in &aircraft::aircraft_dataset(7, 64).objects {
+        assert_refill_equals_a_load_in_both(&o.grid15, &empty, &format!("object {}", o.id));
+    }
+    // From a partial or full approximation, and across the lane chunk.
+    for kind in 0..7 {
+        for r in 4..=17 {
+            for seed in 0..2 {
+                let (object, approx) = grid_pair(kind, r, seed);
+                assert_refill_equals_a_load_in_both(
+                    &object,
+                    &approx,
+                    &format!("kind {kind} r {r} seed {seed}"),
+                );
+            }
+        }
+    }
+    // On both sides of the lane switch.
+    for r in [31, 32] {
+        let empty = VoxelGrid::cubic(r);
+        for (name, solid) in family_solids().iter().step_by(7) {
+            let grid = voxelize_solid(solid.as_ref(), r, NormalizeMode::Uniform).grid;
+            assert_refill_equals_a_load_in_both(&grid, &empty, &format!("{name} r {r}"));
+        }
+        for kind in [2, 5, 6] {
+            let (object, approx) = grid_pair(kind, r, 1);
+            assert_refill_equals_a_load_in_both(&object, &approx, &format!("kind {kind} r {r}"));
+        }
     }
 }

@@ -243,11 +243,15 @@ impl VoxelGrid {
         &self.bits
     }
 
-    /// Rebuild from raw parts; `words` must have exactly
-    /// `ceil(nx·ny·nz / 64)` entries.
+    /// Rebuild from raw parts; the dimensions must be positive, `words`
+    /// must have exactly `ceil(nx·ny·nz / 64)` entries, and the bits past
+    /// voxel `nx·ny·nz − 1` must be clear, as `words` leaves them.
     pub fn from_words(nx: usize, ny: usize, nz: usize, words: Vec<u64>) -> Self {
-        let expect = (nx * ny * nz).div_ceil(64);
-        assert_eq!(words.len(), expect, "word count mismatch");
+        assert!(nx > 0 && ny > 0 && nz > 0, "grid dimensions must be positive");
+        let n = nx * ny * nz;
+        assert_eq!(words.len(), n.div_ceil(64), "word count mismatch");
+        let used = n % 64;
+        assert!(used == 0 || words[words.len() - 1] >> used == 0, "bits set past the last voxel");
         VoxelGrid { nx, ny, nz, bits: words }
     }
 }
@@ -389,6 +393,19 @@ mod tests {
         let w = g.words().to_vec();
         let g2 = VoxelGrid::from_words(5, 5, 5, w);
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits set past the last voxel")]
+    fn from_words_refuses_padding_bits() {
+        // Bit 125 of a 125-voxel grid: no `get` reads it, but `count` would.
+        let _ = VoxelGrid::from_words(5, 5, 5, vec![0, 1 << 61]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid dimensions must be positive")]
+    fn from_words_refuses_zero_dimensions() {
+        let _ = VoxelGrid::from_words(0, 5, 5, vec![]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
+use vsim_datagen::aircraft::aircraft_families;
 use vsim_datagen::greeble::standard_greebles;
-use vsim_datagen::parts;
+use vsim_datagen::{dataset_solids, parts};
 use vsim_geom::solid::{CylinderZ, SolidExt, TorusZ};
 use vsim_geom::TriMesh;
 use vsim_voxel::{voxelize_mesh, voxelize_solid, NormalizeMode};
@@ -47,6 +48,25 @@ fn bench_solid(c: &mut Criterion) {
     g.finish();
 }
 
+/// The greebled solids `aircraft_dataset(7, 64)` voxelizes, in the
+/// catalogue's mix of nuts, rivets and wings: what `ingest` pays per
+/// object at each raster, where the three parts above are hand-picked.
+fn bench_aircraft(c: &mut Criterion) {
+    let mut g = c.benchmark_group("voxelize_aircraft");
+    g.sample_size(20);
+    let solids = dataset_solids(&aircraft_families(), 64, 7);
+    for r in [15usize, 30] {
+        g.bench_function(format!("64_parts_r{r}"), |b| {
+            b.iter(|| {
+                for s in &solids {
+                    std::hint::black_box(voxelize_solid(s.as_ref(), r, NormalizeMode::Uniform));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_mesh(c: &mut Criterion) {
     let mut g = c.benchmark_group("voxelize_mesh");
     g.sample_size(30);
@@ -67,5 +87,5 @@ fn bench_mesh(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_solid, bench_mesh);
+criterion_group!(benches, bench_solid, bench_aircraft, bench_mesh);
 criterion_main!(benches);

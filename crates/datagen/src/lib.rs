@@ -91,6 +91,34 @@ pub struct Family {
 /// weights, voxelizing each part at both resolutions in parallel.
 /// Deterministic for a fixed `seed`.
 pub fn build_dataset(name: &'static str, families: Vec<Family>, n: usize, seed: u64) -> Dataset {
+    let labels = labels(&families, n, seed);
+    // Parallel voxelization with per-object seeded RNGs (determinism
+    // independent of thread scheduling).
+    let objects = vsim_parallel::par_map_slice(&labels, |i, &label| {
+        let solid = object_solid(&families[label], seed, i);
+        let grid15 = voxelize_solid(solid.as_ref(), R_COVER, NormalizeMode::Uniform).grid;
+        let grid30 = voxelize_solid(solid.as_ref(), R_HISTO, NormalizeMode::Uniform).grid;
+        CadObject { id: i as u64, label, grid15, grid30 }
+    });
+
+    Dataset { name, objects, class_names: families.iter().map(|f| f.name).collect() }
+}
+
+/// The `n` greebled solids `build_dataset(.., families, n, seed)`
+/// voxelizes, in object order.
+pub fn dataset_solids(families: &[Family], n: usize, seed: u64) -> Vec<Box<dyn Solid>> {
+    let labels = labels(families, n, seed);
+    labels.iter().enumerate().map(|(i, &label)| object_solid(&families[label], seed, i)).collect()
+}
+
+/// Object `i`'s solid: a draw of its family under the standard greebles.
+fn object_solid(family: &Family, seed: u64, i: usize) -> Box<dyn Solid> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64 * 0x9e37_79b9));
+    crate::greeble::standard_greebles((family.gen)(&mut rng), &mut rng)
+}
+
+/// The family label of each of `n` objects.
+fn labels(families: &[Family], n: usize, seed: u64) -> Vec<usize> {
     assert!(!families.is_empty());
     let total_w: f64 = families.iter().map(|f| f.weight).sum();
     // Deterministic per-object assignment: stratified by cumulative
@@ -111,18 +139,7 @@ pub fn build_dataset(name: &'static str, families: Vec<Family>, n: usize, seed: 
     }
     let mut shuffle_rng = StdRng::seed_from_u64(seed ^ 0x5eed_5eed);
     labels.shuffle(&mut shuffle_rng);
-
-    // Parallel voxelization with per-object seeded RNGs (determinism
-    // independent of thread scheduling).
-    let objects = vsim_parallel::par_map_slice(&labels, |i, &label| {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64 * 0x9e37_79b9));
-        let solid = crate::greeble::standard_greebles((families[label].gen)(&mut rng), &mut rng);
-        let grid15 = voxelize_solid(solid.as_ref(), R_COVER, NormalizeMode::Uniform).grid;
-        let grid30 = voxelize_solid(solid.as_ref(), R_HISTO, NormalizeMode::Uniform).grid;
-        CadObject { id: i as u64, label, grid15, grid30 }
-    });
-
-    Dataset { name, objects, class_names: families.iter().map(|f| f.name).collect() }
+    labels
 }
 
 /// Uniform jitter helper: `base * U(1-spread, 1+spread)`.
@@ -146,6 +163,17 @@ mod tests {
         let c = car::car_dataset(43, 30);
         let diff = a.objects.iter().zip(&c.objects).filter(|(x, y)| x.grid15 != y.grid15).count();
         assert!(diff > 20, "different seeds must differ ({diff}/30)");
+    }
+
+    #[test]
+    fn dataset_solids_are_the_solids_the_dataset_voxelizes() {
+        let d = aircraft::aircraft_dataset(7, 12);
+        let solids = dataset_solids(&aircraft::aircraft_families(), 12, 7);
+        assert_eq!(solids.len(), 12);
+        for (o, s) in d.objects.iter().zip(&solids) {
+            assert_eq!(o.grid15, voxelize_solid(s.as_ref(), R_COVER, NormalizeMode::Uniform).grid);
+            assert_eq!(o.grid30, voxelize_solid(s.as_ref(), R_HISTO, NormalizeMode::Uniform).grid);
+        }
     }
 
     #[test]

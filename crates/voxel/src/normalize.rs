@@ -37,28 +37,32 @@ impl GridPose {
 /// Apply a signed permutation matrix (one of the 48 cube symmetries) to a
 /// cubic grid. Voxel centers are mapped through the grid center, which is
 /// exact for these matrices — no resampling loss.
+///
+/// Panics unless every entry of `m` is −1, 0 or 1 with one non-zero per
+/// row and column: any other matrix maps a voxel off the grid or between
+/// voxels (use [`resample_rotated`] for those).
 pub fn rotate_grid(grid: &VoxelGrid, m: &Mat3) -> VoxelGrid {
     let [nx, ny, nz] = grid.dims();
     assert!(nx == ny && ny == nz, "rotate_grid requires a cubic grid");
+    let col = |j: usize| m.rows.map(|row| row[j]);
+    let one_unit = |v: [f64; 3]| {
+        v.iter().all(|&e| e == 0.0 || e.abs() == 1.0)
+            && v.iter().filter(|&&e| e != 0.0).count() == 1
+    };
+    assert!(
+        (0..3).all(|i| one_unit(m.rows[i]) && one_unit(col(i))),
+        "rotate_grid requires a signed permutation matrix, got {m:?}"
+    );
     let r = nx;
     let c = (r as f64 - 1.0) / 2.0;
     let mut out = VoxelGrid::cubic(r);
     for [x, y, z] in grid.iter_set() {
         let p = Vec3::new(x as f64 - c, y as f64 - c, z as f64 - c);
+        // `q` is `p` permuted with signs flipped: each `q + c` is a whole
+        // number in `0..r`.
         let q = *m * p;
-        let qx = (q.x + c).round() as isize;
-        let qy = (q.y + c).round() as isize;
-        let qz = (q.z + c).round() as isize;
-        debug_assert!(
-            qx >= 0
-                && qy >= 0
-                && qz >= 0
-                && (qx as usize) < r
-                && (qy as usize) < r
-                && (qz as usize) < r,
-            "signed permutation must map the grid onto itself"
-        );
-        out.set(qx as usize, qy as usize, qz as usize, true);
+        let at = |v: f64| (v + c).round() as usize;
+        out.set(at(q.x), at(q.y), at(q.z), true);
     }
     out
 }
@@ -181,6 +185,29 @@ mod tests {
             .map(|m| rotate_grid(&reflected, m))
             .any(|rg| rotations_of_g.contains(&rg));
         assert!(!reflections_match, "object is not chiral as intended");
+    }
+
+    #[test]
+    #[should_panic(expected = "rotate_grid requires a signed permutation matrix")]
+    fn rotate_grid_refuses_a_rotation_off_the_cube_axes() {
+        // Once wrapped (0, 7, 4) into (7, 5, 4) in a release build.
+        let mut g = VoxelGrid::cubic(8);
+        g.set(0, 7, 4, true);
+        rotate_grid(&g, &Mat3::rot_z(0.3));
+    }
+
+    #[test]
+    fn rotate_grid_refuses_every_matrix_but_a_signed_permutation() {
+        let g = l_shape(4);
+        let refused = |rows: [[f64; 3]; 3]| {
+            std::panic::catch_unwind(|| rotate_grid(&g, &Mat3::new(rows))).is_err()
+        };
+        assert!(refused([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])); // a scale
+        assert!(refused([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])); // a column twice
+        assert!(refused([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])); // a shear
+        assert!(refused([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])); // a zero row
+        assert!(refused([[f64::NAN, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]));
+        assert!(!refused([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! invariance can be (de)activated at query time.
 
 use crate::grid::VoxelGrid;
-use vsim_geom::{Solid, TriMesh, Vec3};
+use vsim_geom::solid::padded_cover;
+use vsim_geom::{Aabb, Solid, TriMesh, Vec3};
 
 /// How an object is scaled into the raster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +46,9 @@ impl Voxelization {
 /// Compute grid origin and voxel size for an object with bounds
 /// `[min, max]`, normalized into an `r³` raster with a small margin so
 /// the object never touches the raster boundary exactly.
+///
+/// Panics when the origin or the cell is not finite: a NaN bound, or an
+/// extent that overflows to ∞, would otherwise frame an empty grid.
 fn framing(min: Vec3, max: Vec3, r: usize, mode: NormalizeMode) -> (Vec3, Vec3) {
     let extent = (max - min).max(Vec3::splat(1e-9));
     let usable = r as f64; // voxels per axis
@@ -56,7 +60,66 @@ fn framing(min: Vec3, max: Vec3, r: usize, mode: NormalizeMode) -> (Vec3, Vec3) 
     let world_span = Vec3::new(cell.x * usable, cell.y * usable, cell.z * usable);
     let center = (min + max) * 0.5;
     let origin = center - world_span * 0.5;
+    assert!(
+        origin.is_finite() && cell.is_finite(),
+        "cannot voxelize an object whose bounds are not finite: origin {origin:?}, cell {cell:?}"
+    );
     (origin, cell)
+}
+
+/// The probe coordinates of one axis with origin `o` and cell `c`: voxel
+/// `i`'s center, then its two sub-sample positions.
+fn axis_probes(o: f64, c: f64, r: usize) -> [Vec<f64>; 3] {
+    [0.5, 0.25, 0.75].map(|s| (0..r).map(|i| (o + i as f64 * c) + s * c).collect())
+}
+
+/// A row is asked in chunks of up to 32 voxels, so that both x
+/// sub-samples of a chunk fit one 64-point call: the 0.25 positions of the
+/// chunk, then its 0.75 positions.
+const CHUNK: usize = 32;
+
+/// Where one box of the cover meets the probe lattice.
+struct BoxProbes {
+    /// Per voxel of the y and z axes: bit `k` is set when probe `k` of
+    /// [`axis_probes`] lies in the box.
+    y: Vec<u8>,
+    z: Vec<u8>,
+    /// Per chunk: the centers and the sub-sample row of the chunk that lie
+    /// in the box, as masks of a `contains_row` call.
+    x: Vec<[u64; 2]>,
+}
+
+impl BoxProbes {
+    fn new(b: &Aabb, [cx, sub_xs]: [&[f64]; 2], ys: &[Vec<f64>; 3], zs: &[Vec<f64>; 3]) -> Self {
+        let inside = |v: f64, lo: f64, hi: f64| lo <= v && v <= hi;
+        let mask = |xs: &[f64]| {
+            xs.iter()
+                .enumerate()
+                .fold(0u64, |m, (i, &x)| m | u64::from(inside(x, b.min.x, b.max.x)) << i)
+        };
+        let axis = |p: &[Vec<f64>; 3], lo: f64, hi: f64| -> Vec<u8> {
+            (0..p[0].len())
+                .map(|i| (0..3).fold(0u8, |m, k| m | u8::from(inside(p[k][i], lo, hi)) << k))
+                .collect()
+        };
+        let x = cx
+            .chunks(CHUNK)
+            .zip(sub_xs.chunks(2 * CHUNK))
+            .map(|(centers, subs)| [mask(centers), mask(subs)])
+            .collect();
+        BoxProbes { y: axis(ys, b.min.y, b.max.y), z: axis(zs, b.min.z, b.max.z), x }
+    }
+
+    /// The calls of row `(y, z)` that meet the box: bit 0 the centers, bit
+    /// `1 + 2·kz + ky` the sub-samples at y position `ky` and z position
+    /// `kz`, in the order `voxelize_solid` makes them.
+    #[inline]
+    fn calls(&self, y: usize, z: usize) -> u8 {
+        let (y, z) = (self.y[y], self.z[z]);
+        let sub_y = (y >> 1) & 3;
+        let at = |kz: u8| if z & (2 << kz) != 0 { sub_y << (1 + 2 * kz) } else { 0 };
+        (y & z & 1) | at(0) | at(1)
+    }
 }
 
 /// Voxelize an implicit solid into a normalized `r³` grid.
@@ -72,46 +135,66 @@ fn framing(min: Vec3, max: Vec3, r: usize, mode: NormalizeMode) -> (Vec3, Vec3) 
 /// one row of centers, then up to four rows of sub-samples for the
 /// voxels still unset. A probe is a pure predicate of its point, so the
 /// grid does not depend on the order in which they are asked.
+///
+/// The tree is never asked about a probe outside every box of the
+/// solid's [`padded_cover`]: such a probe is outside the solid, so leaving
+/// it unasked changes no voxel. Each call's mask keeps only the probes
+/// that some box holds, and a call whose mask is empty is not made.
 pub fn voxelize_solid(solid: &dyn Solid, r: usize, mode: NormalizeMode) -> Voxelization {
     let b = solid.aabb();
     assert!(!b.is_empty(), "cannot voxelize an empty solid");
     let (origin, cell) = framing(b.min, b.max, r, mode);
     let mut grid = VoxelGrid::cubic(r);
-    // Probe coordinates along one axis: voxel `i`'s center, and its two
-    // sub-sample positions.
-    let probes = |o: f64, c: f64, s: f64| -> Vec<f64> {
-        (0..r).map(|i| (o + i as f64 * c) + s * c).collect()
-    };
-    let axis = |o: f64, c: f64| (probes(o, c, 0.5), [probes(o, c, 0.25), probes(o, c, 0.75)]);
-    let (cx, sx) = axis(origin.x, cell.x);
-    let (cy, sy) = axis(origin.y, cell.y);
-    let (cz, sz) = axis(origin.z, cell.z);
-    // A row is asked in chunks of up to 32 voxels, so that both x
-    // sub-samples of a chunk fit one 64-point call: the 0.25 positions of
-    // the chunk, then its 0.75 positions.
-    const CHUNK: usize = 32;
+    let [xs, ys, zs] = [(origin.x, cell.x), (origin.y, cell.y), (origin.z, cell.z)]
+        .map(|(o, c)| axis_probes(o, c, r));
     let sub_xs: Vec<f64> = (0..r)
         .step_by(CHUNK)
         .flat_map(|x0| {
             let x1 = (x0 + CHUNK).min(r);
-            sx[0][x0..x1].iter().chain(&sx[1][x0..x1]).copied()
+            xs[1][x0..x1].iter().chain(&xs[2][x0..x1]).copied()
         })
         .collect();
+    let boxes: Vec<BoxProbes> = padded_cover(solid)
+        .iter()
+        .map(|b| BoxProbes::new(b, [&xs[0], &sub_xs], &ys, &zs))
+        .collect();
+    let mut slab = Vec::with_capacity(boxes.len());
     for z in 0..r {
+        slab.clear();
+        slab.extend(boxes.iter().filter(|b| b.z[z] != 0));
+        if slab.is_empty() {
+            continue;
+        }
         for y in 0..r {
-            for x0 in (0..r).step_by(CHUNK) {
+            for (chunk, x0) in (0..r).step_by(CHUNK).enumerate() {
                 let n = CHUNK.min(r - x0);
                 let all = (1u64 << n) - 1;
-                let mut set = solid.contains_row(&cx[x0..x0 + n], cy[y], cz[z], all);
-                'sub: for pz in &sz {
-                    for py in &sy {
+                // The probes of each of the row's five calls that a box holds.
+                let mut ask = [0u64; 5];
+                for b in &slab {
+                    let (calls, [centers, subs]) = (b.calls(y, z), b.x[chunk]);
+                    for (k, a) in ask.iter_mut().enumerate() {
+                        if calls >> k & 1 == 1 {
+                            *a |= if k == 0 { centers } else { subs };
+                        }
+                    }
+                }
+                let mut set = 0;
+                if ask[0] != 0 {
+                    set = solid.contains_row(&xs[0][x0..x0 + n], ys[0][y], zs[0][z], ask[0]);
+                }
+                'sub: for (kz, pz) in zs[1..].iter().enumerate() {
+                    for (ky, py) in ys[1..].iter().enumerate() {
                         let unset = all & !set;
                         if unset == 0 {
                             break 'sub;
                         }
-                        let xs = &sub_xs[2 * x0..2 * (x0 + n)];
-                        let hit = solid.contains_row(xs, py[y], pz[z], unset | unset << n);
-                        set |= (hit | hit >> n) & all;
+                        let ask = (unset | unset << n) & ask[1 + 2 * kz + ky];
+                        if ask != 0 {
+                            let row = &sub_xs[2 * x0..2 * (x0 + n)];
+                            let hit = solid.contains_row(row, py[y], pz[z], ask);
+                            set |= (hit | hit >> n) & all;
+                        }
                     }
                 }
                 grid.or_row(x0, y, z, set);
@@ -414,6 +497,28 @@ mod tests {
         let c = 10; // center voxel index
         assert!(!v.grid.get(c, c, c));
         assert!(v.grid.get(c + 8, c, c));
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds are not finite")]
+    fn a_solid_with_a_nan_box_is_refused() {
+        // `!is_empty()` holds for a NaN box; it framed 0 voxels at origin NaN.
+        voxelize_solid(&Sphere { radius: f64::NAN }, 15, NormalizeMode::Uniform);
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds are not finite")]
+    fn a_solid_whose_extent_overflows_is_refused() {
+        // Extent 2e308 = ∞: it framed 0 voxels at origin −∞, cell ∞.
+        let huge = vsim_geom::solid::Cuboid::new(Vec3::new(1e308, 1.0, 1.0));
+        voxelize_solid(&huge, 15, NormalizeMode::Uniform);
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds are not finite")]
+    fn a_mesh_whose_extent_overflows_is_refused() {
+        let huge = TriMesh::make_box(Vec3::new(-1e308, -1.0, -1.0), Vec3::new(1e308, 1.0, 1.0));
+        voxelize_mesh(&huge, 15, NormalizeMode::Uniform);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! hold stale or zero values; callers take the first `len` results and
 //! ignore the rest.
 
-// lint-scope: no_alloc
-
 /// Entries per block.
 pub(crate) const W: usize = 8;
 
@@ -165,5 +163,76 @@ mod tests {
         assert_eq!(scan(&[-f64::NAN, 5.0]), (1, 5.0));
         let (at, v) = scan(&[f64::NAN, f64::NAN]);
         assert!(at < 2 && v.is_nan());
+    }
+
+    /// This test binary's allocator: `System`, plus a count of the
+    /// allocations each thread makes, so that tests running in parallel
+    /// do not see each other's.
+    #[allow(unsafe_code)]
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        /// Allocations (and reallocations) made by this thread so far.
+        pub(super) fn allocations() -> u64 {
+            ALLOCATIONS.get()
+        }
+
+        struct Counting;
+
+        // SAFETY: every operation delegates to `System`, adding only a
+        // thread-local counter bump that never allocates (const
+        // initialiser, no destructor), so `GlobalAlloc`'s contracts are
+        // inherited.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+                // SAFETY: the caller's layout, passed on unchanged.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System` with this layout.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+                // SAFETY: `ptr` / `layout` came from `System`; `new_size`
+                // is the caller's per the trait contract.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static ALLOCATOR: Counting = Counting;
+    }
+
+    #[test]
+    fn lane_kernels_never_allocate() {
+        use std::hint::black_box;
+        let pts: Vec<Vec<f64>> =
+            (0..W).map(|i| (0..6).map(|d| ((i * 5 + d * 3) % 11) as f64 - 4.5).collect()).collect();
+        let kids: Vec<Vec<f64>> =
+            pts.iter().map(|p| p.iter().flat_map(|&v| [v, v + 2.0]).collect()).collect();
+        let (leaf, dir) = (block(&pts), block(&kids));
+        let slots: Vec<Slot> =
+            (0..29).map(|i| Slot { dist2: ((i * 7 + 3) % 29) as f64, id: i }).collect();
+        let centers = [[0.3, 1.7, -2.9, 4.1, 0.05, 9.9], [f64::NAN, 0.0, 1.0, -1.0, 2.0, -2.0]];
+
+        let before = counting::allocations();
+        for c in &centers {
+            black_box(leaf_dist2(black_box(&leaf), black_box(c)));
+            black_box(child_mindist2(black_box(&dir), black_box(c)));
+            black_box(enlargement(black_box(&dir), black_box(c)));
+        }
+        for len in [1, W, slots.len()] {
+            black_box(min_scan(black_box(&slots[..len])));
+        }
+        assert_eq!(counting::allocations() - before, 0, "a lane kernel allocated");
     }
 }

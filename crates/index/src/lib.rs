@@ -1,4 +1,7 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), forbid(unsafe_code))]
+// The unit tests' counting allocator (`lanes::tests`) is the one
+// `unsafe` item, allowed where it stands.
+#![cfg_attr(test, deny(unsafe_code, clippy::undocumented_unsafe_blocks))]
 // Everything downstream of a page store can see an injected fault, so
 // library code here propagates typed errors instead of panicking; the
 // CI clippy step (`-D warnings`) turns these into errors.

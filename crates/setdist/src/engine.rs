@@ -37,8 +37,6 @@
 //! wherever nothing is pruned (property-tested below for both paper
 //! models).
 
-// lint-scope: no_alloc
-
 use crate::hungarian::{self, Workspace};
 use crate::matching::MinimalMatching;
 use crate::simd;
@@ -102,7 +100,6 @@ pub struct PreparedSet {
 impl PreparedSet {
     /// Precompute the weights (and lane rows) of `set` under `mm`'s
     /// weight function.
-    // lint-allow: no-alloc-kernel one-time preparation, amortized over O(n) distance calls
     pub fn new(set: VectorSet, mm: &MinimalMatching) -> Self {
         let weights: Vec<f64> = set.iter().map(|v| mm.weight.eval(v)).collect();
         let weights32 = weights.iter().map(|&w| w as f32).collect();
@@ -182,7 +179,6 @@ pub struct MatchingEngine {
 }
 
 impl MatchingEngine {
-    // lint-allow: no-alloc-kernel one-time constructor, not on the per-distance path
     pub fn new(mm: MinimalMatching) -> Self {
         MatchingEngine {
             mm,

@@ -24,8 +24,6 @@
 //! original scalar kernel survives verbatim as the test-only
 //! `reference` module, the cross-validation oracle of the tests below.
 
-// lint-scope: no_alloc
-
 use crate::simd;
 
 /// Result of an assignment problem.
@@ -46,7 +44,6 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    // lint-allow: no-alloc-kernel matrix construction precedes the hot solve loop
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols >= rows, "need 0 < rows <= cols");
         CostMatrix { rows, cols, data: vec![0.0; rows * cols] }
@@ -403,7 +400,6 @@ pub fn solve_cost_slice_bounded_f32(
 /// Brute-force assignment by enumerating all `cols! / (cols-rows)!`
 /// injections — exponential; only for validating [`solve_slice_into`]
 /// on small instances and for the paper's "all k! permutations" baseline.
-// lint-allow: no-alloc-kernel validation baseline, never on the query path
 pub fn solve_brute_force(cost: &CostMatrix) -> Assignment {
     let n = cost.rows();
     let m = cost.cols();

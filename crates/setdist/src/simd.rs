@@ -27,8 +27,6 @@
 //! See DESIGN.md §13 for the lane layout and why the scan's lane-major
 //! argmin tie order is a safe deviation from the sequential scan.
 
-// lint-scope: no_alloc
-
 /// Lane width of one padded row: the paper dims (6/7) plus zero padding.
 pub const LANES: usize = 8;
 
@@ -60,7 +58,6 @@ pub fn pad_f32(v: &[f64]) -> [f32; LANES] {
 
 /// Zero-pad every row of a flat `dim`-strided buffer into `LANES`-strided
 /// scratch. `out` is resized once and reused by the engine across calls.
-// lint-allow: no-alloc-kernel resize grows scratch to steady-state capacity, then never reallocates
 pub fn pad_rows(dim: usize, flat: &[f64], out: &mut Vec<f64>) {
     debug_assert!(dim > 0 && dim <= LANES && flat.len().is_multiple_of(dim));
     let rows = flat.len() / dim;
@@ -81,7 +78,6 @@ pub fn pad_rows(dim: usize, flat: &[f64], out: &mut Vec<f64>) {
 }
 
 /// [`pad_rows`] into `f32` lanes.
-// lint-allow: no-alloc-kernel resize grows scratch to steady-state capacity, then never reallocates
 pub fn pad_rows_f32(dim: usize, flat: &[f64], out: &mut Vec<f32>) {
     debug_assert!(dim > 0 && dim <= LANES && flat.len().is_multiple_of(dim));
     let rows = flat.len() / dim;

@@ -20,7 +20,7 @@ use crate::error::StoreResult;
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Process-unique identity of one page store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreId(u64);
 
 impl StoreId {

@@ -21,6 +21,7 @@
 //! is preserved.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::checksum::checksum;
@@ -64,9 +65,25 @@ struct Frame {
     image: Option<Image>,
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Whether this thread holds a [`ShardGuard`] (debug builds only).
+    /// Under one the pool reads no page and locks no second shard: a
+    /// read would stall every thread on that stripe, and two pages may
+    /// hash to the same stripe.
+    static SHARD_HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// In debug builds, panic if this thread holds a shard guard.
+fn assert_no_shard_held() {
+    #[cfg(debug_assertions)]
+    assert!(!SHARD_HELD.get(), "page read or second shard lock under a held pool shard guard");
+}
+
 /// Physically read one page into a fresh shared buffer — one
 /// allocation, and the store writes straight into it.
 fn read_page(store: &dyn PageStore, page: u64) -> StoreResult<Arc<[u8]>> {
+    assert_no_shard_held();
     let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, PAGE_SIZE).collect();
     // A fresh `Arc` is unique, so `make_mut` hands out its buffer
     // without cloning.
@@ -93,8 +110,38 @@ impl Shard {
     /// poisoned lock is still safe to serve. Recover the guard instead
     /// of propagating the poison — one panicking query must not take
     /// the shared pool down with it.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> ShardGuard<'_> {
+        assert_no_shard_held();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        #[cfg(debug_assertions)]
+        SHARD_HELD.set(true);
+        ShardGuard(inner)
+    }
+}
+
+/// A locked shard. In debug builds it marks its thread as holding one
+/// until it drops, unwinding included: the pool recovers a poisoned
+/// shard, so the thread of a panicking query goes on using it.
+struct ShardGuard<'a>(MutexGuard<'a, Inner>);
+
+impl Deref for ShardGuard<'_> {
+    type Target = Inner;
+
+    fn deref(&self) -> &Inner {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        &mut self.0
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        SHARD_HELD.set(false);
     }
 }
 
@@ -124,7 +171,7 @@ impl BufferPool {
     /// Pool with an explicit shard count (rounded up to a power of
     /// two, clamped so every shard holds at least one page);
     /// `with_shards(cap, 1)` is one exact LRU under a single lock.
-    pub fn with_shards(capacity: Option<usize>, shards: usize) -> Arc<Self> {
+    fn with_shards(capacity: Option<usize>, shards: usize) -> Arc<Self> {
         let mut count = shards.max(1).next_power_of_two();
         if let Some(cap) = capacity {
             assert!(cap >= 1, "buffer pool capacity must be at least 1");
@@ -144,11 +191,6 @@ impl BufferPool {
 
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard(&self, key: PageKey) -> &Shard {
@@ -573,12 +615,12 @@ mod tests {
 
     #[test]
     fn small_pools_are_single_shard_large_pools_are_striped() {
-        assert_eq!(BufferPool::new(8).shard_count(), 1, "exact LRU below the threshold");
-        assert_eq!(BufferPool::new(SHARD_THRESHOLD).shard_count(), DEFAULT_SHARDS);
-        assert_eq!(BufferPool::unbounded().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(BufferPool::with_shards(Some(1024), 1).shard_count(), 1);
-        assert_eq!(BufferPool::with_shards(None, 5).shard_count(), 8, "rounded to a power of two");
-        assert_eq!(BufferPool::with_shards(Some(2), 8).shard_count(), 2, "clamped to capacity");
+        assert_eq!(BufferPool::new(8).shards.len(), 1, "exact LRU below the threshold");
+        assert_eq!(BufferPool::new(SHARD_THRESHOLD).shards.len(), DEFAULT_SHARDS);
+        assert_eq!(BufferPool::unbounded().shards.len(), DEFAULT_SHARDS);
+        assert_eq!(BufferPool::with_shards(Some(1024), 1).shards.len(), 1);
+        assert_eq!(BufferPool::with_shards(None, 5).shards.len(), 8, "rounded to a power of two");
+        assert_eq!(BufferPool::with_shards(Some(2), 8).shards.len(), 2, "clamped to capacity");
     }
 
     #[test]
@@ -719,6 +761,47 @@ mod tests {
         assert_eq!(pool.access(store, 0, 4, &t), 0, "cached pages still hit");
         assert!(pool.stats().counts.accesses() >= 8);
         assert_eq!(pool.resident(), 4);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "page read or second shard lock under a held pool shard guard")]
+    fn a_page_read_under_a_shard_guard_panics() {
+        let store = InMemoryPageStore::new();
+        let page = store.allocate(1).unwrap();
+        let pool = BufferPool::new(4);
+        let _guard = pool.shards[0].lock();
+        let _ = read_page(&store, page);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "page read or second shard lock under a held pool shard guard")]
+    fn a_second_shard_lock_under_a_shard_guard_panics() {
+        // Two distinct shards: without the assertion this would not
+        // deadlock, it would pass.
+        let pool = BufferPool::with_shards(None, 2);
+        let _first = pool.shards[0].lock();
+        let _second = pool.shards[1].lock();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panic_under_a_shard_guard_does_not_leave_the_thread_marked() {
+        let store = InMemoryPageStore::new();
+        let page = store.allocate(1).unwrap();
+        store.write_page(page, &[7u8; 8]).unwrap();
+        let pool = BufferPool::with_shards(Some(64), 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = pool.shards[0].lock();
+            panic!("a query panics under the shard lock");
+        }));
+        assert!(caught.is_err());
+        // The same thread locks the (now poisoned) shard and reads again.
+        let t = IoTracker::default();
+        let (data, missed) = pool.load(&store, page, &t).unwrap();
+        assert_eq!((data[0], missed), (7, 1));
+        assert_eq!(pool.resident(), 1);
     }
 
     #[test]

@@ -184,13 +184,15 @@ impl NodeStore {
         self.as_store().id()
     }
 
-    /// Allocate a node span. Works in both modes, so trees mutated
-    /// after a load still get valid pages (they must be re-saved for
-    /// the new spans to persist). Build-time node stores are unbounded
-    /// in-memory stores, so allocation cannot legitimately fail here.
+    /// Allocate a node span. A tree is only mutated through
+    /// `FilterRefineIndex` or `DynamicIndex` (in `vsim-query`), and both
+    /// refuse an index opened from a page file at the heap file's
+    /// `append`, before the tree is touched; so a span is only ever
+    /// allocated from an in-memory store, which is unbounded. (A page
+    /// file opened read-only would refuse it.)
     #[allow(
         clippy::expect_used,
-        reason = "build-time node stores are unbounded in-memory stores (see doc comment)"
+        reason = "trees are only mutated while their store is in memory (see doc comment)"
     )]
     pub(crate) fn allocate(&self, pages: u64) -> u64 {
         self.as_store().allocate(pages).expect("node page allocation failed")

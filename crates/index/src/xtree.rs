@@ -412,9 +412,8 @@ impl XTree {
     /// Every structural field is validated, the topology included — the
     /// nodes reachable from the root must form a tree whose leaves hold
     /// exactly the recorded number of entries; a corrupted stream
-    /// surfaces as `InvalidData`. Inserting into a reopened tree works
-    /// (new spans come from the shared store) but requires a re-save to
-    /// persist.
+    /// surfaces as `InvalidData`. A tree reopened from a page file is
+    /// read-only: the file refuses new spans.
     pub fn load_from(store: Arc<dyn PageStore>, meta_first: u64) -> io::Result<Self> {
         let mut r = PageStreamReader::open(store.as_ref(), meta_first)?;
         let mut meta = Vec::new();

@@ -198,10 +198,10 @@ impl FilterRefineIndex {
         Ok(())
     }
 
-    /// Page budget for a fresh index file. It fixes the size of the
-    /// file's free map, so the arithmetic is part of the file format;
-    /// the factor is headroom for stream framing (streams re-serialize
-    /// the structures' contents with a per-page header).
+    /// Page budget for a fresh index file: a size limit on the handle
+    /// that writes it, not stored in the file. The factor is headroom
+    /// for stream framing (streams re-serialize the structures'
+    /// contents with a per-page header).
     fn capacity_budget(&self) -> u64 {
         let data_pages =
             (self.tree.total_pages() + self.cfile.total_pages() + self.store.total_pages()) as u64;

@@ -6,7 +6,7 @@
 
 use rand::prelude::*;
 use std::path::PathBuf;
-use vsim_index::{Backend, QueryContext};
+use vsim_index::{Backend, FilePageStore, PageStore, QueryContext};
 use vsim_query::{AccessPath, FilterRefineIndex, Query, QueryExecutor};
 use vsim_setdist::VectorSet;
 
@@ -166,4 +166,26 @@ fn open_rejects_a_missing_or_damaged_file() {
     let full = std::fs::read(&path.0).unwrap();
     std::fs::write(&path.0, &full[..full.len() / 2]).unwrap();
     assert!(FilterRefineIndex::open(&path.0).is_err(), "truncated file must not open");
+}
+
+#[test]
+fn an_opened_index_file_is_never_written() {
+    let sets = random_sets(80, 3, 75);
+    let path = TempFile(temp_index("read_only"));
+    FilterRefineIndex::build(&sets, 6, 3).save(&path.0).unwrap();
+    let saved = std::fs::read(&path.0).unwrap();
+    {
+        let mut file = FilterRefineIndex::open(&path.0).unwrap();
+        let mut mmap = FilterRefineIndex::open_mmap(&path.0).unwrap();
+        assert!(file.insert(&sets[0]).is_err(), "insert into a pread-opened index");
+        assert!(mmap.insert(&sets[0]).is_err(), "insert into an mmap-opened index");
+        assert_eq!((file.len(), mmap.len()), (80, 80), "a refused insert adds nothing");
+
+        let store = FilePageStore::open(&path.0).unwrap();
+        assert!(store.allocate(1).is_err(), "allocate in an opened page file");
+        assert!(store.write_page(0, &[0xaa; 16]).is_err(), "write to an opened page file");
+        store.set_root(0);
+        assert!(store.sync().is_err(), "re-commit of an opened page file");
+    }
+    assert!(std::fs::read(&path.0).unwrap() == saved, "the saved bytes changed");
 }

@@ -64,19 +64,21 @@ fn set_word(stream: &mut [u8], i: usize, v: u64) {
 /// lie consistent with every checksum above it: the page's sum in the
 /// heap file's metadata stream, and — both streams being rewritten —
 /// the heap file's entry in the index directory and the file's root.
-/// Returns false when the header straddles a page boundary.
+/// An opened page file is read-only, so the damage is forged in a copy
+/// (a fresh sibling holding the same data pages) that then replaces
+/// the file. Returns false when the header straddles a page boundary.
 fn damage_record_header(path: &Path, id: usize) -> bool {
-    let store = FilePageStore::open(path).unwrap();
+    let saved = FilePageStore::open(path).unwrap();
     // Directory stream: tag, k, dim, ω[dim], then the first pages of
     // the X-tree, point-file and heap-file streams.
-    let mut dir = read_stream(&store, store.root().unwrap());
+    let mut dir = read_stream(&saved, saved.root().unwrap());
     let heap_entry = 3 + DIM + 2;
     // Heap-file stream (v4): tag, dim, image first page, image bytes,
     // the offset table by slot (count, then offsets), one checksum per
     // image page, then the id → slot table (count, then `u32`s). A saved
     // index keeps its records in X-tree leaf order, so the table is
     // there and record `id` starts at the offset of its slot.
-    let mut heap = read_stream(&store, word(&dir, heap_entry));
+    let mut heap = read_stream(&saved, word(&dir, heap_entry));
     let (image_first, total, offsets) =
         (word(&heap, 2), word(&heap, 3) as usize, word(&heap, 4) as usize);
     let sums = 5 + offsets;
@@ -88,8 +90,15 @@ fn damage_record_header(path: &Path, id: usize) -> bool {
     if at % PAGE_SIZE + 8 > PAGE_SIZE {
         return false;
     }
-    let page = at / PAGE_SIZE;
+    let copy = path.with_extension("forged");
+    let store = FilePageStore::create(&copy, u64::MAX).unwrap();
     let mut image = vec![0u8; PAGE_SIZE];
+    store.allocate(saved.page_count()).unwrap();
+    for p in 0..saved.page_count() {
+        saved.read_into(p, &mut image).unwrap();
+        store.write_page(p, &image).unwrap();
+    }
+    let page = at / PAGE_SIZE;
     store.read_into(image_first + page as u64, &mut image).unwrap();
     let n = &mut image[at % PAGE_SIZE + 4];
     *n += 1;
@@ -99,6 +108,7 @@ fn damage_record_header(path: &Path, id: usize) -> bool {
     set_word(&mut dir, heap_entry, heap_first);
     store.set_root(write_stream(&store, &dir));
     store.sync().unwrap();
+    std::fs::rename(&copy, path).unwrap();
     true
 }
 

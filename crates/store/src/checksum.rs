@@ -1,6 +1,6 @@
-//! The one integrity checksum of the page-file format (version 3).
+//! The one integrity checksum of the page-file format (since version 3).
 //!
-//! Stream payloads, image pages and the header + free map are all
+//! Stream payloads, image pages and the file header are all
 //! verified against a stored [`checksum`] before a byte of them is
 //! decoded. The function is built so that verifying a 4 KiB page costs
 //! what reading it from memory costs: the input is consumed in 32-byte

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use crate::error::StoreResult;
 use crate::page::PageStore;
-use crate::pool::{BufferPool, PinGuard};
+use crate::pool::BufferPool;
 use crate::stats::QueryStats;
 use crate::tracker::IoTracker;
 use crate::StoreId;
@@ -33,19 +33,10 @@ impl QueryContext {
         QueryContext { pool, tracker: IoTracker::default() }
     }
 
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
     /// Read `pages` consecutive pages through the pool; returns the
     /// number of misses (charged to this query).
     pub fn access(&self, store: StoreId, first: u64, pages: u64) -> u64 {
         self.pool.access(store, first, pages, &self.tracker)
-    }
-
-    /// Read and pin one page; it stays resident until the guard drops.
-    pub fn pin(&self, store: StoreId, page: u64) -> PinGuard<'_> {
-        self.pool.pin(store, page, &self.tracker)
     }
 
     /// Read one page's *contents* through the pool, charged exactly

@@ -2,7 +2,7 @@
 //!
 //! [`FaultInjectingPageStore`] wraps any [`PageStore`] and perturbs its
 //! operations according to a [`FaultPlan`]: a map from *operation
-//! index* (the how-many-eth allocate/free/read/write/sync on this
+//! index* (the how-many-eth allocate/read/write/sync on this
 //! wrapper) to a [`Fault`], plus an optional crash point after which
 //! every operation fails with [`StoreError::Crashed`] — the moral
 //! equivalent of pulling the power cord mid-save. Plans are plain data:
@@ -177,11 +177,6 @@ impl<S: PageStore> PageStore for FaultInjectingPageStore<S> {
         self.inner.allocate(pages)
     }
 
-    fn free(&self, first: u64, pages: u64) -> StoreResult<()> {
-        self.next_op()?;
-        self.inner.free(first, pages)
-    }
-
     fn read_into(&self, page: u64, buf: &mut [u8]) -> StoreResult<()> {
         let op = self.next_op()?;
         self.inner.read_into(page, buf)?;
@@ -248,9 +243,8 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         store.read_into(first, &mut buf).unwrap();
         assert_eq!(&buf[..100], &[7u8; 100][..]);
-        store.free(first, 2).unwrap();
         store.sync().unwrap();
-        assert_eq!(store.ops(), 5);
+        assert_eq!(store.ops(), 4);
         assert_eq!(store.id(), store.inner().id());
         assert_eq!(store.page_count(), 2);
 

@@ -16,17 +16,18 @@
 //! * [`PageStore`] / [`InMemoryPageStore`] / [`FilePageStore`] — page
 //!   identity, allocation, and page-granular contents for each
 //!   persistent structure (index nodes, heap file). The file store is
-//!   a single durable page file with a free map and an optional mmap
-//!   read path ([`FilePageStore::open_mmap`]).
-//! * [`BufferPool`] — a lock-striped LRU page cache with pin/unpin and
-//!   a physical read-through path ([`QueryContext::load`], and
+//!   a single durable page file, written once and then opened
+//!   read-only, with an optional mmap read path
+//!   ([`FilePageStore::open_mmap`]).
+//! * [`BufferPool`] — a lock-striped LRU page cache with a physical
+//!   read-through path ([`QueryContext::load`], and
 //!   [`QueryContext::load_verified`], whose frames remember the
 //!   checksum they were verified against). Access methods read pages
 //!   *through* the pool; only misses are charged to the cost model, so
 //!   a pool shared across queries models a warm cache while a fresh
 //!   per-query pool reproduces cold-cache accounting.
 //! * [`checksum`] — the one 64-bit integrity checksum of the page-file
-//!   format: stream payloads, image pages, header + free map.
+//!   format: stream payloads, image pages, the file header.
 //! * [`PageStreamWriter`] / [`PageStreamReader`] — checksummed,
 //!   length-prefixed record streams over any page store; the unit of
 //!   crash-safe serialization (torn tails are detected, never decoded).
@@ -63,7 +64,7 @@ pub use error::{StoreError, StoreErrorKind, StoreResult};
 pub use fault::{Fault, FaultInjectingPageStore, FaultPlan};
 pub use file::FilePageStore;
 pub use page::{Backend, InMemoryPageStore, PageKey, PageStore, StoreId};
-pub use pool::{BufferPool, PinGuard, PoolStats, SHARD_THRESHOLD};
+pub use pool::{BufferPool, PoolStats, SHARD_THRESHOLD};
 pub use stats::QueryStats;
 pub use stream::{PageStreamReader, PageStreamWriter, StreamHandle, STREAM_PAYLOAD};
 pub use tracker::CacheCounts;

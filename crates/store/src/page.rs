@@ -73,21 +73,19 @@ pub trait PageStore: Send + Sync {
     fn page_count(&self) -> u64;
     /// The medium this store reads from.
     fn backend(&self) -> Backend;
-    /// Allocate a contiguous span of `pages` pages; returns the first
-    /// page number of the span. Fails with
-    /// [`StoreError::Full`](crate::StoreError::Full) when no run of
-    /// that length exists in a bounded store.
+    /// Allocate a contiguous span of `pages` pages past the high-water
+    /// mark; returns the first page number of the span. Fails with
+    /// [`StoreError::Full`](crate::StoreError::Full) when the span would
+    /// pass a bounded store's capacity. Page numbers are never reused.
     fn allocate(&self, pages: u64) -> StoreResult<u64>;
-    /// Return a span to the store for reuse. Backends without reuse
-    /// (the bump-allocating memory store) only drop the contents.
-    fn free(&self, first: u64, pages: u64) -> StoreResult<()>;
     /// Read one page into `buf` (at least [`PAGE_SIZE`] bytes). Pages
     /// that were allocated but never written read as zeros.
     fn read_into(&self, page: u64, buf: &mut [u8]) -> StoreResult<()>;
     /// Write one page (`data.len() <= PAGE_SIZE`; a short write leaves
     /// the page tail unspecified — record layouts carry their lengths).
     fn write_page(&self, page: u64, data: &[u8]) -> StoreResult<()>;
-    /// Persist store metadata (free map, header). No-op in memory.
+    /// Persist the written pages and the page count and root behind
+    /// them (the file's header). No-op in memory.
     fn sync(&self) -> StoreResult<()>;
 }
 
@@ -141,16 +139,6 @@ impl PageStore for InMemoryPageStore {
 
     fn allocate(&self, pages: u64) -> StoreResult<u64> {
         Ok(self.pages.fetch_add(pages, Ordering::Relaxed))
-    }
-
-    /// The bump allocator never reuses page numbers; freeing only drops
-    /// the stored contents.
-    fn free(&self, first: u64, pages: u64) -> StoreResult<()> {
-        let mut data = self.contents();
-        for page in first..first + pages {
-            data.remove(&page);
-        }
-        Ok(())
     }
 
     fn read_into(&self, page: u64, buf: &mut [u8]) -> StoreResult<()> {
@@ -223,18 +211,6 @@ mod tests {
         assert!(buf[100..].iter().all(|&b| b == 0), "page tail reads as zeros");
         s.read_into(first + 1, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0), "never-written page reads as zeros");
-    }
-
-    #[test]
-    fn free_drops_contents_without_reusing_numbers() {
-        let s = InMemoryPageStore::new();
-        let first = s.allocate(1).unwrap();
-        s.write_page(first, &[1u8; 8]).unwrap();
-        s.free(first, 1).unwrap();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        s.read_into(first, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
-        assert_eq!(s.allocate(1).unwrap(), 1, "bump allocation is not rewound by free");
     }
 
     #[test]

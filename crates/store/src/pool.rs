@@ -57,7 +57,6 @@ struct Image {
 #[derive(Debug)]
 struct Frame {
     last_use: u64,
-    pins: u32,
     /// Page contents, present once the page has been physically read
     /// through [`BufferPool::load`] or [`BufferPool::load_verified`].
     /// Simulated-I/O access paths never read contents, so their frames
@@ -145,8 +144,8 @@ impl Drop for ShardGuard<'_> {
     }
 }
 
-/// Shared lock-striped LRU page cache with pin/unpin and a physical
-/// read-through path.
+/// Shared lock-striped LRU page cache with a physical read-through
+/// path.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: Option<usize>,
@@ -225,10 +224,8 @@ impl BufferPool {
 
     /// Look up `pages` consecutive pages of `store` starting at
     /// `first`. Misses are charged to `tracker` (one page access each)
-    /// and faulted in, evicting least-recently-used unpinned frames as
-    /// needed; if every frame is pinned the page is read through
-    /// without caching (still a charged miss). Returns the number of
-    /// misses.
+    /// and faulted in, evicting the least-recently-used frame as
+    /// needed. Returns the number of misses.
     pub(crate) fn access(
         &self,
         store: StoreId,
@@ -241,7 +238,7 @@ impl BufferPool {
             let key = PageKey { store, page };
             let shard = self.shard(key);
             let mut inner = shard.lock();
-            if !inner.touch(key, 0, shard.capacity, tracker) {
+            if !inner.touch(key, shard.capacity, tracker) {
                 missed += 1;
             }
         }
@@ -254,7 +251,7 @@ impl BufferPool {
     fn lookup(&self, key: PageKey, tracker: &IoTracker) -> (u64, Option<Image>) {
         let shard = self.shard(key);
         let mut inner = shard.lock();
-        let missed = u64::from(!inner.touch(key, 0, shard.capacity, tracker));
+        let missed = u64::from(!inner.touch(key, shard.capacity, tracker));
         (missed, inner.frames.get(&key).and_then(|f| f.image.clone()))
     }
 
@@ -316,43 +313,14 @@ impl BufferPool {
         Err(StoreError::Corruption { page, expected, found })
     }
 
-    /// Like [`access`](Self::access) for a single page, but the page is
-    /// pinned on return: it cannot be evicted until the returned guard
-    /// drops. Pinning is reentrant (pin counts nest). If the pool is
-    /// full of other pinned pages, the page is read through and the
-    /// guard is a no-op.
-    pub(crate) fn pin<'a>(
-        &'a self,
-        store: StoreId,
-        page: u64,
-        tracker: &IoTracker,
-    ) -> PinGuard<'a> {
-        let key = PageKey { store, page };
-        let shard = self.shard(key);
-        let mut inner = shard.lock();
-        let hit = inner.touch(key, 1, shard.capacity, tracker);
-        // The page may not be resident (read-through); only a resident
-        // pinned frame needs an unpin on drop.
-        let pinned = inner.frames.get(&key).is_some_and(|f| f.pins > 0);
-        PinGuard { pool: self, key: pinned.then_some(key), missed: !hit }
-    }
-
-    fn unpin(&self, key: PageKey) {
-        let mut inner = self.shard(key).lock();
-        if let Some(frame) = inner.frames.get_mut(&key) {
-            frame.pins = frame.pins.saturating_sub(1);
-        }
-    }
-
     /// Drop a page's cached contents so the next
     /// [`QueryContext::load`](crate::QueryContext::load) re-reads it
     /// from the backing store — what a verified load does to an image
     /// that fails its checksum, and what ends a verified frame's
-    /// residency. An unpinned frame is removed outright; a pinned frame
-    /// only loses its contents (its residency is owed to the pin
-    /// guard). Counters are untouched: this is damage control, not an
-    /// eviction. Loads read with the shard unlocked, so one already in
-    /// flight may still cache the image it read before this call.
+    /// residency. The frame is removed outright. Counters are
+    /// untouched: this is damage control, not an eviction. Loads read
+    /// with the shard unlocked, so one already in flight may still
+    /// cache the image it read before this call.
     /// Returns whether a frame was found.
     pub fn invalidate(&self, store: StoreId, page: u64) -> bool {
         let key = PageKey { store, page };
@@ -361,44 +329,27 @@ impl BufferPool {
 }
 
 impl Inner {
-    /// Cache `bytes` in the page's frame, unless the page was read
-    /// through uncached (pool full of pins).
+    /// Cache `bytes` in the page's frame, unless the frame was evicted
+    /// or invalidated while the page was read.
     fn fill(&mut self, key: PageKey, bytes: &Arc<[u8]>, sum: Option<u64>) {
         if let Some(frame) = self.frames.get_mut(&key) {
             frame.image = Some(Image { bytes: Arc::clone(bytes), sum });
         }
     }
 
-    /// Drop the page's cached image (see [`BufferPool::invalidate`]);
-    /// returns whether a frame was found.
+    /// Drop the page's frame (see [`BufferPool::invalidate`]); returns
+    /// whether there was one.
     fn discard(&mut self, key: PageKey) -> bool {
-        match self.frames.get_mut(&key) {
-            Some(frame) if frame.pins > 0 => {
-                frame.image = None;
-                true
-            }
-            Some(_) => {
-                self.frames.remove(&key);
-                true
-            }
-            None => false,
-        }
+        self.frames.remove(&key).is_some()
     }
 
     /// Look up one page, faulting it in on miss; returns whether it was
-    /// a hit. `extra_pins` is added to the frame's pin count.
-    fn touch(
-        &mut self,
-        key: PageKey,
-        extra_pins: u32,
-        capacity: Option<usize>,
-        tracker: &IoTracker,
-    ) -> bool {
+    /// a hit.
+    fn touch(&mut self, key: PageKey, capacity: Option<usize>, tracker: &IoTracker) -> bool {
         self.tick += 1;
         let tick = self.tick;
         if let Some(frame) = self.frames.get_mut(&key) {
             frame.last_use = tick;
-            frame.pins += extra_pins;
             self.totals.hits += 1;
             tracker.record_hit();
             return true;
@@ -406,56 +357,20 @@ impl Inner {
         self.totals.misses += 1;
         tracker.record_miss();
         tracker.record_pages(1);
-        if let Some(cap) = capacity {
-            if self.frames.len() >= cap && !self.evict_lru(tracker) {
-                // Every frame is pinned: read through without caching.
-                return false;
-            }
+        if capacity.is_some_and(|cap| self.frames.len() >= cap) {
+            self.evict_lru(tracker);
         }
-        self.frames.insert(key, Frame { last_use: tick, pins: extra_pins, image: None });
+        self.frames.insert(key, Frame { last_use: tick, image: None });
         false
     }
 
-    /// Evict the least-recently-used unpinned frame; false if all are
-    /// pinned.
-    fn evict_lru(&mut self, tracker: &IoTracker) -> bool {
-        let victim = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pins == 0)
-            .min_by_key(|(_, f)| f.last_use)
-            .map(|(k, _)| *k);
-        match victim {
-            Some(key) => {
-                self.frames.remove(&key);
-                self.totals.evictions += 1;
-                tracker.record_eviction();
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// RAII pin: the page stays resident until this guard drops.
-#[derive(Debug)]
-pub struct PinGuard<'a> {
-    pool: &'a BufferPool,
-    key: Option<PageKey>,
-    missed: bool,
-}
-
-impl PinGuard<'_> {
-    /// Whether acquiring this pin faulted the page in (a charged miss).
-    pub fn missed(&self) -> bool {
-        self.missed
-    }
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key {
-            self.pool.unpin(key);
+    /// Evict the least-recently-used frame.
+    fn evict_lru(&mut self, tracker: &IoTracker) {
+        let victim = self.frames.iter().min_by_key(|(_, f)| f.last_use).map(|(k, _)| *k);
+        if let Some(key) = victim {
+            self.frames.remove(&key);
+            self.totals.evictions += 1;
+            tracker.record_eviction();
         }
     }
 }
@@ -513,57 +428,6 @@ mod tests {
             assert!(pool.resident() <= 4);
         }
         assert_eq!(t.stats(Duration::ZERO).cache.evictions, 96);
-    }
-
-    #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let (store, t) = ids();
-        let pool = BufferPool::new(2);
-        let _guard = pool.pin(store, 7, &t);
-        for page in 0..50 {
-            pool.access(store, page, 1, &t);
-        }
-        assert!(pool.contains(store, 7), "pinned page must not be evicted");
-    }
-
-    #[test]
-    fn unpinned_page_becomes_evictable() {
-        let (store, t) = ids();
-        let pool = BufferPool::new(1);
-        {
-            let _guard = pool.pin(store, 7, &t);
-            // Full of pinned pages: this read goes through uncached.
-            assert_eq!(pool.access(store, 8, 1, &t), 1);
-            assert!(!pool.contains(store, 8));
-            assert!(pool.contains(store, 7));
-        }
-        pool.access(store, 9, 1, &t);
-        assert!(!pool.contains(store, 7), "dropped guard releases the pin");
-        assert!(pool.contains(store, 9));
-    }
-
-    #[test]
-    fn nested_pins_release_in_order() {
-        let (store, t) = ids();
-        let pool = BufferPool::new(1);
-        let a = pool.pin(store, 3, &t);
-        let b = pool.pin(store, 3, &t);
-        drop(a);
-        pool.access(store, 4, 1, &t);
-        assert!(pool.contains(store, 3), "still pinned by second guard");
-        drop(b);
-        pool.access(store, 5, 1, &t);
-        assert!(!pool.contains(store, 3));
-    }
-
-    #[test]
-    fn pin_reports_miss_then_hit() {
-        let (store, t) = ids();
-        let pool = BufferPool::unbounded();
-        let a = pool.pin(store, 0, &t);
-        assert!(a.missed());
-        let b = pool.pin(store, 0, &t);
-        assert!(!b.missed());
     }
 
     #[test]
@@ -725,21 +589,6 @@ mod tests {
         let (fresh, _) = pool.load(&store, page, &t).unwrap();
         assert_eq!(fresh[0], 2, "invalidate dropped the cached image");
         assert!(!pool.invalidate(store.id(), 999), "unknown page reports false");
-    }
-
-    #[test]
-    fn pinned_frames_survive_invalidate_but_lose_contents() {
-        let store = InMemoryPageStore::new();
-        let page = store.allocate(1).unwrap();
-        store.write_page(page, &[3u8; 8]).unwrap();
-        let pool = BufferPool::unbounded();
-        let t = IoTracker::default();
-        let _guard = pool.pin(store.id(), page, &t);
-        pool.load(&store, page, &t).unwrap();
-        assert!(pool.invalidate(store.id(), page));
-        assert!(pool.contains(store.id(), page), "pinned frame stays resident");
-        let (data, _) = pool.load(&store, page, &t).unwrap();
-        assert_eq!(data[0], 3, "contents re-read after invalidation");
     }
 
     #[test]

@@ -331,7 +331,7 @@ mod tests {
         let handle = w.finish().unwrap();
         // Zero the last page: this is exactly what a torn file tail
         // reads as after reopen.
-        store.free(handle.first + 2, 1).unwrap();
+        store.write_page(handle.first + 2, &[0u8; PAGE_SIZE]).unwrap();
         let mut r = PageStreamReader::open(&store, handle.first).unwrap();
         let err = r.read_to_end(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

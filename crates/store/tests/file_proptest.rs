@@ -1,8 +1,7 @@
 //! Property tests for the durable page file: arbitrary workloads
 //! round-trip bit-identically across a close/reopen (pread and mmap),
-//! freed pages are genuinely reused, and corruption or truncation of
-//! the metadata region is always detected at open — never silently
-//! accepted, never UB.
+//! and corruption or truncation of the header page is always detected
+//! at open — never silently accepted, never UB.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -41,9 +40,11 @@ fn span_shape() -> impl Strategy<Value = (u64, usize)> {
     (0u64..3 * PAGE_SIZE as u64).prop_map(|x| (1 + x % 3, 1 + (x / 3) as usize % PAGE_SIZE))
 }
 
-/// Metadata bytes of a fresh single-map-page file: two header slot
-/// pages plus two free-map copies (one page each). Data starts here.
-const META_BYTES: usize = 4 * PAGE_SIZE;
+/// The header page; data starts here.
+const META_BYTES: usize = PAGE_SIZE;
+
+/// Bytes of the header's checksummed fields and their checksum.
+const HEADER_BYTES: usize = 36;
 
 proptest! {
     #[test]
@@ -68,7 +69,7 @@ proptest! {
         for open in [FilePageStore::open, FilePageStore::open_mmap] {
             let store = open(&path.0).unwrap();
             prop_assert_eq!(store.root(), Some(root));
-            prop_assert_eq!(store.allocated_pages(), spans.iter().map(|&(p, _)| p).sum::<u64>());
+            prop_assert_eq!(store.page_count(), spans.iter().map(|&(p, _)| p).sum::<u64>());
             let mut buf = vec![0u8; PAGE_SIZE];
             for (s, &(first, pages, len)) in placed.iter().enumerate() {
                 for p in 0..pages {
@@ -84,66 +85,21 @@ proptest! {
     }
 
     #[test]
-    fn freed_pages_are_reused_without_growing_the_file(
-        span in 1u64..4,
-        count in 2usize..10,
-        freed in proptest::collection::vec(proptest::bool::ANY, 10),
-    ) {
-        let path = temp_file("reuse");
-        let store = FilePageStore::create(&path.0, 256).unwrap();
-        let spans: Vec<u64> = (0..count).map(|_| store.allocate(span).unwrap()).collect();
-        let high_water = store.page_count();
-        let mut released = 0;
-        for (i, &first) in spans.iter().enumerate() {
-            if freed[i] {
-                store.free(first, span).unwrap();
-                released += 1;
-            }
-        }
-        prop_assert_eq!(store.allocated_pages(), (count - released) as u64 * span);
-        // Same-size reallocation fits exactly into the holes: the
-        // high-water mark (and hence the file) must not move.
-        for _ in 0..released {
-            let first = store.allocate(span).unwrap();
-            prop_assert!(first + span <= high_water, "freed space was not reused");
-        }
-        prop_assert_eq!(store.page_count(), high_water);
-        prop_assert_eq!(store.allocated_pages(), count as u64 * span);
-    }
-
-    #[test]
-    fn corrupting_the_live_slot_falls_back_and_both_slots_is_rejected(
-        in_header in proptest::bool::ANY,
-        offset in 0usize..PAGE_SIZE,
+    fn a_flipped_header_byte_is_invalid_data(
+        offset in 0usize..HEADER_BYTES,
         mask in 1u8..=255,
     ) {
         let path = temp_file("corrupt");
         {
-            // create() itself commits generation 1 (empty) into slot 1;
-            // the explicit sync commits generation 2 into slot 0.
             let store = FilePageStore::create(&path.0, 64).unwrap();
             store.allocate(3).unwrap();
             store.set_root(1);
             store.sync().unwrap();
         }
-        // Flip a checksummed byte of the live slot (header page 0,
-        // bytes 0..48, or free-map copy A at page 2): open must adopt
-        // the stale-but-valid generation 1 snapshot, never the corrupt
-        // generation 2.
-        let live = if in_header { offset % 48 } else { 2 * PAGE_SIZE + offset };
+        // Any byte of magic, version, page size, page count, root or
+        // the checksum itself.
         let mut bytes = std::fs::read(&path.0).unwrap();
-        bytes[live] ^= mask;
-        std::fs::write(&path.0, &bytes).unwrap();
-        {
-            let store = FilePageStore::open(&path.0).unwrap();
-            prop_assert_eq!(store.generation(), 1);
-            prop_assert_eq!(store.root(), None);
-            prop_assert_eq!(store.allocated_pages(), 0);
-        }
-        // Flip the same byte of the stale slot too (header page 1 or
-        // free-map copy B at page 3): no adoptable slot remains.
-        let stale = if in_header { PAGE_SIZE + offset % 48 } else { 3 * PAGE_SIZE + offset };
-        bytes[stale] ^= mask;
+        bytes[offset] ^= mask;
         std::fs::write(&path.0, &bytes).unwrap();
         for open in [FilePageStore::open, FilePageStore::open_mmap] {
             let err = open(&path.0).unwrap_err();
@@ -152,25 +108,19 @@ proptest! {
     }
 
     #[test]
-    fn truncation_destroying_both_slots_is_detected(
-        cut in 0usize..PAGE_SIZE + 41,
-    ) {
+    fn a_cut_inside_the_header_page_is_invalid_data(cut in 0usize..PAGE_SIZE) {
         let path = temp_file("meta_trunc");
         {
             let store = FilePageStore::create(&path.0, 64).unwrap();
             store.allocate(2).unwrap();
             store.sync().unwrap();
         }
-        // Any cut short of slot 1's full header (byte PAGE_SIZE + 40
-        // ends its checksum field) zeroes at least that checksum, and
-        // always zeroes slot 0's nonempty free-map copy at page 2 — so
-        // neither slot verifies. Longer cuts can leave the (empty)
-        // generation-1 slot fully intact, which is legitimate fallback,
-        // not silent acceptance of damage.
         let bytes = std::fs::read(&path.0).unwrap();
         std::fs::write(&path.0, &bytes[..cut]).unwrap();
-        let err = FilePageStore::open(&path.0).unwrap_err();
-        prop_assert_eq!(err.io_kind(), std::io::ErrorKind::InvalidData);
+        for open in [FilePageStore::open, FilePageStore::open_mmap] {
+            let err = open(&path.0).unwrap_err();
+            prop_assert_eq!(err.io_kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]
@@ -287,8 +237,8 @@ proptest! {
     }
 }
 
-/// Drive a fixed workload (allocate + write every span, free the first
-/// span, read everything else back, sync) and collect every observable:
+/// Drive a fixed workload (allocate + write every span, sync, read
+/// everything back) and collect every observable:
 /// span placements, read-back images, and the final page count.
 fn run_workload(store: &dyn PageStore, spans: &[(u64, usize)]) -> (Vec<u64>, Vec<u8>, u64) {
     let mut firsts = Vec::new();
@@ -299,18 +249,17 @@ fn run_workload(store: &dyn PageStore, spans: &[(u64, usize)]) -> (Vec<u64>, Vec
         }
         firsts.push(first);
     }
-    store.free(firsts[0], spans[0].0).unwrap();
     store.sync().unwrap();
     let readback = replay_reads(store, spans, &firsts);
     (firsts, readback, store.page_count())
 }
 
-/// Re-read the surviving spans of [`run_workload`]'s layout (the first
-/// span was freed) and concatenate the raw page images.
+/// Re-read the spans of [`run_workload`]'s layout and concatenate the
+/// raw page images.
 fn replay_reads(store: &dyn PageStore, spans: &[(u64, usize)], firsts: &[u64]) -> Vec<u8> {
     let mut readback = Vec::new();
     let mut buf = vec![0u8; PAGE_SIZE];
-    for (&first, &(pages, _)) in firsts.iter().zip(spans).skip(1) {
+    for (&first, &(pages, _)) in firsts.iter().zip(spans) {
         for p in 0..pages {
             store.read_into(first + p, &mut buf).unwrap();
             readback.extend_from_slice(&buf);

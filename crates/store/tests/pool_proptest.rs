@@ -1,4 +1,4 @@
-//! Property tests for the LRU buffer pool: random access/pin workloads
+//! Property tests for the LRU buffer pool: random access workloads
 //! must never violate the pool's structural invariants.
 
 use proptest::prelude::*;
@@ -45,37 +45,6 @@ proptest! {
         prop_assert_eq!(cache.hits + cache.misses, accesses);
         let pstats = pool.stats();
         prop_assert_eq!(pstats.counts.hits + pstats.counts.misses, accesses);
-    }
-
-    /// Pinned pages survive arbitrary eviction pressure; unpinning makes
-    /// them evictable again.
-    #[test]
-    fn pinned_pages_are_never_evicted(
-        pinned_page in 0.0f64..1.0,
-        ops in proptest::collection::vec(0.0f64..1.0, 120),
-    ) {
-        let pool = BufferPool::new(4);
-        let store = InMemoryPageStore::new();
-        let other = InMemoryPageStore::new();
-        let ctx = QueryContext::with_pool(Arc::clone(&pool));
-        let pinned_page = (pinned_page * 16.0) as u64;
-        let guard = ctx.pin(store.id(), pinned_page);
-        for op in &ops {
-            // Stream over a working set much larger than the pool.
-            let page = 100 + (op * 64.0) as u64;
-            ctx.access(store.id(), page, 1);
-            prop_assert!(
-                pool.contains(store.id(), pinned_page),
-                "pinned page {} was evicted", pinned_page
-            );
-        }
-        drop(guard);
-        // With the pin released the page must be evictable: flood again.
-        for extra in 0..16u64 {
-            ctx.access(other.id(), 1000 + extra, 1);
-        }
-        prop_assert!(!pool.contains(store.id(), pinned_page));
-        prop_assert!(pool.resident() <= 4);
     }
 
     /// Counter balance: every resident page entered via a miss and left

@@ -32,22 +32,30 @@ fn bench_xtree_dimensionality(c: &mut Criterion) {
     g.finish();
 }
 
+/// A tree over 2 000 points built by inserting them one at a time, at
+/// 6-d (the centroids) and 42-d (the one-vector baseline, which is
+/// built so), and packed at 6-d, as `FilterRefineIndex::build` does.
 fn bench_xtree_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("xtree_build");
     g.sample_size(10);
     for dim in [6usize, 42] {
         let pts = random_points(2000, dim, 7);
-        g.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
+        g.bench_with_input(BenchmarkId::new("inserted", dim), &dim, |b, _| {
             b.iter(|| insert_built(&pts).len())
         });
     }
+    let pts = random_points(2000, 6, 7);
+    g.bench_with_input(BenchmarkId::new("packed", 6), &6, |b, _| {
+        b.iter(|| XTree::bulk_load(6, &pts).len())
+    });
     g.finish();
 }
 
 /// Centroid-like data: points jittered around 120 overlapping centres
-/// of unequal spread, sized so that 250 pulls at n = 50 000 read what a
-/// 10-NN query of the benchmark's `knn_mem` reads (≈ 85 node pages,
-/// ≈ 3 000 leaf points).
+/// of unequal spread, sized so that 250 pulls at n = 50 000 read about
+/// what a 10-NN query of the benchmark's `knn_mem` reads: ≈ 62 node
+/// pages and ≈ 3 700 leaf points of the packed tree (the benchmark's
+/// query ≈ 55 node pages), ≈ 86 and ≈ 3 100 of an insert-built one.
 fn clustered_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let centres: Vec<(Vec<f64>, f64)> = (0..120)
@@ -85,12 +93,13 @@ fn insert_built(pts: &[Vec<f64>]) -> XTree {
 }
 
 /// The filter step alone, at the benchmark's size: what one 10-NN query
-/// of `knn_mem` pulls from the cursor before the multi-step loop stops.
+/// of `knn_mem` pulls from the cursor before the multi-step loop stops,
+/// on a packed tree as `FilterRefineIndex::build` makes it.
 fn bench_xtree_pull(c: &mut Criterion) {
     let mut g = c.benchmark_group("xtree_pull");
     g.sample_size(30);
     let pts = clustered_points(50_000, 6, 19);
-    let tree = insert_built(&pts);
+    let tree = XTree::bulk_load(6, &pts);
     g.bench_function("250_pulls_n50000", |b| {
         let mut qi = 0usize;
         b.iter(|| {
@@ -102,12 +111,13 @@ fn bench_xtree_pull(c: &mut Criterion) {
     g.finish();
 }
 
-/// One `churn` round's share of the X-tree: 150 deletes, 150 inserts.
+/// One `churn` round's share of the X-tree: 150 deletes, 150 inserts,
+/// on a tree that starts packed, as a `DynamicIndex` does.
 fn bench_xtree_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("xtree_churn");
     g.sample_size(20);
     let pts = clustered_points(20_000, 6, 23);
-    let mut tree = insert_built(&pts);
+    let mut tree = XTree::bulk_load(6, &pts);
     g.bench_function("150_deletes_150_inserts_n20000", |b| {
         let mut at = 0usize;
         b.iter(|| {
@@ -135,14 +145,15 @@ fn bench_xtree_churn(c: &mut Criterion) {
 /// itself grows with n — an X-tree delete searches every subtree whose
 /// rectangle holds the point — the publish by the pointer clones only;
 /// copying all three structures, as it used to, was ten times the work
-/// at ten times the points.
+/// at ten times the points. The tree starts packed, as a
+/// `DynamicIndex` does.
 fn bench_index_publish(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_publish");
     g.sample_size(20);
     let pool = random_sets(1024, 29);
     for n in [20_000usize, 200_000] {
         let pts = clustered_points(n, 6, 23);
-        let mut tree = insert_built(&pts);
+        let mut tree = XTree::bulk_load(6, &pts);
         let mut points = PointFile::build(6, &pts);
         let mut heap = VectorSetStore::build(&[]);
         for i in 0..n {

@@ -191,7 +191,7 @@ fn load_image(
 /// *dynamic*: records can be [`append`](Self::append)ed at the tail and
 /// [`tombstone`](Self::tombstone)d in place; tombstoned bytes keep
 /// occupying their pages (and keep being charged by scans): nothing
-/// compacts a tombstoned file yet (ROADMAP item 3).
+/// compacts a tombstoned file yet (ROADMAP item 9).
 #[derive(Debug)]
 pub struct VectorSetStore {
     /// Dimension of every record; 0 while the file has never held one.
@@ -346,7 +346,7 @@ impl VectorSetStore {
         if self.live != self.len() {
             // Persisting tombstone holes would skew the dense-id contract
             // shared with the trees. No compacting save exists yet, so a
-            // tombstoned index cannot be saved (ROADMAP item 3).
+            // tombstoned index cannot be saved (ROADMAP item 9).
             return Err(invalid("cannot save a heap file with tombstoned records; compact first"));
         }
         // Filling the table is the permutation check: as many slots as
@@ -1173,7 +1173,7 @@ mod tests {
         assert_eq!(ranked(&pf).2, 3000 - 429);
     }
 
-    /// ROADMAP item 3's flatness, as a count: what a round of 150
+    /// A flat publish, as a count: what a round of 150
     /// appends and 150 tombstones copies of files a snapshot shares is
     /// the tail of each and one segment of flags per tombstone at most —
     /// the same bound at ten times the records.

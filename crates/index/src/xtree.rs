@@ -18,6 +18,14 @@
 //! * no forced reinsertion (the X-tree's supernode mechanism, not R*
 //!   reinsertion, is the effect under study).
 //!
+//! A tree over a known point set is packed, not inserted:
+//! [`XTree::bulk_load`] sorts the points tile by tile over all `dim`
+//! axes and fills every leaf and directory node to capacity, so a
+//! packed tree has no supernode and the least height for its size.
+//! Splits and supernodes come only from [`XTree::insert`] — the 42-d
+//! one-vector baseline is insert-built for that reason, and a dynamic
+//! index grows them from its inserts.
+//!
 //! A node keeps its entries — points in a leaf, child rectangles in a
 //! directory node — in the entry-major lane blocks of [`crate::lanes`]
 //! and nowhere else; a node's own rectangle lives in its parent's entry
@@ -568,61 +576,48 @@ impl XTree {
         self.one_page_cap(n.leaf) * n.pages
     }
 
-    /// Bulk-load with Sort-Tile-Recursive packing: points are ordered by
-    /// a recursive coordinate sort, chunked into ~80%-full leaves, and
-    /// directory levels are built bottom-up. Produces a better-packed
-    /// tree than repeated insertion (no supernodes are needed because
-    /// packing avoids overlapping splits entirely). Ids are the input
-    /// positions.
+    /// Bulk-load with Sort-Tile-Recursive packing (Leutenegger, Lopez &
+    /// Edgington, ICDE'97): the points are sorted on the first axis and
+    /// cut into ⌈leaves^(1/d)⌉ slabs for the `d` axes not yet sorted,
+    /// each slab recursively on the next axis, over all `dim` axes.
+    /// Every slab is a whole number of leaves, so a leaf never straddles
+    /// two slabs. The order is then chunked into full leaves and the
+    /// directory is built bottom-up from full nodes: every node but the
+    /// last of its level is full, the height is the least that holds
+    /// the points, and no node is a supernode — a packed tree only grows
+    /// supernodes from later inserts. Ids are the input positions.
     pub fn bulk_load(dim: usize, points: &[Vec<f64>]) -> Self {
         let mut tree = XTree::new(dim);
         if points.is_empty() {
             return tree;
         }
-        let fill_leaf = ((tree.leaf_cap as f64 * 0.8) as usize).max(1);
-        let fill_dir = ((tree.dir_cap as f64 * 0.8) as usize).max(2);
-
-        // Recursive STR ordering over the first three (or fewer)
-        // dimensions.
-        let mut order: Vec<usize> = (0..points.len()).collect();
-        fn str_sort(
-            points: &[Vec<f64>],
-            idx: &mut [usize],
-            axis: usize,
-            dim: usize,
-            leaf_size: usize,
-        ) {
-            if idx.len() <= leaf_size || axis >= dim.min(3) {
+        fn str_sort(points: &[Vec<f64>], idx: &mut [usize], axis: usize, dim: usize, cap: usize) {
+            if idx.len() <= cap || axis == dim {
                 return;
             }
             idx.sort_by(|&a, &b| points[a][axis].total_cmp(&points[b][axis]));
-            let leaves = idx.len().div_ceil(leaf_size);
-            let remaining = dim.min(3) - axis; // axes left including this one
-            let slabs = (leaves as f64).powf(1.0 / remaining as f64).ceil() as usize;
-            let slab_len = idx.len().div_ceil(slabs.max(1));
-            let mut start = 0;
-            while start < idx.len() {
-                let end = (start + slab_len).min(idx.len());
-                str_sort(points, &mut idx[start..end], axis + 1, dim, leaf_size);
-                start = end;
+            let leaves = idx.len().div_ceil(cap);
+            let slabs = (leaves as f64).powf(1.0 / (dim - axis) as f64).ceil() as usize;
+            for slab in idx.chunks_mut(leaves.div_ceil(slabs.max(1)) * cap) {
+                str_sort(points, slab, axis + 1, dim, cap);
             }
         }
-        str_sort(points, &mut order, 0, dim, fill_leaf);
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        str_sort(points, &mut order, 0, dim, tree.leaf_cap);
 
-        // Leaves.
         tree.nodes = Nodes::default();
+        tree.store = NodeStore::fresh();
         let mut level: Vec<usize> = Vec::new();
-        for chunk in order.chunks(fill_leaf) {
+        for chunk in order.chunks(tree.leaf_cap) {
             let mut node = tree.new_node(true);
             for &i in chunk {
                 node.push_point(&points[i], i as u64);
             }
             level.push(tree.add_node(node));
         }
-        // Directory levels, bottom-up.
         while level.len() > 1 {
             let mut next: Vec<usize> = Vec::new();
-            for chunk in level.chunks(fill_dir) {
+            for chunk in level.chunks(tree.dir_cap) {
                 let mut node = tree.new_node(false);
                 for &c in chunk {
                     let mbr = tree.nodes[c].cover();
@@ -1389,8 +1384,11 @@ mod tests {
             let ctx = QueryContext::ephemeral();
             let a = inserted.knn(&q, 10, &ctx);
             let b = bulk.knn(&q, 10, &ctx);
+            assert_eq!(a.len(), b.len());
+            // The cursor computes each distance in the same order of
+            // operations whatever tree holds the point.
             for (x, y) in a.iter().zip(&b) {
-                assert!((x.1 - y.1).abs() < 1e-9);
+                assert_eq!(x.1.to_bits(), y.1.to_bits(), "{x:?} vs {y:?}");
             }
             let mut ra: Vec<u64> =
                 inserted.range_query(&q, 25.0, &ctx).into_iter().map(|(i, _)| i).collect();
@@ -1432,8 +1430,11 @@ mod tests {
             let ctx = QueryContext::ephemeral();
             let a = inserted.knn(&q, 10, &ctx);
             let b = bulk.knn(&q, 10, &ctx);
+            assert_eq!(a.len(), b.len());
+            // The cursor computes each distance in the same order of
+            // operations whatever tree holds the point.
             for (x, y) in a.iter().zip(&b) {
-                assert!((x.1 - y.1).abs() < 1e-9);
+                assert_eq!(x.1.to_bits(), y.1.to_bits(), "{x:?} vs {y:?}");
             }
             let mut ra: Vec<u64> =
                 inserted.range_query(&q, 6.0, &ctx).into_iter().map(|(i, _)| i).collect();
@@ -1548,6 +1549,62 @@ mod tests {
         let _ = bulk.knn(&pts[0], 10, &ctx);
         let pages = ctx.stats(std::time::Duration::ZERO).io.pages;
         assert!((pages as usize) < bulk.total_pages() / 4);
+    }
+
+    /// The packed shape, level by level from the root: every node but
+    /// the last of its level holds a full page of entries, all leaves
+    /// sit on one level and there are ⌈n / leaf_cap⌉ of them, no node is
+    /// a supernode, and the height is the least that holds `n` points.
+    #[test]
+    fn bulk_load_packs_full_nodes_at_the_least_height() {
+        let cases = [(1, 6), (73, 6), (74, 6), (5_000, 6), (50_000, 6), (20_000, 2), (3_000, 42)];
+        for (n, dim) in cases {
+            let pts = random_points(n, dim, n as u64);
+            let t = XTree::bulk_load(dim, &pts);
+            assert_eq!(t.supernode_count(), 0, "n {n} dim {dim}");
+            let (mut level, mut height) = (vec![t.root], 0);
+            while !level.is_empty() {
+                height += 1;
+                let leaf = t.nodes[level[0]].leaf;
+                for (j, &node) in level.iter().enumerate() {
+                    let node = &t.nodes[node];
+                    assert_eq!(node.leaf, leaf, "n {n} dim {dim}: leaves on two levels");
+                    let cap = t.one_page_cap(leaf);
+                    if j + 1 < level.len() {
+                        assert_eq!(node.len(), cap, "n {n} dim {dim} level {height} node {j}");
+                    } else {
+                        assert!((1..=cap).contains(&node.len()), "n {n} dim {dim}: last node");
+                    }
+                }
+                if leaf {
+                    assert_eq!(level.len(), n.div_ceil(t.leaf_cap), "n {n} dim {dim}: leaves");
+                }
+                level = level.iter().flat_map(|&c| t.nodes[c].children.clone()).collect();
+            }
+            assert_eq!(height, t.height());
+            let holds = |h: u32| t.leaf_cap * t.dir_cap.pow(h - 1) >= n;
+            let h = height as u32;
+            assert!(holds(h) && (h == 1 || !holds(h - 1)), "n {n} dim {dim}: height {h}");
+            let mut ids = t.leaf_order();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..n as u64).collect::<Vec<_>>(), "n {n} dim {dim}");
+        }
+    }
+
+    /// Slabs are cut in whole leaves, so no leaf straddles two: on
+    /// uniform 2-d points (118 leaves, 11 x-slabs of 11 leaves each,
+    /// the last one short) every leaf spans about a slab's share of y. A
+    /// leaf that took the top of one x-slab and the bottom of the next
+    /// would span nearly all of it.
+    #[test]
+    fn bulk_load_never_cuts_a_leaf_across_two_slabs() {
+        let t = XTree::bulk_load(2, &random_points(20_000, 2, 35));
+        assert_eq!(t.nodes.iter().filter(|n| n.leaf).count(), 118);
+        for leaf in t.nodes.iter().filter(|n| n.leaf) {
+            let mbr = leaf.cover();
+            let (lo, hi) = (mbr.min[1], mbr.max[1]);
+            assert!(hi - lo < 25.0, "a leaf spans y {lo}..{hi}");
+        }
     }
 
     #[test]
@@ -1733,7 +1790,7 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 3's flatness, as a count: a round of 150 inserts and
+    /// A flat publish, as a count: a round of 150 inserts and
     /// 150 deletes on a tree a snapshot shares copies one leaf per
     /// operation at most, the few directory nodes above them and what
     /// its splits add — the same bound at ten times the points.

@@ -113,7 +113,10 @@ pub struct DynamicIndex {
 
 impl DynamicIndex {
     /// Build the initial working index from `sets` and publish it as
-    /// generation 0.
+    /// generation 0. The build is [`FilterRefineIndex::build`]'s: a
+    /// packed X-tree whose nodes are all full, so the first insert into
+    /// a leaf splits it; every later change goes through
+    /// [`insert`](Self::insert) and [`delete`](Self::delete).
     pub fn build(sets: &[VectorSet], dim: usize, k: usize) -> io::Result<Self> {
         let index = FilterRefineIndex::build(sets, dim, k);
         let epoch = Arc::new(IndexEpoch { generation: 0, index: index.snapshot()? });

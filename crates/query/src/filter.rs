@@ -63,19 +63,25 @@ pub struct FilterRefineIndex {
 }
 
 impl FilterRefineIndex {
-    /// Build from the database of vector sets. `k` must bound every
-    /// set's cardinality. `ω = 0` (the paper's choice — no cover has zero
-    /// volume, so the metric conditions of Lemma 1 hold).
+    /// Build from the database of vector sets; set `i` gets id `i`.
+    /// `k` must bound every set's cardinality. `ω = 0` (the paper's
+    /// choice — no cover has zero volume, so the metric conditions of
+    /// Lemma 1 hold). The X-tree of centroids is packed in one pass
+    /// ([`XTree::bulk_load`]: full nodes, no supernode), never built by
+    /// inserts: the database is built once and then queried, as in the
+    /// paper's Table 2. [`insert`](Self::insert) and
+    /// [`delete`](Self::delete) change it afterwards.
     pub fn build(sets: &[VectorSet], dim: usize, k: usize) -> Self {
         let omega = vec![0.0; dim];
-        let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(sets.len());
-        let mut tree = XTree::new(dim);
-        for (i, s) in sets.iter().enumerate() {
-            assert_eq!(s.dim(), dim, "set {i} has wrong dimension");
-            let c = extended_centroid(s, k, &omega);
-            tree.insert(&c, i as u64);
-            centroids.push(c);
-        }
+        let centroids: Vec<Vec<f64>> = sets
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                assert_eq!(s.dim(), dim, "set {i} has wrong dimension");
+                extended_centroid(s, k, &omega)
+            })
+            .collect();
+        let tree = XTree::bulk_load(dim, &centroids);
         let cfile = PointFile::build(dim, &centroids);
         let store = VectorSetStore::build(sets);
         FilterRefineIndex {
@@ -119,7 +125,7 @@ impl FilterRefineIndex {
     /// Delete object `id`: remove its centroid from the X-tree and
     /// tombstone its records in the point and heap files. The bytes are
     /// not reclaimed, and an index with a tombstone can no longer be
-    /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 3).
+    /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 9).
     /// Returns `Ok(false)` if the id is unknown or already deleted, and
     /// `InvalidData` — with nothing tombstoned — if the X-tree does not
     /// hold the live object's centroid.

@@ -12,10 +12,10 @@ fn bench_optics_scaling(c: &mut Criterion) {
         let p = ProcessedDataset::build(car_dataset(5, n), 7);
         let model = SimilarityModel::vector_set(7);
         let reprs = p.representations(&model);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let oracle = p.distance_oracle(&model, &reprs);
-                Optics { min_pts: 5, eps: f64::INFINITY }.run(n, oracle)
+                let matrix = p.pairwise_matrix(&model, &reprs);
+                Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix)
             })
         });
     }
@@ -37,8 +37,8 @@ fn bench_optics_by_model(c: &mut Criterion) {
         let reprs = p.representations(&model);
         g.bench_with_input(BenchmarkId::from_parameter(model.name()), &model, |b, m| {
             b.iter(|| {
-                let oracle = p.distance_oracle(m, &reprs);
-                Optics { min_pts: 5, eps: f64::INFINITY }.run(n, oracle)
+                let matrix = p.pairwise_matrix(m, &reprs);
+                Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix)
             })
         });
     }

@@ -7,7 +7,7 @@
 use rand::prelude::*;
 use vsim_bench::out_dir;
 use vsim_core::prelude::*;
-use vsim_optics::extract_clusters;
+use vsim_optics::{extract_clusters, pairwise_tiled};
 
 fn main() {
     // Cluster A = two nearby sub-blobs A1, A2; cluster B farther away —
@@ -23,11 +23,12 @@ fn main() {
     blob(3.5, 0.0, 1.0, 40, &mut pts, &mut rng); // A2 (close to A1)
     blob(20.0, 10.0, 1.5, 50, &mut pts, &mut rng); // B
 
-    let dist = |i: usize, j: usize| -> f64 {
+    let dist = |_: &mut (), i: usize, j: usize| -> f64 {
         let (a, b) = (pts[i], pts[j]);
         ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2)).sqrt()
     };
-    let ordering = Optics { min_pts: 5, eps: f64::INFINITY }.run(pts.len(), dist);
+    let matrix = pairwise_tiled(pts.len(), 32, || (), dist);
+    let ordering = Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix);
     let plot = ReachabilityPlot::from_ordering(&ordering);
 
     println!("=== Figure 5: reachability plot of the 2-D sample dataset ===");

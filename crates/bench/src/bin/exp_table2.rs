@@ -82,7 +82,7 @@ fn main() {
     eprintln!(
         "[run  ] {n_queries} x {knn}-NN invariant queries (48 permutations) over {n} objects \
          on {} worker threads ...",
-        vsim_core::parallel::worker_count()
+        vsim_parallel::worker_count()
     );
     let b0 = ex.run_batch(&vec_workloads, |v, ctx| one_vec.knn_invariant_with(v, knn, ctx));
     let b1 = ex.run_batch(&set_workloads, |v, ctx| {

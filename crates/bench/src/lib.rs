@@ -84,8 +84,11 @@ pub fn processed_aircraft(k_max: usize) -> ProcessedDataset {
     ProcessedDataset::build(data, k_max)
 }
 
-/// Run OPTICS under a model, with an optional permutation counter
-/// (Table 1 hooks into every distance computation of the run).
+/// Run OPTICS under a model over its condensed distance matrix, with an
+/// optional permutation counter. Table 1 hooks into every distance the
+/// matrix evaluates: each pair once, `n(n-1)/2` in all. The counting
+/// matrix's cells equal [`ProcessedDataset::pairwise_matrix`]'s, so the
+/// ordering is the same with or without the counter.
 pub fn run_optics(
     p: &ProcessedDataset,
     model: &SimilarityModel,
@@ -93,31 +96,22 @@ pub fn run_optics(
     permutation_counter: Option<(&AtomicU64, &AtomicU64)>,
 ) -> ClusterOrdering {
     let reprs = p.representations(model);
-    let optics = Optics { min_pts, eps: f64::INFINITY };
-    match permutation_counter {
-        None => {
-            // Materialize the upper triangle once in parallel tiles
-            // (one matching engine per worker); OPTICS then re-reads
-            // frontier rows from memory instead of re-solving the
-            // O(k³) matching. Entries are bit-identical to the direct
-            // oracle, so the ordering is unchanged.
-            let matrix = p.pairwise_matrix(model, &reprs);
-            optics.run_matrix(&matrix)
-        }
-        Some((needed, total)) => {
-            let oracle = |i: usize, j: usize| {
-                let out = model
-                    .match_outcome(&reprs[i], &reprs[j])
-                    .expect("permutation counting requires a set-based model");
-                total.fetch_add(1, Ordering::Relaxed);
-                if out.permutation_needed {
-                    needed.fetch_add(1, Ordering::Relaxed);
-                }
-                out.cost
-            };
-            optics.run(p.len(), oracle)
-        }
-    }
+    let matrix = if let Some((needed, total)) = permutation_counter {
+        let counted = |_: &mut (), i: usize, j: usize| {
+            let out = model
+                .match_outcome(&reprs[i], &reprs[j])
+                .expect("permutation counting requires a set-based model");
+            total.fetch_add(1, Ordering::Relaxed);
+            if out.permutation_needed {
+                needed.fetch_add(1, Ordering::Relaxed);
+            }
+            out.cost
+        };
+        vsim_optics::pairwise_tiled(reprs.len(), 32, || (), counted)
+    } else {
+        p.pairwise_matrix(model, &reprs)
+    };
+    Optics { min_pts, eps: f64::INFINITY }.run_matrix(&matrix)
 }
 
 /// OPTICS + reachability CSV + ASCII plot + best-cut quality, the common

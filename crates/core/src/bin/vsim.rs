@@ -150,8 +150,8 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     let processed = ProcessedDataset::build(data, 7);
     let model = SimilarityModel::vector_set(7);
     let reprs = processed.representations(&model);
-    let oracle = processed.distance_oracle(&model, &reprs);
-    let ordering = Optics { min_pts: 4, eps: f64::INFINITY }.run(n, oracle);
+    let matrix = processed.pairwise_matrix(&model, &reprs);
+    let ordering = Optics { min_pts: 4, eps: f64::INFINITY }.run_matrix(&matrix);
     let plot = ReachabilityPlot::from_ordering(&ordering);
     print!("{}", plot.ascii(80, 10));
     let q = best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID);

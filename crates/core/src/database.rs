@@ -3,10 +3,10 @@
 //! experiments.
 
 use crate::model::{Invariance, Repr, SimilarityModel};
-use crate::parallel::par_map_slice;
 use vsim_datagen::Dataset;
 use vsim_features::{greedy_cover_sequence, CoverSequence};
 use vsim_optics::CondensedDistanceMatrix;
+use vsim_parallel::par_map_slice;
 use vsim_setdist::{MatchingEngine, PreparedSet, VectorSet};
 
 /// A dataset plus its precomputed cover sequences.
@@ -68,18 +68,9 @@ impl ProcessedDataset {
         par_map_slice(&self.dataset.objects, |_, o| model.extract(o))
     }
 
-    /// A symmetric distance oracle over precomputed representations,
-    /// suitable for [`vsim_optics::Optics::run`].
-    pub fn distance_oracle<'a>(
-        &self,
-        model: &'a SimilarityModel,
-        reprs: &'a [Repr],
-    ) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        move |i, j| model.distance(&reprs[i], &reprs[j])
-    }
-
     /// Materialize the full pairwise distance matrix (upper triangle
-    /// only) in parallel tiles.
+    /// only) in parallel tiles: the input of
+    /// [`vsim_optics::Optics::run_matrix`].
     ///
     /// For set-based models without pose invariance, each worker thread
     /// holds one [`MatchingEngine`] and the per-object weight tables are
@@ -177,7 +168,7 @@ mod tests {
         let model =
             SimilarityModel { kind: ModelKind::VectorSet { k: 5 }, invariance: Default::default() };
         let reprs = p.representations(&model);
-        let d = p.distance_oracle(&model, &reprs);
+        let d = |i: usize, j: usize| model.distance(&reprs[i], &reprs[j]);
         for i in [0usize, 5, 12] {
             assert!(d(i, i).abs() < 1e-9);
             for j in [1usize, 7, 19] {
@@ -196,7 +187,7 @@ mod tests {
         ] {
             let reprs = p.representations(&model);
             let m = p.pairwise_matrix(&model, &reprs);
-            let d = p.distance_oracle(&model, &reprs);
+            let d = |i: usize, j: usize| model.distance(&reprs[i], &reprs[j]);
             assert_eq!(m.len(), p.len());
             for i in 0..p.len() {
                 for j in (i + 1)..p.len() {
@@ -218,7 +209,7 @@ mod tests {
             SimilarityModel::vector_set(4).with_invariance(crate::model::Invariance::Rotation24);
         let reprs = p.representations(&model);
         let m = p.pairwise_matrix(&model, &reprs);
-        let d = p.distance_oracle(&model, &reprs);
+        let d = |i: usize, j: usize| model.distance(&reprs[i], &reprs[j]);
         for (i, j) in [(0usize, 1usize), (3, 9), (5, 17)] {
             assert_eq!(m.get(i, j).to_bits(), d(i, j).to_bits());
         }

@@ -45,7 +45,6 @@
 
 pub mod database;
 pub mod model;
-pub mod parallel;
 
 pub use database::ProcessedDataset;
 pub use model::{Invariance, ModelKind, Repr, SimilarityModel};

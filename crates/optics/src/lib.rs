@@ -10,8 +10,10 @@
 //! reachability plot (Section 5.2): valleys are clusters, and a model is
 //! good when its valleys correspond to intuitive part families.
 //!
-//! * [`optics::Optics`] — the clustering algorithm (priority-queue
-//!   expansion, parallel distance evaluation via scoped threads).
+//! * [`pairwise`] — the condensed distance matrix, built once per pair
+//!   in parallel tiles ([`pairwise_tiled`]).
+//! * [`optics::Optics`] — the clustering algorithm, run over that matrix
+//!   ([`Optics::run_matrix`]).
 //! * [`plot`] — reachability plots: CSV export and ASCII rendering.
 //! * [`cluster`] — ε-cut cluster extraction from a cluster ordering
 //!   (the "cut at level ε" of Figure 5).
@@ -20,12 +22,12 @@
 //!   arguments into measurable ones).
 
 //! ```
-//! use vsim_optics::{Optics, extract_clusters};
+//! use vsim_optics::{extract_clusters, pairwise_tiled, Optics};
 //!
 //! // Two 1-D clusters far apart.
 //! let pts: [f64; 6] = [0.0, 0.1, 0.2, 9.0, 9.1, 9.2];
-//! let o = Optics { min_pts: 2, eps: f64::INFINITY }
-//!     .run(pts.len(), |i, j| (pts[i] - pts[j]).abs());
+//! let m = pairwise_tiled(pts.len(), 32, || (), |_, i, j| (pts[i] - pts[j]).abs());
+//! let o = Optics { min_pts: 2, eps: f64::INFINITY }.run_matrix(&m);
 //! let c = extract_clusters(&o, 1.0, 2);
 //! assert_eq!(c.num_clusters(), 2);
 //! ```

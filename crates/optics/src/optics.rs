@@ -1,7 +1,6 @@
 //! The OPTICS cluster-ordering algorithm.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::pairwise::CondensedDistanceMatrix;
 
 /// OPTICS parameters.
 #[derive(Debug, Clone, Copy)]
@@ -44,41 +43,26 @@ impl ClusterOrdering {
     }
 }
 
-struct Seed {
-    reach: f64,
-    obj: usize,
-}
-impl PartialEq for Seed {
-    fn eq(&self, o: &Self) -> bool {
-        self.reach == o.reach && self.obj == o.obj
-    }
-}
-impl Eq for Seed {}
-impl Ord for Seed {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap on reachability, tie-break on index for determinism.
-        // `total_cmp` keeps the ordering total even if a misbehaving
-        // distance oracle produces NaN (which then sorts *after* every
-        // finite reachability instead of poisoning the heap order).
-        o.reach.total_cmp(&self.reach).then_with(|| o.obj.cmp(&self.obj))
-    }
-}
-impl PartialOrd for Seed {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-
 impl Optics {
-    /// Run OPTICS on `n` objects under the given distance oracle.
+    /// Run OPTICS over a precomputed condensed distance matrix (build it
+    /// with [`crate::pairwise_tiled`]). Distances are read in place and
+    /// must be symmetric and non-negative.
     ///
-    /// The oracle is called O(n²) times in total; distance rows are
-    /// evaluated in parallel with scoped threads, so `dist` must be
-    /// `Sync`. Distances must be symmetric and non-negative.
-    pub fn run<D>(&self, n: usize, dist: D) -> ClusterOrdering
-    where
-        D: Fn(usize, usize) -> f64 + Sync,
-    {
+    /// Each step processes the unprocessed object with the least
+    /// `(reachability, index)`. A new connected component starts exactly
+    /// when that least reachability is undefined (`f64::INFINITY`), and
+    /// then at the lowest unprocessed index. This is the order a seed
+    /// min-heap would pop in: a stale heap entry always carries a larger
+    /// reachability than the live one. NaN distances never join an
+    /// ε-neighbourhood's core distance but still receive the core
+    /// distance as their reachability.
+    ///
+    /// # Panics
+    ///
+    /// If `min_pts` is 0.
+    pub fn run_matrix(&self, m: &CondensedDistanceMatrix) -> ClusterOrdering {
+        assert!(self.min_pts >= 1, "Optics::min_pts must be at least 1 (the object itself)");
+        let n = m.len();
         let mut processed = vec![false; n];
         let mut reach = vec![f64::INFINITY; n];
         let mut out = ClusterOrdering {
@@ -87,53 +71,39 @@ impl Optics {
             core_distance: Vec::with_capacity(n),
         };
         let mut row = vec![0.0f64; n];
+        let mut within = Vec::with_capacity(n);
 
-        let mut heap: BinaryHeap<Seed> = BinaryHeap::new();
-        for start in 0..n {
-            if processed[start] {
-                continue;
-            }
-            // New connected component: expand from `start` with
-            // undefined reachability.
-            heap.clear();
-            heap.push(Seed { reach: f64::INFINITY, obj: start });
-            while let Some(Seed { reach: r, obj: p }) = heap.pop() {
-                if processed[p] {
-                    continue; // stale heap entry
-                }
-                processed[p] = true;
+        for _ in 0..n {
+            // `min_by` keeps the first of equal minima: the lowest index.
+            let p = (0..n)
+                .filter(|&o| !processed[o])
+                .min_by(|&a, &b| reach[a].total_cmp(&reach[b]))
+                .expect("one object is left per step");
+            processed[p] = true;
+            m.row_into(p, &mut row);
 
-                // Distance row p -> all objects, in parallel chunks.
-                vsim_parallel::par_fill(&mut row, |j, v| {
-                    *v = if j == p { 0.0 } else { dist(p, j) };
-                });
+            // Core distance: MinPts-th smallest distance among the
+            // ε-neighborhood (including p itself, following [3]).
+            within.clear();
+            within.extend(row.iter().copied().filter(|&d| d <= self.eps));
+            let core = if within.len() >= self.min_pts {
+                *within.select_nth_unstable_by(self.min_pts - 1, |a, b| a.total_cmp(b)).1
+            } else {
+                f64::INFINITY
+            };
 
-                // Core distance: MinPts-th smallest distance among the
-                // ε-neighborhood (including p itself, following [3]).
-                let mut within: Vec<f64> = row.iter().copied().filter(|&d| d <= self.eps).collect();
-                let core = if within.len() >= self.min_pts {
-                    within
-                        .select_nth_unstable_by(self.min_pts - 1, |a, b| a.total_cmp(b))
-                        .1
-                        .to_owned()
-                } else {
-                    f64::INFINITY
-                };
+            out.order.push(p);
+            out.reachability.push(reach[p]);
+            out.core_distance.push(core);
 
-                out.order.push(p);
-                out.reachability.push(r);
-                out.core_distance.push(core);
-
-                if core.is_finite() {
-                    for o in 0..n {
-                        if processed[o] || row[o] > self.eps {
-                            continue;
-                        }
-                        let new_reach = core.max(row[o]);
-                        if new_reach < reach[o] {
-                            reach[o] = new_reach;
-                            heap.push(Seed { reach: new_reach, obj: o });
-                        }
+            if core.is_finite() {
+                for o in 0..n {
+                    if processed[o] || row[o] > self.eps {
+                        continue;
+                    }
+                    let new_reach = core.max(row[o]);
+                    if new_reach < reach[o] {
+                        reach[o] = new_reach;
                     }
                 }
             }
@@ -142,23 +112,30 @@ impl Optics {
     }
 }
 
+/// The priority-queue loop [`Optics::run_matrix`] replaced, kept as its
+/// differential reference; compiled for tests only.
+#[cfg(test)]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     /// Two tight 1-D clusters far apart plus one outlier.
     fn toy() -> Vec<f64> {
         vec![0.0, 0.1, 0.2, 0.3, 10.0, 10.1, 10.2, 10.3, 50.0]
     }
 
-    fn d1(pts: &[f64]) -> impl Fn(usize, usize) -> f64 + Sync + '_ {
-        move |i, j| (pts[i] - pts[j]).abs()
+    fn d1(pts: &[f64]) -> CondensedDistanceMatrix {
+        crate::pairwise_tiled(pts.len(), 4, || (), |_, i, j| (pts[i] - pts[j]).abs())
     }
 
     #[test]
     fn ordering_is_a_permutation() {
         let pts = toy();
-        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run(pts.len(), d1(&pts));
+        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run_matrix(&d1(&pts));
         assert_eq!(o.len(), pts.len());
         let mut sorted = o.order.clone();
         sorted.sort_unstable();
@@ -168,7 +145,7 @@ mod tests {
     #[test]
     fn clusters_form_valleys() {
         let pts = toy();
-        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run(pts.len(), d1(&pts));
+        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run_matrix(&d1(&pts));
         // Within-cluster reachabilities are small (0.1-0.2); the jumps to
         // the second cluster and to the outlier are big.
         let big: Vec<usize> =
@@ -184,7 +161,7 @@ mod tests {
     #[test]
     fn first_reachability_is_undefined() {
         let pts = toy();
-        let o = Optics::default().run(pts.len(), d1(&pts));
+        let o = Optics::default().run_matrix(&d1(&pts));
         assert!(o.reachability[0].is_infinite());
     }
 
@@ -193,7 +170,7 @@ mod tests {
         let pts = toy();
         // eps = 1: the two clusters and the outlier are separate
         // components; each component start has undefined reachability.
-        let o = Optics { min_pts: 2, eps: 1.0 }.run(pts.len(), d1(&pts));
+        let o = Optics { min_pts: 2, eps: 1.0 }.run_matrix(&d1(&pts));
         let undefined = o.reachability.iter().filter(|r| r.is_infinite()).count();
         assert_eq!(undefined, 3);
         // The outlier is no core point at eps=1 with min_pts=2 (only
@@ -205,7 +182,7 @@ mod tests {
     #[test]
     fn min_pts_one_gives_zero_core_distance() {
         let pts = vec![1.0, 2.0, 4.0];
-        let o = Optics { min_pts: 1, eps: f64::INFINITY }.run(3, d1(&pts));
+        let o = Optics { min_pts: 1, eps: f64::INFINITY }.run_matrix(&d1(&pts));
         // Every point's 1st-smallest neighborhood distance is d(p,p) = 0.
         assert!(o.core_distance.iter().all(|&c| c == 0.0));
     }
@@ -213,15 +190,15 @@ mod tests {
     #[test]
     fn deterministic_given_same_input() {
         let pts = toy();
-        let a = Optics { min_pts: 3, eps: f64::INFINITY }.run(pts.len(), d1(&pts));
-        let b = Optics { min_pts: 3, eps: f64::INFINITY }.run(pts.len(), d1(&pts));
+        let a = Optics { min_pts: 3, eps: f64::INFINITY }.run_matrix(&d1(&pts));
+        let b = Optics { min_pts: 3, eps: f64::INFINITY }.run_matrix(&d1(&pts));
         assert_eq!(a.order, b.order);
         assert_eq!(a.reachability, b.reachability);
     }
 
     #[test]
     fn single_object() {
-        let o = Optics::default().run(1, |_, _| 0.0);
+        let o = Optics::default().run_matrix(&d1(&[7.0]));
         assert_eq!(o.order, vec![0]);
         assert!(o.reachability[0].is_infinite());
     }
@@ -237,7 +214,7 @@ mod tests {
         for i in 0..10 {
             pts.push(100.0 + i as f64 * 1.0); // loose
         }
-        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run(pts.len(), d1(&pts));
+        let o = Optics { min_pts: 2, eps: f64::INFINITY }.run_matrix(&d1(&pts));
         let pos: Vec<usize> = (0..o.len()).collect();
         let mean_reach = |sel: &dyn Fn(usize) -> bool| {
             let vals: Vec<f64> = pos
@@ -252,5 +229,57 @@ mod tests {
         let tight = mean_reach(&|obj| obj < 10);
         let loose = mean_reach(&|obj| obj >= 10);
         assert!(loose > 10.0 * tight, "tight {tight} vs loose {loose}");
+    }
+
+    #[test]
+    #[should_panic(expected = "Optics::min_pts must be at least 1")]
+    fn zero_min_pts_is_refused() {
+        Optics { min_pts: 0, eps: f64::INFINITY }.run_matrix(&d1(&toy()));
+    }
+
+    /// A condensed matrix over n ∈ 0..=40 objects with 1–6 distinct
+    /// distance levels (ties everywhere), and NaN and ∞ cells.
+    struct TieHeavyMatrix;
+
+    impl Strategy for TieHeavyMatrix {
+        type Value = (usize, u64, Vec<f64>);
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let n = rng.below(41) as usize;
+            let levels = 1 + rng.below(6);
+            let cells = (0..n * n.saturating_sub(1) / 2)
+                .map(|_| match rng.below(10) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => rng.below(levels) as f64 * 0.5,
+                })
+                .collect();
+            (n, levels, cells)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn run_matrix_equals_the_heap_reference_bit_for_bit(
+            matrix in TieHeavyMatrix,
+            level in 0u64..8,
+        ) {
+            let (n, levels, cells) = matrix;
+            let m = crate::pairwise_tiled(n, 8, || (), |_, i, j| {
+                cells[i * n - i * (i + 1) / 2 + (j - i - 1)]
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            // ε = 0, ε on one of the levels (so cells tie with ε), ε = ∞.
+            let finite = (level % levels) as f64 * 0.5;
+            for eps in [0.0, finite, f64::INFINITY] {
+                for min_pts in 1..=n + 1 {
+                    let opt = Optics { min_pts, eps };
+                    let got = opt.run_matrix(&m);
+                    let want = reference::run(&opt, n, |i, j| m.get(i, j));
+                    prop_assert_eq!(&got.order, &want.order, "{:?} n {}", opt, n);
+                    prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
+                    prop_assert_eq!(bits(&got.core_distance), bits(&want.core_distance));
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,16 @@
 //! Condensed pairwise distance matrices for whole-database clustering.
 //!
-//! OPTICS over the full dataset evaluates every pair of objects at least
-//! once (and pairs on cluster frontiers many times when rows are
-//! recomputed). For the expensive minimal-matching distance it is much
-//! cheaper to materialize the strict upper triangle once — `n(n-1)/2`
-//! entries, half the naive `n²` — and serve every subsequent lookup from
-//! memory.
+//! OPTICS over the full dataset reads every object's distance row once.
+//! The distance is evaluated once per pair into the strict upper
+//! triangle — `n(n-1)/2` entries, half the naive `n²` — and
+//! [`Optics::run_matrix`](crate::Optics::run_matrix) reads the rows in
+//! place.
 //!
 //! [`pairwise_tiled`] builds the triangle in parallel tiles via
 //! [`vsim_parallel::par_tiles`]: each worker thread owns one
 //! caller-provided state (typically a `vsim_setdist::MatchingEngine`
 //! with its workspace and scratch buffers) and reuses it across all of
 //! its tiles, so the build performs no per-pair allocations.
-
-use crate::optics::{ClusterOrdering, Optics};
 
 /// Strict upper triangle of a symmetric `n × n` distance matrix in
 /// condensed (row-major) layout: entry `(i, j)` with `i < j` lives at
@@ -56,10 +53,21 @@ impl CondensedDistanceMatrix {
         }
     }
 
-    /// A distance oracle backed by this matrix, suitable for
-    /// [`Optics::run`] and friends.
-    pub fn oracle(&self) -> impl Fn(usize, usize) -> f64 + Sync + '_ {
-        move |i, j| self.get(i, j)
+    /// Copy row `p` into `out` (length `n`): contiguous in the buffer for
+    /// `j > p`, strided for `j < p`, zero at `j = p`.
+    pub(crate) fn row_into(&self, p: usize, out: &mut [f64]) {
+        let n = self.n;
+        debug_assert!(p < n && out.len() == n);
+        // One past index(j, p), which is p - 1 at j = 0 and grows by
+        // index(j + 1, p) - index(j, p) = n - j - 2.
+        let mut at = p;
+        for (j, v) in out[..p].iter_mut().enumerate() {
+            *v = self.data[at - 1];
+            at += n - j - 2;
+        }
+        out[p] = 0.0;
+        let base = p * n - p * (p + 1) / 2;
+        out[p + 1..].copy_from_slice(&self.data[base..base + (n - p - 1)]);
     }
 }
 
@@ -102,17 +110,6 @@ where
         }
     });
     CondensedDistanceMatrix { n, data }
-}
-
-impl Optics {
-    /// Run OPTICS against a precomputed condensed distance matrix.
-    ///
-    /// Equivalent to `self.run(m.len(), m.oracle())` — same ordering,
-    /// same reachabilities — but stated as a method so call sites read
-    /// naturally.
-    pub fn run_matrix(&self, m: &CondensedDistanceMatrix) -> ClusterOrdering {
-        self.run(m.len(), m.oracle())
-    }
 }
 
 #[cfg(test)]
@@ -159,17 +156,5 @@ mod tests {
         let m = pairwise_tiled(1, 4, || (), |_, _, _| unreachable!());
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn run_matrix_is_identical_to_run_with_oracle() {
-        let p = pts();
-        let m = build(8);
-        let opt = Optics { min_pts: 2, eps: f64::INFINITY };
-        let via_matrix = opt.run_matrix(&m);
-        let via_oracle = opt.run(p.len(), |i, j| (p[i] - p[j]).abs());
-        assert_eq!(via_matrix.order, via_oracle.order);
-        assert_eq!(via_matrix.reachability, via_oracle.reachability);
-        assert_eq!(via_matrix.core_distance, via_oracle.core_distance);
     }
 }

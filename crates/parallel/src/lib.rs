@@ -55,31 +55,6 @@ where
     par_map(items.len(), |i| f(i, &items[i]))
 }
 
-/// Fill each slot of `out` in parallel: `f(i, &mut out[i])`. Useful for
-/// rewriting a reused buffer (e.g. one row of a distance matrix)
-/// without reallocating.
-pub fn par_fill<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let chunk = n.div_ceil(worker_count()).max(1);
-    std::thread::scope(|scope| {
-        for (ci, slots) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    f(ci * chunk + off, slot);
-                }
-            });
-        }
-    });
-}
-
 /// Visit every tile of the strict upper triangle `{(i, j) : i < j < n}`
 /// in parallel, with one worker-local state per thread.
 ///
@@ -153,15 +128,6 @@ mod tests {
         let v = par_map_slice(&items, |i, &x| x + i as u64);
         for (i, y) in v.iter().enumerate() {
             assert_eq!(*y, items[i] + i as u64);
-        }
-    }
-
-    #[test]
-    fn par_fill_overwrites_every_slot() {
-        let mut buf = vec![0usize; 313];
-        par_fill(&mut buf, |i, slot| *slot = i + 1);
-        for (i, x) in buf.iter().enumerate() {
-            assert_eq!(*x, i + 1);
         }
     }
 

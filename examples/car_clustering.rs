@@ -26,8 +26,7 @@ fn main() {
 
     println!("running OPTICS (MinPts = 5)...");
     let optics = Optics { min_pts: 5, eps: f64::INFINITY };
-    let oracle = processed.distance_oracle(&model, &reprs);
-    let ordering = optics.run(processed.len(), oracle);
+    let ordering = optics.run_matrix(&processed.pairwise_matrix(&model, &reprs));
 
     let plot = ReachabilityPlot::from_ordering(&ordering);
     println!("\nreachability plot ({} objects, valleys = clusters):", plot.len());

@@ -31,8 +31,7 @@ fn main() {
     let optics = Optics { min_pts: 4, eps: f64::INFINITY };
     for model in &models {
         let reprs = processed.representations(model);
-        let oracle = processed.distance_oracle(model, &reprs);
-        let ordering = optics.run(processed.len(), oracle);
+        let ordering = optics.run_matrix(&processed.pairwise_matrix(model, &reprs));
         let q = best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID);
         println!(
             "{:34} {:>9} {:>7} {:>7.3} {:>7.3} {:>7.3}",

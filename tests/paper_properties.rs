@@ -122,8 +122,7 @@ fn vector_set_beats_volume_model_on_clustering() {
 
     let score = |model: &SimilarityModel| {
         let reprs = p.representations(model);
-        let oracle = p.distance_oracle(model, &reprs);
-        let ordering = optics.run(p.len(), oracle);
+        let ordering = optics.run_matrix(&p.pairwise_matrix(model, &reprs));
         best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID).f1
     };
     let f1_volume = score(&SimilarityModel::volume(6));

@@ -56,7 +56,9 @@ fn bench_matching_scaling(c: &mut Criterion) {
 }
 
 fn bench_unbalanced_sets(c: &mut Criterion) {
-    // Different cardinalities exercise the weight-function columns.
+    // Different cardinalities: `match_sets` solves the n × m problem,
+    // one row per element of the smaller set; unmatched elements of the
+    // larger set pay their weight.
     let mut g = c.benchmark_group("matching_unbalanced");
     let mm = MinimalMatching::vector_set_model();
     let mut rng = StdRng::seed_from_u64(7);
@@ -107,6 +109,21 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
                     std::hint::black_box(upper),
                 )
             })
+        });
+    }
+    // Unequal sizes, prepared, `upper = ∞`: the exact stage's n × m
+    // path, as `cluster` runs it for most pairs.
+    let mut rng = StdRng::seed_from_u64(207);
+    let mut engine = MatchingEngine::new(mm.clone());
+    let pa = engine.prepare(random_set(&mut rng, 7));
+    let inf = f64::INFINITY;
+    for nb in [3usize, 5] {
+        let pb = engine.prepare(random_set(&mut rng, nb));
+        engine.distance(&pa, &pb, inf);
+        let id = BenchmarkId::new("engine_prepared", format!("7v{nb}"));
+        g.bench_with_input(id, &nb, |bench, _| {
+            bench
+                .iter(|| engine.distance(std::hint::black_box(&pa), std::hint::black_box(&pb), inf))
         });
     }
     g.finish();

@@ -7,21 +7,27 @@
 //! alternating tree, with a worst-case `O(n · m)` per insertion, i.e.
 //! `O(n² m)` in total (`O(k³)` for square instances).
 //!
-//! Since the SIMD PR the core is **branch-free and lane-parallel**: the
-//! `used[]` bookkeeping of the textbook formulation is replaced by a
-//! `+∞` sentinel written into `mask`/`minv` when a column joins the
+//! Every exact matching distance solves the **n × m** problem, `n ≤ m`:
+//! one row per element of the smaller set, one column per element of
+//! the larger, so only the `n` real choices are inserted
+//! ([`solve_slice_into`], behind `match_sets` and the engine's exact
+//! stage).
+//!
+//! The core is **branch-free and lane-parallel**: the `used[]`
+//! bookkeeping of the textbook formulation is replaced by a `+∞`
+//! sentinel written into `mask`/`minv` when a column joins the
 //! alternating tree, so the relaxation + argmin scan
 //! ([`crate::simd::relax_scan_f64`]) and the `minv -= delta` shift run
 //! as straight-line vector code over the whole column range. The
-//! bounded variant's per-row cost check is **O(1)**: the running
-//! optimal partial-assignment cost equals `-v[0]`, the dual potential
-//! of the virtual root column (DESIGN.md §13 derives this), instead of
-//! an `O(m)` per-row primal re-summation — which made the bounded solve
-//! *slower* than the unbounded one at k = 9.
+//! bounded variants' per-row cost check is **O(1)**: the running optimal
+//! partial-assignment cost equals `-v[0]`, the dual potential of the
+//! virtual root column (DESIGN.md §13 derives this), instead of an
+//! `O(m)` per-row primal re-summation. It needs non-negative costs, so
+//! it backs the square `f32` filter stage of `MatchingEngine::distance`
+//! ([`solve_cost_slice_bounded_f32`]), not the exact stage, whose
+//! `d − w` entries can be negative.
 //!
-//! A `f32` twin of the core ([`solve_cost_slice_bounded_f32`]) backs
-//! the filter-precision stage of `MatchingEngine::distance`; the
-//! original scalar kernel survives verbatim as the test-only
+//! The original scalar kernel survives verbatim as the test-only
 //! `reference` module, the cross-validation oracle of the tests below.
 
 use crate::simd;
@@ -108,53 +114,10 @@ pub struct Workspace {
     maskf: Vec<f32>,
 }
 
-/// Row access for the SAP core: eager (a fully built cost slice) or
-/// lazy (rows materialized on first touch). The augmenting search only
-/// ever re-reads rows that were already inserted, so a lazy source that
-/// fills row `i` at its first access observes exactly the values an
-/// eager fill would have produced — and when the bound check aborts
-/// after `r` rows, rows `r+1..` are never computed at all.
-trait RowSource<T> {
-    /// Row `i` (0-based), `m` entries.
-    fn row(&mut self, i: usize) -> &[T];
-}
-
-struct EagerRows<'a, T> {
-    data: &'a [T],
-    stride: usize,
-    m: usize,
-}
-
-impl<T> RowSource<T> for EagerRows<'_, T> {
-    #[inline]
-    fn row(&mut self, i: usize) -> &[T] {
-        &self.data[i * self.stride..i * self.stride + self.m]
-    }
-}
-
-struct LazyRows<'a, T, F> {
-    data: &'a mut [T],
-    stride: usize,
-    m: usize,
-    filled: usize,
-    fill: F,
-}
-
-impl<T, F: FnMut(usize, &mut [T])> RowSource<T> for LazyRows<'_, T, F> {
-    #[inline]
-    fn row(&mut self, i: usize) -> &[T] {
-        while self.filled <= i {
-            let base = self.filled * self.stride;
-            (self.fill)(self.filled, &mut self.data[base..base + self.m]);
-            self.filled += 1;
-        }
-        &self.data[i * self.stride..i * self.stride + self.m]
-    }
-}
-
-/// The shared shortest-augmenting-path core over a [`RowSource`]:
-/// inserts the `n` rows one by one, maintaining dual potentials `u`/`v`
-/// and the column matching `p[j]` (0 = unmatched).
+/// The shared shortest-augmenting-path core over the row-major slice
+/// `data` (row `i` starts at `i * stride` and has `m` entries): inserts
+/// the `n` rows one by one, maintaining dual potentials `u`/`v` and the
+/// column matching `p[j]` (0 = unmatched).
 ///
 /// When `upper` is finite, the optimal cost of the partial assignment
 /// built so far — available in **O(1)** as `-v[0]`, see DESIGN.md §13 —
@@ -167,10 +130,11 @@ impl<T, F: FnMut(usize, &mut [T])> RowSource<T> for LazyRows<'_, T, F> {
 macro_rules! sap_core_impl {
     ($name:ident, $f:ty, $relax:path,
      $u:ident, $v:ident, $minv:ident, $mask:ident, $slack:expr) => {
-        fn $name<R: RowSource<$f>>(
+        fn $name(
             n: usize,
             m: usize,
-            src: &mut R,
+            data: &[$f],
+            stride: usize,
             ws: &mut Workspace,
             upper: $f,
         ) -> bool {
@@ -214,7 +178,7 @@ macro_rules! sap_core_impl {
                     ws.used_list.push(j0);
                     let i0 = ws.p[j0];
                     let u0 = ws.$u[i0];
-                    let row = src.row(i0 - 1);
+                    let row = &data[(i0 - 1) * stride..(i0 - 1) * stride + m];
                     let (delta, jarg) = $relax(
                         row,
                         u0,
@@ -307,30 +271,28 @@ macro_rules! matched_cost_impl {
 matched_cost_impl!(matched_cost, f64, minv);
 matched_cost_impl!(matched_cost_f32, f32, minvf);
 
-/// Full solve over a borrowed row-major `n × m` slice (`n ≤ m`) into a
-/// caller-owned assignment buffer: match every row to a distinct column
-/// minimizing total cost. The `Workspace`-backed path behind
-/// `match_sets`; returns the optimal cost summed in row order.
+/// Full solve over a borrowed row-major `rows × cols` slice
+/// (`rows ≤ cols`) into a caller-owned buffer: match every row to a
+/// distinct column minimizing total cost, and leave `col_to_row[c]` as
+/// the row matched to column `c` (`None` for the `cols - rows` free
+/// columns). `rows = 0` solves nothing and leaves every column free.
+/// The `Workspace`-backed path behind `match_sets` and the engine's
+/// exact stage, which sum the distance from the matching themselves.
 pub fn solve_slice_into(
-    n: usize,
-    m: usize,
+    rows: usize,
+    cols: usize,
     data: &[f64],
     ws: &mut Workspace,
-    row_to_col: &mut Vec<usize>,
-) -> f64 {
-    sap_core(n, m, &mut EagerRows { data, stride: m, m }, ws, f64::INFINITY);
-    row_to_col.clear();
-    row_to_col.resize(n, usize::MAX);
-    for j in 1..=m {
-        if ws.p[j] != 0 {
-            row_to_col[ws.p[j] - 1] = j - 1;
-        }
+    col_to_row: &mut Vec<Option<usize>>,
+) {
+    debug_assert!(cols >= rows && data.len() == rows * cols);
+    col_to_row.clear();
+    if rows == 0 {
+        col_to_row.resize(cols, None);
+        return;
     }
-    let mut total = 0.0;
-    for (i, &j) in row_to_col.iter().enumerate() {
-        total += data[i * m + j];
-    }
-    total
+    sap_core(rows, cols, data, cols, ws, f64::INFINITY);
+    col_to_row.extend(ws.p[1..=cols].iter().map(|&r| r.checked_sub(1)));
 }
 
 /// Bounded cost-only solve over a borrowed row-major `rows × cols`
@@ -338,7 +300,7 @@ pub fn solve_slice_into(
 /// `ws` has reached steady-state capacity. Returns `None` as soon as the
 /// partial optimal cost provably exceeds `upper` (requires non-negative
 /// costs; see [`sap_core`]), `Some(total)` otherwise — exact, summed in
-/// row order like [`solve_slice_into`]; `upper = ∞` never prunes.
+/// row order; `upper = ∞` never prunes.
 pub fn solve_cost_slice_bounded(
     rows: usize,
     cols: usize,
@@ -347,33 +309,10 @@ pub fn solve_cost_slice_bounded(
     upper: f64,
 ) -> Option<f64> {
     debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    if !sap_core(rows, cols, &mut EagerRows { data, stride: cols, m: cols }, ws, upper) {
+    if !sap_core(rows, cols, data, cols, ws, upper) {
         return None;
     }
     Some(matched_cost(rows, cols, cols, data, ws))
-}
-
-/// Bounded cost-only solve that materializes each cost row on demand,
-/// immediately before that row's insertion: when the O(1) dual bound
-/// check aborts after `r` rows, rows `r+1..` are never computed. The
-/// augmenting search only re-reads rows already inserted, so the filled
-/// prefix — and, on the non-pruned path, the result, bit for bit —
-/// matches [`solve_cost_slice_bounded`] over an eagerly built matrix.
-/// `fill_row(i, out)` must write all `cols` entries of row `i`.
-pub fn solve_cost_slice_bounded_lazy(
-    rows: usize,
-    cols: usize,
-    data: &mut [f64],
-    ws: &mut Workspace,
-    upper: f64,
-    fill_row: impl FnMut(usize, &mut [f64]),
-) -> Option<f64> {
-    debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    let mut src = LazyRows { data, stride: cols, m: cols, filled: 0, fill: fill_row };
-    if !sap_core(rows, cols, &mut src, ws, upper) {
-        return None;
-    }
-    Some(matched_cost(rows, cols, cols, src.data, ws))
 }
 
 /// `f32` filter-precision twin of [`solve_cost_slice_bounded`]: the
@@ -391,7 +330,7 @@ pub fn solve_cost_slice_bounded_f32(
     upper: f32,
 ) -> Option<f32> {
     debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    if !sap_core_f32(rows, cols, &mut EagerRows { data, stride: cols, m: cols }, ws, upper) {
+    if !sap_core_f32(rows, cols, data, cols, ws, upper) {
         return None;
     }
     Some(matched_cost_f32(rows, cols, cols, data, ws))
@@ -452,9 +391,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// [`solve_slice_into`] as an [`Assignment`], its cost summed in
+    /// row order.
     fn solve_with(cost: &CostMatrix, ws: &mut Workspace) -> Assignment {
-        let mut row_to_col = Vec::new();
-        let total = solve_slice_into(cost.rows(), cost.cols(), cost.data(), ws, &mut row_to_col);
+        let mut col_to_row = Vec::new();
+        solve_slice_into(cost.rows(), cost.cols(), cost.data(), ws, &mut col_to_row);
+        let mut row_to_col = vec![usize::MAX; cost.rows()];
+        for (c, r) in col_to_row.iter().enumerate() {
+            if let Some(r) = *r {
+                row_to_col[r] = c;
+            }
+        }
+        let mut total = 0.0;
+        for (r, &c) in row_to_col.iter().enumerate() {
+            total += cost.get(r, c);
+        }
         Assignment { row_to_col, cost: total }
     }
 
@@ -464,24 +415,6 @@ mod tests {
 
     fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
         solve_cost_slice_bounded(rows, cols, data, ws, f64::INFINITY).expect("∞ cannot prune")
-    }
-
-    /// [`solve_cost_slice_bounded_lazy`] over rows copied from `data` on
-    /// demand; also returns how many rows the solver asked for.
-    fn solve_lazy_counting(
-        rows: usize,
-        cols: usize,
-        data: &[f64],
-        ws: &mut Workspace,
-        upper: f64,
-    ) -> (Option<f64>, usize) {
-        let mut scratch = vec![f64::NAN; rows * cols];
-        let mut filled = 0;
-        let total = solve_cost_slice_bounded_lazy(rows, cols, &mut scratch, ws, upper, |i, out| {
-            out.copy_from_slice(&data[i * cols..(i + 1) * cols]);
-            filled += 1;
-        });
-        (total, filled)
     }
 
     #[test]
@@ -567,40 +500,6 @@ mod tests {
                 solve_cost_slice(rows, cols, c.data(), &mut ws).to_bits(),
                 reference.to_bits()
             );
-            let (lazy, _) = solve_lazy_counting(rows, cols, c.data(), &mut ws, f64::INFINITY);
-            assert_eq!(lazy.unwrap().to_bits(), reference.to_bits());
-        }
-    }
-
-    /// Why a bounded solve is never slower than an unbounded one: below
-    /// the optimum it stops asking for rows (so the engine never
-    /// computes them), at `upper = ∞` it is the eager solve bit for bit.
-    #[test]
-    fn lazy_bounded_solve_skips_rows_when_pruned_and_equals_eager_when_not() {
-        let mut ws = Workspace::default();
-        for (rows, cols, seed) in [(8usize, 8usize, 21u64), (6, 9, 22), (3, 3, 23)] {
-            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15);
-            // Entries in [1, 2): after r insertions the partial cost is
-            // at least r, and the optimum is below 2·rows.
-            let data: Vec<f64> = (0..rows * cols)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    1.0 + (state >> 11) as f64 / (1u64 << 53) as f64
-                })
-                .collect();
-            let eager = solve_cost_slice(rows, cols, &data, &mut ws);
-
-            let (unbounded, filled) =
-                solve_lazy_counting(rows, cols, &data, &mut ws, f64::INFINITY);
-            assert_eq!(unbounded.unwrap().to_bits(), eager.to_bits(), "{rows}x{cols}");
-            assert_eq!(filled, rows, "an unpruned solve inserts every row");
-
-            // A third of the optimum is below 2·rows/3, which the
-            // partial cost passes before the last row is inserted.
-            let (pruned, filled) = solve_lazy_counting(rows, cols, &data, &mut ws, eager / 3.0);
-            assert_eq!(pruned, None, "{rows}x{cols}: bound below the optimum must prune");
-            assert!(filled < rows, "{rows}x{cols}: pruned solve still filled {filled}/{rows} rows");
-            assert_eq!(solve_cost_slice_bounded(rows, cols, &data, &mut ws, eager / 3.0), None);
         }
     }
 

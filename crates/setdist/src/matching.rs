@@ -1,6 +1,17 @@
 //! The minimal matching distance on vector sets (Definition 6) and the
 //! minimum Euclidean distance under permutation (Definition 4) derived
 //! from it (Section 4.2).
+//!
+//! Definition 6 pads the smaller set with weight slots to a square
+//! problem. [`MinimalMatching::match_sets`] solves the same matching as
+//! an n × m problem instead: row j is element j of the smaller set,
+//! column i element i of the larger, and with n < m the entry is
+//! `d(big_i, small_j) − w(big_i)` (a matched element does not pay its
+//! weight), so only the n real choices are made. The value is then
+//! summed from the matching in big-element order, `d` for a matched
+//! element and `w` for an unmatched one: the sum the square layout
+//! forms. `MatchingEngine` builds the same slice, so both agree bit for
+//! bit.
 
 use crate::hungarian::{self, CostMatrix, Workspace};
 use crate::lp;
@@ -143,14 +154,15 @@ pub struct MatchOutcome {
 }
 
 /// Reusable buffers for [`MinimalMatching::match_sets_with`]: the flat
-/// cost matrix, the Hungarian solver workspace and the assignment
-/// vector. One scratch amortizes every per-call allocation of the
-/// solve.
+/// cost matrix, the larger set's weights, the Hungarian solver
+/// workspace and the matching. One scratch amortizes every per-call
+/// allocation of the solve.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     cost: Vec<f64>,
+    weights: Vec<f64>,
     ws: Workspace,
-    row_to_col: Vec<usize>,
+    col_to_row: Vec<Option<usize>>,
 }
 
 /// The minimal matching distance `dist_mm^{w, dist}` (Definition 6),
@@ -210,53 +222,45 @@ impl MinimalMatching {
         let m = big.len();
         let n = small.len();
 
-        if m == 0 {
-            return MatchOutcome {
-                cost: self.finish(0.0),
-                pairs: Vec::new(),
-                unmatched: Vec::new(),
-                unmatched_side: 0,
-                permutation_needed: false,
-            };
+        // The n × m problem of the module docs. With n = 0 nothing is
+        // solved and every element is unmatched.
+        let MatchScratch { cost, weights, ws, col_to_row } = scratch;
+        weights.clear();
+        if n < m {
+            weights.extend(big.iter().map(|v| self.weight.eval(v)));
         }
-
-        // Square m x m cost matrix: the first n columns are the elements
-        // of the smaller set, the remaining m - n are "unmatched" slots
-        // whose cost is the weight of the row element. Filled flat into
-        // scratch and solved over the slice — no CostMatrix or solver
-        // buffers allocated per call.
-        scratch.cost.clear();
-        scratch.cost.resize(m * m, 0.0);
-        for i in 0..m {
-            let bi = big.get(i);
-            let row = &mut scratch.cost[i * m..(i + 1) * m];
-            for (j, slot) in row.iter_mut().take(n).enumerate() {
-                *slot = self.point_distance.eval(bi, small.get(j));
-            }
-            let w = self.weight.eval(bi);
-            for slot in row.iter_mut().skip(n) {
-                *slot = w;
+        cost.clear();
+        for j in 0..n {
+            let sj = small.get(j);
+            cost.extend(big.iter().map(|bi| self.point_distance.eval(bi, sj)));
+            if n < m {
+                for (c, &w) in cost[j * m..].iter_mut().zip(weights.iter()) {
+                    *c -= w;
+                }
             }
         }
-        let sol_cost = hungarian::solve_slice_into(
-            m,
-            m,
-            &scratch.cost,
-            &mut scratch.ws,
-            &mut scratch.row_to_col,
-        );
+        hungarian::solve_slice_into(n, m, cost, ws, col_to_row);
 
+        // The value is summed from the matching in big-element order —
+        // `d` for a matched element, `w` for an unmatched one — never
+        // from the shifted entries.
+        let mut sol_cost = 0.0;
         let mut pairs = Vec::with_capacity(n);
         let mut unmatched = Vec::with_capacity(m - n);
-        for (i, &j) in scratch.row_to_col.iter().enumerate() {
-            if j < n {
-                if big_is_first {
-                    pairs.push((i, j));
-                } else {
-                    pairs.push((j, i));
+        for (i, &j) in col_to_row.iter().enumerate() {
+            match j {
+                Some(j) => {
+                    sol_cost += if n == m {
+                        cost[j * m + i]
+                    } else {
+                        self.point_distance.eval(big.get(i), small.get(j))
+                    };
+                    pairs.push(if big_is_first { (i, j) } else { (j, i) });
                 }
-            } else {
-                unmatched.push(i);
+                None => {
+                    sol_cost += weights[i];
+                    unmatched.push(i);
+                }
             }
         }
         pairs.sort_unstable();
@@ -266,8 +270,8 @@ impl MinimalMatching {
         for i in 0..n {
             id_cost += self.point_distance.eval(big.get(i), small.get(i));
         }
-        for i in n..m {
-            id_cost += self.weight.eval(big.get(i));
+        for &w in weights.iter().skip(n) {
+            id_cost += w;
         }
         let permutation_needed = sol_cost < id_cost - 1e-9;
 

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use vsim_setdist::matching::{brute_force_matching_distance, MinimalMatching};
-use vsim_setdist::{MatchingEngine, VectorSet};
+use vsim_setdist::{MatchingEngine, PrefilteredDistance, VectorSet};
 
 fn random_set(rng: &mut StdRng, k: usize) -> VectorSet {
     let mut s = VectorSet::new(6);
@@ -97,19 +97,27 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
             bench
                 .iter(|| engine.distance(std::hint::black_box(&pa), std::hint::black_box(&pb), inf))
         });
-        // A tight bound (half the exact distance): measures the abort
-        // path the k-NN refinement takes on losing candidates — query
-        // prepared, candidate raw, f32 stage first.
-        let upper = mm.distance_value(&a, &b) * 0.5;
-        g.bench_with_input(BenchmarkId::new("engine_bounded_tight", k), &k, |bench, _| {
-            bench.iter(|| {
-                engine.distance(
-                    std::hint::black_box(&pa),
-                    std::hint::black_box(&b),
-                    std::hint::black_box(upper),
-                )
-            })
-        });
+        // Bounded calls as the k-NN refinement makes them: query
+        // prepared, candidate raw. At half the exact distance the f32
+        // gate's row minima decide (`engine_bounded_tight`); at 0.99 of
+        // it they fall short, and the f64 stage solves and prunes
+        // (`engine_bounded_near`).
+        let exact = mm.distance_value(&a, &b);
+        for (name, upper, stage) in [
+            ("engine_bounded_tight", exact * 0.5, PrefilteredDistance::PrunedByF32),
+            ("engine_bounded_near", exact * 0.99, PrefilteredDistance::Pruned),
+        ] {
+            assert_eq!(engine.distance(&pa, &b, upper), stage, "{name}/{k}");
+            g.bench_with_input(BenchmarkId::new(name, k), &k, |bench, _| {
+                bench.iter(|| {
+                    engine.distance(
+                        std::hint::black_box(&pa),
+                        std::hint::black_box(&b),
+                        std::hint::black_box(upper),
+                    )
+                })
+            });
+        }
     }
     // Unequal sizes, prepared, `upper = ∞`: the exact stage's n × m
     // path, as `cluster` runs it for most pairs.

@@ -68,8 +68,7 @@ pub fn surjection_with(x: &VectorSet, y: &VectorSet, ws: &mut hungarian::Workspa
             *slot = row_min;
         }
     }
-    hungarian::solve_cost_slice_bounded(m, m, &cost, ws, f64::INFINITY)
-        .expect("unbounded solve cannot prune")
+    hungarian::solve_cost_slice(m, m, &cost, ws)
 }
 
 /// Fair surjection distance: like [`surjection`] but every target must

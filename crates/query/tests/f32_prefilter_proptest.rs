@@ -90,3 +90,46 @@ fn f32_prefilter_fires_on_realistic_workloads() {
         assert!(f32_prunes > 0, "{mm:?}: f32 prefilter never fired on 500 objects");
     }
 }
+
+/// Far from the origin an f32 coordinate is off by more than the sets
+/// are apart: 2 000 three-element sets within 0.05 of (1e4, …, 1e4).
+/// The gate's margin follows the coordinates' magnitude, so the 10-NN of
+/// every query equals brute force under the vector set model, and the
+/// pure-f64 loop under both models — ids in order and distance bits.
+/// (Under the permutation model the centroid filter's `k·‖Δc‖` exceeds
+/// the distance of near-translated sets, whose bound is `√k·‖Δc‖`, so
+/// both loops miss true neighbours here: ROADMAP, "Open".)
+#[test]
+fn knn_far_from_the_origin_equals_brute_force() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let sets: Vec<VectorSet> = (0..2_000)
+        .map(|_| {
+            let mut s = VectorSet::new(6);
+            for _ in 0..3 {
+                let v: Vec<f64> = (0..6).map(|_| 1e4 + rng.gen_range(0.0..0.05)).collect();
+                s.push(&v);
+            }
+            s
+        })
+        .collect();
+    let bits =
+        |hits: &[(u64, f64)]| hits.iter().map(|&(id, d)| (id, d.to_bits())).collect::<Vec<_>>();
+    for mm in models() {
+        let idx = FilterRefineIndex::build(&sets, 6, 3).with_model(mm.clone());
+        for qi in (0..sets.len()).step_by(25) {
+            let q = &sets[qi];
+            let (fast, _) = idx.knn(q, 10);
+            let (naive, _) = knn_naive(&idx, 3, q, 10);
+            assert_eq!(bits(&fast), bits(&naive), "{mm:?} query {qi}");
+            if !mm.sqrt_of_total {
+                let mut brute: Vec<(u64, f64)> = sets
+                    .iter()
+                    .enumerate()
+                    .map(|(id, s)| (id as u64, mm.distance_value(q, s)))
+                    .collect();
+                brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                assert_eq!(bits(&fast), bits(&brute[..10]), "{mm:?} query {qi}");
+            }
+        }
+    }
+}

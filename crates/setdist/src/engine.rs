@@ -15,10 +15,13 @@
 //!   `d ≤ upper`, and `upper = ∞` never prunes;
 //! * the **precision ladder** is internal policy: when the bound is
 //!   finite and the dims fit the lane layout (≤ 8, both paper models),
-//!   an `f32` bounded solve of the square `m × m` matrix runs first with
-//!   the bound widened by a derived margin δ and aborts on the O(1) dual
-//!   bound (DESIGN.md §13), so its prunes are *provable* in `f64` terms;
-//!   it only filters, so results never depend on it;
+//!   an `f32` gate runs first. It solves nothing: each element of the
+//!   larger set is matched or pays its weight, so the distance is at
+//!   least the sum of each such element's least `f32` entry. The gate
+//!   adds those row minima one row at a time and stops at the first
+//!   partial sum above the bound widened by a derived margin δ
+//!   (DESIGN.md §13), so its prunes are *provable* in `f64` terms; it
+//!   only filters, so results never depend on it;
 //! * the exact stage solves the **n × m** problem — row j is element j
 //!   of the smaller set, column i element i of the larger, the entry
 //!   `d(big_i, small_j) − w(big_i)` when n < m — in full, then re-sums
@@ -40,25 +43,25 @@
 //! (property-tested below for both paper models, on tie-heavy inputs).
 
 use crate::hungarian::{self, Workspace};
-use crate::matching::MinimalMatching;
+use crate::matching::{MinimalMatching, PointDistance};
 use crate::simd;
 use crate::types::VectorSet;
 
 /// Outcome of [`MatchingEngine::distance`]: the exact value, or which
 /// stage of the precision ladder proved the bound violation — so
-/// callers can count how much exact work the filter-precision stage
-/// saved.
+/// callers can count how much exact work the f32 gate saved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrefilteredDistance {
     /// The exact distance, which is ≤ the bound — bit-identical to the
-    /// unbounded result (the bound and the f32 stage never alter the
+    /// unbounded result (the bound and the f32 gate never alter the
     /// value, only skip work).
     Exact(f64),
-    /// The f32 filter stage proved the distance exceeds the bound (by
-    /// more than the δ margin); the exact kernel never ran.
+    /// The f32 gate proved the distance exceeds the bound (its sum of
+    /// row minima did, by more than the δ margin); the exact kernel
+    /// never ran.
     PrunedByF32,
-    /// The exact f64 distance exceeds the bound (the f32 stage could
-    /// not decide).
+    /// The exact f64 distance exceeds the bound (the f32 gate could not
+    /// decide).
     Pruned,
 }
 
@@ -75,14 +78,14 @@ impl PrefilteredDistance {
         !matches!(self, PrefilteredDistance::Exact(_))
     }
 
-    /// Whether the cheap f32 stage alone decided the prune.
+    /// Whether the cheap f32 gate alone decided the prune.
     pub fn pruned_by_f32(self) -> bool {
         matches!(self, PrefilteredDistance::PrunedByF32)
     }
 }
 
 /// A vector set with its per-element weights `w(xᵢ)` — and, for lane
-/// dims (≤ 8), its padded `f64`/`f32` lane rows and `f32` weights —
+/// dims (≤ 8), its padded `f64`/`f32` lane rows and largest `f32` norm —
 /// precomputed for one [`MinimalMatching`] model. In OPTICS every
 /// object participates in `O(n)` distance evaluations; preparing once
 /// turns every weight into a table lookup and skips the per-call row
@@ -93,10 +96,11 @@ pub struct PreparedSet {
     weights: Vec<f64>,
     /// `LANES`-strided padded rows; empty when `dim > LANES`.
     pad: Vec<f64>,
-    /// `f32` twin of `pad` for the filter-precision stage.
+    /// `f32` twin of `pad` for the f32 gate.
     pad32: Vec<f32>,
-    /// `f32` weight table (converted once from `weights`).
-    weights32: Vec<f32>,
+    /// The largest `f32` element norm (0 without lane rows): this set's
+    /// share of the gate's input scale.
+    norm32: f32,
 }
 
 impl PreparedSet {
@@ -104,14 +108,14 @@ impl PreparedSet {
     /// weight function.
     pub fn new(set: VectorSet, mm: &MinimalMatching) -> Self {
         let weights: Vec<f64> = set.iter().map(|v| mm.weight.eval(v)).collect();
-        let weights32 = weights.iter().map(|&w| w as f32).collect();
         let mut pad = Vec::new();
         let mut pad32 = Vec::new();
         if set.dim() <= simd::LANES {
             simd::pad_rows(set.dim(), set.flat(), &mut pad);
             simd::pad_rows_f32(set.dim(), set.flat(), &mut pad32);
         }
-        PreparedSet { set, weights, pad, pad32, weights32 }
+        let norm32 = max_norm_f32(&pad32);
+        PreparedSet { set, weights, pad, pad32, norm32 }
     }
 
     pub fn set(&self) -> &VectorSet {
@@ -190,12 +194,8 @@ pub struct MatchingEngine {
     pbig: Vec<f64>,
     psmall: Vec<f64>,
     wbig: Vec<f64>,
-    /// `f32` scratch `m × m` cost matrix for the filter-precision stage.
-    cost32: Vec<f32>,
-    /// `f32` scratch weight table for the larger set when it is not a
-    /// [`PreparedSet`].
-    wbig32: Vec<f32>,
-    pbig32: Vec<f32>,
+    /// `f32` padded lane rows of the smaller set for the f32 gate, when
+    /// it is not a [`PreparedSet`].
     psmall32: Vec<f32>,
 }
 
@@ -209,9 +209,6 @@ impl MatchingEngine {
             pbig: Vec::new(),
             psmall: Vec::new(),
             wbig: Vec::new(),
-            cost32: Vec::new(),
-            wbig32: Vec::new(),
-            pbig32: Vec::new(),
             psmall32: Vec::new(),
         }
     }
@@ -260,8 +257,8 @@ impl MatchingEngine {
     }
 
     /// The body of [`MatchingEngine::distance`] (not generic, so it is
-    /// compiled once): orient, run the f32 filter stage when it can
-    /// decide anything, then solve the exact n × m problem in full and
+    /// compiled once): orient, run the f32 gate when it can decide
+    /// anything, then solve the exact n × m problem in full and
     /// compare the finished distance with `upper`.
     fn solve(&mut self, x: Operand<'_>, y: Operand<'_>, upper: f64) -> PrefilteredDistance {
         assert_eq!(x.set().dim(), y.set().dim(), "vector sets of different dimension");
@@ -276,11 +273,11 @@ impl MatchingEngine {
         let dim = big.dim();
         let lanes = dim <= simd::LANES;
 
-        // Stage 1: f32 filter-precision solve. Only worth running when a
-        // finite bound exists (with `upper = ∞` nothing can prune) and
-        // the dims fit the lane layout. It bounds the raw matched sum,
-        // so the permutation model's bound is squared (Section 4.2); the
-        // sum is non-negative, so a negative bound clamps to 0.
+        // Stage 1: the f32 gate. Only worth running when a finite bound
+        // exists (with `upper = ∞` nothing can prune) and the dims fit
+        // the lane layout. It bounds the raw matched sum, so the
+        // permutation model's bound is squared (Section 4.2); the sum is
+        // non-negative, so a negative bound clamps to 0.
         if lanes && m > 0 && upper.is_finite() {
             let raw_upper = if self.mm.sqrt_of_total {
                 let u = upper.max(0.0);
@@ -288,7 +285,7 @@ impl MatchingEngine {
             } else {
                 upper
             };
-            if self.f32_stage(big_op, small_op, raw_upper).is_none() {
+            if self.f32_prunes(big_op, small_op, raw_upper) {
                 return PrefilteredDistance::PrunedByF32;
             }
         }
@@ -364,79 +361,117 @@ impl MatchingEngine {
         }
     }
 
-    /// The f32 filter stage: fill the f32 cost matrix from padded lane
-    /// rows, widen the bound by the δ margin and run the f32 bounded
-    /// core. `None` = the **f64** distance provably exceeds `upper`
-    /// (DESIGN.md §13); `Some(total32)` = the f32 raw matched sum.
-    /// Requires `m > 0`, `dim ≤ LANES` and `big`/`small` oriented as in
+    /// The f32 gate (DESIGN.md §13): `true` iff the **f64** distance
+    /// provably exceeds `upper`. Every element of the larger set is
+    /// either matched, paying its distance to one element of the smaller
+    /// set, or unmatched, paying its weight; so the raw matched sum is at
+    /// least the sum, over the larger set, of each element's least
+    /// `f32` entry (its weight is a candidate only when n < m). The rows
+    /// are added one by one, and the gate stops at the first partial sum
+    /// above `upper` widened by the δ margin of the rows seen so far.
+    /// No matrix is stored and nothing is solved. Requires `m > 0`,
+    /// `dim ≤ LANES` and `big`/`small` oriented as in
     /// [`MatchingEngine::solve`]; `upper` is on the raw matched-sum scale.
-    fn f32_stage(&mut self, big: Operand<'_>, small: Operand<'_>, upper: f64) -> Option<f32> {
-        let (big, pbig_prep) = (big.set(), big.prepared());
-        let (small, psmall_prep) = (small.set(), small.prepared());
-        let m = big.len();
-        let n = small.len();
-        let dim = big.dim();
-        let MatchingEngine { mm, ws, cost32, wbig32, pbig32, psmall32, .. } = self;
-
-        let bigp: &[f32] = match pbig_prep {
-            Some(p) => &p.pad32,
-            None => {
-                simd::pad_rows_f32(dim, big.flat(), pbig32);
-                pbig32
+    fn f32_prunes(&mut self, big: Operand<'_>, small: Operand<'_>, upper: f64) -> bool {
+        let MatchingEngine { mm, psmall32, .. } = self;
+        let m = big.set().len();
+        let n = small.set().len();
+        // Every small row is read by every big row: pad them once,
+        // unless prepared.
+        let (smallp, small_norm): (&[f32], f32) = match small {
+            Operand::Prepared(p) => (&p.pad32, p.norm32),
+            Operand::Raw(set) => {
+                simd::pad_rows_f32(set.dim(), set.flat(), psmall32);
+                (psmall32, max_norm_f32(psmall32))
             }
         };
-        let smallp: &[f32] = match psmall_prep {
-            Some(p) => &p.pad32,
-            None => {
-                simd::pad_rows_f32(dim, small.flat(), psmall32);
-                psmall32
+        // δ margin (DESIGN.md §13). An f32 entry is off by less than 4ε
+        // of its input scale — the sum of the two points' norms, on the
+        // entry's own scale — and a weight by ε/2 of itself; the running
+        // sum of i rows adds i·ε/2 of itself, the bound's conversion ε/2.
+        // With M the largest of those scales over the rows seen so far,
+        // the margin is twice that. Widening the bound only ever makes
+        // the gate prune *less*; false prunes are what δ rules out.
+        let point_distance = mm.point_distance;
+        let input_scale = |norms: f32| {
+            // Below this, squares round in f32's subnormal range, by an
+            // absolute 2⁻¹⁵⁰ rather than relative to themselves.
+            let norms = norms.max(1e-15);
+            match point_distance {
+                PointDistance::Euclidean => norms,
+                PointDistance::SquaredEuclidean => norms * norms,
+                PointDistance::Manhattan => norms * (simd::LANES as f32).sqrt(),
             }
         };
-        let weights32: &[f32] = match pbig_prep {
-            Some(p) => &p.weights32,
-            None => {
-                wbig32.clear();
-                wbig32.extend(big.iter().map(|v| mm.weight.eval(v) as f32));
-                wbig32
-            }
-        };
-
-        if cost32.len() < m * m {
-            cost32.resize(m * m, 0.0);
-        }
-        cost32.truncate(m * m);
-        let mut max_entry = 0.0f32;
+        let upper32 = upper as f32;
+        let bound = upper32 + (m + 2) as f32 * f32::EPSILON * upper32.abs();
+        let per_scale = 8.0 * m as f32 * f32::EPSILON;
+        let mut max_scale = 0.0f32;
+        let mut sum = 0.0f32;
         for i in 0..m {
-            let bi = simd::row_f32(bigp, i);
-            let row = &mut cost32[i * m..(i + 1) * m];
-            for (j, slot) in row.iter_mut().take(n).enumerate() {
-                *slot = mm.point_distance.eval_lanes_f32(bi, simd::row_f32(smallp, j));
-            }
-            let w = weights32[i];
-            for slot in row.iter_mut().skip(n) {
-                *slot = w;
-            }
-            for &c in row.iter() {
-                max_entry = max_entry.max(c.abs());
+            // Big rows are read once each: a raw one is padded, and its
+            // weight evaluated, only when the gate reaches it.
+            let (bi, big_norm) = match big {
+                Operand::Prepared(p) => (*simd::row_f32(&p.pad32, i), p.norm32),
+                Operand::Raw(set) => {
+                    let bi = simd::pad_f32(set.get(i));
+                    (bi, simd::norm_f32(&bi))
+                }
+            };
+            // The least distance to the smaller set. A Euclidean entry is
+            // compared squared and rooted once: `sqrt` is monotone and
+            // correctly rounded, so the least is the same value.
+            let nearest = match point_distance {
+                PointDistance::Euclidean => least_f32(&bi, smallp, simd::sq_l2_f32).sqrt(),
+                PointDistance::SquaredEuclidean => least_f32(&bi, smallp, simd::sq_l2_f32),
+                PointDistance::Manhattan => least_f32(&bi, smallp, simd::l1_f32),
+            };
+            // With n < m the element may stay unmatched and pay its weight.
+            let weight = match big {
+                _ if n == m => f32::INFINITY,
+                Operand::Prepared(p) => p.weights[i] as f32,
+                Operand::Raw(set) => mm.weight.eval(set.get(i)) as f32,
+            };
+            let least = if weight < nearest || weight.is_nan() { weight } else { nearest };
+            sum += least;
+            max_scale = max_scale.max(least).max(input_scale(big_norm + small_norm));
+            // Non-negative entries: the partial sums only grow, so one
+            // above the widened bound proves the whole sum is. A NaN sum
+            // prunes too, unless it came from inputs beyond f32's range
+            // (an infinite scale), where the gate decides nothing.
+            if sum > bound + per_scale * max_scale || sum.is_nan() && max_scale.is_finite() {
+                return true;
             }
         }
-
-        // δ margin (DESIGN.md §13): covers the f64→f32 input conversion,
-        // the f32 cost-entry arithmetic, the solver's own rounding and
-        // the f64→f32 conversion of the bound itself. Widening the bound
-        // only ever makes the filter *less* aggressive, so overshooting
-        // is safe; false prunes are what δ rules out.
-        let upper32 = if upper.is_finite() {
-            let mf = m as f32;
-            let margin = mf * mf * 16.0 * f32::EPSILON * max_entry
-                + 2.0 * f32::EPSILON * (upper as f32).abs();
-            upper as f32 + margin
-        } else {
-            f32::INFINITY
-        };
-
-        hungarian::solve_cost_slice_bounded_f32(m, m, cost32, ws, upper32)
+        false
     }
+}
+
+/// The least `entry(b, row)` over the rows of a `LANES`-strided `f32`
+/// buffer (∞ when it is empty). Not `f32::min`, which skips a NaN: a NaN
+/// entry must reach the gate's sum, and a NaN sum prunes.
+fn least_f32(
+    b: &[f32; simd::LANES],
+    padded: &[f32],
+    entry: impl Fn(&[f32; simd::LANES], &[f32; simd::LANES]) -> f32,
+) -> f32 {
+    let mut least = f32::INFINITY;
+    for r in 0..padded.len() / simd::LANES {
+        let d = entry(b, simd::row_f32(padded, r));
+        if d < least || d.is_nan() {
+            least = d;
+        }
+    }
+    least
+}
+
+/// The largest Euclidean norm of a `LANES`-strided `f32` row buffer (0
+/// when it is empty).
+fn max_norm_f32(padded: &[f32]) -> f32 {
+    (0..padded.len() / simd::LANES)
+        .map(|r| simd::sq_norm_f32(simd::row_f32(padded, r)))
+        .fold(0.0, f32::max)
+        .sqrt()
 }
 
 #[cfg(test)]
@@ -513,54 +548,175 @@ mod tests {
         }
     }
 
-    /// Adversarial δ-bound check: cost matrices whose entries are not
-    /// representable in `f32` (thirds, sevenths, tenths) and upper
-    /// bounds swept through a tight neighborhood of the exact distance —
-    /// ulp by ulp across the threshold. The f32 stage may only prune
-    /// when the exact f64 distance is *strictly* above the bound; any
-    /// under-sized margin δ fails here first, because the f32 solve of
-    /// these matrices lands within a few ulps of the widened bound.
+    /// Sweep `upper` across the exact distance of `x` and `y` — wide
+    /// relative offsets down to single ulps — through every operand
+    /// pairing: `Exact` must carry the exact bits, and either stage may
+    /// prune only when the exact distance is *strictly* above the bound.
+    fn assert_sound_across_exact(mm: &MinimalMatching, x: &VectorSet, y: &VectorSet, case: &str) {
+        let exact = mm.distance_value(x, y);
+        let mut e = MatchingEngine::new(mm.clone());
+        let mut uppers: Vec<f64> = (-50i64..=50).map(|j| exact * (1.0 + j as f64 * 1e-8)).collect();
+        for ulps in -4i64..=4 {
+            uppers.push(f64::from_bits((exact.to_bits() as i64 + ulps) as u64));
+        }
+        for upper in uppers {
+            match distance_all_pairings(&mut e, x, y, upper) {
+                Exact(d) => assert_eq!(d.to_bits(), exact.to_bits(), "{mm:?} {case}"),
+                PrunedByF32 => assert!(
+                    exact > upper,
+                    "{mm:?} {case}: f32 gate FALSELY pruned at upper {upper} \
+                     (exact {exact}, diff {:e})",
+                    exact - upper
+                ),
+                Pruned => assert!(
+                    exact > upper,
+                    "{mm:?} {case}: f64 stage falsely pruned at upper {upper}"
+                ),
+            }
+        }
+    }
+
+    /// Coordinates that are inexact in binary at both precisions
+    /// (denominators 3, 7 and 10), in `[0, 3.4)`.
+    fn inexact_coords(len: usize, seed: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let t = (i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 97;
+                (t as f64 / 3.0 + i as f64 / 7.0) / 10.0
+            })
+            .collect()
+    }
+
+    /// Adversarial δ-bound check on f32-hostile inputs, with `upper`
+    /// swept ulp by ulp across the exact distance; any under-sized
+    /// margin fails here first. The offset cases put n = m sets far
+    /// from the origin, each element of `y` within 1e-3 of one of `x`:
+    /// there an f32 entry's error follows the coordinates' magnitude,
+    /// not the entry's, which a margin scaled by the entries alone
+    /// misses. At the ends of f32's range the gate must defer to the f64
+    /// stage: squares below f32's normal range round by an absolute
+    /// 2⁻¹⁵⁰ (a point 3e-23 from the origin is 3.7e-23 from it in f32),
+    /// and coordinates beyond `f32::MAX` turn into `∞ − ∞ = NaN` in f32,
+    /// which must not prune a pair whose distance is 0.
     #[test]
     fn f32_margin_never_false_prunes_near_the_threshold() {
         for mm in models() {
             for (cx, cy, seed) in [(5usize, 3usize, 1u64), (8, 8, 2), (2, 7, 3), (1, 1, 4)] {
-                // Denominators 3, 7, 10 make every coordinate inexact in
-                // binary at both precisions.
-                let coords = |card: usize, s: u64| -> Vec<f64> {
-                    (0..card * 6)
-                        .map(|i| {
-                            let t = (i as u64).wrapping_mul(2654435761).wrapping_add(s) % 97;
-                            (t as f64 / 3.0 + i as f64 / 7.0) / 10.0
-                        })
-                        .collect()
-                };
-                let x = set_from(6, &coords(cx, seed));
-                let y = set_from(6, &coords(cy, seed.wrapping_mul(31)));
-                let exact = mm.distance_value(&x, &y);
-                let mut e = MatchingEngine::new(mm.clone());
+                let x = set_from(6, &inexact_coords(cx * 6, seed));
+                let y = set_from(6, &inexact_coords(cy * 6, seed.wrapping_mul(31)));
+                assert_sound_across_exact(&mm, &x, &y, &format!("{cx}x{cy}"));
+            }
+            for offset in [1e2, 1e4, 1e6] {
+                let xs: Vec<f64> = inexact_coords(5 * 6, 5).iter().map(|c| offset + c).collect();
+                let noise = inexact_coords(5 * 6, 6);
+                let ys: Vec<f64> = xs.iter().zip(&noise).map(|(c, n)| c + n * 3e-4).collect();
+                let (x, y) = (set_from(6, &xs), set_from(6, &ys));
+                assert_sound_across_exact(&mm, &x, &y, &format!("5x5 at offset {offset:e}"));
+            }
+            for v in [2.9e-23, 3e-23, 5e-23, 2e-22, 3e-21] {
+                let x = set_from(6, &[v, 0.0, 0.0, 0.0, 0.0, 0.0]);
+                let y = set_from(6, &[0.0; 6]);
+                assert_sound_across_exact(&mm, &x, &y, &format!("1v1 at {v:e}"));
+            }
+            let huge = set_from(
+                6,
+                &inexact_coords(3 * 6, 13).iter().map(|c| 1e39 * (1.0 + c)).collect::<Vec<_>>(),
+            );
+            let mut e = MatchingEngine::new(mm.clone());
+            assert_eq!(distance_all_pairings(&mut e, &huge, &huge, 1.0), Exact(0.0), "{mm:?}");
+        }
+    }
 
-                // Sweep the bound across the threshold: wide relative
-                // offsets down to single-ulp steps around `exact`.
-                let mut uppers: Vec<f64> =
-                    (-50i64..=50).map(|j| exact * (1.0 + j as f64 * 1e-8)).collect();
-                for ulps in -4i64..=4 {
-                    uppers.push(f64::from_bits((exact.to_bits() as i64 + ulps) as u64));
-                }
-                for upper in uppers {
-                    match distance_all_pairings(&mut e, &x, &y, upper) {
-                        Exact(d) => {
-                            assert_eq!(d.to_bits(), exact.to_bits(), "{mm:?} {cx}x{cy}");
-                        }
-                        PrunedByF32 => assert!(
-                            exact > upper,
-                            "{mm:?} {cx}x{cy}: f32 stage FALSELY pruned at upper {upper} \
-                             (exact {exact}, diff {:e})",
-                            exact - upper
-                        ),
-                        Pruned => assert!(
-                            exact > upper,
-                            "{mm:?} {cx}x{cy}: f64 stage falsely pruned at upper {upper}"
-                        ),
+    /// Where the gate is tight: each element of `y` is one of `x`'s
+    /// moved by a little noise, and when n < m the surplus elements of
+    /// `x` sit next to the origin, so every element's least entry is
+    /// its term of the optimal matching and the sum of row minima *is*
+    /// the exact distance. Below the exact value the gate prunes; swept
+    /// ulp by ulp across it, it never prunes a bound at or above it. A
+    /// gate without the δ margin prunes some of those.
+    #[test]
+    fn f32_gate_is_tight_where_row_minima_are_optimal() {
+        for mm in models() {
+            for (seed, surplus) in [(7u64, 0usize), (8, 0), (9, 2), (10, 3)] {
+                let mut xs = inexact_coords(5 * 6, seed);
+                let noise = inexact_coords(5 * 6, seed + 100);
+                let ys: Vec<f64> =
+                    xs.iter().zip(&noise).map(|(c, n)| c + (n - 1.7) * 6e-2).collect();
+                xs.extend(inexact_coords(surplus * 6, seed + 200).iter().map(|c| c * 1e-3));
+                let (x, y) = (set_from(6, &xs), set_from(6, &ys));
+                let case = format!("5 + {surplus} v 5, seed {seed}");
+                // The premise: the sum of row minima is the exact distance.
+                let exact = mm.distance_value(&x, &y);
+                let rows: f64 = x
+                    .iter()
+                    .map(|xi| {
+                        let d = y.iter().map(|yj| mm.point_distance.eval(xi, yj));
+                        d.fold(
+                            if surplus > 0 { mm.weight.eval(xi) } else { f64::INFINITY },
+                            f64::min,
+                        )
+                    })
+                    .sum();
+                assert!(
+                    (mm.finish(rows) - exact).abs() <= 1e-12 * exact,
+                    "{case}: {rows} v {exact}"
+                );
+                assert_sound_across_exact(&mm, &x, &y, &case);
+                let mut e = MatchingEngine::new(mm.clone());
+                assert_eq!(
+                    distance_all_pairings(&mut e, &x, &y, exact * 0.9),
+                    PrunedByF32,
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    /// The first element of the larger set is far from every element of
+    /// the smaller one, the rest coincide with some (n = m and n < m):
+    /// the first row's least entry alone exceeds the bound, so the gate
+    /// decides on one row.
+    #[test]
+    fn f32_gate_prunes_on_the_first_row() {
+        for mm in models() {
+            let y = set_from(2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+            for x in
+                [&[9.0, 9.0, 0.0, 1.0, 1.0, 1.0][..], &[9.0, 9.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]]
+            {
+                let x = set_from(2, x);
+                let first = y
+                    .iter()
+                    .map(|yj| mm.point_distance.eval(x.get(0), yj))
+                    .fold(f64::INFINITY, f64::min);
+                let mut e = MatchingEngine::new(mm.clone());
+                let upper = mm.finish(first * 0.9);
+                assert_eq!(distance_all_pairings(&mut e, &x, &y, upper), PrunedByF32, "{mm:?}");
+            }
+        }
+    }
+
+    /// A NaN coordinate in either set, with n = m and with n < m, makes
+    /// the gate prune at every finite bound, for both paper models: a
+    /// NaN entry reaches the row minimum and a NaN sum prunes. (Whether
+    /// the exact stage should meet a NaN at all is still open.)
+    #[test]
+    fn f32_gate_prunes_nan_at_every_finite_bound() {
+        for mm in models() {
+            for (nb, ns) in [(3usize, 3usize), (4, 2), (2, 1)] {
+                for (in_big, at) in [(true, 0usize), (true, 7), (false, 1), (false, 5)] {
+                    let mut big = inexact_coords(nb * 6, 11);
+                    let mut small = inexact_coords(ns * 6, 12);
+                    let v = if in_big { &mut big } else { &mut small };
+                    v[at] = f64::NAN;
+                    let (x, y) = (set_from(6, &big), set_from(6, &small));
+                    let mut e = MatchingEngine::new(mm.clone());
+                    for upper in [-1.0, 0.0, 1.0, 5.0, 1e3, 1e30, 1e39, 1e300, f64::MAX] {
+                        assert_eq!(
+                            distance_all_pairings(&mut e, &x, &y, upper),
+                            PrunedByF32,
+                            "{mm:?} {nb}v{ns}, NaN at {at} of the {} set, upper {upper:e}",
+                            if in_big { "larger" } else { "smaller" }
+                        );
                     }
                 }
             }
@@ -639,7 +795,7 @@ mod tests {
         /// the exact distance is ≤ upper, and prunes (in either stage)
         /// only when it really exceeds the bound: for every operand
         /// pairing, in both argument orders, on the lane path and above
-        /// `LANES` dims (where no f32 stage runs).
+        /// `LANES` dims (where no f32 gate runs).
         #[test]
         fn bounded_distance_contract(
             coords in proptest::collection::vec(-5.0f64..5.0, 2 * 6 * 12),

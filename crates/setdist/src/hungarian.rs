@@ -18,14 +18,10 @@
 //! sentinel written into `mask`/`minv` when a column joins the
 //! alternating tree, so the relaxation + argmin scan
 //! ([`crate::simd::relax_scan_f64`]) and the `minv -= delta` shift run
-//! as straight-line vector code over the whole column range. The
-//! bounded variants' per-row cost check is **O(1)**: the running optimal
-//! partial-assignment cost equals `-v[0]`, the dual potential of the
-//! virtual root column (DESIGN.md §13 derives this), instead of an
-//! `O(m)` per-row primal re-summation. It needs non-negative costs, so
-//! it backs the square `f32` filter stage of `MatchingEngine::distance`
-//! ([`solve_cost_slice_bounded_f32`]), not the exact stage, whose
-//! `d − w` entries can be negative.
+//! as straight-line vector code over the whole column range. Every solve
+//! runs to the end: nothing here aborts on a bound. The engine's `f32`
+//! gate in front of the exact stage bounds the distance without solving
+//! anything (DESIGN.md §13).
 //!
 //! The original scalar kernel survives verbatim as the test-only
 //! `reference` module, the cross-validation oracle of the tests below.
@@ -92,9 +88,7 @@ impl CostMatrix {
 
 /// Reusable buffers for repeated assignment solving (OPTICS runs evaluate
 /// millions of matchings; per-call allocation is measurable), shared by
-/// every kernel below. The `f`-suffixed twins back the `f32`
-/// filter-precision core; the integer buffers (`p`, `way`, `used_list`)
-/// are shared by both precisions.
+/// every kernel below.
 #[derive(Debug, Default)]
 pub struct Workspace {
     u: Vec<f64>,
@@ -108,168 +102,116 @@ pub struct Workspace {
     /// Columns added to the alternating tree this row insertion, in
     /// order (the dual update walks exactly these).
     used_list: Vec<usize>,
-    uf: Vec<f32>,
-    vf: Vec<f32>,
-    minvf: Vec<f32>,
-    maskf: Vec<f32>,
 }
 
-/// The shared shortest-augmenting-path core over the row-major slice
-/// `data` (row `i` starts at `i * stride` and has `m` entries): inserts
-/// the `n` rows one by one, maintaining dual potentials `u`/`v` and the
-/// column matching `p[j]` (0 = unmatched).
-///
-/// When `upper` is finite, the optimal cost of the partial assignment
-/// built so far — available in **O(1)** as `-v[0]`, see DESIGN.md §13 —
-/// is checked once per row insertion; because that cost is monotone
-/// non-decreasing in the row count for **non-negative costs**, exceeding
-/// `upper` proves the final cost will too, and the insertion loop aborts,
-/// returning `false`. With `upper = ∞` the comparison is a single dead
-/// branch per row, so the bounded and unbounded paths are bit-identical
-/// whenever nothing is pruned — and essentially equally fast.
-macro_rules! sap_core_impl {
-    ($name:ident, $f:ty, $relax:path,
-     $u:ident, $v:ident, $minv:ident, $mask:ident, $slack:expr) => {
-        fn $name(
-            n: usize,
-            m: usize,
-            data: &[$f],
-            stride: usize,
-            ws: &mut Workspace,
-            upper: $f,
-        ) -> bool {
-            const INF: $f = <$f>::INFINITY;
-            debug_assert!(n > 0 && m >= n);
+/// The shared shortest-augmenting-path core over the row-major `n × m`
+/// slice `data`: inserts the `n` rows one by one, maintaining dual
+/// potentials `u`/`v` and the column matching `p[j]` (0 = unmatched).
+fn sap_core(n: usize, m: usize, data: &[f64], ws: &mut Workspace) {
+    const INF: f64 = f64::INFINITY;
+    debug_assert!(n > 0 && m >= n);
 
-            ws.$u.clear();
-            ws.$u.resize(n + 1, 0.0);
-            ws.$v.clear();
-            ws.$v.resize(m + 1, 0.0);
-            ws.p.clear();
-            ws.p.resize(m + 1, 0);
-            // `way[j]` is written (via the relax scan) before any read on
-            // every augmenting path — a column can only be walked in the
-            // unwind after its `minv` improved this insertion — so stale
-            // contents never leak and no per-call zeroing is needed.
-            if ws.way.len() < m + 1 {
-                ws.way.resize(m + 1, 0);
-            }
-            ws.$minv.resize(m + 1, INF);
-            // `mask` is all-zero on entry (the invariant below restores
-            // it before every return), so only growth needs writing.
-            if ws.$mask.len() < m + 1 {
-                ws.$mask.resize(m + 1, 0.0);
-            }
-            ws.used_list.reserve(m + 1);
+    ws.u.clear();
+    ws.u.resize(n + 1, 0.0);
+    ws.v.clear();
+    ws.v.resize(m + 1, 0.0);
+    ws.p.clear();
+    ws.p.resize(m + 1, 0);
+    // `way[j]` is written (via the relax scan) before any read on every
+    // augmenting path — a column can only be walked in the unwind after
+    // its `minv` improved this insertion — so stale contents never leak
+    // and no per-call zeroing is needed.
+    if ws.way.len() < m + 1 {
+        ws.way.resize(m + 1, 0);
+    }
+    ws.minv.resize(m + 1, INF);
+    // `mask` is all-zero on entry (the invariant below restores it
+    // before every return), so only growth needs writing.
+    if ws.mask.len() < m + 1 {
+        ws.mask.resize(m + 1, 0.0);
+    }
+    ws.used_list.reserve(m + 1);
 
-            for i in 1..=n {
-                ws.p[0] = i;
-                let mut j0 = 0usize;
-                for j in 0..=m {
-                    ws.$minv[j] = INF;
-                }
-                ws.used_list.clear();
-                loop {
-                    // Sentinel-INF write instead of `used[j0] = true`:
-                    // the column drops out of every strict `<` in the
-                    // scan below without a branch.
-                    ws.$mask[j0] = INF;
-                    ws.$minv[j0] = INF;
-                    ws.used_list.push(j0);
-                    let i0 = ws.p[j0];
-                    let u0 = ws.$u[i0];
-                    let row = &data[(i0 - 1) * stride..(i0 - 1) * stride + m];
-                    let (delta, jarg) = $relax(
-                        row,
-                        u0,
-                        &ws.$v[1..=m],
-                        &ws.$mask[1..=m],
-                        &mut ws.$minv[1..=m],
-                        &mut ws.way[1..=m],
-                        j0,
-                    );
-                    let j1 = jarg + 1;
-                    debug_assert!(delta.is_finite(), "no augmenting path found");
-                    // Unconditional shift — tree columns hold the +INF
-                    // sentinel and `INF - delta = INF`, so no mask is
-                    // needed and the loop vectorizes.
-                    for mv in ws.$minv[1..=m].iter_mut() {
-                        *mv -= delta;
-                    }
-                    // Dual update only walks the columns actually in the
-                    // alternating tree (`t` of them after `t` scans)
-                    // instead of testing all `m + 1` per iteration.
-                    for &ju in &ws.used_list {
-                        ws.$u[ws.p[ju]] += delta;
-                        ws.$v[ju] -= delta;
-                    }
-                    j0 = j1;
-                    if ws.p[j0] == 0 {
-                        break;
-                    }
-                }
-                // Unwind the alternating path.
-                loop {
-                    let j1 = ws.way[j0];
-                    ws.p[j0] = ws.p[j1];
-                    j0 = j1;
-                    if j0 == 0 {
-                        break;
-                    }
-                }
-
-                // Restore the all-zero `mask` invariant by touching only
-                // the columns this insertion actually masked — cheaper
-                // than the full `0..=m` sweep, and it runs before either
-                // return below so the invariant holds on the pruned path
-                // too.
-                for &ju in &ws.used_list {
-                    ws.$mask[ju] = 0.0;
-                }
-
-                // Hoisted O(1) bound check: `-v[0]` accumulates every
-                // `delta` of every insertion so far, which equals the
-                // optimal cost of assigning rows `1..=i` (DESIGN.md
-                // §13). Tiny relative slack: the dual total and the
-                // final row-order primal sum round differently, and
-                // pruning less is always safe.
-                if upper < INF {
-                    let partial = -ws.$v[0];
-                    if partial > upper + $slack * upper.abs() {
-                        return false;
-                    }
-                }
-            }
-            true
+    for i in 1..=n {
+        ws.p[0] = i;
+        let mut j0 = 0usize;
+        for j in 0..=m {
+            ws.minv[j] = INF;
         }
-    };
-}
+        ws.used_list.clear();
+        loop {
+            // Sentinel-INF write instead of `used[j0] = true`: the column
+            // drops out of every strict `<` in the scan below without a
+            // branch.
+            ws.mask[j0] = INF;
+            ws.minv[j0] = INF;
+            ws.used_list.push(j0);
+            let i0 = ws.p[j0];
+            let u0 = ws.u[i0];
+            let row = &data[(i0 - 1) * m..i0 * m];
+            let (delta, jarg) = simd::relax_scan_f64(
+                row,
+                u0,
+                &ws.v[1..=m],
+                &ws.mask[1..=m],
+                &mut ws.minv[1..=m],
+                &mut ws.way[1..=m],
+                j0,
+            );
+            let j1 = jarg + 1;
+            debug_assert!(delta.is_finite(), "no augmenting path found");
+            // Unconditional shift — tree columns hold the +INF sentinel
+            // and `INF - delta = INF`, so no mask is needed and the loop
+            // vectorizes.
+            for mv in ws.minv[1..=m].iter_mut() {
+                *mv -= delta;
+            }
+            // Dual update only walks the columns actually in the
+            // alternating tree (`t` of them after `t` scans) instead of
+            // testing all `m + 1` per iteration.
+            for &ju in &ws.used_list {
+                ws.u[ws.p[ju]] += delta;
+                ws.v[ju] -= delta;
+            }
+            j0 = j1;
+            if ws.p[j0] == 0 {
+                break;
+            }
+        }
+        // Unwind the alternating path.
+        loop {
+            let j1 = ws.way[j0];
+            ws.p[j0] = ws.p[j1];
+            j0 = j1;
+            if j0 == 0 {
+                break;
+            }
+        }
 
-sap_core_impl!(sap_core, f64, simd::relax_scan_f64, u, v, minv, mask, 1e-9);
-sap_core_impl!(sap_core_f32, f32, simd::relax_scan_f32, uf, vf, minvf, maskf, 1e-5);
+        // Restore the all-zero `mask` invariant by touching only the
+        // columns this insertion actually masked — cheaper than the full
+        // `0..=m` sweep.
+        for &ju in &ws.used_list {
+            ws.mask[ju] = 0.0;
+        }
+    }
+}
 
 /// Sum the matched edges in **row order** (bit-identical to summing an
 /// explicit `row_to_col` assignment) without allocating: `ws.minv` is
 /// dead after [`sap_core`] and doubles as the per-row cost buffer.
-macro_rules! matched_cost_impl {
-    ($name:ident, $f:ty, $minv:ident) => {
-        fn $name(n: usize, m: usize, stride: usize, data: &[$f], ws: &mut Workspace) -> $f {
-            for j in 1..=m {
-                if ws.p[j] != 0 {
-                    ws.$minv[ws.p[j]] = data[(ws.p[j] - 1) * stride + (j - 1)];
-                }
-            }
-            let mut total = 0.0;
-            for i in 1..=n {
-                total += ws.$minv[i];
-            }
-            total
+fn matched_cost(n: usize, m: usize, data: &[f64], ws: &mut Workspace) -> f64 {
+    for j in 1..=m {
+        if ws.p[j] != 0 {
+            ws.minv[ws.p[j]] = data[(ws.p[j] - 1) * m + (j - 1)];
         }
-    };
+    }
+    let mut total = 0.0;
+    for i in 1..=n {
+        total += ws.minv[i];
+    }
+    total
 }
-
-matched_cost_impl!(matched_cost, f64, minv);
-matched_cost_impl!(matched_cost_f32, f32, minvf);
 
 /// Full solve over a borrowed row-major `rows × cols` slice
 /// (`rows ≤ cols`) into a caller-owned buffer: match every row to a
@@ -291,49 +233,17 @@ pub fn solve_slice_into(
         col_to_row.resize(cols, None);
         return;
     }
-    sap_core(rows, cols, data, cols, ws, f64::INFINITY);
+    sap_core(rows, cols, data, ws);
     col_to_row.extend(ws.p[1..=cols].iter().map(|&r| r.checked_sub(1)));
 }
 
-/// Bounded cost-only solve over a borrowed row-major `rows × cols`
-/// slice: no `row_to_col` materialization, zero heap allocations once
-/// `ws` has reached steady-state capacity. Returns `None` as soon as the
-/// partial optimal cost provably exceeds `upper` (requires non-negative
-/// costs; see [`sap_core`]), `Some(total)` otherwise — exact, summed in
-/// row order; `upper = ∞` never prunes.
-pub fn solve_cost_slice_bounded(
-    rows: usize,
-    cols: usize,
-    data: &[f64],
-    ws: &mut Workspace,
-    upper: f64,
-) -> Option<f64> {
+/// Cost-only solve over a borrowed row-major `rows × cols` slice: no
+/// `row_to_col` materialization, zero heap allocations once `ws` has
+/// reached steady-state capacity. The optimal total, summed in row order.
+pub fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
     debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    if !sap_core(rows, cols, data, cols, ws, upper) {
-        return None;
-    }
-    Some(matched_cost(rows, cols, cols, data, ws))
-}
-
-/// `f32` filter-precision twin of [`solve_cost_slice_bounded`]: the
-/// same branch-free core over an `f32` cost slice. `None` means the
-/// partial cost exceeded `upper` (callers fold the ±δ conversion margin
-/// into `upper` — see `MatchingEngine::f32_stage`);
-/// `Some(total)` is the f32-precision optimal cost. Shares the integer
-/// buffers of `ws` with the f64 core, so one workspace serves both
-/// precisions without growing twice.
-pub fn solve_cost_slice_bounded_f32(
-    rows: usize,
-    cols: usize,
-    data: &[f32],
-    ws: &mut Workspace,
-    upper: f32,
-) -> Option<f32> {
-    debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    if !sap_core_f32(rows, cols, data, cols, ws, upper) {
-        return None;
-    }
-    Some(matched_cost_f32(rows, cols, cols, data, ws))
+    sap_core(rows, cols, data, ws);
+    matched_cost(rows, cols, data, ws)
 }
 
 /// Brute-force assignment by enumerating all `cols! / (cols-rows)!`
@@ -411,10 +321,6 @@ mod tests {
 
     fn solve(cost: &CostMatrix) -> Assignment {
         solve_with(cost, &mut Workspace::default())
-    }
-
-    fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
-        solve_cost_slice_bounded(rows, cols, data, ws, f64::INFINITY).expect("∞ cannot prune")
     }
 
     #[test]
@@ -504,27 +410,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn bounded_solver_is_exact_or_provably_above_bound(
-            vals in proptest::collection::vec(0.0f64..20.0, 30),
-            upper in 0.0f64..60.0,
-        ) {
-            let rows = 5;
-            let cols = 6;
-            let mut ws = Workspace::default();
-            let exact = solve_cost_slice(rows, cols, &vals, &mut ws);
-            match solve_cost_slice_bounded(rows, cols, &vals, &mut ws, upper) {
-                Some(total) => prop_assert_eq!(total.to_bits(), exact.to_bits()),
-                None => prop_assert!(exact > upper, "pruned although exact {exact} <= {upper}"),
-            }
-            // An infinite bound must never prune.
-            let unbounded = solve_cost_slice_bounded(rows, cols, &vals, &mut ws, f64::INFINITY);
-            prop_assert_eq!(unbounded.unwrap().to_bits(), exact.to_bits());
-            // A bound at (or above) the exact cost must not prune either.
-            let at_exact = solve_cost_slice_bounded(rows, cols, &vals, &mut ws, exact);
-            prop_assert_eq!(at_exact.unwrap().to_bits(), exact.to_bits());
-        }
-
         /// The branch-free lane core agrees with the preserved scalar
         /// kernel on every instance (the optimal cost is unique even
         /// when the optimal matching is not; tie-breaking may differ,
@@ -538,51 +423,9 @@ mod tests {
             for (rows, cols) in [(6usize, 7usize), (3, 14), (1, 42), (6, 6)] {
                 let take = rows * cols;
                 let new = solve_cost_slice(rows, cols, &vals[..take], &mut ws);
-                let old = reference::solve_cost_slice_bounded(
-                    rows, cols, &vals[..take], &mut rws, f64::INFINITY,
-                ).expect("∞ cannot prune");
+                let old = reference::solve_cost_slice(rows, cols, &vals[..take], &mut rws);
                 prop_assert!((new - old).abs() < 1e-9, "lane {new} vs scalar {old}");
             }
-        }
-
-        /// The O(1) dual bound check prunes exactly when the old O(m)
-        /// primal re-summation would: never when `exact <= upper`.
-        #[test]
-        fn dual_bound_check_agrees_with_reference_on_prunes(
-            vals in proptest::collection::vec(0.0f64..20.0, 36),
-            frac in 0.0f64..1.5,
-        ) {
-            let mut ws = Workspace::default();
-            let mut rws = reference::RefWorkspace::default();
-            let exact = solve_cost_slice(6, 6, &vals, &mut ws);
-            let upper = exact * frac;
-            let new = solve_cost_slice_bounded(6, 6, &vals, &mut ws, upper);
-            let old = reference::solve_cost_slice_bounded(6, 6, &vals, &mut rws, upper);
-            // Both must satisfy the contract...
-            if let Some(total) = new { prop_assert_eq!(total.to_bits(), exact.to_bits()); }
-            if new.is_none() { prop_assert!(exact > upper); }
-            if old.is_none() { prop_assert!(exact > upper); }
-            // ...and a bound at the exact cost never prunes on either.
-            prop_assert!(solve_cost_slice_bounded(6, 6, &vals, &mut ws, exact).is_some());
-        }
-
-        /// The f32 core tracks the f64 optimum within f32 noise and
-        /// honors its bound contract.
-        #[test]
-        fn f32_core_tracks_f64_optimum(
-            vals in proptest::collection::vec(0.0f64..10.0, 36),
-        ) {
-            let mut ws = Workspace::default();
-            let exact = solve_cost_slice(6, 6, &vals, &mut ws);
-            let vals32: Vec<f32> = vals.iter().map(|&x| x as f32).collect();
-            let approx = solve_cost_slice_bounded_f32(6, 6, &vals32, &mut ws, f32::INFINITY)
-                .expect("infinite bound cannot prune");
-            let scale = vals.iter().cloned().fold(1.0, f64::max);
-            prop_assert!((approx as f64 - exact).abs() <= 1e-4 * 36.0 * scale,
-                "f32 {approx} strayed from f64 {exact}");
-            // A bound comfortably above the optimum must not prune.
-            let wide = (exact as f32) + 1e-2 * (scale as f32) + 1.0;
-            prop_assert!(solve_cost_slice_bounded_f32(6, 6, &vals32, &mut ws, wide).is_some());
         }
 
         #[test]

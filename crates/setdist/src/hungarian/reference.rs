@@ -1,8 +1,6 @@
 //! The pre-SIMD scalar Kuhn–Munkres kernel, preserved verbatim: the
-//! textbook `used[]` bitmap, branchy relaxation scan and the original
-//! `O(m)` per-row primal bound re-summation. Test-only — the oracle
-//! `branch_free_core_matches_scalar_reference` and
-//! `dual_bound_check_agrees_with_reference_on_prunes` compare the
+//! textbook `used[]` bitmap and branchy relaxation scan. Test-only — the
+//! oracle `branch_free_core_matches_scalar_reference` compares the
 //! branch-free lane core against.
 
 /// The original solver buffers, including the branchy `used[]`
@@ -17,15 +15,8 @@ pub struct RefWorkspace {
     used: Vec<bool>,
 }
 
-/// The original scalar shortest-augmenting-path core, with the
-/// original `O(m)` per-row primal bound re-summation.
-fn sap_core_ref<C: Fn(usize, usize) -> f64>(
-    n: usize,
-    m: usize,
-    cost: C,
-    ws: &mut RefWorkspace,
-    upper: f64,
-) -> bool {
+/// The original scalar shortest-augmenting-path core.
+fn sap_core_ref<C: Fn(usize, usize) -> f64>(n: usize, m: usize, cost: C, ws: &mut RefWorkspace) {
     const INF: f64 = f64::INFINITY;
 
     ws.u.clear();
@@ -87,23 +78,7 @@ fn sap_core_ref<C: Fn(usize, usize) -> f64>(
                 break;
             }
         }
-
-        if upper < INF {
-            for j in 1..=m {
-                if ws.p[j] != 0 {
-                    ws.minv[ws.p[j]] = cost(ws.p[j] - 1, j - 1);
-                }
-            }
-            let mut partial = 0.0;
-            for r in 1..=i {
-                partial += ws.minv[r];
-            }
-            if partial > upper + 1e-9 * upper.abs() {
-                return false;
-            }
-        }
     }
-    true
 }
 
 fn matched_cost_ref<C: Fn(usize, usize) -> f64>(
@@ -124,18 +99,9 @@ fn matched_cost_ref<C: Fn(usize, usize) -> f64>(
     total
 }
 
-/// Bounded cost-only solve with the original scalar kernel and its
-/// original `O(m)` per-row bound check.
-pub fn solve_cost_slice_bounded(
-    rows: usize,
-    cols: usize,
-    data: &[f64],
-    ws: &mut RefWorkspace,
-    upper: f64,
-) -> Option<f64> {
+/// Cost-only solve with the original scalar kernel.
+pub fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut RefWorkspace) -> f64 {
     debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    if !sap_core_ref(rows, cols, |i, j| data[i * cols + j], ws, upper) {
-        return None;
-    }
-    Some(matched_cost_ref(rows, cols, |i, j| data[i * cols + j], ws))
+    sap_core_ref(rows, cols, |i, j| data[i * cols + j], ws);
+    matched_cost_ref(rows, cols, |i, j| data[i * cols + j], ws)
 }

@@ -68,16 +68,6 @@ impl PointDistance {
             PointDistance::Manhattan => simd::l1_f64(a, b),
         }
     }
-
-    /// The `f32` filter-precision twin of [`PointDistance::eval_lanes`].
-    #[inline]
-    pub(crate) fn eval_lanes_f32(self, a: &[f32; simd::LANES], b: &[f32; simd::LANES]) -> f32 {
-        match self {
-            PointDistance::Euclidean => simd::l2_f32(a, b),
-            PointDistance::SquaredEuclidean => simd::sq_l2_f32(a, b),
-            PointDistance::Manhattan => simd::l1_f32(a, b),
-        }
-    }
 }
 
 /// Weight function `w` for unmatched elements (Definition 6).

@@ -18,11 +18,16 @@
 //!   **bit-identical** values for the same logical vectors. Padding
 //!   with zeros is exact: the padded terms are `+0.0` squares and
 //!   `x + 0.0 == x` bitwise for every non-negative `x`.
-//! * **Sentinel masking.** [`relax_scan`] implements the Hungarian
+//! * **Sentinel masking.** [`relax_scan_f64`] implements the Hungarian
 //!   `minv` update + delta argmin without a `used[]` branch: used
 //!   columns carry `+∞` in `mask` (and in `minv`), which makes their
 //!   candidate value `+∞`, loses every strict `<` comparison, and so
 //!   silently drops out of both the relaxation and the argmin.
+//!
+//! The `f32` twins (`pad_f32`, `pad_rows_f32`, `sq_l2_f32`, …) serve
+//! only the engine's f32 gate, which sums least lane distances and
+//! solves nothing; every Kuhn–Munkres solve runs in `f64` through
+//! [`relax_scan_f64`].
 //!
 //! See DESIGN.md §13 for the lane layout and why the scan's lane-major
 //! argmin tie order is a safe deviation from the sequential scan.
@@ -44,8 +49,8 @@ pub fn pad(v: &[f64]) -> [f64; LANES] {
     out
 }
 
-/// Zero-pad one `dim ≤ 8` vector into an `f32` lane block (the
-/// filter-precision kernel's input conversion).
+/// Zero-pad one `dim ≤ 8` vector into an `f32` lane block (the f32
+/// gate's input conversion).
 #[inline]
 pub fn pad_f32(v: &[f64]) -> [f32; LANES] {
     debug_assert!(v.len() <= LANES);
@@ -159,85 +164,76 @@ pub fn row_f32(padded: &[f32], r: usize) -> &[f32; LANES] {
     s.try_into().expect("padded row buffer has LANES stride")
 }
 
-macro_rules! relax_scan_impl {
-    ($name:ident, $f:ty) => {
-        /// One branch-free relaxation + argmin pass of the Hungarian
-        /// augmenting-path scan, over the free-column window `1..=m`
-        /// passed in as 0-based slices of length `m`.
-        ///
-        /// For every column `j`: `cur = row[j] - u0 - v[j] + mask[j]`
-        /// (`mask[j]` is `+∞` for used columns, `0.0` otherwise, so used
-        /// columns compute `+∞` and never win a strict `<`), then
-        /// `minv[j] = min(minv[j], cur)` with `way[j] = j0` on
-        /// improvement, and finally `(delta, argmin)` over the updated
-        /// `minv` (used columns hold the `+∞` sentinel there too).
-        ///
-        /// The loop body is select-only — no data-dependent branches —
-        /// and processes four columns per iteration so LLVM can keep the
-        /// relaxation in vector registers. The returned argmin index is
-        /// 0-based into the slices; ties resolve lane-major (see
-        /// DESIGN.md §13: any deterministic tie order yields an optimal
-        /// matching, and every caller goes through this one scan).
-        #[inline]
-        pub fn $name(
-            row: &[$f],
-            u0: $f,
-            v: &[$f],
-            mask: &[$f],
-            minv: &mut [$f],
-            way: &mut [usize],
-            j0: usize,
-        ) -> ($f, usize) {
-            let m = row.len();
-            debug_assert!(
-                v.len() == m && mask.len() == m && minv.len() == m && way.len() == m && m > 0
-            );
-            const W: usize = 4;
-            let mut best = [<$f>::INFINITY; W];
-            let mut barg = [0usize; W];
-            let mut j = 0;
-            while j + W <= m {
-                for l in 0..W {
-                    let cur = row[j + l] - u0 - v[j + l] + mask[j + l];
-                    let better = cur < minv[j + l];
-                    minv[j + l] = if better { cur } else { minv[j + l] };
-                    way[j + l] = if better { j0 } else { way[j + l] };
-                    let wins = minv[j + l] < best[l];
-                    best[l] = if wins { minv[j + l] } else { best[l] };
-                    barg[l] = if wins { j + l } else { barg[l] };
-                }
-                j += W;
-            }
-            while j < m {
-                let cur = row[j] - u0 - v[j] + mask[j];
-                let better = cur < minv[j];
-                minv[j] = if better { cur } else { minv[j] };
-                way[j] = if better { j0 } else { way[j] };
-                let wins = minv[j] < best[0];
-                best[0] = if wins { minv[j] } else { best[0] };
-                barg[0] = if wins { j } else { barg[0] };
-                j += 1;
-            }
-            let mut delta = best[0];
-            let mut arg = barg[0];
-            // Lanes 1.. are only written by the W-wide loop; for m < W
-            // they still hold +∞ and the reduction is a no-op — skip it
-            // (one predictable branch) so tiny matrices don't pay it on
-            // every scan.
-            if m >= W {
-                for l in 1..W {
-                    let wins = best[l] < delta;
-                    delta = if wins { best[l] } else { delta };
-                    arg = if wins { barg[l] } else { arg };
-                }
-            }
-            (delta, arg)
+/// One branch-free relaxation + argmin pass of the Hungarian
+/// augmenting-path scan, over the free-column window `1..=m`
+/// passed in as 0-based slices of length `m`.
+///
+/// For every column `j`: `cur = row[j] - u0 - v[j] + mask[j]`
+/// (`mask[j]` is `+∞` for used columns, `0.0` otherwise, so used
+/// columns compute `+∞` and never win a strict `<`), then
+/// `minv[j] = min(minv[j], cur)` with `way[j] = j0` on
+/// improvement, and finally `(delta, argmin)` over the updated
+/// `minv` (used columns hold the `+∞` sentinel there too).
+///
+/// The loop body is select-only — no data-dependent branches —
+/// and processes four columns per iteration so LLVM can keep the
+/// relaxation in vector registers. The returned argmin index is
+/// 0-based into the slices; ties resolve lane-major (see
+/// DESIGN.md §13: any deterministic tie order yields an optimal
+/// matching, and every caller goes through this one scan).
+#[inline]
+pub fn relax_scan_f64(
+    row: &[f64],
+    u0: f64,
+    v: &[f64],
+    mask: &[f64],
+    minv: &mut [f64],
+    way: &mut [usize],
+    j0: usize,
+) -> (f64, usize) {
+    let m = row.len();
+    debug_assert!(v.len() == m && mask.len() == m && minv.len() == m && way.len() == m && m > 0);
+    const W: usize = 4;
+    let mut best = [f64::INFINITY; W];
+    let mut barg = [0usize; W];
+    let mut j = 0;
+    while j + W <= m {
+        for l in 0..W {
+            let cur = row[j + l] - u0 - v[j + l] + mask[j + l];
+            let better = cur < minv[j + l];
+            minv[j + l] = if better { cur } else { minv[j + l] };
+            way[j + l] = if better { j0 } else { way[j + l] };
+            let wins = minv[j + l] < best[l];
+            best[l] = if wins { minv[j + l] } else { best[l] };
+            barg[l] = if wins { j + l } else { barg[l] };
         }
-    };
+        j += W;
+    }
+    while j < m {
+        let cur = row[j] - u0 - v[j] + mask[j];
+        let better = cur < minv[j];
+        minv[j] = if better { cur } else { minv[j] };
+        way[j] = if better { j0 } else { way[j] };
+        let wins = minv[j] < best[0];
+        best[0] = if wins { minv[j] } else { best[0] };
+        barg[0] = if wins { j } else { barg[0] };
+        j += 1;
+    }
+    let mut delta = best[0];
+    let mut arg = barg[0];
+    // Lanes 1.. are only written by the W-wide loop; for m < W
+    // they still hold +∞ and the reduction is a no-op — skip it
+    // (one predictable branch) so tiny matrices don't pay it on
+    // every scan.
+    if m >= W {
+        for l in 1..W {
+            let wins = best[l] < delta;
+            delta = if wins { best[l] } else { delta };
+            arg = if wins { barg[l] } else { arg };
+        }
+    }
+    (delta, arg)
 }
-
-relax_scan_impl!(relax_scan_f64, f64);
-relax_scan_impl!(relax_scan_f32, f32);
 
 #[cfg(test)]
 mod tests {

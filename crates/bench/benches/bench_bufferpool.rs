@@ -42,6 +42,32 @@ fn bench_pool_access(c: &mut Criterion) {
         })
     });
 
+    // One `knn_mem`-shaped query's charge: a fresh per-query context
+    // takes ≈ 250 distinct pages over a node store and a heap store,
+    // and ≈ 75 repeats of pages it touched before.
+    let stores = [InMemoryPageStore::new().id(), InMemoryPageStore::new().id()];
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut touches: Vec<(usize, u64)> = Vec::with_capacity(325);
+    for i in 0..325 {
+        let touch = if i % 13 < 3 && !touches.is_empty() {
+            touches[rng.gen_range(0..touches.len())]
+        } else {
+            (usize::from(i % 5 == 0), rng.gen_range(0..50_000))
+        };
+        touches.push(touch);
+    }
+    let distinct = touches.iter().collect::<std::collections::HashSet<_>>().len() as u64;
+    g.bench_function("ephemeral_query", |b| {
+        b.iter(|| {
+            let ctx = QueryContext::ephemeral();
+            for &(store, page) in &touches {
+                ctx.access(stores[store], page, 1);
+            }
+            let s = ctx.stats(std::time::Duration::ZERO);
+            assert_eq!(s.io.pages, distinct, "every distinct page misses once");
+        })
+    });
+
     g.bench_function("misses_streaming_evictions", |b| {
         let ctx = QueryContext::with_pool(BufferPool::new(64));
         let mut p = 0u64;

@@ -11,36 +11,61 @@ pub fn worker_count() -> usize {
 
 /// Map `f` over `0..n` in parallel, preserving order.
 ///
-/// Each worker collects its contiguous chunk directly into a `Vec<T>`
-/// which the caller thread splices in chunk order — no `Vec<Option<T>>`
-/// intermediate, no second unwrap pass over every element.
+/// Workers claim indices one at a time through an atomic next-index,
+/// so a few slow items cannot leave one worker with the tail of the
+/// batch while another idles. Each worker collects `(index, value)`
+/// pairs in claim order — increasing — and the caller thread merges
+/// those runs into input order: no `Vec<Option<T>>` intermediate, no
+/// unwrap pass.
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     if n == 0 {
         return Vec::new();
     }
-    let chunk = n.div_ceil(worker_count()).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let f = &f;
-                let end = (start + chunk).min(n);
-                scope.spawn(move || (start..end).map(f).collect::<Vec<T>>())
+    let next = AtomicUsize::new(0);
+    let mut parts = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..worker_count().min(n))
+            .map(|_| {
+                let (next, f) = (&next, &f);
+                scope.spawn(move || {
+                    let mut part = Vec::new();
+                    loop {
+                        // ORDERING: Relaxed — the counter publishes no
+                        // data, and results reach the caller through
+                        // `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break part;
+                        }
+                        part.push((i, f(i)));
+                    }
+                })
             })
             .collect();
-        let mut out = Vec::with_capacity(n);
+        let mut parts = Vec::with_capacity(handles.len());
         for h in handles {
             match h.join() {
-                Ok(part) => out.extend(part),
+                Ok(part) => parts.push(part.into_iter().peekable()),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        out
-    })
+        parts
+    });
+    // Every index below `out.len()` is placed, so the next one heads
+    // some worker's run: each pass over the runs places at least one.
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        for part in &mut parts {
+            while let Some((_, value)) = part.next_if(|&(i, _)| i == out.len()) {
+                out.push(value);
+            }
+        }
+    }
+    out
 }
 
 /// Map `f` over the elements of a slice in parallel, preserving order.
@@ -120,6 +145,29 @@ mod tests {
     fn par_map_empty_and_single() {
         assert!(par_map(0, |i| i).is_empty());
         assert_eq!(par_map(1, |i| i + 5), vec![5]);
+    }
+
+    #[test]
+    fn par_map_visits_each_index_once_in_order_under_skew() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::time::Duration;
+        for n in [1usize, 2, 3, 17, 1000] {
+            let visits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            let v = par_map(n, |i| {
+                // The first items cost far more than the rest.
+                if i < 3 {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                visits[i].fetch_add(1, Ordering::Relaxed);
+                (i, i * 7 + 1)
+            });
+            let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 7 + 1)).collect();
+            assert_eq!(v, want, "n {n}: input order");
+            assert!(
+                visits.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "n {n}: each index once"
+            );
+        }
     }
 
     #[test]

@@ -23,9 +23,11 @@ pub struct QueryContext {
 impl QueryContext {
     /// Context with a fresh unbounded pool, private to this query.
     /// Every first touch of a page is a charged miss — the paper's
-    /// cold-cache accounting.
+    /// cold-cache accounting. The pool is one shard: only this query
+    /// reads through it, so striping would buy nothing, and a pool that
+    /// never evicts charges the same as [`BufferPool::unbounded`].
     pub fn ephemeral() -> Self {
-        QueryContext { pool: BufferPool::unbounded(), tracker: IoTracker::default() }
+        QueryContext { pool: BufferPool::unbounded_private(), tracker: IoTracker::default() }
     }
 
     /// Context reading through a shared (possibly warm) pool.

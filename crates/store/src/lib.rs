@@ -25,7 +25,8 @@
 //!   checksum they were verified against). Access methods read pages
 //!   *through* the pool; only misses are charged to the cost model, so
 //!   a pool shared across queries models a warm cache while a fresh
-//!   per-query pool reproduces cold-cache accounting.
+//!   per-query pool ([`QueryContext::ephemeral`], one unbounded shard:
+//!   nothing contends for it) reproduces cold-cache accounting.
 //! * [`checksum`] — the one 64-bit integrity checksum of the page-file
 //!   format: stream payloads, image pages, the file header.
 //! * [`PageStreamWriter`] / [`PageStreamReader`] — checksummed,

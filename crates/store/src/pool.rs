@@ -15,12 +15,20 @@
 //! pages rarely contend on the same mutex. Small pools (below
 //! [`SHARD_THRESHOLD`] pages) collapse to a single shard so eviction
 //! order stays exactly global LRU — the shard-local approximation only
-//! kicks in at capacities where it is statistically irrelevant.
+//! kicks in at capacities where it is statistically irrelevant. A
+//! query's own pool ([`QueryContext::ephemeral`](crate::QueryContext::ephemeral))
+//! is one unbounded shard: nothing else ever locks it, and a pool that
+//! never evicts charges the same whatever its shard count.
 //! Per-shard [`CacheCounts`] totals are summed into [`PoolStats`], so
 //! the counter-parity invariant (pool totals = Σ per-query trackers)
 //! is preserved.
+//!
+//! Each shard's frame table hashes a [`PageKey`] with a fixed
+//! multiplicative hash, not SipHash: the library numbers every page
+//! itself, so there is no adversary to resist.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -90,9 +98,34 @@ fn read_page(store: &dyn PageStore, page: u64) -> StoreResult<Arc<[u8]>> {
     Ok(bytes)
 }
 
+/// The frame table's hash over the two words of a [`PageKey`]: a
+/// multiply per word, rotated at the end so that both the low bits
+/// (the bucket) and the top 7 (hashbrown's control tag) come from the
+/// well-mixed middle of the product. It is deliberately not the shard
+/// mix of [`BufferPool::shard`]: every key of a shard agrees in that
+/// mix's top bits, and would then share its tag too.
+#[derive(Debug, Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    frames: HashMap<PageKey, Frame>,
+    frames: HashMap<PageKey, Frame, BuildHasherDefault<PageKeyHasher>>,
     tick: u64,
     totals: CacheCounts,
 }
@@ -165,6 +198,14 @@ impl BufferPool {
     /// Pool that never evicts (models "everything fits in memory").
     pub fn unbounded() -> Arc<Self> {
         Self::with_shards(None, DEFAULT_SHARDS)
+    }
+
+    /// Unbounded pool of one shard, for one query's own use
+    /// ([`QueryContext::ephemeral`](crate::QueryContext::ephemeral)):
+    /// nothing contends for it, and without eviction the shard count
+    /// changes no charge.
+    pub(crate) fn unbounded_private() -> Arc<Self> {
+        Self::with_shards(None, 1)
     }
 
     /// Pool with an explicit shard count (rounded up to a power of
@@ -482,9 +523,31 @@ mod tests {
         assert_eq!(BufferPool::new(8).shards.len(), 1, "exact LRU below the threshold");
         assert_eq!(BufferPool::new(SHARD_THRESHOLD).shards.len(), DEFAULT_SHARDS);
         assert_eq!(BufferPool::unbounded().shards.len(), DEFAULT_SHARDS);
+        assert_eq!(BufferPool::unbounded_private().shards.len(), 1, "a query's own pool");
         assert_eq!(BufferPool::with_shards(Some(1024), 1).shards.len(), 1);
         assert_eq!(BufferPool::with_shards(None, 5).shards.len(), 8, "rounded to a power of two");
         assert_eq!(BufferPool::with_shards(Some(2), 8).shards.len(), 2, "clamped to capacity");
+    }
+
+    #[test]
+    fn frame_hash_spreads_buckets_and_tags_within_a_shard() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        // The keys one shard of an 8-shard pool holds, over two stores.
+        let pool = BufferPool::unbounded();
+        let (a, b) = (InMemoryPageStore::new().id(), InMemoryPageStore::new().id());
+        let keys: Vec<PageKey> = [a, b]
+            .into_iter()
+            .flat_map(|store| (0..8192).map(move |page| PageKey { store, page }))
+            .filter(|&key| std::ptr::eq(pool.shard(key), &pool.shards[0]))
+            .collect();
+        assert!(keys.len() > 1000, "{} keys", keys.len());
+        let hasher = BuildHasherDefault::<PageKeyHasher>::default();
+        let hashes: Vec<u64> = keys.iter().map(|k| hasher.hash_one(k)).collect();
+        let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(tags.len(), 128, "every control tag in use");
+        let buckets: HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+        assert!(buckets.len() > 800, "{} of 1024 buckets", buckets.len());
     }
 
     #[test]

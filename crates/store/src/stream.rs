@@ -12,11 +12,10 @@
 //! ```
 //!
 //! Streams are how structures serialize themselves into a page store:
-//! the writer allocates pages one at a time (so freed pages are reused
-//! page-granularly), and the reader verifies every page's length and
-//! checksum. Because a truncated page file reads its torn tail as
-//! zeros, a cut-off stream surfaces as a checksum/length error instead
-//! of silently decoding garbage.
+//! the writer allocates pages one at a time, and the reader verifies
+//! every page's length and checksum. Because a truncated page file
+//! reads its torn tail as zeros, a cut-off stream surfaces as a
+//! checksum/length error instead of silently decoding garbage.
 
 use std::io::{self, Read, Write};
 

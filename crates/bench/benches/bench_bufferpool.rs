@@ -32,13 +32,16 @@ fn bench_pool_access(c: &mut Criterion) {
     let store = InMemoryPageStore::new();
     store.allocate(1024).unwrap();
 
+    // 128 pages: every one of the 8 shards of 32 frames holds its part
+    // of them (256 pages would overfill some shards and time misses).
     g.bench_function("hits_resident_working_set", |b| {
         let ctx = QueryContext::with_pool(BufferPool::new(256));
-        ctx.access(store.id(), 0, 256);
+        ctx.access(store.id(), 0, 128);
         let mut p = 0u64;
         b.iter(|| {
-            p = (p + 37) % 256;
-            ctx.access(store.id(), p, 1)
+            p = (p + 37) % 128;
+            let missed = ctx.access(store.id(), p, 1);
+            assert_eq!(missed, 0, "the working set is resident");
         })
     });
 
@@ -100,15 +103,19 @@ fn bench_pool_access(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("load_verified_miss", |b| {
-        let ctx = QueryContext::with_pool(BufferPool::new(64));
-        let mut p = 0u64;
-        b.iter(|| {
-            p = (p + 1) % 1024;
-            let (_, missed) = ctx.load_verified(&store, p, sum).unwrap();
-            assert_eq!(missed, 1, "working set ≫ capacity: always a miss");
-        })
-    });
+    // One exact LRU of 64 frames, then the `knn_file` pool's shape: 256
+    // pages in 8 shards. Every miss reads, hashes and evicts.
+    for (name, capacity) in [("load_verified_miss", 64), ("load_verified_miss_sharded", 256)] {
+        g.bench_function(name, |b| {
+            let ctx = QueryContext::with_pool(BufferPool::new(capacity));
+            let mut p = 0u64;
+            b.iter(|| {
+                p = (p + 1) % 1024;
+                let (_, missed) = ctx.load_verified(&store, p, sum).unwrap();
+                assert_eq!(missed, 1, "working set ≫ capacity: always a miss");
+            })
+        });
+    }
     g.finish();
 }
 

@@ -136,20 +136,22 @@ fn executor_batches_are_bit_identical_across_backends() {
 
     let queries: Vec<VectorSet> = (0..8).map(|i| sets[i * 19].clone()).collect();
     // A bounded shared pool exercises concurrent reads of one durable
-    // store, including evictions, without perturbing results. Its
-    // charges are not compared: which of two racing workers takes a
-    // fault (and pays the bytes of its own record), and so what is
-    // evicted and read again, is scheduling, not backend. Per-query
-    // pools charge deterministically.
-    for (ex, charges_repeat) in [(QueryExecutor::cold(), true), (QueryExecutor::shared(64), false)]
-    {
+    // store, including evictions (so one worker recycles the page
+    // buffer of a frame it evicts while another may still hold its
+    // image), without perturbing results. Its charges are not compared:
+    // which of two racing workers takes a fault (and pays the bytes of
+    // its own record), and so what is evicted and read again, is
+    // scheduling, not backend. Per-query pools charge deterministically.
+    for (ex, bounded) in [(QueryExecutor::cold(), false), (QueryExecutor::shared(8), true)] {
         let [bm, bf, bp] = [&built, &file, &mmap]
             .map(|idx| ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 6, ctx)));
         for i in 0..queries.len() {
             assert_hits_bit_identical(&bm.hits[i], &bf.hits[i], &format!("batch q{i} file"));
             assert_hits_bit_identical(&bm.hits[i], &bp.hits[i], &format!("batch q{i} mmap"));
         }
-        if charges_repeat {
+        if bounded {
+            assert!(bf.aggregate.cache.evictions > 0, "the shared pool evicts");
+        } else {
             assert_eq!(bf.aggregate.io, bp.aggregate.io, "file/mmap batches charge alike");
         }
     }

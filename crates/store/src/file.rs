@@ -349,8 +349,8 @@ impl PageStore for FilePageStore {
                 return Ok(());
             }
         }
-        buf.fill(0);
-        read_up_to_at(&self.file, buf, offset)?;
+        let read = read_up_to_at(&self.file, buf, offset)?;
+        buf[read..].fill(0);
         Ok(())
     }
 
@@ -402,21 +402,19 @@ fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
     std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
 }
 
-/// Read up to `buf.len()` bytes at `offset`; bytes past EOF are left
-/// untouched (callers pre-zero), so a short tail reads as zeros.
+/// Read up to `buf.len()` bytes at `offset`; returns how many were
+/// read. Bytes past EOF are left untouched.
 #[cfg(unix)]
-fn read_up_to_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+fn read_up_to_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
     use std::os::unix::fs::FileExt;
-    while !buf.is_empty() {
-        match file.read_at(buf, offset)? {
-            0 => return Ok(()),
-            n => {
-                buf = &mut buf[n..];
-                offset += n as u64;
-            }
+    let mut read = 0;
+    while read < buf.len() {
+        match file.read_at(&mut buf[read..], offset + read as u64)? {
+            0 => break,
+            n => read += n,
         }
     }
-    Ok(())
+    Ok(read)
 }
 
 #[cfg(not(unix))]

@@ -78,8 +78,10 @@ pub trait PageStore: Send + Sync {
     /// [`StoreError::Full`](crate::StoreError::Full) when the span would
     /// pass a bounded store's capacity. Page numbers are never reused.
     fn allocate(&self, pages: u64) -> StoreResult<u64>;
-    /// Read one page into `buf` (at least [`PAGE_SIZE`] bytes). Pages
-    /// that were allocated but never written read as zeros.
+    /// Read one page into `buf` (at least [`PAGE_SIZE`] bytes),
+    /// writing all of its first [`PAGE_SIZE`] bytes whatever they held:
+    /// the pool reads into recycled page buffers. Pages that were
+    /// allocated but never written read as zeros.
     fn read_into(&self, page: u64, buf: &mut [u8]) -> StoreResult<()>;
     /// Write one page (`data.len() <= PAGE_SIZE`; a short write leaves
     /// the page tail unspecified — record layouts carry their lengths).
@@ -143,10 +145,14 @@ impl PageStore for InMemoryPageStore {
 
     fn read_into(&self, page: u64, buf: &mut [u8]) -> StoreResult<()> {
         let buf = &mut buf[..PAGE_SIZE];
-        buf.fill(0);
-        if let Some(d) = self.contents().get(&page) {
-            buf[..d.len()].copy_from_slice(d);
-        }
+        let written = match self.contents().get(&page) {
+            Some(d) => {
+                buf[..d.len()].copy_from_slice(d);
+                d.len()
+            }
+            None => 0,
+        };
+        buf[written..].fill(0);
         Ok(())
     }
 

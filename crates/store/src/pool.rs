@@ -1,11 +1,15 @@
 //! Lock-striped LRU buffer pool over [`PageKey`]s.
 //!
-//! Charging policy: a lookup that *hits* the pool is free; a *miss* is
-//! charged as one page access to the query's
-//! [`QueryContext`](crate::QueryContext) (the paper's 8 ms). A pool
-//! with `capacity >= working set` therefore issues zero simulated page
-//! costs on repeated queries, while a fresh pool per query reproduces
-//! cold-cache accounting.
+//! # Charging policy
+//!
+//! A lookup that *hits* the pool is free; a *miss* is charged as one
+//! page access to the query's [`QueryContext`](crate::QueryContext)
+//! (the paper's 8 ms). A pool with `capacity >= working set` therefore
+//! issues zero simulated page costs on repeated queries, while a fresh
+//! pool per query reproduces cold-cache accounting. The charge is
+//! decided under the shard lock by the lookup alone; the physical read
+//! that fills a missed frame happens afterwards, with the shard open,
+//! and changes no counter.
 //!
 //! # Sharding
 //!
@@ -14,19 +18,36 @@
 //! a hash of its [`PageKey`], so concurrent queries touching different
 //! pages rarely contend on the same mutex. Small pools (below
 //! [`SHARD_THRESHOLD`] pages) collapse to a single shard so eviction
-//! order stays exactly global LRU — the shard-local approximation only
-//! kicks in at capacities where it is statistically irrelevant. A
-//! query's own pool ([`QueryContext::ephemeral`](crate::QueryContext::ephemeral))
+//! order stays exactly global LRU. Above it, LRU is shard-local: on a
+//! recorded one-client `knn_file` trace (768 queries at 256 pages), 8
+//! shards took 113.2 faults per query against 110.5 for one shard.
+//! A query's own
+//! pool ([`QueryContext::ephemeral`](crate::QueryContext::ephemeral))
 //! is one unbounded shard: nothing else ever locks it, and a pool that
 //! never evicts charges the same whatever its shard count.
 //! Per-shard [`CacheCounts`] totals are summed into [`PoolStats`], so
 //! the counter-parity invariant (pool totals = Σ per-query trackers)
 //! is preserved.
 //!
-//! Each shard's frame table hashes a [`PageKey`] with a fixed
-//! multiplicative hash, not SipHash: the library numbers every page
-//! itself, so there is no adversary to resist.
+//! # A shard's frames
+//!
+//! A shard keeps its frames in a slab (`Vec<Frame>`) and maps each
+//! resident [`PageKey`] to its slot. A bounded shard threads its
+//! frames on an intrusive recency list (`prev` / `next` slot indices,
+//! most recent at the head), so a hit moves one frame to the head and
+//! a miss in a full shard reuses the tail's slot: both O(1), and the
+//! eviction order is exactly that of the shard's LRU. An unbounded
+//! shard never evicts and keeps no list. The map hashes a key with a
+//! fixed multiplicative hash, not SipHash: the library numbers every
+//! page itself, so there is no adversary to resist.
+//!
+//! An evicted frame's page buffer, when no reader still holds it,
+//! becomes the buffer of a later physical read: the one that follows
+//! the miss, or, if a simulated access evicted it, the next read whose
+//! miss evicted no image. So once a pool is full, a miss neither
+//! allocates a page nor frees one under a shard lock.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -51,6 +72,9 @@ const DEFAULT_SHARDS: usize = 8;
 /// does not.
 const IMAGE_READ_RETRIES: usize = 2;
 
+/// The end of a shard's recency list.
+const NIL: usize = usize::MAX;
+
 /// A page image as it was physically read, and what is known about it.
 #[derive(Debug, Clone)]
 struct Image {
@@ -64,12 +88,16 @@ struct Image {
 
 #[derive(Debug)]
 struct Frame {
-    last_use: u64,
+    key: PageKey,
     /// Page contents, present once the page has been physically read
     /// through [`BufferPool::load`] or [`BufferPool::load_verified`].
     /// Simulated-I/O access paths never read contents, so their frames
     /// stay data-free.
     image: Option<Image>,
+    /// Neighbours on a bounded shard's recency list: `prev` was used
+    /// more recently, `next` less. Unused in an unbounded shard.
+    prev: usize,
+    next: usize,
 }
 
 #[cfg(debug_assertions)]
@@ -87,16 +115,27 @@ fn assert_no_shard_held() {
     assert!(!SHARD_HELD.get(), "page read or second shard lock under a held pool shard guard");
 }
 
-/// Physically read one page into a fresh shared buffer — one
-/// allocation, and the store writes straight into it.
-fn read_page(store: &dyn PageStore, page: u64) -> StoreResult<Arc<[u8]>> {
+/// Physically read one page into a shared buffer, with no shard lock
+/// held. The buffer is `recycled`, an evicted frame's page, when no
+/// reader still holds it; otherwise it is one fresh allocation. Either
+/// way the store writes every byte of it.
+fn read_page(
+    store: &dyn PageStore,
+    page: u64,
+    recycled: Option<Arc<[u8]>>,
+) -> StoreResult<Arc<[u8]>> {
     assert_no_shard_held();
-    let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, PAGE_SIZE).collect();
-    // A fresh `Arc` is unique, so `make_mut` hands out its buffer
-    // without cloning.
+    let mut bytes = recycled
+        .and_then(|mut bytes| Arc::get_mut(&mut bytes).is_some().then_some(bytes))
+        .unwrap_or_else(|| std::iter::repeat_n(0u8, PAGE_SIZE).collect());
+    // The buffer is unique, so `make_mut` hands it out without cloning.
     store.read_into(page, Arc::make_mut(&mut bytes))?;
     Ok(bytes)
 }
+
+/// What a lookup found: the frame's image, or else the page buffer, if
+/// any, that the physical read which must follow may reuse.
+type Found = Result<Image, Option<Arc<[u8]>>>;
 
 /// The frame table's hash over the two words of a [`PageKey`]: a
 /// multiply per word, rotated at the end so that both the low bits
@@ -123,16 +162,28 @@ impl Hasher for PageKeyHasher {
     }
 }
 
-#[derive(Debug, Default)]
+/// One shard's state (see the module doc's "A shard's frames").
+#[derive(Debug)]
 struct Inner {
-    frames: HashMap<PageKey, Frame, BuildHasherDefault<PageKeyHasher>>,
-    tick: u64,
+    /// Frames this shard may hold; `None` never evicts.
+    capacity: Option<usize>,
+    slots: HashMap<PageKey, usize, BuildHasherDefault<PageKeyHasher>>,
+    frames: Vec<Frame>,
+    /// Most and least recently used slot of a bounded shard.
+    head: usize,
+    tail: usize,
+    /// Page buffers that simulated accesses evicted, kept for the
+    /// physical reads of misses that evict none. With the frames'
+    /// images they never number more than the shard's capacity.
+    spare: Vec<Arc<[u8]>>,
     totals: CacheCounts,
 }
 
+/// Aligned to two cache lines so that two shards' locks never share
+/// one (nor an adjacent pair the prefetcher fetches together).
 #[derive(Debug)]
+#[repr(align(128))]
 struct Shard {
-    capacity: Option<usize>,
     inner: Mutex<Inner>,
 }
 
@@ -221,9 +272,16 @@ impl BufferPool {
         }
         let shards = (0..count)
             .map(|i| Shard {
-                // Distribute the capacity exactly: cap = Σ shard caps.
-                capacity: capacity.map(|cap| cap / count + usize::from(i < cap % count)),
-                inner: Mutex::new(Inner::default()),
+                inner: Mutex::new(Inner {
+                    // Distribute the capacity exactly: cap = Σ shard caps.
+                    capacity: capacity.map(|cap| cap / count + usize::from(i < cap % count)),
+                    slots: HashMap::default(),
+                    frames: Vec::new(),
+                    head: NIL,
+                    tail: NIL,
+                    spare: Vec::new(),
+                    totals: CacheCounts::default(),
+                }),
             })
             .collect();
         Arc::new(BufferPool { capacity, shards })
@@ -260,7 +318,7 @@ impl BufferPool {
 
     pub fn contains(&self, store: StoreId, page: u64) -> bool {
         let key = PageKey { store, page };
-        self.shard(key).lock().frames.contains_key(&key)
+        self.shard(key).lock().slots.contains_key(&key)
     }
 
     /// Look up `pages` consecutive pages of `store` starting at
@@ -277,23 +335,28 @@ impl BufferPool {
         let mut missed = 0;
         for page in first..first + pages {
             let key = PageKey { store, page };
-            let shard = self.shard(key);
-            let mut inner = shard.lock();
-            if !inner.touch(key, shard.capacity, tracker) {
-                missed += 1;
-            }
+            let mut inner = self.shard(key).lock();
+            let (_, hit, evicted) = inner.touch(key, tracker);
+            inner.spare.extend(evicted);
+            missed += u64::from(!hit);
         }
         missed
     }
 
-    /// One charged lookup of `key`: the number of misses (0 or 1) and
-    /// the image its frame caches, if any. The shard lock is released
-    /// on return, so the caller reads and hashes with the shard open.
-    fn lookup(&self, key: PageKey, tracker: &IoTracker) -> (u64, Option<Image>) {
-        let shard = self.shard(key);
-        let mut inner = shard.lock();
-        let missed = u64::from(!inner.touch(key, shard.capacity, tracker));
-        (missed, inner.frames.get(&key).and_then(|f| f.image.clone()))
+    /// One charged lookup of `key`: the number of misses (0 or 1), the
+    /// frame's slot, and either the image the frame caches or a page
+    /// buffer for the read that must follow (the one the lookup
+    /// evicted, else the shard's spare, if any). The shard lock is
+    /// released on return, so the caller reads and hashes with the
+    /// shard open.
+    fn lookup(&self, key: PageKey, tracker: &IoTracker) -> (u64, usize, Found) {
+        let mut inner = self.shard(key).lock();
+        let (slot, hit, evicted) = inner.touch(key, tracker);
+        let found = match &inner.frames[slot].image {
+            Some(image) => Ok(image.clone()),
+            None => Err(evicted.or_else(|| inner.spare.pop())),
+        };
+        (u64::from(!hit), slot, found)
     }
 
     /// Read one page's *contents* through the pool: charged exactly
@@ -309,12 +372,12 @@ impl BufferPool {
         tracker: &IoTracker,
     ) -> StoreResult<(Arc<[u8]>, u64)> {
         let key = PageKey { store: store.id(), page };
-        let (missed, cached) = self.lookup(key, tracker);
-        let bytes = match cached {
-            Some(image) => image.bytes,
-            None => {
-                let bytes = read_page(store, page)?;
-                self.shard(key).lock().fill(key, &bytes, None);
+        let (missed, slot, found) = self.lookup(key, tracker);
+        let bytes = match found {
+            Ok(image) => image.bytes,
+            Err(recycled) => {
+                let bytes = read_page(store, page, recycled)?;
+                self.shard(key).lock().fill(slot, key, &bytes, None);
                 bytes
             }
         };
@@ -336,16 +399,16 @@ impl BufferPool {
         let key = PageKey { store: store.id(), page };
         let (mut missed, mut found) = (0, 0);
         for _ in 0..=IMAGE_READ_RETRIES {
-            let (m, cached) = self.lookup(key, tracker);
+            let (m, slot, cached) = self.lookup(key, tracker);
             missed += m;
             let image = match cached {
-                Some(image) => image,
-                None => Image { bytes: read_page(store, page)?, sum: None },
+                Ok(image) => image,
+                Err(recycled) => Image { bytes: read_page(store, page, recycled)?, sum: None },
             };
             found = image.sum.unwrap_or_else(|| checksum(&image.bytes));
             if found == expected {
                 if image.sum.is_none() {
-                    self.shard(key).lock().fill(key, &image.bytes, Some(found));
+                    self.shard(key).lock().fill(slot, key, &image.bytes, Some(found));
                 }
                 return Ok((image.bytes, missed));
             }
@@ -365,53 +428,121 @@ impl BufferPool {
     /// Returns whether a frame was found.
     pub fn invalidate(&self, store: StoreId, page: u64) -> bool {
         let key = PageKey { store, page };
-        self.shard(key).lock().discard(key)
+        // A dropped image is freed after the guard.
+        let discarded = self.shard(key).lock().discard(key);
+        discarded.is_some()
     }
 }
 
 impl Inner {
-    /// Cache `bytes` in the page's frame, unless the frame was evicted
-    /// or invalidated while the page was read.
-    fn fill(&mut self, key: PageKey, bytes: &Arc<[u8]>, sum: Option<u64>) {
-        if let Some(frame) = self.frames.get_mut(&key) {
+    /// Cache `bytes` in the frame at `slot` if it still holds `key`;
+    /// the frame may have been evicted, invalidated or moved while the
+    /// page was read. Then the image is not cached, and the frame's
+    /// next load reads the page again.
+    fn fill(&mut self, slot: usize, key: PageKey, bytes: &Arc<[u8]>, sum: Option<u64>) {
+        if let Some(frame) = self.frames.get_mut(slot).filter(|f| f.key == key) {
             frame.image = Some(Image { bytes: Arc::clone(bytes), sum });
         }
     }
 
-    /// Drop the page's frame (see [`BufferPool::invalidate`]); returns
-    /// whether there was one.
-    fn discard(&mut self, key: PageKey) -> bool {
-        self.frames.remove(&key).is_some()
+    /// Drop the page's frame (see [`BufferPool::invalidate`]) and
+    /// return it. The slab's last frame moves into the freed slot.
+    fn discard(&mut self, key: PageKey) -> Option<Frame> {
+        let slot = self.slots.remove(&key)?;
+        let bounded = self.capacity.is_some();
+        if bounded {
+            self.unlink(slot);
+        }
+        let frame = self.frames.swap_remove(slot);
+        if let Some(moved) = self.frames.get(slot) {
+            let (prev, next) = (moved.prev, moved.next);
+            self.slots.insert(moved.key, slot);
+            if bounded {
+                self.point_at(prev, next, slot);
+            }
+        }
+        Some(frame)
     }
 
-    /// Look up one page, faulting it in on miss; returns whether it was
-    /// a hit.
-    fn touch(&mut self, key: PageKey, capacity: Option<usize>, tracker: &IoTracker) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(frame) = self.frames.get_mut(&key) {
-            frame.last_use = tick;
-            self.totals.hits += 1;
-            tracker.record_hit();
-            return true;
-        }
+    /// Look up one page, faulting it in on a miss. Returns its slot,
+    /// whether it was a hit, and the page buffer of the frame a miss
+    /// evicted.
+    fn touch(&mut self, key: PageKey, tracker: &IoTracker) -> (usize, bool, Option<Arc<[u8]>>) {
+        let vacant = match self.slots.entry(key) {
+            Entry::Occupied(hit) => {
+                let slot = *hit.get();
+                self.totals.hits += 1;
+                tracker.record_hit();
+                if self.capacity.is_some() && slot != self.head {
+                    self.unlink(slot);
+                    self.push_front(slot);
+                }
+                return (slot, true, None);
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
         self.totals.misses += 1;
         tracker.record_miss();
         tracker.record_pages(1);
-        if capacity.is_some_and(|cap| self.frames.len() >= cap) {
-            self.evict_lru(tracker);
+        let frame = Frame { key, image: None, prev: NIL, next: NIL };
+        let full = self.capacity.map(|cap| self.frames.len() >= cap);
+        if full != Some(true) {
+            let slot = self.frames.len();
+            vacant.insert(slot);
+            self.frames.push(frame);
+            if full.is_some() {
+                self.push_front(slot);
+            }
+            return (slot, false, None);
         }
-        self.frames.insert(key, Frame { last_use: tick, image: None });
-        false
+        // A full shard: the least recently used frame's slot takes the
+        // page.
+        let slot = self.tail;
+        vacant.insert(slot);
+        self.unlink(slot);
+        let victim = std::mem::replace(&mut self.frames[slot], frame);
+        self.slots.remove(&victim.key);
+        self.push_front(slot);
+        self.totals.evictions += 1;
+        tracker.record_eviction();
+        (slot, false, victim.image.map(|image| image.bytes))
     }
 
-    /// Evict the least-recently-used frame.
-    fn evict_lru(&mut self, tracker: &IoTracker) {
-        let victim = self.frames.iter().min_by_key(|(_, f)| f.last_use).map(|(k, _)| *k);
-        if let Some(key) = victim {
-            self.frames.remove(&key);
-            self.totals.evictions += 1;
-            tracker.record_eviction();
+    /// Take `slot` off the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Frame { prev, next, .. } = self.frames[slot];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.frames[prev].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.frames[next].prev = prev;
+        }
+    }
+
+    /// Put `slot` at the head of the recency list.
+    fn push_front(&mut self, slot: usize) {
+        let old = self.head;
+        self.frames[slot].prev = NIL;
+        self.frames[slot].next = old;
+        self.point_at(NIL, old, slot);
+    }
+
+    /// Make the list neighbours `prev` and `next` (or the list's ends,
+    /// where they are [`NIL`]) point at `slot`.
+    fn point_at(&mut self, prev: usize, next: usize, slot: usize) {
+        if prev == NIL {
+            self.head = slot;
+        } else {
+            self.frames[prev].next = slot;
+        }
+        if next == NIL {
+            self.tail = slot;
+        } else {
+            self.frames[next].prev = slot;
         }
     }
 }
@@ -428,6 +559,7 @@ pub struct PoolStats {
 mod tests {
     use super::*;
     use crate::page::{InMemoryPageStore, PageStore};
+    use std::collections::VecDeque;
     use std::time::Duration;
 
     fn ids() -> (StoreId, IoTracker) {
@@ -553,7 +685,7 @@ mod tests {
     #[test]
     fn sharded_capacity_is_distributed_exactly() {
         let pool = BufferPool::with_shards(Some(130), 8);
-        let per_shard: usize = pool.shards.iter().map(|s| s.capacity.unwrap()).sum();
+        let per_shard: usize = pool.shards.iter().map(|s| s.lock().capacity.unwrap()).sum();
         assert_eq!(per_shard, 130, "shard capacities sum to the pool capacity");
         let (store, t) = ids();
         for page in 0..1000 {
@@ -683,7 +815,7 @@ mod tests {
         let page = store.allocate(1).unwrap();
         let pool = BufferPool::new(4);
         let _guard = pool.shards[0].lock();
-        let _ = read_page(&store, page);
+        let _ = read_page(&store, page, None);
     }
 
     #[cfg(debug_assertions)]
@@ -740,5 +872,175 @@ mod tests {
         let s = pool.stats().counts;
         assert_eq!(s.accesses(), 800);
         assert_eq!(s.misses, 16, "each page faults exactly once across threads");
+    }
+
+    /// The pool's specification: per shard, a queue of resident keys
+    /// (most recently used first) of at most the shard's capacity.
+    struct LruModel {
+        shards: Vec<(Option<usize>, VecDeque<PageKey>)>,
+        counts: CacheCounts,
+    }
+
+    impl LruModel {
+        fn of(pool: &BufferPool) -> Self {
+            let shards = pool.shards.iter().map(|s| (s.lock().capacity, VecDeque::new())).collect();
+            LruModel { shards, counts: CacheCounts::default() }
+        }
+
+        fn touch(&mut self, shard: usize, key: PageKey) {
+            let (capacity, queue) = &mut self.shards[shard];
+            if let Some(at) = queue.iter().position(|&k| k == key) {
+                queue.remove(at);
+                self.counts.hits += 1;
+            } else {
+                self.counts.misses += 1;
+                if capacity.is_some_and(|cap| queue.len() >= cap) {
+                    queue.pop_back();
+                    self.counts.evictions += 1;
+                }
+            }
+            queue.push_front(key);
+        }
+
+        fn discard(&mut self, shard: usize, key: PageKey) -> bool {
+            let queue = &mut self.shards[shard].1;
+            let at = queue.iter().position(|&k| k == key);
+            at.map(|at| queue.remove(at)).is_some()
+        }
+
+        fn resident(&self) -> usize {
+            self.shards.iter().map(|(_, q)| q.len()).sum()
+        }
+
+        fn contains(&self, shard: usize, key: PageKey) -> bool {
+            self.shards[shard].1.contains(&key)
+        }
+    }
+
+    /// The contents of page `p` of store `s` (distinct per page, so a
+    /// mixed-up or stale buffer shows).
+    fn contents(s: usize, p: u64) -> Vec<u8> {
+        (0..PAGE_SIZE).map(|i| (i as u64 * 7 + p * 13 + s as u64 * 101) as u8).collect()
+    }
+
+    #[test]
+    fn every_capacity_evicts_exactly_like_a_per_shard_lru_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for capacity in
+            [Some(1), Some(2), Some(7), Some(127), Some(128), Some(130), Some(256), None]
+        {
+            let pool = capacity.map_or_else(BufferPool::unbounded, BufferPool::new);
+            let mut model = LruModel::of(&pool);
+            // Two stores of one and a half times the capacity each, so
+            // hits and evictions are both common.
+            let pages = capacity.map_or(96, |cap| cap as u64 * 3 / 2 + 4);
+            let stores: Vec<InMemoryPageStore> = (0..2)
+                .map(|s| {
+                    let store = InMemoryPageStore::new();
+                    store.allocate(pages).unwrap();
+                    for p in 0..pages {
+                        store.write_page(p, &contents(s, p)).unwrap();
+                    }
+                    store
+                })
+                .collect();
+            let sums: Vec<Vec<u64>> =
+                (0..2).map(|s| (0..pages).map(|p| checksum(&contents(s, p))).collect()).collect();
+            let shard_of = |key: PageKey| {
+                pool.shards.iter().position(|s| std::ptr::eq(s, pool.shard(key))).unwrap()
+            };
+            let t = IoTracker::default();
+            let mut rng = StdRng::seed_from_u64(42);
+            for op in 0..1500 {
+                let s = rng.gen_range(0..2);
+                let (store, page) = (&stores[s], rng.gen_range(0..pages));
+                let key = key_at(store, page);
+                match rng.gen_range(0..8) {
+                    0..=2 => {
+                        let span = rng.gen_range(1..=3).min(pages - page);
+                        let missed = pool.access(store.id(), page, span, &t);
+                        let before = model.counts.misses;
+                        for p in page..page + span {
+                            let key = key_at(store, p);
+                            model.touch(shard_of(key), key);
+                        }
+                        assert_eq!(missed, model.counts.misses - before, "op {op}: access misses");
+                    }
+                    3 | 4 => {
+                        let (data, missed) = pool.load(store, page, &t).unwrap();
+                        model.touch(shard_of(key), key);
+                        assert_eq!(&data[..], &contents(s, page)[..], "op {op}: loaded contents");
+                        assert!(missed <= 1);
+                    }
+                    5 | 6 => {
+                        let (data, _) =
+                            pool.load_verified(store, page, sums[s][page as usize], &t).unwrap();
+                        model.touch(shard_of(key), key);
+                        assert_eq!(&data[..], &contents(s, page)[..], "op {op}: verified contents");
+                    }
+                    _ => {
+                        let found = pool.invalidate(store.id(), page);
+                        assert_eq!(found, model.discard(shard_of(key), key), "op {op}: invalidate");
+                    }
+                }
+                let counts = pool.stats().counts;
+                assert_eq!(counts, model.counts, "capacity {capacity:?}, op {op}");
+                assert_eq!(pool.resident(), model.resident(), "capacity {capacity:?}, op {op}");
+                for store in &stores {
+                    for p in 0..pages {
+                        let key = key_at(store, p);
+                        assert_eq!(
+                            pool.contains(store.id(), p),
+                            model.contains(shard_of(key), key),
+                            "capacity {capacity:?}, op {op}: page {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn key_at(store: &InMemoryPageStore, page: u64) -> PageKey {
+        PageKey { store: store.id(), page }
+    }
+
+    /// A one-frame pool over a full page 0, a page 1 written short and a
+    /// page 2 never written.
+    fn one_frame_pool() -> (InMemoryPageStore, Arc<BufferPool>) {
+        let store = InMemoryPageStore::new();
+        store.allocate(3).unwrap();
+        store.write_page(0, &[0x11; PAGE_SIZE]).unwrap();
+        store.write_page(1, &[0x22; 10]).unwrap();
+        (store, BufferPool::new(1))
+    }
+
+    #[test]
+    fn a_recycled_buffer_never_shows_the_evicted_page() {
+        let (store, pool) = one_frame_pool();
+        let t = IoTracker::default();
+        let full = Arc::as_ptr(&pool.load(&store, 0, &t).unwrap().0);
+        // Page 1 evicts page 0 and is read into its buffer.
+        let (short, _) = pool.load(&store, 1, &t).unwrap();
+        assert_eq!(Arc::as_ptr(&short), full, "the evicted buffer was recycled");
+        assert_eq!(&short[..10], &[0x22; 10][..]);
+        assert!(short[10..].iter().all(|&b| b == 0), "the tail of a short page is zeros");
+        drop(short);
+        // A simulated access evicts page 1: its buffer waits in the
+        // shard's spare until page 2 evicts the image-less frame.
+        pool.access(store.id(), 7, 1, &t);
+        let (empty, _) = pool.load(&store, 2, &t).unwrap();
+        assert_eq!(Arc::as_ptr(&empty), full, "the spare buffer was recycled");
+        assert!(empty.iter().all(|&b| b == 0), "a never-written page reads zeros");
+    }
+
+    #[test]
+    fn a_buffer_a_reader_still_holds_is_not_recycled() {
+        let (store, pool) = one_frame_pool();
+        let t = IoTracker::default();
+        let (held, _) = pool.load(&store, 0, &t).unwrap();
+        let (next, _) = pool.load(&store, 1, &t).unwrap();
+        assert_ne!(Arc::as_ptr(&next), Arc::as_ptr(&held), "a fresh buffer");
+        assert!(held.iter().all(|&b| b == 0x11), "the reader's image is untouched");
+        assert_eq!(t.stats(Duration::ZERO).cache.evictions, 1);
     }
 }

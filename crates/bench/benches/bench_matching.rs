@@ -85,7 +85,7 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("naive_distance_value", k), &k, |bench, _| {
             bench.iter(|| mm.distance_value(std::hint::black_box(&a), std::hint::black_box(&b)))
         });
-        let mut engine = MatchingEngine::new(mm.clone());
+        let mut engine = MatchingEngine::new(mm);
         let inf = f64::INFINITY;
         engine.distance(&a, &b, inf); // warm the scratch buffers
         g.bench_with_input(BenchmarkId::new("engine", k), &k, |bench, _| {
@@ -122,7 +122,7 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
     // Unequal sizes, prepared, `upper = ∞`: the exact stage's n × m
     // path, as `cluster` runs it for most pairs.
     let mut rng = StdRng::seed_from_u64(207);
-    let mut engine = MatchingEngine::new(mm.clone());
+    let mut engine = MatchingEngine::new(mm);
     let pa = engine.prepare(random_set(&mut rng, 7));
     let inf = f64::INFINITY;
     for nb in [3usize, 5] {

@@ -210,7 +210,7 @@ pub fn knn_korn(
     q: &VectorSet,
     kq: usize,
 ) -> (Vec<(u64, f64)>, QueryStats) {
-    let mut engine = MatchingEngine::new(model.clone());
+    let mut engine = MatchingEngine::new(*model);
     baseline_knn(idx, card, q, |src, ctx| {
         let mut result = TopK::new(kq);
         let mut dmax = f64::INFINITY;

@@ -91,7 +91,7 @@ impl ProcessedDataset {
                 return vsim_optics::pairwise_tiled(
                     n,
                     tile,
-                    || MatchingEngine::new(mm.clone()),
+                    || MatchingEngine::new(mm),
                     |engine, i, j| engine.distance_prepared(&prepared[i], &prepared[j]),
                 );
             }

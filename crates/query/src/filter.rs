@@ -19,30 +19,39 @@ use std::path::Path;
 use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
-use vsim_index::persist::{expect_tag, get_f64, get_u64, invalid};
+use vsim_index::persist::{expect_tag, get_u64, invalid};
 use vsim_index::{
     Backend, CandidateSource, FaultInjectingPageStore, FaultPlan, FilePageStore, PageStore,
     PageStreamReader, PageStreamWriter, PointFile, QueryContext, Scaled, StoreResult,
     VectorSetStore, XTree,
 };
-use vsim_setdist::matching::{MinimalMatching, PointDistance, WeightFunction};
-use vsim_setdist::{extended_centroid, MatchingEngine, PrefilteredDistance, VectorSet};
+use vsim_setdist::{
+    extended_centroid, MatchingEngine, MinimalMatching, PrefilteredDistance, VectorSet,
+};
 
-/// Directory-stream tag of a persisted filter/refine index ("FRIX" v2:
-/// three stream roots; v1 carried a fourth, a centroid M-tree).
-const INDEX_TAG: u64 = 0x4652_4958_0000_0002;
+/// Directory-stream tag of a persisted filter/refine index ("FRIX" v3:
+/// `k`, `dim`, the matching model's word and three stream roots; v2
+/// wrote ω, always 0, where the model now stands, and v1 carried a
+/// fourth root, a centroid M-tree).
+const INDEX_TAG: u64 = 0x4652_4958_0000_0003;
+
+/// The directory word of each matching model, in FRIX v3.
+const MODELS: [MinimalMatching; 2] =
+    [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()];
 
 /// Filter/refine index over vector sets.
 ///
-/// * Filter: the extended centroid `C_{k,ω}` of every set, kept in
+/// * Filter: the extended centroid `C_{k,0}` of every set, kept in
 ///   *two* interchangeable access paths — an X-tree and a flat
 ///   [`PointFile`] for sorted scans. By Lemma 2,
-///   `k · ‖C(X) − C(q)‖₂ ≤ dist_mm(X, q)`, so centroid distance `· k`
-///   lower-bounds the exact distance and both paths serve the same
-///   nondecreasing candidate stream
+///   `f · ‖C(X) − C(q)‖₂ ≤ dist_mm(X, q)` with `f` the model's
+///   [`lemma2_factor`](MinimalMatching::lemma2_factor) (`k` for the
+///   vector set model, `√k` for the permutation model), so centroid
+///   distance `· f` lower-bounds the exact distance and both paths serve
+///   the same nondecreasing candidate stream
 ///   (see [`FilterRefineIndex::with_candidate_source`]).
 /// * Refinement: load the candidate's vector set from the heap file and
-///   evaluate the exact minimal matching distance (weight `w_ω`).
+///   evaluate the model's exact minimal matching distance.
 ///
 /// There is one query entry point: a [`Query`] value — the variants of
 /// the query object, k-NN or ε-range, and the access path or `None`
@@ -54,6 +63,7 @@ const INDEX_TAG: u64 = 0x4652_4958_0000_0002;
 /// `knn_planned` are one-line spellings of common queries.
 pub struct FilterRefineIndex {
     k: usize,
+    /// ω = 0 of Definition 7, `dim` zeros (the paper's choice).
     omega: Vec<f64>,
     tree: XTree,
     /// The same centroids as a flat file (sorted sequential scan).
@@ -84,23 +94,14 @@ impl FilterRefineIndex {
         let tree = XTree::bulk_load(dim, &centroids);
         let cfile = PointFile::build(dim, &centroids);
         let store = VectorSetStore::build(sets);
-        FilterRefineIndex {
-            k,
-            omega,
-            tree,
-            cfile,
-            store,
-            mm: MinimalMatching {
-                point_distance: PointDistance::Euclidean,
-                weight: WeightFunction::Norm,
-                sqrt_of_total: false,
-            },
-        }
+        FilterRefineIndex { k, omega, tree, cfile, store, mm: MinimalMatching::vector_set_model() }
     }
 
-    /// Swap the refinement matching model (e.g. the paper's permutation
-    /// variant). The filter structures are model-independent — the
-    /// centroid ranking only orders candidates — so no rebuild is needed.
+    /// Swap the matching model (the paper's permutation variant). The
+    /// filter structures are model-independent — the centroids are the
+    /// same, and the model's Lemma 2 factor scales their distances as a
+    /// query reads them — so no rebuild is needed. [`save`](Self::save)
+    /// records the model, and [`open`](Self::open) restores it.
     pub fn with_model(mut self, mm: MinimalMatching) -> Self {
         self.mm = mm;
         self
@@ -162,7 +163,7 @@ impl FilterRefineIndex {
             tree: self.tree.snapshot()?,
             cfile: self.cfile.snapshot()?,
             store: self.store.snapshot()?,
-            mm: self.mm.clone(),
+            mm: self.mm,
         })
     }
 
@@ -192,8 +193,9 @@ impl FilterRefineIndex {
         self.store.page_store().backend()
     }
 
-    /// Persist the whole index — X-tree, centroid point file and the
-    /// vector-set heap file — into one durable page file at `path`:
+    /// Persist the whole index — X-tree, centroid point file, the
+    /// vector-set heap file and the matching model — into one durable
+    /// page file at `path`:
     /// written to a `.tmp` sibling, fsynced, then atomically renamed
     /// over the target. A crash at any point leaves either the
     /// previous file untouched or the complete new index, never a torn
@@ -223,14 +225,12 @@ impl FilterRefineIndex {
         let t = self.tree.save_to(target)?;
         let f = self.cfile.save_to(target)?;
         let s = self.store.write_ordered(target, &self.tree.leaf_order())?;
+        // The model's index in `MODELS`, which holds both.
+        let model = MODELS.iter().position(|&mm| mm == self.mm).unwrap_or_default() as u64;
         let mut meta = Vec::new();
-        for v in [INDEX_TAG, self.k as u64, self.omega.len() as u64] {
-            meta.extend_from_slice(&v.to_le_bytes());
-        }
-        for &w in &self.omega {
-            meta.extend_from_slice(&w.to_le_bytes());
-        }
-        for v in [t.first, f.first, s.first] {
+        for v in
+            [INDEX_TAG, self.k as u64, self.omega.len() as u64, model, t.first, f.first, s.first]
+        {
             meta.extend_from_slice(&v.to_le_bytes());
         }
         let mut w = PageStreamWriter::new(target);
@@ -279,8 +279,9 @@ impl FilterRefineIndex {
     }
 
     /// Reopen an index persisted by [`save`](Self::save), reading pages
-    /// through `pread`. Queries return bit-identical hits to the index
-    /// that was saved, with identical `refinements`, `filter_steps`,
+    /// through `pread`, under the matching model it was saved with.
+    /// Queries return bit-identical hits to the index that was saved,
+    /// with identical `refinements`, `filter_steps`,
     /// `pruned` and `f32_prefilter`; the page/byte accounting is that of
     /// the saved layout — identical between `open` and
     /// [`open_mmap`](Self::open_mmap), lower on heap pages than the
@@ -308,7 +309,11 @@ impl FilterRefineIndex {
         if k == 0 || dim == 0 || dim > 4096 {
             return Err(invalid("index directory header is inconsistent"));
         }
-        let omega: Vec<f64> = (0..dim).map(|_| get_f64(rd)).collect::<io::Result<_>>()?;
+        let model = get_u64(rd)?;
+        let mm = *usize::try_from(model)
+            .ok()
+            .and_then(|i| MODELS.get(i))
+            .ok_or_else(|| invalid(format!("index directory names matching model {model}")))?;
         let (t, f, s) = (get_u64(rd)?, get_u64(rd)?, get_u64(rd)?);
         let tree = XTree::load_from(Arc::clone(&store), t)?;
         let cfile = PointFile::open_from(Arc::clone(&store), f)?;
@@ -325,18 +330,7 @@ impl FilterRefineIndex {
         if tree.len() != n || cfile.len() != n || !tree.leaf_order().iter().all(claim) {
             return Err(invalid("index streams disagree on the objects they hold"));
         }
-        Ok(FilterRefineIndex {
-            k,
-            omega,
-            tree,
-            cfile,
-            store: vstore,
-            mm: MinimalMatching {
-                point_distance: PointDistance::Euclidean,
-                weight: WeightFunction::Norm,
-                sqrt_of_total: false,
-            },
-        })
+        Ok(FilterRefineIndex { k, omega: vec![0.0; dim], tree, cfile, store: vstore, mm })
     }
 
     /// The exact distance used for refinement.
@@ -348,7 +342,7 @@ impl FilterRefineIndex {
     /// One engine per query amortizes all matching-kernel allocations
     /// over the query's refinements.
     fn engine(&self) -> MatchingEngine {
-        MatchingEngine::new(self.mm.clone())
+        MatchingEngine::new(self.mm)
     }
 
     /// Statistics the [`Planner`] costs access paths against, read off
@@ -381,11 +375,12 @@ impl FilterRefineIndex {
 
     /// Open the chosen access path as a candidate stream for the query
     /// centroid `cq` and run `f` on it. The stream yields
-    /// `(id, k · ‖C(X) − C(q)‖)` — the Lemma 2 lower bound of the exact
-    /// distance — in nondecreasing order, with all page reads charged to
-    /// `ctx`. Both paths produce bit-identical bounds (same Euclidean
-    /// operation order, same `k ·` scaling), so the choice affects
-    /// cost, never results.
+    /// `(id, f · ‖C(X) − C(q)‖)`, `f` the model's
+    /// [`lemma2_factor`](MinimalMatching::lemma2_factor) of `k` — the
+    /// Lemma 2 lower bound of the exact distance — in nondecreasing
+    /// order, with all page reads charged to `ctx`. Both paths produce
+    /// bit-identical bounds (same Euclidean operation order, same `f ·`
+    /// scaling), so the choice affects cost, never results.
     ///
     /// `f` is fallible so refinement reads inside the closure can
     /// propagate storage errors; opening the sorted scan itself can also
@@ -397,7 +392,7 @@ impl FilterRefineIndex {
         ctx: &QueryContext,
         f: impl FnOnce(&mut dyn CandidateSource) -> StoreResult<R>,
     ) -> StoreResult<R> {
-        let factor = self.k as f64;
+        let factor = self.mm.lemma2_factor(self.k);
         match path {
             AccessPath::XTreeCursor => f(&mut Scaled::new(self.tree.nn_iter(cq, ctx), factor)),
             AccessPath::SeqScan => f(&mut Scaled::new(self.cfile.scan_ranked(cq, ctx)?, factor)),

@@ -19,8 +19,8 @@
 //!    centroids as a *filter*, exact minimal matching distance as
 //!    *refinement*, joined by the optimal multi-step algorithm of Seidl
 //!    & Kriegel [29]: pull candidates in ascending order of the Lemma 2
-//!    bound `k·‖C(X)−C(q)‖`, refine, stop at ε (range) or at the running
-//!    k-th distance (k-NN).
+//!    bound `f·‖C(X)−C(q)‖` (`f` the model's factor, `k` or `√k`),
+//!    refine, stop at ε (range) or at the running k-th distance (k-NN).
 //! 2. [`SequentialScanIndex`] — exact distance against every object.
 //!
 //! The filter layer is built on an incremental **candidate-stream

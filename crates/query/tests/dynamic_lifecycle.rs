@@ -42,7 +42,7 @@ enum Op {
 /// apply the identical op sequence through the same incremental code
 /// path. This is the reference every snapshot is compared against.
 fn replay(initial: &[VectorSet], ops: &[Op], k: usize, mm: &MinimalMatching) -> FilterRefineIndex {
-    let mut idx = FilterRefineIndex::build(initial, 6, k).with_model(mm.clone());
+    let mut idx = FilterRefineIndex::build(initial, 6, k).with_model(*mm);
     for op in ops {
         match op {
             Op::Insert(s) => {
@@ -107,7 +107,7 @@ proptest! {
         for mm in [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()] {
             let k = 4;
             let initial = random_sets(20, k, seed);
-            let mut dynamic = FilterRefineIndex::build(&initial, 6, k).with_model(mm.clone());
+            let mut dynamic = FilterRefineIndex::build(&initial, 6, k).with_model(mm);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let mut applied: Vec<Op> = Vec::new();
             let mut live: Vec<u64> = (0..20).collect();
@@ -147,7 +147,7 @@ proptest! {
             live.sort_unstable();
             let dense_sets: Vec<VectorSet> =
                 live.iter().map(|&id| sets_by_id[id as usize].clone()).collect();
-            let dense = FilterRefineIndex::build(&dense_sets, 6, k).with_model(mm.clone());
+            let dense = FilterRefineIndex::build(&dense_sets, 6, k).with_model(mm);
             let (sh, ss) = knn_with_stats(&snap, AccessPath::SeqScan, &q, 5);
             let (dh, ds) = knn_with_stats(&dense, AccessPath::SeqScan, &q, 5);
             prop_assert_eq!(sh.len(), dh.len());

@@ -2,13 +2,15 @@
 //! file and reopened — via `pread` and via mmap — must answer every
 //! query class bit-identically to the in-memory index it was built as,
 //! with the same loop counters, and the two durable read paths must
-//! charge identical simulated I/O.
+//! charge identical simulated I/O. One client's charges through a
+//! bounded shared pool are pinned to the count.
 
 use rand::prelude::*;
 use std::path::PathBuf;
-use vsim_index::{Backend, FilePageStore, PageStore, QueryContext};
+use std::sync::Arc;
+use vsim_index::{Backend, BufferPool, CacheCounts, FilePageStore, PageStore, QueryContext};
 use vsim_query::{AccessPath, FilterRefineIndex, Query, QueryExecutor};
-use vsim_setdist::VectorSet;
+use vsim_setdist::{MinimalMatching, VectorSet};
 
 fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -102,6 +104,36 @@ fn saved_index_answers_every_query_class_bit_identically() {
     }
 }
 
+/// An index saved under either matching model reopens under it: the
+/// 10-NN of every query are the same ids and distance bits in memory,
+/// through pread and through mmap, and equal the model's brute-force
+/// scan.
+#[test]
+fn a_reopened_index_answers_under_the_model_it_was_saved_with() {
+    let sets = random_sets(300, 5, 78);
+    for mm in [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()] {
+        let built = FilterRefineIndex::build(&sets, 6, 5).with_model(mm);
+        let path = TempFile(temp_index("model"));
+        built.save(&path.0).unwrap();
+        let file = FilterRefineIndex::open(&path.0).unwrap();
+        let mmap = FilterRefineIndex::open_mmap(&path.0).unwrap();
+        for qi in (0..sets.len()).step_by(29) {
+            let q = &sets[qi];
+            let mut brute: Vec<(u64, f64)> = sets
+                .iter()
+                .enumerate()
+                .map(|(id, s)| (id as u64, mm.distance_value(q, s)))
+                .collect();
+            brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            brute.truncate(10);
+            for (medium, idx) in [("memory", &built), ("file", &file), ("mmap", &mmap)] {
+                let what = format!("{mm:?} q{qi} {medium}");
+                assert_hits_bit_identical(&idx.knn(q, 10).0, &brute, &what);
+            }
+        }
+    }
+}
+
 #[test]
 fn reopened_index_plans_against_its_real_backend() {
     let sets = random_sets(250, 4, 72);
@@ -190,4 +222,33 @@ fn an_opened_index_file_is_never_written() {
         assert!(store.sync().is_err(), "re-commit of an opened page file");
     }
     assert!(std::fs::read(&path.0).unwrap() == saved, "the saved bytes changed");
+}
+
+/// The charges of one client through a bounded shared pool, pinned.
+/// With one client, which frame a miss evicts depends only on the order
+/// of touches, so the hits, misses and evictions of a fixed query
+/// sequence are a function of the pool's policy. The constants were
+/// recorded with the shard-local exact LRU: a policy or charging change
+/// that moves any of them shows here before it shows as a benchmark's
+/// fault rate. A page's shard hashes its page number, not its store's
+/// process-wide id, so the tests beside this one do not move them.
+#[test]
+fn single_client_charges_through_a_bounded_pool_are_pinned() {
+    // 8 000 sets save to well over 256 pages, so the pool (8 shards of
+    // 32 frames, the `knn_file` shape) evicts on most misses.
+    let sets = random_sets(8000, 5, 76);
+    let path = TempFile(temp_index("fault_pin"));
+    FilterRefineIndex::build(&sets, 6, 5).save(&path.0).unwrap();
+    let file = FilterRefineIndex::open(&path.0).unwrap();
+    assert_eq!(file.backend(), Backend::File);
+
+    let pool = BufferPool::new(256);
+    let mut summed = CacheCounts::default();
+    for q in &random_sets(64, 5, 77) {
+        let ctx = QueryContext::with_pool(Arc::clone(&pool));
+        file.knn_with(q, 10, &ctx).unwrap();
+        summed = summed + ctx.stats(std::time::Duration::ZERO).cache;
+    }
+    assert_eq!(pool.stats().counts, summed, "pool totals are the queries' sum");
+    assert_eq!(summed, CacheCounts { hits: 101_740, misses: 7_102, evictions: 6_846 });
 }

@@ -69,10 +69,10 @@ fn set_word(stream: &mut [u8], i: usize, v: u64) {
 /// the file. Returns false when the header straddles a page boundary.
 fn damage_record_header(path: &Path, id: usize) -> bool {
     let saved = FilePageStore::open(path).unwrap();
-    // Directory stream: tag, k, dim, ω[dim], then the first pages of
-    // the X-tree, point-file and heap-file streams.
+    // Directory stream: tag, k, dim, the matching model, then the first
+    // pages of the X-tree, point-file and heap-file streams.
     let mut dir = read_stream(&saved, saved.root().unwrap());
-    let heap_entry = 3 + DIM + 2;
+    let heap_entry = 4 + 2;
     // Heap-file stream (v4): tag, dim, image first page, image bytes,
     // the offset table by slot (count, then offsets), one checksum per
     // image page, then the id → slot table (count, then `u32`s). A saved

@@ -34,16 +34,15 @@
 //!   performs **zero heap allocations per distance** (asserted by the
 //!   `alloc_free` integration test for every operand pairing);
 //! * for lane dims every entry is one fixed-width lane kernel
-//!   ([`crate::simd`]) — bit-identical to the per-pair
-//!   [`PointDistance::eval`](crate::matching::PointDistance::eval)
-//!   calls `match_sets` makes, because both use the same fixed
-//!   reduction tree.
+//!   ([`crate::simd`]) — bit-identical to the per-pair point distances
+//!   `match_sets` evaluates, because both use the same fixed reduction
+//!   tree.
 //!
 //! Every `Exact` value is bit-identical to [`MinimalMatching::match_sets`]
 //! (property-tested below for both paper models, on tie-heavy inputs).
 
 use crate::hungarian::{self, Workspace};
-use crate::matching::{MinimalMatching, PointDistance};
+use crate::matching::MinimalMatching;
 use crate::simd;
 use crate::types::VectorSet;
 
@@ -107,7 +106,7 @@ impl PreparedSet {
     /// Precompute the weights (and lane rows) of `set` under `mm`'s
     /// weight function.
     pub fn new(set: VectorSet, mm: &MinimalMatching) -> Self {
-        let weights: Vec<f64> = set.iter().map(|v| mm.weight.eval(v)).collect();
+        let weights: Vec<f64> = set.iter().map(|v| mm.weight(v)).collect();
         let mut pad = Vec::new();
         let mut pad32 = Vec::new();
         if set.dim() <= simd::LANES {
@@ -279,7 +278,7 @@ impl MatchingEngine {
         // permutation model's bound is squared (Section 4.2); the sum is
         // non-negative, so a negative bound clamps to 0.
         if lanes && m > 0 && upper.is_finite() {
-            let raw_upper = if self.mm.sqrt_of_total {
+            let raw_upper = if self.mm.squared() {
                 let u = upper.max(0.0);
                 u * u
             } else {
@@ -313,9 +312,9 @@ impl MatchingEngine {
             None => {
                 wbig.clear();
                 if lanes {
-                    wbig.extend((0..m).map(|i| mm.weight.eval_row(simd::row(bigp, i))));
+                    wbig.extend((0..m).map(|i| mm.weight_row(simd::row(bigp, i))));
                 } else {
-                    wbig.extend(big.iter().map(|bi| mm.weight.eval(bi)));
+                    wbig.extend(big.iter().map(|bi| mm.weight(bi)));
                 }
                 wbig
             }
@@ -325,9 +324,9 @@ impl MatchingEngine {
         // per-point pad), the sequential `lp` sums above `LANES`.
         let dist = |i: usize, j: usize| {
             if lanes {
-                mm.point_distance.eval_lanes(simd::row(bigp, i), simd::row(smallp, j))
+                mm.point_distance_lanes(simd::row(bigp, i), simd::row(smallp, j))
             } else {
-                mm.point_distance.eval(big.get(i), small.get(j))
+                mm.point_distance(big.get(i), small.get(j))
             }
         };
         cost.clear();
@@ -392,15 +391,15 @@ impl MatchingEngine {
         // With M the largest of those scales over the rows seen so far,
         // the margin is twice that. Widening the bound only ever makes
         // the gate prune *less*; false prunes are what δ rules out.
-        let point_distance = mm.point_distance;
+        let squared = mm.squared();
         let input_scale = |norms: f32| {
             // Below this, squares round in f32's subnormal range, by an
             // absolute 2⁻¹⁵⁰ rather than relative to themselves.
             let norms = norms.max(1e-15);
-            match point_distance {
-                PointDistance::Euclidean => norms,
-                PointDistance::SquaredEuclidean => norms * norms,
-                PointDistance::Manhattan => norms * (simd::LANES as f32).sqrt(),
+            if squared {
+                norms * norms
+            } else {
+                norms
             }
         };
         let upper32 = upper as f32;
@@ -421,16 +420,13 @@ impl MatchingEngine {
             // The least distance to the smaller set. A Euclidean entry is
             // compared squared and rooted once: `sqrt` is monotone and
             // correctly rounded, so the least is the same value.
-            let nearest = match point_distance {
-                PointDistance::Euclidean => least_f32(&bi, smallp, simd::sq_l2_f32).sqrt(),
-                PointDistance::SquaredEuclidean => least_f32(&bi, smallp, simd::sq_l2_f32),
-                PointDistance::Manhattan => least_f32(&bi, smallp, simd::l1_f32),
-            };
+            let least_sq = least_f32(&bi, smallp);
+            let nearest = if squared { least_sq } else { least_sq.sqrt() };
             // With n < m the element may stay unmatched and pay its weight.
             let weight = match big {
                 _ if n == m => f32::INFINITY,
                 Operand::Prepared(p) => p.weights[i] as f32,
-                Operand::Raw(set) => mm.weight.eval(set.get(i)) as f32,
+                Operand::Raw(set) => mm.weight(set.get(i)) as f32,
             };
             let least = if weight < nearest || weight.is_nan() { weight } else { nearest };
             sum += least;
@@ -447,17 +443,13 @@ impl MatchingEngine {
     }
 }
 
-/// The least `entry(b, row)` over the rows of a `LANES`-strided `f32`
-/// buffer (∞ when it is empty). Not `f32::min`, which skips a NaN: a NaN
-/// entry must reach the gate's sum, and a NaN sum prunes.
-fn least_f32(
-    b: &[f32; simd::LANES],
-    padded: &[f32],
-    entry: impl Fn(&[f32; simd::LANES], &[f32; simd::LANES]) -> f32,
-) -> f32 {
+/// The least squared distance from `b` to the rows of a `LANES`-strided
+/// `f32` buffer (∞ when it is empty). Not `f32::min`, which skips a NaN:
+/// a NaN entry must reach the gate's sum, and a NaN sum prunes.
+fn least_f32(b: &[f32; simd::LANES], padded: &[f32]) -> f32 {
     let mut least = f32::INFINITY;
     for r in 0..padded.len() / simd::LANES {
-        let d = entry(b, simd::row_f32(padded, r));
+        let d = simd::sq_l2_f32(b, simd::row_f32(padded, r));
         if d < least || d.is_nan() {
             least = d;
         }
@@ -529,7 +521,7 @@ mod tests {
         // the lane path (dim 2) and the `lp` path above `LANES` dims.
         let mm = MinimalMatching::vector_set_model();
         for dim in [2usize, simd::LANES + 3] {
-            let mut e = MatchingEngine::new(mm.clone());
+            let mut e = MatchingEngine::new(mm);
             let sizes = [(4usize, 2usize), (1, 1), (3, 5), (2, 2), (6, 1)];
             for (round, &(a, b)) in sizes.iter().enumerate() {
                 let coords = |card: usize, step: usize, off: f64| -> Vec<f64> {
@@ -554,7 +546,7 @@ mod tests {
     /// prune only when the exact distance is *strictly* above the bound.
     fn assert_sound_across_exact(mm: &MinimalMatching, x: &VectorSet, y: &VectorSet, case: &str) {
         let exact = mm.distance_value(x, y);
-        let mut e = MatchingEngine::new(mm.clone());
+        let mut e = MatchingEngine::new(*mm);
         let mut uppers: Vec<f64> = (-50i64..=50).map(|j| exact * (1.0 + j as f64 * 1e-8)).collect();
         for ulps in -4i64..=4 {
             uppers.push(f64::from_bits((exact.to_bits() as i64 + ulps) as u64));
@@ -622,7 +614,7 @@ mod tests {
                 6,
                 &inexact_coords(3 * 6, 13).iter().map(|c| 1e39 * (1.0 + c)).collect::<Vec<_>>(),
             );
-            let mut e = MatchingEngine::new(mm.clone());
+            let mut e = MatchingEngine::new(mm);
             assert_eq!(distance_all_pairings(&mut e, &huge, &huge, 1.0), Exact(0.0), "{mm:?}");
         }
     }
@@ -650,11 +642,8 @@ mod tests {
                 let rows: f64 = x
                     .iter()
                     .map(|xi| {
-                        let d = y.iter().map(|yj| mm.point_distance.eval(xi, yj));
-                        d.fold(
-                            if surplus > 0 { mm.weight.eval(xi) } else { f64::INFINITY },
-                            f64::min,
-                        )
+                        let d = y.iter().map(|yj| mm.point_distance(xi, yj));
+                        d.fold(if surplus > 0 { mm.weight(xi) } else { f64::INFINITY }, f64::min)
                     })
                     .sum();
                 assert!(
@@ -662,7 +651,7 @@ mod tests {
                     "{case}: {rows} v {exact}"
                 );
                 assert_sound_across_exact(&mm, &x, &y, &case);
-                let mut e = MatchingEngine::new(mm.clone());
+                let mut e = MatchingEngine::new(mm);
                 assert_eq!(
                     distance_all_pairings(&mut e, &x, &y, exact * 0.9),
                     PrunedByF32,
@@ -686,9 +675,9 @@ mod tests {
                 let x = set_from(2, x);
                 let first = y
                     .iter()
-                    .map(|yj| mm.point_distance.eval(x.get(0), yj))
+                    .map(|yj| mm.point_distance(x.get(0), yj))
                     .fold(f64::INFINITY, f64::min);
-                let mut e = MatchingEngine::new(mm.clone());
+                let mut e = MatchingEngine::new(mm);
                 let upper = mm.finish(first * 0.9);
                 assert_eq!(distance_all_pairings(&mut e, &x, &y, upper), PrunedByF32, "{mm:?}");
             }
@@ -709,7 +698,7 @@ mod tests {
                     let v = if in_big { &mut big } else { &mut small };
                     v[at] = f64::NAN;
                     let (x, y) = (set_from(6, &big), set_from(6, &small));
-                    let mut e = MatchingEngine::new(mm.clone());
+                    let mut e = MatchingEngine::new(mm);
                     for upper in [-1.0, 0.0, 1.0, 5.0, 1e3, 1e30, 1e39, 1e300, f64::MAX] {
                         assert_eq!(
                             distance_all_pairings(&mut e, &x, &y, upper),
@@ -775,7 +764,7 @@ mod tests {
             for (x, y) in set_pairs(&coords, (nx, ny), (from, to)) {
                 for mm in models() {
                     let brute = brute_force_matching_distance(&mm, &x, &y);
-                    let mut e = MatchingEngine::new(mm.clone());
+                    let mut e = MatchingEngine::new(mm);
                     for (a, b) in [(&x, &y), (&y, &x)] {
                         let exact = mm.match_sets(a, b).cost;
                         prop_assert!((exact - brute).abs() <= 1e-9, "{exact} vs brute {brute}");
@@ -808,7 +797,7 @@ mod tests {
             for (x, y) in set_pairs(&coords, (nx, ny), (from, to)) {
                 let dim = x.dim();
                 for mm in models() {
-                    let mut e = MatchingEngine::new(mm.clone());
+                    let mut e = MatchingEngine::new(mm);
                     for (a, b) in [(&x, &y), (&y, &x)] {
                         let exact = mm.match_sets(a, b).cost;
                         let upper = exact * frac;
@@ -841,7 +830,7 @@ mod tests {
             let y = VectorSet::from_flat(6, ys);
             for mm in models() {
                 let exact = mm.distance_value(&x, &y);
-                let mut e = MatchingEngine::new(mm.clone());
+                let mut e = MatchingEngine::new(mm);
                 let upper = exact * frac;
 
                 let got = distance_all_pairings(&mut e, &x, &y, upper);

@@ -15,7 +15,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use vsim_setdist::{VectorSet, matching::MinimalMatching, lp::Euclidean};
+//! use vsim_setdist::{centroid_lower_bound, extended_centroid, MinimalMatching, VectorSet};
 //!
 //! let mut x = VectorSet::new(2);
 //! x.push(&[0.0, 0.0]);
@@ -26,8 +26,14 @@
 //!
 //! // Vector set model distance: Euclidean point distance, weight = norm.
 //! let mm = MinimalMatching::vector_set_model();
-//! let d = mm.distance(&x, &y);
-//! assert!((d.cost - 0.1).abs() < 1e-12); // matches 0↔1, 1↔0
+//! let out = mm.match_sets(&x, &y);
+//! assert!((out.cost - 0.1).abs() < 1e-12); // matches 0↔1, 1↔0
+//! assert_eq!(out.pairs, vec![(0, 1), (1, 0)]);
+//! assert_eq!(mm.distance_value(&x, &y), out.cost);
+//!
+//! // Lemma 2: the extended centroids bound the distance from below.
+//! let (cx, cy) = (extended_centroid(&x, 2, &[0.0; 2]), extended_centroid(&y, 2, &[0.0; 2]));
+//! assert!(centroid_lower_bound(&mm, &cx, &cy, 2) <= out.cost);
 //! ```
 
 pub mod centroid;

@@ -1,31 +1,7 @@
-//! `L_p` distances on feature vectors (Section 3.1 uses the Euclidean
-//! distance throughout the paper's experiments).
-
-use crate::metric::Distance;
-
-/// Euclidean (`L₂`) distance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Euclidean;
-
-/// Squared Euclidean distance (not a metric; used as the point distance
-/// that turns the matching distance into the squared minimum Euclidean
-/// distance under permutation, Section 4.2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SquaredEuclidean;
-
-/// Manhattan (`L₁`) distance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Manhattan;
-
-/// General Minkowski (`L_p`) distance, `p ≥ 1`.
-#[derive(Debug, Clone, Copy)]
-pub struct Minkowski {
-    pub p: f64,
-}
-
-/// Maximum (`L_∞`) distance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Chebyshev;
+//! The Euclidean distance and norm on feature vectors, squared and not
+//! (Section 3.1 uses the Euclidean distance throughout the paper's
+//! experiments): sequential sums, which the matching uses above the lane
+//! width of [`crate::simd`].
 
 #[inline]
 pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -36,24 +12,6 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     sq_euclidean(a, b).sqrt()
-}
-
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-#[inline]
-pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
-pub fn minkowski(a: &[f64], b: &[f64], p: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    assert!(p >= 1.0, "Minkowski distance requires p >= 1");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs().powf(p)).sum::<f64>().powf(1.0 / p)
 }
 
 /// Euclidean norm of a vector — the weight function `w_ω` of Definition 7
@@ -71,43 +29,6 @@ pub fn sq_norm(a: &[f64]) -> f64 {
     a.iter().map(|x| x * x).sum()
 }
 
-impl Distance<[f64]> for Euclidean {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        euclidean(a, b)
-    }
-}
-
-impl Distance<[f64]> for SquaredEuclidean {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        sq_euclidean(a, b)
-    }
-}
-
-impl Distance<[f64]> for Manhattan {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        manhattan(a, b)
-    }
-}
-
-impl Distance<[f64]> for Minkowski {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        minkowski(a, b, self.p)
-    }
-}
-
-impl Distance<[f64]> for Chebyshev {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        chebyshev(a, b)
-    }
-}
-
-// The same functions on Vec<f64> for owned storage in indexes.
-impl Distance<Vec<f64>> for Euclidean {
-    fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
-        euclidean(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,27 +41,8 @@ mod tests {
         let b = [3.0, 4.0, 0.0];
         assert_eq!(euclidean(&a, &b), 5.0);
         assert_eq!(sq_euclidean(&a, &b), 25.0);
-        assert_eq!(manhattan(&a, &b), 7.0);
-        assert_eq!(chebyshev(&a, &b), 4.0);
-        assert!((minkowski(&a, &b, 2.0) - 5.0).abs() < 1e-12);
-        assert!((minkowski(&a, &b, 1.0) - 7.0).abs() < 1e-12);
         assert_eq!(norm(&b), 5.0);
         assert_eq!(sq_norm(&b), 25.0);
-    }
-
-    #[test]
-    fn minkowski_interpolates_between_l1_and_linf() {
-        let a = [1.0, -2.0];
-        let b = [4.0, 2.0];
-        let l1 = manhattan(&a, &b);
-        let linf = chebyshev(&a, &b);
-        let mut prev = l1;
-        for p in [1.5, 2.0, 3.0, 8.0, 32.0] {
-            let d = minkowski(&a, &b, p);
-            assert!(d <= prev + 1e-12, "L_p not monotone at p={p}");
-            assert!(d >= linf - 1e-12);
-            prev = d;
-        }
     }
 
     proptest! {
@@ -148,22 +50,16 @@ mod tests {
         fn lp_metric_axioms(vals in proptest::collection::vec(-100.0f64..100.0, 12)) {
             let sample: Vec<Vec<f64>> = vals.chunks(3).map(|c| c.to_vec()).collect();
             let refs: Vec<&[f64]> = sample.iter().map(|v| v.as_slice()).collect();
-            let check = |f: fn(&[f64], &[f64]) -> f64| {
-                for (i, a) in refs.iter().enumerate() {
-                    prop_assert!(f(a, a).abs() < 1e-9);
-                    for b in &refs {
-                        prop_assert!((f(a, b) - f(b, a)).abs() < 1e-9);
-                        for c in &refs {
-                            prop_assert!(f(a, b) <= f(a, c) + f(c, b) + 1e-9,
-                                "triangle violated at sample {i}");
-                        }
+            for (i, a) in refs.iter().enumerate() {
+                prop_assert!(euclidean(a, a).abs() < 1e-9);
+                for b in &refs {
+                    prop_assert!((euclidean(a, b) - euclidean(b, a)).abs() < 1e-9);
+                    for c in &refs {
+                        prop_assert!(euclidean(a, b) <= euclidean(a, c) + euclidean(c, b) + 1e-9,
+                            "triangle violated at sample {i}");
                     }
                 }
-                Ok(())
-            };
-            check(euclidean)?;
-            check(manhattan)?;
-            check(chebyshev)?;
+            }
         }
 
         #[test]
@@ -178,20 +74,9 @@ mod tests {
 
     #[test]
     fn trait_objects_dispatch() {
-        let d: &dyn crate::Distance<[f64]> = &Euclidean;
+        let d: &dyn crate::Distance<[f64]> = &euclidean;
         assert_eq!(d.distance(&[0.0], &[2.0]), 2.0);
         let sample = [vec![0.0, 1.0], vec![3.0, -1.0], vec![2.0, 2.0]];
-        check_metric_axioms(
-            &Euclidean,
-            &sample
-                .iter()
-                .map(|v| v.as_slice())
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|s| s.to_vec())
-                .collect::<Vec<_>>(),
-            1e-12,
-        )
-        .unwrap();
+        check_metric_axioms(&|a: &Vec<f64>, b: &Vec<f64>| euclidean(a, b), &sample, 1e-12).unwrap();
     }
 }

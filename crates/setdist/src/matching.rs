@@ -19,113 +19,6 @@ use crate::metric::Distance;
 use crate::simd;
 use crate::types::VectorSet;
 
-/// Point distance used inside the matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PointDistance {
-    /// Plain Euclidean distance — the *vector set model* of the paper.
-    Euclidean,
-    /// Squared Euclidean — yields the squared minimum Euclidean distance
-    /// under permutation (take the square root to restore the metric).
-    SquaredEuclidean,
-    /// Manhattan distance (extension).
-    Manhattan,
-}
-
-impl PointDistance {
-    /// Evaluate the point distance (used by the matching kernels).
-    ///
-    /// For `dim ≤ 8` — which covers both paper feature models — this
-    /// routes through the fixed-reduction-order lane kernels of
-    /// [`crate::simd`], so per-pair calls here, the engine's padded-row
-    /// fill and the prepared weight tables all produce bit-identical
-    /// values for the same vectors (see the module contract in
-    /// `simd.rs`). Larger dimensions fall back to the sequential
-    /// [`crate::lp`] sums.
-    #[inline]
-    pub fn eval(self, a: &[f64], b: &[f64]) -> f64 {
-        if a.len() <= simd::LANES && b.len() <= simd::LANES {
-            let (pa, pb) = (simd::pad(a), simd::pad(b));
-            return match self {
-                PointDistance::Euclidean => simd::l2_f64(&pa, &pb),
-                PointDistance::SquaredEuclidean => simd::sq_l2_f64(&pa, &pb),
-                PointDistance::Manhattan => simd::l1_f64(&pa, &pb),
-            };
-        }
-        match self {
-            PointDistance::Euclidean => lp::euclidean(a, b),
-            PointDistance::SquaredEuclidean => lp::sq_euclidean(a, b),
-            PointDistance::Manhattan => lp::manhattan(a, b),
-        }
-    }
-
-    /// Evaluate over pre-padded lane blocks (the engine's hot fill) —
-    /// bit-identical to [`PointDistance::eval`] on the unpadded vectors.
-    #[inline]
-    pub(crate) fn eval_lanes(self, a: &[f64; simd::LANES], b: &[f64; simd::LANES]) -> f64 {
-        match self {
-            PointDistance::Euclidean => simd::l2_f64(a, b),
-            PointDistance::SquaredEuclidean => simd::sq_l2_f64(a, b),
-            PointDistance::Manhattan => simd::l1_f64(a, b),
-        }
-    }
-}
-
-/// Weight function `w` for unmatched elements (Definition 6).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WeightFunction {
-    /// `w_ω(x) = ‖x − ω‖₂` (Definition 7). The paper chooses `ω = 0`.
-    DistanceTo(Vec<f64>),
-    /// `w(x) = ‖x‖₂` — shorthand for `DistanceTo(0)`.
-    Norm,
-    /// `w(x) = ‖x‖₂²` — pairs with [`PointDistance::SquaredEuclidean`].
-    SqNorm,
-    /// Constant penalty (extension; metric only if it dominates half the
-    /// point diameter, cf. Lemma 1).
-    Constant(f64),
-}
-
-impl WeightFunction {
-    /// Evaluate the unmatched-element weight (used by the matching
-    /// kernels and [`crate::engine::PreparedSet`]). Routed through the
-    /// lane kernels for `dim ≤ 8`, like [`PointDistance::eval`].
-    #[inline]
-    pub fn eval(&self, x: &[f64]) -> f64 {
-        if x.len() <= simd::LANES {
-            return match self {
-                WeightFunction::DistanceTo(w) if w.len() <= simd::LANES => {
-                    simd::l2_f64(&simd::pad(x), &simd::pad(w))
-                }
-                WeightFunction::DistanceTo(w) => lp::euclidean(x, w),
-                WeightFunction::Norm => simd::norm_f64(&simd::pad(x)),
-                WeightFunction::SqNorm => simd::sq_norm_f64(&simd::pad(x)),
-                WeightFunction::Constant(c) => *c,
-            };
-        }
-        match self {
-            WeightFunction::DistanceTo(w) => lp::euclidean(x, w),
-            WeightFunction::Norm => lp::norm(x),
-            WeightFunction::SqNorm => lp::sq_norm(x),
-            WeightFunction::Constant(c) => *c,
-        }
-    }
-
-    /// [`WeightFunction::eval`] from an already lane-padded row: the
-    /// engine computes the big set's weight table straight from its
-    /// padded rows, skipping the per-point pad. Bit-identical to `eval`
-    /// on the unpadded point — same lane kernels, and zero-padding is
-    /// exact. Caller guarantees `dim ≤ LANES` (so any `DistanceTo`
-    /// anchor fits a lane block too).
-    #[inline]
-    pub(crate) fn eval_row(&self, row: &[f64; simd::LANES]) -> f64 {
-        match self {
-            WeightFunction::DistanceTo(w) => simd::l2_f64(row, &simd::pad(w)),
-            WeightFunction::Norm => simd::norm_f64(row),
-            WeightFunction::SqNorm => simd::sq_norm_f64(row),
-            WeightFunction::Constant(c) => *c,
-        }
-    }
-}
-
 /// Result of a minimal-matching-distance computation.
 #[derive(Debug, Clone)]
 pub struct MatchOutcome {
@@ -156,38 +49,131 @@ pub struct MatchScratch {
 }
 
 /// The minimal matching distance `dist_mm^{w, dist}` (Definition 6),
-/// computed in `O(k³)` with the Kuhn–Munkres algorithm.
-#[derive(Debug, Clone)]
-pub struct MinimalMatching {
-    pub point_distance: PointDistance,
-    pub weight: WeightFunction,
-    /// Take the square root of the matched sum (used by the
-    /// permutation-distance instantiation to restore the metric,
-    /// Section 4.2).
-    pub sqrt_of_total: bool,
+/// computed in `O(k³)` with the Kuhn–Munkres algorithm, in one of the
+/// paper's two instances: [`vector_set_model`](Self::vector_set_model)
+/// or [`permutation_model`](Self::permutation_model).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MinimalMatching(Model);
+
+/// The point distance, weight and final root of each instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Model {
+    /// Euclidean point distance, weight `‖x‖₂`, the sum as it is.
+    VectorSet,
+    /// Squared Euclidean point distance, weight `‖x‖₂²`, the square
+    /// root of the sum.
+    Permutation,
 }
 
 impl MinimalMatching {
     /// The paper's *vector set model*: Euclidean point distance, weight
     /// `w(x) = ‖x‖₂` (ω = 0). A metric by Lemma 1 as long as no vector is
-    /// the zero vector (covers always have volume).
-    pub fn vector_set_model() -> Self {
-        MinimalMatching {
-            point_distance: PointDistance::Euclidean,
-            weight: WeightFunction::Norm,
-            sqrt_of_total: false,
-        }
+    /// the zero vector (covers always have volume). The weight
+    /// `‖x − ω‖₂` of another ω is this model on both sets translated by
+    /// −ω.
+    pub const fn vector_set_model() -> Self {
+        MinimalMatching(Model::VectorSet)
     }
 
     /// The *minimum Euclidean distance under permutation* of the
     /// one-vector model (Definition 4), via the matching distance with
     /// squared Euclidean point distance and squared-norm weights; the
     /// square root of the total is returned (Section 4.2).
-    pub fn permutation_model() -> Self {
-        MinimalMatching {
-            point_distance: PointDistance::SquaredEuclidean,
-            weight: WeightFunction::SqNorm,
-            sqrt_of_total: true,
+    pub const fn permutation_model() -> Self {
+        MinimalMatching(Model::Permutation)
+    }
+
+    /// The factor `f` of the extended-centroid bound
+    /// `f · ‖C_{k,0}(X) − C_{k,0}(Y)‖₂ ≤ dist_mm(X, Y)` for sets of at
+    /// most `k` elements: `k` for the vector set model (Lemma 2), `√k`
+    /// for the permutation model. Pad both sets with zero vectors to `k`
+    /// elements; the model's optimal matching π pairs them, an element
+    /// matched to a zero vector paying its weight. Then
+    /// `k · ‖ΔC‖ = ‖Σᵢ (xᵢ − y_π(i))‖ ≤ Σᵢ ‖xᵢ − y_π(i)‖`, the vector set
+    /// distance, and by Cauchy–Schwarz
+    /// `Σᵢ ‖xᵢ − y_π(i)‖ ≤ √k · (Σᵢ ‖xᵢ − y_π(i)‖²)^½`, √k times the
+    /// permutation distance. The index scales every centroid distance by
+    /// this factor, and [`crate::centroid_lower_bound`] does too.
+    pub fn lemma2_factor(&self, k: usize) -> f64 {
+        match self.0 {
+            Model::VectorSet => k as f64,
+            Model::Permutation => (k as f64).sqrt(),
+        }
+    }
+
+    /// Whether the point distance and the weights are squared and the
+    /// total is rooted (the permutation model).
+    #[inline]
+    pub(crate) fn squared(&self) -> bool {
+        self.0 == Model::Permutation
+    }
+
+    /// The point distance. For `dim ≤ 8` — which covers both paper
+    /// feature models — this routes through the fixed-reduction-order
+    /// lane kernels of [`crate::simd`], so per-pair calls here, the
+    /// engine's padded-row fill and the prepared weight tables all
+    /// produce bit-identical values for the same vectors (see the module
+    /// contract in `simd.rs`). Larger dimensions fall back to the
+    /// sequential [`crate::lp`] sums.
+    #[inline]
+    pub(crate) fn point_distance(&self, a: &[f64], b: &[f64]) -> f64 {
+        if a.len() <= simd::LANES && b.len() <= simd::LANES {
+            return self.point_distance_lanes(&simd::pad(a), &simd::pad(b));
+        }
+        match self.0 {
+            Model::VectorSet => lp::euclidean(a, b),
+            Model::Permutation => lp::sq_euclidean(a, b),
+        }
+    }
+
+    /// [`point_distance`](Self::point_distance) over pre-padded lane
+    /// blocks (the engine's hot fill), bit-identical to it on the
+    /// unpadded vectors.
+    #[inline]
+    pub(crate) fn point_distance_lanes(
+        &self,
+        a: &[f64; simd::LANES],
+        b: &[f64; simd::LANES],
+    ) -> f64 {
+        match self.0 {
+            Model::VectorSet => simd::l2_f64(a, b),
+            Model::Permutation => simd::sq_l2_f64(a, b),
+        }
+    }
+
+    /// The weight `w(x)` an unmatched element pays (Definition 6),
+    /// through the lane kernels for `dim ≤ 8` like
+    /// [`point_distance`](Self::point_distance).
+    #[inline]
+    pub(crate) fn weight(&self, x: &[f64]) -> f64 {
+        if x.len() <= simd::LANES {
+            return self.weight_row(&simd::pad(x));
+        }
+        match self.0 {
+            Model::VectorSet => lp::norm(x),
+            Model::Permutation => lp::sq_norm(x),
+        }
+    }
+
+    /// [`weight`](Self::weight) from an already lane-padded row: the
+    /// engine computes the big set's weight table straight from its
+    /// padded rows. Bit-identical to `weight` on the unpadded point, as
+    /// zero-padding is exact.
+    #[inline]
+    pub(crate) fn weight_row(&self, row: &[f64; simd::LANES]) -> f64 {
+        match self.0 {
+            Model::VectorSet => simd::norm_f64(row),
+            Model::Permutation => simd::sq_norm_f64(row),
+        }
+    }
+
+    /// The distance from the summed matching cost: the permutation
+    /// model's square root restores the metric (Section 4.2).
+    pub(crate) fn finish(&self, total: f64) -> f64 {
+        match self.0 {
+            Model::VectorSet => total,
+            // Guard tiny negative rounding noise.
+            Model::Permutation => total.max(0.0).sqrt(),
         }
     }
 
@@ -217,12 +203,12 @@ impl MinimalMatching {
         let MatchScratch { cost, weights, ws, col_to_row } = scratch;
         weights.clear();
         if n < m {
-            weights.extend(big.iter().map(|v| self.weight.eval(v)));
+            weights.extend(big.iter().map(|v| self.weight(v)));
         }
         cost.clear();
         for j in 0..n {
             let sj = small.get(j);
-            cost.extend(big.iter().map(|bi| self.point_distance.eval(bi, sj)));
+            cost.extend(big.iter().map(|bi| self.point_distance(bi, sj)));
             if n < m {
                 for (c, &w) in cost[j * m..].iter_mut().zip(weights.iter()) {
                     *c -= w;
@@ -243,7 +229,7 @@ impl MinimalMatching {
                     sol_cost += if n == m {
                         cost[j * m + i]
                     } else {
-                        self.point_distance.eval(big.get(i), small.get(j))
+                        self.point_distance(big.get(i), small.get(j))
                     };
                     pairs.push(if big_is_first { (i, j) } else { (j, i) });
                 }
@@ -258,7 +244,7 @@ impl MinimalMatching {
         // Identity matching cost for the permutation statistic.
         let mut id_cost = 0.0;
         for i in 0..n {
-            id_cost += self.point_distance.eval(big.get(i), small.get(i));
+            id_cost += self.point_distance(big.get(i), small.get(i));
         }
         for &w in weights.iter().skip(n) {
             id_cost += w;
@@ -277,20 +263,6 @@ impl MinimalMatching {
     /// Distance value only.
     pub fn distance_value(&self, x: &VectorSet, y: &VectorSet) -> f64 {
         self.match_sets(x, y).cost
-    }
-
-    /// Alias for [`MinimalMatching::match_sets`] kept short in examples.
-    pub fn distance(&self, x: &VectorSet, y: &VectorSet) -> MatchOutcome {
-        self.match_sets(x, y)
-    }
-
-    pub(crate) fn finish(&self, total: f64) -> f64 {
-        if self.sqrt_of_total {
-            // Guard tiny negative rounding noise.
-            total.max(0.0).sqrt()
-        } else {
-            total
-        }
     }
 }
 
@@ -318,7 +290,7 @@ pub fn partial_matching_distance(
     assert!(i >= 1, "partial similarity needs at least one pair");
     let out = mm.match_sets(x, y);
     let mut pair_costs: Vec<f64> =
-        out.pairs.iter().map(|&(a, b)| mm.point_distance.eval(x.get(a), y.get(b))).collect();
+        out.pairs.iter().map(|&(a, b)| mm.point_distance(x.get(a), y.get(b))).collect();
     pair_costs.sort_by(|a, b| a.total_cmp(b));
     let total: f64 = pair_costs.iter().take(i).sum();
     mm.finish(total)
@@ -337,9 +309,9 @@ pub fn brute_force_matching_distance(mm: &MinimalMatching, x: &VectorSet, y: &Ve
     }
     let cost = CostMatrix::from_fn(m, m, |i, j| {
         if j < n {
-            mm.point_distance.eval(big.get(i), small.get(j))
+            mm.point_distance(big.get(i), small.get(j))
         } else {
-            mm.weight.eval(big.get(i))
+            mm.weight(big.get(i))
         }
     });
     mm.finish(hungarian::solve_brute_force(&cost).cost)

@@ -13,8 +13,8 @@
 //! * **Fixed reduction order.** [`sq_l2_f64`] sums its 8 squared
 //!   differences with one fixed pairwise tree,
 //!   `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, so every caller —
-//!   per-entry [`eval`](crate::matching::PointDistance::eval) calls,
-//!   the engine's row-padded fill, prepared weight tables — produces
+//!   `match_sets`' per-entry point distances, the engine's row-padded
+//!   fill, prepared weight tables — produces
 //!   **bit-identical** values for the same logical vectors. Padding
 //!   with zeros is exact: the padded terms are `+0.0` squares and
 //!   `x + 0.0 == x` bitwise for every non-negative `x`.
@@ -39,12 +39,12 @@ pub const LANES: usize = 8;
 #[inline]
 pub fn pad(v: &[f64]) -> [f64; LANES] {
     debug_assert!(v.len() <= LANES);
-    // Element loop instead of `copy_from_slice`: a runtime-length copy
-    // lowers to a `memcpy` call, which costs more than the whole block
-    // for these ≤ 8-lane rows.
+    // Constant-trip-count lane loop (select per lane), as in `pad_rows`:
+    // a runtime-length copy lowers to `memset` / `memcpy` calls, which
+    // cost more than the whole block for these ≤ 8-lane rows.
     let mut out = [0.0; LANES];
-    for (o, x) in out.iter_mut().zip(v) {
-        *o = *x;
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = v.get(l).copied().unwrap_or(0.0);
     }
     out
 }
@@ -99,7 +99,7 @@ pub fn pad_rows_f32(dim: usize, flat: &[f64], out: &mut Vec<f32>) {
 }
 
 macro_rules! lane_math {
-    ($f:ty, $sq_l2:ident, $l2:ident, $l1:ident, $sq_norm:ident, $norm:ident) => {
+    ($f:ty, $sq_l2:ident, $l2:ident, $sq_norm:ident, $norm:ident) => {
         /// Squared Euclidean distance over one lane block, fixed pairwise
         /// reduction tree (see the module contract).
         #[inline]
@@ -116,16 +116,6 @@ macro_rules! lane_math {
         #[inline]
         pub fn $l2(a: &[$f; LANES], b: &[$f; LANES]) -> $f {
             $sq_l2(a, b).sqrt()
-        }
-
-        /// Manhattan distance over one lane block (same reduction tree).
-        #[inline]
-        pub fn $l1(a: &[$f; LANES], b: &[$f; LANES]) -> $f {
-            let mut ad = [0.0 as $f; LANES];
-            for l in 0..LANES {
-                ad[l] = (a[l] - b[l]).abs();
-            }
-            ((ad[0] + ad[4]) + (ad[2] + ad[6])) + ((ad[1] + ad[5]) + (ad[3] + ad[7]))
         }
 
         /// Squared Euclidean norm of one lane block.
@@ -146,8 +136,8 @@ macro_rules! lane_math {
     };
 }
 
-lane_math!(f64, sq_l2_f64, l2_f64, l1_f64, sq_norm_f64, norm_f64);
-lane_math!(f32, sq_l2_f32, l2_f32, l1_f32, sq_norm_f32, norm_f32);
+lane_math!(f64, sq_l2_f64, l2_f64, sq_norm_f64, norm_f64);
+lane_math!(f32, sq_l2_f32, l2_f32, sq_norm_f32, norm_f32);
 
 /// Borrow a `LANES`-wide block out of a padded row buffer.
 #[inline]
@@ -273,8 +263,6 @@ mod tests {
         let seq_sq: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
         assert!((sq_l2_f64(&pa, &pb) - seq_sq).abs() < 1e-15);
         assert!((l2_f64(&pa, &pb) - seq_sq.sqrt()).abs() < 1e-15);
-        let seq_l1: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
-        assert!((l1_f64(&pa, &pb) - seq_l1).abs() < 1e-15);
         let seq_n: f64 = a.iter().map(|x| x * x).sum::<f64>();
         assert!((sq_norm_f64(&pa) - seq_n).abs() < 1e-15);
         assert!((norm_f64(&pa) - seq_n.sqrt()).abs() < 1e-15);

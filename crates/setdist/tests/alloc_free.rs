@@ -61,7 +61,7 @@ fn engine_distance_calls_are_allocation_free_in_steady_state() {
     // dim 6: the paper's lane path, f32 stage in front of every bounded
     // call. dim 11: the `lp` path above `LANES`, exact kernel only.
     for (mm, dim) in models.iter().flat_map(|mm| [(mm, 6usize), (mm, 11)]) {
-        let mut engine = MatchingEngine::new(mm.clone());
+        let mut engine = MatchingEngine::new(*mm);
         // Sets of the paper's k range, including unequal cardinalities.
         let sets: Vec<VectorSet> =
             (0..8).map(|i| pseudo_random_set(dim, 1 + (i % 7) + 1, 1000 + i as u64)).collect();

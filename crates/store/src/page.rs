@@ -27,10 +27,6 @@ impl StoreId {
     pub(crate) fn fresh() -> Self {
         StoreId(NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed))
     }
-
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// Global identity of one page: which store, which page within it.

@@ -15,8 +15,9 @@
 //!
 //! The pool is split into power-of-two *shards*, each an independently
 //! locked LRU over a slice of the capacity; a page's shard is fixed by
-//! a hash of its [`PageKey`], so concurrent queries touching different
-//! pages rarely contend on the same mutex. Small pools (below
+//! a hash of its page number, so concurrent queries touching different
+//! pages rarely contend on the same mutex, and one file's pages land in
+//! the same shards in every process. Small pools (below
 //! [`SHARD_THRESHOLD`] pages) collapse to a single shard so eviction
 //! order stays exactly global LRU. Above it, LRU is shard-local: on a
 //! recorded one-client `knn_file` trace (768 queries at 256 pages), 8
@@ -292,9 +293,11 @@ impl BufferPool {
     }
 
     fn shard(&self, key: PageKey) -> &Shard {
-        // Fibonacci hash over (store, page); high bits select the shard.
-        let mixed =
-            (key.store.raw() ^ key.page.rotate_left(29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fibonacci hash of the page number; high bits select the shard.
+        // The store's id stays out of it: that is a process-wide counter,
+        // and a page's shard — so a bounded pool's eviction order — must
+        // not depend on how many stores the process opened before.
+        let mixed = key.page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(mixed >> 56) as usize & (self.shards.len() - 1)]
     }
 

@@ -3,7 +3,7 @@
 //! harness (those live in `crates/bench`).
 
 use vsim_core::prelude::*;
-use vsim_setdist::matching::{MinimalMatching, PointDistance, WeightFunction};
+use vsim_setdist::matching::MinimalMatching;
 
 fn processed_car(n: usize, k_max: usize, seed: u64) -> ProcessedDataset {
     ProcessedDataset::build(car_dataset(seed, n), k_max)
@@ -86,18 +86,14 @@ fn centroid_filter_selectivity() {
     let p = processed_car(50, 7, 24);
     let sets = p.vector_sets(7);
     let omega = vec![0.0; 6];
-    let mm = MinimalMatching {
-        point_distance: PointDistance::Euclidean,
-        weight: WeightFunction::DistanceTo(omega.clone()),
-        sqrt_of_total: false,
-    };
+    let mm = MinimalMatching::vector_set_model();
     let mut ratio_sum = 0.0;
     let mut count = 0;
     for i in (0..sets.len()).step_by(3) {
         let ci = extended_centroid(&sets[i], 7, &omega);
         for j in (i + 1..sets.len()).step_by(3) {
             let cj = extended_centroid(&sets[j], 7, &omega);
-            let lb = centroid_lower_bound(&ci, &cj, 7);
+            let lb = centroid_lower_bound(&mm, &ci, &cj, 7);
             let exact = mm.distance_value(&sets[i], &sets[j]);
             if exact > 1e-12 {
                 ratio_sum += lb / exact;

@@ -62,7 +62,7 @@ fn filter_refine_equals_scan_on_real_data() {
 fn mtree_on_matching_distance_equals_scan() {
     let (sets, _) = aircraft_sets(200, 5, 10);
     let mm = MinimalMatching::vector_set_model();
-    let dist: Arc<dyn vsim_setdist::Distance<VectorSet>> = Arc::new(mm.clone());
+    let dist: Arc<dyn vsim_setdist::Distance<VectorSet>> = Arc::new(mm);
     let mut mtree: MTree<VectorSet> = MTree::new(dist, 16, 344);
     for (i, s) in sets.iter().enumerate() {
         mtree.insert(s.clone(), i as u64);
@@ -295,7 +295,7 @@ fn centroid_filter_bound_holds_on_real_data() {
         let ci = extended_centroid(&sets[i], 7, &omega);
         for j in (0..sets.len()).step_by(11) {
             let cj = extended_centroid(&sets[j], 7, &omega);
-            let lb = centroid_lower_bound(&ci, &cj, 7);
+            let lb = centroid_lower_bound(&mm, &ci, &cj, 7);
             let exact = mm.distance_value(&sets[i], &sets[j]);
             assert!(lb <= exact + 1e-9, "Lemma 2 violated for ({i},{j}): {lb} > {exact}");
         }
@@ -319,7 +319,7 @@ fn execute_equals_brute_force_for_every_kind_variant_count_path_and_model() {
     let scan = SequentialScanIndex::build(&sets);
     let syms = Mat3::cube_symmetries();
     for mm in [MinimalMatching::vector_set_model(), MinimalMatching::permutation_model()] {
-        let idx = FilterRefineIndex::build(&sets, 6, 7).with_model(mm.clone());
+        let idx = FilterRefineIndex::build(&sets, 6, 7).with_model(mm);
         for q in [&sets[7], &sets[140]] {
             // The 48 images of the query, built as `exp_table2` builds them.
             let images: Vec<VectorSet> = syms.iter().map(|m| transform_vector_set(q, m)).collect();
@@ -358,7 +358,7 @@ fn execute_equals_brute_force_for_every_kind_variant_count_path_and_model() {
                             assert!(s.refinements <= korn_stats.refinements, "{row}: vs Korn");
                         }
                     }
-                    if !mm.sqrt_of_total {
+                    if mm == MinimalMatching::vector_set_model() {
                         // The scan index refines with the vector-set model.
                         let (got, s) = scan.run(&Query { variants, kind, path: None });
                         assert_eq!(bits(&got), bits(&want), "scan {kind:?} x{}", variants.len());

@@ -161,11 +161,17 @@ fn bench_executor_batch(c: &mut Criterion) {
     let idx = FilterRefineIndex::build(&sets, 6, 5);
     let queries: Vec<VectorSet> = (0..32).map(|i| sets[i * 31].clone()).collect();
 
+    // 8 192 pages: room for the whole index (tree and heap file) on
+    // every shard, so the shared pool never evicts.
     for (name, ex) in
-        [("cold", QueryExecutor::cold()), ("warm_shared", QueryExecutor::shared_unbounded())]
+        [("cold", QueryExecutor::cold()), ("warm_shared", QueryExecutor::shared(8192))]
     {
         g.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter(|| ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 10, ctx)))
+            b.iter(|| {
+                let batch = ex.run_batch(&queries, |q, ctx| idx.knn_with(q, 10, ctx));
+                assert_eq!(batch.aggregate.cache.evictions, 0, "the pool holds the working set");
+                batch
+            })
         });
     }
     g.finish();

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
-use vsim_query::{FilterRefineIndex, SequentialScanIndex};
+use std::slice::from_ref;
+use vsim_bench::SequentialScanIndex;
+use vsim_query::{FilterRefineIndex, Query};
 use vsim_setdist::VectorSet;
 
 fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
@@ -39,7 +41,7 @@ fn bench_knn(c: &mut Criterion) {
             let mut qi = 0usize;
             b.iter(|| {
                 qi = (qi + 7) % n;
-                scan.knn(&sets[qi], 10)
+                scan.run(&Query::knn(from_ref(&sets[qi]), 10))
             })
         });
     }
@@ -65,7 +67,7 @@ fn bench_range(c: &mut Criterion) {
             let mut qi = 0usize;
             b.iter(|| {
                 qi = (qi + 13) % n;
-                scan.range_query(&sets[qi], e)
+                scan.run(&Query::range(from_ref(&sets[qi]), e))
             })
         });
     }

@@ -15,6 +15,7 @@
 
 use std::slice::from_ref;
 use std::sync::Arc;
+use vsim_bench::SequentialScanIndex;
 use vsim_core::prelude::*;
 use vsim_setdist::Distance;
 

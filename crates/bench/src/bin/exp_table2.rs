@@ -32,7 +32,7 @@
 //! (env: `AIRCRAFT_N`, default 5000)
 
 use rand::prelude::*;
-use vsim_bench::{processed_aircraft, OneVectorIndex};
+use vsim_bench::{processed_aircraft, OneVectorIndex, SequentialScanIndex};
 use vsim_core::prelude::*;
 use vsim_features::cover::{transform_feature_vector, transform_vector_set};
 use vsim_geom::Mat3;

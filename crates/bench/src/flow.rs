@@ -1,7 +1,7 @@
 //! Minimum-cost flow and the netflow distance.
 //!
 //! The paper notes (Section 4.2) that the minimal matching distance is a
-//! specialization of the *netflow distance* of Ramon & Bruynooghe [27],
+//! specialization of the *netflow distance* of Ramon & Bruynooghe \[27\],
 //! which is a metric computable in polynomial time. This module provides
 //! a small successive-shortest-paths min-cost-flow solver (Dijkstra with
 //! Johnson potentials, Bellman–Ford initialization for negative costs)
@@ -186,7 +186,7 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// The netflow distance of Ramon & Bruynooghe [27] on vector sets, with
+/// The netflow distance of Ramon & Bruynooghe \[27\] on vector sets, with
 /// point distance `dist` and weight `w(x) = ‖x − ω‖`: each element of
 /// both sets must be "explained" either by matching flow to the other set
 /// or by flow to/from the neutral element ω. With unit supplies this

@@ -22,9 +22,10 @@
 //! | `exp_ablation_index` | centroid-filter X-tree vs. M-tree vs. scan across database sizes |
 //! | `diag_contrast` | evaluation-noise-free intra/inter contrast and 1-NN accuracy per model |
 //!
-//! The library holds what only experiments run: the one-vector X-tree of
-//! Table 2 ([`OneVectorIndex`]), the naive and Korn k-NN baselines, and
-//! the rejected set distances ([`setdists`], [`flow`]).
+//! The library holds what only experiments run: Table 2's two baselines,
+//! the one-vector X-tree ([`OneVectorIndex`]) and the vector set
+//! sequential scan ([`SequentialScanIndex`]), the naive and Korn k-NN
+//! baselines, and the rejected set distances ([`setdists`], [`flow`]).
 //!
 //! Every binary accepts the environment variables `CAR_N` (default 200)
 //! and `AIRCRAFT_N` (default 5000) to scale the datasets, writes CSV
@@ -33,9 +34,11 @@
 
 pub mod flow;
 mod onevector;
+mod scan;
 pub mod setdists;
 
 pub use onevector::OneVectorIndex;
+pub use scan::SequentialScanIndex;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

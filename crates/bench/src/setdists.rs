@@ -1,5 +1,5 @@
 //! The comparison distances on point sets surveyed by Eiter & Mannila
-//! [12] and discussed in Section 4.2: Hausdorff, sum of minimum
+//! \[12\] and discussed in Section 4.2: Hausdorff, sum of minimum
 //! distances, (fair) surjection, and link distance.
 //!
 //! The paper rejects these for CAD retrieval — the Hausdorff distance

@@ -63,8 +63,7 @@ pub mod prelude {
     pub use vsim_index::{BufferPool, CostModel, MTree, QueryContext, VectorSetStore, XTree};
     pub use vsim_optics::{best_cut, extract_clusters, ClusterOrdering, Optics, ReachabilityPlot};
     pub use vsim_query::{
-        BatchResult, DynamicIndex, FilterRefineIndex, PoolPolicy, Query, QueryExecutor, QueryStats,
-        SequentialScanIndex,
+        BatchResult, DynamicIndex, FilterRefineIndex, Query, QueryExecutor, QueryStats,
     };
     pub use vsim_setdist::{
         centroid_lower_bound, extended_centroid, matching::MinimalMatching, VectorSet,

@@ -6,9 +6,7 @@
 use vsim_datagen::CadObject;
 use vsim_features::cover::{transform_feature_vector, transform_vector_set};
 use vsim_features::histogram::permute_histogram;
-use vsim_features::{
-    greedy_cover_sequence, CoverSequenceModel, SolidAngleModel, VectorSetModel, VolumeModel,
-};
+use vsim_features::{CoverSequenceModel, SolidAngleModel, VectorSetModel, VolumeModel};
 use vsim_geom::Mat3;
 use vsim_setdist::matching::{MatchOutcome, MinimalMatching};
 use vsim_setdist::{lp, VectorSet};
@@ -248,12 +246,6 @@ impl SimilarityModel {
         let b = self.extract_grids(b15, b30);
         self.distance(&a, &b)
     }
-}
-
-/// Compute the greedy cover sequence for one object's `r = 15` grid
-/// (exposed here so callers don't need `vsim-features` directly).
-pub fn cover_sequence_of(obj: &CadObject, k: usize) -> vsim_features::CoverSequence {
-    greedy_cover_sequence(&obj.grid15, k)
 }
 
 #[cfg(test)]

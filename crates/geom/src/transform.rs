@@ -28,26 +28,9 @@ impl Iso {
         Iso::new(m, Vec3::ZERO)
     }
 
-    /// Uniform scaling by `s` about the origin.
-    pub fn from_scale(s: f64) -> Self {
-        Iso::from_linear(Mat3::diag(Vec3::splat(s)))
-    }
-
-    /// Per-axis scaling about the origin (the paper stores the three
-    /// per-dimension scale factors so scaling invariance can be toggled).
-    pub fn from_scale_xyz(s: Vec3) -> Self {
-        Iso::from_linear(Mat3::diag(s))
-    }
-
     #[inline]
     pub fn apply(&self, p: Vec3) -> Vec3 {
         self.linear * p + self.translation
-    }
-
-    /// Apply only the linear part (for directions / normals of rigid maps).
-    #[inline]
-    pub fn apply_vector(&self, v: Vec3) -> Vec3 {
-        self.linear * v
     }
 
     /// Transform a box; exact only for axis-aligned linear parts, otherwise
@@ -131,14 +114,6 @@ mod tests {
             assert!((inv.apply(m.apply(p)) - p).norm() < 1e-9);
             assert!((m.apply(inv.apply(p)) - p).norm() < 1e-9);
         }
-    }
-
-    #[test]
-    fn scaling_is_per_axis() {
-        let s = Iso::from_scale_xyz(Vec3::new(2.0, 3.0, 4.0));
-        assert_eq!(s.apply(Vec3::ONE), Vec3::new(2.0, 3.0, 4.0));
-        let u = Iso::from_scale(2.0);
-        assert_eq!(u.apply(Vec3::ONE), Vec3::splat(2.0));
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Component-wise product (Hadamard product).
-    #[inline]
-    pub fn mul_elem(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Component-wise absolute value.
     #[inline]
     pub fn abs(self) -> Vec3 {
@@ -97,12 +91,6 @@ impl Vec3 {
     #[inline]
     pub fn max_elem(self) -> f64 {
         self.x.max(self.y).max(self.z)
-    }
-
-    /// Smallest component.
-    #[inline]
-    pub fn min_elem(self) -> f64 {
-        self.x.min(self.y).min(self.z)
     }
 
     /// True if all components are finite.
@@ -253,10 +241,8 @@ mod tests {
         let b = Vec3::new(2.0, 4.0, -6.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, -6.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, -3.0));
-        assert_eq!(a.mul_elem(b), Vec3::new(2.0, 20.0, 18.0));
         assert_eq!(a.abs(), Vec3::new(1.0, 5.0, 3.0));
         assert_eq!(a.max_elem(), 5.0);
-        assert_eq!(a.min_elem(), -3.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! soon as the next filter distance exceeds the running k-th-best exact
 //! distance. Two access paths implement it:
 //!
-//! * [`NnIter`](crate::xtree::NnIter) — best-first MINDIST ranking over
+//! * [`NnIter`] — best-first MINDIST ranking over
 //!   the X-tree (Hjaltason/Samet traversal);
 //! * [`SortedScan`] — a sequential scan sorted by filter distance
 //!   (reads the whole file up front, then streams in order).

@@ -1,4 +1,4 @@
-//! An M-tree (Ciaccia, Patella & Zezula, VLDB'97 — reference [10]):
+//! An M-tree (Ciaccia, Patella & Zezula, VLDB'97 — reference \[10\]):
 //! a paged access method for *metric* data. Because the minimal matching
 //! distance is a metric (Lemma 1), vector sets can be indexed directly —
 //! the alternative Section 4.3 mentions before introducing the centroid
@@ -118,11 +118,6 @@ impl<T: Clone> MTree<T> {
             store: self.store.snapshot()?,
             len: self.len,
         })
-    }
-
-    /// The backing page store.
-    pub fn page_store(&self) -> &dyn PageStore {
-        self.store.as_store()
     }
 
     /// Total pages of the tree (one node per page).

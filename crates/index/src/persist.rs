@@ -10,7 +10,7 @@
 //!
 //! * tiny LE codec helpers over `io::Read`/`Vec<u8>`;
 //! * [`PagePayload`] — objects an [`MTree`](crate::MTree) can persist;
-//! * [`NodeStore`] — a node-page store that is either *owned* (the
+//! * `NodeStore` — a node-page store that is either *owned* (the
 //!   classic in-memory bump allocator) or *shared* (a span inside a
 //!   durable page file, where page numbers were fixed at save time).
 

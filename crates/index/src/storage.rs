@@ -9,7 +9,7 @@
 //! Both files come in two backings: the classic in-memory image (pages
 //! are allocated for accounting only and never written), and a *shared*
 //! backing where the image occupies a span of a durable
-//! [`PageStore`](vsim_store::PageStore) — typically a
+//! [`PageStore`] — typically a
 //! [`FilePageStore`](vsim_store::FilePageStore) — and every access
 //! physically reads page bytes through the query's buffer pool. The
 //! two backings decode bit-identical `f64`s, and a file saved in id
@@ -20,7 +20,7 @@
 //!
 //! The in-memory files are append-only apart from their tombstone
 //! flags, and they keep image, offsets, coordinates and flags in
-//! [`SegVec`]s: a `snapshot()` shares every segment with its origin and
+//! `SegVec`s: a `snapshot()` shares every segment with its origin and
 //! the next append or tombstone copies the one segment it writes.
 
 use std::borrow::Cow;
@@ -32,7 +32,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vsim_setdist::VectorSet;
 use vsim_store::{
     checksum, InMemoryPageStore, PageStore, PageStreamReader, PageStreamWriter, QueryContext,
-    StoreResult, StreamHandle, PAGE_SIZE,
+    StoreError, StoreResult, StreamHandle, PAGE_SIZE,
 };
 
 use crate::cursor::SortedScan;
@@ -493,9 +493,13 @@ impl VectorSetStore {
     /// allocation across a refinement loop's fetches. The record is
     /// decoded straight from the pool frame; only one that straddles a
     /// page boundary — or, in memory, a segment boundary of the image —
-    /// is assembled in a buffer first.
+    /// is assembled in a buffer first. A deleted or unknown `id` is an
+    /// [`io::ErrorKind::NotFound`] error.
     pub fn get_into(&self, id: u64, ctx: &QueryContext, out: &mut VectorSet) -> StoreResult<()> {
-        assert!(self.is_live(id), "record {id} is tombstoned");
+        if !self.is_live(id) {
+            let msg = format!("record {id} is deleted or was never stored");
+            return Err(StoreError::Io(io::Error::new(io::ErrorKind::NotFound, msg)));
+        }
         let Range { start, end } = self.extent(id);
         let first_page = (start / PAGE_SIZE) as u64;
         let last_page = ((end - 1) / PAGE_SIZE) as u64;

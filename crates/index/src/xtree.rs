@@ -1,5 +1,5 @@
 //! An X-tree: R*-tree topology extended with *supernodes*
-//! (Berchtold, Keim & Kriegel, VLDB'96 — reference [8] of the paper).
+//! (Berchtold, Keim & Kriegel, VLDB'96 — reference \[8\] of the paper).
 //!
 //! In low dimensions the tree behaves like an R*-tree. In high
 //! dimensions, directory splits would produce heavily overlapping
@@ -27,7 +27,7 @@
 //! index grows them from its inserts.
 //!
 //! A node keeps its entries — points in a leaf, child rectangles in a
-//! directory node — in the entry-major lane blocks of [`crate::lanes`]
+//! directory node — in the entry-major lane blocks of `crate::lanes`
 //! and nowhere else; a node's own rectangle lives in its parent's entry
 //! for it, as in the R-tree papers (DESIGN.md §9). Nodes sit behind
 //! `Arc`s: a `snapshot()` shares them all, and an insert or delete
@@ -338,11 +338,6 @@ impl XTree {
     /// Total pages of the tree (index size on "disk").
     pub fn total_pages(&self) -> usize {
         self.nodes.iter().map(|n| n.pages).sum()
-    }
-
-    /// The backing page store (for inspecting allocation totals).
-    pub fn page_store(&self) -> &dyn PageStore {
-        self.store.as_store()
     }
 
     /// Every stored id once, leaf by leaf: depth-first from the root,

@@ -141,7 +141,7 @@ impl TopK {
 }
 
 /// The result set of one [`Query`], shared by every variant's pass of
-/// [`multi_step`] and by the sequential scan.
+/// [`multi_step`].
 #[derive(Debug)]
 pub(crate) enum Collector {
     Nearest(TopK),

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
@@ -183,15 +184,23 @@ fn concurrent_readers_get_rebuild_identical_epochs() {
     type Observation = (usize, u64, Vec<(u64, f64)>, QueryStats);
     let mut observed: Vec<Observation> = Vec::new();
     let run_batch = |observed: &mut Vec<Observation>| {
-        let (batch, gens) = ex.batch_knn_epoch(&idx, &queries, kq);
+        // Each reader pins the latest epoch through its own context and
+        // answers from that snapshot alone.
+        let gens: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
+        let items: Vec<(usize, &VectorSet)> = queries.iter().enumerate().collect();
+        let batch = ex.run_batch(&items, |&(i, q), ctx| {
+            let epoch = idx.pin(ctx);
+            gens[i].store(epoch.generation(), Ordering::Relaxed);
+            epoch.index().knn_with(q, kq, ctx)
+        });
         assert!(batch.failed().is_empty(), "no reader may fail under churn");
         assert_eq!(
             batch.aggregate.epoch_pins,
             queries.len() as u64,
             "exactly one epoch pin per reader"
         );
-        for (i, gen) in gens.iter().enumerate() {
-            observed.push((i, *gen, batch.hits[i].clone(), batch.stats[i]));
+        for (i, gen) in gens.into_iter().map(AtomicU64::into_inner).enumerate() {
+            observed.push((i, gen, batch.hits[i].clone(), batch.stats[i]));
         }
     };
 

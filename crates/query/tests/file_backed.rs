@@ -252,3 +252,29 @@ fn single_client_charges_through_a_bounded_pool_are_pinned() {
     assert_eq!(pool.stats().counts, summed, "pool totals are the queries' sum");
     assert_eq!(summed, CacheCounts { hits: 101_740, misses: 7_102, evictions: 6_846 });
 }
+
+/// A record that is not there — deleted, or never stored — is a typed
+/// `NotFound` error, not a panic, in memory and on a reopened file. (A
+/// reopened index is read-only and a tombstoned one cannot be saved,
+/// so on a file the missing id is one past the end.)
+#[test]
+fn record_of_a_deleted_or_unknown_id_is_not_found() {
+    let sets = random_sets(40, 5, 79);
+    let mut built = FilterRefineIndex::build(&sets, 6, 5);
+    let path = TempFile(temp_index("not_found"));
+    built.save(&path.0).unwrap();
+    let file = FilterRefineIndex::open(&path.0).unwrap();
+    let mmap = FilterRefineIndex::open_mmap(&path.0).unwrap();
+    assert!(built.delete(7).unwrap());
+
+    let not_found = |idx: &FilterRefineIndex, id: u64| {
+        let err = idx.record(id, &QueryContext::ephemeral()).unwrap_err();
+        assert_eq!(err.io_kind(), std::io::ErrorKind::NotFound, "id {id}: {err}");
+    };
+    not_found(&built, 7);
+    for idx in [&built, &file, &mmap] {
+        not_found(idx, sets.len() as u64);
+        not_found(idx, u64::MAX);
+        assert_eq!(idx.record(8, &QueryContext::ephemeral()).unwrap(), sets[8]);
+    }
+}

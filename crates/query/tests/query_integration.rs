@@ -1,17 +1,20 @@
 //! Cross-layer integration tests for the multi-step query engine: the
 //! optimal multi-step k-NN must be bit-identical to the unbounded naive
 //! baseline and to the parallel batch executor, never refine more than
-//! the Korn-style batch baseline (both baselines live in `vsim-bench`),
-//! equal the loop recomposed from the public layer functions counter
-//! for counter, and the cost-based planner must pick the expected access
-//! paths at the size extremes.
+//! the Korn-style batch baseline, agree with the sequential scan (the
+//! three baselines live in `vsim-bench`), equal the loop recomposed
+//! from the public layer functions counter for counter, and the
+//! cost-based planner must pick the expected access paths at the size
+//! extremes. The executor's batches sum their per-query stats, and a
+//! shared pool — bounded or roomy — changes what a batch costs, never
+//! what it answers.
 
 use rand::prelude::*;
-use vsim_bench::{knn_korn, knn_naive};
-use vsim_index::QueryContext;
-use vsim_query::{
-    multi_step_knn, AccessPath, FilterRefineIndex, QueryExecutor, SequentialScanIndex,
-};
+use std::collections::BTreeSet;
+use std::slice::from_ref;
+use vsim_bench::{knn_korn, knn_naive, SequentialScanIndex};
+use vsim_index::{QueryContext, StoreResult};
+use vsim_query::{multi_step_knn, AccessPath, FilterRefineIndex, Query, QueryExecutor};
 use vsim_setdist::matching::MinimalMatching;
 use vsim_setdist::{extended_centroid, MatchingEngine, PrefilteredDistance, VectorSet};
 
@@ -28,6 +31,18 @@ fn random_sets(n: usize, k: usize, seed: u64) -> Vec<VectorSet> {
             s
         })
         .collect()
+}
+
+fn ids(hits: &[(u64, f64)]) -> BTreeSet<u64> {
+    hits.iter().map(|(i, _)| *i).collect()
+}
+
+/// `k`-NN by sequential scan as a `run_batch` closure.
+fn scan_knn(
+    idx: &SequentialScanIndex,
+    k: usize,
+) -> impl Fn(&VectorSet, &QueryContext) -> StoreResult<Vec<(u64, f64)>> + Sync + '_ {
+    move |q, ctx| idx.execute(&Query::knn(from_ref(q), k), ctx)
 }
 
 #[test]
@@ -143,10 +158,8 @@ fn multi_step_range_matches_exhaustive_scan() {
     for qi in [3usize, 111, 250] {
         for eps in [0.3, 0.7] {
             let (got, _) = idx.range_query(&sets[qi], eps);
-            let (want, _) = scan.range_query(&sets[qi], eps);
-            let gids: std::collections::BTreeSet<u64> = got.iter().map(|(i, _)| *i).collect();
-            let wids: std::collections::BTreeSet<u64> = want.iter().map(|(i, _)| *i).collect();
-            assert_eq!(gids, wids, "query {qi} eps {eps}");
+            let (want, _) = scan.run(&Query::range(from_ref(&sets[qi]), eps));
+            assert_eq!(ids(&got), ids(&want), "query {qi} eps {eps}");
         }
     }
 }
@@ -162,4 +175,76 @@ fn planner_smoke_scan_for_tiny_xtree_for_large() {
     let large_idx = FilterRefineIndex::build(&large, 6, 4);
     assert_eq!(large_idx.plan_knn(10).path, AccessPath::XTreeCursor);
     assert_eq!(large_idx.plan_range().path, AccessPath::XTreeCursor);
+}
+
+#[test]
+fn aggregate_sums_per_query_stats() {
+    let sets = random_sets(200, 4, 41);
+    let idx = SequentialScanIndex::build(&sets);
+    let queries: Vec<VectorSet> = (0..7).map(|i| sets[i * 11].clone()).collect();
+    let batch = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
+    let pages: u64 = batch.stats.iter().map(|s| s.io.pages).sum();
+    assert_eq!(batch.aggregate.io.pages, pages);
+    assert_eq!(batch.aggregate.refinements, (queries.len() * sets.len()) as u64);
+}
+
+#[test]
+fn shared_pool_makes_later_queries_cheaper() {
+    let sets = random_sets(200, 4, 42);
+    let idx = SequentialScanIndex::build(&sets);
+    let queries: Vec<VectorSet> = (0..6).map(|i| sets[i * 17].clone()).collect();
+    let cold = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
+    // A pool with room for the whole file on every shard never evicts.
+    let file_pages = cold.stats[0].io.pages;
+    let warm = QueryExecutor::shared(file_pages as usize * 8);
+    let warm = warm.run_batch(&queries, scan_knn(&idx, 5));
+    assert_eq!(cold.hits, warm.hits, "pool policy must not change results");
+    // Scans share the whole file: only one batch-wide cold read.
+    assert_eq!(cold.aggregate.io.pages, file_pages * queries.len() as u64);
+    assert_eq!(warm.aggregate.io.pages, file_pages);
+    assert!(warm.aggregate.cache.hits > 0);
+}
+
+#[test]
+fn bounded_shared_pool_evicts_without_changing_results() {
+    let sets = random_sets(200, 4, 42);
+    let idx = SequentialScanIndex::build(&sets);
+    let queries: Vec<VectorSet> = (0..6).map(|i| sets[i * 17].clone()).collect();
+    let cold = QueryExecutor::cold().run_batch(&queries, scan_knn(&idx, 5));
+    // A pool far smaller than the scan's working set must thrash...
+    let tiny = QueryExecutor::shared(2).run_batch(&queries, scan_knn(&idx, 5));
+    assert_eq!(cold.hits, tiny.hits, "eviction must not change results");
+    assert!(tiny.aggregate.cache.evictions > 0, "{:?}", tiny.aggregate.cache);
+    // ...while one sized for the file behaves like the unbounded pool.
+    let file_pages = cold.stats[0].io.pages;
+    let roomy = QueryExecutor::shared(file_pages as usize * 2);
+    let roomy = roomy.run_batch(&queries, scan_knn(&idx, 5));
+    assert_eq!(cold.hits, roomy.hits);
+    assert_eq!(roomy.aggregate.io.pages, file_pages);
+    assert_eq!(roomy.aggregate.cache.evictions, 0);
+}
+
+#[test]
+fn batch_range_and_invariant_agree_across_backends() {
+    let sets = random_sets(150, 4, 43);
+    let filt = FilterRefineIndex::build(&sets, 6, 4);
+    let scan = SequentialScanIndex::build(&sets);
+    let queries: Vec<VectorSet> = (0..5).map(|i| sets[i * 29].clone()).collect();
+    let ex = QueryExecutor::cold();
+    let a = ex.run_batch(&queries, |q, ctx| filt.execute(&Query::range(from_ref(q), 0.5), ctx));
+    let b = ex.run_batch(&queries, |q, ctx| scan.execute(&Query::range(from_ref(q), 0.5), ctx));
+    for (x, y) in a.hits.iter().zip(&b.hits) {
+        assert_eq!(ids(x), ids(y));
+    }
+
+    // A workload of variant lists: one `Query` per list.
+    let workloads: Vec<Vec<VectorSet>> =
+        queries.iter().map(|q| vec![q.clone(), sets[3].clone()]).collect();
+    let inv_f = ex.run_batch(&workloads, |v, ctx| filt.execute(&Query::knn(v, 6), ctx));
+    let inv_s = ex.run_batch(&workloads, |v, ctx| scan.execute(&Query::knn(v, 6), ctx));
+    for (x, y) in inv_f.hits.iter().zip(&inv_s.hits) {
+        for (a, b) in x.iter().zip(y) {
+            assert!((a.1 - b.1).abs() < 1e-12);
+        }
+    }
 }

@@ -72,15 +72,6 @@ impl PrefilteredDistance {
             _ => None,
         }
     }
-
-    pub fn is_pruned(self) -> bool {
-        !matches!(self, PrefilteredDistance::Exact(_))
-    }
-
-    /// Whether the cheap f32 gate alone decided the prune.
-    pub fn pruned_by_f32(self) -> bool {
-        matches!(self, PrefilteredDistance::PrunedByF32)
-    }
 }
 
 /// A vector set with its per-element weights `w(xᵢ)` — and, for lane
@@ -511,7 +502,7 @@ mod tests {
         assert_eq!(distance_all_pairings(&mut e, &empty, &empty, inf), Exact(0.0));
         assert_eq!(distance_all_pairings(&mut e, &x, &empty, inf), Exact(5.0));
         assert_eq!(distance_all_pairings(&mut e, &empty, &x, 5.0), Exact(5.0));
-        assert!(distance_all_pairings(&mut e, &x, &empty, 1.0).is_pruned());
+        assert_eq!(distance_all_pairings(&mut e, &x, &empty, 1.0).value(), None);
         assert_eq!(distance_all_pairings(&mut e, &empty, &empty, -1.0), Pruned);
     }
 

@@ -1,6 +1,6 @@
 //! Kuhn–Munkres (Hungarian) algorithm for minimum-weight perfect
 //! matching in bipartite graphs — the `O(k³)` engine behind the minimal
-//! matching distance (Section 4.2, citing Kuhn [22] and Munkres [25]).
+//! matching distance (Section 4.2, citing Kuhn \[22\] and Munkres \[25\]).
 //!
 //! The implementation is the potential-based shortest-augmenting-path
 //! formulation: each of the `n` rows is inserted by growing an

@@ -86,20 +86,6 @@ impl VectorSet {
         &self.data
     }
 
-    /// Whether this set's vectors fit one SIMD lane block — true for
-    /// both paper feature models (dim 6 and 7).
-    #[inline]
-    pub fn fits_lanes(&self) -> bool {
-        self.dim <= crate::simd::LANES
-    }
-
-    /// Zero-pad every vector into `LANES`-strided lane rows (the
-    /// engine's cost-fill layout; see [`crate::simd::pad_rows`]).
-    /// Requires [`VectorSet::fits_lanes`].
-    pub fn pad_lanes(&self, out: &mut Vec<f64>) {
-        crate::simd::pad_rows(self.dim, &self.data, out);
-    }
-
     /// Component-wise sum of all vectors.
     pub fn sum(&self) -> Vec<f64> {
         let mut acc = vec![0.0; self.dim];

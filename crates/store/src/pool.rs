@@ -240,7 +240,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// Pool holding at most `capacity` pages (`capacity >= 1`). Small
     /// pools get a single shard (exact LRU); larger ones are striped
-    /// across [`DEFAULT_SHARDS`] locks.
+    /// across eight locks.
     pub fn new(capacity: usize) -> Arc<Self> {
         assert!(capacity >= 1, "buffer pool capacity must be at least 1");
         let shards = if capacity < SHARD_THRESHOLD { 1 } else { DEFAULT_SHARDS };

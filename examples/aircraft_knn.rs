@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example aircraft_knn [n_objects]`
 
-use vsim_bench::OneVectorIndex;
+use std::slice::from_ref;
+use vsim_bench::{OneVectorIndex, SequentialScanIndex};
 use vsim_core::prelude::*;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
     for &q in &queries {
         let (_, s1) = one_vec.knn(&vectors[q], knn);
         let (r2, s2) = filter.knn(&sets[q], knn);
-        let (r3, s3) = scan.knn(&sets[q], knn);
+        let (r3, s3) = scan.run(&Query::knn(from_ref(&sets[q]), knn));
         totals[0].accumulate(&s1);
         totals[1].accumulate(&s2);
         totals[2].accumulate(&s3);

@@ -6,7 +6,8 @@
 use rand::prelude::*;
 use std::slice::from_ref;
 use std::sync::Arc;
-use vsim_bench::{knn_korn, knn_naive};
+use std::time::Duration;
+use vsim_bench::{knn_korn, knn_naive, SequentialScanIndex};
 use vsim_core::prelude::*;
 use vsim_features::cover::transform_vector_set;
 use vsim_geom::Mat3;
@@ -49,7 +50,7 @@ fn filter_refine_equals_scan_on_real_data() {
     let scan = SequentialScanIndex::build(&sets);
     for q in [0usize, 50, 123, 299] {
         let (a, sa) = filter.knn(&sets[q], 10);
-        let (b, _) = scan.knn(&sets[q], 10);
+        let (b, _) = scan.run(&Query::knn(from_ref(&sets[q]), 10));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert!((x.1 - y.1).abs() < 1e-9, "query {q}");
@@ -71,7 +72,7 @@ fn mtree_on_matching_distance_equals_scan() {
     for q in [3usize, 77, 150] {
         let ctx = QueryContext::ephemeral();
         let got = mtree.knn(&sets[q], 8, &ctx);
-        let (want, _) = scan.knn(&sets[q], 8);
+        let (want, _) = scan.run(&Query::knn(from_ref(&sets[q]), 8));
         for (g, w) in got.iter().zip(&want) {
             assert!((g.1 - w.1).abs() < 1e-9, "query {q}: {g:?} vs {w:?}");
         }
@@ -80,7 +81,7 @@ fn mtree_on_matching_distance_equals_scan() {
     // routing objects of every node plus every leaf entry.
     let ctx = QueryContext::ephemeral();
     let _ = mtree.knn(&sets[0], 5, &ctx);
-    let used = ctx.stats(std::time::Duration::ZERO).distance_evals;
+    let used = ctx.stats(Duration::ZERO).distance_evals;
     assert!((used as usize) < 2 * sets.len());
 }
 
@@ -93,7 +94,7 @@ fn range_queries_agree_across_paths() {
     for q in [5usize, 99] {
         for eps in [0.1, 0.3, 0.8] {
             let (a, _) = filter.range_query(&sets[q], eps);
-            let (b, _) = scan.range_query(&sets[q], eps);
+            let (b, _) = scan.run(&Query::range(from_ref(&sets[q]), eps));
             let ids = |v: &[(u64, f64)]| {
                 v.iter().map(|(i, _)| *i).collect::<std::collections::BTreeSet<_>>()
             };
@@ -223,7 +224,7 @@ fn counter_audit_scan_bytes_match_analytic_value() {
     // Sequential scan, cold pool: bytes == the packed heap file's exact
     // byte size, pages == ceil(bytes / PAGE_SIZE), one candidate and one
     // refinement per object.
-    let (_, ss) = scan.knn(&sets[0], 10);
+    let (_, ss) = scan.run(&Query::knn(&sets[..1], 10));
     let file_bytes: usize = sets.iter().map(|s| s.storage_bytes()).sum();
     let page_size = vsim_index::PAGE_SIZE;
     assert_eq!(ss.io.bytes as usize, file_bytes);
@@ -250,9 +251,9 @@ fn counter_audit_scan_bytes_match_analytic_value() {
     }
     let ctx = QueryContext::ephemeral();
     let _ = mtree.knn(&sets[0], 10, &ctx);
-    let ms = ctx.stats(std::time::Duration::ZERO);
+    let ms = ctx.stats(Duration::ZERO);
     assert!(ms.io.pages > 0);
-    assert!(ms.io.pages <= mtree.page_store().page_count());
+    assert!(ms.io.pages <= mtree.total_pages() as u64);
     assert!(ms.distance_evals > 0);
     assert_eq!(ms.cache.hits + ms.cache.misses, ms.cache.accesses());
 }
@@ -260,29 +261,40 @@ fn counter_audit_scan_bytes_match_analytic_value() {
 #[test]
 fn knn_results_identical_across_buffer_capacities() {
     // The buffer pool only changes what I/O costs, never what a query
-    // returns: capacities 1, 8, and unbounded must give identical hits.
+    // returns: per-query pools of capacity 1, 8, and unbounded must give
+    // identical hits.
     let (sets, _) = aircraft_sets(250, 7, 17);
     let filter = FilterRefineIndex::build(&sets, 6, 7);
     let scan = SequentialScanIndex::build(&sets);
     let queries: Vec<VectorSet> = (0..10).map(|i| sets[i * 23].clone()).collect();
 
-    let policies =
-        [PoolPolicy::PerQuery(Some(1)), PoolPolicy::PerQuery(Some(8)), PoolPolicy::PerQuery(None)];
-    let run = |p: &PoolPolicy| {
-        let ex = QueryExecutor::new(p.clone());
-        let f = ex.run_batch(&queries, |q, ctx| filter.knn_with(q, 10, ctx));
-        (f, ex.run_batch(&queries, scan_10nn(&scan)))
+    let contexts: [fn() -> QueryContext; 3] = [
+        || QueryContext::with_pool(BufferPool::new(1)),
+        || QueryContext::with_pool(BufferPool::new(8)),
+        QueryContext::ephemeral,
+    ];
+    // Every query against fresh contexts of one kind: the filter's and
+    // the scan's hits, and the filter's page faults.
+    let run = |context: fn() -> QueryContext| {
+        let (mut f, mut s, mut pages) = (Vec::new(), Vec::new(), 0);
+        for q in &queries {
+            let ctx = context();
+            f.push(filter.knn_with(q, 10, &ctx).unwrap());
+            pages += ctx.stats(Duration::ZERO).io.pages;
+            s.push(scan.execute(&Query::knn(from_ref(q), 10), &context()).unwrap());
+        }
+        (f, s, pages)
     };
-    let (baseline_f, baseline_s) = run(&policies[0]);
-    for p in &policies[1..] {
-        let (f, s) = run(p);
-        assert_eq!(f.hits, baseline_f.hits, "{p:?}");
-        assert_eq!(s.hits, baseline_s.hits, "{p:?}");
+    let (baseline_f, baseline_s, tiny_pages) = run(contexts[0]);
+    for (i, context) in contexts.into_iter().enumerate().skip(1) {
+        let (f, s, _) = run(context);
+        assert_eq!(f, baseline_f, "context {i}");
+        assert_eq!(s, baseline_s, "context {i}");
     }
     // Tiny pools thrash: capacity 1 must cost at least as many page
     // faults as unbounded on the filter path.
-    let (unbounded, _) = run(&PoolPolicy::PerQuery(None));
-    assert!(baseline_f.aggregate.io.pages >= unbounded.aggregate.io.pages);
+    let (_, _, unbounded_pages) = run(contexts[2]);
+    assert!(tiny_pages >= unbounded_pages);
 }
 
 #[test]

@@ -117,6 +117,18 @@ mod tests {
     }
 
     #[test]
+    fn scaling_is_per_axis() {
+        let s = Iso::from_linear(Mat3::diag(Vec3::new(2.0, 3.0, 4.0)));
+        assert_eq!(s.apply(Vec3::ONE), Vec3::new(2.0, 3.0, 4.0));
+        let u = Iso::from_linear(Mat3::diag(Vec3::splat(2.0)));
+        assert_eq!(u.apply(Vec3::ONE), Vec3::splat(2.0));
+        // An axis-aligned scale maps a box exactly onto the scaled box.
+        let b = Aabb::new(Vec3::splat(-1.0), Vec3::ONE);
+        let sb = s.apply_aabb(&b);
+        assert_eq!((sb.min, sb.max), (Vec3::new(-2.0, -3.0, -4.0), Vec3::new(2.0, 3.0, 4.0)));
+    }
+
+    #[test]
     fn aabb_transform_covers_transformed_points() {
         let m = Iso::new(Mat3::rot_z(0.7), Vec3::new(1.0, 2.0, 3.0));
         let b = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));

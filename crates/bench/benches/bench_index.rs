@@ -111,14 +111,18 @@ fn bench_xtree_pull(c: &mut Criterion) {
     g.finish();
 }
 
-/// One `churn` round's share of the X-tree: 150 deletes, 150 inserts,
-/// on a tree that starts packed, as a `DynamicIndex` does.
+/// One `churn` round's share of the X-tree: 150 deletes, 150 inserts
+/// and a `snapshot()`, on a tree that starts packed, as a `DynamicIndex`
+/// does. The snapshot of the round before is alive through the round,
+/// as a published epoch is, so the round pays the copy-on-write of
+/// every node it writes first.
 fn bench_xtree_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("xtree_churn");
     g.sample_size(20);
     let pts = clustered_points(20_000, 6, 23);
     let mut tree = XTree::bulk_load(6, &pts);
-    g.bench_function("150_deletes_150_inserts_n20000", |b| {
+    let mut published = tree.snapshot().unwrap();
+    g.bench_function("150_deletes_150_inserts_snapshot_n20000", |b| {
         let mut at = 0usize;
         b.iter(|| {
             let round: Vec<usize> = (0..150).map(|j| (at + j * 131) % pts.len()).collect();
@@ -129,6 +133,8 @@ fn bench_xtree_churn(c: &mut Criterion) {
             for &i in &round {
                 tree.insert(&pts[i], i as u64);
             }
+            // A publish: the new snapshot in, the one before it freed.
+            drop(std::mem::replace(&mut published, tree.snapshot().unwrap()));
             tree.len()
         })
     });

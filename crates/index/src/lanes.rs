@@ -9,9 +9,9 @@
 //! The lanes run across *entries*, never across dimensions: each lane
 //! accumulates its own entry over `d = 0..dim` in order, which is the
 //! operation order of the scalar loops these kernels replace and of
-//! the sorted scan (`PointFile::scan_ranked`). Every value computed here
-//! therefore has the bits the scalar code produced, and the two access
-//! paths keep emitting bit-identical filter distances. (A reduction
+//! the sorted scan (`PointFile::scan_ranked`). Every distance computed
+//! here therefore has the bits the scalar code produced, and the two
+//! access paths keep emitting bit-identical filter distances. (A reduction
 //! across dimensions — the pairwise tree of `vsim_setdist::simd` — would
 //! be as fast and round differently.)
 //!
@@ -58,8 +58,31 @@ pub(crate) fn child_mindist2(block: &[f64], center: &[f64]) -> [f64; W] {
     acc
 }
 
+/// Which child rectangles of one directory block hold `point`: a
+/// coordinate inside `[low, high]` (bounds included) in every dimension.
+/// A NaN coordinate is outside no rectangle — a cover keeps NaN out, so
+/// it says nothing about the NaNs below it — and each lane's test is
+/// the comparisons `low ≤ p`, `p ≤ high` of the scalar one.
+#[inline]
+pub(crate) fn child_holds(block: &[f64], point: &[f64]) -> [bool; W] {
+    let mut holds = [true; W];
+    for ([lo, hi], &p) in block.as_chunks::<W>().0.as_chunks::<2>().0.iter().zip(point) {
+        if p.is_nan() {
+            continue;
+        }
+        for ((h, &lo), &hi) in holds.iter_mut().zip(lo).zip(hi) {
+            *h &= (lo <= p) & (p <= hi);
+        }
+    }
+    holds
+}
+
 /// L1 enlargement needed to take `point` in, and current margin, of the
 /// child rectangles of one directory block: `(enlargement, margin)`.
+/// The grown bounds are compare-and-selects, which leave a bound where a
+/// NaN coordinate is, as `max` / `min` do; they may pick the other sign
+/// of a zero than `max` / `min` would, which changes no value the
+/// caller compares.
 #[inline]
 pub(crate) fn enlargement(block: &[f64], point: &[f64]) -> ([f64; W], [f64; W]) {
     let mut enl = [0.0; W];
@@ -67,7 +90,8 @@ pub(crate) fn enlargement(block: &[f64], point: &[f64]) -> ([f64; W], [f64; W]) 
     for ([lo, hi], &p) in block.as_chunks::<W>().0.as_chunks::<2>().0.iter().zip(point) {
         for (((e, m), &lo), &hi) in enl.iter_mut().zip(&mut margin).zip(lo).zip(hi) {
             let side = hi - lo;
-            *e += (hi.max(p) - lo.min(p)) - side;
+            let (up, down) = (if p > hi { p } else { hi }, if p < lo { p } else { lo });
+            *e += (up - down) - side;
             *m += side;
         }
     }
@@ -140,6 +164,17 @@ mod tests {
         assert_eq!(child_mindist2(&b, &[4.0, -3.0])[..2], [9.0 + 9.0, 1.0 + 4.0]);
         assert_eq!(child_mindist2(&b, &[f64::NAN, 0.5])[..2], [0.0, 0.0]);
         assert_eq!(child_mindist2(&b, &[f64::INFINITY, f64::INFINITY])[1], f64::INFINITY);
+    }
+
+    #[test]
+    fn containment_takes_both_bounds_and_passes_nan() {
+        let kids = vec![vec![0.0, 1.0, 0.0, 1.0], vec![2.0, 3.0, -1.0, f64::INFINITY]];
+        let b = block(&kids);
+        assert_eq!(child_holds(&b, &[0.0, 1.0])[..2], [true, false]);
+        assert_eq!(child_holds(&b, &[3.0, f64::INFINITY])[..2], [false, true]);
+        assert_eq!(child_holds(&b, &[f64::NAN, 0.5])[..2], [true, true]);
+        assert_eq!(child_holds(&b, &[2.5, f64::NAN])[..2], [false, true]);
+        assert_eq!(child_holds(&b, &[-0.0, -0.0])[..2], [true, false]);
     }
 
     #[test]
@@ -229,6 +264,7 @@ mod tests {
             black_box(leaf_dist2(black_box(&leaf), black_box(c)));
             black_box(child_mindist2(black_box(&dir), black_box(c)));
             black_box(enlargement(black_box(&dir), black_box(c)));
+            black_box(child_holds(black_box(&dir), black_box(c)));
         }
         for len in [1, W, slots.len()] {
             black_box(min_scan(black_box(&slots[..len])));

@@ -28,7 +28,7 @@ use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Buf;
 use vsim_setdist::VectorSet;
 use vsim_store::{
     checksum, InMemoryPageStore, PageStore, PageStreamReader, PageStreamWriter, QueryContext,
@@ -53,15 +53,25 @@ const POINT_SEGMENT: usize = 1 << 10;
 const VSET_TAG: u64 = 0x5653_4554_0000_0004;
 const POINT_TAG: u64 = 0x504E_5446_0000_0002;
 
-/// On-"disk" record image: `u32` dim, `u32` count, then `dim·count` f64s.
-fn encode(set: &VectorSet) -> Bytes {
-    let mut b = BytesMut::with_capacity(8 + 8 * set.flat().len());
-    b.put_u32_le(set.dim() as u32);
-    b.put_u32_le(set.len() as u32);
+/// Append `set`'s on-"disk" record image to `image`: `u32` dim, `u32`
+/// count, then `dim·count` f64s, all little-endian, written through a
+/// buffer on the stack that holds a whole record of the system's sets
+/// (7 six-dimensional vectors are 344 bytes) and is reused for a larger
+/// one's further coordinates.
+fn put_record(image: &mut SegVec<u8, IMAGE_SEGMENT>, set: &VectorSet) {
+    let mut buf = [0u8; 512];
+    buf[..4].copy_from_slice(&(set.dim() as u32).to_le_bytes());
+    buf[4..8].copy_from_slice(&(set.len() as u32).to_le_bytes());
+    let mut at = 8;
     for v in set.flat() {
-        b.put_f64_le(*v);
+        if at == buf.len() {
+            image.extend_from_slice(&buf);
+            at = 0;
+        }
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        at += 8;
     }
-    b.freeze()
+    image.extend_from_slice(&buf[..at]);
 }
 
 /// The body of a record image, once its header agrees with its extent
@@ -225,7 +235,7 @@ impl VectorSetStore {
         for s in sets {
             assert_eq!(s.dim(), dim, "a heap file holds sets of one dimension");
             offsets.push(image.len());
-            image.extend_from_slice(&encode(s));
+            put_record(&mut image, s);
         }
         offsets.push(image.len());
         let pages = InMemoryPageStore::new();
@@ -263,7 +273,7 @@ impl VectorSetStore {
         }
         assert_eq!(set.dim(), self.dim, "a heap file holds sets of one dimension");
         let old_pages = self.total_pages() as u64;
-        self.image.extend_from_slice(&encode(set));
+        put_record(&mut self.image, set);
         self.offsets.extend_from_slice(&[self.image.len()]);
         self.dead.extend_from_slice(&[false]);
         self.live += 1;

@@ -31,7 +31,8 @@
 //! and nowhere else; a node's own rectangle lives in its parent's entry
 //! for it, as in the R-tree papers (DESIGN.md §9). Nodes sit behind
 //! `Arc`s: a `snapshot()` shares them all, and an insert or delete
-//! copies the nodes on its path the first time it writes them
+//! copies a node on its path the first time it writes it — the leaf it
+//! changes, a directory node only where an entry's rectangle changes
 //! (DESIGN.md §14).
 
 use std::cmp::Ordering;
@@ -139,13 +140,24 @@ impl Node {
         self.ids.push(id);
     }
 
-    fn set_bounds(&mut self, i: usize, lo: &[f64], hi: &[f64]) {
-        self.set_entry(i, lo.iter().zip(hi).flat_map(|(&lo, &hi)| [lo, hi]));
+    /// Write `rect` (`[low, high]` per dimension) as entry `i`.
+    fn set_rect(&mut self, i: usize, rect: &[f64]) {
+        self.set_entry(i, rect.iter().copied());
     }
 
-    fn push_child(&mut self, child: usize, lo: &[f64], hi: &[f64]) {
-        self.set_bounds(self.children.len(), lo, hi);
+    fn push_child(&mut self, child: usize, rect: &[f64]) {
+        self.set_rect(self.children.len(), rect);
         self.children.push(child);
+    }
+
+    /// Append entry `i` of `from`, its payload included.
+    fn push_from(&mut self, from: &Node, i: usize) {
+        self.set_entry(self.len(), (0..from.rows).map(|r| from.lanes[from.at(i, r)]));
+        if self.leaf {
+            self.ids.push(from.ids[i]);
+        } else {
+            self.children.push(from.children[i]);
+        }
     }
 
     /// Remove entry `i`, shifting the later ones down: entry order is
@@ -181,27 +193,72 @@ impl Node {
         })
     }
 
-    /// Exact cover of the entries, accumulated in entry order.
-    fn cover(&self) -> Mbr {
-        let mut mbr = Mbr::empty(self.dim());
-        for i in 0..self.len() {
-            for d in 0..self.dim() {
-                let [lo, hi] = self.bounds(i, d);
-                mbr.min[d] = mbr.min[d].min(lo);
-                mbr.max[d] = mbr.max[d].max(hi);
-            }
-        }
-        mbr
+    /// Whether `point` lies on entry `i`'s rectangle: a coordinate equal
+    /// to one of its bounds, or NaN. Removing a point that does not
+    /// leaves the cover of what holds it as it was, to the bit: each
+    /// bound is the fold of the values equal to it, and the point's are
+    /// not among them.
+    fn touches(&self, i: usize, point: &[f64]) -> bool {
+        point.iter().enumerate().any(|(d, &p)| {
+            let [lo, hi] = self.bounds(i, d);
+            p.is_nan() || p == lo || p == hi
+        })
     }
 
-    /// Entry-major copy of one bound of every entry: `which` 0 the low
-    /// bounds, 1 the high ones (the same points twice for a leaf).
-    fn gather(&self, which: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len() * self.dim());
+    /// Exact cover of the entries into `rect` (`[low, high]` per
+    /// dimension, the layout of a directory entry): per dimension the
+    /// [`lower`] / [`upper`] of the row, which are the least and greatest
+    /// of a total order, so no fold order changes a bit. The rows are
+    /// folded a lane block at a time, eight running bounds wide, by plain
+    /// compares, which may keep either zero; a bound that comes out zero
+    /// then takes its sign from the row.
+    fn cover(&self, rect: &mut [f64]) {
+        let len = self.len();
+        // A leaf's row `d` is both bounds of dimension `d`.
+        let hi_row = usize::from(!self.leaf);
+        let step = 1 + hi_row;
+        let blocks = || self.lanes.chunks_exact(self.rows * W).zip((0..len).step_by(W));
+        // The live values of row `r`.
+        let row = |r: usize| {
+            blocks().flat_map(move |(block, first)| &block[r * W..][..(len - first).min(W)])
+        };
+        for (d, bounds) in rect.chunks_exact_mut(2).enumerate() {
+            let (lo_row, hi_row) = (step * d, step * d + hi_row);
+            let mut low = [f64::INFINITY; W];
+            let mut high = [f64::NEG_INFINITY; W];
+            for (block, first) in blocks() {
+                let (lo, hi) = (&block[lo_row * W..][..W], &block[hi_row * W..][..W]);
+                for l in 0..W {
+                    // Lanes past the last entry hold stale values.
+                    let live = first + l < len;
+                    low[l] = if live && lo[l] < low[l] { lo[l] } else { low[l] };
+                    high[l] = if live && hi[l] > high[l] { hi[l] } else { high[l] };
+                }
+            }
+            let mut lo = low.into_iter().fold(f64::INFINITY, lower);
+            let mut hi = high.into_iter().fold(f64::NEG_INFINITY, upper);
+            if lo == 0.0 {
+                lo = if row(lo_row).any(|v| v.to_bits() == (-0.0f64).to_bits()) {
+                    -0.0
+                } else {
+                    0.0
+                };
+            }
+            if hi == 0.0 {
+                hi = if row(hi_row).any(|v| v.to_bits() == 0) { 0.0 } else { -0.0 };
+            }
+            bounds.copy_from_slice(&[lo, hi]);
+        }
+    }
+
+    /// Entry-major copy of one bound of every entry into `out`: `which`
+    /// 0 the low bounds, 1 the high ones (the same points twice for a
+    /// leaf).
+    fn gather(&self, which: usize, out: &mut Vec<f64>) {
+        out.clear();
         for i in 0..self.len() {
             out.extend((0..self.dim()).map(|d| self.bounds(i, d)[which]));
         }
-        out
     }
 }
 
@@ -242,19 +299,6 @@ impl IndexMut<usize> for Nodes {
     }
 }
 
-/// A minimum bounding rectangle outside the lanes: what a node's parent
-/// is about to store for it.
-struct Mbr {
-    min: Vec<f64>,
-    max: Vec<f64>,
-}
-
-impl Mbr {
-    fn empty(dim: usize) -> Self {
-        Mbr { min: vec![f64::INFINITY; dim], max: vec![f64::NEG_INFINITY; dim] }
-    }
-}
-
 /// A point X-tree over `dim`-dimensional `f64` points with `u64` payload
 /// ids. Node pages live in a page store — an owned in-memory one at
 /// build time, or a span of a shared durable store after
@@ -273,6 +317,19 @@ pub struct XTree {
     pub max_overlap: f64,
     store: NodeStore,
     len: usize,
+    /// Buffers the write path reuses from one call to the next.
+    scratch: Scratch,
+}
+
+/// What an insert or delete computes on the way and throws away: a
+/// cover being compared with the entry that stores it, and the
+/// entries of a node being split.
+#[derive(Debug, Default)]
+struct Scratch {
+    rect: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    split: SplitScratch,
 }
 
 impl XTree {
@@ -294,6 +351,7 @@ impl XTree {
             max_overlap: 0.2,
             store: NodeStore::fresh(),
             len: 0,
+            scratch: Scratch::default(),
         };
         tree.add_node(tree.new_node(true));
         tree
@@ -315,6 +373,7 @@ impl XTree {
             max_overlap: self.max_overlap,
             store: self.store.snapshot()?,
             len: self.len,
+            scratch: Scratch::default(),
         })
     }
 
@@ -380,14 +439,15 @@ impl XTree {
         put_u64(&mut meta, self.dir_cap as u64);
         put_f64(&mut meta, self.max_overlap);
         put_u64(&mut meta, self.nodes.len() as u64);
+        let mut rect = vec![0.0; 2 * self.dim];
         for (n, &first) in self.nodes.iter().zip(&spans) {
             put_u64(&mut meta, n.leaf as u64);
             put_u64(&mut meta, n.pages as u64);
             put_u64(&mut meta, first);
             // The format gives every node its own rectangle: the exact
             // cover of its entries, which is what its parent holds.
-            let mbr = n.cover();
-            for &v in mbr.min.iter().chain(&mbr.max) {
+            n.cover(&mut rect);
+            for &v in rect.iter().step_by(2).chain(rect.iter().skip(1).step_by(2)) {
                 put_f64(&mut meta, v);
             }
             put_u64(&mut meta, n.ids.len() as u64);
@@ -440,9 +500,10 @@ impl XTree {
         // No count sizes a buffer beyond what is left of the stream
         // could fill: a corrupted one runs into its end instead.
         let mut nodes = Vec::with_capacity(n_nodes.min(r.len() / 8));
-        // The stream keeps each node's rectangle with the node; a
-        // directory entry is filled from its child's once all are read.
-        let mut mbrs: Vec<Mbr> = Vec::with_capacity(nodes.capacity());
+        // The stream keeps each node's rectangle with the node, all low
+        // bounds and then all high ones; a directory entry is filled
+        // from its child's once all are read.
+        let mut rects: Vec<f64> = Vec::new();
         let mut point = vec![0.0; dim];
         for _ in 0..n_nodes {
             let leaf = match get_u64(r)? {
@@ -455,11 +516,12 @@ impl XTree {
             if first_page.checked_add(pages as u64).is_none_or(|end| end > store.page_count()) {
                 return Err(invalid("X-tree node span exceeds the page store"));
             }
-            let mut mbr = Mbr::empty(dim);
-            for v in mbr.min.iter_mut().chain(mbr.max.iter_mut()) {
-                *v = get_f64(r)?;
+            let rect = rects.len();
+            rects.resize(rect + 2 * dim, 0.0);
+            for at in (rect..rect + 2 * dim).step_by(2).chain((rect + 1..rect + 2 * dim).step_by(2))
+            {
+                rects[at] = get_f64(r)?;
             }
-            mbrs.push(mbr);
             let entries = get_len(r, "leaf entry")?;
             if !leaf && entries > 0 {
                 return Err(invalid("X-tree directory node holds points"));
@@ -492,8 +554,8 @@ impl XTree {
         }
         for node in nodes.iter_mut().filter(|n| !n.leaf) {
             for i in 0..node.children.len() {
-                let mbr = &mbrs[node.children[i]];
-                node.set_bounds(i, &mbr.min, &mbr.max);
+                let rect = node.children[i] * 2 * dim;
+                node.set_rect(i, &rects[rect..rect + 2 * dim]);
             }
         }
         // What the root reaches must be a tree: a node with two parents
@@ -523,6 +585,7 @@ impl XTree {
             max_overlap,
             store: NodeStore::Shared(store),
             len,
+            scratch: Scratch::default(),
         })
     }
 
@@ -586,18 +649,30 @@ impl XTree {
         if points.is_empty() {
             return tree;
         }
-        fn str_sort(points: &[Vec<f64>], idx: &mut [usize], axis: usize, dim: usize, cap: usize) {
-            if idx.len() <= cap || axis == dim {
+        /// Sort `slab` — `(key, point)` pairs — on `axis`: each key is
+        /// copied in once, in [`total_key`] form, and the stable sort
+        /// compares the copies.
+        fn str_sort(
+            points: &[Vec<f64>],
+            slab: &mut [(u64, usize)],
+            axis: usize,
+            dim: usize,
+            cap: usize,
+        ) {
+            if slab.len() <= cap || axis == dim {
                 return;
             }
-            idx.sort_by(|&a, &b| points[a][axis].total_cmp(&points[b][axis]));
-            let leaves = idx.len().div_ceil(cap);
+            for (key, i) in slab.iter_mut() {
+                *key = total_key(points[*i][axis]);
+            }
+            slab.sort_by_key(|&(key, _)| key);
+            let leaves = slab.len().div_ceil(cap);
             let slabs = (leaves as f64).powf(1.0 / (dim - axis) as f64).ceil() as usize;
-            for slab in idx.chunks_mut(leaves.div_ceil(slabs.max(1)) * cap) {
+            for slab in slab.chunks_mut(leaves.div_ceil(slabs.max(1)) * cap) {
                 str_sort(points, slab, axis + 1, dim, cap);
             }
         }
-        let mut order: Vec<usize> = (0..points.len()).collect();
+        let mut order: Vec<(u64, usize)> = (0..points.len()).map(|i| (0, i)).collect();
         str_sort(points, &mut order, 0, dim, tree.leaf_cap);
 
         tree.nodes = Nodes::default();
@@ -605,18 +680,19 @@ impl XTree {
         let mut level: Vec<usize> = Vec::new();
         for chunk in order.chunks(tree.leaf_cap) {
             let mut node = tree.new_node(true);
-            for &i in chunk {
+            for &(_, i) in chunk {
                 node.push_point(&points[i], i as u64);
             }
             level.push(tree.add_node(node));
         }
+        let mut rect = vec![0.0; 2 * dim];
         while level.len() > 1 {
             let mut next: Vec<usize> = Vec::new();
             for chunk in level.chunks(tree.dir_cap) {
                 let mut node = tree.new_node(false);
                 for &c in chunk {
-                    let mbr = tree.nodes[c].cover();
-                    node.push_child(c, &mbr.min, &mbr.max);
+                    tree.nodes[c].cover(&mut rect);
+                    node.push_child(c, &rect);
                 }
                 next.push(tree.add_node(node));
             }
@@ -627,16 +703,22 @@ impl XTree {
         tree
     }
 
-    /// Insert a point (build phase: no I/O charged).
+    /// Insert a point (build phase: no I/O charged). A directory entry
+    /// on the path is rewritten only where the point grows it, so an
+    /// insert copies no directory node a snapshot shares that it does
+    /// not change.
     pub fn insert(&mut self, point: &[f64], id: u64) {
         assert_eq!(point.len(), self.dim);
         if let Some(sibling) = self.insert_rec(self.root, point, id) {
             // Root split: new root with the two nodes as children.
             let mut new_root = self.new_node(false);
+            let mut rect = std::mem::take(&mut self.scratch.rect);
+            rect.resize(2 * self.dim, 0.0);
             for half in [self.root, sibling] {
-                let mbr = self.nodes[half].cover();
-                new_root.push_child(half, &mbr.min, &mbr.max);
+                self.nodes[half].cover(&mut rect);
+                new_root.push_child(half, &rect);
             }
+            self.scratch.rect = rect;
             self.root = self.add_node(new_root);
         }
         self.len += 1;
@@ -652,20 +734,30 @@ impl XTree {
             let child = self.nodes[node].children[slot];
             match self.insert_rec(child, point, id) {
                 None => {
-                    let n = &mut self.nodes[node];
-                    for (d, &p) in point.iter().enumerate() {
-                        let (lo, hi) = (n.at(slot, 2 * d), n.at(slot, 2 * d + 1));
-                        n.lanes[lo] = n.lanes[lo].min(p);
-                        n.lanes[hi] = n.lanes[hi].max(p);
+                    let n = &self.nodes[node];
+                    let grows = point.iter().enumerate().any(|(d, &p)| {
+                        let [lo, hi] = n.bounds(slot, d);
+                        lower(lo, p).to_bits() != lo.to_bits()
+                            || upper(hi, p).to_bits() != hi.to_bits()
+                    });
+                    if grows {
+                        let n = &mut self.nodes[node];
+                        for (d, &p) in point.iter().enumerate() {
+                            let (lo, hi) = (n.at(slot, 2 * d), n.at(slot, 2 * d + 1));
+                            n.lanes[lo] = lower(n.lanes[lo], p);
+                            n.lanes[hi] = upper(n.lanes[hi], p);
+                        }
                     }
                     return None;
                 }
                 Some(sibling) => {
-                    let kept = self.nodes[child].cover();
-                    let moved = self.nodes[sibling].cover();
-                    let n = &mut self.nodes[node];
-                    n.set_bounds(slot, &kept.min, &kept.max);
-                    n.push_child(sibling, &moved.min, &moved.max);
+                    let mut rect = std::mem::take(&mut self.scratch.rect);
+                    rect.resize(2 * self.dim, 0.0);
+                    self.nodes[child].cover(&mut rect);
+                    self.nodes[node].set_rect(slot, &rect);
+                    self.nodes[sibling].cover(&mut rect);
+                    self.nodes[node].push_child(sibling, &rect);
+                    self.scratch.rect = rect;
                 }
             }
         }
@@ -677,15 +769,19 @@ impl XTree {
 
     /// Remove the entry `(point, id)` if present; returns whether an
     /// entry was removed. The tree stays query-correct after any
-    /// interleaving of inserts and deletes: MBRs are recomputed exactly
-    /// along the deletion path, emptied nodes are unlinked from their
-    /// parents, supernodes shed pages they no longer need, and a
-    /// single-child directory root is collapsed so the height can shrink
-    /// back. (No R*-style reinsertion — underfull nodes are legal and
-    /// only cost packing, which the epoch layer reclaims on rebuild.)
+    /// interleaving of inserts and deletes, and every directory entry
+    /// stays the exact cover of its child: a child's cover is recomputed
+    /// where the removed point lay on its rectangle, the entry is
+    /// rewritten only where the recomputed bits differ, and the walk up
+    /// stops at the first rectangle that held. Emptied nodes are
+    /// unlinked from their parents, supernodes shed pages they no longer
+    /// need, and a single-child directory root is collapsed so the
+    /// height can shrink back. (No R*-style reinsertion — underfull
+    /// nodes are legal and only cost packing, which the epoch layer
+    /// reclaims on rebuild.)
     pub fn delete(&mut self, point: &[f64], id: u64) -> bool {
         assert_eq!(point.len(), self.dim);
-        if self.len == 0 || !self.delete_rec(self.root, point, id) {
+        if self.len == 0 || self.delete_rec(self.root, point, id).is_none() {
             return false;
         }
         self.len -= 1;
@@ -699,30 +795,56 @@ impl XTree {
         true
     }
 
-    fn delete_rec(&mut self, node: usize, point: &[f64], id: u64) -> bool {
+    /// Remove `(point, id)` below `node`: `None` if it is not there,
+    /// else whether `node`'s entries changed — one removed or one
+    /// rectangle rewritten — which alone can move its cover. The
+    /// children whose rectangles hold the point are searched in entry
+    /// order, a lane block at a time.
+    fn delete_rec(&mut self, node: usize, point: &[f64], id: u64) -> Option<bool> {
         let n = &self.nodes[node];
         if n.leaf {
-            let Some(pos) = (0..n.ids.len()).find(|&i| n.ids[i] == id && n.holds(i, point)) else {
-                return false;
-            };
+            let pos = (0..n.ids.len()).find(|&i| n.ids[i] == id && n.holds(i, point))?;
             self.nodes[node].remove_entry(pos);
             self.shrink_node(node);
-            return true;
+            return Some(true);
         }
-        for slot in 0..n.children.len() {
-            let child = self.nodes[node].children[slot];
-            if self.nodes[node].holds(slot, point) && self.delete_rec(child, point, id) {
+        for first in (0..n.children.len()).step_by(W) {
+            let n = &self.nodes[node];
+            let block = &n.lanes[first * n.rows..][..n.rows * W];
+            let holds = lanes::child_holds(block, point);
+            let live = (n.children.len() - first).min(W);
+            for slot in (first..first + live).filter(|slot| holds[slot - first]) {
+                let child = self.nodes[node].children[slot];
+                let Some(changed) = self.delete_rec(child, point, id) else {
+                    continue;
+                };
                 if self.nodes[child].len() == 0 {
                     self.nodes[node].remove_entry(slot);
                     self.shrink_node(node);
-                } else {
-                    let kept = self.nodes[child].cover();
-                    self.nodes[node].set_bounds(slot, &kept.min, &kept.max);
+                    return Some(true);
                 }
-                return true;
+                let recompute = changed && self.nodes[node].touches(slot, point);
+                return Some(recompute && self.refresh(node, slot, child));
             }
         }
-        false
+        None
+    }
+
+    /// Recompute `child`'s cover and rewrite entry `slot` of `node` with
+    /// it if its bits differ from the stored ones; returns whether they
+    /// did.
+    fn refresh(&mut self, node: usize, slot: usize, child: usize) -> bool {
+        let mut rect = std::mem::take(&mut self.scratch.rect);
+        rect.resize(2 * self.dim, 0.0);
+        self.nodes[child].cover(&mut rect);
+        let n = &self.nodes[node];
+        let moved =
+            rect.iter().enumerate().any(|(r, v)| v.to_bits() != n.lanes[n.at(slot, r)].to_bits());
+        if moved {
+            self.nodes[node].set_rect(slot, &rect);
+        }
+        self.scratch.rect = rect;
+        moved
     }
 
     /// Release supernode pages a node no longer needs after shrinking.
@@ -767,34 +889,39 @@ impl XTree {
     /// construction — grows leaf supernodes on the insert path instead
     /// of producing a pair of fully overlapping leaves.
     fn split(&mut self, node: usize) -> Option<usize> {
-        let dim = self.dim;
         let leaf = self.nodes[node].leaf;
-        let lo = self.nodes[node].gather(0);
-        let hi = self.nodes[node].gather(1);
         let cap = self.one_page_cap(leaf);
-        let split = choose_split(dim, &lo, &hi, cap);
-        if split.crossing > self.max_overlap {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { lo, hi, split, .. } = &mut scratch;
+        self.nodes[node].gather(0, lo);
+        // A leaf's entries are points: the high bounds are the low ones.
+        let hi = if leaf {
+            &*lo
+        } else {
+            self.nodes[node].gather(1, hi);
+            &*hi
+        };
+        let split = choose_split(self.dim, lo, hi, cap, split);
+        let sibling = if split.crossing > self.max_overlap {
             // Supernode: extend by one page instead of splitting.
             self.nodes[node].pages += 1;
             self.place_node(node);
-            return None;
-        }
-        let mut right = self.new_node(leaf);
-        let left = self.new_node(leaf);
-        let old = std::mem::replace(&mut self.nodes.0[node], Arc::new(left));
-        for (rank, &e) in split.order.iter().enumerate() {
-            let half = if rank < split.at { &mut self.nodes[node] } else { &mut right };
-            let span = e * dim..(e + 1) * dim;
-            if leaf {
-                half.push_point(&lo[span], old.ids[e]);
-            } else {
-                half.push_child(old.children[e], &lo[span.clone()], &hi[span]);
+            None
+        } else {
+            let mut right = self.new_node(leaf);
+            let left = self.new_node(leaf);
+            let old = std::mem::replace(&mut self.nodes.0[node], Arc::new(left));
+            for (rank, &e) in split.order.iter().enumerate() {
+                let half = if rank < split.at { &mut self.nodes[node] } else { &mut right };
+                half.push_from(&old, e);
             }
-        }
-        self.nodes[node].pages = pages_for(self.nodes[node].len(), cap);
-        right.pages = pages_for(right.len(), cap);
-        self.place_node(node);
-        Some(self.add_node(right))
+            self.nodes[node].pages = pages_for(self.nodes[node].len(), cap);
+            right.pages = pages_for(right.len(), cap);
+            self.place_node(node);
+            Some(self.add_node(right))
+        };
+        self.scratch = scratch;
+        sibling
     }
 
     #[inline]
@@ -973,23 +1100,73 @@ impl Iterator for NnIter<'_> {
     }
 }
 
+/// The lower of a bound `a` and a value `b`, with `-0.0` below `0.0`;
+/// a NaN `b` leaves `a` (a bound is never NaN: it starts at ±∞ and
+/// takes only what it is compared with). `f64::min` may return either
+/// zero; this order makes a cover a function of its entries' values
+/// alone, so a rectangle grown a point at a time, or folded in another
+/// entry order, has the bits of one folded afresh.
+#[inline]
+fn lower(a: f64, b: f64) -> f64 {
+    let least = if b < a { b } else { a };
+    // Equal numbers differ at most in a zero's sign: keep a set sign bit.
+    if b == a {
+        f64::from_bits(a.to_bits() | b.to_bits())
+    } else {
+        least
+    }
+}
+
+/// The upper of a bound `a` and a value `b`, as [`lower`] is the lower.
+#[inline]
+fn upper(a: f64, b: f64) -> f64 {
+    let greatest = if b > a { b } else { a };
+    if b == a {
+        f64::from_bits(a.to_bits() & b.to_bits())
+    } else {
+        greatest
+    }
+}
+
 fn pages_for(entries: usize, cap: usize) -> usize {
     entries.div_ceil(cap).max(1)
 }
 
 /// A chosen split: entries `order[..at]` stay, `order[at..]` move.
-struct Split {
+struct Split<'a> {
     at: usize,
     /// Fraction of the entries that intersect both halves.
     crossing: f64,
     /// The entries sorted along the chosen axis.
-    order: Vec<usize>,
+    order: &'a [usize],
+}
+
+/// What [`choose_split`] reuses from one call to the next.
+#[derive(Debug, Default)]
+struct SplitScratch {
+    /// One axis's sort keys: the entry's low and high bound in
+    /// [`total_key`] form, then the entry.
+    keys: Vec<(u64, u64, usize)>,
+    /// The entries in each axis's order, axis after axis.
+    orders: Vec<usize>,
+    covers: Covers,
+    positions: Vec<usize>,
+    crossing: Vec<isize>,
+}
+
+/// `x`'s place in [`f64::total_cmp`]'s order: the integers compare as
+/// `total_cmp` compares the floats (its bit flip, then the sign bit
+/// flipped so that unsigned order is its signed one).
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
 }
 
 /// Covers of every prefix and every suffix of one ordering of the entry
 /// rectangles: `pre_*[s]` covers `order[..s]`, `suf_*[s]` covers
 /// `order[s..]`, each `dim` wide. One pass each way instead of one cover
 /// computation per split position.
+#[derive(Debug, Default)]
 struct Covers {
     dim: usize,
     pre_min: Vec<f64>,
@@ -999,31 +1176,29 @@ struct Covers {
 }
 
 impl Covers {
-    fn new(dim: usize, n: usize) -> Self {
-        let empty = |v: f64| vec![v; (n + 1) * dim];
-        Covers {
-            dim,
-            pre_min: empty(f64::INFINITY),
-            pre_max: empty(f64::NEG_INFINITY),
-            suf_min: empty(f64::INFINITY),
-            suf_max: empty(f64::NEG_INFINITY),
+    /// Room for the covers of `n` entries, the empty prefix and suffix
+    /// in place.
+    fn reset(&mut self, dim: usize, n: usize) {
+        self.dim = dim;
+        for (v, empty) in [
+            (&mut self.pre_min, f64::INFINITY),
+            (&mut self.pre_max, f64::NEG_INFINITY),
+            (&mut self.suf_min, f64::INFINITY),
+            (&mut self.suf_max, f64::NEG_INFINITY),
+        ] {
+            v.clear();
+            v.resize((n + 1) * dim, empty);
         }
     }
 
     fn fill(&mut self, lo: &[f64], hi: &[f64], order: &[usize]) {
         let dim = self.dim;
-        for (s, &e) in order.iter().enumerate() {
-            for d in 0..dim {
-                self.pre_min[(s + 1) * dim + d] = self.pre_min[s * dim + d].min(lo[e * dim + d]);
-                self.pre_max[(s + 1) * dim + d] = self.pre_max[s * dim + d].max(hi[e * dim + d]);
-            }
-        }
-        for (s, &e) in order.iter().enumerate().rev() {
-            for d in 0..dim {
-                self.suf_min[s * dim + d] = self.suf_min[(s + 1) * dim + d].min(lo[e * dim + d]);
-                self.suf_max[s * dim + d] = self.suf_max[(s + 1) * dim + d].max(hi[e * dim + d]);
-            }
-        }
+        let entries =
+            order.iter().map(|&e| (&lo[e * dim..(e + 1) * dim], &hi[e * dim..(e + 1) * dim]));
+        let prefixes = self.pre_min.chunks_exact_mut(dim).zip(self.pre_max.chunks_exact_mut(dim));
+        scan_covers(prefixes, entries.clone());
+        let suffixes = self.suf_min.chunks_exact_mut(dim).zip(self.suf_max.chunks_exact_mut(dim));
+        scan_covers(suffixes.rev(), entries.rev());
     }
 
     fn span(&self, s: usize) -> Range<usize> {
@@ -1037,35 +1212,69 @@ impl Covers {
     }
 }
 
+/// Fill `covers` — `(low, high)` rows, the first one empty — each row
+/// the one before it grown by the next of `entries`. A bound is grown by
+/// a plain compare, which leaves it where a NaN is and may keep either
+/// zero: a split's covers feed only margins and `≤` tests, which do not
+/// tell the zeros apart.
+#[inline]
+fn scan_covers<'a, 'b>(
+    mut covers: impl Iterator<Item = (&'a mut [f64], &'a mut [f64])>,
+    entries: impl Iterator<Item = (&'b [f64], &'b [f64])>,
+) {
+    let Some((mut low, mut high)) = covers.next() else {
+        return;
+    };
+    for ((next_low, next_high), (lo, hi)) in covers.zip(entries) {
+        for ((next, &prev), &v) in next_low.iter_mut().zip(&*low).zip(lo) {
+            *next = if v < prev { v } else { prev };
+        }
+        for ((next, &prev), &v) in next_high.iter_mut().zip(&*high).zip(hi) {
+            *next = if v > prev { v } else { prev };
+        }
+        (low, high) = (next_low, next_high);
+    }
+}
+
 /// Choose a split for the given entry rectangles (`lo` / `hi`,
 /// entry-major, `dim` wide): the axis with minimum total margin over
 /// candidate distributions, then the distribution with minimum crossing
 /// entries (entries intersecting both halves), tie-broken by margin.
 ///
+/// Each axis sorts copies of its keys — ties in both bounds keep entry
+/// order, as a stable sort would — and fills `scratch`'s buffers, which
+/// a tree keeps from one split to the next.
+///
 /// Prefix covers only grow and suffix covers only shrink as the split
 /// position moves right, so an entry meets the left half from some
 /// position on and the right half up to some position: two binary
 /// searches per entry give the crossing count of every position at once.
-fn choose_split(dim: usize, lo: &[f64], hi: &[f64], one_page_cap: usize) -> Split {
+fn choose_split<'s>(
+    dim: usize,
+    lo: &[f64],
+    hi: &[f64],
+    one_page_cap: usize,
+    scratch: &'s mut SplitScratch,
+) -> Split<'s> {
     let n = lo.len() / dim;
     let min_fill = ((one_page_cap as f64 * MIN_FILL) as usize).max(1);
     let first = min_fill.min(n - 1);
     let last = n - first;
     debug_assert!(first <= last, "a node over capacity has room for two minimum fills");
 
-    let mut covers = Covers::new(dim, n);
-    let mut orders: Vec<usize> = Vec::with_capacity(dim * n);
+    let SplitScratch { keys, orders, covers, positions, crossing } = scratch;
+    covers.reset(dim, n);
+    orders.clear();
     let mut best_axis = 0;
     let mut best_axis_margin = f64::INFINITY;
     for axis in 0..dim {
-        orders.extend(0..n);
-        let order = &mut orders[axis * n..];
-        order.sort_by(|&a, &b| {
-            lo[a * dim + axis]
-                .total_cmp(&lo[b * dim + axis])
-                .then_with(|| hi[a * dim + axis].total_cmp(&hi[b * dim + axis]))
-        });
-        covers.fill(lo, hi, order);
+        keys.clear();
+        keys.extend(
+            (0..n).map(|e| (total_key(lo[e * dim + axis]), total_key(hi[e * dim + axis]), e)),
+        );
+        keys.sort_unstable();
+        orders.extend(keys.iter().map(|&(_, _, e)| e));
+        covers.fill(lo, hi, &orders[axis * n..]);
         let mut margin_sum = 0.0;
         for s in first..=last {
             margin_sum += covers.margin(s);
@@ -1076,12 +1285,15 @@ fn choose_split(dim: usize, lo: &[f64], hi: &[f64], one_page_cap: usize) -> Spli
         }
     }
 
+    let orders: &'s [usize] = orders;
     let order = &orders[best_axis * n..(best_axis + 1) * n];
     covers.fill(lo, hi, order);
-    let positions: Vec<usize> = (first..=last).collect();
+    positions.clear();
+    positions.extend(first..=last);
     // Entries crossing at `positions[i]`: `crossing[i]` after the
     // running sum below.
-    let mut crossing = vec![0isize; positions.len() + 1];
+    crossing.clear();
+    crossing.resize(positions.len() + 1, 0);
     for e in 0..n {
         let (elo, ehi) = (&lo[e * dim..(e + 1) * dim], &hi[e * dim..(e + 1) * dim]);
         let meets_left = |s: usize| {
@@ -1101,7 +1313,7 @@ fn choose_split(dim: usize, lo: &[f64], hi: &[f64], one_page_cap: usize) -> Spli
     let mut best_cross = usize::MAX;
     let mut best_margin = f64::INFINITY;
     let mut cross = 0isize;
-    for (&s, entered) in positions.iter().zip(&crossing) {
+    for (&s, entered) in positions.iter().zip(crossing.iter()) {
         cross += entered;
         let m = covers.margin(s);
         if (cross as usize) < best_cross || (cross as usize == best_cross && m < best_margin) {
@@ -1110,7 +1322,7 @@ fn choose_split(dim: usize, lo: &[f64], hi: &[f64], one_page_cap: usize) -> Spli
             best_split = s;
         }
     }
-    Split { at: best_split, crossing: best_cross as f64 / n as f64, order: order.to_vec() }
+    Split { at: best_split, crossing: best_cross as f64 / n as f64, order }
 }
 
 fn margin(mn: &[f64], mx: &[f64]) -> f64 {
@@ -1596,8 +1808,9 @@ mod tests {
         let t = XTree::bulk_load(2, &random_points(20_000, 2, 35));
         assert_eq!(t.nodes.iter().filter(|n| n.leaf).count(), 118);
         for leaf in t.nodes.iter().filter(|n| n.leaf) {
-            let mbr = leaf.cover();
-            let (lo, hi) = (mbr.min[1], mbr.max[1]);
+            let mut rect = [0.0; 4];
+            leaf.cover(&mut rect);
+            let (lo, hi) = (rect[2], rect[3]);
             assert!(hi - lo < 25.0, "a leaf spans y {lo}..{hi}");
         }
     }
@@ -1735,6 +1948,174 @@ mod tests {
         assert_eq!(meta_checksum(&t), 0xffcd_caaa_c2dc_bfa1, "20 000-point 2-d insert build");
     }
 
+    /// The packed tree a dynamic index starts from, through a `churn`
+    /// history: 80 rounds of 150 inserts and 150 deletes of random live
+    /// points, one `snapshot()` per round as a publish takes it. The
+    /// constants are what the commit before the lazy covers wrote, so
+    /// recomputing a cover only where a bound can move, writing an entry
+    /// only where its bits change, the lane-block descent and the split
+    /// on copied keys leave every tree and snapshot byte for byte.
+    #[test]
+    fn packed_churn_history_saves_the_bytes_it_saved_before_the_lazy_covers() {
+        const N: usize = 20_000;
+        const ROUNDS: usize = 80;
+        const ROUND: usize = 150;
+        let pts = random_points(N + ROUNDS * ROUND, 6, 1907);
+        let mut t = XTree::bulk_load(6, &pts[..N]);
+        let mut rng = StdRng::seed_from_u64(1908);
+        let mut live: Vec<usize> = (0..N).collect();
+        let mut kept = Vec::new();
+        let mut published = t.snapshot().unwrap();
+        for round in 0..ROUNDS {
+            for (id, p) in pts.iter().enumerate().skip(N + round * ROUND).take(ROUND) {
+                t.insert(p, id as u64);
+                live.push(id);
+            }
+            for _ in 0..ROUND {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                assert!(t.delete(&pts[id], id as u64), "round {round}: point {id}");
+            }
+            published = t.snapshot().unwrap();
+            if round % 20 == 0 {
+                kept.push(published.snapshot().unwrap());
+            }
+        }
+        assert_eq!(t.len(), N);
+        let sums: Vec<u64> = kept.iter().chain([&published, &t]).map(meta_checksum).collect();
+        let rounds_0_20_40_60_then_published_and_working = [
+            0xbb64_76bf_1070_43a0,
+            0xb86f_5610_e196_320b,
+            0xe604_e0b0_0384_a68d,
+            0x0551_0228_dbe1_d3f6,
+            0x88bb_b9fc_652d_3a1e,
+            0x88bb_b9fc_652d_3a1e,
+        ];
+        assert_eq!(sums, rounds_0_20_40_60_then_published_and_working);
+    }
+
+    /// Any interleaving of inserts, deletes and snapshots over points
+    /// with duplicates, signed zeros, infinities and NaNs, on a tree of
+    /// four-entry pages (several levels from a few dozen points, splits
+    /// and supernodes): after every operation each directory entry holds,
+    /// bit for bit, the cover of its child folded afresh in entry order,
+    /// and range queries return what a scan of the live points returns.
+    /// A delete that skipped the recompute where the removed point lay
+    /// on a bound would leave an entry larger than its child.
+    mod covers {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The live entries of a tree: id and point.
+        type Live = Vec<(u64, Vec<f64>)>;
+
+        /// The first directory entry of `t` that differs from a fresh
+        /// cover of its child.
+        fn stale_entry(t: &XTree) -> Option<String> {
+            let mut stack = vec![t.root];
+            while let Some(n) = stack.pop() {
+                let node = &t.nodes[n];
+                for (slot, &c) in node.children.iter().enumerate() {
+                    let child = &t.nodes[c];
+                    for d in 0..t.dim {
+                        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                        for i in 0..child.len() {
+                            let [l, h] = child.bounds(i, d);
+                            lo = lower(lo, l);
+                            hi = upper(hi, h);
+                        }
+                        let stored = node.bounds(slot, d);
+                        if stored.map(f64::to_bits) != [lo.to_bits(), hi.to_bits()] {
+                            return Some(format!(
+                                "node {n} entry {slot} (child {c}) dim {d}: {stored:?}, cover {:?}",
+                                [lo, hi]
+                            ));
+                        }
+                    }
+                    stack.push(c);
+                }
+            }
+            None
+        }
+
+        /// Ids within `radius` of `center`, from the tree and from a scan.
+        fn range_both(
+            t: &XTree,
+            live: &[(u64, Vec<f64>)],
+            center: &[f64],
+            radius: f64,
+        ) -> (Vec<u64>, Vec<u64>) {
+            let ctx = QueryContext::ephemeral();
+            let mut got: Vec<u64> =
+                t.range_query(center, radius, &ctx).into_iter().map(|(id, _)| id).collect();
+            let mut want: Vec<u64> = live
+                .iter()
+                .filter(|(_, p)| {
+                    let d2 = p.iter().zip(center).fold(0.0, |acc, (a, c)| acc + (a - c) * (a - c));
+                    d2 <= radius * radius
+                })
+                .map(|&(id, _)| id)
+                .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            (got, want)
+        }
+
+        const VALUES: [f64; 8] =
+            [0.0, -0.0, 1.0, 2.0, 3.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+        proptest! {
+            #[test]
+            fn every_entry_stays_the_exact_cover_of_its_child(
+                dim in 1usize..4,
+                ops in proptest::collection::vec(0u64..u64::MAX, 1..160),
+            ) {
+                let mut t = XTree::new(dim);
+                (t.leaf_cap, t.dir_cap) = (4, 4);
+                let mut live: Live = Vec::new();
+                let mut snapshots: Vec<(XTree, Live)> = Vec::new();
+                for (step, &op) in ops.iter().enumerate() {
+                    let arg = op >> 3;
+                    let point: Vec<f64> =
+                        (0..dim).map(|d| VALUES[(arg >> (3 * d)) as usize % 8]).collect();
+                    match op % 8 {
+                        0..=3 => {
+                            t.insert(&point, step as u64);
+                            live.push((step as u64, point.clone()));
+                        }
+                        4 | 5 if !live.is_empty() => {
+                            let (id, p) = live.remove(arg as usize % live.len());
+                            prop_assert!(t.delete(&p, id), "step {step}: delete {id} {p:?}");
+                        }
+                        6 => {
+                            // An id never inserted: nothing to remove.
+                            prop_assert!(!t.delete(&point, u64::MAX), "step {step}");
+                        }
+                        _ => {
+                            if snapshots.len() < 4 {
+                                snapshots.push((t.snapshot().unwrap(), live.clone()));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(t.len(), live.len(), "step {step}");
+                    let stale = stale_entry(&t);
+                    prop_assert!(stale.is_none(), "step {step}: {stale:?}");
+                    let center: Vec<f64> =
+                        point.iter().map(|&v| if v.is_finite() { v } else { 1.5 }).collect();
+                    for radius in [0.0, 1.0, f64::INFINITY] {
+                        let (got, want) = range_both(&t, &live, &center, radius);
+                        prop_assert_eq!(got, want, "step {step}: radius {radius}");
+                    }
+                }
+                for (at, (snapshot, live)) in snapshots.iter().enumerate() {
+                    let stale = stale_entry(snapshot);
+                    prop_assert!(stale.is_none(), "snapshot {at}: {stale:?}");
+                    let (got, want) = range_both(snapshot, live, &vec![1.0; dim], 2.0);
+                    prop_assert_eq!(got, want, "snapshot {at}");
+                }
+            }
+        }
+    }
+
     /// What a snapshot answers and saves is settled when it is taken:
     /// splits, supernode growth, deletes that empty nodes and collapse
     /// the root, all on the origin, leave its saved bytes and its
@@ -1849,7 +2230,8 @@ mod tests {
             let flat = |which: fn(&reference::Rect) -> &Vec<f64>| -> Vec<f64> {
                 rects.iter().flat_map(|r| which(r).iter().copied()).collect()
             };
-            let got = choose_split(dim, &flat(|r| &r.0), &flat(|r| &r.1), cap);
+            let mut scratch = SplitScratch::default();
+            let got = choose_split(dim, &flat(|r| &r.0), &flat(|r| &r.1), cap, &mut scratch);
             let (axis, at, crossing) = reference::choose_split(&rects, cap);
             assert_eq!(
                 (got.at, got.crossing.to_bits()),

@@ -3,6 +3,7 @@
 //! the per-distance-model comparison at fixed n.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use vsim_bench::SimilarityModel;
 use vsim_core::prelude::*;
 
 fn bench_optics_scaling(c: &mut Criterion) {
@@ -11,10 +12,10 @@ fn bench_optics_scaling(c: &mut Criterion) {
     for n in [50usize, 100, 200] {
         let p = ProcessedDataset::build(car_dataset(5, n), 7);
         let model = SimilarityModel::vector_set(7);
-        let reprs = p.representations(&model);
+        let reprs = model.representations(&p);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let matrix = p.pairwise_matrix(&model, &reprs);
+                let matrix = model.pairwise_matrix(&reprs);
                 Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix)
             })
         });
@@ -34,10 +35,10 @@ fn bench_optics_by_model(c: &mut Criterion) {
         SimilarityModel::vector_set(7),
     ];
     for model in models {
-        let reprs = p.representations(&model);
+        let reprs = model.representations(&p);
         g.bench_with_input(BenchmarkId::from_parameter(model.name()), &model, |b, m| {
             b.iter(|| {
-                let matrix = p.pairwise_matrix(m, &reprs);
+                let matrix = m.pairwise_matrix(&reprs);
                 Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix)
             })
         });

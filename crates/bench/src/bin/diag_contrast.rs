@@ -3,8 +3,7 @@
 //! and nearest-neighbor classification accuracy. Higher = better
 //! separation, independent of any clustering/cut heuristics.
 
-use vsim_bench::processed_car;
-use vsim_core::prelude::*;
+use vsim_bench::{processed_car, SimilarityModel};
 
 fn main() {
     let p = processed_car(9);
@@ -23,7 +22,7 @@ fn main() {
     ];
     println!("{:36} {:>10} {:>10} {:>10} {:>8}", "model", "intra", "inter", "contrast", "1NN-acc");
     for model in &models {
-        let reprs = p.representations(model);
+        let reprs = model.representations(&p);
         let mut intra = (0.0, 0usize);
         let mut inter = (0.0, 0usize);
         let mut correct = 0usize;

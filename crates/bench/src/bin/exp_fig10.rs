@@ -10,8 +10,7 @@
 //!
 //! `cargo run --release -p vsim-bench --bin exp_fig10`
 
-use vsim_bench::{processed_car, run_optics};
-use vsim_core::prelude::*;
+use vsim_bench::{processed_car, run_optics, SimilarityModel};
 use vsim_optics::{best_cut, cluster_tree, extract_clusters, Clustering, TreeParams};
 
 fn describe(tag: &str, c: &Clustering, labels: &[usize], names: &[&'static str]) -> (usize, f64) {

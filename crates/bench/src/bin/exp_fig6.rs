@@ -10,8 +10,9 @@
 //! `cargo run --release -p vsim-bench --bin exp_fig6`
 //! (env: `CAR_N`, `AIRCRAFT_N`)
 
-use vsim_bench::{figure_run, print_quality_table, processed_aircraft, processed_car};
-use vsim_core::prelude::*;
+use vsim_bench::{
+    figure_run, print_quality_table, processed_aircraft, processed_car, SimilarityModel,
+};
 
 fn main() {
     let car = processed_car(7);

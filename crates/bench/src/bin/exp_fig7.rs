@@ -9,8 +9,9 @@
 //!
 //! `cargo run --release -p vsim-bench --bin exp_fig7`
 
-use vsim_bench::{figure_run, print_quality_table, processed_aircraft, processed_car};
-use vsim_core::prelude::*;
+use vsim_bench::{
+    figure_run, print_quality_table, processed_aircraft, processed_car, SimilarityModel,
+};
 
 fn main() {
     let car = processed_car(7);

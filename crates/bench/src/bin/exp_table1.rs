@@ -12,8 +12,7 @@
 //! `cargo run --release -p vsim-bench --bin exp_table1` (env: `CAR_N`)
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use vsim_bench::{processed_car, run_optics};
-use vsim_core::prelude::*;
+use vsim_bench::{processed_car, run_optics, SimilarityModel};
 
 fn main() {
     let p = processed_car(9);

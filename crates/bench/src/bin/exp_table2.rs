@@ -32,9 +32,11 @@
 //! (env: `AIRCRAFT_N`, default 5000)
 
 use rand::prelude::*;
-use vsim_bench::{processed_aircraft, OneVectorIndex, SequentialScanIndex};
+use vsim_bench::{
+    cover_vector, processed_aircraft, transform_feature_vector, OneVectorIndex, SequentialScanIndex,
+};
 use vsim_core::prelude::*;
-use vsim_features::cover::{transform_feature_vector, transform_vector_set};
+use vsim_features::cover::transform_vector_set;
 use vsim_geom::Mat3;
 
 fn main() {
@@ -45,7 +47,7 @@ fn main() {
     let n = p.len();
 
     let sets = p.vector_sets(k_covers);
-    let vectors = p.cover_vectors(k_covers);
+    let vectors: Vec<Vec<f64>> = sets.iter().map(|s| cover_vector(s, k_covers)).collect();
 
     eprintln!("[setup] building indexes ...");
     let one_vec = OneVectorIndex::build(&vectors);

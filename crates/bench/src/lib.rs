@@ -22,21 +22,30 @@
 //! | `exp_ablation_index` | centroid-filter X-tree vs. M-tree vs. scan across database sizes |
 //! | `diag_contrast` | evaluation-noise-free intra/inter contrast and 1-NN accuracy per model |
 //!
-//! The library holds what only experiments run: Table 2's two baselines,
-//! the one-vector X-tree ([`OneVectorIndex`]) and the vector set
-//! sequential scan ([`SequentialScanIndex`]), the naive and Korn k-NN
-//! baselines, and the rejected set distances ([`setdists`], [`flow`]).
+//! The library holds what only experiments run: the models the paper
+//! compares the vector set model with ([`SimilarityModel`]: volume,
+//! solid-angle and one-vector cover sequence, with Definition 2's
+//! invariance, and the condensed matrix OPTICS orders), Table 2's two
+//! baselines, the one-vector X-tree ([`OneVectorIndex`]) and the vector
+//! set sequential scan ([`SequentialScanIndex`]), the naive and Korn
+//! k-NN baselines, and the set distances the paper rejects or only
+//! sketches ([`setdists`], [`flow`]).
 //!
 //! Every binary accepts the environment variables `CAR_N` (default 200)
 //! and `AIRCRAFT_N` (default 5000) to scale the datasets, writes CSV
 //! series to `target/experiments/`, and prints a paper-vs-measured
 //! summary. Results are recorded in `EXPERIMENTS.md`.
 
+mod cover;
 pub mod flow;
+mod histogram;
+mod model;
 mod onevector;
 mod scan;
 pub mod setdists;
 
+pub use cover::{cover_vector, transform_feature_vector};
+pub use model::{Invariance, Repr, SimilarityModel};
 pub use onevector::OneVectorIndex;
 pub use scan::SequentialScanIndex;
 
@@ -45,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vsim_core::prelude::*;
 use vsim_index::{CandidateSource, StoreResult};
+use vsim_optics::pairwise_tiled;
 use vsim_query::{multi_step_knn, AccessPath, TopK};
 use vsim_setdist::{MatchingEngine, PrefilteredDistance};
 
@@ -88,31 +98,34 @@ pub fn processed_aircraft(k_max: usize) -> ProcessedDataset {
 }
 
 /// Run OPTICS under a model over its condensed distance matrix, with an
-/// optional permutation counter. Table 1 hooks into every distance the
-/// matrix evaluates: each pair once, `n(n-1)/2` in all. The counting
-/// matrix's cells equal [`ProcessedDataset::pairwise_matrix`]'s, so the
-/// ordering is the same with or without the counter.
+/// optional permutation counter. Table 1 counts every pair the matrix
+/// evaluates, `n(n-1)/2` in all: the counted cell takes its entry from
+/// the matching it counts, which is bit-identical to the uncounted one,
+/// so the ordering is the same with or without the counter.
 pub fn run_optics(
     p: &ProcessedDataset,
     model: &SimilarityModel,
     min_pts: usize,
     permutation_counter: Option<(&AtomicU64, &AtomicU64)>,
 ) -> ClusterOrdering {
-    let reprs = p.representations(model);
-    let matrix = if let Some((needed, total)) = permutation_counter {
-        let counted = |_: &mut (), i: usize, j: usize| {
-            let out = model
-                .match_outcome(&reprs[i], &reprs[j])
-                .expect("permutation counting requires a set-based model");
-            total.fetch_add(1, Ordering::Relaxed);
-            if out.permutation_needed {
-                needed.fetch_add(1, Ordering::Relaxed);
-            }
-            out.cost
-        };
-        vsim_optics::pairwise_tiled(reprs.len(), 32, || (), counted)
-    } else {
-        p.pairwise_matrix(model, &reprs)
+    let reprs = model.representations(p);
+    let matrix = match permutation_counter {
+        None => model.pairwise_matrix(&reprs),
+        Some((needed, total)) => pairwise_tiled(
+            reprs.len(),
+            32,
+            || (),
+            |_, i, j| {
+                let out = model
+                    .match_outcome(&reprs[i], &reprs[j])
+                    .expect("permutation counting requires a set-based model");
+                total.fetch_add(1, Ordering::Relaxed);
+                if out.permutation_needed {
+                    needed.fetch_add(1, Ordering::Relaxed);
+                }
+                out.cost
+            },
+        ),
     };
     Optics { min_pts, eps: f64::INFINITY }.run_matrix(&matrix)
 }

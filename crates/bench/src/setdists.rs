@@ -1,6 +1,7 @@
 //! The comparison distances on point sets surveyed by Eiter & Mannila
 //! \[12\] and discussed in Section 4.2: Hausdorff, sum of minimum
-//! distances, (fair) surjection, and link distance.
+//! distances, (fair) surjection, and link distance; and Section 4.1's
+//! partial similarity on the minimal matching.
 //!
 //! The paper rejects these for CAD retrieval — the Hausdorff distance
 //! "relies too much on the extreme positions", the others "are not
@@ -10,7 +11,7 @@
 //! argument; `vsim-setdist` ships only the matching distance.
 
 use crate::flow::MinCostFlow;
-use vsim_setdist::{hungarian, lp, VectorSet};
+use vsim_setdist::{hungarian, lp, MinimalMatching, VectorSet};
 
 /// Hausdorff distance: `max( max_x min_y d(x,y), max_y min_x d(x,y) )`.
 /// A metric on non-empty compact sets, but dominated by outliers.
@@ -192,6 +193,24 @@ pub fn link_distance_brute(x: &VectorSet, y: &VectorSet) -> f64 {
     best
 }
 
+/// Partial similarity (Section 4.1): compare only the `i` best-matching
+/// vector pairs of the two sets — "where it is only necessary to compare
+/// the closest `i < k` vectors of a set". Computes the vector set model's
+/// minimal matching, then sums the `i` cheapest matched pair distances
+/// (unmatched elements and the remaining pairs are ignored).
+///
+/// Not a metric (partial comparisons cannot satisfy the triangle
+/// inequality in general) — intended for exploratory partial-similarity
+/// queries, exactly as the paper sketches.
+pub fn partial_matching_distance(x: &VectorSet, y: &VectorSet, i: usize) -> f64 {
+    assert!(i >= 1, "partial similarity needs at least one pair");
+    let out = MinimalMatching::vector_set_model().match_sets(x, y);
+    let mut pair_costs: Vec<f64> =
+        out.pairs.iter().map(|&(a, b)| lp::euclidean(x.get(a), y.get(b))).collect();
+    pair_costs.sort_by(f64::total_cmp);
+    pair_costs.iter().take(i).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +303,51 @@ mod tests {
         assert!((link_distance(&x, &y) - 10.0).abs() < 1e-9);
     }
 
+    #[test]
+    fn partial_similarity_uses_the_closest_pairs() {
+        // Two matched pairs with costs 0.1 and 5.0.
+        let x = vs(&[&[0.0, 0.0], &[10.0, 0.0]]);
+        let y = vs(&[&[0.1, 0.0], &[15.0, 0.0]]);
+        let d1 = partial_matching_distance(&x, &y, 1);
+        let d2 = partial_matching_distance(&x, &y, 2);
+        assert!((d1 - 0.1).abs() < 1e-12);
+        assert!((d2 - 5.1).abs() < 1e-12);
+        assert!(d1 <= d2);
+    }
+
+    #[test]
+    fn partial_similarity_ignores_unmatched_surplus() {
+        let mm = MinimalMatching::vector_set_model();
+        // x has a big surplus element that full matching penalizes but
+        // partial similarity ignores.
+        let x = vs(&[&[1.0, 0.0], &[100.0, 100.0]]);
+        let y = vs(&[&[1.0, 0.0]]);
+        let full = mm.distance_value(&x, &y);
+        let partial = partial_matching_distance(&x, &y, 1);
+        assert!(partial < 1e-12);
+        assert!(full > 100.0);
+    }
+
     proptest! {
+        #[test]
+        fn partial_similarity_is_monotone_in_i(
+            xs in proptest::collection::vec(0.1f64..5.0, 4 * 2),
+            ys in proptest::collection::vec(0.1f64..5.0, 4 * 2),
+        ) {
+            let mm = MinimalMatching::vector_set_model();
+            let x = VectorSet::from_flat(2, xs);
+            let y = VectorSet::from_flat(2, ys);
+            let mut prev = 0.0;
+            for i in 1..=4 {
+                let d = partial_matching_distance(&x, &y, i);
+                prop_assert!(d >= prev - 1e-12, "i={i}: {d} < {prev}");
+                prev = d;
+            }
+            // Full-pair partial distance never exceeds the full matching
+            // distance (which adds unmatched weights).
+            prop_assert!(prev <= mm.distance_value(&x, &y) + 1e-9);
+        }
+
         #[test]
         fn link_matches_brute_force(
             xs in proptest::collection::vec(0.0f64..10.0, 3),

@@ -3,7 +3,7 @@
 //! figure experiments get without it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use vsim_bench::run_optics;
+use vsim_bench::{run_optics, SimilarityModel};
 use vsim_core::prelude::*;
 
 #[test]

@@ -147,10 +147,8 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     println!("generating {n} synthetic car parts and clustering with OPTICS...");
     let data = car_dataset(42, n);
     let labels = data.labels();
-    let processed = ProcessedDataset::build(data, 7);
-    let model = SimilarityModel::vector_set(7);
-    let reprs = processed.representations(&model);
-    let matrix = processed.pairwise_matrix(&model, &reprs);
+    let sets = ProcessedDataset::build(data, 7).vector_sets(7);
+    let matrix = matching_matrix(sets, MinimalMatching::vector_set_model());
     let ordering = Optics { min_pts: 4, eps: f64::INFINITY }.run_matrix(&matrix);
     let plot = ReachabilityPlot::from_ordering(&ordering);
     print!("{}", plot.ascii(80, 10));

@@ -8,17 +8,18 @@
 //! The paper's pipeline, end to end:
 //!
 //! ```text
-//! CAD part ──voxelize──▶ r³ grid ──feature transform──▶ representation
-//!                                                          │
-//!        volume / solid-angle histograms (r = 30) ─────────┤ one vector
-//!        cover sequence, 6k dims with dummies (r = 15) ────┤ one vector
-//!        vector set: ≤ k six-dim covers (r = 15) ──────────┘ vector SET
+//! CAD part ──voxelize──▶ r³ grid (r = 15) ──greedy covers──▶ vector SET
+//!                                               (≤ k six-dim covers)
 //!
-//! distance: Euclidean  |  min. Euclidean under permutation  |
-//!           minimal matching distance (Kuhn–Munkres, O(k³))
+//! distance: minimal matching distance (Kuhn–Munkres, O(k³)), or the
+//!           minimum Euclidean distance under permutation
 //! queries:  X-tree over extended centroids + refine (Lemma 2 bound)
 //! eval:     OPTICS reachability plots + labeled-cluster scores
 //! ```
+//!
+//! The models the paper compares the vector set model with — volume and
+//! solid-angle histograms (r = 30), the one-vector cover sequence — are
+//! experiment baselines and live in the `vsim-bench` crate.
 //!
 //! ## Quickstart
 //!
@@ -30,13 +31,11 @@
 //! let processed = ProcessedDataset::build(data, 7);
 //!
 //! // The paper's vector set model with minimal matching distance.
-//! let model = SimilarityModel::vector_set(7);
-//! let reprs = processed.representations(&model);
-//! let d = model.distance(&reprs[0], &reprs[1]);
+//! let sets = processed.vector_sets(7);
+//! let d = MinimalMatching::vector_set_model().distance_value(&sets[0], &sets[1]);
 //! assert!(d >= 0.0);
 //!
 //! // Filter/refine 10-NN search over the vector sets.
-//! let sets = processed.vector_sets(7);
 //! let index = FilterRefineIndex::build(&sets, 6, 7);
 //! let (hits, stats) = index.knn(&sets[0], 10);
 //! assert_eq!(hits[0].0, 0); // the query object itself
@@ -44,22 +43,16 @@
 //! ```
 
 pub mod database;
-pub mod model;
 
-pub use database::ProcessedDataset;
-pub use model::{Invariance, ModelKind, Repr, SimilarityModel};
+pub use database::{matching_matrix, ProcessedDataset};
 
 /// Convenient re-exports of the full stack.
 pub mod prelude {
-    pub use crate::database::ProcessedDataset;
-    pub use crate::model::{Invariance, ModelKind, Repr, SimilarityModel};
+    pub use crate::database::{matching_matrix, ProcessedDataset};
     pub use vsim_datagen::aircraft::aircraft_dataset;
     pub use vsim_datagen::car::car_dataset;
     pub use vsim_datagen::{CadObject, Dataset, R_COVER, R_HISTO};
-    pub use vsim_features::{
-        greedy_cover_sequence, CoverSequence, CoverSequenceModel, SolidAngleModel, VectorSetModel,
-        VolumeModel,
-    };
+    pub use vsim_features::{greedy_cover_sequence, CoverSequence, VectorSetModel};
     pub use vsim_index::{BufferPool, CostModel, MTree, QueryContext, VectorSetStore, XTree};
     pub use vsim_optics::{best_cut, extract_clusters, ClusterOrdering, Optics, ReachabilityPlot};
     pub use vsim_query::{

@@ -45,3 +45,29 @@ fn covers_approximates_a_cube_with_one_cover() {
     assert!(!stdout.contains("  C2 "), "{stdout}");
     assert!(stdout.contains("vector set (1 x 6-d):"), "{stdout}");
 }
+
+/// `vsim demo 40`'s whole stdout: the vector set model's reachability
+/// plot and best cut over 40 car parts. A changed matrix cell, ordering
+/// or cut shows here.
+const DEMO_40: &str = "\
+generating 40 synthetic car parts and clustering with OPTICS...
+█   █                    █           ███
+█   ██  █               ██           ███
+█   ██  █   ██   ██     ██   ███    ████
+██████████  ████████    ██   ███    ████
+██████████████████████████   ███   █████
+███████████████████████████  ███████████
+███████████████████████████  ███████████
+████████████████████████████████████████
+████████████████████████████████████████
+████████████████████████████████████████
+────────────────────────────────────────
+best cut: 7 clusters, purity 0.788, F1 0.661
+";
+
+#[test]
+fn demo_prints_the_recorded_plot_and_cut() {
+    let out = Command::new(env!("CARGO_BIN_EXE_vsim")).args(["demo", "40"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), DEMO_40);
+}

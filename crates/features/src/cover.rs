@@ -1,5 +1,5 @@
-//! The cover sequence model (Section 3.3.3) and the vector set model
-//! built on it (Section 4).
+//! Greedy cover sequences (Section 3.3.3) and the vector set model built
+//! on them (Section 4).
 //!
 //! An object `O` is approximated by a sequence
 //! `S_k = (((C₀ σ₁ C₁) σ₂ C₂) … σ_k C_k)` of axis-parallel cuboid covers
@@ -532,41 +532,6 @@ fn cover_features(c: &Cuboid, r: usize) -> [f64; 6] {
     ]
 }
 
-/// The one-vector cover sequence model: a `6k`-dimensional feature
-/// vector; missing covers are padded with dummy covers `C₀` ("an initial
-/// empty cover at the zero point"), i.e. six zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverSequenceModel {
-    /// Number of covers `k`; the feature vector has `6k` dimensions.
-    pub k: usize,
-}
-
-impl CoverSequenceModel {
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0);
-        CoverSequenceModel { k }
-    }
-
-    pub fn dims(&self) -> usize {
-        6 * self.k
-    }
-
-    pub fn extract(&self, grid: &VoxelGrid) -> Vec<f64> {
-        let seq = greedy_cover_sequence(grid, self.k);
-        self.from_sequence(&seq)
-    }
-
-    /// Flatten an existing sequence (so the expensive greedy search can
-    /// be shared between models).
-    pub fn from_sequence(&self, seq: &CoverSequence) -> Vec<f64> {
-        let mut f = vec![0.0; self.dims()];
-        for (i, u) in seq.units.iter().take(self.k).enumerate() {
-            f[6 * i..6 * i + 6].copy_from_slice(&cover_features(&u.cuboid, seq.r));
-        }
-        f
-    }
-}
-
 /// The paper's *vector set model*: the same covers represented as a set
 /// of 6-dimensional feature vectors with cardinality ≤ `k` — no dummy
 /// covers needed (Section 4.1).
@@ -619,21 +584,6 @@ pub fn transform_vector_set(s: &VectorSet, m: &vsim_geom::Mat3) -> VectorSet {
     let mut out = VectorSet::with_capacity(6, s.len());
     for v in s.iter() {
         out.push(&transform_cover_vector(v, m));
-    }
-    out
-}
-
-/// Transform a `6k`-dimensional one-vector representation cover by cover.
-/// Dummy covers (all six values zero) stay dummies.
-pub fn transform_feature_vector(f: &[f64], m: &vsim_geom::Mat3) -> Vec<f64> {
-    assert_eq!(f.len() % 6, 0);
-    let mut out = Vec::with_capacity(f.len());
-    for c in f.chunks_exact(6) {
-        if c.iter().all(|&x| x == 0.0) {
-            out.extend_from_slice(c);
-        } else {
-            out.extend_from_slice(&transform_cover_vector(c, m));
-        }
     }
     out
 }
@@ -829,37 +779,12 @@ mod tests {
     }
 
     #[test]
-    fn feature_vector_layout_and_dummies() {
-        let g = block(10, [2, 2, 2], [8, 8, 8]);
-        let model = CoverSequenceModel::new(4);
-        let f = model.extract(&g);
-        assert_eq!(f.len(), 24);
-        // First cover: center (5,5,5) = raster center -> position 0,
-        // extent (6,6,6)/10.
-        assert_eq!(&f[0..6], &[0.0, 0.0, 0.0, 0.6, 0.6, 0.6]);
-        // Remaining covers are dummies (zeros).
-        assert!(f[6..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn vector_set_has_no_dummies() {
         let g = block(10, [2, 2, 2], [8, 8, 8]);
         let s = VectorSetModel::new(7).extract(&g);
         assert_eq!(s.len(), 1);
         assert_eq!(s.dim(), 6);
         assert_eq!(s.get(0), &[0.0, 0.0, 0.0, 0.6, 0.6, 0.6]);
-    }
-
-    #[test]
-    fn vector_set_and_feature_vector_share_the_same_covers() {
-        let mut g = block(12, [0, 0, 0], [5, 5, 5]);
-        g.union_with(&block(12, [6, 6, 6], [12, 12, 12]));
-        let seq = greedy_cover_sequence(&g, 5);
-        let fv = CoverSequenceModel::new(5).from_sequence(&seq);
-        let vs = VectorSetModel::new(5).from_sequence(&seq);
-        for (i, v) in vs.iter().enumerate() {
-            assert_eq!(&fv[6 * i..6 * i + 6], v);
-        }
     }
 
     #[test]
@@ -887,18 +812,6 @@ mod tests {
             };
             assert_eq!(norm(&vs_rot), norm(&vs_trans), "symmetry {m:?}");
         }
-    }
-
-    #[test]
-    fn feature_vector_transform_preserves_dummies() {
-        use vsim_geom::Mat3;
-        let f = vec![0.1, 0.2, -0.1, 0.2, 0.4, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let t = transform_feature_vector(&f, &Mat3::rot_z(std::f64::consts::FRAC_PI_2));
-        assert_eq!(&t[6..], &f[6..]);
-        // Extents permuted: x <-> y.
-        assert!((t[3] - 0.4).abs() < 1e-9);
-        assert!((t[4] - 0.2).abs() < 1e-9);
-        assert!((t[5] - 0.6).abs() < 1e-9);
     }
 
     #[test]

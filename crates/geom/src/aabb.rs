@@ -64,7 +64,8 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    pub fn contains_box(&self, o: &Aabb) -> bool {
+    #[cfg(test)]
+    fn contains_box(&self, o: &Aabb) -> bool {
         o.is_empty() || (self.contains_point(o.min) && self.contains_point(o.max))
     }
 
@@ -94,7 +95,8 @@ impl Aabb {
 
     /// Squared Euclidean distance from `p` to the closest point of the box
     /// (0 if `p` is inside).
-    pub fn dist_sq_to_point(&self, p: Vec3) -> f64 {
+    #[cfg(test)]
+    fn dist_sq_to_point(&self, p: Vec3) -> f64 {
         let d = (self.min - p).max(p - self.max).max(Vec3::ZERO);
         d.norm_sq()
     }

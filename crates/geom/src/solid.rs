@@ -468,39 +468,39 @@ pub fn tapered_z(s: Box<dyn Solid>, scale_bottom: f64, scale_top: f64) -> Box<dy
     Box::new(TaperZ::new(s, scale_bottom, scale_top))
 }
 
-/// Estimate the volume of a solid by sampling an `n³` lattice of its
-/// bounding box (test helper; voxelization proper lives in `vsim-voxel`).
-pub fn sampled_volume(s: &dyn Solid, n: usize) -> f64 {
-    let b = s.aabb();
-    if b.is_empty() {
-        return 0.0;
-    }
-    let e = b.extent();
-    let cell = Vec3::new(e.x / n as f64, e.y / n as f64, e.z / n as f64);
-    let mut hits = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                let p = b.min
-                    + Vec3::new(
-                        (i as f64 + 0.5) * cell.x,
-                        (j as f64 + 0.5) * cell.y,
-                        (k as f64 + 0.5) * cell.z,
-                    );
-                if s.contains(p) {
-                    hits += 1;
-                }
-            }
-        }
-    }
-    hits as f64 * cell.x * cell.y * cell.z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::{TestCaseError, TestRng};
+
+    /// Estimate the volume of a solid by sampling an `n³` lattice of its
+    /// bounding box.
+    fn sampled_volume(s: &dyn Solid, n: usize) -> f64 {
+        let b = s.aabb();
+        if b.is_empty() {
+            return 0.0;
+        }
+        let e = b.extent();
+        let cell = Vec3::new(e.x / n as f64, e.y / n as f64, e.z / n as f64);
+        let mut hits = 0usize;
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let p = b.min
+                        + Vec3::new(
+                            (i as f64 + 0.5) * cell.x,
+                            (j as f64 + 0.5) * cell.y,
+                            (k as f64 + 0.5) * cell.z,
+                        );
+                    if s.contains(p) {
+                        hits += 1;
+                    }
+                }
+            }
+        }
+        hits as f64 * cell.x * cell.y * cell.z
+    }
 
     #[test]
     fn cuboid_membership_and_bounds() {

@@ -100,8 +100,8 @@ impl Vec3 {
     }
 
     /// Linear interpolation: `self` at `t = 0`, `o` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
+    #[cfg(test)]
+    fn lerp(self, o: Vec3, t: f64) -> Vec3 {
         self + (o - self) * t
     }
 

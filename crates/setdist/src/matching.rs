@@ -272,30 +272,6 @@ impl Distance<VectorSet> for MinimalMatching {
     }
 }
 
-/// Partial similarity (Section 4.1): compare only the `i` best-matching
-/// vector pairs of the two sets — "where it is only necessary to compare
-/// the closest `i < k` vectors of a set". Computes the full minimum
-/// weight perfect matching, then sums the `i` cheapest matched pair
-/// distances (unmatched elements and the remaining pairs are ignored).
-///
-/// Not a metric (partial comparisons cannot satisfy the triangle
-/// inequality in general) — intended for exploratory partial-similarity
-/// queries, exactly as the paper sketches.
-pub fn partial_matching_distance(
-    mm: &MinimalMatching,
-    x: &VectorSet,
-    y: &VectorSet,
-    i: usize,
-) -> f64 {
-    assert!(i >= 1, "partial similarity needs at least one pair");
-    let out = mm.match_sets(x, y);
-    let mut pair_costs: Vec<f64> =
-        out.pairs.iter().map(|&(a, b)| mm.point_distance(x.get(a), y.get(b))).collect();
-    pair_costs.sort_by(|a, b| a.total_cmp(b));
-    let total: f64 = pair_costs.iter().take(i).sum();
-    mm.finish(total)
-}
-
 /// Brute-force minimal matching distance by enumerating all injections of
 /// the smaller set into the larger — `O(m!/(m-n)!)`; validation baseline
 /// and the paper's "consider all possible permutations" strawman.
@@ -432,52 +408,7 @@ mod tests {
         check_metric_axioms(&mm, &sample, 1e-9).unwrap();
     }
 
-    #[test]
-    fn partial_similarity_uses_the_closest_pairs() {
-        let mm = MinimalMatching::vector_set_model();
-        // Two matched pairs with costs 0.1 and 5.0.
-        let x = vs(&[&[0.0, 0.0], &[10.0, 0.0]]);
-        let y = vs(&[&[0.1, 0.0], &[15.0, 0.0]]);
-        let d1 = partial_matching_distance(&mm, &x, &y, 1);
-        let d2 = partial_matching_distance(&mm, &x, &y, 2);
-        assert!((d1 - 0.1).abs() < 1e-12);
-        assert!((d2 - 5.1).abs() < 1e-12);
-        assert!(d1 <= d2);
-    }
-
-    #[test]
-    fn partial_similarity_ignores_unmatched_surplus() {
-        let mm = MinimalMatching::vector_set_model();
-        // x has a big surplus element that full matching penalizes but
-        // partial similarity ignores.
-        let x = vs(&[&[1.0, 0.0], &[100.0, 100.0]]);
-        let y = vs(&[&[1.0, 0.0]]);
-        let full = mm.distance_value(&x, &y);
-        let partial = partial_matching_distance(&mm, &x, &y, 1);
-        assert!(partial < 1e-12);
-        assert!(full > 100.0);
-    }
-
     proptest! {
-        #[test]
-        fn partial_similarity_is_monotone_in_i(
-            xs in proptest::collection::vec(0.1f64..5.0, 4 * 2),
-            ys in proptest::collection::vec(0.1f64..5.0, 4 * 2),
-        ) {
-            let mm = MinimalMatching::vector_set_model();
-            let x = VectorSet::from_flat(2, xs);
-            let y = VectorSet::from_flat(2, ys);
-            let mut prev = 0.0;
-            for i in 1..=4 {
-                let d = partial_matching_distance(&mm, &x, &y, i);
-                prop_assert!(d >= prev - 1e-12, "i={i}: {d} < {prev}");
-                prev = d;
-            }
-            // Full-pair partial distance never exceeds the full matching
-            // distance (which adds unmatched weights).
-            prop_assert!(prev <= mm.distance_value(&x, &y) + 1e-9);
-        }
-
         #[test]
         fn kuhn_munkres_equals_brute_force(
             xs in proptest::collection::vec(-5.0f64..5.0, 2 * 4),

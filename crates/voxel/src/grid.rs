@@ -238,15 +238,17 @@ impl VoxelGrid {
         }
     }
 
-    /// Raw words of the bitset (for serialization in the storage layer).
-    pub fn words(&self) -> &[u64] {
+    /// Raw words of the bitset.
+    #[cfg(test)]
+    fn words(&self) -> &[u64] {
         &self.bits
     }
 
     /// Rebuild from raw parts; the dimensions must be positive, `words`
     /// must have exactly `ceil(nx·ny·nz / 64)` entries, and the bits past
     /// voxel `nx·ny·nz − 1` must be clear, as `words` leaves them.
-    pub fn from_words(nx: usize, ny: usize, nz: usize, words: Vec<u64>) -> Self {
+    #[cfg(test)]
+    fn from_words(nx: usize, ny: usize, nz: usize, words: Vec<u64>) -> Self {
         assert!(nx > 0 && ny > 0 && nz > 0, "grid dimensions must be positive");
         let n = nx * ny * nz;
         assert_eq!(words.len(), n.div_ceil(64), "word count mismatch");

@@ -33,7 +33,8 @@ pub struct Voxelization {
 
 impl Voxelization {
     /// World-space center of voxel `(x, y, z)`.
-    pub fn voxel_center(&self, x: usize, y: usize, z: usize) -> Vec3 {
+    #[cfg(test)]
+    fn voxel_center(&self, x: usize, y: usize, z: usize) -> Vec3 {
         self.origin
             + Vec3::new(
                 (x as f64 + 0.5) * self.scale_factors.x,

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example aircraft_knn [n_objects]`
 
 use std::slice::from_ref;
-use vsim_bench::{OneVectorIndex, SequentialScanIndex};
+use vsim_bench::{cover_vector, OneVectorIndex, SequentialScanIndex};
 use vsim_core::prelude::*;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     let processed = ProcessedDataset::build(data, k_covers);
 
     let sets = processed.vector_sets(k_covers);
-    let vectors = processed.cover_vectors(k_covers);
+    let vectors: Vec<Vec<f64>> = sets.iter().map(|s| cover_vector(s, k_covers)).collect();
 
     println!("building indexes...");
     let one_vec = OneVectorIndex::build(&vectors);

@@ -20,13 +20,11 @@ fn main() {
     }
 
     println!("\ncomputing greedy cover sequences (k = 7)...");
-    let processed = ProcessedDataset::build(data, 7);
-    let model = SimilarityModel::vector_set(7);
-    let reprs = processed.representations(&model);
+    let sets = ProcessedDataset::build(data, 7).vector_sets(7);
 
     println!("running OPTICS (MinPts = 5)...");
-    let optics = Optics { min_pts: 5, eps: f64::INFINITY };
-    let ordering = optics.run_matrix(&processed.pairwise_matrix(&model, &reprs));
+    let matrix = matching_matrix(sets, MinimalMatching::vector_set_model());
+    let ordering = Optics { min_pts: 5, eps: f64::INFINITY }.run_matrix(&matrix);
 
     let plot = ReachabilityPlot::from_ordering(&ordering);
     println!("\nreachability plot ({} objects, valleys = clusters):", plot.len());

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example model_comparison [n_objects]`
 
+use vsim_bench::SimilarityModel;
 use vsim_core::prelude::*;
 
 fn main() {
@@ -30,8 +31,8 @@ fn main() {
     );
     let optics = Optics { min_pts: 4, eps: f64::INFINITY };
     for model in &models {
-        let reprs = processed.representations(model);
-        let ordering = optics.run_matrix(&processed.pairwise_matrix(model, &reprs));
+        let reprs = model.representations(&processed);
+        let ordering = optics.run_matrix(&model.pairwise_matrix(&reprs));
         let q = best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID);
         println!(
             "{:34} {:>9} {:>7} {:>7.3} {:>7.3} {:>7.3}",

@@ -2,6 +2,7 @@
 //! the claims of Sections 4 and 5 that do not need the full experiment
 //! harness (those live in `crates/bench`).
 
+use vsim_bench::SimilarityModel;
 use vsim_core::prelude::*;
 use vsim_setdist::matching::MinimalMatching;
 
@@ -117,8 +118,8 @@ fn vector_set_beats_volume_model_on_clustering() {
     let optics = Optics { min_pts: 3, eps: f64::INFINITY };
 
     let score = |model: &SimilarityModel| {
-        let reprs = p.representations(model);
-        let ordering = optics.run_matrix(&p.pairwise_matrix(model, &reprs));
+        let reprs = model.representations(&p);
+        let ordering = optics.run_matrix(&model.pairwise_matrix(&reprs));
         best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID).f1
     };
     let f1_volume = score(&SimilarityModel::volume(6));

@@ -1,6 +1,7 @@
 //! Cross-crate integration: geometry -> voxelization -> features ->
 //! distances, exercising the full extraction pipeline end to end.
 
+use vsim_bench::{Invariance, SimilarityModel};
 use vsim_core::prelude::*;
 use vsim_geom::solid::{CylinderZ, SolidExt, TorusZ};
 use vsim_geom::{Mat3, TriMesh, Vec3};
@@ -8,6 +9,24 @@ use vsim_voxel::rotate_grid;
 
 fn voxelize(s: &dyn vsim_geom::Solid, r: usize) -> VoxelGrid {
     voxelize_solid(s, r, NormalizeMode::Uniform).grid
+}
+
+/// `model`'s distances from the first object to each of the others, the
+/// objects given as `(r = 15, r = 30)` grid pairs.
+fn distances(model: &SimilarityModel, grids: &[(VoxelGrid, VoxelGrid)]) -> Vec<f64> {
+    let objects = grids
+        .iter()
+        .enumerate()
+        .map(|(i, (grid15, grid30))| CadObject {
+            id: i as u64,
+            label: 0,
+            grid15: grid15.clone(),
+            grid30: grid30.clone(),
+        })
+        .collect();
+    let data = Dataset { name: "parts", objects, class_names: vec!["part"] };
+    let reprs = model.representations(&ProcessedDataset::build(data, 7));
+    reprs[1..].iter().map(|r| model.distance(&reprs[0], r)).collect()
 }
 
 #[test]
@@ -41,9 +60,7 @@ fn similar_parts_are_closer_than_dissimilar_across_all_models() {
     let rod = CylinderZ { radius: 0.3, half_height: 3.0 };
 
     let grids = |s: &dyn vsim_geom::Solid| (voxelize(s, 15), voxelize(s, 30));
-    let (a15, a30) = grids(&tire_a);
-    let (b15, b30) = grids(&tire_b);
-    let (c15, c30) = grids(&rod);
+    let parts = [grids(&tire_a), grids(&tire_b), grids(&rod)];
 
     for model in [
         SimilarityModel::volume(5),
@@ -52,8 +69,7 @@ fn similar_parts_are_closer_than_dissimilar_across_all_models() {
         SimilarityModel::cover_sequence_permutation(7),
         SimilarityModel::vector_set(7),
     ] {
-        let same = model.grid_distance(&a15, &a30, &b15, &b30);
-        let diff = model.grid_distance(&a15, &a30, &c15, &c30);
+        let [same, diff] = distances(&model, &parts)[..] else { unreachable!() };
         assert!(same < diff, "{}: similar {same} !< dissimilar {diff}", model.name());
     }
 }
@@ -72,14 +88,14 @@ fn rotation_invariance_end_to_end() {
     let g15 = voxelize(part.as_ref(), 15);
     let g30 = voxelize(part.as_ref(), 30);
     let m = Mat3::cube_rotations()[17];
-    let r15 = rotate_grid(&g15, &m);
-    let r30 = rotate_grid(&g30, &m);
+    let rotated = (rotate_grid(&g15, &m), rotate_grid(&g30, &m));
+    let pair = [(g15, g30), rotated];
 
     // Histogram models: rotating the grid permutes cells exactly, so the
     // invariant distance is exactly zero.
     for model in [SimilarityModel::volume(5), SimilarityModel::solid_angle(5, 2)] {
         let inv = model.with_invariance(Invariance::Rotation24);
-        let d = inv.grid_distance(&g15, &g30, &r15, &r30);
+        let d = distances(&inv, &pair)[0];
         assert!(d < 1e-6, "{}: rotated copy at distance {d}", model.name());
     }
     // Cover-based model: re-extracting covers from the rotated grid is
@@ -87,8 +103,8 @@ fn rotation_invariance_end_to_end() {
     // but not exactly zero; it must be far below the non-invariant
     // distance and below typical intra-family distances.
     let vset = SimilarityModel::vector_set(7);
-    let plain = vset.grid_distance(&g15, &g30, &r15, &r30);
-    let inv = vset.with_invariance(Invariance::Rotation24).grid_distance(&g15, &g30, &r15, &r30);
+    let plain = distances(&vset, &pair)[0];
+    let inv = distances(&vset.with_invariance(Invariance::Rotation24), &pair)[0];
     assert!(inv < 0.5 * plain, "invariant {inv} vs plain {plain}");
     assert!(inv < 0.5, "rotated copy too far under invariant distance: {inv}");
 }

@@ -3,14 +3,14 @@
 //! the per-distance-model comparison at fixed n.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vsim_bench::SimilarityModel;
+use vsim_bench::{Corpus, SimilarityModel};
 use vsim_core::prelude::*;
 
 fn bench_optics_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("optics_vector_set");
     g.sample_size(10);
     for n in [50usize, 100, 200] {
-        let p = ProcessedDataset::build(car_dataset(5, n), 7);
+        let p = Corpus::car(5, n, 7);
         let model = SimilarityModel::vector_set(7);
         let reprs = model.representations(&p);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -27,7 +27,7 @@ fn bench_optics_by_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("optics_by_model");
     g.sample_size(10);
     let n = 100;
-    let p = ProcessedDataset::build(car_dataset(6, n), 7);
+    let p = Corpus::car(6, n, 7);
     let models = [
         SimilarityModel::volume(6),
         SimilarityModel::solid_angle(6, 3),

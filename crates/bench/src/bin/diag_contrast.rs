@@ -7,8 +7,8 @@ use vsim_bench::{processed_car, SimilarityModel};
 
 fn main() {
     let p = processed_car(9);
-    let labels = p.labels();
-    let n = p.len();
+    let labels = p.processed.labels();
+    let n = p.processed.len();
 
     let models = [
         SimilarityModel::volume(6),

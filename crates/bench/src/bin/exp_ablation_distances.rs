@@ -17,7 +17,7 @@ use vsim_setdist::VectorSet;
 type DistFn = Box<dyn Fn(&VectorSet, &VectorSet) -> f64>;
 
 fn main() {
-    let p = processed_car(7);
+    let p = processed_car(7).processed;
     let labels = p.labels();
     let sets = p.vector_sets(7);
     let n = sets.len();

@@ -15,7 +15,7 @@ use vsim_bench::processed_aircraft;
 use vsim_core::prelude::*;
 
 fn main() {
-    let p = processed_aircraft(9);
+    let p = processed_aircraft(9).processed;
     let n = p.len();
     let n_queries = 25;
 

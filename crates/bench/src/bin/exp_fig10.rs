@@ -51,8 +51,8 @@ fn describe(tag: &str, c: &Clustering, labels: &[usize], names: &[&'static str])
 
 fn main() {
     let p = processed_car(7);
-    let labels = p.labels();
-    let names: Vec<&'static str> = p.dataset.class_names.clone();
+    let labels = p.processed.labels();
+    let names: Vec<&'static str> = p.processed.dataset.class_names.clone();
 
     let runs = [
         ("fig10a solid-angle", SimilarityModel::solid_angle(6, 3)),

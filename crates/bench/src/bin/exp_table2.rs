@@ -43,7 +43,7 @@ fn main() {
     let k_covers = 7;
     let n_queries = 100;
     let knn = 10;
-    let p = processed_aircraft(k_covers);
+    let p = processed_aircraft(k_covers).processed;
     let n = p.len();
 
     let sets = p.vector_sets(k_covers);

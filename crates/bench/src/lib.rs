@@ -25,7 +25,9 @@
 //! The library holds what only experiments run: the models the paper
 //! compares the vector set model with ([`SimilarityModel`]: volume,
 //! solid-angle and one-vector cover sequence, with Definition 2's
-//! invariance, and the condensed matrix OPTICS orders), Table 2's two
+//! invariance, and the condensed matrix OPTICS orders) and the data they
+//! read ([`Corpus`]: the processed `r = 15` dataset, and the `r = 30`
+//! rasters only the histograms use, made here), Table 2's two
 //! baselines, the one-vector X-tree ([`OneVectorIndex`]) and the vector
 //! set sequential scan ([`SequentialScanIndex`]), the naive and Korn
 //! k-NN baselines, and the set distances the paper rejects or only
@@ -36,6 +38,7 @@
 //! series to `target/experiments/`, and prints a paper-vs-measured
 //! summary. Results are recorded in `EXPERIMENTS.md`.
 
+mod corpus;
 mod cover;
 pub mod flow;
 mod histogram;
@@ -44,6 +47,7 @@ mod onevector;
 mod scan;
 pub mod setdists;
 
+pub use corpus::Corpus;
 pub use cover::{cover_vector, transform_feature_vector};
 pub use model::{Invariance, Repr, SimilarityModel};
 pub use onevector::OneVectorIndex;
@@ -78,23 +82,20 @@ pub fn out_dir() -> PathBuf {
 pub const CAR_SEED: u64 = 42;
 pub const AIRCRAFT_SEED: u64 = 1;
 
-/// Generate + preprocess the Car Dataset. Nothing is cached: every
-/// experiment is computed from the code it runs.
-pub fn processed_car(k_max: usize) -> ProcessedDataset {
+/// Generate + preprocess the Car Dataset; its `r = 30` rasters are
+/// voxelized when a histogram model first reads them. Nothing is
+/// cached: every experiment is computed from the code it runs.
+pub fn processed_car(k_max: usize) -> Corpus {
     let n = car_n();
-    eprintln!("[setup] generating car dataset (n = {n}) ...");
-    let data = car_dataset(CAR_SEED, n);
-    eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
-    ProcessedDataset::build(data, k_max)
+    eprintln!("[setup] car dataset (n = {n}), cover sequences to k_max = {k_max} ...");
+    Corpus::car(CAR_SEED, n, k_max)
 }
 
 /// Generate + preprocess the Aircraft Dataset.
-pub fn processed_aircraft(k_max: usize) -> ProcessedDataset {
+pub fn processed_aircraft(k_max: usize) -> Corpus {
     let n = aircraft_n();
-    eprintln!("[setup] generating aircraft dataset (n = {n}) ...");
-    let data = aircraft_dataset(AIRCRAFT_SEED, n);
-    eprintln!("[setup] computing cover sequences (k_max = {k_max}) ...");
-    ProcessedDataset::build(data, k_max)
+    eprintln!("[setup] aircraft dataset (n = {n}), cover sequences to k_max = {k_max} ...");
+    Corpus::aircraft(AIRCRAFT_SEED, n, k_max)
 }
 
 /// Run OPTICS under a model over its condensed distance matrix, with an
@@ -103,7 +104,7 @@ pub fn processed_aircraft(k_max: usize) -> ProcessedDataset {
 /// the matching it counts, which is bit-identical to the uncounted one,
 /// so the ordering is the same with or without the counter.
 pub fn run_optics(
-    p: &ProcessedDataset,
+    p: &Corpus,
     model: &SimilarityModel,
     min_pts: usize,
     permutation_counter: Option<(&AtomicU64, &AtomicU64)>,
@@ -133,7 +134,7 @@ pub fn run_optics(
 /// OPTICS + reachability CSV + ASCII plot + best-cut quality, the common
 /// body of the figure experiments.
 pub fn figure_run(
-    p: &ProcessedDataset,
+    p: &Corpus,
     model: &SimilarityModel,
     dataset_tag: &str,
     figure_tag: &str,
@@ -149,7 +150,7 @@ pub fn figure_run(
 
     println!("\n=== {figure_tag} / {dataset_tag}: {} ===", model.name());
     print!("{}", plot.ascii(100, 10));
-    let labels = p.labels();
+    let labels = p.processed.labels();
     let q = best_cut(&ordering, &labels, 4, vsim_optics::DEFAULT_GRID);
     println!(
         "best cut: eps = {:.3}  clusters = {}  noise = {}  purity = {:.3}  F1 = {:.3}  ARI = {:.3}",

@@ -6,7 +6,8 @@
 
 use crate::cover::{cover_vector, transform_feature_vector};
 use crate::histogram::{permute_histogram, solid_angle_histogram, volume_histogram};
-use vsim_core::{matching_matrix, ProcessedDataset};
+use crate::Corpus;
+use vsim_core::matching_matrix;
 use vsim_features::cover::transform_vector_set;
 use vsim_geom::Mat3;
 use vsim_optics::{pairwise_tiled, CondensedDistanceMatrix};
@@ -122,24 +123,26 @@ impl SimilarityModel {
     }
 
     /// The representation of every object of `data`: the histograms from
-    /// the `r = 30` grids (in parallel), the cover models from
-    /// [`ProcessedDataset::vector_sets`] (`r = 15`) — the resolutions the
-    /// paper tuned per model. Panics if a cover model's `k` exceeds
-    /// `data.k_max`.
-    pub fn representations(&self, data: &ProcessedDataset) -> Vec<Repr> {
-        let objects = &data.dataset.objects;
+    /// [`Corpus::grids30`] (`r = 30`, in parallel), the cover models from
+    /// [`vector_sets`](vsim_core::ProcessedDataset::vector_sets)
+    /// (`r = 15`) — the resolutions the paper tuned per model. Panics if
+    /// a cover model's `k` exceeds `data.processed.k_max`.
+    pub fn representations(&self, data: &Corpus) -> Vec<Repr> {
         match self.kind {
             ModelKind::Volume { p } => {
-                par_map_slice(objects, |_, o| Repr::Vector(volume_histogram(&o.grid30, p)))
+                par_map_slice(data.grids30(), |_, g| Repr::Vector(volume_histogram(g, p)))
             }
-            ModelKind::SolidAngle { p, kernel_radius } => par_map_slice(objects, |_, o| {
-                Repr::Vector(solid_angle_histogram(&o.grid30, p, kernel_radius))
+            ModelKind::SolidAngle { p, kernel_radius } => par_map_slice(data.grids30(), |_, g| {
+                Repr::Vector(solid_angle_histogram(g, p, kernel_radius))
             }),
-            ModelKind::CoverSequence { k } => {
-                data.vector_sets(k).iter().map(|s| Repr::Vector(cover_vector(s, k))).collect()
-            }
+            ModelKind::CoverSequence { k } => data
+                .processed
+                .vector_sets(k)
+                .iter()
+                .map(|s| Repr::Vector(cover_vector(s, k)))
+                .collect(),
             ModelKind::CoverSequencePermutation { k } | ModelKind::VectorSet { k } => {
-                data.vector_sets(k).into_iter().map(Repr::Set).collect()
+                data.processed.vector_sets(k).into_iter().map(Repr::Set).collect()
             }
         }
     }
@@ -217,7 +220,7 @@ impl SimilarityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsim_datagen::car::car_dataset;
+    use vsim_core::ProcessedDataset;
     use vsim_datagen::{CadObject, Dataset};
     use vsim_voxel::{rotate_grid, VoxelGrid};
 
@@ -227,15 +230,11 @@ mod tests {
         let objects = grids
             .iter()
             .enumerate()
-            .map(|(i, (grid15, grid30))| CadObject {
-                id: i as u64,
-                label: 0,
-                grid15: grid15.clone(),
-                grid30: grid30.clone(),
-            })
+            .map(|(i, (grid15, _))| CadObject { id: i as u64, label: 0, grid15: grid15.clone() })
             .collect();
         let data = Dataset { name: "grids", objects, class_names: vec!["part"] };
-        model.representations(&ProcessedDataset::build(data, 7))
+        let grids30 = grids.iter().map(|(_, grid30)| grid30.clone()).collect();
+        model.representations(&Corpus::with_grids30(ProcessedDataset::build(data, 7), grids30))
     }
 
     fn sample_grids() -> (VoxelGrid, VoxelGrid) {
@@ -261,8 +260,8 @@ mod tests {
         (build(15), build(30))
     }
 
-    fn small() -> ProcessedDataset {
-        ProcessedDataset::build(car_dataset(11, 20), 9)
+    fn small() -> Corpus {
+        Corpus::car(11, 20, 9)
     }
 
     #[test]
@@ -381,7 +380,7 @@ mod tests {
         let p = small();
         let k = 7;
         let fv = SimilarityModel::cover_sequence(k).representations(&p);
-        let vs = p.vector_sets(k);
+        let vs = p.processed.vector_sets(k);
         for (f, s) in fv.iter().zip(&vs) {
             let f = f.as_vector();
             assert_eq!(f.len(), 6 * k);
@@ -404,14 +403,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds precomputed k_max")]
     fn vector_set_above_k_max_panics() {
-        let p = ProcessedDataset::build(car_dataset(1, 5), 7);
+        let p = Corpus::car(1, 5, 7);
         let _ = SimilarityModel::vector_set(9).representations(&p);
     }
 
     #[test]
     #[should_panic(expected = "exceeds precomputed k_max")]
     fn cover_sequence_above_k_max_panics() {
-        let p = ProcessedDataset::build(car_dataset(1, 5), 7);
+        let p = Corpus::car(1, 5, 7);
         let _ = SimilarityModel::cover_sequence(9).representations(&p);
     }
 
@@ -440,9 +439,10 @@ mod tests {
             let reprs = model.representations(&p);
             let m = model.pairwise_matrix(&reprs);
             let d = |i: usize, j: usize| model.distance(&reprs[i], &reprs[j]);
-            assert_eq!(m.len(), p.len());
-            for i in 0..p.len() {
-                for j in (i + 1)..p.len() {
+            let n = p.processed.len();
+            assert_eq!(m.len(), n);
+            for i in 0..n {
+                for j in (i + 1)..n {
                     assert_eq!(
                         m.get(i, j).to_bits(),
                         d(i, j).to_bits(),

@@ -3,13 +3,12 @@
 //! figure experiments get without it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use vsim_bench::{run_optics, SimilarityModel};
-use vsim_core::prelude::*;
+use vsim_bench::{run_optics, Corpus, SimilarityModel};
 
 #[test]
 fn permutation_counter_counts_each_pair_once_and_keeps_the_ordering() {
     let n = 30;
-    let p = ProcessedDataset::build(car_dataset(42, n), 7);
+    let p = Corpus::car(42, n, 7);
     let model = SimilarityModel::vector_set(7);
     let (needed, total) = (AtomicU64::new(0), AtomicU64::new(0));
     let counted = run_optics(&p, &model, 5, Some((&needed, &total)));

@@ -18,8 +18,10 @@
 //! ```
 //!
 //! The models the paper compares the vector set model with — volume and
-//! solid-angle histograms (r = 30), the one-vector cover sequence — are
-//! experiment baselines and live in the `vsim-bench` crate.
+//! solid-angle histograms, the one-vector cover sequence — are
+//! experiment baselines and live in the `vsim-bench` crate. So does the
+//! r = 30 raster the histograms read: the library voxelizes every part
+//! at r = 15 alone.
 //!
 //! ## Quickstart
 //!

@@ -14,9 +14,11 @@
 //! labels make cluster quality measurable).
 //!
 //! Parts are modeled as implicit CSG solids ([`vsim_geom::solid`]) and
-//! voxelized at both raster resolutions the paper uses: `r = 15` (cover
-//! sequence / vector set models) and `r = 30` (volume and solid-angle
-//! histograms).
+//! voxelized at `r = 15`, the raster the paper builds its cover
+//! sequences and vector sets from (Section 3.3.3). The `r = 30` raster of
+//! the volume and solid-angle histograms it compares against is made
+//! where those baselines live, in `vsim-bench`, from the same solids
+//! ([`dataset_solids`]).
 
 pub mod aircraft;
 pub mod car;
@@ -29,10 +31,11 @@ use vsim_voxel::{voxelize_solid, NormalizeMode, VoxelGrid};
 
 /// Raster resolution for the cover-sequence / vector-set models.
 pub const R_COVER: usize = 15;
-/// Raster resolution for the volume / solid-angle histograms.
+/// Raster resolution for the volume / solid-angle histograms (not
+/// computed here: their only readers voxelize [`dataset_solids`] at it).
 pub const R_HISTO: usize = 30;
 
-/// One synthetic CAD part, voxelized at both resolutions.
+/// One synthetic CAD part, voxelized at `R_COVER`.
 #[derive(Debug, Clone)]
 pub struct CadObject {
     pub id: u64,
@@ -40,8 +43,6 @@ pub struct CadObject {
     pub label: usize,
     /// Voxelization at `r = 15`.
     pub grid15: VoxelGrid,
-    /// Voxelization at `r = 30`.
-    pub grid30: VoxelGrid,
 }
 
 /// A labeled dataset of voxelized parts.
@@ -88,7 +89,7 @@ pub struct Family {
 }
 
 /// Build a dataset of `n` objects drawn from `families` with the given
-/// weights, voxelizing each part at both resolutions in parallel.
+/// weights, voxelizing each part at `R_COVER` in parallel.
 /// Deterministic for a fixed `seed`.
 pub fn build_dataset(name: &'static str, families: Vec<Family>, n: usize, seed: u64) -> Dataset {
     let labels = labels(&families, n, seed);
@@ -97,8 +98,7 @@ pub fn build_dataset(name: &'static str, families: Vec<Family>, n: usize, seed: 
     let objects = vsim_parallel::par_map_slice(&labels, |i, &label| {
         let solid = object_solid(&families[label], seed, i);
         let grid15 = voxelize_solid(solid.as_ref(), R_COVER, NormalizeMode::Uniform).grid;
-        let grid30 = voxelize_solid(solid.as_ref(), R_HISTO, NormalizeMode::Uniform).grid;
-        CadObject { id: i as u64, label, grid15, grid30 }
+        CadObject { id: i as u64, label, grid15 }
     });
 
     Dataset { name, objects, class_names: families.iter().map(|f| f.name).collect() }
@@ -172,7 +172,6 @@ mod tests {
         assert_eq!(solids.len(), 12);
         for (o, s) in d.objects.iter().zip(&solids) {
             assert_eq!(o.grid15, voxelize_solid(s.as_ref(), R_COVER, NormalizeMode::Uniform).grid);
-            assert_eq!(o.grid30, voxelize_solid(s.as_ref(), R_HISTO, NormalizeMode::Uniform).grid);
         }
     }
 
@@ -181,7 +180,6 @@ mod tests {
         let d = car::car_dataset(7, 40);
         for o in &d.objects {
             assert!(o.grid15.count() > 10, "object {} too sparse at r=15", o.id);
-            assert!(o.grid30.count() > 40, "object {} too sparse at r=30", o.id);
             // Normalization: the object spans the full raster along its
             // largest extent.
             let (min, max) = o.grid15.occupied_bounds().unwrap();

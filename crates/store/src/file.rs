@@ -105,7 +105,7 @@ mod mmap {
     /// Pages past the mapped length (a data tail cut short by a crash)
     /// fall back to `pread` in the caller.
     #[derive(Debug)]
-    pub struct Map {
+    pub(super) struct Map {
         ptr: *mut c_void,
         len: usize,
     }
@@ -120,7 +120,7 @@ mod mmap {
     unsafe impl Sync for Map {}
 
     impl Map {
-        pub fn new(file: &std::fs::File, len: usize) -> io::Result<Map> {
+        pub(super) fn new(file: &std::fs::File, len: usize) -> io::Result<Map> {
             if len == 0 {
                 return Ok(Map { ptr: std::ptr::null_mut(), len: 0 });
             }
@@ -136,13 +136,13 @@ mod mmap {
             Ok(Map { ptr, len })
         }
 
-        pub fn len(&self) -> usize {
+        pub(super) fn len(&self) -> usize {
             self.len
         }
 
         /// Copy `buf.len()` bytes starting at `offset`; the caller must
         /// keep `offset + buf.len() <= self.len()`.
-        pub fn read(&self, offset: usize, buf: &mut [u8]) {
+        pub(super) fn read(&self, offset: usize, buf: &mut [u8]) {
             assert!(offset + buf.len() <= self.len);
             // SAFETY: the assert above keeps the source range inside the
             // live mapping, and src/dst do not overlap (buf is a caller

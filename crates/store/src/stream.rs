@@ -25,7 +25,7 @@ use crate::error::StoreError;
 use crate::page::PageStore;
 
 /// Bytes of stream header per page.
-pub const STREAM_HEADER: usize = 20;
+const STREAM_HEADER: usize = 20;
 /// Payload bytes per stream page.
 pub const STREAM_PAYLOAD: usize = PAGE_SIZE - STREAM_HEADER;
 

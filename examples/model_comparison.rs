@@ -5,16 +5,15 @@
 //!
 //! Run with: `cargo run --release --example model_comparison [n_objects]`
 
-use vsim_bench::SimilarityModel;
+use vsim_bench::{Corpus, SimilarityModel};
 use vsim_core::prelude::*;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(120);
 
     println!("generating {n} synthetic car parts...");
-    let data = car_dataset(42, n);
-    let labels = data.labels();
-    let processed = ProcessedDataset::build(data, 7);
+    let corpus = Corpus::car(42, n, 7);
+    let labels = corpus.processed.labels();
 
     let models = [
         SimilarityModel::volume(6),
@@ -31,7 +30,7 @@ fn main() {
     );
     let optics = Optics { min_pts: 4, eps: f64::INFINITY };
     for model in &models {
-        let reprs = model.representations(&processed);
+        let reprs = model.representations(&corpus);
         let ordering = optics.run_matrix(&model.pairwise_matrix(&reprs));
         let q = best_cut(&ordering, &labels, 3, vsim_optics::DEFAULT_GRID);
         println!(

@@ -2,7 +2,7 @@
 //! the claims of Sections 4 and 5 that do not need the full experiment
 //! harness (those live in `crates/bench`).
 
-use vsim_bench::SimilarityModel;
+use vsim_bench::{Corpus, SimilarityModel};
 use vsim_core::prelude::*;
 use vsim_setdist::matching::MinimalMatching;
 
@@ -113,8 +113,8 @@ fn centroid_filter_selectivity() {
 /// better than the volume model (quantified via OPTICS + best-cut F1).
 #[test]
 fn vector_set_beats_volume_model_on_clustering() {
-    let p = processed_car(80, 7, 25);
-    let labels = p.labels();
+    let p = Corpus::car(25, 80, 7);
+    let labels = p.processed.labels();
     let optics = Optics { min_pts: 3, eps: f64::INFINITY };
 
     let score = |model: &SimilarityModel| {

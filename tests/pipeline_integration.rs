@@ -1,7 +1,7 @@
 //! Cross-crate integration: geometry -> voxelization -> features ->
 //! distances, exercising the full extraction pipeline end to end.
 
-use vsim_bench::{Invariance, SimilarityModel};
+use vsim_bench::{Corpus, Invariance, SimilarityModel};
 use vsim_core::prelude::*;
 use vsim_geom::solid::{CylinderZ, SolidExt, TorusZ};
 use vsim_geom::{Mat3, TriMesh, Vec3};
@@ -17,15 +17,12 @@ fn distances(model: &SimilarityModel, grids: &[(VoxelGrid, VoxelGrid)]) -> Vec<f
     let objects = grids
         .iter()
         .enumerate()
-        .map(|(i, (grid15, grid30))| CadObject {
-            id: i as u64,
-            label: 0,
-            grid15: grid15.clone(),
-            grid30: grid30.clone(),
-        })
+        .map(|(i, (grid15, _))| CadObject { id: i as u64, label: 0, grid15: grid15.clone() })
         .collect();
     let data = Dataset { name: "parts", objects, class_names: vec!["part"] };
-    let reprs = model.representations(&ProcessedDataset::build(data, 7));
+    let grids30 = grids.iter().map(|(_, grid30)| grid30.clone()).collect();
+    let reprs =
+        model.representations(&Corpus::with_grids30(ProcessedDataset::build(data, 7), grids30));
     reprs[1..].iter().map(|r| model.distance(&reprs[0], r)).collect()
 }
 

@@ -111,6 +111,33 @@ fn bench_xtree_pull(c: &mut Criterion) {
     g.finish();
 }
 
+/// One overflowing insert into a snapshot of a packed 6-d tree, so that
+/// every iteration splits the same node: `leaf_74` fills a one-leaf
+/// tree's 73 entries with a 74th, which splits the leaf (and adds a
+/// root); `directory_40` inserts into a full leaf under a root of 39
+/// full leaves, whose split gives the root a 40th entry and splits it
+/// (or grows it into a supernode) in turn. The snapshot is the starting
+/// tree shared, as a published epoch shares the tree its writer splits.
+fn bench_xtree_split(c: &mut Criterion) {
+    let mut g = c.benchmark_group("xtree_split");
+    g.sample_size(30);
+    for (name, leaves) in [("leaf_74", 1usize), ("directory_40", 39)] {
+        let pts = random_points(73 * leaves + 1, 6, 41);
+        let (extra, packed) = pts.split_last().unwrap();
+        let tree = XTree::bulk_load(6, packed);
+        let pages = tree.total_pages();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut t = tree.snapshot().unwrap();
+                t.insert(extra, packed.len() as u64);
+                assert!(t.total_pages() > pages, "the insert must split");
+                t.len()
+            })
+        });
+    }
+    g.finish();
+}
+
 /// One `churn` round's share of the X-tree: 150 deletes, 150 inserts
 /// and a `snapshot()`, on a tree that starts packed, as a `DynamicIndex`
 /// does. The snapshot of the round before is alive through the round,
@@ -226,6 +253,7 @@ criterion_group!(
     bench_xtree_dimensionality,
     bench_xtree_build,
     bench_xtree_pull,
+    bench_xtree_split,
     bench_xtree_churn,
     bench_index_publish,
     bench_mtree_vector_sets

@@ -201,7 +201,7 @@ fn load_image(
 /// *dynamic*: records can be [`append`](Self::append)ed at the tail and
 /// [`tombstone`](Self::tombstone)d in place; tombstoned bytes keep
 /// occupying their pages (and keep being charged by scans): nothing
-/// compacts a tombstoned file yet (ROADMAP item 9).
+/// compacts a tombstoned file before the checkpoint the ROADMAP plans.
 #[derive(Debug)]
 pub struct VectorSetStore {
     /// Dimension of every record; 0 while the file has never held one.
@@ -356,7 +356,8 @@ impl VectorSetStore {
         if self.live != self.len() {
             // Persisting tombstone holes would skew the dense-id contract
             // shared with the trees. No compacting save exists yet, so a
-            // tombstoned index cannot be saved (ROADMAP item 9).
+            // tombstoned index cannot be saved before the checkpoint the
+            // ROADMAP plans.
             return Err(invalid("cannot save a heap file with tombstoned records; compact first"));
         }
         // Filling the table is the permutation check: as many slots as

@@ -33,13 +33,15 @@
 //! `Arc`s: a `snapshot()` shares them all, and an insert or delete
 //! copies a node on its path the first time it writes it — the leaf it
 //! changes, a directory node only where an entry's rectangle changes
-//! (DESIGN.md §14).
+//! (DESIGN.md §14). The copy is the write: an insert copies a leaf with
+//! room for its point, and a leaf it overflows splits from the shared
+//! original into two new nodes.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
-use std::ops::{Index, IndexMut, Range};
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use vsim_store::{
@@ -57,7 +59,7 @@ const XTREE_TAG: u64 = 0x5854_5245_0000_0001;
 /// Minimum fill fraction per split half.
 const MIN_FILL: f64 = 0.4;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Node {
     leaf: bool,
     /// Number of disk pages this node occupies (> 1 ⇒ supernode).
@@ -163,14 +165,16 @@ impl Node {
     /// Remove entry `i`, shifting the later ones down: entry order is
     /// part of what [`XTree::save_to`] writes.
     fn remove_entry(&mut self, i: usize) {
-        let last = self.len() - 1;
-        for j in i..last {
-            for r in 0..self.rows {
-                let (to, from) = (self.at(j, r), self.at(j + 1, r));
-                self.lanes[to] = self.lanes[from];
+        let (rows, last) = (self.rows, self.len() - 1);
+        let row_of = self.lanes.as_chunks_mut::<W>().0;
+        for b in i / W..last.div_ceil(W) {
+            let from = if b == i / W { i % W } else { 0 };
+            for r in b * rows..(b + 1) * rows {
+                let next = row_of.get(r + rows).map_or(0.0, |next| next[0]);
+                row_of[r] = shift_row(row_of[r], from, next);
             }
         }
-        self.lanes.truncate(last.div_ceil(W) * self.rows * W);
+        self.lanes.truncate(last.div_ceil(W) * rows * W);
         if self.leaf {
             self.ids.remove(i);
         } else {
@@ -193,62 +197,60 @@ impl Node {
         })
     }
 
-    /// Whether `point` lies on entry `i`'s rectangle: a coordinate equal
-    /// to one of its bounds, or NaN. Removing a point that does not
-    /// leaves the cover of what holds it as it was, to the bit: each
-    /// bound is the fold of the values equal to it, and the point's are
-    /// not among them.
-    fn touches(&self, i: usize, point: &[f64]) -> bool {
-        point.iter().enumerate().any(|(d, &p)| {
-            let [lo, hi] = self.bounds(i, d);
-            p.is_nan() || p == lo || p == hi
-        })
+    /// Exact cover of the entries into `rect` (`[low, high]` per
+    /// dimension, the layout of a directory entry).
+    fn cover(&self, rect: &mut [f64]) {
+        for (d, bounds) in rect.chunks_exact_mut(2).enumerate() {
+            bounds.copy_from_slice(&self.cover_dim(d));
+        }
     }
 
-    /// Exact cover of the entries into `rect` (`[low, high]` per
-    /// dimension, the layout of a directory entry): per dimension the
-    /// [`lower`] / [`upper`] of the row, which are the least and greatest
-    /// of a total order, so no fold order changes a bit. The rows are
-    /// folded a lane block at a time, eight running bounds wide, by plain
-    /// compares, which may keep either zero; a bound that comes out zero
-    /// then takes its sign from the row.
-    fn cover(&self, rect: &mut [f64]) {
+    /// `[low, high]` of the exact cover of the entries in dimension `d`:
+    /// the [`lower`] / [`upper`] of the row, which are the least and
+    /// greatest of a total order, so no fold order changes a bit. The
+    /// rows are folded a lane block at a time, eight running bounds
+    /// wide, by plain compares, which may keep either zero; a bound that
+    /// comes out zero then takes its sign from the row.
+    #[inline]
+    fn cover_dim(&self, d: usize) -> [f64; 2] {
         let len = self.len();
         // A leaf's row `d` is both bounds of dimension `d`.
-        let hi_row = usize::from(!self.leaf);
-        let step = 1 + hi_row;
+        let (lo_row, hi_row) = if self.leaf { (d, d) } else { (2 * d, 2 * d + 1) };
         let blocks = || self.lanes.chunks_exact(self.rows * W).zip((0..len).step_by(W));
         // The live values of row `r`.
         let row = |r: usize| {
             blocks().flat_map(move |(block, first)| &block[r * W..][..(len - first).min(W)])
         };
-        for (d, bounds) in rect.chunks_exact_mut(2).enumerate() {
-            let (lo_row, hi_row) = (step * d, step * d + hi_row);
-            let mut low = [f64::INFINITY; W];
-            let mut high = [f64::NEG_INFINITY; W];
-            for (block, first) in blocks() {
-                let (lo, hi) = (&block[lo_row * W..][..W], &block[hi_row * W..][..W]);
-                for l in 0..W {
-                    // Lanes past the last entry hold stale values.
-                    let live = first + l < len;
-                    low[l] = if live && lo[l] < low[l] { lo[l] } else { low[l] };
-                    high[l] = if live && hi[l] > high[l] { hi[l] } else { high[l] };
-                }
+        let mut low = [f64::INFINITY; W];
+        let mut high = [f64::NEG_INFINITY; W];
+        for (block, first) in blocks() {
+            let (lo, hi) = (&block[lo_row * W..][..W], &block[hi_row * W..][..W]);
+            for l in 0..W {
+                // Lanes past the last entry hold stale values.
+                let live = first + l < len;
+                low[l] = if live && lo[l] < low[l] { lo[l] } else { low[l] };
+                high[l] = if live && hi[l] > high[l] { hi[l] } else { high[l] };
             }
-            let mut lo = low.into_iter().fold(f64::INFINITY, lower);
-            let mut hi = high.into_iter().fold(f64::NEG_INFINITY, upper);
-            if lo == 0.0 {
-                lo = if row(lo_row).any(|v| v.to_bits() == (-0.0f64).to_bits()) {
-                    -0.0
-                } else {
-                    0.0
-                };
-            }
-            if hi == 0.0 {
-                hi = if row(hi_row).any(|v| v.to_bits() == 0) { 0.0 } else { -0.0 };
-            }
-            bounds.copy_from_slice(&[lo, hi]);
         }
+        let mut lo = low.into_iter().fold(f64::INFINITY, lower);
+        let mut hi = high.into_iter().fold(f64::NEG_INFINITY, upper);
+        if lo == 0.0 {
+            lo = if row(lo_row).any(|v| v.to_bits() == (-0.0f64).to_bits()) { -0.0 } else { 0.0 };
+        }
+        if hi == 0.0 {
+            hi = if row(hi_row).any(|v| v.to_bits() == 0) { 0.0 } else { -0.0 };
+        }
+        [lo, hi]
+    }
+
+    /// Make this node a copy of `from` with room for `cap` entries, in
+    /// the buffers it has.
+    fn copy_from(&mut self, from: &Node, cap: usize) {
+        let Node { leaf, pages, first_page, rows, .. } = *from;
+        (self.leaf, self.pages, self.first_page, self.rows) = (leaf, pages, first_page, rows);
+        refill(&mut self.lanes, &from.lanes, cap.div_ceil(W) * rows * W);
+        refill(&mut self.ids, &from.ids, if leaf { cap } else { 0 });
+        refill(&mut self.children, &from.children, if leaf { 0 } else { cap });
     }
 
     /// Entry-major copy of one bound of every entry into `out`: `which`
@@ -260,6 +262,29 @@ impl Node {
             out.extend((0..self.dim()).map(|d| self.bounds(i, d)[which]));
         }
     }
+}
+
+/// One lane row of a block with its value `from` removed: the values
+/// after it move down one lane and `next`, the first of the next
+/// block's row, comes in last.
+#[inline]
+fn shift_row(row: [f64; W], from: usize, next: f64) -> [f64; W] {
+    std::array::from_fn(|l| {
+        if l < from {
+            row[l]
+        } else if l + 1 < W {
+            row[l + 1]
+        } else {
+            next
+        }
+    })
+}
+
+/// Make `v` a copy of `from` with capacity for at least `cap` values.
+fn refill<T: Copy>(v: &mut Vec<T>, from: &[T], cap: usize) {
+    v.clear();
+    v.reserve_exact(cap);
+    v.extend_from_slice(from);
 }
 
 /// The nodes of a tree, each behind an `Arc` a snapshot shares: reading
@@ -280,6 +305,21 @@ impl Nodes {
 
     fn iter(&self) -> impl Iterator<Item = &Node> {
         self.0.iter().map(|n| &**n)
+    }
+
+    /// `nodes[i]` to write an entry to: the node, or iff a snapshot
+    /// shares it a copy with room for `cap` entries, made in the buffers
+    /// of `spare[i]` where that is left. The copy is then the only buffer
+    /// the write fills.
+    fn own(&mut self, i: usize, spare: &mut [Option<Arc<Node>>], cap: usize) -> &mut Node {
+        let node = &mut self.0[i];
+        if Arc::get_mut(node).is_none() {
+            let mut copy = spare.get_mut(i).and_then(Option::take).unwrap_or_default();
+            // No one else holds a spare: this copies nothing.
+            Arc::make_mut(&mut copy).copy_from(node, cap);
+            *node = copy;
+        }
+        Arc::make_mut(node)
     }
 }
 
@@ -323,13 +363,16 @@ pub struct XTree {
 
 /// What an insert or delete computes on the way and throws away: a
 /// cover being compared with the entry that stores it, and the
-/// entries of a node being split.
+/// entries of a node being split; and the nodes of a retired snapshot
+/// that nothing else holds, by index, whose buffers the next
+/// first-touch copies of the same nodes fill ([`XTree::recycle`]).
 #[derive(Debug, Default)]
 struct Scratch {
     rect: Vec<f64>,
     lo: Vec<f64>,
     hi: Vec<f64>,
     split: SplitScratch,
+    spare: Vec<Option<Arc<Node>>>,
 }
 
 impl XTree {
@@ -375,6 +418,19 @@ impl XTree {
             len: self.len,
             scratch: Scratch::default(),
         })
+    }
+
+    /// Take back a snapshot of this tree that is retired: the nodes it
+    /// alone holds — the old versions of the ones this tree has copied
+    /// since it was taken — become the buffers of the next first-touch
+    /// copies of the same nodes instead of being freed, which sizes
+    /// each buffer for the node that fills it. They replace the spares
+    /// an earlier snapshot left, which the copies since did not take.
+    /// What the snapshot shares with another tree stays where it is.
+    pub fn recycle(&mut self, retired: XTree) {
+        let unshared =
+            retired.nodes.0.into_iter().map(|mut n| Arc::get_mut(&mut n).is_some().then_some(n));
+        self.scratch.spare = unshared.collect();
     }
 
     pub fn len(&self) -> usize {
@@ -728,7 +784,12 @@ impl XTree {
     /// caller owns `node`'s rectangle and updates it from the outcome.
     fn insert_rec(&mut self, node: usize, point: &[f64], id: u64) -> Option<usize> {
         if self.nodes[node].leaf {
-            self.nodes[node].push_point(point, id);
+            let len = self.nodes[node].len();
+            if len >= self.capacity(node) {
+                return self.split(node, Some((point, id)));
+            }
+            self.nodes.own(node, &mut self.scratch.spare, len + 1).push_point(point, id);
+            return None;
         } else {
             let slot = self.choose_subtree(node, point);
             let child = self.nodes[node].children[slot];
@@ -762,7 +823,7 @@ impl XTree {
             }
         }
         if self.nodes[node].len() > self.capacity(node) {
-            return self.split(node);
+            return self.split(node, None);
         }
         None
     }
@@ -804,7 +865,7 @@ impl XTree {
         let n = &self.nodes[node];
         if n.leaf {
             let pos = (0..n.ids.len()).find(|&i| n.ids[i] == id && n.holds(i, point))?;
-            self.nodes[node].remove_entry(pos);
+            self.nodes.own(node, &mut self.scratch.spare, n.len()).remove_entry(pos);
             self.shrink_node(node);
             return Some(true);
         }
@@ -823,27 +884,37 @@ impl XTree {
                     self.shrink_node(node);
                     return Some(true);
                 }
-                let recompute = changed && self.nodes[node].touches(slot, point);
-                return Some(recompute && self.refresh(node, slot, child));
+                return Some(changed && self.refresh(node, slot, child, point));
             }
         }
         None
     }
 
-    /// Recompute `child`'s cover and rewrite entry `slot` of `node` with
-    /// it if its bits differ from the stored ones; returns whether they
-    /// did.
-    fn refresh(&mut self, node: usize, slot: usize, child: usize) -> bool {
-        let mut rect = std::mem::take(&mut self.scratch.rect);
-        rect.resize(2 * self.dim, 0.0);
-        self.nodes[child].cover(&mut rect);
-        let n = &self.nodes[node];
-        let moved =
-            rect.iter().enumerate().any(|(r, v)| v.to_bits() != n.lanes[n.at(slot, r)].to_bits());
-        if moved {
-            self.nodes[node].set_rect(slot, &rect);
+    /// After `point` left `child`, recompute the dimensions of its cover
+    /// the removal can have moved and rewrite those of entry `slot` of
+    /// `node` whose bits differ; returns whether any did. A dimension
+    /// can move only where the point lay on the stored rectangle — a
+    /// coordinate equal to one of its bounds: each bound is the fold of
+    /// the values equal to it, and the point's are not among them
+    /// otherwise. A point with a NaN recomputes every dimension.
+    fn refresh(&mut self, node: usize, slot: usize, child: usize, point: &[f64]) -> bool {
+        let nan = point.iter().any(|p| p.is_nan());
+        let mut moved = false;
+        for (d, &p) in point.iter().enumerate() {
+            let stored = self.nodes[node].bounds(slot, d);
+            if !nan && p != stored[0] && p != stored[1] {
+                continue;
+            }
+            let fresh = self.nodes[child].cover_dim(d);
+            if fresh.map(f64::to_bits) != stored.map(f64::to_bits) {
+                let n = &mut self.nodes[node];
+                for (r, v) in [2 * d, 2 * d + 1].into_iter().zip(fresh) {
+                    let at = n.at(slot, r);
+                    n.lanes[at] = v;
+                }
+                moved = true;
+            }
         }
-        self.scratch.rect = rect;
         moved
     }
 
@@ -860,7 +931,9 @@ impl XTree {
     /// The entry of directory `node` to descend into: least enlargement,
     /// then least margin. A point no rectangle can take in at a finite
     /// cost (a non-finite coordinate makes every enlargement `∞ − ∞`)
-    /// goes to the first child.
+    /// goes to the first child. A lane wins only with an enlargement
+    /// below the best one's plus the tie margin, so a block with no such
+    /// lane is passed over whole.
     fn choose_subtree(&self, node: usize, point: &[f64]) -> usize {
         let n = &self.nodes[node];
         let mut best = 0;
@@ -869,6 +942,10 @@ impl XTree {
         let blocks = n.lanes.chunks_exact(n.rows * W).zip(n.children.chunks(W));
         for (b, (block, children)) in blocks.enumerate() {
             let (enl, margin) = lanes::enlargement(block, point);
+            let bar = best_enl + 1e-12;
+            if !enl[..children.len()].iter().any(|&e| e < bar) {
+                continue;
+            }
             for (l, (&enl, &margin)) in enl.iter().zip(&margin).enumerate().take(children.len()) {
                 if enl < best_enl - 1e-12 || (enl < best_enl + 1e-12 && margin < best_margin) {
                     best = b * W + l;
@@ -888,12 +965,20 @@ impl XTree {
     /// duplicate-heavy data — which the packed bulk-load shape absorbs by
     /// construction — grows leaf supernodes on the insert path instead
     /// of producing a pair of fully overlapping leaves.
-    fn split(&mut self, node: usize) -> Option<usize> {
+    ///
+    /// A leaf splits with the point an insert brings (`point`) as its
+    /// last entry, read from where it is: the halves are filled from the
+    /// node as it stands, a snapshot's included, and it is copied only
+    /// if it grows into a supernode.
+    fn split(&mut self, node: usize, point: Option<(&[f64], u64)>) -> Option<usize> {
         let leaf = self.nodes[node].leaf;
         let cap = self.one_page_cap(leaf);
         let mut scratch = std::mem::take(&mut self.scratch);
         let Scratch { lo, hi, split, .. } = &mut scratch;
         self.nodes[node].gather(0, lo);
+        if let Some((point, _)) = point {
+            lo.extend_from_slice(point);
+        }
         // A leaf's entries are points: the high bounds are the low ones.
         let hi = if leaf {
             &*lo
@@ -904,7 +989,12 @@ impl XTree {
         let split = choose_split(self.dim, lo, hi, cap, split);
         let sibling = if split.crossing > self.max_overlap {
             // Supernode: extend by one page instead of splitting.
-            self.nodes[node].pages += 1;
+            let len = split.order.len();
+            let n = self.nodes.own(node, &mut scratch.spare, len);
+            n.pages += 1;
+            if let Some((point, id)) = point {
+                n.push_point(point, id);
+            }
             self.place_node(node);
             None
         } else {
@@ -913,7 +1003,10 @@ impl XTree {
             let old = std::mem::replace(&mut self.nodes.0[node], Arc::new(left));
             for (rank, &e) in split.order.iter().enumerate() {
                 let half = if rank < split.at { &mut self.nodes[node] } else { &mut right };
-                half.push_from(&old, e);
+                match point {
+                    Some((point, id)) if e == old.len() => half.push_point(point, id),
+                    _ => half.push_from(&old, e),
+                }
             }
             self.nodes[node].pages = pages_for(self.nodes[node].len(), cap);
             right.pages = pages_for(right.len(), cap);
@@ -1141,16 +1234,25 @@ struct Split<'a> {
     order: &'a [usize],
 }
 
+/// An entry's sort key on one axis: its low and high bound in
+/// [`total_key`] form, then the entry. No two keys are equal, so every
+/// way of sorting them gives the order a stable sort on the bounds
+/// gives, and a selection splits them into the same sets.
+type Key = (u64, u64, usize);
+
 /// What [`choose_split`] reuses from one call to the next.
 #[derive(Debug, Default)]
 struct SplitScratch {
-    /// One axis's sort keys: the entry's low and high bound in
-    /// [`total_key`] form, then the entry.
-    keys: Vec<(u64, u64, usize)>,
-    /// The entries in each axis's order, axis after axis.
-    orders: Vec<usize>,
-    covers: Covers,
-    positions: Vec<usize>,
+    /// The keys of the axis being evaluated, and of the best one so far.
+    keys: Vec<Key>,
+    best_keys: Vec<Key>,
+    /// The covers of the same two axes.
+    band: Band,
+    best_band: Band,
+    /// The chosen axis's order.
+    order: Vec<usize>,
+    /// The band's rows `0..=last - first`, searched by position.
+    rows: Vec<usize>,
     crossing: Vec<isize>,
 }
 
@@ -1162,24 +1264,34 @@ fn total_key(x: f64) -> u64 {
     (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
 }
 
-/// Covers of every prefix and every suffix of one ordering of the entry
-/// rectangles: `pre_*[s]` covers `order[..s]`, `suf_*[s]` covers
-/// `order[s..]`, each `dim` wide. One pass each way instead of one cover
-/// computation per split position.
+/// The covers of both halves of one axis order at the split positions
+/// `first..=last` — row `i` for position `first + i`, `dim` wide — and
+/// the sum of the two halves' margins at each. Every position's left
+/// half holds the entries `order[..first]` and its right half
+/// `order[last..]`, so those two are folded once, as sets; only the
+/// band `order[first..last]` between them is read in order.
 #[derive(Debug, Default)]
-struct Covers {
-    dim: usize,
+struct Band {
     pre_min: Vec<f64>,
     pre_max: Vec<f64>,
     suf_min: Vec<f64>,
     suf_max: Vec<f64>,
+    margins: Vec<f64>,
 }
 
-impl Covers {
-    /// Room for the covers of `n` entries, the empty prefix and suffix
-    /// in place.
-    fn reset(&mut self, dim: usize, n: usize) {
-        self.dim = dim;
+impl Band {
+    /// The band of `keys`, in which `keys[first..last]` is sorted and
+    /// the keys before and after it are the ones that sort there.
+    fn fill(
+        &mut self,
+        dim: usize,
+        lo: &[f64],
+        hi: &[f64],
+        keys: &[Key],
+        first: usize,
+        last: usize,
+    ) {
+        let rows = last - first + 1;
         for (v, empty) in [
             (&mut self.pre_min, f64::INFINITY),
             (&mut self.pre_max, f64::NEG_INFINITY),
@@ -1187,45 +1299,48 @@ impl Covers {
             (&mut self.suf_max, f64::NEG_INFINITY),
         ] {
             v.clear();
-            v.resize((n + 1) * dim, empty);
+            v.resize(rows * dim, empty);
         }
-    }
-
-    fn fill(&mut self, lo: &[f64], hi: &[f64], order: &[usize]) {
-        let dim = self.dim;
-        let entries =
-            order.iter().map(|&e| (&lo[e * dim..(e + 1) * dim], &hi[e * dim..(e + 1) * dim]));
+        let entry = |&(_, _, e): &Key| (&lo[e * dim..][..dim], &hi[e * dim..][..dim]);
+        let band = keys[first..last].iter().map(entry);
         let prefixes = self.pre_min.chunks_exact_mut(dim).zip(self.pre_max.chunks_exact_mut(dim));
-        scan_covers(prefixes, entries.clone());
+        scan_covers(prefixes, keys[..first].iter().map(entry), band.clone());
         let suffixes = self.suf_min.chunks_exact_mut(dim).zip(self.suf_max.chunks_exact_mut(dim));
-        scan_covers(suffixes.rev(), entries.rev());
-    }
-
-    fn span(&self, s: usize) -> Range<usize> {
-        s * self.dim..(s + 1) * self.dim
-    }
-
-    /// Margin of the two halves of a split at `s`.
-    fn margin(&self, s: usize) -> f64 {
-        margin(&self.pre_min[self.span(s)], &self.pre_max[self.span(s)])
-            + margin(&self.suf_min[self.span(s)], &self.suf_max[self.span(s)])
+        scan_covers(suffixes.rev(), keys[last..].iter().map(entry), band.rev());
+        let span = |i: usize| i * dim..(i + 1) * dim;
+        self.margins.clear();
+        self.margins.extend((0..rows).map(|i| {
+            margin(&self.pre_min[span(i)], &self.pre_max[span(i)])
+                + margin(&self.suf_min[span(i)], &self.suf_max[span(i)])
+        }));
     }
 }
 
-/// Fill `covers` — `(low, high)` rows, the first one empty — each row
-/// the one before it grown by the next of `entries`. A bound is grown by
-/// a plain compare, which leaves it where a NaN is and may keep either
-/// zero: a split's covers feed only margins and `≤` tests, which do not
-/// tell the zeros apart.
+/// Fill `covers` — `(low, high)` rows, empty — the first with the cover
+/// of the `fixed` entries, each later one with the one before it grown
+/// by the next of `band`. A bound is grown by a plain compare, which
+/// leaves it where a NaN is and may keep either zero, so neither the
+/// order of `fixed` nor a zero's sign changes a value a split reads:
+/// its covers feed only margins and `≤` tests, which do not tell the
+/// zeros apart.
 #[inline]
 fn scan_covers<'a, 'b>(
     mut covers: impl Iterator<Item = (&'a mut [f64], &'a mut [f64])>,
-    entries: impl Iterator<Item = (&'b [f64], &'b [f64])>,
+    fixed: impl Iterator<Item = (&'b [f64], &'b [f64])>,
+    band: impl Iterator<Item = (&'b [f64], &'b [f64])>,
 ) {
     let Some((mut low, mut high)) = covers.next() else {
         return;
     };
-    for ((next_low, next_high), (lo, hi)) in covers.zip(entries) {
+    for (lo, hi) in fixed {
+        for (b, &v) in low.iter_mut().zip(lo) {
+            *b = if v < *b { v } else { *b };
+        }
+        for (b, &v) in high.iter_mut().zip(hi) {
+            *b = if v > *b { v } else { *b };
+        }
+    }
+    for ((next_low, next_high), (lo, hi)) in covers.zip(band) {
         for ((next, &prev), &v) in next_low.iter_mut().zip(&*low).zip(lo) {
             *next = if v < prev { v } else { prev };
         }
@@ -1237,18 +1352,26 @@ fn scan_covers<'a, 'b>(
 }
 
 /// Choose a split for the given entry rectangles (`lo` / `hi`,
-/// entry-major, `dim` wide): the axis with minimum total margin over
-/// candidate distributions, then the distribution with minimum crossing
-/// entries (entries intersecting both halves), tie-broken by margin.
+/// entry-major, `dim` wide; a leaf passes its points as both): the
+/// axis with minimum total margin over candidate distributions, then
+/// the distribution with minimum crossing entries (entries intersecting
+/// both halves), tie-broken by margin.
 ///
-/// Each axis sorts copies of its keys — ties in both bounds keep entry
-/// order, as a stable sort would — and fills `scratch`'s buffers, which
-/// a tree keeps from one split to the next.
+/// A candidate distribution cuts an axis order at a position of the
+/// band `first..=last` that the minimum fill leaves (17 of a 74-entry
+/// 6-d leaf). Each axis selects the entries before the band and after
+/// it as sets, sorts only the band, and keeps the covers of the two
+/// halves at the band's positions alone ([`Band`]); the chosen axis is
+/// sorted in full, since its order distributes the entries. All of it
+/// runs in `scratch`, which a tree keeps from one split to the next.
 ///
-/// Prefix covers only grow and suffix covers only shrink as the split
+/// Prefix covers only grow and suffix covers only shrink as the
 /// position moves right, so an entry meets the left half from some
 /// position on and the right half up to some position: two binary
-/// searches per entry give the crossing count of every position at once.
+/// searches over the band give the positions at which it crosses. An
+/// entry whose interval on the chosen axis ends below the right half's
+/// lowest reach at `first`, or starts above the left half's highest
+/// reach at `last`, meets one half at no position and is not searched.
 fn choose_split<'s>(
     dim: usize,
     lo: &[f64],
@@ -1262,9 +1385,7 @@ fn choose_split<'s>(
     let last = n - first;
     debug_assert!(first <= last, "a node over capacity has room for two minimum fills");
 
-    let SplitScratch { keys, orders, covers, positions, crossing } = scratch;
-    covers.reset(dim, n);
-    orders.clear();
+    let SplitScratch { keys, best_keys, band, best_band, order, rows, crossing } = scratch;
     let mut best_axis = 0;
     let mut best_axis_margin = f64::INFINITY;
     for axis in 0..dim {
@@ -1272,38 +1393,48 @@ fn choose_split<'s>(
         keys.extend(
             (0..n).map(|e| (total_key(lo[e * dim + axis]), total_key(hi[e * dim + axis]), e)),
         );
-        keys.sort_unstable();
-        orders.extend(keys.iter().map(|&(_, _, e)| e));
-        covers.fill(lo, hi, &orders[axis * n..]);
+        keys.select_nth_unstable(first);
+        keys[first..].select_nth_unstable(last - first);
+        keys[first..last].sort_unstable();
+        band.fill(dim, lo, hi, keys, first, last);
         let mut margin_sum = 0.0;
-        for s in first..=last {
-            margin_sum += covers.margin(s);
+        for &m in &band.margins {
+            margin_sum += m;
         }
-        if margin_sum < best_axis_margin {
+        let wins = margin_sum < best_axis_margin;
+        if wins {
             best_axis_margin = margin_sum;
             best_axis = axis;
         }
+        // Axis 0 stands if no axis wins.
+        if wins || axis == 0 {
+            std::mem::swap(keys, best_keys);
+            std::mem::swap(band, best_band);
+        }
     }
 
-    let orders: &'s [usize] = orders;
-    let order = &orders[best_axis * n..(best_axis + 1) * n];
-    covers.fill(lo, hi, order);
-    positions.clear();
-    positions.extend(first..=last);
-    // Entries crossing at `positions[i]`: `crossing[i]` after the
-    // running sum below.
+    best_keys[..first].sort_unstable();
+    best_keys[last..].sort_unstable();
+    order.clear();
+    order.extend(best_keys.iter().map(|&(_, _, e)| e));
+    let Band { pre_min, pre_max, suf_min, suf_max, margins } = &*best_band;
+    rows.clear();
+    rows.extend(0..margins.len());
+    let span = |i: usize| i * dim..(i + 1) * dim;
+    let (reach_lo, reach_hi) = (suf_min[best_axis], pre_max[span(rows.len() - 1)][best_axis]);
+    // Entries crossing at band row `i`: `crossing[i]` after the running
+    // sum below.
     crossing.clear();
-    crossing.resize(positions.len() + 1, 0);
+    crossing.resize(rows.len() + 1, 0);
     for e in 0..n {
-        let (elo, ehi) = (&lo[e * dim..(e + 1) * dim], &hi[e * dim..(e + 1) * dim]);
-        let meets_left = |s: usize| {
-            intersects(elo, ehi, &covers.pre_min[covers.span(s)], &covers.pre_max[covers.span(s)])
-        };
-        let meets_right = |s: usize| {
-            intersects(elo, ehi, &covers.suf_min[covers.span(s)], &covers.suf_max[covers.span(s)])
-        };
-        let from = positions.partition_point(|&s| !meets_left(s));
-        let until = positions.partition_point(|&s| meets_right(s));
+        let (elo, ehi) = (&lo[e * dim..][..dim], &hi[e * dim..][..dim]);
+        if ehi[best_axis] < reach_lo || elo[best_axis] > reach_hi {
+            continue;
+        }
+        let meets =
+            |min: &[f64], max: &[f64], i: usize| intersects(elo, ehi, &min[span(i)], &max[span(i)]);
+        let from = rows.partition_point(|&i| !meets(pre_min, pre_max, i));
+        let until = rows.partition_point(|&i| meets(suf_min, suf_max, i));
         if from < until {
             crossing[from] += 1;
             crossing[until] -= 1;
@@ -1313,13 +1444,12 @@ fn choose_split<'s>(
     let mut best_cross = usize::MAX;
     let mut best_margin = f64::INFINITY;
     let mut cross = 0isize;
-    for (&s, entered) in positions.iter().zip(crossing.iter()) {
+    for (i, (&m, entered)) in margins.iter().zip(crossing.iter()).enumerate() {
         cross += entered;
-        let m = covers.margin(s);
         if (cross as usize) < best_cross || (cross as usize == best_cross && m < best_margin) {
             best_cross = cross as usize;
             best_margin = m;
-            best_split = s;
+            best_split = first + i;
         }
     }
     Split { at: best_split, crossing: best_cross as f64 / n as f64, order }
@@ -2096,21 +2226,21 @@ mod tests {
                             }
                         }
                     }
-                    prop_assert_eq!(t.len(), live.len(), "step {step}");
+                    proptest::prop_assert_eq!(t.len(), live.len(), "step {step}");
                     let stale = stale_entry(&t);
                     prop_assert!(stale.is_none(), "step {step}: {stale:?}");
                     let center: Vec<f64> =
                         point.iter().map(|&v| if v.is_finite() { v } else { 1.5 }).collect();
                     for radius in [0.0, 1.0, f64::INFINITY] {
                         let (got, want) = range_both(&t, &live, &center, radius);
-                        prop_assert_eq!(got, want, "step {step}: radius {radius}");
+                        proptest::prop_assert_eq!(got, want, "step {step}: radius {radius}");
                     }
                 }
                 for (at, (snapshot, live)) in snapshots.iter().enumerate() {
                     let stale = stale_entry(snapshot);
                     prop_assert!(stale.is_none(), "snapshot {at}: {stale:?}");
                     let (got, want) = range_both(snapshot, live, &vec![1.0; dim], 2.0);
-                    prop_assert_eq!(got, want, "snapshot {at}");
+                    proptest::prop_assert_eq!(got, want, "snapshot {at}");
                 }
             }
         }
@@ -2166,6 +2296,59 @@ mod tests {
         }
     }
 
+    /// Recycling a retired snapshot changes where copies are made, not
+    /// what any tree holds: a churn history that hands every retired
+    /// snapshot back saves, round by round, the bytes of the same
+    /// history that frees them, in the tree and in the snapshot it
+    /// publishes, and a snapshot held through later rounds saves what
+    /// it saved when it was taken.
+    #[test]
+    fn a_recycled_snapshot_moves_no_tree() {
+        const N: usize = 3_000;
+        const ROUND: usize = 60;
+        let pts = random_points(N + 40 * ROUND, 6, 79);
+        let mut rng = StdRng::seed_from_u64(80);
+        let mut freeing = XTree::bulk_load(6, &pts[..N]);
+        let mut recycling = XTree::bulk_load(6, &pts[..N]);
+        let mut live: Vec<usize> = (0..N).collect();
+        let mut published = recycling.snapshot().unwrap();
+        let mut held = None;
+        // Spares the rounds' copies took, and spares retired snapshots
+        // handed back.
+        let (mut taken, mut given, mut last) = (0, 0, 0);
+        for round in 0..40 {
+            for (id, p) in pts.iter().enumerate().skip(N + round * ROUND).take(ROUND) {
+                freeing.insert(p, id as u64);
+                recycling.insert(p, id as u64);
+                live.push(id);
+            }
+            for _ in 0..ROUND {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                assert!(freeing.delete(&pts[id], id as u64));
+                assert!(recycling.delete(&pts[id], id as u64));
+            }
+            let spares = |t: &XTree| t.scratch.spare.iter().flatten().count();
+            taken += last - spares(&recycling);
+            let retired = std::mem::replace(&mut published, recycling.snapshot().unwrap());
+            recycling.recycle(retired);
+            last = spares(&recycling);
+            given += last;
+            let sums = [&recycling, &published, &freeing].map(meta_checksum);
+            assert_eq!(sums, [sums[2]; 3], "round {round}");
+            // The page spans a query is charged for, which the saved
+            // bytes do not hold.
+            let spans =
+                |t: &XTree| t.nodes.iter().map(|n| (n.pages, n.first_page)).collect::<Vec<_>>();
+            assert!(spans(&recycling) == spans(&freeing), "round {round}");
+            if round == 20 {
+                held = Some((published.snapshot().unwrap(), sums[1]));
+            }
+        }
+        assert!(taken > 10 * ROUND && given > 10 * ROUND, "{taken} spares taken, {given} given");
+        let (held, bytes) = held.unwrap();
+        assert_eq!(meta_checksum(&held), bytes, "a held snapshot lends no node");
+    }
+
     /// A flat publish, as a count: a round of 150 inserts and
     /// 150 deletes on a tree a snapshot shares copies one leaf per
     /// operation at most, the few directory nodes above them and what
@@ -2195,50 +2378,69 @@ mod tests {
         }
     }
 
-    /// Same axis, same position, same crossing fraction as the
-    /// quadratic evaluation, on the shapes that decide differently:
-    /// continuous rectangles, rectangles on a coarse grid (ties in the
-    /// sort keys, the margins and the crossing counts), point entries,
-    /// and the 42-d rectangles of a one-vector directory.
-    #[test]
-    fn linear_split_evaluation_chooses_what_the_quadratic_one_chose() {
-        let mut rng = StdRng::seed_from_u64(404);
-        for case in 0..300 {
-            let dim = [2, 3, 6, 42][case % 4];
-            let grid = case % 3 == 1;
-            let points = case % 5 == 2;
-            let cap = rng.gen_range(4..60usize);
-            let n = cap + 1 + if case % 7 == 0 { rng.gen_range(0..3 * cap) } else { 0 };
-            let coord = |rng: &mut StdRng| {
-                if grid {
-                    rng.gen_range(0..4) as f64
-                } else {
-                    rng.gen_range(0.0..10.0)
-                }
-            };
-            let rects: Vec<reference::Rect> = (0..n)
-                .map(|_| {
+    /// Coordinates that tie, NaNs of both signs, both zeros and both
+    /// infinities: sort keys, covers and margins meet every special case.
+    const ODD: [f64; 9] =
+        [0.0, -0.0, 1.0, 2.0, 2.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    proptest::proptest! {
+        /// Same axis, same position, same crossing fraction as the
+        /// quadratic evaluation, on the shapes that decide differently:
+        /// continuous rectangles, rectangles on a coarse grid (ties in
+        /// the sort keys, the margins and the crossing counts), the `ODD`
+        /// values (infinite and NaN margins, where no axis may win), all
+        /// with whole entries repeated, point entries — passed as a leaf
+        /// passes them, one slice as both bounds, and as two — and the
+        /// 42-d rectangles of a one-vector directory. Each case draws one
+        /// shape of every dimension.
+        #[test]
+        fn linear_split_evaluation_chooses_what_the_quadratic_one_chose(
+            values in 0usize..3,
+            points in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let points = points == 1;
+            for dim in [2, 3, 6, 42] {
+                let cap = rng.gen_range(4..60usize);
+                let over = if rng.gen_range(0..7) == 0 { rng.gen_range(0..3 * cap) } else { 0 };
+                let n = cap + 1 + over;
+                let coord = |rng: &mut StdRng| match values {
+                    0 => rng.gen_range(0.0..10.0),
+                    1 => rng.gen_range(0..4) as f64,
+                    _ => ODD[rng.gen_range(0..ODD.len())],
+                };
+                let mut rects: Vec<reference::Rect> = Vec::with_capacity(n);
+                while rects.len() < n {
+                    if !rects.is_empty() && rng.gen_range(0..5) == 0 {
+                        let again = rects[rng.gen_range(0..rects.len())].clone();
+                        rects.push(again);
+                        continue;
+                    }
                     let lo: Vec<f64> = (0..dim).map(|_| coord(&mut rng)).collect();
                     let hi = if points {
                         lo.clone()
                     } else {
-                        lo.iter().map(|&v| v + coord(&mut rng) * 0.3).collect()
+                        lo.iter().map(|&v| v + coord(&mut rng).abs() * 0.3).collect()
                     };
-                    (lo, hi)
-                })
-                .collect();
-            let flat = |which: fn(&reference::Rect) -> &Vec<f64>| -> Vec<f64> {
-                rects.iter().flat_map(|r| which(r).iter().copied()).collect()
-            };
-            let mut scratch = SplitScratch::default();
-            let got = choose_split(dim, &flat(|r| &r.0), &flat(|r| &r.1), cap, &mut scratch);
-            let (axis, at, crossing) = reference::choose_split(&rects, cap);
-            assert_eq!(
-                (got.at, got.crossing.to_bits()),
-                (at, crossing.to_bits()),
-                "case {case}: dim {dim}, {n} entries over a page of {cap}"
-            );
-            assert_eq!(got.order, reference::by_axis(&rects, axis), "case {case}: axis {axis}");
+                    rects.push((lo, hi));
+                }
+                let flat = |which: fn(&reference::Rect) -> &Vec<f64>| -> Vec<f64> {
+                    rects.iter().flat_map(|r| which(r).iter().copied()).collect()
+                };
+                let (lo, hi) = (flat(|r| &r.0), flat(|r| &r.1));
+                let (axis, at, crossing) = reference::choose_split(&rects, cap);
+                let want = reference::by_axis(&rects, axis);
+                let mut scratch = SplitScratch::default();
+                let leaf_shape = points.then_some(&lo);
+                for hi in [Some(&hi), leaf_shape].into_iter().flatten() {
+                    let got = choose_split(dim, &lo, hi, cap, &mut scratch);
+                    let what = format!("dim {dim}, {n} entries over {cap}, values {values}");
+                    let got_at = (got.at, got.crossing.to_bits());
+                    proptest::prop_assert_eq!(got_at, (at, crossing.to_bits()), "{what}");
+                    proptest::prop_assert_eq!(got.order, &want[..], "{what}: axis {axis}");
+                }
+            }
         }
     }
 

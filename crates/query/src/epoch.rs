@@ -17,9 +17,11 @@
 //! file segment neither has written since, so a publish costs what the
 //! round changed, not what the index holds. The memory a retired epoch
 //! alone still holds — the nodes and segments the writer has replaced —
-//! was allocated by the writer's thread, and the writer frees it: the
-//! writer keeps every epoch it replaces until no reader pins it and
-//! drops it in a later [`publish`](DynamicIndex::publish), so a reader's
+//! was allocated by the writer's thread, and the writer takes it back:
+//! the writer keeps every epoch it replaces until no reader pins it, and
+//! in a later [`publish`](DynamicIndex::publish) hands its X-tree nodes
+//! to the working tree, whose next first-touch copies fill them
+//! ([`vsim_index::XTree::recycle`]), and frees the rest. A reader's
 //! un-pin is a decrement and never a free.
 //!
 //! Nothing here keeps statistics or plans: the planner reads the counts
@@ -63,7 +65,7 @@ struct Working {
     generation: u64,
     /// Replaced epochs a reader may still pin. Nothing hands out a new
     /// pin on a retired epoch, so once its count reads one — this list's
-    /// — it stays one, and `publish` drops it.
+    /// — it stays one, and `publish` takes it back.
     retired: Vec<Arc<IndexEpoch>>,
 }
 
@@ -155,15 +157,22 @@ impl DynamicIndex {
     /// copying: the working index pays for the nodes and segments it
     /// writes next — and swap it in as the published snapshot. In-flight
     /// readers keep their pinned epochs; new pins see this generation.
-    /// Replaced epochs that no reader pins any more are freed here, on
-    /// the writer's thread. Returns the generation.
+    /// Replaced epochs that no reader pins any more are taken back here,
+    /// on the writer's thread: their X-tree nodes become the buffers of
+    /// the working tree's next copies, the rest is freed. Returns the
+    /// generation.
     pub fn publish(&self) -> io::Result<u64> {
         let mut w = self.working();
         w.generation += 1;
         let epoch = Arc::new(IndexEpoch { generation: w.generation, index: w.index.snapshot()? });
         let replaced = self.published.swap(&mut w, epoch);
         w.retired.push(replaced);
-        w.retired.retain(|epoch| Arc::strong_count(epoch) > 1);
+        for epoch in std::mem::take(&mut w.retired) {
+            match Arc::try_unwrap(epoch) {
+                Ok(epoch) => w.index.recycle(epoch.index),
+                Err(pinned) => w.retired.push(pinned),
+            }
+        }
         Ok(w.generation)
     }
 

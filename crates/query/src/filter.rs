@@ -126,7 +126,8 @@ impl FilterRefineIndex {
     /// Delete object `id`: remove its centroid from the X-tree and
     /// tombstone its records in the point and heap files. The bytes are
     /// not reclaimed, and an index with a tombstone can no longer be
-    /// [`save`](Self::save)d: nothing compacts it yet (ROADMAP item 9).
+    /// [`save`](Self::save)d: nothing compacts it before the checkpoint
+    /// the ROADMAP plans.
     /// Returns `Ok(false)` if the id is unknown or already deleted, and
     /// `InvalidData` — with nothing tombstoned — if the X-tree does not
     /// hold the live object's centroid.
@@ -165,6 +166,13 @@ impl FilterRefineIndex {
             store: self.store.snapshot()?,
             mm: self.mm,
         })
+    }
+
+    /// Take back a retired snapshot of this index: the X-tree nodes it
+    /// alone holds become the buffers of the tree's next copies
+    /// ([`XTree::recycle`]).
+    pub(crate) fn recycle(&mut self, retired: FilterRefineIndex) {
+        self.tree.recycle(retired.tree);
     }
 
     /// Total records in the heap file, tombstoned ones included.

@@ -56,9 +56,10 @@ fn bench_matching_scaling(c: &mut Criterion) {
 }
 
 fn bench_unbalanced_sets(c: &mut Criterion) {
-    // Different cardinalities: `match_sets` solves the n × m problem,
-    // one row per element of the smaller set; unmatched elements of the
-    // larger set pay their weight.
+    // Different cardinalities: `distance_value` runs the engine's exact
+    // stage on a fresh engine, an n × m problem with one row per element
+    // of the smaller set; unmatched elements of the larger set pay their
+    // weight.
     let mut g = c.benchmark_group("matching_unbalanced");
     let mm = MinimalMatching::vector_set_model();
     let mut rng = StdRng::seed_from_u64(7);
@@ -73,8 +74,9 @@ fn bench_unbalanced_sets(c: &mut Criterion) {
 }
 
 fn bench_engine_vs_naive(c: &mut Criterion) {
-    // The allocation-free engine, `distance(x, y, upper)`, against the
-    // allocating `distance_value` path, at the paper's k range
+    // The allocation-free engine, `distance(x, y, upper)`, against
+    // `distance_value`, which allocates a fresh engine per call, at the
+    // paper's k range
     // (acceptance: a measured speedup at k = 7).
     let mut g = c.benchmark_group("matching_engine");
     let mm = MinimalMatching::vector_set_model();

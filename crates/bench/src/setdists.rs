@@ -43,13 +43,6 @@ pub fn sum_of_min_distances(x: &VectorSet, y: &VectorSet) -> f64 {
 /// problem reduces to an assignment with `m - n` free columns priced at
 /// the row minimum.
 pub fn surjection(x: &VectorSet, y: &VectorSet) -> f64 {
-    surjection_with(x, y, &mut hungarian::Workspace::default())
-}
-
-/// [`surjection`] with a caller-owned solver workspace: the cost matrix
-/// is filled flat and solved over the slice, so repeated calls (e.g. a
-/// baseline sweep over all object pairs) amortize the solver buffers.
-pub fn surjection_with(x: &VectorSet, y: &VectorSet, ws: &mut hungarian::Workspace) -> f64 {
     assert!(!x.is_empty() && !y.is_empty(), "surjection requires non-empty sets");
     let (big, small) = if x.len() >= y.len() { (x, y) } else { (y, x) };
     let m = big.len();
@@ -69,7 +62,16 @@ pub fn surjection_with(x: &VectorSet, y: &VectorSet, ws: &mut hungarian::Workspa
             *slot = row_min;
         }
     }
-    hungarian::solve_cost_slice(m, m, &cost, ws)
+    let mut col_to_row = Vec::new();
+    hungarian::solve_slice_into(m, m, &cost, &mut hungarian::Workspace::default(), &mut col_to_row);
+    // The matched entries, summed in row order.
+    let mut row_cost = vec![0.0; m];
+    for (c, r) in col_to_row.into_iter().enumerate() {
+        if let Some(r) = r {
+            row_cost[r] = cost[r * m + c];
+        }
+    }
+    row_cost.into_iter().fold(0.0, |total, c| total + c)
 }
 
 /// Fair surjection distance: like [`surjection`] but every target must

@@ -1023,42 +1023,6 @@ impl XTree {
         ctx.access(self.store.id(), n.first_page, n.pages as u64);
     }
 
-    /// All `(id, distance)` pairs within `radius` (Euclidean) of `center`.
-    pub fn range_query(&self, center: &[f64], radius: f64, ctx: &QueryContext) -> Vec<(u64, f64)> {
-        assert_eq!(center.len(), self.dim);
-        let mut out = Vec::new();
-        if self.len == 0 {
-            return out;
-        }
-        let mut stack = vec![self.root];
-        let r2 = radius * radius;
-        while let Some(n) = stack.pop() {
-            self.charge_node(n, ctx);
-            let node = &self.nodes[n];
-            let blocks = node.lanes.chunks_exact(node.rows * W);
-            if node.leaf {
-                ctx.count_distance_evals(node.ids.len() as u64);
-                for (block, ids) in blocks.zip(node.ids.chunks(W)) {
-                    let d2 = lanes::leaf_dist2(block, center);
-                    out.extend(
-                        ids.iter()
-                            .zip(d2)
-                            .filter(|(_, d2)| *d2 <= r2)
-                            .map(|(&id, d2)| (id, d2.sqrt())),
-                    );
-                }
-            } else {
-                for (block, children) in blocks.zip(node.children.chunks(W)) {
-                    let d2 = lanes::child_mindist2(block, center);
-                    stack.extend(
-                        children.iter().zip(d2).filter(|(_, d2)| *d2 <= r2).map(|(&c, _)| c),
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// The `k` nearest neighbors of `center`, sorted by distance.
     pub fn knn(&self, center: &[f64], k: usize, ctx: &QueryContext) -> Vec<(u64, f64)> {
         self.nn_iter(center, ctx).take(k).collect()
@@ -1579,39 +1543,20 @@ mod tests {
         t
     }
 
+    /// The ids within `radius` of `center`: the ranking's prefix, for
+    /// finite points and queries.
+    fn within(t: &XTree, center: &[f64], radius: f64) -> Vec<u64> {
+        let ctx = QueryContext::ephemeral();
+        t.nn_iter(center, &ctx).take_while(|&(_, d)| d <= radius).map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn empty_tree_queries() {
         let t = XTree::new(3);
         let ctx = QueryContext::ephemeral();
         assert!(t.is_empty());
-        assert!(t.range_query(&[0.0, 0.0, 0.0], 10.0, &ctx).is_empty());
+        assert_eq!(t.nn_iter(&[0.0, 0.0, 0.0], &ctx).next(), None);
         assert!(t.knn(&[0.0, 0.0, 0.0], 5, &ctx).is_empty());
-    }
-
-    #[test]
-    fn range_query_matches_brute_force() {
-        let pts = random_points(500, 3, 7);
-        let t = build(&pts);
-        assert_eq!(t.len(), 500);
-        for q in random_points(10, 3, 8) {
-            for radius in [5.0, 20.0, 60.0] {
-                let ctx = QueryContext::ephemeral();
-                let mut got: Vec<u64> =
-                    t.range_query(&q, radius, &ctx).into_iter().map(|(id, _)| id).collect();
-                got.sort_unstable();
-                let mut want: Vec<u64> = pts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        p.iter().zip(&q).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
-                            <= radius * radius
-                    })
-                    .map(|(i, _)| i as u64)
-                    .collect();
-                want.sort_unstable();
-                assert_eq!(got, want, "radius {radius}");
-            }
-        }
     }
 
     #[test]
@@ -1706,9 +1651,7 @@ mod tests {
         for i in 0..50 {
             t.insert(&[1.0, 1.0], i);
         }
-        let ctx = QueryContext::ephemeral();
-        let hits = t.range_query(&[1.0, 1.0], 0.0, &ctx);
-        assert_eq!(hits.len(), 50);
+        assert_eq!(within(&t, &[1.0, 1.0], 0.0).len(), 50);
     }
 
     #[test]
@@ -1727,10 +1670,8 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.1.to_bits(), y.1.to_bits(), "{x:?} vs {y:?}");
             }
-            let mut ra: Vec<u64> =
-                inserted.range_query(&q, 25.0, &ctx).into_iter().map(|(i, _)| i).collect();
-            let mut rb: Vec<u64> =
-                bulk.range_query(&q, 25.0, &ctx).into_iter().map(|(i, _)| i).collect();
+            let mut ra = within(&inserted, &q, 25.0);
+            let mut rb = within(&bulk, &q, 25.0);
             ra.sort_unstable();
             rb.sort_unstable();
             assert_eq!(ra, rb);
@@ -1773,10 +1714,8 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.1.to_bits(), y.1.to_bits(), "{x:?} vs {y:?}");
             }
-            let mut ra: Vec<u64> =
-                inserted.range_query(&q, 6.0, &ctx).into_iter().map(|(i, _)| i).collect();
-            let mut rb: Vec<u64> =
-                bulk.range_query(&q, 6.0, &ctx).into_iter().map(|(i, _)| i).collect();
+            let mut ra = within(&inserted, &q, 6.0);
+            let mut rb = within(&bulk, &q, 6.0);
             ra.sort_unstable();
             rb.sort_unstable();
             assert_eq!(ra, rb);
@@ -1814,8 +1753,7 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g.1 - w.1).abs() < 1e-9, "{g:?} vs {w:?}");
             }
-            let mut ids: Vec<u64> =
-                t.range_query(&q, 30.0, &ctx).into_iter().map(|(id, _)| id).collect();
+            let mut ids = within(&t, &q, 30.0);
             ids.sort_unstable();
             let mut want_ids: Vec<u64> = live
                 .iter()
@@ -1841,7 +1779,7 @@ mod tests {
         assert!(t.is_empty());
         let ctx = QueryContext::ephemeral();
         assert!(t.knn(&[50.0, 50.0], 5, &ctx).is_empty());
-        assert!(t.range_query(&[50.0, 50.0], 100.0, &ctx).is_empty());
+        assert_eq!(t.nn_iter(&[50.0, 50.0], &ctx).next(), None);
         for (i, p) in pts.iter().enumerate() {
             t.insert(p, i as u64);
         }
@@ -1865,8 +1803,7 @@ mod tests {
         }
         assert_eq!(t.len(), 10);
         assert!(t.total_pages() < before, "supernode pages must shrink after deletes");
-        let ctx = QueryContext::ephemeral();
-        assert_eq!(t.range_query(&[1.0, 1.0], 0.0, &ctx).len(), 10);
+        assert_eq!(within(&t, &[1.0, 1.0], 0.0).len(), 10);
     }
 
     #[test]
@@ -2175,8 +2112,10 @@ mod tests {
             radius: f64,
         ) -> (Vec<u64>, Vec<u64>) {
             let ctx = QueryContext::ephemeral();
+            // The cursor may emit a NaN distance anywhere, so the whole
+            // ranking is filtered rather than cut at the first miss.
             let mut got: Vec<u64> =
-                t.range_query(center, radius, &ctx).into_iter().map(|(id, _)| id).collect();
+                t.nn_iter(center, &ctx).filter(|&(_, d)| d <= radius).map(|(id, _)| id).collect();
             let mut want: Vec<u64> = live
                 .iter()
                 .filter(|(_, p)| {

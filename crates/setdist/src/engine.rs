@@ -1,12 +1,6 @@
-//! The reusable minimal-matching engine: the `O(k³)` Kuhn–Munkres
-//! kernel of Section 4.2 stripped of every per-call allocation, behind
-//! **one entry point**, [`MatchingEngine::distance`]`(x, y, upper)`.
-//!
-//! [`MinimalMatching::match_sets`] is the full-fidelity path: it builds
-//! the cost matrix, solves and materializes the matched pairs. The
-//! filter/refine query engine and OPTICS need none of that — they call
-//! the distance `O(n)`–`O(n²)` times and consume only the scalar.
-//! [`MatchingEngine`] serves that hot path:
+//! The minimal-matching engine: the `O(k³)` Kuhn–Munkres kernel of
+//! Section 4.2 stripped of every per-call allocation, behind **one entry
+//! point**, [`MatchingEngine::distance`]`(x, y, upper)`.
 //!
 //! * each operand is a raw [`VectorSet`] or a [`PreparedSet`] (weights
 //!   `w(x)` and padded `f64`/`f32` lane rows computed once per *object*
@@ -22,23 +16,26 @@
 //!   partial sum above the bound widened by a derived margin δ
 //!   (DESIGN.md §13), so its prunes are *provable* in `f64` terms; it
 //!   only filters, so results never depend on it;
-//! * the exact stage solves the **n × m** problem — row j is element j
-//!   of the smaller set, column i element i of the larger, the entry
-//!   `d(big_i, small_j) − w(big_i)` when n < m — in full, then re-sums
-//!   the value from the matching in big-element order (`d` matched, `w`
-//!   unmatched) and compares it with `upper` on the caller's scale;
-//!   `match_sets` builds the same slice, so every exact value comes from
-//!   one layout;
 //! * the [`hungarian::Workspace`] and the scratch cost/lane buffers live
 //!   in the engine and are reused across calls, so the steady state
 //!   performs **zero heap allocations per distance** (asserted by the
-//!   `alloc_free` integration test for every operand pairing);
-//! * for lane dims every entry is one fixed-width lane kernel
-//!   ([`crate::simd`]) — bit-identical to the per-pair point distances
-//!   `match_sets` evaluates, because both use the same fixed reduction
-//!   tree.
+//!   `alloc_free` integration test for every operand pairing).
 //!
-//! Every `Exact` value is bit-identical to [`MinimalMatching::match_sets`]
+//! **The exact stage** is the crate's one minimal-matching solve: the
+//! engine's `f64` stage at every bound, [`MinimalMatching::match_sets`]
+//! and [`MinimalMatching::distance_value`] all run it. Definition 6 pads
+//! the smaller set with weight slots to a square problem; the stage
+//! solves the same matching as an **n × m** problem instead, n ≤ m: row
+//! j is element j of the smaller set, column i element i of the larger,
+//! and the entry is `d(big_i, small_j) − w(big_i)` when n < m (a matched
+//! element does not pay its weight) and `d` when n = m, so only the n
+//! real choices are inserted; n = 0 solves nothing. The value is then
+//! re-summed from the matching in big-element order — `d` for a matched
+//! element, `w` for an unmatched one — the sum the square layout forms.
+//! For lane dims every entry is one fixed-width lane kernel
+//! ([`crate::simd`]), bit-identical to the model's per-pair point
+//! distance. A bound only decides whether the value is returned, never
+//! what it is: every `Exact` value has the bits of `upper = ∞`
 //! (property-tested below for both paper models, on tie-heavy inputs).
 
 use crate::hungarian::{self, Workspace};
@@ -247,28 +244,18 @@ impl MatchingEngine {
     }
 
     /// The body of [`MatchingEngine::distance`] (not generic, so it is
-    /// compiled once): orient, run the f32 gate when it can decide
-    /// anything, then solve the exact n × m problem in full and
-    /// compare the finished distance with `upper`.
+    /// compiled once): run the f32 gate when it can decide anything,
+    /// then the exact stage, and compare the finished distance with
+    /// `upper`.
     fn solve(&mut self, x: Operand<'_>, y: Operand<'_>, upper: f64) -> PrefilteredDistance {
-        assert_eq!(x.set().dim(), y.set().dim(), "vector sets of different dimension");
-        // Orient so that `big` pays the weight penalty for its surplus
-        // elements (Definition 6, w.l.o.g. |X| >= |Y|) — the same
-        // orientation as `match_sets`, for bit-identical results.
-        let (big_op, small_op) = if x.set().len() >= y.set().len() { (x, y) } else { (y, x) };
-        let (big, pbig_prep) = (big_op.set(), big_op.prepared());
-        let small = small_op.set();
-        let m = big.len();
-        let n = small.len();
-        let dim = big.dim();
-        let lanes = dim <= simd::LANES;
+        let (big_op, small_op, _) = orient(x, y);
 
         // Stage 1: the f32 gate. Only worth running when a finite bound
         // exists (with `upper = ∞` nothing can prune) and the dims fit
         // the lane layout. It bounds the raw matched sum, so the
         // permutation model's bound is squared (Section 4.2); the sum is
         // non-negative, so a negative bound clamps to 0.
-        if lanes && m > 0 && upper.is_finite() {
+        if big_op.set().dim() <= simd::LANES && !big_op.set().is_empty() && upper.is_finite() {
             let raw_upper = if self.mm.squared() {
                 let u = upper.max(0.0);
                 u * u
@@ -280,12 +267,35 @@ impl MatchingEngine {
             }
         }
 
-        // Stage 2: the exact f64 solve of the n × m problem, the layout
-        // of `match_sets`: row j is small element j, column i is big
-        // element i, and with n < m the entry is `d − w(big_i)` (a
-        // matched element does not pay its weight). The entries can be
-        // negative, so no partial-cost bound holds: the solve always
-        // finishes.
+        // Stage 2, compared on the caller's scale: the permutation
+        // model's root is taken first.
+        let (total, ..) = self.exact(x, y);
+        let d = self.mm.finish(total);
+        if d > upper {
+            PrefilteredDistance::Pruned
+        } else {
+            PrefilteredDistance::Exact(d)
+        }
+    }
+
+    /// The exact stage, the one minimal-matching solve of the crate:
+    /// fill the n × m slice of the module docs, solve it in full and
+    /// re-sum the value from the matching in big-element order — `d` for
+    /// a matched element, `w` for an unmatched one. Returns that raw
+    /// total (before the permutation model's root), whether `x` is the
+    /// larger set, and the matching it leaves in `col_to_row`: the small
+    /// element matched to each big one.
+    pub(crate) fn exact(
+        &mut self,
+        x: Operand<'_>,
+        y: Operand<'_>,
+    ) -> (f64, bool, &[Option<usize>]) {
+        let (big_op, small_op, big_is_first) = orient(x, y);
+        let (big, pbig_prep) = (big_op.set(), big_op.prepared());
+        let small = small_op.set();
+        let m = big.len();
+        let n = small.len();
+        let lanes = big.dim() <= simd::LANES;
         let MatchingEngine { mm, ws, cost, pbig, psmall, wbig, col_to_row, .. } = self;
         if let Some(p) = pbig_prep {
             debug_assert_eq!(p.weights.len(), m, "prepared weights out of sync with set");
@@ -310,9 +320,9 @@ impl MatchingEngine {
                 wbig
             }
         };
-        // Every entry is the same kernel `match_sets` evaluates: the
-        // fixed-width lane kernels for lane dims (`eval` only adds a
-        // per-point pad), the sequential `lp` sums above `LANES`.
+        // Every entry is the model's point distance: the fixed-width lane
+        // kernels for lane dims (`point_distance` only adds a per-point
+        // pad), the sequential `lp` sums above `LANES`.
         let dist = |i: usize, j: usize| {
             if lanes {
                 mm.point_distance_lanes(simd::row(bigp, i), simd::row(smallp, j))
@@ -329,10 +339,10 @@ impl MatchingEngine {
                 }
             }
         }
+        // The entries can be negative, so no partial-cost bound holds:
+        // the solve always finishes.
         hungarian::solve_slice_into(n, m, cost, ws, col_to_row);
 
-        // Re-sum in big-element order, exactly as `match_sets` does: `d`
-        // for a matched element, `w` for an unmatched one.
         let mut total = 0.0;
         for (i, &j) in col_to_row.iter().enumerate() {
             total += match j {
@@ -341,14 +351,7 @@ impl MatchingEngine {
                 None => weights[i],
             };
         }
-        // Compared on the caller's scale: the permutation model's root
-        // is taken first.
-        let d = mm.finish(total);
-        if d > upper {
-            PrefilteredDistance::Pruned
-        } else {
-            PrefilteredDistance::Exact(d)
-        }
+        (total, big_is_first, col_to_row)
     }
 
     /// The f32 gate (DESIGN.md §13): `true` iff the **f64** distance
@@ -360,8 +363,8 @@ impl MatchingEngine {
     /// are added one by one, and the gate stops at the first partial sum
     /// above `upper` widened by the δ margin of the rows seen so far.
     /// No matrix is stored and nothing is solved. Requires `m > 0`,
-    /// `dim ≤ LANES` and `big`/`small` oriented as in
-    /// [`MatchingEngine::solve`]; `upper` is on the raw matched-sum scale.
+    /// `dim ≤ LANES` and `big`/`small` oriented by [`orient`]; `upper`
+    /// is on the raw matched-sum scale.
     fn f32_prunes(&mut self, big: Operand<'_>, small: Operand<'_>, upper: f64) -> bool {
         let MatchingEngine { mm, psmall32, .. } = self;
         let m = big.set().len();
@@ -431,6 +434,18 @@ impl MatchingEngine {
             }
         }
         false
+    }
+}
+
+/// A pair oriented as Definition 6 does (w.l.o.g. |X| ≥ |Y|): the
+/// larger set, whose surplus elements pay the weight penalty, then the
+/// smaller, and whether the larger is `x`.
+fn orient<'a>(x: Operand<'a>, y: Operand<'a>) -> (Operand<'a>, Operand<'a>, bool) {
+    assert_eq!(x.set().dim(), y.set().dim(), "vector sets of different dimension");
+    if x.set().len() >= y.set().len() {
+        (x, y, true)
+    } else {
+        (y, x, false)
     }
 }
 
@@ -739,13 +754,16 @@ mod tests {
     }
 
     proptest! {
-        /// One value per pair and argument order: every operand pairing
-        /// at `upper ∈ {∞, exact, 2·exact}` returns `match_sets`' bits,
-        /// which are within 1e-9 of the `k!` brute force — on tie-heavy
-        /// inputs too, where a second cost layout for some bounds would
-        /// pick another optimal matching and differ in the last bit.
+        /// One value per pair and argument order: the unbounded value is
+        /// within 1e-9 of the `k!` brute force, and every operand pairing
+        /// at `upper ∈ {exact, one ulp above, 2·exact}` — bounds the f32
+        /// gate runs under and does not decide — returns its bits, as do
+        /// `match_sets`, `distance_value` and `distance_prepared`. On
+        /// tie-heavy inputs too, where a second cost layout for some
+        /// bounds would pick another optimal matching and differ in the
+        /// last bit.
         #[test]
-        fn engine_is_bit_identical_to_match_sets(
+        fn every_bound_returns_the_unbounded_bits(
             coords in proptest::collection::vec(-5.0f64..5.0, 2 * 6 * 12),
             nx in 0usize..=6,
             ny in 0usize..=6,
@@ -757,13 +775,16 @@ mod tests {
                     let brute = brute_force_matching_distance(&mm, &x, &y);
                     let mut e = MatchingEngine::new(mm);
                     for (a, b) in [(&x, &y), (&y, &x)] {
-                        let exact = mm.match_sets(a, b).cost;
+                        let exact = distance_all_pairings(&mut e, a, b, f64::INFINITY).value();
+                        let exact = exact.expect("unbounded solve cannot prune");
                         prop_assert!((exact - brute).abs() <= 1e-9, "{exact} vs brute {brute}");
-                        for upper in [f64::INFINITY, exact, 2.0 * exact] {
+                        for upper in [exact, exact.next_up(), 2.0 * exact] {
                             let got = distance_all_pairings(&mut e, a, b, upper).value();
                             prop_assert_eq!(got.map(f64::to_bits), Some(exact.to_bits()),
                                 "{:?} at upper {}", mm, upper);
                         }
+                        prop_assert_eq!(mm.match_sets(a, b).cost.to_bits(), exact.to_bits());
+                        prop_assert_eq!(mm.distance_value(a, b).to_bits(), exact.to_bits());
                         let (pa, pb) = (e.prepare(a.clone()), e.prepare(b.clone()));
                         prop_assert_eq!(e.distance_prepared(&pa, &pb).to_bits(), exact.to_bits());
                     }
@@ -771,7 +792,7 @@ mod tests {
             }
         }
 
-        /// `distance` is `Exact` — bit-identical to `match_sets` — iff
+        /// `distance` is `Exact` — the unbounded value's bits — iff
         /// the exact distance is ≤ upper, and prunes (in either stage)
         /// only when it really exceeds the bound: for every operand
         /// pairing, in both argument orders, on the lane path and above
@@ -790,7 +811,7 @@ mod tests {
                 for mm in models() {
                     let mut e = MatchingEngine::new(mm);
                     for (a, b) in [(&x, &y), (&y, &x)] {
-                        let exact = mm.match_sets(a, b).cost;
+                        let exact = mm.distance_value(a, b);
                         let upper = exact * frac;
                         match distance_all_pairings(&mut e, a, b, upper) {
                             Exact(d) => {

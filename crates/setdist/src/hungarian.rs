@@ -7,11 +7,10 @@
 //! alternating tree, with a worst-case `O(n · m)` per insertion, i.e.
 //! `O(n² m)` in total (`O(k³)` for square instances).
 //!
-//! Every exact matching distance solves the **n × m** problem, `n ≤ m`:
-//! one row per element of the smaller set, one column per element of
-//! the larger, so only the `n` real choices are inserted
-//! ([`solve_slice_into`], behind `match_sets` and the engine's exact
-//! stage).
+//! [`solve_slice_into`] solves any `n × m` slice, `n ≤ m`; in the crate
+//! its one caller is the engine's exact stage, whose module docs
+//! ([`crate::engine`]) state the layout every matching distance is
+//! solved in.
 //!
 //! The core is **branch-free and lane-parallel**: the `used[]`
 //! bookkeeping of the textbook formulation is replaced by a `+∞`
@@ -197,29 +196,13 @@ fn sap_core(n: usize, m: usize, data: &[f64], ws: &mut Workspace) {
     }
 }
 
-/// Sum the matched edges in **row order** (bit-identical to summing an
-/// explicit `row_to_col` assignment) without allocating: `ws.minv` is
-/// dead after [`sap_core`] and doubles as the per-row cost buffer.
-fn matched_cost(n: usize, m: usize, data: &[f64], ws: &mut Workspace) -> f64 {
-    for j in 1..=m {
-        if ws.p[j] != 0 {
-            ws.minv[ws.p[j]] = data[(ws.p[j] - 1) * m + (j - 1)];
-        }
-    }
-    let mut total = 0.0;
-    for i in 1..=n {
-        total += ws.minv[i];
-    }
-    total
-}
-
 /// Full solve over a borrowed row-major `rows × cols` slice
 /// (`rows ≤ cols`) into a caller-owned buffer: match every row to a
 /// distinct column minimizing total cost, and leave `col_to_row[c]` as
 /// the row matched to column `c` (`None` for the `cols - rows` free
 /// columns). `rows = 0` solves nothing and leaves every column free.
-/// The `Workspace`-backed path behind `match_sets` and the engine's
-/// exact stage, which sum the distance from the matching themselves.
+/// No total is returned: a caller sums the matching in the order its
+/// value is defined by.
 pub fn solve_slice_into(
     rows: usize,
     cols: usize,
@@ -235,15 +218,6 @@ pub fn solve_slice_into(
     }
     sap_core(rows, cols, data, ws);
     col_to_row.extend(ws.p[1..=cols].iter().map(|&r| r.checked_sub(1)));
-}
-
-/// Cost-only solve over a borrowed row-major `rows × cols` slice: no
-/// `row_to_col` materialization, zero heap allocations once `ws` has
-/// reached steady-state capacity. The optimal total, summed in row order.
-pub fn solve_cost_slice(rows: usize, cols: usize, data: &[f64], ws: &mut Workspace) -> f64 {
-    debug_assert!(rows > 0 && cols >= rows && data.len() == rows * cols);
-    sap_core(rows, cols, data, ws);
-    matched_cost(rows, cols, data, ws)
 }
 
 /// Brute-force assignment by enumerating all `cols! / (cols-rows)!`
@@ -391,24 +365,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cost_only_solvers_match_reference() {
-        let mut ws = Workspace::default();
-        for (rows, cols, seed) in [(3usize, 3usize, 11u64), (5, 8, 12), (2, 2, 13), (9, 9, 14)] {
-            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15);
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as f64 / 1e6
-            };
-            let c = CostMatrix::from_fn(rows, cols, |_, _| next());
-            let reference = solve(&c).cost;
-            assert_eq!(
-                solve_cost_slice(rows, cols, c.data(), &mut ws).to_bits(),
-                reference.to_bits()
-            );
-        }
-    }
-
     proptest! {
         /// The branch-free lane core agrees with the preserved scalar
         /// kernel on every instance (the optimal cost is unique even
@@ -422,7 +378,7 @@ mod tests {
             let mut rws = reference::RefWorkspace::default();
             for (rows, cols) in [(6usize, 7usize), (3, 14), (1, 42), (6, 6)] {
                 let take = rows * cols;
-                let new = solve_cost_slice(rows, cols, &vals[..take], &mut ws);
+                let new = solve_with(&CostMatrix::from_fn(rows, cols, |i, j| vals[i * cols + j]), &mut ws).cost;
                 let old = reference::solve_cost_slice(rows, cols, &vals[..take], &mut rws);
                 prop_assert!((new - old).abs() < 1e-9, "lane {new} vs scalar {old}");
             }

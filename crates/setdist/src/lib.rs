@@ -47,6 +47,6 @@ pub mod types;
 
 pub use centroid::{centroid_lower_bound, extended_centroid};
 pub use engine::{MatchingEngine, Operand, PrefilteredDistance, PreparedSet};
-pub use matching::{MatchOutcome, MatchScratch, MinimalMatching};
+pub use matching::{MatchOutcome, MinimalMatching};
 pub use metric::Distance;
 pub use types::VectorSet;

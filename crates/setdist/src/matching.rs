@@ -2,18 +2,12 @@
 //! minimum Euclidean distance under permutation (Definition 4) derived
 //! from it (Section 4.2).
 //!
-//! Definition 6 pads the smaller set with weight slots to a square
-//! problem. [`MinimalMatching::match_sets`] solves the same matching as
-//! an n × m problem instead: row j is element j of the smaller set,
-//! column i element i of the larger, and with n < m the entry is
-//! `d(big_i, small_j) − w(big_i)` (a matched element does not pay its
-//! weight), so only the n real choices are made. The value is then
-//! summed from the matching in big-element order, `d` for a matched
-//! element and `w` for an unmatched one: the sum the square layout
-//! forms. `MatchingEngine` builds the same slice, so both agree bit for
-//! bit.
+//! [`MinimalMatching::match_sets`] and [`MinimalMatching::distance_value`]
+//! run the exact stage of [`MatchingEngine`]: its module docs state the
+//! n × m layout every exact value is solved in.
 
-use crate::hungarian::{self, CostMatrix, Workspace};
+use crate::engine::MatchingEngine;
+use crate::hungarian::{self, CostMatrix};
 use crate::lp;
 use crate::metric::Distance;
 use crate::simd;
@@ -24,28 +18,12 @@ use crate::types::VectorSet;
 pub struct MatchOutcome {
     /// The distance value.
     pub cost: f64,
-    /// Matched pairs `(index in first set, index in second set)`.
+    /// Matched pairs `(index in first set, index in second set)`, sorted.
     pub pairs: Vec<(usize, usize)>,
-    /// Indices of unmatched elements of the *larger* set, and which set
-    /// they belong to (`0` = first argument, `1` = second).
-    pub unmatched: Vec<usize>,
-    pub unmatched_side: u8,
     /// True iff the optimal matching is strictly cheaper than the
     /// identity matching (`x_i ↔ y_i`). This is the statistic behind the
     /// paper's Table 1 ("percentage of proper permutations").
     pub permutation_needed: bool,
-}
-
-/// Reusable buffers for [`MinimalMatching::match_sets_with`]: the flat
-/// cost matrix, the larger set's weights, the Hungarian solver
-/// workspace and the matching. One scratch amortizes every per-call
-/// allocation of the solve.
-#[derive(Debug, Default)]
-pub struct MatchScratch {
-    cost: Vec<f64>,
-    weights: Vec<f64>,
-    ws: Workspace,
-    col_to_row: Vec<Option<usize>>,
 }
 
 /// The minimal matching distance `dist_mm^{w, dist}` (Definition 6),
@@ -177,92 +155,39 @@ impl MinimalMatching {
         }
     }
 
-    /// Full outcome including the matching itself.
+    /// The distance with the optimal matching itself and the
+    /// permutation statistic: the engine's exact stage, plus the cost of
+    /// the identity matching.
     pub fn match_sets(&self, x: &VectorSet, y: &VectorSet) -> MatchOutcome {
-        self.match_sets_with(x, y, &mut MatchScratch::default())
-    }
-
-    /// [`MinimalMatching::match_sets`] with caller-owned scratch: zero
-    /// steady-state allocations beyond the returned [`MatchOutcome`].
-    pub fn match_sets_with(
-        &self,
-        x: &VectorSet,
-        y: &VectorSet,
-        scratch: &mut MatchScratch,
-    ) -> MatchOutcome {
-        assert_eq!(x.dim(), y.dim(), "vector sets of different dimension");
-        // Orient so that `big` is the larger set (its surplus elements pay
-        // the weight penalty), per Definition 6 (w.l.o.g. |X| >= |Y|).
-        let (big, small, big_is_first) =
-            if x.len() >= y.len() { (x, y, true) } else { (y, x, false) };
-        let m = big.len();
-        let n = small.len();
-
-        // The n × m problem of the module docs. With n = 0 nothing is
-        // solved and every element is unmatched.
-        let MatchScratch { cost, weights, ws, col_to_row } = scratch;
-        weights.clear();
-        if n < m {
-            weights.extend(big.iter().map(|v| self.weight(v)));
-        }
-        cost.clear();
-        for j in 0..n {
-            let sj = small.get(j);
-            cost.extend(big.iter().map(|bi| self.point_distance(bi, sj)));
-            if n < m {
-                for (c, &w) in cost[j * m..].iter_mut().zip(weights.iter()) {
-                    *c -= w;
-                }
-            }
-        }
-        hungarian::solve_slice_into(n, m, cost, ws, col_to_row);
-
-        // The value is summed from the matching in big-element order —
-        // `d` for a matched element, `w` for an unmatched one — never
-        // from the shifted entries.
-        let mut sol_cost = 0.0;
-        let mut pairs = Vec::with_capacity(n);
-        let mut unmatched = Vec::with_capacity(m - n);
-        for (i, &j) in col_to_row.iter().enumerate() {
-            match j {
-                Some(j) => {
-                    sol_cost += if n == m {
-                        cost[j * m + i]
-                    } else {
-                        self.point_distance(big.get(i), small.get(j))
-                    };
-                    pairs.push(if big_is_first { (i, j) } else { (j, i) });
-                }
-                None => {
-                    sol_cost += weights[i];
-                    unmatched.push(i);
-                }
-            }
-        }
+        let mut engine = MatchingEngine::new(*self);
+        let (total, big_is_first, col_to_row) = engine.exact(x.into(), y.into());
+        let mut pairs: Vec<(usize, usize)> = col_to_row
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &j)| j.map(|j| if big_is_first { (i, j) } else { (j, i) }))
+            .collect();
         pairs.sort_unstable();
 
-        // Identity matching cost for the permutation statistic.
+        // Identity matching cost for the permutation statistic: the
+        // larger set's surplus elements pay their weights.
+        let (big, small) = if big_is_first { (x, y) } else { (y, x) };
+        let n = small.len();
         let mut id_cost = 0.0;
         for i in 0..n {
             id_cost += self.point_distance(big.get(i), small.get(i));
         }
-        for &w in weights.iter().skip(n) {
-            id_cost += w;
+        for v in big.iter().skip(n) {
+            id_cost += self.weight(v);
         }
-        let permutation_needed = sol_cost < id_cost - 1e-9;
 
-        MatchOutcome {
-            cost: self.finish(sol_cost),
-            pairs,
-            unmatched,
-            unmatched_side: if big_is_first { 0 } else { 1 },
-            permutation_needed,
-        }
+        MatchOutcome { cost: self.finish(total), pairs, permutation_needed: total < id_cost - 1e-9 }
     }
 
-    /// Distance value only.
+    /// The distance alone: the engine's unbounded
+    /// [`distance`](MatchingEngine::distance).
     pub fn distance_value(&self, x: &VectorSet, y: &VectorSet) -> f64 {
-        self.match_sets(x, y).cost
+        let mut engine = MatchingEngine::new(*self);
+        engine.distance(x, y, f64::INFINITY).value().expect("unbounded solve cannot prune")
     }
 }
 
@@ -334,8 +259,6 @@ mod tests {
         // [1,0] matches exactly; [3,4] is unmatched and pays norm 5.
         assert!((out.cost - 5.0).abs() < 1e-12);
         assert_eq!(out.pairs, vec![(1, 0)]);
-        assert_eq!(out.unmatched, vec![0]);
-        assert_eq!(out.unmatched_side, 0);
     }
 
     #[test]
@@ -346,9 +269,11 @@ mod tests {
         let a = mm.distance_value(&x, &y);
         let b = mm.distance_value(&y, &x);
         assert!((a - b).abs() < 1e-12);
+        // Pairs are indexed first set first, whichever set is larger.
         let out = mm.match_sets(&y, &x);
-        assert_eq!(out.unmatched_side, 1);
-        assert_eq!(out.unmatched.len(), 2);
+        assert_eq!(out.pairs.len(), 1);
+        assert_eq!(out.pairs[0].0, 0);
+        assert_eq!(a.to_bits(), out.cost.to_bits());
     }
 
     #[test]
